@@ -15,8 +15,9 @@
 //! feature vector is [`FEATURE_NAMES`] order.
 
 use crate::global::GlobalRoute;
-use crate::params::PopularityModel;
-use crate::scoring::{extract_features, RerankModel, RouteFeatures, ScoringCtx, FEATURE_NAMES};
+use crate::scoring::{
+    extract_features, ConfiguredScorer, RouteFeatures, RouteScorer, ScoringCtx, FEATURE_NAMES,
+};
 use hris_obs::AuditRecord;
 
 /// JSON string escaping for event text (feature names are static and safe).
@@ -83,17 +84,19 @@ pub struct RouteExplanation {
 impl RouteExplanation {
     /// Explains one candidate: extracts its features (with the same
     /// popularity knobs the scorer used, so the components line up with
-    /// the DP's own `f`) and, given a model, scores and attributes it.
-    #[must_use]
-    pub fn explain(
+    /// the DP's own `f`) and, under a learned scorer, scores and attributes
+    /// it with the scorer's model.
+    fn explain(
         ctx: &ScoringCtx<'_>,
         candidate: &GlobalRoute,
         rank: usize,
-        entropy_floor: f64,
-        model: PopularityModel,
-        rerank: Option<&RerankModel>,
+        scorer: &ConfiguredScorer<'_>,
     ) -> Self {
-        let features = extract_features(ctx, candidate, entropy_floor, model);
+        let (paper, rerank) = match scorer {
+            ConfiguredScorer::Paper(paper) => (paper, None),
+            ConfiguredScorer::Learned(learned) => (learned.paper(), Some(learned.model())),
+        };
+        let features = extract_features(ctx, candidate, paper.entropy_floor, paper.model);
         let (rerank_score, attributions) = match rerank {
             Some(m) => {
                 let x = features.to_array();
@@ -195,6 +198,29 @@ impl QueryAudit {
         self.events.push(event.into());
     }
 
+    /// Fills the scoring half of the audit — the one explain path shared by
+    /// the engine and the sharded router: the per-pair local route counts
+    /// `ctx` carries, which scorer ranked them, and an explanation of the
+    /// first `top_k` returned routes (paper score components, feature
+    /// vector and, under a learned scorer, the model's score and
+    /// per-feature attributions).
+    pub fn explain_routes(
+        &mut self,
+        ctx: &ScoringCtx<'_>,
+        globals: &[GlobalRoute],
+        top_k: usize,
+        scorer: &ConfiguredScorer<'_>,
+    ) {
+        self.local_routes_per_pair = ctx.locals.iter().map(|l| l.routes.len()).collect();
+        self.scorer = scorer.name().to_string();
+        self.routes = globals
+            .iter()
+            .take(top_k)
+            .enumerate()
+            .map(|(rank, g)| RouteExplanation::explain(ctx, g, rank, scorer))
+            .collect();
+    }
+
     /// This audit as one JSON object (compact, stable key order).
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -250,6 +276,7 @@ impl QueryAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scoring::RerankModel;
 
     #[test]
     fn audit_json_shape_and_escaping() {

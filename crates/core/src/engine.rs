@@ -1,4 +1,4 @@
-//! Parallel batch query engine with shared candidate / shortest-path caches.
+//! Parallel batch query engine.
 //!
 //! [`Hris`] answers one query on one thread. The [`QueryEngine`] wraps a
 //! `Hris` and serves the same three-phase pipeline as a throughput-oriented
@@ -11,50 +11,46 @@
 //! * **Batch fan-out** — [`QueryEngine::infer_batch`] spreads whole queries
 //!   across the pool (each query's pairs then run sequentially, so the pool
 //!   is never oversubscribed by nested fan-out).
-//! * **Shared caches** — a bounded, sharded LRU for the shortest-path
-//!   fallback ([`SpCache`], keyed `(from, to, cost model)`) and a memo for
-//!   per-point candidate edges (keyed by the *exact bit pattern* of the
-//!   position), both shared by all pairs and all queries served by the
-//!   engine.
+//! * **One shortest-path cache** — the engine keeps no cache of its own:
+//!   the data-sparseness fallback is the same
+//!   [`SpOracle::route_between`](hris_roadnet::SpOracle) call `Hris` makes,
+//!   so every pair of every query shares the network's oracle.
 //! * **Observability** — with [`ObsOptions::enabled`](crate::ObsOptions)
 //!   the engine records per-phase wall time, queue depth, worker occupancy,
-//!   cache hit/miss pairs, rolling-window latency quantiles and opt-in
-//!   per-query [`TraceRecord`]s on an [`hris_obs`] registry ([`EngineObs`]);
-//!   sampled queries additionally carry a structured span tree whose ids
-//!   surface as histogram exemplars. Disabled (the default) the hot path
-//!   performs no clock reads and no atomic updates beyond the cache
-//!   counters that predate instrumentation.
+//!   rolling-window latency quantiles and opt-in per-query
+//!   [`TraceRecord`]s on an [`hris_obs`] registry ([`EngineObs`]); sampled
+//!   queries additionally carry a structured span tree whose ids surface as
+//!   histogram exemplars. Disabled (the default) the hot path performs no
+//!   clock reads and no atomic updates.
 //!
-//! The load-bearing invariant: **scheduling, caching and instrumentation
-//! never change any result.** Pair workers only read shared state, caches
-//! are keyed exactly (no tolerance collisions), and cached values are stored
-//! verbatim — so sequential, pair-parallel and batch execution return
-//! byte-identical routes and scores, with or without metrics enabled.
+//! The load-bearing invariant: **scheduling and instrumentation never
+//! change any result.** Pair workers only read shared state, so sequential,
+//! pair-parallel and batch execution return byte-identical routes and
+//! scores, with or without metrics enabled.
 //! `tests/engine_determinism.rs` and `tests/engine_observability.rs` pin
 //! this down.
 
+use crate::audit::QueryAudit;
 use crate::global::GlobalRoute;
 use crate::local::{LocalInferenceResult, LocalStats};
 use crate::params::{EngineConfig, ExecMode, HrisParams, ObsOptions};
 use crate::pipeline::{
-    degenerate_local, infer_pair, infer_pair_chain, DegenerateQuery, Hris, ScoredRoute,
+    degenerate_local, infer_pair, query_candidates, DegenerateQuery, Hris, ScoredRoute,
 };
-use crate::audit::{QueryAudit, RouteExplanation};
-use crate::scoring::{LearnedScorer, PaperScorer, RerankModel, RouteScorer, ScoringCtx};
+use crate::scoring::{configured_scorer, ConfiguredScorer, PaperScorer, RouteScorer, ScoringCtx};
 use hris_obs::{
     clock, synthetic_tree, AuditRing, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
-    PairedCounter, SlidingHistogram, Span, SpanCollector, SpanGuard, SpanSampler, TraceRecord,
-    TraceRing, DEFAULT_TIME_BOUNDS,
+    SlidingHistogram, Span, SpanCollector, SpanGuard, SpanSampler, TraceRecord, TraceRing,
+    DEFAULT_TIME_BOUNDS,
 };
 use hris_roadnet::network::CandidateEdge;
-use hris_roadnet::shortest::SpCache;
-use hris_roadnet::{CostModel, RoadNetwork, Route, SegmentId};
+use hris_roadnet::RoadNetwork;
 use hris_traj::{sanitize_points, PointRepairs, Trajectory, TrajectoryArchive};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Why the engine refused to answer a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -201,55 +197,39 @@ pub struct QueryResult {
     pub outcome: QueryOutcome,
 }
 
-/// Exact-position key: the bit patterns of a point's coordinates. Two query
-/// points share a memo entry only when they are bit-identical, so the memo
-/// cannot perturb results.
-type CandKey = (u64, u64);
-
-/// Hit/miss counters of the engine's two caches.
+/// Shortest-path cache counters as the engine's callers see them.
 ///
-/// # Consistency model
-///
-/// Each cache's `(hits, misses)` pair is read from **one** atomic load of a
-/// packed [`PairedCounter`], so within a pair the numbers are mutually
-/// consistent even while a batch is in flight: `sp_hits + sp_misses` is
-/// exactly the number of shortest-path lookups issued before the snapshot,
-/// and likewise for the candidate memo. Across the two pairs (and relative
-/// to any registry metrics) no ordering is guaranteed — the two loads happen
-/// at slightly different instants.
+/// The engine keeps no cache of its own: `sp_hits`/`sp_misses` are one
+/// consistent reading of the served network's
+/// [`SpOracle::lookup_counters`](hris_roadnet::SpOracle::lookup_counters)
+/// (the one shortest-path cache, shared by everything on that network, so
+/// the numbers include probes made by local inference and by other engines
+/// on the same network). The candidate fields are kept for source
+/// compatibility with the benchmark and always read 0 — the per-position
+/// candidate memo they counted no longer exists.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineCacheStats {
-    /// Shortest-path fallback lookups answered from the cache.
+    /// Oracle probes answered from precomputed state.
     pub sp_hits: u64,
-    /// Shortest-path fallback lookups that ran a real search.
+    /// Oracle probes that ran Dijkstra.
     pub sp_misses: u64,
-    /// Candidate-edge lookups answered from the memo.
+    /// Always 0 (the candidate memo was removed).
     pub candidate_hits: u64,
-    /// Candidate-edge lookups computed fresh.
+    /// Always 0 (the candidate memo was removed).
     pub candidate_misses: u64,
 }
 
-/// Per-query cache outcome tally, shared by the pair workers of one traced
-/// query (they may run on several threads under [`ExecMode::PairParallel`]).
-#[derive(Default)]
-pub(crate) struct CacheTally {
-    sp_hits: AtomicU64,
-    sp_misses: AtomicU64,
-    cand_hits: AtomicU64,
-    cand_misses: AtomicU64,
-}
-
-impl CacheTally {
-    fn bump(cell: &AtomicU64) {
-        cell.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Phases 1–2 of one query plus the numbers the instrumentation wants.
+#[derive(Default)]
 pub(crate) struct LocalRun {
     pub(crate) locals: Vec<LocalInferenceResult>,
+    /// Pairs that needed a step beyond the configured local algorithm.
+    pairs_fell_back: usize,
     /// Candidate edges summed over all query points.
     candidates_total: usize,
+    /// Candidate edges per query point; filled only when the audit ring is
+    /// on (its sole reader).
+    candidates_per_point: Vec<usize>,
     /// Wall seconds of the candidate-lookup loop (0 when untimed).
     candidates_s: f64,
     /// Wall seconds of the per-pair inference loop (0 when untimed).
@@ -335,12 +315,7 @@ pub struct EngineObs {
 }
 
 impl EngineObs {
-    fn new(
-        registry: Arc<MetricsRegistry>,
-        opts: &ObsOptions,
-        sp_pair: Option<PairedCounter>,
-        cand_pair: PairedCounter,
-    ) -> Self {
+    fn new(registry: Arc<MetricsRegistry>, opts: &ObsOptions) -> Self {
         let phase = |name: &str| {
             registry.histogram_with_labels(
                 "hris_engine_phase_seconds",
@@ -349,19 +324,6 @@ impl EngineObs {
                 &[("phase", name)],
             )
         };
-        // The cache pairs are registered even when a cache is disabled (a
-        // fresh all-zero pair), so the exported metric set does not depend
-        // on the cache configuration.
-        let _ = registry.register_paired(
-            "hris_engine_sp_cache",
-            "Shortest-path fallback cache lookups.",
-            sp_pair.unwrap_or_default(),
-        );
-        let _ = registry.register_paired(
-            "hris_engine_candidate_memo",
-            "Candidate-edge memo lookups.",
-            cand_pair,
-        );
         EngineObs {
             queries: registry.counter("hris_engine_queries_total", "Queries served."),
             batches: registry.counter("hris_engine_batches_total", "Batches served."),
@@ -535,12 +497,13 @@ impl EngineObs {
         self.span_sampler.sample()
     }
 
-    /// Records one finished query: aggregate metrics always, a trace record
-    /// when tracing is on. A sampled query's span capture stamps the phase
-    /// histograms with exemplar span ids and rides into the trace record; a
-    /// *slow* unsampled query gets a synthetic tree rebuilt from the phase
-    /// timings already measured (zero extra clock reads), so every slow
-    /// trace carries a complete causal tree.
+    /// Records one finished query — clean, repaired, degraded or rejected
+    /// alike: outcome counters, phase histograms and the SLO bucket always,
+    /// a trace record when tracing is on. A sampled query's span capture
+    /// stamps the phase histograms with exemplar span ids and rides into
+    /// the trace record; a *slow* unsampled query gets a synthetic tree
+    /// rebuilt from the phase timings already measured (zero extra clock
+    /// reads), so every slow trace carries a complete causal tree.
     /// Returns the query id it assigned when a trace record was pushed
     /// (0 when tracing is off), so the caller can stamp the same id onto
     /// the query's audit record.
@@ -552,12 +515,24 @@ impl EngineObs {
         global_s: f64,
         refine_s: f64,
         total_s: f64,
-        globals: &[GlobalRoute],
-        tally: Option<&CacheTally>,
+        result: &QueryResult,
         capture: Option<SpanCapture>,
         trace_id: u64,
     ) -> u64 {
         self.queries.inc();
+        match &result.outcome {
+            QueryOutcome::Ok => {}
+            QueryOutcome::Repaired { repairs } => {
+                self.repaired.inc();
+                self.points_dropped.add(repairs.points_dropped() as u64);
+            }
+            QueryOutcome::Degraded { repairs, .. } => {
+                self.repaired.inc();
+                self.degraded.inc();
+                self.points_dropped.add(repairs.points_dropped() as u64);
+            }
+            QueryOutcome::Rejected { .. } => self.rejected.inc(),
+        }
         match &capture {
             Some(cap) => {
                 self.phase_candidates
@@ -590,7 +565,9 @@ impl EngineObs {
         } else {
             self.slo_good.inc();
         }
-        let Some(tally) = tally else { return 0 };
+        if !self.tracing() {
+            return 0;
+        }
         let (root_span, spans) = match capture {
             Some(cap) => (cap.root, cap.spans),
             None if slow => synthetic_tree(
@@ -612,17 +589,13 @@ impl EngineObs {
             points: query.len(),
             pairs: query.len().saturating_sub(1),
             candidates: run.candidates_total,
-            routes: globals.len(),
-            top_log_score: globals.first().map(|g| g.log_score),
+            routes: result.globals.len(),
+            top_log_score: result.globals.first().map(|g| g.log_score),
             candidates_s: run.candidates_s,
             local_s: run.local_s,
             global_s,
             refine_s,
             total_s,
-            sp_hits: tally.sp_hits.load(Ordering::Relaxed),
-            sp_misses: tally.sp_misses.load(Ordering::Relaxed),
-            cand_hits: tally.cand_hits.load(Ordering::Relaxed),
-            cand_misses: tally.cand_misses.load(Ordering::Relaxed),
             slow,
             root_span,
             spans,
@@ -631,30 +604,6 @@ impl EngineObs {
             self.traces_dropped.inc();
         }
         query_id
-    }
-
-    /// Records a non-clean [`QueryOutcome`]. Clean queries are counted by
-    /// [`EngineObs::record_query`] on the normal pipeline path; the repair
-    /// and reject paths bypass that path, so this bumps `queries` for them.
-    fn record_outcome(&self, outcome: &QueryOutcome) {
-        match outcome {
-            QueryOutcome::Ok => {}
-            QueryOutcome::Repaired { repairs } => {
-                self.queries.inc();
-                self.repaired.inc();
-                self.points_dropped.add(repairs.points_dropped() as u64);
-            }
-            QueryOutcome::Degraded { repairs, .. } => {
-                self.queries.inc();
-                self.repaired.inc();
-                self.degraded.inc();
-                self.points_dropped.add(repairs.points_dropped() as u64);
-            }
-            QueryOutcome::Rejected { .. } => {
-                self.queries.inc();
-                self.rejected.inc();
-            }
-        }
     }
 
     /// Records an admission-control shed. A shed query is a served-badly
@@ -683,82 +632,52 @@ pub(crate) struct EngineCtx<'e> {
     pub(crate) params: &'e HrisParams,
 }
 
-/// The engine's cache, configuration and instrumentation state, shared by
-/// the borrowed [`QueryEngine`] and the owned
+/// The engine's configuration and instrumentation state, shared by the
+/// borrowed [`QueryEngine`] and the owned
 /// [`EngineHandle`](crate::handle::EngineHandle) front ends.
 ///
 /// Every inference method takes an [`EngineCtx`] naming the data to serve
 /// against instead of borrowing it at construction, which is what lets the
-/// handle re-point at a new archive epoch without rebuilding its caches'
-/// hit/miss history.
+/// handle re-point at a new archive epoch without rebuilding anything.
 pub(crate) struct EngineCore {
     cfg: EngineConfig,
-    sp_cache: Option<SpCache>,
-    cand_memo: Option<RwLock<HashMap<CandKey, Arc<Vec<CandidateEdge>>>>>,
-    cand_lookups: PairedCounter,
     obs: Option<EngineObs>,
     /// The explain/audit ring, present iff `cfg.explain.enabled` — the
     /// `Option` is the zero-overhead gate for the disabled path.
     audits: Option<AuditRing>,
 }
 
+/// Seconds since an optional clock reading; 0 for the untimed `None`.
+fn elapsed_s(since: Option<Instant>) -> f64 {
+    since.map_or(0.0, |t| clock::now().duration_since(t).as_secs_f64())
+}
+
+/// [`EngineCacheStats`] of the network an engine serves: a view of its
+/// oracle's counters (all zero while the oracle is still unbuilt).
+pub(crate) fn cache_stats(net: &RoadNetwork) -> EngineCacheStats {
+    let (sp_hits, sp_misses) = net
+        .sp_oracle_if_built()
+        .map_or((0, 0), |oracle| oracle.lookup_counters().get());
+    EngineCacheStats {
+        sp_hits,
+        sp_misses,
+        candidate_hits: 0,
+        candidate_misses: 0,
+    }
+}
+
 impl EngineCore {
     pub(crate) fn build(cfg: EngineConfig, registry: Option<Arc<MetricsRegistry>>) -> Self {
-        let sp_cache = (cfg.sp_cache_capacity > 0).then(|| SpCache::new(cfg.sp_cache_capacity));
-        let cand_lookups = PairedCounter::new();
-        let obs = registry.map(|r| {
-            EngineObs::new(
-                r,
-                &cfg.obs,
-                sp_cache.as_ref().map(SpCache::lookup_counters),
-                cand_lookups.clone(),
-            )
-        });
+        let obs = registry.map(|r| EngineObs::new(r, &cfg.obs));
         let audits = cfg
             .explain
             .enabled
             .then(|| AuditRing::new(cfg.explain.audit_capacity));
-        EngineCore {
-            sp_cache,
-            cand_memo: cfg.candidate_memo.then(|| RwLock::new(HashMap::new())),
-            cfg,
-            cand_lookups,
-            obs,
-            audits,
-        }
+        EngineCore { cfg, obs, audits }
     }
 
     pub(crate) fn config(&self) -> &EngineConfig {
         &self.cfg
-    }
-
-    /// The re-ranking model to apply, if any. Enabled options without a
-    /// model (only constructible by hand — the builder validates) behave
-    /// as disabled rather than guessing.
-    fn rerank_model(&self) -> Option<&RerankModel> {
-        if self.cfg.rerank.enabled {
-            self.cfg.rerank.model.as_ref()
-        } else {
-            None
-        }
-    }
-
-    /// Phase 3 through the configured scorer: the paper's K-GRI DP, plus
-    /// the learned re-rank of its top-K output when
-    /// [`EngineConfig::rerank`] is enabled. With re-ranking off this is
-    /// byte-identical to the legacy `k_gri_with` call it replaced.
-    fn score_globals(
-        &self,
-        ctx: EngineCtx<'_>,
-        locals: &[LocalInferenceResult],
-        k: usize,
-    ) -> Vec<GlobalRoute> {
-        let paper = PaperScorer::from_params(ctx.params);
-        let sctx = ScoringCtx::new(ctx.net, locals, k);
-        match self.rerank_model() {
-            None => paper.top_k(&sctx),
-            Some(model) => LearnedScorer::new(paper, model).top_k(&sctx),
-        }
     }
 
     /// Registers the network-level shortest-path oracle on the engine's
@@ -804,64 +723,59 @@ impl EngineCore {
         }
     }
 
-    /// The identity/counts preamble of one audit document. Candidate
-    /// counts re-probe the per-position memo, so filling an audit does not
-    /// perturb the inference it explains.
-    fn base_audit(
+    /// Writes one query's audit document — identity, per-stage counts, the
+    /// outcome with its repair/degradation/rejection events, and the
+    /// explained top routes — into the audit ring. `served` is the query as
+    /// the pipeline saw it (post-repair); `sctx` and `scorer` are the ones
+    /// that produced `result`.
+    #[allow(clippy::too_many_arguments)]
+    fn push_audit(
         &self,
-        ctx: EngineCtx<'_>,
-        query: &Trajectory,
+        ring: &AuditRing,
+        served: &Trajectory,
         trace_id: u64,
         query_id: u64,
-        locals: &[LocalInferenceResult],
-    ) -> QueryAudit {
+        candidates_per_point: &[usize],
+        sctx: &ScoringCtx<'_>,
+        scorer: &ConfiguredScorer<'_>,
+        result: &QueryResult,
+    ) {
         let mut audit = QueryAudit::new(trace_id, query_id);
-        audit.points = query.len();
-        audit.pairs = query.len().saturating_sub(1);
-        audit.candidates_per_point = query
-            .points
-            .iter()
-            .map(|p| self.candidates(ctx, p.pos, None).len())
-            .collect();
-        audit.local_routes_per_pair = locals.iter().map(|l| l.routes.len()).collect();
-        audit.scorer = if self.rerank_model().is_some() {
-            "learned"
-        } else {
-            "paper"
+        audit.points = served.len();
+        audit.pairs = served.len().saturating_sub(1);
+        audit.candidates_per_point = candidates_per_point.to_vec();
+        audit.explain_routes(sctx, &result.globals, self.cfg.explain.top_k_routes, scorer);
+        audit.outcome = match result.outcome {
+            QueryOutcome::Ok => "served",
+            ref other => other.label(),
         }
         .to_string();
-        audit
-    }
-
-    /// Explains the top returned routes (capped at
-    /// `explain.top_k_routes`) into the audit: paper score components,
-    /// feature vector, and — when re-ranking is configured — the model's
-    /// score and per-feature attributions.
-    fn explain_routes(
-        &self,
-        ctx: EngineCtx<'_>,
-        locals: &[LocalInferenceResult],
-        k: usize,
-        globals: &[GlobalRoute],
-        audit: &mut QueryAudit,
-    ) {
-        let sctx = ScoringCtx::new(ctx.net, locals, k);
-        let rerank = self.rerank_model();
-        audit.routes = globals
-            .iter()
-            .take(self.cfg.explain.top_k_routes)
-            .enumerate()
-            .map(|(rank, g)| {
-                RouteExplanation::explain(
-                    &sctx,
-                    g,
-                    rank,
-                    ctx.params.entropy_floor,
-                    ctx.params.popularity_model,
-                    rerank,
-                )
-            })
-            .collect();
+        let repair_event = |repairs: PointRepairs| {
+            format!(
+                "repair: sanitization dropped {} of {} points",
+                repairs.points_dropped(),
+                served.len() + repairs.points_dropped()
+            )
+        };
+        match result.outcome {
+            QueryOutcome::Ok => {}
+            QueryOutcome::Repaired { repairs } => audit.push_event(repair_event(repairs)),
+            QueryOutcome::Degraded {
+                repairs,
+                pairs_fell_back,
+            } => {
+                audit.push_event(repair_event(repairs));
+                audit.push_event(format!(
+                    "degraded: {pairs_fell_back} pairs fell back along the repair chain"
+                ));
+            }
+            QueryOutcome::Rejected { reason } => {
+                // No inference ran, so no scorer ranked anything.
+                audit.scorer = "none".to_string();
+                audit.push_event(format!("rejected: {reason:?}"));
+            }
+        }
+        let _ = ring.push(audit.into_record());
     }
 
     /// Audits an admission-control shed (no inference ran, so the document
@@ -875,40 +789,6 @@ impl EngineCore {
         audit.scorer = "none".to_string();
         audit.push_event("admission: waiting room full, query shed");
         let _ = ring.push(audit.into_record());
-    }
-
-    pub(crate) fn cache_stats(&self) -> EngineCacheStats {
-        let (sp_hits, sp_misses) = self
-            .sp_cache
-            .as_ref()
-            .map_or((0, 0), |c| c.lookup_counters().get());
-        let (candidate_hits, candidate_misses) = self.cand_lookups.get();
-        EngineCacheStats {
-            sp_hits,
-            sp_misses,
-            candidate_hits,
-            candidate_misses,
-        }
-    }
-
-    /// Drops every cached entry from both caches, keeping their cumulative
-    /// hit/miss counters. The owned handle calls this when it adopts a new
-    /// archive epoch.
-    ///
-    /// Strictly speaking both caches are epoch-proof by construction — the
-    /// shortest-path cache keys on `(segment, segment, cost model)` over the
-    /// immutable road network and the candidate memo keys on exact query
-    /// coordinates against that same network, so neither ever holds
-    /// archive-derived data. Invalidating anyway keeps the contract simple
-    /// ("a new epoch starts with cold caches") and future-proofs the day a
-    /// cache does become archive-dependent.
-    pub(crate) fn invalidate_caches(&self) {
-        if let Some(cache) = &self.sp_cache {
-            cache.clear();
-        }
-        if let Some(memo) = &self.cand_memo {
-            memo.write().expect("candidate memo").clear();
-        }
     }
 
     /// [`QueryEngine::infer_batch_detailed`] with the data named explicitly.
@@ -951,11 +831,6 @@ impl EngineCore {
         result
     }
 
-    /// The validation screen. Clean queries (the overwhelming majority)
-    /// take *exactly* the pre-validation code path — byte-identical results,
-    /// pinned by `tests/engine_robustness.rs`. Dirty queries are repaired
-    /// (sanitized, re-sorted, deduplicated) and answered through the
-    /// degradation chain; unusable queries are rejected instead of panicking.
     pub(crate) fn infer_query_mode(
         &self,
         ctx: EngineCtx<'_>,
@@ -967,10 +842,18 @@ impl EngineCore {
         self.infer_query_traced(ctx, query, k, mode, trace_id)
     }
 
-    /// [`EngineCore::infer_query_mode`] under a caller-minted trace id —
-    /// the delegation seam of distributed tracing: a sharded router mints
-    /// one id at its routing decision and threads it here, so the shard's
-    /// trace and audit records join the router's stitched tree.
+    /// The validation screen in front of the one pipeline, under a
+    /// caller-minted trace id — the delegation seam of distributed tracing:
+    /// a sharded router mints one id at its routing decision and threads it
+    /// here, so the shard's trace and audit records join the router's
+    /// stitched tree.
+    ///
+    /// Clean queries (the overwhelming majority) are served as given —
+    /// byte-identical to a validation-off engine, pinned by
+    /// `tests/engine_robustness.rs`. Dirty queries are repaired (sanitized,
+    /// re-sorted, deduplicated) and served with the degradation chain
+    /// armed; unusable queries are rejected instead of panicking. All three
+    /// are timed, traced and audited by the same code.
     pub(crate) fn infer_query_traced(
         &self,
         ctx: EngineCtx<'_>,
@@ -979,96 +862,30 @@ impl EngineCore {
         mode: ExecMode,
         trace_id: u64,
     ) -> QueryResult {
+        let t_query = self.obs.as_ref().map(|_| clock::now());
+        let serve = |served: &Trajectory, screened: Result<Option<PointRepairs>, RejectReason>| {
+            self.infer_screened(ctx, served, screened, k, mode, trace_id, t_query)
+        };
         if !self.cfg.validation.enabled {
-            let (globals, stats) = self.infer_detailed_mode(ctx, query, k, mode, trace_id);
-            return QueryResult {
-                globals,
-                stats,
-                outcome: QueryOutcome::Ok,
-            };
+            return serve(query, Ok(None));
         }
         if query.is_empty() {
             // Same observable behaviour as the unvalidated engine (empty
             // output), but reported as a rejection so callers can tell an
             // empty answer from an empty question.
-            return self.reject(query, trace_id, RejectReason::EmptyQuery);
+            return serve(query, Err(RejectReason::EmptyQuery));
         }
         if self.query_is_valid(query) {
-            let (globals, stats) = self.infer_detailed_mode(ctx, query, k, mode, trace_id);
-            return QueryResult {
-                globals,
-                stats,
-                outcome: QueryOutcome::Ok,
-            };
+            return serve(query, Ok(None));
         }
         let mut pts = query.points.clone();
         let repairs = sanitize_points(&mut pts, &self.cfg.validation.limits);
         if pts.is_empty() {
-            return self.reject(query, trace_id, RejectReason::NoUsablePoints);
+            return serve(query, Err(RejectReason::NoUsablePoints));
         }
         // Sanitization guarantees finite, ordered points, so the validating
         // constructor cannot panic here.
-        let repaired = Trajectory::new(query.id, pts);
-        let (globals, stats, pairs_fell_back, locals) =
-            self.infer_repaired(ctx, &repaired, k, mode);
-        let outcome = if pairs_fell_back > 0 {
-            QueryOutcome::Degraded {
-                repairs,
-                pairs_fell_back,
-            }
-        } else {
-            QueryOutcome::Repaired { repairs }
-        };
-        if let Some(obs) = &self.obs {
-            obs.record_outcome(&outcome);
-        }
-        if let Some(ring) = &self.audits {
-            let mut audit = self.base_audit(ctx, &repaired, trace_id, 0, &locals);
-            audit.outcome = if pairs_fell_back > 0 {
-                "degraded"
-            } else {
-                "repaired"
-            }
-            .to_string();
-            audit.push_event(format!(
-                "repair: sanitization dropped {} of {} points",
-                repairs.points_dropped(),
-                query.len()
-            ));
-            if pairs_fell_back > 0 {
-                audit.push_event(format!(
-                    "degraded: {pairs_fell_back} pairs fell back along the repair chain"
-                ));
-            }
-            self.explain_routes(ctx, &locals, k, &globals, &mut audit);
-            let _ = ring.push(audit.into_record());
-        }
-        QueryResult {
-            globals,
-            stats,
-            outcome,
-        }
-    }
-
-    fn reject(&self, query: &Trajectory, trace_id: u64, reason: RejectReason) -> QueryResult {
-        let outcome = QueryOutcome::Rejected { reason };
-        if let Some(obs) = &self.obs {
-            obs.record_outcome(&outcome);
-        }
-        if let Some(ring) = &self.audits {
-            let mut audit = QueryAudit::new(trace_id, 0);
-            audit.points = query.len();
-            audit.pairs = query.len().saturating_sub(1);
-            audit.outcome = "rejected".to_string();
-            audit.scorer = "none".to_string();
-            audit.push_event(format!("rejected: {reason:?}"));
-            let _ = ring.push(audit.into_record());
-        }
-        QueryResult {
-            globals: Vec::new(),
-            stats: Vec::new(),
-            outcome,
-        }
+        serve(&Trajectory::new(query.id, pts), Ok(Some(repairs)))
     }
 
     /// The engine's input contract: finite coordinates and timestamps,
@@ -1087,112 +904,58 @@ impl EngineCore {
             })
     }
 
-    /// Phases 1–3 for a repaired query. Unlike the clean path this runs each
-    /// pair through [`infer_pair_chain`] — primary algorithm, then (when
-    /// [`ValidationOptions::algorithm_fallback`] is set) forced TGI and NNI,
-    /// then the shortest-path fallback — and reports how many pairs needed a
-    /// fallback.
+    /// Phases 1–3 of one screened query, with everything the observability
+    /// and explain layers record about it. `screened` is the validation
+    /// verdict: `Ok(None)` clean, `Ok(Some(repairs))` repaired (`served` is
+    /// then the sanitized copy and pairs run the degradation chain when
+    /// [`ValidationOptions::algorithm_fallback`] is set), `Err(reason)`
+    /// rejected (no inference runs; the empty answer is still recorded).
+    /// `t_query` is the clock reading taken before validation, present iff
+    /// observability is on — without it this path reads no clock.
     ///
     /// [`ValidationOptions::algorithm_fallback`]: crate::params::ValidationOptions
-    fn infer_repaired(
+    #[allow(clippy::too_many_arguments)]
+    fn infer_screened(
         &self,
         ctx: EngineCtx<'_>,
-        query: &Trajectory,
-        k: usize,
-        mode: ExecMode,
-    ) -> (
-        Vec<GlobalRoute>,
-        Vec<LocalStats>,
-        usize,
-        Vec<LocalInferenceResult>,
-    ) {
-        let EngineCtx { net, params, .. } = ctx;
-        // Locals ride back out so the explain layer can attribute route
-        // scores without re-running inference.
-        let finish = |locals: Vec<LocalInferenceResult>, fell_back: usize| {
-            let stats = locals.iter().map(|l| l.stats.clone()).collect();
-            let globals = self.score_globals(ctx, &locals, k);
-            (globals, stats, fell_back, locals)
-        };
-        match degenerate_local(net, query) {
-            DegenerateQuery::Empty => return finish(Vec::new(), 0),
-            DegenerateQuery::Single(result) => return finish(vec![result], 0),
-            DegenerateQuery::No => {}
-        }
-        let cands: Vec<Arc<Vec<CandidateEdge>>> = query
-            .points
-            .iter()
-            .map(|p| self.candidates(ctx, p.pos, None))
-            .collect();
-        let pair_indices: Vec<usize> = (0..query.len() - 1).collect();
-        let work = |i: usize| {
-            infer_pair_chain(
-                net,
-                ctx.archive,
-                params,
-                query.points[i],
-                query.points[i + 1],
-                &cands[i],
-                &cands[i + 1],
-                &|a, b| self.sp_fallback(net, a, b, None),
-                self.cfg.validation.algorithm_fallback,
-            )
-        };
-        let results: Vec<(LocalInferenceResult, bool)> =
-            match self.effective_mode(mode, pair_indices.len()) {
-                ExecMode::Sequential => pair_indices.into_iter().map(work).collect(),
-                ExecMode::PairParallel => pair_indices.par_iter().map(|&i| work(i)).collect(),
-            };
-        let fell_back = results.iter().filter(|(_, fb)| *fb).count();
-        let locals = results.into_iter().map(|(l, _)| l).collect();
-        finish(locals, fell_back)
-    }
-
-    fn infer_detailed_mode(
-        &self,
-        ctx: EngineCtx<'_>,
-        query: &Trajectory,
+        served: &Trajectory,
+        screened: Result<Option<PointRepairs>, RejectReason>,
         k: usize,
         mode: ExecMode,
         trace_id: u64,
-    ) -> (Vec<GlobalRoute>, Vec<LocalStats>) {
-        let params = ctx.params;
-        let Some(obs) = &self.obs else {
-            // Uninstrumented fast path: no clocks, no tallies, no spans.
-            let run = self.local_inference_run(ctx, query, mode, None, false, None);
-            let stats = run.locals.iter().map(|l| l.stats.clone()).collect();
-            let globals = self.score_globals(ctx, &run.locals, k);
-            if let Some(ring) = &self.audits {
-                let mut audit = self.base_audit(ctx, query, trace_id, 0, &run.locals);
-                audit.outcome = "served".to_string();
-                self.explain_routes(ctx, &run.locals, k, &globals, &mut audit);
-                let _ = ring.push(audit.into_record());
-            }
-            return (globals, stats);
-        };
-
+        t_query: Option<Instant>,
+    ) -> QueryResult {
+        let obs = self.obs.as_ref();
+        let timed = obs.is_some();
         // Span trees are sampled: most queries pay only the phase timers
         // below, a sampled query additionally opens RAII guards per phase.
-        let collector = obs.sample_spans().then(SpanCollector::new);
+        let collector = obs
+            .is_some_and(EngineObs::sample_spans)
+            .then(SpanCollector::new);
         let mut root_guard = collector.as_ref().map(|c| c.root("query"));
         let root_id = root_guard.as_ref().map_or(0, SpanGuard::id);
         if let Some(g) = root_guard.as_mut() {
-            g.attr("points", query.len());
-            g.attr("pairs", query.len().saturating_sub(1));
+            g.attr("points", served.len());
+            g.attr("pairs", served.len().saturating_sub(1));
         }
         let spanctx = collector.as_ref().map(|c| (c, root_id));
 
-        let t_query = clock::now();
-        let tally = obs.tracing().then(CacheTally::default);
-        let run = self.local_inference_run(ctx, query, mode, tally.as_ref(), true, spanctx);
+        let run = match screened {
+            Ok(repairs) => {
+                let algorithm_fallback =
+                    repairs.is_some() && self.cfg.validation.algorithm_fallback;
+                self.local_inference_run(ctx, served, mode, algorithm_fallback, timed, spanctx)
+            }
+            Err(_) => LocalRun::default(),
+        };
 
         let mut global_guard = spanctx.map(|(c, root)| c.child(root, "global"));
         let global_span_id = global_guard.as_ref().map_or(0, SpanGuard::id);
-        let paper = PaperScorer::from_params(params);
+        let scorer = configured_scorer(ctx.params, &self.cfg.rerank);
         let sctx = ScoringCtx::new(ctx.net, &run.locals, k);
-        let t_global = clock::now();
-        let mut globals = paper.top_k(&sctx);
-        let global_s = clock::now().duration_since(t_global).as_secs_f64();
+        let t_global = timed.then(clock::now);
+        let mut globals = PaperScorer::from_params(ctx.params).top_k(&sctx);
+        let global_s = elapsed_s(t_global);
         if let Some(g) = global_guard.as_mut() {
             g.attr("routes", globals.len());
         }
@@ -1200,28 +963,42 @@ impl EngineCore {
 
         let mut refine_guard = spanctx.map(|(c, root)| c.child(root, "refine"));
         let refine_span_id = refine_guard.as_ref().map_or(0, SpanGuard::id);
-        let t_refine = clock::now();
+        let t_refine = timed.then(clock::now);
         // Learned re-ranking lives in the refine phase: the DP output is
-        // the raw material, the model only permutes it.
-        if let Some(model) = self.rerank_model() {
-            let t_rerank = clock::now();
-            let outcome = LearnedScorer::new(paper, model).rerank_in_place(&sctx, &mut globals);
-            obs.rerank_seconds
-                .observe(clock::now().duration_since(t_rerank).as_secs_f64());
-            obs.rerank_queries.inc();
-            obs.rerank_routes.add(outcome.rescored as u64);
-            if outcome.top1_changed {
-                obs.rerank_reordered.inc();
+        // the raw material, the model only permutes it (`LearnedScorer`'s
+        // own `top_k` is exactly these two steps).
+        if let ConfiguredScorer::Learned(learned) = &scorer {
+            let t_rerank = timed.then(clock::now);
+            let outcome = learned.rerank_in_place(&sctx, &mut globals);
+            if let Some(obs) = obs {
+                obs.rerank_seconds.observe(elapsed_s(t_rerank));
+                obs.rerank_queries.inc();
+                obs.rerank_routes.add(outcome.rescored as u64);
+                if outcome.top1_changed {
+                    obs.rerank_reordered.inc();
+                }
             }
             if let Some(g) = refine_guard.as_mut() {
                 g.attr("reranked", outcome.rescored);
             }
         }
-        let stats: Vec<LocalStats> = run.locals.iter().map(|l| l.stats.clone()).collect();
-        let refine_s = clock::now().duration_since(t_refine).as_secs_f64();
+        let result = QueryResult {
+            globals,
+            stats: run.locals.iter().map(|l| l.stats.clone()).collect(),
+            outcome: match screened {
+                Ok(None) => QueryOutcome::Ok,
+                Ok(Some(repairs)) if run.pairs_fell_back > 0 => QueryOutcome::Degraded {
+                    repairs,
+                    pairs_fell_back: run.pairs_fell_back,
+                },
+                Ok(Some(repairs)) => QueryOutcome::Repaired { repairs },
+                Err(reason) => QueryOutcome::Rejected { reason },
+            },
+        };
+        let refine_s = elapsed_s(t_refine);
         let _ = refine_guard.map(SpanGuard::finish);
 
-        let total_s = clock::now().duration_since(t_query).as_secs_f64();
+        let total_s = elapsed_s(t_query);
         let _ = root_guard.map(SpanGuard::finish);
         let capture = collector.map(|c| SpanCapture {
             root: root_id,
@@ -1231,75 +1008,61 @@ impl EngineCore {
             refine: refine_span_id,
             spans: c.into_spans(),
         });
-        let query_id = obs.record_query(
-            query,
-            &run,
-            global_s,
-            refine_s,
-            total_s,
-            &globals,
-            tally.as_ref(),
-            capture,
-            trace_id,
-        );
+        let query_id = obs.map_or(0, |obs| {
+            obs.record_query(
+                served, &run, global_s, refine_s, total_s, &result, capture, trace_id,
+            )
+        });
         if let Some(ring) = &self.audits {
-            let mut audit = self.base_audit(ctx, query, trace_id, query_id, &run.locals);
-            audit.outcome = "served".to_string();
-            self.explain_routes(ctx, &run.locals, k, &globals, &mut audit);
-            let _ = ring.push(audit.into_record());
+            self.push_audit(
+                ring,
+                served,
+                trace_id,
+                query_id,
+                &run.candidates_per_point,
+                &sctx,
+                &scorer,
+                &result,
+            );
         }
-        (globals, stats)
+        result
     }
 
-    /// Phases 1–2 with optional wall-clock timing (`timed`), optional
-    /// per-query cache attribution (`tally`) and optional span capture
-    /// (`spans` = collector + root span id). Untimed calls perform zero
-    /// clock reads.
+    /// Phases 1–2 with optional wall-clock timing (`timed`), optional span
+    /// capture (`spans` = collector + root span id) and, for repaired
+    /// queries, the per-pair degradation chain (`algorithm_fallback`, see
+    /// [`infer_pair`]). Untimed calls perform zero clock reads.
     pub(crate) fn local_inference_run(
         &self,
         ctx: EngineCtx<'_>,
         query: &Trajectory,
         mode: ExecMode,
-        tally: Option<&CacheTally>,
+        algorithm_fallback: bool,
         timed: bool,
         spans: Option<(&SpanCollector, u64)>,
     ) -> LocalRun {
         let net = ctx.net;
         match degenerate_local(net, query) {
-            DegenerateQuery::Empty => {
-                return LocalRun {
-                    locals: Vec::new(),
-                    candidates_total: 0,
-                    candidates_s: 0.0,
-                    local_s: 0.0,
-                    candidates_span: 0,
-                    local_span: 0,
-                }
-            }
+            DegenerateQuery::Empty => return LocalRun::default(),
             DegenerateQuery::Single(result) => {
                 return LocalRun {
                     locals: vec![result],
-                    candidates_total: 0,
-                    candidates_s: 0.0,
-                    local_s: 0.0,
-                    candidates_span: 0,
-                    local_span: 0,
+                    ..LocalRun::default()
                 }
             }
             DegenerateQuery::No => {}
         }
-        // Candidates once per point (shared by the two adjoining pairs),
-        // through the cross-query memo when enabled.
+        // Candidates once per point (shared by the two adjoining pairs).
         let mut cand_guard = spans.map(|(c, root)| c.child(root, "candidates"));
         let candidates_span = cand_guard.as_ref().map_or(0, SpanGuard::id);
         let t_cands = timed.then(clock::now);
-        let cands: Vec<Arc<Vec<CandidateEdge>>> = query
+        let cands: Vec<Vec<CandidateEdge>> = query
             .points
             .iter()
-            .map(|p| self.candidates(ctx, p.pos, tally))
+            .map(|p| query_candidates(net, ctx.params, p.pos))
             .collect();
-        let candidates_s = t_cands.map_or(0.0, |t| clock::now().duration_since(t).as_secs_f64());
-        let candidates_total = cands.iter().map(|c| c.len()).sum();
+        let candidates_s = elapsed_s(t_cands);
+        let candidates_total = cands.iter().map(Vec::len).sum();
         if let Some(g) = cand_guard.as_mut() {
             g.attr("edges", candidates_total);
         }
@@ -1323,19 +1086,26 @@ impl EngineCore {
                 query.points[i + 1],
                 &cands[i],
                 &cands[i + 1],
-                &|a, b| self.sp_fallback(net, a, b, tally),
+                algorithm_fallback,
             )
         };
         let t_local = timed.then(clock::now);
-        let locals = match self.effective_mode(mode, pair_indices.len()) {
-            ExecMode::Sequential => pair_indices.into_iter().map(work).collect(),
-            ExecMode::PairParallel => pair_indices.par_iter().map(|&i| work(i)).collect(),
-        };
-        let local_s = t_local.map_or(0.0, |t| clock::now().duration_since(t).as_secs_f64());
+        let results: Vec<(LocalInferenceResult, bool)> =
+            match self.effective_mode(mode, pair_indices.len()) {
+                ExecMode::Sequential => pair_indices.into_iter().map(work).collect(),
+                ExecMode::PairParallel => pair_indices.par_iter().map(|&i| work(i)).collect(),
+            };
+        let local_s = elapsed_s(t_local);
         let _ = local_guard.map(SpanGuard::finish);
         LocalRun {
-            locals,
+            pairs_fell_back: results.iter().filter(|(_, fb)| *fb).count(),
+            locals: results.into_iter().map(|(l, _)| l).collect(),
             candidates_total,
+            candidates_per_point: if self.audits.is_some() {
+                cands.iter().map(Vec::len).collect()
+            } else {
+                Vec::new()
+            },
             candidates_s,
             local_s,
             candidates_span,
@@ -1356,83 +1126,11 @@ impl EngineCore {
             m => m,
         }
     }
-
-    /// Candidate edges of a point, memoised by exact position.
-    fn candidates(
-        &self,
-        ctx: EngineCtx<'_>,
-        p: hris_geo::Point,
-        tally: Option<&CacheTally>,
-    ) -> Arc<Vec<CandidateEdge>> {
-        let Some(memo) = &self.cand_memo else {
-            self.cand_lookups.miss();
-            if let Some(t) = tally {
-                CacheTally::bump(&t.cand_misses);
-            }
-            return Arc::new(crate::pipeline::query_candidates(ctx.net, ctx.params, p));
-        };
-        let key: CandKey = (p.x.to_bits(), p.y.to_bits());
-        if let Some(hit) = memo.read().expect("candidate memo").get(&key) {
-            self.cand_lookups.hit();
-            if let Some(t) = tally {
-                CacheTally::bump(&t.cand_hits);
-            }
-            return Arc::clone(hit);
-        }
-        self.cand_lookups.miss();
-        if let Some(t) = tally {
-            CacheTally::bump(&t.cand_misses);
-        }
-        let fresh = Arc::new(crate::pipeline::query_candidates(ctx.net, ctx.params, p));
-        // A racing writer may have inserted the same key meanwhile; both
-        // computed the same value, so either entry is correct.
-        memo.write()
-            .expect("candidate memo")
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&fresh));
-        fresh
-    }
-
-    /// Shortest-path fallback through the network's [`SpOracle`], with the
-    /// per-pair [`SpCache`] demoted to the oracle-miss path: the oracle's
-    /// precomputed state (reachability matrix, cached trees) answers first,
-    /// the route cache is only consulted — and only filled — when the
-    /// oracle would have to run Dijkstra. Inlined (rather than calling a
-    /// shared helper) so a traced query can attribute the hit/miss to
-    /// itself.
-    fn sp_fallback(
-        &self,
-        net: &RoadNetwork,
-        a: SegmentId,
-        b: SegmentId,
-        tally: Option<&CacheTally>,
-    ) -> Option<Route> {
-        let oracle = net.sp_oracle();
-        if let Some(answer) = oracle.route_between_cached(a, b, CostModel::Distance) {
-            return answer;
-        }
-        let Some(cache) = &self.sp_cache else {
-            return oracle.route_between(a, b, CostModel::Distance);
-        };
-        let key = (a, b, CostModel::Distance);
-        if let Some(cached) = cache.get(&key) {
-            if let Some(t) = tally {
-                CacheTally::bump(&t.sp_hits);
-            }
-            return cached;
-        }
-        if let Some(t) = tally {
-            CacheTally::bump(&t.sp_misses);
-        }
-        let fresh = oracle.route_between(a, b, CostModel::Distance);
-        cache.insert(key, fresh.clone());
-        fresh
-    }
 }
 
 /// Throughput-oriented front end over a borrowed [`Hris`] instance.
 ///
-/// Cheap to construct; holds only cache and instrumentation state. All
+/// Cheap to construct; holds only configuration and instrumentation state. All
 /// methods take `&self` and the engine is `Sync`, so one engine may serve
 /// many threads. Because it borrows its `Hris` (and through it the road
 /// network) for its whole lifetime, a `QueryEngine` cannot outlive its data
@@ -1453,7 +1151,7 @@ pub struct QueryEngine<'a> {
 }
 
 impl<'a> QueryEngine<'a> {
-    /// Engine with the default configuration (pair-parallel, both caches,
+    /// Engine with the default configuration (pair-parallel,
     /// instrumentation off).
     #[must_use]
     pub fn new(hris: &'a Hris<'a>) -> Self {
@@ -1519,12 +1217,11 @@ impl<'a> QueryEngine<'a> {
         self.core.audits().cloned()
     }
 
-    /// Current cache counters (cumulative since construction). Each
-    /// `(hits, misses)` pair is one consistent reading — see
-    /// [`EngineCacheStats`] for the exact guarantees.
+    /// The served network's shortest-path oracle counters — see
+    /// [`EngineCacheStats`].
     #[must_use]
     pub fn cache_stats(&self) -> EngineCacheStats {
-        self.core.cache_stats()
+        cache_stats(self.hris.network())
     }
 
     /// One query through the validation screen: answer plus its
@@ -1573,9 +1270,8 @@ impl<'a> QueryEngine<'a> {
         (r.globals, r.stats)
     }
 
-    /// Every query of a batch through the validation screen, sharing both
-    /// caches and — when `batch_parallel` is set — spreading queries across
-    /// the pool.
+    /// Every query of a batch through the validation screen and — when
+    /// `batch_parallel` is set — spread across the pool.
     ///
     /// **This is the canonical batch entrypoint**;
     /// [`QueryEngine::infer_batch`] wraps it.
@@ -1603,11 +1299,11 @@ impl<'a> QueryEngine<'a> {
             .collect()
     }
 
-    /// Phases 1–2 under the engine's scheduling and caches (phase 3 input).
+    /// Phases 1–2 under the engine's scheduling (phase 3 input).
     #[must_use]
     pub fn local_inference(&self, query: &Trajectory) -> Vec<LocalInferenceResult> {
         self.core
-            .local_inference_run(self.ctx(), query, self.config().mode, None, false, None)
+            .local_inference_run(self.ctx(), query, self.config().mode, false, false, None)
             .locals
     }
 }
@@ -1620,8 +1316,7 @@ mod tests {
     use hris_traj::{TrajId, TrajectoryArchive};
 
     fn sparse_setup() -> (hris_roadnet::RoadNetwork, Vec<Trajectory>) {
-        // Empty archive → every pair takes the shortest-path fallback, so
-        // the SP cache sees traffic deterministically.
+        // Empty archive → every pair takes the shortest-path fallback.
         let net = generator::generate(&NetworkConfig::small(5));
         let mk = |id: u32, x0: f64| {
             Trajectory::new(
@@ -1638,44 +1333,6 @@ mod tests {
         };
         let queries = vec![mk(0, 0.0), mk(1, 0.0), mk(2, 200.0)];
         (net, queries)
-    }
-
-    #[test]
-    fn sp_cache_reused_across_batch_queries() {
-        let (net, queries) = sparse_setup();
-        let hris = Hris::new(&net, TrajectoryArchive::empty(), HrisParams::default());
-        let engine = QueryEngine::new(&hris);
-        let out = engine.infer_batch(&queries, 2);
-        assert_eq!(out.len(), queries.len());
-        let stats = engine.cache_stats();
-        // Queries 0 and 1 are identical: the second one's fallbacks must be
-        // answered from precomputed shortest-path state. The oracle sits in
-        // front of the route cache, so repeats land on its cached trees;
-        // the demoted SpCache only ever sees first-time oracle misses.
-        let oracle = net.sp_oracle();
-        assert!(
-            oracle.hits() > 0,
-            "expected oracle hits, got {}/{} and {stats:?}",
-            oracle.hits(),
-            oracle.misses()
-        );
-        assert_eq!(stats.sp_hits, 0, "oracle should absorb repeats: {stats:?}");
-        assert!(
-            stats.candidate_hits > 0,
-            "expected memo hits, got {stats:?}"
-        );
-    }
-
-    #[test]
-    fn disabled_caches_report_zero() {
-        let (net, queries) = sparse_setup();
-        let hris = Hris::new(&net, TrajectoryArchive::empty(), HrisParams::default());
-        let engine = QueryEngine::with_config(&hris, EngineConfig::sequential());
-        let _ = engine.infer_batch(&queries, 2);
-        let stats = engine.cache_stats();
-        assert_eq!(stats.sp_hits, 0);
-        assert_eq!(stats.candidate_hits, 0);
-        assert!(stats.candidate_misses > 0);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! All arithmetic happens in log space to avoid underflow across long
 //! queries. K-GRI exploits the downward-closure property — every prefix of
 //! a top-K global route is itself top-K among routes ending at the same
-//! local route — for an `O(K·n·m²)` DP; [`brute_force_top_k`] is the
-//! `O(mⁿ)` oracle used for Figure 14b and as a test oracle.
+//! local route — for an `O(K·n·m²)` DP; the exhaustive `O(mⁿ)` enumeration
+//! ([`RouteScorer::top_k_brute_force`](crate::scoring::RouteScorer)) is the
+//! oracle used for Figure 14b and as a test oracle. Both are reached through
+//! [`PaperScorer`](crate::scoring::PaperScorer).
 
 use crate::local::LocalInferenceResult;
 use crate::params::PopularityModel;
@@ -33,35 +35,6 @@ pub struct GlobalRoute {
     pub route: Route,
     /// `ln s(R)`.
     pub log_score: f64,
-}
-
-/// Local-route popularity `f(R)` (Equation 1), with a configurable entropy
-/// floor.
-///
-/// The paper's entropy term is exactly zero for a single-segment route
-/// (`x = 1 → −x·log x = 0`), which would annihilate the multiplicative
-/// global score of any query pair whose best local route is one segment
-/// long. The `entropy_floor` (default 0.05, documented in DESIGN.md) keeps
-/// such routes rankable while preserving the ordering among multi-segment
-/// routes.
-#[deprecated(note = "use `hris::local::route_popularity` (or score through \
-                     `hris::scoring::PaperScorer`)")]
-#[must_use]
-pub fn popularity(route: &Route, local: &LocalInferenceResult, entropy_floor: f64) -> f64 {
-    crate::local::route_popularity(route, &local.edge_index, entropy_floor)
-}
-
-/// [`popularity`] with an explicit [`PopularityModel`] (ablation).
-#[deprecated(note = "use `hris::local::route_popularity_with` (or score through \
-                     `hris::scoring::PaperScorer`)")]
-#[must_use]
-pub fn popularity_with(
-    route: &Route,
-    local: &LocalInferenceResult,
-    entropy_floor: f64,
-    model: PopularityModel,
-) -> f64 {
-    crate::local::route_popularity_with(route, &local.edge_index, entropy_floor, model)
 }
 
 /// Underlying historical trajectory ids travelling on `route` — the
@@ -166,40 +139,12 @@ fn precompute(
         .collect()
 }
 
-/// Top-K Global Route Inference (Algorithm 3).
+/// Top-K Global Route Inference (Algorithm 3), the dynamic program behind
+/// [`crate::scoring::PaperScorer`].
 ///
 /// `locals` must have at least one local route per pair; pairs with no
 /// routes make the result empty (the pipeline inserts shortest-path
 /// fallbacks before calling this).
-#[deprecated(note = "construct a `hris::scoring::PaperScorer` and call \
-                     `RouteScorer::top_k`")]
-#[must_use]
-pub fn k_gri(
-    net: &RoadNetwork,
-    locals: &[LocalInferenceResult],
-    k: usize,
-    entropy_floor: f64,
-) -> Vec<GlobalRoute> {
-    k_gri_impl(net, locals, k, entropy_floor, PopularityModel::ScaleFree)
-}
-
-/// [`k_gri`] with an explicit [`PopularityModel`] (ablation).
-#[deprecated(note = "construct a `hris::scoring::PaperScorer` and call \
-                     `RouteScorer::top_k`")]
-#[must_use]
-pub fn k_gri_with(
-    net: &RoadNetwork,
-    locals: &[LocalInferenceResult],
-    k: usize,
-    entropy_floor: f64,
-    model: PopularityModel,
-) -> Vec<GlobalRoute> {
-    k_gri_impl(net, locals, k, entropy_floor, model)
-}
-
-/// The K-GRI dynamic program itself — [`crate::scoring::PaperScorer`]
-/// calls this; the deprecated [`k_gri_with`] shim delegates here so the
-/// two are bit-identical by construction.
 pub(crate) fn k_gri_impl(
     net: &RoadNetwork,
     locals: &[LocalInferenceResult],
@@ -253,37 +198,9 @@ pub(crate) fn k_gri_impl(
         .collect()
 }
 
-/// Brute-force oracle: enumerates all `Π |ℛ_i|` combinations.
-///
-/// Exponential — used for Figure 14b and to validate K-GRI in tests.
-#[deprecated(note = "construct a `hris::scoring::PaperScorer` and call \
-                     `RouteScorer::top_k_brute_force`")]
-#[must_use]
-pub fn brute_force_top_k(
-    net: &RoadNetwork,
-    locals: &[LocalInferenceResult],
-    k: usize,
-    entropy_floor: f64,
-) -> Vec<GlobalRoute> {
-    brute_force_top_k_impl(net, locals, k, entropy_floor, PopularityModel::ScaleFree)
-}
-
-/// [`brute_force_top_k`] with an explicit [`PopularityModel`] (ablation).
-#[deprecated(note = "construct a `hris::scoring::PaperScorer` and call \
-                     `RouteScorer::top_k_brute_force`")]
-#[must_use]
-pub fn brute_force_top_k_with(
-    net: &RoadNetwork,
-    locals: &[LocalInferenceResult],
-    k: usize,
-    entropy_floor: f64,
-    model: PopularityModel,
-) -> Vec<GlobalRoute> {
-    brute_force_top_k_impl(net, locals, k, entropy_floor, model)
-}
-
-/// The exhaustive enumeration behind [`brute_force_top_k_with`], shared
-/// with [`crate::scoring::PaperScorer`].
+/// Brute-force oracle behind [`crate::scoring::PaperScorer`]: enumerates
+/// all `Π |ℛ_i|` combinations. Exponential — used for Figure 14b and to
+/// validate K-GRI in tests.
 pub(crate) fn brute_force_top_k_impl(
     net: &RoadNetwork,
     locals: &[LocalInferenceResult],
@@ -372,14 +289,23 @@ fn stitch(net: &RoadNetwork, locals: &[LocalInferenceResult], indices: &[usize])
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests deliberately pin the legacy shims
 mod tests {
     use super::*;
-    use crate::local::{LocalStats, RefEdgeIndex};
+    use crate::local::{route_popularity, LocalStats, RefEdgeIndex};
     use crate::reference::{RefKind, RefTrajectory, ReferenceSet};
+    use crate::scoring::{PaperScorer, RouteScorer, ScoringCtx};
     use hris_geo::Point;
     use hris_roadnet::{generator, NetworkConfig, SegmentId};
     use hris_traj::GpsPoint;
+
+    const SCORER: PaperScorer = PaperScorer {
+        entropy_floor: 0.05,
+        model: PopularityModel::ScaleFree,
+    };
+
+    fn k_gri(net: &RoadNetwork, locals: &[LocalInferenceResult], k: usize) -> Vec<GlobalRoute> {
+        SCORER.top_k(&ScoringCtx::new(net, locals, k))
+    }
 
     fn net() -> RoadNetwork {
         generator::generate(&NetworkConfig {
@@ -480,8 +406,8 @@ mod tests {
             &[(s0, &[0, 1]), (s1, &[0, 1])],
             &[&[10], &[11]],
         );
-        let on_corridor = popularity(&local.routes[0], &local, 0.05);
-        let strays = popularity(&local.routes[1], &local, 0.05);
+        let on_corridor = route_popularity(&local.routes[0], &local.edge_index, 0.05);
+        let strays = route_popularity(&local.routes[1], &local.edge_index, 0.05);
         assert!(
             on_corridor > strays,
             "{on_corridor} vs {strays}: uncovered segments must drag the score"
@@ -493,7 +419,10 @@ mod tests {
         let net = net();
         let locals = corridor_locals(&net);
         let uncovered = Route::new(vec![net.segments().last().unwrap().id]);
-        assert_eq!(popularity(&uncovered, &locals[0], 0.05), 0.0);
+        assert_eq!(
+            route_popularity(&uncovered, &locals[0].edge_index, 0.05),
+            0.0
+        );
     }
 
     #[test]
@@ -515,8 +444,8 @@ mod tests {
             &[(s0, &[0, 1])],
             &[&[1], &[2]],
         );
-        let fu = popularity(&uniform.routes[0], &uniform, 0.0);
-        let fb = popularity(&bursty.routes[0], &bursty, 0.0);
+        let fu = route_popularity(&uniform.routes[0], &uniform.edge_index, 0.0);
+        let fb = route_popularity(&bursty.routes[0], &bursty.edge_index, 0.0);
         assert!(fu > fb, "uniform {fu} must beat bursty {fb}");
     }
 
@@ -559,8 +488,8 @@ mod tests {
         let net = net();
         let locals = corridor_locals(&net);
         for k in 1..=4 {
-            let dp = k_gri(&net, &locals, k, 0.05);
-            let bf = brute_force_top_k(&net, &locals, k, 0.05);
+            let dp = k_gri(&net, &locals, k);
+            let bf = SCORER.top_k_brute_force(&ScoringCtx::new(&net, &locals, k));
             assert_eq!(dp.len(), bf.len(), "k={k}");
             for (d, b) in dp.iter().zip(bf.iter()) {
                 assert!(
@@ -581,11 +510,11 @@ mod tests {
     fn kgri_k_bounds_output() {
         let net = net();
         let locals = corridor_locals(&net);
-        assert!(k_gri(&net, &locals, 0, 0.05).is_empty());
-        let one = k_gri(&net, &locals, 1, 0.05);
+        assert!(k_gri(&net, &locals, 0).is_empty());
+        let one = k_gri(&net, &locals, 1);
         assert_eq!(one.len(), 1);
         // 2 pairs × 2 routes = 4 combinations max.
-        let many = k_gri(&net, &locals, 100, 0.05);
+        let many = k_gri(&net, &locals, 100);
         assert_eq!(many.len(), 4);
     }
 
@@ -594,14 +523,14 @@ mod tests {
         let net = net();
         let mut locals = corridor_locals(&net);
         locals[1].routes.clear();
-        assert!(k_gri(&net, &locals, 3, 0.05).is_empty());
+        assert!(k_gri(&net, &locals, 3).is_empty());
     }
 
     #[test]
     fn stitched_route_is_connected() {
         let net = net();
         let locals = corridor_locals(&net);
-        let top = k_gri(&net, &locals, 1, 0.05);
+        let top = k_gri(&net, &locals, 1);
         assert_eq!(top.len(), 1);
         assert!(top[0].route.is_connected(&net));
         assert!(top[0].route.len() >= 2);
@@ -611,7 +540,7 @@ mod tests {
     fn top1_picks_most_popular_chain() {
         let net = net();
         let locals = corridor_locals(&net);
-        let top = k_gri(&net, &locals, 1, 0.05);
+        let top = k_gri(&net, &locals, 1);
         // Pair 1's popular route is index 0 (two refs, sustained).
         assert_eq!(top[0].local_indices[0], 0);
     }

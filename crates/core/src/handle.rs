@@ -10,17 +10,18 @@
 //! [`SnapshotReader`]) — so it is `Send + Sync + 'static` and clone-free to
 //! share behind an `Arc`.
 //!
-//! # Epochs and caches
+//! # Epochs
 //!
 //! A handle on a live source re-reads the published snapshot at each query
-//! (one `RwLock` read + `Arc` clone). When it observes a new epoch it
-//! invalidates the engine caches once, then serves the query against the
-//! new snapshot. Queries already in flight keep the `Arc` of the snapshot
+//! (one `RwLock` read + `Arc` clone) and serves the query against it; the
+//! engine holds no archive-derived state, so adopting a new epoch costs
+//! nothing else. Queries already in flight keep the `Arc` of the snapshot
 //! they started with — ingestion never changes an answer mid-query, and a
 //! batch is answered entirely against the single epoch it started on.
 
 use crate::engine::{
-    EngineCacheStats, EngineCore, EngineCtx, EngineObs, QueryOutcome, QueryResult, RejectReason,
+    cache_stats, EngineCacheStats, EngineCore, EngineCtx, EngineObs, QueryOutcome, QueryResult,
+    RejectReason,
 };
 use crate::global::GlobalRoute;
 use crate::local::{LocalInferenceResult, LocalStats};
@@ -63,8 +64,8 @@ pub struct EngineHandle {
     params: HrisParams,
     source: ArchiveSource,
     core: EngineCore,
-    /// Epoch of the snapshot the caches were last (in)validated for.
-    cached_epoch: AtomicU64,
+    /// Epoch of the snapshot last handed to a query.
+    served_epoch: AtomicU64,
     /// Bounded admission gate; `None` when `cfg.admission` is disabled
     /// (the zero-cost default: queries never touch a lock they don't
     /// need).
@@ -112,8 +113,7 @@ impl EngineHandle {
     }
 
     /// Handle following a live [`SnapshotReader`]: each query is served
-    /// against the latest published epoch, with caches invalidated on
-    /// epoch change.
+    /// against the latest published epoch.
     #[must_use]
     pub fn live(
         net: Arc<RoadNetwork>,
@@ -195,28 +195,21 @@ impl EngineHandle {
             params,
             source,
             core,
-            cached_epoch: AtomicU64::new(epoch),
+            served_epoch: AtomicU64::new(epoch),
             gate,
         }
     }
 
     /// The snapshot the next query would be served against. On a live
-    /// source this re-reads the slot and performs the same epoch-change
-    /// cache invalidation a query would.
+    /// source this re-reads the slot and records its epoch as served, like
+    /// a query would.
     #[must_use]
     pub fn current_snapshot(&self) -> Arc<ArchiveSnapshot> {
         match &self.source {
             ArchiveSource::Fixed(snap) => Arc::clone(snap),
             ArchiveSource::Live(reader) => {
                 let snap = reader.latest();
-                let prev = self.cached_epoch.swap(snap.epoch(), Ordering::AcqRel);
-                if prev != snap.epoch() {
-                    // Two racing queries may both observe the change and
-                    // both invalidate; clearing twice is harmless (and the
-                    // caches hold no archive-derived data anyway — see
-                    // `EngineCore::invalidate_caches`).
-                    self.core.invalidate_caches();
-                }
+                self.served_epoch.store(snap.epoch(), Ordering::Release);
                 snap
             }
         }
@@ -226,7 +219,7 @@ impl EngineHandle {
     /// [`EngineHandle::current_snapshot`] call).
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.cached_epoch.load(Ordering::Acquire)
+        self.served_epoch.load(Ordering::Acquire)
     }
 
     /// The shared road network.
@@ -261,11 +254,11 @@ impl EngineHandle {
         self.core.audits().cloned()
     }
 
-    /// Current cache counters (cumulative across epochs — invalidation
-    /// drops entries, not history).
+    /// The served network's shortest-path oracle counters — see
+    /// [`EngineCacheStats`].
     #[must_use]
     pub fn cache_stats(&self) -> EngineCacheStats {
-        self.core.cache_stats()
+        cache_stats(&self.net)
     }
 
     /// The handle's admission gate, when admission control is enabled.
@@ -459,7 +452,7 @@ impl EngineHandle {
                 self.ctx(&snap),
                 query,
                 self.config().mode,
-                None,
+                false,
                 false,
                 None,
             )
@@ -498,7 +491,14 @@ impl EngineHandle {
             .iter()
             .map(|q| {
                 self.core
-                    .local_inference_run(self.ctx(&snap), q, self.config().mode, None, false, spans)
+                    .local_inference_run(
+                        self.ctx(&snap),
+                        q,
+                        self.config().mode,
+                        false,
+                        false,
+                        spans,
+                    )
                     .locals
             })
             .collect();

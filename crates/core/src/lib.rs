@@ -52,8 +52,6 @@ pub use engine::{
 };
 pub use freespace::{infer_polyline, FreespaceParams};
 pub use global::GlobalRoute;
-#[allow(deprecated)] // legacy shims stay importable from the crate root
-pub use global::{brute_force_top_k, brute_force_top_k_with, k_gri, k_gri_with};
 pub use handle::EngineHandle;
 pub use local::{LocalInferenceResult, LocalRoute};
 pub use params::{

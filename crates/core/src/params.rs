@@ -114,7 +114,7 @@ pub struct HrisParams {
     /// in the accuracy experiments; the paper computes accuracy on top-1).
     pub k3: usize,
     /// Small additive entropy floor so single-segment local routes do not
-    /// zero out the multiplicative global score (see `global::popularity`).
+    /// zero out the multiplicative global score (see `local::route_popularity`).
     pub entropy_floor: f64,
     /// Which popularity formula scores local routes (ablation knob).
     pub popularity_model: PopularityModel,
@@ -172,7 +172,7 @@ pub enum ExecMode {
 ///
 /// Disabled (the default), the engine performs **zero** clock reads and zero
 /// metric updates on the hot path; enabled, it records per-phase wall times,
-/// queue/worker gauges and cache counters on a
+/// queue/worker gauges and outcome counters on a
 /// [`MetricsRegistry`](hris_obs::MetricsRegistry), plus an opt-in per-query
 /// trace ring. Like the rest of [`EngineConfig`], none of these options may
 /// change any inferred route — they only spend a little time on visibility.
@@ -350,12 +350,6 @@ pub struct EngineConfig {
     /// of a couple of pairs (the e2e benchmark measured a 0.98× *slowdown*
     /// for pair-parallel on 3-pair queries). `0` always fans out.
     pub pair_parallel_min_pairs: usize,
-    /// Entry bound of the shared shortest-path fallback cache; `0` disables
-    /// the cache entirely.
-    pub sp_cache_capacity: usize,
-    /// Memoise `query_candidates` per exact point position, sharing work
-    /// across the queries of a batch that revisit a location.
-    pub candidate_memo: bool,
     /// Fan `infer_batch` out across queries on the thread pool.
     pub batch_parallel: bool,
     /// Runtime observability (off by default; zero overhead when off).
@@ -379,8 +373,6 @@ impl Default for EngineConfig {
         EngineConfig {
             mode: ExecMode::default(),
             pair_parallel_min_pairs: 8,
-            sp_cache_capacity: 8192,
-            candidate_memo: true,
             batch_parallel: true,
             obs: ObsOptions::default(),
             validation: ValidationOptions::default(),
@@ -392,15 +384,13 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// A configuration that mirrors `Hris` exactly: one thread, no caches.
+    /// A configuration that mirrors `Hris` exactly: one thread, no fan-out.
     /// Useful as the baseline in determinism and throughput comparisons.
     #[must_use]
     pub fn sequential() -> Self {
         EngineConfig {
             mode: ExecMode::Sequential,
             pair_parallel_min_pairs: 8,
-            sp_cache_capacity: 0,
-            candidate_memo: false,
             batch_parallel: false,
             obs: ObsOptions::default(),
             validation: ValidationOptions::default(),
@@ -435,10 +425,6 @@ impl EngineConfig {
 /// Why [`EngineConfigBuilder::build`] refused a configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
-    /// `sp_cache_capacity(0)` was requested. A zero-capacity cache is a
-    /// disabled cache; say so explicitly with
-    /// [`EngineConfigBuilder::without_sp_cache`].
-    ZeroSpCacheCapacity,
     /// The slow-query threshold must be a positive, finite number of
     /// seconds; the offending value is carried along.
     NonPositiveSlowQueryThreshold(f64),
@@ -461,9 +447,6 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::ZeroSpCacheCapacity => f.write_str(
-                "sp_cache_capacity must be > 0 (use without_sp_cache() to disable the cache)",
-            ),
             ConfigError::NonPositiveSlowQueryThreshold(v) => write!(
                 f,
                 "slow_query_threshold_s must be positive and finite, got {v}"
@@ -500,20 +483,16 @@ impl std::error::Error for ConfigError {}
 ///
 /// let cfg = EngineConfig::builder()
 ///     .observability(true)
-///     .sp_cache_capacity(4096)
 ///     .slow_query_threshold_s(0.5)
 ///     .build()
 ///     .expect("valid configuration");
 /// assert!(cfg.obs.enabled);
 ///
-/// assert!(EngineConfig::builder().sp_cache_capacity(0).build().is_err());
+/// assert!(EngineConfig::builder().slow_query_threshold_s(0.0).build().is_err());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfigBuilder {
     cfg: EngineConfig,
-    /// Capacity the caller set explicitly (validated at build; `None` keeps
-    /// whatever `cfg.sp_cache_capacity` holds).
-    explicit_sp_capacity: Option<usize>,
 }
 
 impl EngineConfigBuilder {
@@ -529,31 +508,6 @@ impl EngineConfigBuilder {
     #[must_use]
     pub fn pair_parallel_min_pairs(mut self, min_pairs: usize) -> Self {
         self.cfg.pair_parallel_min_pairs = min_pairs;
-        self
-    }
-
-    /// Entry bound of the shared shortest-path fallback cache. Zero is
-    /// rejected at build time — disable the cache with
-    /// [`EngineConfigBuilder::without_sp_cache`] instead.
-    #[must_use]
-    pub fn sp_cache_capacity(mut self, capacity: usize) -> Self {
-        self.explicit_sp_capacity = Some(capacity);
-        self.cfg.sp_cache_capacity = capacity;
-        self
-    }
-
-    /// Disables the shortest-path fallback cache.
-    #[must_use]
-    pub fn without_sp_cache(mut self) -> Self {
-        self.explicit_sp_capacity = None;
-        self.cfg.sp_cache_capacity = 0;
-        self
-    }
-
-    /// Enables/disables the per-position candidate memo.
-    #[must_use]
-    pub fn candidate_memo(mut self, on: bool) -> Self {
-        self.cfg.candidate_memo = on;
         self
     }
 
@@ -694,13 +648,10 @@ impl EngineConfigBuilder {
     /// Validates and returns the configuration.
     ///
     /// # Errors
-    /// [`ConfigError::ZeroSpCacheCapacity`] when an explicit capacity of 0
-    /// was requested; [`ConfigError::NonPositiveSlowQueryThreshold`] when
-    /// the slow-query threshold is zero, negative, or non-finite.
+    /// The [`ConfigError`] naming the first option that failed validation,
+    /// e.g. [`ConfigError::NonPositiveSlowQueryThreshold`] when the
+    /// slow-query threshold is zero, negative, or non-finite.
     pub fn build(self) -> Result<EngineConfig, ConfigError> {
-        if self.explicit_sp_capacity == Some(0) {
-            return Err(ConfigError::ZeroSpCacheCapacity);
-        }
         let threshold = self.cfg.obs.slow_query_threshold_s;
         if !(threshold.is_finite() && threshold > 0.0) {
             return Err(ConfigError::NonPositiveSlowQueryThreshold(threshold));
@@ -746,8 +697,6 @@ mod tests {
     fn builder_accepts_valid_configurations() {
         let cfg = EngineConfig::builder()
             .mode(ExecMode::Sequential)
-            .sp_cache_capacity(1024)
-            .candidate_memo(false)
             .batch_parallel(false)
             .observability(true)
             .trace_capacity(16)
@@ -759,8 +708,6 @@ mod tests {
             .build()
             .expect("valid configuration");
         assert_eq!(cfg.mode, ExecMode::Sequential);
-        assert_eq!(cfg.sp_cache_capacity, 1024);
-        assert!(!cfg.candidate_memo);
         assert!(!cfg.batch_parallel);
         assert!(cfg.obs.enabled);
         assert_eq!(cfg.obs.trace_capacity, 16);
@@ -774,26 +721,6 @@ mod tests {
             serde_json::to_string(&built).unwrap(),
             serde_json::to_string(&EngineConfig::default()).unwrap()
         );
-    }
-
-    #[test]
-    fn builder_rejects_zero_cache_capacity_but_allows_disable() {
-        assert_eq!(
-            EngineConfig::builder()
-                .sp_cache_capacity(0)
-                .build()
-                .expect_err("zero capacity must be rejected"),
-            ConfigError::ZeroSpCacheCapacity
-        );
-        let cfg = EngineConfig::builder().without_sp_cache().build().unwrap();
-        assert_eq!(cfg.sp_cache_capacity, 0);
-        // Setting a bad capacity then disabling is fine — the disable wins.
-        let cfg = EngineConfig::builder()
-            .sp_cache_capacity(0)
-            .without_sp_cache()
-            .build()
-            .unwrap();
-        assert_eq!(cfg.sp_cache_capacity, 0);
     }
 
     #[test]
@@ -849,7 +776,7 @@ mod tests {
             ConfigError::InvalidRerankModel
         );
 
-        // Enabling then disabling wins, like without_sp_cache().
+        // Enabling then disabling wins.
         let mut zero_scale = RerankModel::zeroed();
         zero_scale.scales[0] = 0.0;
         let cfg = EngineConfig::builder()

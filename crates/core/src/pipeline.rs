@@ -16,12 +16,12 @@
 
 use crate::global::GlobalRoute;
 use crate::local::{infer_local_routes, LocalInferenceResult, LocalStats, RefEdgeIndex};
-use crate::params::HrisParams;
+use crate::params::{HrisParams, LocalAlgorithm};
 use crate::reference::{search_references, ReferenceSet};
 use crate::scoring::{PaperScorer, RouteScorer, ScoringCtx};
 use hris_mapmatch::{MapMatcher, MatchResult};
 use hris_roadnet::network::CandidateEdge;
-use hris_roadnet::{CostModel, RoadNetwork, Route, SegmentId};
+use hris_roadnet::{CostModel, RoadNetwork, Route};
 use hris_traj::{partition_trips, GpsPoint, StayPointConfig, Trajectory, TrajectoryArchive};
 
 /// A route suggested by HRIS with its (log) score.
@@ -169,12 +169,9 @@ impl<'a> Hris<'a> {
                     query.points[i + 1],
                     &cands[i],
                     &cands[i + 1],
-                    &|a, b| {
-                        self.net
-                            .sp_oracle()
-                            .route_between(a, b, CostModel::Distance)
-                    },
+                    false,
                 )
+                .0
             })
             .collect()
     }
@@ -224,8 +221,14 @@ pub(crate) fn degenerate_local(net: &RoadNetwork, query: &Trajectory) -> Degener
 }
 
 /// Phases 1–2 for one consecutive query-point pair: reference search, local
-/// route inference and the data-sparseness shortest-path fallback (routed
-/// through `sp_fallback` so callers can interpose a cache).
+/// route inference and the data-sparseness shortest-path fallback. Returns
+/// the result plus whether any step beyond the configured local algorithm
+/// was needed to produce a route.
+///
+/// `algorithm_fallback` adds the degradation chain the engine runs for
+/// repaired queries: when the configured algorithm yields nothing, retry
+/// with TGI forced, then NNI forced, before the shortest path. `Hris` and
+/// valid engine queries pass `false`, so their outputs cannot move a byte.
 ///
 /// This is the unit of work the [`engine::QueryEngine`](crate::engine)
 /// parallelises: it only reads shared state, so pairs can run in any order —
@@ -239,58 +242,6 @@ pub(crate) fn infer_pair(
     qj: GpsPoint,
     qi_cands: &[CandidateEdge],
     qj_cands: &[CandidateEdge],
-    sp_fallback: &dyn Fn(SegmentId, SegmentId) -> Option<Route>,
-) -> LocalInferenceResult {
-    let dt = (qj.t - qi.t).max(1.0);
-    let ref_cfg = crate::reference::RefSearchConfig {
-        phi: params.phi_m,
-        splice_eps: params.splice_eps_m,
-        splice_when_simple_below: params.splice_when_simple_below,
-        max_refs: params.max_refs_per_pair,
-        temporal: params.temporal_tolerance_s.map(|tol| (qi.t, tol)),
-    };
-    let refs = search_references(archive, qi.pos, qj.pos, dt, net.max_speed(), &ref_cfg);
-
-    let mut result = if refs.is_empty() || qi_cands.is_empty() || qj_cands.is_empty() {
-        LocalInferenceResult {
-            routes: Vec::new(),
-            edge_index: RefEdgeIndex::default(),
-            refs,
-            stats: LocalStats::default(),
-        }
-    } else {
-        infer_local_routes(net, refs, qi_cands, qj_cands, params)
-    };
-
-    if result.routes.is_empty() {
-        // Data sparseness fallback: shortest path between the best
-        // candidate edges.
-        if let (Some(a), Some(b)) = (qi_cands.first(), qj_cands.first()) {
-            if let Some(r) = sp_fallback(a.segment, b.segment) {
-                result.routes.push(r);
-            }
-        }
-    }
-    result
-}
-
-/// [`infer_pair`] with the full degradation chain for repaired queries:
-/// when the configured local algorithm yields nothing, retry the pair with
-/// TGI forced, then NNI forced, then the shortest-path fallback. Returns
-/// whether any step beyond the primary inference was needed.
-///
-/// Only the engine's *repair path* calls this — valid queries keep the
-/// plain [`infer_pair`] behaviour so their outputs cannot move a byte.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn infer_pair_chain(
-    net: &RoadNetwork,
-    archive: &TrajectoryArchive,
-    params: &HrisParams,
-    qi: GpsPoint,
-    qj: GpsPoint,
-    qi_cands: &[CandidateEdge],
-    qj_cands: &[CandidateEdge],
-    sp_fallback: &dyn Fn(SegmentId, SegmentId) -> Option<Route>,
     algorithm_fallback: bool,
 ) -> (LocalInferenceResult, bool) {
     let dt = (qj.t - qi.t).max(1.0);
@@ -305,25 +256,24 @@ pub(crate) fn infer_pair_chain(
     let usable = !refs.is_empty() && !qi_cands.is_empty() && !qj_cands.is_empty();
 
     let mut result = if usable {
-        infer_local_routes(net, refs.clone(), qi_cands, qj_cands, params)
+        infer_local_routes(net, refs, qi_cands, qj_cands, params)
     } else {
         LocalInferenceResult {
             routes: Vec::new(),
             edge_index: RefEdgeIndex::default(),
-            refs: refs.clone(),
+            refs,
             stats: LocalStats::default(),
         }
     };
 
     let mut fell_back = false;
     if result.routes.is_empty() && usable && algorithm_fallback {
-        for alg in [
-            crate::params::LocalAlgorithm::Tgi,
-            crate::params::LocalAlgorithm::Nni,
-        ] {
-            let mut forced = params.clone();
-            forced.local_algorithm = alg;
-            let retry = infer_local_routes(net, refs.clone(), qi_cands, qj_cands, &forced);
+        for alg in [LocalAlgorithm::Tgi, LocalAlgorithm::Nni] {
+            let forced = HrisParams {
+                local_algorithm: alg,
+                ..params.clone()
+            };
+            let retry = infer_local_routes(net, result.refs.clone(), qi_cands, qj_cands, &forced);
             if !retry.routes.is_empty() {
                 result = retry;
                 fell_back = true;
@@ -333,8 +283,13 @@ pub(crate) fn infer_pair_chain(
     }
 
     if result.routes.is_empty() {
+        // Data sparseness fallback: shortest path between the best
+        // candidate edges.
         if let (Some(a), Some(b)) = (qi_cands.first(), qj_cands.first()) {
-            if let Some(r) = sp_fallback(a.segment, b.segment) {
+            let sp = net
+                .sp_oracle()
+                .route_between(a.segment, b.segment, CostModel::Distance);
+            if let Some(r) = sp {
                 result.routes.push(r);
                 fell_back = true;
             }

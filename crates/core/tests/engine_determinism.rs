@@ -1,8 +1,8 @@
-//! The engine's core invariant: scheduling and caching never change any
-//! inferred route or score. Every execution mode must return results
+//! The engine's core invariant: scheduling and instrumentation never change
+//! any inferred route or score. Every execution mode must return results
 //! byte-identical to the plain sequential [`Hris`] pipeline.
 
-use hris::{EngineConfig, ExecMode, Hris, HrisParams, QueryEngine, ScoredRoute};
+use hris::{EngineConfig, Hris, HrisParams, QueryEngine, ScoredRoute};
 use hris_roadnet::{generator, NetworkConfig};
 use hris_traj::{resample_to_interval, SimConfig, Simulator, TrajId, Trajectory};
 
@@ -30,8 +30,7 @@ fn scenario() -> (hris_roadnet::RoadNetwork, Hris<'static>, Vec<Trajectory>) {
             240.0,
         ));
     }
-    // Duplicate a query so the batch revisits identical positions and the
-    // caches get real hit traffic.
+    // Duplicate a query so the batch revisits identical positions.
     let dup = queries[0].clone();
     queries.push(dup);
     let hris = Hris::new(net, archive, HrisParams::default());
@@ -55,153 +54,60 @@ fn assert_same(kind: &str, a: &[ScoredRoute], b: &[ScoredRoute]) {
 fn all_execution_modes_match_sequential_hris() {
     let (_net, hris, queries) = scenario();
     let k = 3;
-
-    let baseline: Vec<Vec<ScoredRoute>> = queries.iter().map(|q| hris.infer_routes(q, k)).collect();
-
-    // Engine in pure-sequential, cache-free mode.
-    let seq = QueryEngine::with_config(&hris, EngineConfig::sequential());
-    for (q, want) in queries.iter().zip(&baseline) {
-        assert_same("sequential engine", &seq.infer_routes(q, k), want);
-    }
-
-    // Pair-parallel with both caches.
-    let par = QueryEngine::new(&hris);
-    assert_eq!(par.config().mode, ExecMode::PairParallel);
-    for (q, want) in queries.iter().zip(&baseline) {
-        assert_same("pair-parallel engine", &par.infer_routes(q, k), want);
-    }
-
-    // Batch fan-out over the same shared caches.
-    let batch = QueryEngine::new(&hris);
-    let got = batch.infer_batch(&queries, k);
-    assert_eq!(got.len(), baseline.len());
-    for (i, (g, want)) in got.iter().zip(&baseline).enumerate() {
-        assert_same(&format!("batch query {i}"), g, want);
-    }
-
-    // The duplicated query plus shared positions must have produced real
-    // cache traffic — and none of it changed a single byte above.
-    let stats = batch.cache_stats();
-    assert!(
-        stats.candidate_hits > 0,
-        "expected candidate memo hits, got {stats:?}"
-    );
-}
-
-/// S1 — determinism under cache pressure: a shortest-path cache so small it
-/// evicts on nearly every insert, plus a candidate memo flooded by every
-/// distinct query position, must still return routes byte-identical to the
-/// cache-free sequential engine. Eviction changes only *when* work is
-/// recomputed, never what it computes.
-#[test]
-fn cache_pressure_does_not_change_results() {
-    let (_net, hris, queries) = scenario();
-    let k = 3;
-
-    let uncached = QueryEngine::with_config(&hris, EngineConfig::sequential());
-    let baseline: Vec<Vec<ScoredRoute>> = queries
-        .iter()
-        .map(|q| uncached.infer_routes(q, k))
-        .collect();
-
-    // Capacity 1: each of the cache's shards holds a single entry, so the
-    // workload thrashes it (every reuse across a different pair evicts).
-    let pressured = QueryEngine::with_config(
-        &hris,
-        EngineConfig {
-            sp_cache_capacity: 1,
-            ..EngineConfig::default()
-        },
-    );
-    // Two passes: the second runs against a memo already saturated with
-    // every position of the workload, so it is served almost entirely from
-    // cache — and must still match.
-    for pass in 0..2 {
-        let got = pressured.infer_batch(&queries, k);
-        for (i, (g, want)) in got.iter().zip(&baseline).enumerate() {
-            assert_same(&format!("pressured pass {pass} query {i}"), g, want);
-        }
-    }
-    let stats = pressured.cache_stats();
-    assert!(
-        stats.candidate_hits > 0,
-        "pass 2 must hit the saturated memo, got {stats:?}"
-    );
-
-    // The dense archive above rarely needs the shortest-path fallback, so
-    // pressure the SP cache separately: an empty archive routes *every* pair
-    // through it. Capacity 1 per shard → constant eviction; results must
-    // still match the cache-free engine.
+    // The dense archive above rarely needs the shortest-path fallback; an
+    // empty archive routes *every* pair through it.
     let net2: &'static _ = Box::leak(Box::new(generator::generate(&NetworkConfig::small(5))));
     let empty = Hris::new(
         net2,
         hris_traj::TrajectoryArchive::empty(),
         HrisParams::default(),
     );
-    let uncached2 = QueryEngine::with_config(&empty, EngineConfig::sequential());
-    let sp_pressured = QueryEngine::with_config(
-        &empty,
-        EngineConfig {
-            sp_cache_capacity: 1,
-            ..EngineConfig::default()
-        },
-    );
-    let want2: Vec<Vec<ScoredRoute>> = queries
-        .iter()
-        .map(|q| uncached2.infer_routes(q, k))
-        .collect();
-    for pass in 0..2 {
-        let got = sp_pressured.infer_batch(&queries, k);
-        for (i, (g, w)) in got.iter().zip(&want2).enumerate() {
-            assert_same(&format!("sp-pressured pass {pass} query {i}"), g, w);
+
+    for (scene, hris) in [("dense", &hris), ("empty archive", &empty)] {
+        let baseline: Vec<Vec<ScoredRoute>> =
+            queries.iter().map(|q| hris.infer_routes(q, k)).collect();
+        let observed = EngineConfig::builder().observability(true);
+        let configs = [
+            ("sequential", EngineConfig::sequential()),
+            ("pair-parallel", EngineConfig::default()),
+            // Full instrumentation and tracing must not move a byte either,
+            ("observed", observed.clone().build().unwrap()),
+            // nor span capture at 1-in-1 (every query carries a live span
+            // tree), the heaviest instrumentation the engine has.
+            ("spanned", observed.span_sampling(1).build().unwrap()),
+        ];
+        for (name, cfg) in configs {
+            let engine = QueryEngine::with_config(hris, cfg);
+            for (i, (q, want)) in queries.iter().zip(&baseline).enumerate() {
+                let kind = format!("{scene}, {name} engine, query {i}");
+                assert_same(&kind, &engine.infer_routes(q, k), want);
+            }
+            // Batch fan-out, twice: the second pass runs against an oracle
+            // the first one warmed, and must still match.
+            for pass in 0..2 {
+                let got = engine.infer_batch(&queries, k);
+                assert_eq!(got.len(), baseline.len());
+                for (i, (g, want)) in got.iter().zip(&baseline).enumerate() {
+                    let kind = format!("{scene}, {name} engine, batch pass {pass} query {i}");
+                    assert_same(&kind, g, want);
+                }
+            }
+            if name == "spanned" {
+                let obs = engine.observability().unwrap();
+                assert!(
+                    obs.traces().iter().all(|t| !t.spans.is_empty()),
+                    "1-in-1 sampling must attach a span tree to every trace"
+                );
+            }
         }
     }
-    // The SP fallback now runs through the network-level shortest-path
-    // oracle; the baseline engine already warmed its trees, so the
-    // pressured engine's demoted route cache may legitimately see zero
-    // traffic. The oracle's own counters prove the fallback ran.
+
     let oracle2 = net2.sp_oracle();
     assert!(
         oracle2.hits() + oracle2.misses() > 0,
         "empty archive must exercise the SP fallback, got {}/{}",
         oracle2.hits(),
         oracle2.misses()
-    );
-
-    // Same pressure with full instrumentation and tracing on: metrics must
-    // not move a byte either.
-    let observed = QueryEngine::with_config(
-        &hris,
-        EngineConfig::builder()
-            .sp_cache_capacity(1)
-            .observability(true)
-            .build()
-            .unwrap(),
-    );
-    let got = observed.infer_batch(&queries, k);
-    for (i, (g, want)) in got.iter().zip(&baseline).enumerate() {
-        assert_same(&format!("observed pressured query {i}"), g, want);
-    }
-
-    // Span capture at 1-in-1 (every query carries a live span tree) is the
-    // heaviest instrumentation the engine has; still not a byte of drift.
-    let spanned = QueryEngine::with_config(
-        &hris,
-        EngineConfig::builder()
-            .sp_cache_capacity(1)
-            .observability(true)
-            .span_sampling(1)
-            .build()
-            .unwrap(),
-    );
-    let got = spanned.infer_batch(&queries, k);
-    for (i, (g, want)) in got.iter().zip(&baseline).enumerate() {
-        assert_same(&format!("spanned pressured query {i}"), g, want);
-    }
-    let obs = spanned.observability().unwrap();
-    assert!(
-        obs.traces().iter().all(|t| !t.spans.is_empty()),
-        "1-in-1 sampling must attach a span tree to every trace"
     );
 }
 

@@ -1,8 +1,5 @@
 //! Differential guarantees of the `RouteScorer` seam.
 //!
-//! - [`hris::PaperScorer`] must be byte-identical to the deprecated free
-//!   functions it replaced (`k_gri_with`, `brute_force_top_k_with`) — the
-//!   API redesign moved code, it must not move a bit.
 //! - With re-ranking off (the default) the engine must match the plain
 //!   [`Hris`] pipeline byte for byte, and an all-zero [`RerankModel`] must
 //!   be a byte-identical no-op (stable sort on an all-tie).
@@ -50,19 +47,6 @@ fn scenario() -> (&'static RoadNetwork, Hris<'static>, Vec<Trajectory>) {
     (net, hris, queries)
 }
 
-fn assert_bitwise(kind: &str, a: &[GlobalRoute], b: &[GlobalRoute]) {
-    assert_eq!(a.len(), b.len(), "{kind}: length");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.route, y.route, "{kind}: route {i}");
-        assert_eq!(
-            x.log_score.to_bits(),
-            y.log_score.to_bits(),
-            "{kind}: score bits {i}"
-        );
-        assert_eq!(x.local_indices, y.local_indices, "{kind}: indices {i}");
-    }
-}
-
 fn assert_scored_bitwise(kind: &str, a: &[ScoredRoute], b: &[ScoredRoute]) {
     assert_eq!(a.len(), b.len(), "{kind}: length");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -76,36 +60,6 @@ fn assert_scored_bitwise(kind: &str, a: &[ScoredRoute], b: &[ScoredRoute]) {
 }
 
 // ------------------------------------------------------------------ tests
-
-/// The trait front-end reproduces the deprecated free functions bit for
-/// bit on real local-inference output, for both popularity models and both
-/// the DP and the brute-force oracle.
-#[test]
-#[allow(deprecated)]
-fn paper_scorer_matches_legacy_free_functions() {
-    let (net, hris, queries) = scenario();
-    for q in &queries {
-        let locals = hris.local_inference(q);
-        let n = locals.len().min(5);
-        let slice = &locals[..n];
-        for model in [PopularityModel::ScaleFree, PopularityModel::PaperLiteral] {
-            for k in [1usize, 3, 8] {
-                let scorer = PaperScorer::new(0.05, model);
-                let sctx = ScoringCtx::new(net, slice, k);
-                assert_bitwise(
-                    &format!("k_gri k={k} {model:?}"),
-                    &scorer.top_k(&sctx),
-                    &hris::k_gri_with(net, slice, k, 0.05, model),
-                );
-                assert_bitwise(
-                    &format!("brute k={k} {model:?}"),
-                    &scorer.top_k_brute_force(&sctx),
-                    &hris::brute_force_top_k_with(net, slice, k, 0.05, model),
-                );
-            }
-        }
-    }
-}
 
 /// Re-ranking off (the default) and an all-zero model are both
 /// byte-identical to the plain sequential pipeline — across the engine's

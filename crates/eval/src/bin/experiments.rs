@@ -272,12 +272,29 @@ fn main() {
     if let Some(dir) = &args.out {
         std::fs::create_dir_all(dir).expect("create output dir");
         for t in &outputs {
-            let name = t.id.to_lowercase().replace(' ', "_");
-            let path = format!("{dir}/{name}.csv");
+            let path = format!("{dir}/{}.csv", csv_name(&t.id));
             std::fs::write(&path, t.to_csv()).expect("write csv");
             eprintln!("wrote {path}");
         }
     }
+}
+
+/// File stem for a table id: lower-cased, every run of characters outside
+/// `[a-z0-9_]` collapsed to one `_`, so the name is valid on every
+/// filesystem ("Extension: freespace" → `extension_freespace`).
+fn csv_name(id: &str) -> String {
+    let mut name = String::with_capacity(id.len());
+    for c in id.chars().flat_map(char::to_lowercase) {
+        let c = if c.is_ascii_lowercase() || c.is_ascii_digit() {
+            c
+        } else {
+            '_'
+        };
+        if !(c == '_' && name.ends_with('_')) {
+            name.push(c);
+        }
+    }
+    name
 }
 
 fn run<F: FnOnce() -> Table>(outputs: &mut Vec<Table>, f: F) {
@@ -288,4 +305,18 @@ fn run<F: FnOnce() -> Table>(outputs: &mut Vec<Table>, f: F) {
 fn report(outputs: &mut Vec<Table>, t: Table) {
     println!("{t}");
     outputs.push(t);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::csv_name;
+
+    #[test]
+    fn csv_names_are_portable() {
+        assert_eq!(csv_name("Figure 8a"), "figure_8a");
+        assert_eq!(csv_name("Ablation"), "ablation");
+        assert_eq!(csv_name("Extension: freespace"), "extension_freespace");
+        assert_eq!(csv_name("a/b\\c:d  e__f"), "a_b_c_d_e_f");
+        assert_eq!(csv_name("Größe 1"), "gr_e_1");
+    }
 }

@@ -16,8 +16,8 @@
 //!   flipping 503 under pressure and back to 200 once the backlog
 //!   drains, and bounded resident-memory growth.
 //! * [`resident_memory_bytes`] — `/proc/self/statm` resident set, the
-//!   number the memory-growth assertion and the `capacity` section of
-//!   `BENCH_e2e.json` are based on (Linux only; `None` elsewhere).
+//!   number the memory-growth assertion is based on (Linux only; `None`
+//!   elsewhere).
 //!
 //! The harness exercises the same entrypoints production traffic would:
 //! [`EngineHandle::infer_query`] behind the admission gate, and the HTTP

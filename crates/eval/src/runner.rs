@@ -2,8 +2,8 @@
 //! scenario's query workload.
 //!
 //! HRIS evaluations go through the [`QueryEngine`]: queries are resampled up
-//! front, inferred as one batch (sharing the engine's candidate memo and
-//! shortest-path cache across the whole workload), and `mean_time_s` is the
+//! front, inferred as one batch (sharing the network's shortest-path oracle
+//! across the whole workload), and `mean_time_s` is the
 //! batch wall time divided by the query count — per-query cost as a batch
 //! consumer actually pays it. Baseline matchers fan out across queries with
 //! the same thread pool.
@@ -136,7 +136,7 @@ impl ObsReport {
     }
 
     /// Human-readable end-of-run summary: phase budget against wall time,
-    /// cache hit rates, slow queries and trace-ring pressure.
+    /// shortest-path oracle hit rate, slow queries and trace-ring pressure.
     #[must_use]
     pub fn summary(&self) -> String {
         let mut out = String::new();
@@ -163,31 +163,21 @@ impl ObsReport {
             },
             self.wall_s
         );
-        let rate = |base: &str| -> String {
-            let hits = self
+        let hits = self
+            .snapshot
+            .counter("hris_sp_oracle_hits_total")
+            .unwrap_or(0);
+        let total = hits
+            + self
                 .snapshot
-                .counter(&format!("{base}_hits_total"))
+                .counter("hris_sp_oracle_misses_total")
                 .unwrap_or(0);
-            let misses = self
-                .snapshot
-                .counter(&format!("{base}_misses_total"))
-                .unwrap_or(0);
-            let total = hits + misses;
-            if total == 0 {
-                format!("{hits}/{total}")
-            } else {
-                format!(
-                    "{hits}/{total} ({:.1}%)",
-                    100.0 * hits as f64 / total as f64
-                )
-            }
+        let _ = if total == 0 {
+            writeln!(out, "   sp oracle hits {hits}/{total}")
+        } else {
+            let pct = 100.0 * hits as f64 / total as f64;
+            writeln!(out, "   sp oracle hits {hits}/{total} ({pct:.1}%)")
         };
-        let _ = writeln!(
-            out,
-            "   sp cache hits {}   candidate memo hits {}",
-            rate("hris_engine_sp_cache"),
-            rate("hris_engine_candidate_memo")
-        );
         let _ = writeln!(
             out,
             "   queries {}   slow {}   traces kept {} dropped {}",

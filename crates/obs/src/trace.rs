@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// Everything worth knowing about one served query: where its wall time
-/// went, how much work each phase did, and how the shared caches treated it.
+/// went and how much work each phase did.
 ///
 /// Phase names follow the engine's decomposition of the paper's pipeline:
 /// `candidates` (candidate-edge lookup per query point), `local` (reference
@@ -38,14 +38,6 @@ pub struct TraceRecord {
     pub refine_s: f64,
     /// Wall seconds for the whole query (≥ the four phases' sum).
     pub total_s: f64,
-    /// Shortest-path cache hits charged to this query.
-    pub sp_hits: u64,
-    /// Shortest-path cache misses charged to this query.
-    pub sp_misses: u64,
-    /// Candidate-memo hits charged to this query.
-    pub cand_hits: u64,
-    /// Candidate-memo misses charged to this query.
-    pub cand_misses: u64,
     /// True when `total_s` exceeded the engine's slow-query threshold.
     pub slow: bool,
     /// Root id of the span tree in `spans` (0 when no tree was captured).
@@ -74,8 +66,7 @@ impl TraceRecord {
                 "{{\"trace_id\":{},\"query_id\":{},\"points\":{},\"pairs\":{},\"candidates\":{},",
                 "\"routes\":{},\"top_log_score\":{},",
                 "\"candidates_s\":{},\"local_s\":{},\"global_s\":{},\"refine_s\":{},",
-                "\"total_s\":{},\"sp_hits\":{},\"sp_misses\":{},",
-                "\"cand_hits\":{},\"cand_misses\":{},\"slow\":{},",
+                "\"total_s\":{},\"slow\":{},",
                 "\"root_span\":{},\"spans\":[{}]}}"
             ),
             self.trace_id,
@@ -90,10 +81,6 @@ impl TraceRecord {
             crate::export::fmt_f64(self.global_s),
             crate::export::fmt_f64(self.refine_s),
             crate::export::fmt_f64(self.total_s),
-            self.sp_hits,
-            self.sp_misses,
-            self.cand_hits,
-            self.cand_misses,
             self.slow,
             self.root_span,
             spans,

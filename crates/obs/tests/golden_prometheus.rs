@@ -106,22 +106,14 @@ fn scripted_registry() -> MetricsRegistry {
     q.observe(3.0);
 
     let sp = r.register_paired(
-        "hris_engine_sp_cache",
-        "Shortest-path fallback cache lookups.",
+        "hris_sp_oracle",
+        "Shortest-path oracle probes (hit = answered from precomputed state).",
         PairedCounter::new(),
     );
     for _ in 0..5 {
         sp.hit();
     }
     sp.miss();
-    let memo = r.register_paired(
-        "hris_engine_candidate_memo",
-        "Candidate-edge memo lookups.",
-        PairedCounter::new(),
-    );
-    memo.hit();
-    memo.miss();
-    memo.miss();
     r
 }
 

@@ -34,5 +34,5 @@ pub use network::{LambdaSoA, RoadNetwork, Segment};
 pub use oracle::{CsrAdjacency, ScratchBuffers, SpOracle, SptTree};
 pub use osm::{parse_osm_xml, OsmNetwork};
 pub use route::Route;
-pub use shortest::{CostModel, PathResult, SpCache};
+pub use shortest::{CostModel, PathResult};
 pub use subnet::SubNetwork;

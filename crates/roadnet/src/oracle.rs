@@ -484,24 +484,6 @@ impl SpOracle {
         &self.shards[source.index() % SPT_SHARDS]
     }
 
-    /// The cached tree for `(source, model)` without computing one.
-    /// Counts as a hit when present; absent peeks are not counted (the
-    /// caller's follow-up [`SpOracle::spt`] will count the miss).
-    #[must_use]
-    pub fn cached_spt(&self, source: NodeId, model: CostModel) -> Option<Arc<SptTree>> {
-        let key = (source.0, lane(model) as u8);
-        let found = self
-            .shard(source)
-            .lock()
-            .expect("spt shard")
-            .get(&key)
-            .cloned();
-        if found.is_some() {
-            self.lookups.hit();
-        }
-        found
-    }
-
     /// The one-to-all shortest-path tree from `source`, cached.
     #[must_use]
     pub fn spt(&self, source: NodeId, model: CostModel) -> Arc<SptTree> {
@@ -688,31 +670,6 @@ impl SpOracle {
         }
         let spt = self.spt(src, model);
         self.walk_route(&spt, r, s, src, dst)
-    }
-
-    /// [`SpOracle::route_between`] answered **only** from precomputed state
-    /// (trivial pair, reachability negative, or an already-cached tree).
-    /// Returns `None` when answering would require running Dijkstra — the
-    /// caller can then consult its own per-pair cache before paying for the
-    /// full tree via [`SpOracle::route_between`].
-    #[must_use]
-    pub fn route_between_cached(
-        &self,
-        r: SegmentId,
-        s: SegmentId,
-        model: CostModel,
-    ) -> Option<Option<Route>> {
-        if r == s {
-            return Some(Some(Route::new(vec![r])));
-        }
-        let src = self.csr.segment_to(r);
-        let dst = self.csr.segment_from(s);
-        if !self.reachable(src, dst) {
-            self.lookups.hit();
-            return Some(None);
-        }
-        let spt = self.cached_spt(src, model)?;
-        Some(self.walk_route(&spt, r, s, src, dst))
     }
 
     /// Reconstructs the `r → … → s` route by walking `spt`'s predecessor

@@ -46,7 +46,7 @@ use crate::plan::ShardPlan;
 use hris::{
     configured_scorer, ConfiguredScorer, EngineConfig, EngineHandle, HrisParams,
     LocalInferenceResult, PaperScorer, QueryAudit, QueryOutcome, QueryResult, RejectReason,
-    RouteExplanation, RouteScorer, ScoringCtx,
+    RouteScorer, ScoringCtx,
 };
 use hris_geo::BBox;
 use hris_obs::{
@@ -215,7 +215,7 @@ impl Routable<'_> {
 ///
 /// Construction partitions the archive over a [`ShardPlan`] (boundary
 /// replication included) and builds one [`EngineHandle`] per shard, each
-/// with its own snapshot lifecycle, caches, and metrics registry. All
+/// with its own snapshot lifecycle and metrics registry. All
 /// shards share one `Arc<RoadNetwork>`: the network-level quantities the
 /// pipeline uses (speed bound, shortest-path oracle, candidate lookup) are
 /// global and pure, so sharing them is both correct and cheap —
@@ -984,25 +984,21 @@ impl ShardedEngine {
         // under the same configuration.
         let scorer = configured_scorer(&self.params, &self.cfg.rerank);
         let sctx = ScoringCtx::new(&self.net, &locals, k);
-        let globals = match spans {
-            None => scorer.top_k(&sctx),
-            // Traced: split the configured scorer into its two phases so
-            // splice (the paper's K-GRI over the gathered locals) and
-            // rerank get their own spans. `LearnedScorer::top_k` is
-            // exactly `paper.top_k` + `rerank_in_place`, so the split is
-            // byte-identical to the untraced call.
-            Some((c, root)) => {
-                let splice_guard = c.child(root, "splice");
-                let mut globals = PaperScorer::from_params(&self.params).top_k(&sctx);
-                drop(splice_guard);
-                if let ConfiguredScorer::Learned(learned) = &scorer {
-                    let mut rerank_guard = c.child(root, "rerank");
-                    rerank_guard.attr("routes", globals.len());
-                    let _ = learned.rerank_in_place(&sctx, &mut globals);
-                }
-                globals
+        // The configured scorer runs as its two phases, exactly as the
+        // engine runs it, so splice (the paper's K-GRI over the gathered
+        // locals) and rerank get their own spans on a traced query.
+        // `LearnedScorer::top_k` is exactly `paper.top_k` +
+        // `rerank_in_place`, so the split cannot change a result.
+        let splice_guard = spans.map(|(c, root)| c.child(root, "splice"));
+        let mut globals = PaperScorer::from_params(&self.params).top_k(&sctx);
+        drop(splice_guard);
+        if let ConfiguredScorer::Learned(learned) = &scorer {
+            let mut rerank_guard = spans.map(|(c, root)| c.child(root, "rerank"));
+            if let Some(g) = rerank_guard.as_mut() {
+                g.attr("routes", globals.len());
             }
-        };
+            let _ = learned.rerank_in_place(&sctx, &mut globals);
+        }
         let outcome = if rerouted > 0 {
             if let Some((c, root)) = spans {
                 let _ = c.event(
@@ -1028,13 +1024,10 @@ impl ShardedEngine {
             audit.points = q.points.len();
             audit.pairs = n_pairs;
             audit.outcome = match &outcome {
-                QueryOutcome::Ok => "served".to_string(),
-                QueryOutcome::Repaired { .. } => "repaired".to_string(),
-                QueryOutcome::Degraded { .. } => "degraded".to_string(),
-                QueryOutcome::Rejected { .. } => "rejected".to_string(),
-            };
-            audit.local_routes_per_pair = locals.iter().map(|l| l.routes.len()).collect();
-            audit.scorer = scorer.name().to_string();
+                QueryOutcome::Ok => "served",
+                other => other.label(),
+            }
+            .to_string();
             for (i, s) in pair_shards.iter().enumerate() {
                 audit.push_event(format!("scatter: pair {i} served by shard {s}"));
             }
@@ -1043,25 +1036,7 @@ impl ShardedEngine {
                     "degraded: {rerouted} pairs rerouted away from unhealthy shards"
                 ));
             }
-            let rerank = match &scorer {
-                ConfiguredScorer::Learned(_) => self.cfg.rerank.model.as_ref(),
-                ConfiguredScorer::Paper(_) => None,
-            };
-            audit.routes = globals
-                .iter()
-                .take(self.cfg.explain.top_k_routes)
-                .enumerate()
-                .map(|(rank, g)| {
-                    RouteExplanation::explain(
-                        &sctx,
-                        g,
-                        rank,
-                        self.params.entropy_floor,
-                        self.params.popularity_model,
-                        rerank,
-                    )
-                })
-                .collect();
+            audit.explain_routes(&sctx, &globals, self.cfg.explain.top_k_routes, &scorer);
             let _ = ring.push(audit.into_record());
         }
 

@@ -122,7 +122,7 @@ impl<T: Spatial> RTree<T> {
 
     /// Estimated heap bytes held by this tree: the item arena plus the
     /// node arena and every node's entry vector. Used by the capacity
-    /// accounting in `BENCH_e2e.json` to compare materialized indexes
+    /// accounting to compare materialized indexes
     /// against the columnar snapshot format; an estimate because
     /// allocator slack is invisible from here.
     #[must_use]

@@ -88,8 +88,7 @@ impl TrajectoryArchive {
     /// Estimated heap bytes of the fully materialized archive: every
     /// trip's point vector plus the R-tree arena (which stores each point
     /// a second time as an [`ArchivePoint`]). This is the "before" number
-    /// the columnar snapshot format is measured against in the capacity
-    /// section of `BENCH_e2e.json`.
+    /// the columnar snapshot format is measured against.
     #[must_use]
     pub fn memory_footprint(&self) -> usize {
         let trips: usize = self

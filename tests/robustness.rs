@@ -1,16 +1,19 @@
 //! Failure-injection and edge-case tests: the system must degrade
 //! gracefully, never panic, on hostile inputs.
 
-use hris::{Hris, HrisParams};
+use hris::{EngineConfig, Hris, HrisParams, QueryEngine, QueryOutcome, QueryResult};
 use hris_eval::metrics::accuracy_al;
 use hris_geo::Point;
 use hris_mapmatch::{IncrementalMatcher, IvmmMatcher, MapMatcher, StMatcher};
 use hris_roadnet::{generator, NetworkConfig, RoadNetwork};
+use hris_router::{ShardPlan, ShardedEngine};
 use hris_traj::{
-    add_gps_noise, GpsPoint, SimConfig, Simulator, TrajId, Trajectory, TrajectoryArchive,
+    add_gps_noise, fault_corpus, resample_to_interval, sanitize_points, GpsPoint, SanitizeLimits,
+    SimConfig, Simulator, TrajId, Trajectory, TrajectoryArchive,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 fn net() -> RoadNetwork {
     generator::generate(&NetworkConfig::small(31))
@@ -199,4 +202,84 @@ fn degenerate_hris_params_do_not_panic() {
         let hris = Hris::new(&net, archive.clone(), params);
         let _ = hris.infer_routes(&q, 3); // may be empty, must not panic
     }
+}
+
+/// One pair pipeline serves clean and repaired queries alike: over the
+/// 100-case fault corpus, a dirty query that repairs without any pair
+/// falling back must answer exactly like its hand-sanitized copy — same
+/// routes, same score bits — on a single engine and behind a 2×2 router.
+#[test]
+fn repaired_queries_match_their_sanitized_copies() {
+    let net = Arc::new(net());
+    let mut sim = Simulator::new(
+        &net,
+        SimConfig {
+            num_trips: 250,
+            num_od_patterns: 10,
+            min_trip_dist_m: 800.0,
+            seed: 13,
+            ..SimConfig::default()
+        },
+    );
+    let (archive, routes) = sim.generate_archive();
+    let clean: Vec<Trajectory> = routes
+        .iter()
+        .step_by(routes.len() / 4)
+        .take(4)
+        .enumerate()
+        .map(|(i, r)| {
+            let pts = hris_traj::simulator::drive_route(&net, r, 0.0, 20.0, 0.8).unwrap();
+            resample_to_interval(&Trajectory::new(TrajId(i as u32), pts), 240.0)
+        })
+        .collect();
+
+    let params = HrisParams::default();
+    let hris = Hris::new(&net, archive.clone(), params.clone());
+    let engine = QueryEngine::new(&hris);
+    let sharded = ShardedEngine::build(
+        Arc::clone(&net),
+        &archive,
+        params.clone(),
+        EngineConfig::default(),
+        ShardPlan::grid(&net, 2, 2, params.phi_m),
+    );
+    type Front<'a> = (&'a str, &'a dyn Fn(&Trajectory) -> QueryResult);
+    let fronts: [Front<'_>; 2] = [
+        ("QueryEngine", &|q| engine.infer_query(q, 3)),
+        ("2x2 ShardedEngine", &|q| sharded.infer_query(q, 3)),
+    ];
+
+    let mut repaired = 0;
+    for (case, (kind, dirty)) in fault_corpus(42, &clean, 100).iter().enumerate() {
+        let mut pts = dirty.points.clone();
+        sanitize_points(&mut pts, &SanitizeLimits::default());
+        let sanitized = Trajectory::new(dirty.id, pts);
+        for (front, infer) in fronts {
+            let got = infer(dirty);
+            if !matches!(got.outcome, QueryOutcome::Repaired { .. }) {
+                continue; // served as given, rejected, or some pair fell back
+            }
+            repaired += 1;
+            let want = infer(&sanitized);
+            let ctx = format!("{front}, case {case} ({})", kind.name());
+            assert_eq!(
+                want.outcome,
+                QueryOutcome::Ok,
+                "{ctx}: sanitized copy is clean"
+            );
+            assert_eq!(got.globals.len(), want.globals.len(), "{ctx}: top-K length");
+            for (i, (g, w)) in got.globals.iter().zip(&want.globals).enumerate() {
+                assert_eq!(g.route, w.route, "{ctx}: route {i}");
+                assert_eq!(
+                    g.log_score.to_bits(),
+                    w.log_score.to_bits(),
+                    "{ctx}: score bits of route {i}"
+                );
+            }
+        }
+    }
+    assert!(
+        repaired >= 20,
+        "corpus must exercise the repair path: {repaired}"
+    );
 }
