@@ -14,6 +14,7 @@
 //! paper's pipeline: score components are Equation 1/2 quantities and the
 //! feature vector is [`FEATURE_NAMES`] order.
 
+use crate::engine::{QueryOutcome, QueryResult};
 use crate::global::GlobalRoute;
 use crate::scoring::{
     extract_features, ConfiguredScorer, RouteFeatures, RouteScorer, ScoringCtx, FEATURE_NAMES,
@@ -183,12 +184,58 @@ pub struct QueryAudit {
 }
 
 impl QueryAudit {
-    /// An empty audit for the given identity.
+    /// The audit of one answered (or refused) query: identity, `points` as
+    /// the pipeline saw them (post-repair), the outcome label and the
+    /// repair / degradation / rejection events the outcome implies. The
+    /// scoring half is [`QueryAudit::explain_routes`]'s; a rejection ranked
+    /// nothing, so its scorer reads `"none"`.
     #[must_use]
-    pub fn new(trace_id: u64, query_id: u64) -> Self {
+    pub fn of_result(trace_id: u64, query_id: u64, points: usize, result: &QueryResult) -> Self {
+        let mut audit = QueryAudit::routeless(trace_id, query_id, points, result.outcome.label());
+        let repair_event = |repairs: hris_traj::PointRepairs| {
+            format!(
+                "repair: sanitization dropped {} of {} points",
+                repairs.points_dropped(),
+                points + repairs.points_dropped()
+            )
+        };
+        match result.outcome {
+            QueryOutcome::Ok => audit.outcome = "served".to_string(),
+            QueryOutcome::Repaired { repairs } => audit.push_event(repair_event(repairs)),
+            QueryOutcome::Degraded {
+                repairs,
+                pairs_fell_back,
+            } => {
+                // A router demoting a clean query for a reroute repaired
+                // nothing.
+                if repairs.any() {
+                    audit.push_event(repair_event(repairs));
+                }
+                audit.push_event(format!("degraded: {pairs_fell_back} pairs fell back"));
+            }
+            QueryOutcome::Rejected { reason } => audit.push_event(format!("rejected: {reason:?}")),
+        }
+        audit
+    }
+
+    /// The audit of an admission-control shed: no inference ran, so the
+    /// document is identity plus the shed event.
+    #[must_use]
+    pub fn shed(trace_id: u64, points: usize) -> Self {
+        let mut audit = QueryAudit::routeless(trace_id, 0, points, "shed");
+        audit.push_event("admission: waiting room full, query shed");
+        audit
+    }
+
+    /// Identity, point/pair counts and outcome label; no scorer, no routes.
+    fn routeless(trace_id: u64, query_id: u64, points: usize, outcome: &str) -> Self {
         QueryAudit {
             trace_id,
             query_id,
+            points,
+            pairs: points.saturating_sub(1),
+            outcome: outcome.to_string(),
+            scorer: "none".to_string(),
             ..QueryAudit::default()
         }
     }
@@ -280,10 +327,7 @@ mod tests {
 
     #[test]
     fn audit_json_shape_and_escaping() {
-        let mut audit = QueryAudit::new(7, 3);
-        audit.points = 4;
-        audit.pairs = 3;
-        audit.outcome = "served".to_string();
+        let mut audit = QueryAudit::routeless(7, 3, 4, "served");
         audit.candidates_per_point = vec![2, 3, 1, 2];
         audit.local_routes_per_pair = vec![5, 4, 6];
         audit.scorer = "paper".to_string();
@@ -298,6 +342,52 @@ mod tests {
         assert!(j.json.contains("\"routes\":[]"));
         assert!(serde_json::from_str::<serde_json::Value>(&j.json).is_ok());
         assert!(j.json.contains("\"outcome\":\"served\""));
+    }
+
+    #[test]
+    fn constructors_label_the_outcome_and_its_events() {
+        use crate::engine::RejectReason;
+        use hris_traj::PointRepairs;
+        let repairs = PointRepairs {
+            dropped_non_finite: 1,
+            ..PointRepairs::default()
+        };
+        let of = |outcome| {
+            let result = QueryResult {
+                outcome,
+                ..QueryResult::rejected(RejectReason::EmptyQuery)
+            };
+            QueryAudit::of_result(9, 1, 4, &result)
+        };
+        let ok = of(QueryOutcome::Ok);
+        assert_eq!((ok.outcome.as_str(), ok.pairs), ("served", 3));
+        assert!(ok.events.is_empty());
+        let repaired = of(QueryOutcome::served(Some(repairs), 0));
+        assert_eq!(repaired.outcome, "repaired");
+        assert_eq!(
+            repaired.events,
+            ["repair: sanitization dropped 1 of 5 points"]
+        );
+        let degraded = of(QueryOutcome::served(Some(repairs), 2));
+        assert_eq!(degraded.outcome, "degraded");
+        assert_eq!(degraded.events.len(), 2);
+        assert_eq!(degraded.events[1], "degraded: 2 pairs fell back");
+        // A reroute demotes a clean query without repairing anything.
+        let rerouted = of(QueryOutcome::Degraded {
+            repairs: PointRepairs::default(),
+            pairs_fell_back: 1,
+        });
+        assert_eq!(rerouted.events, ["degraded: 1 pairs fell back"]);
+        let rejected =
+            QueryAudit::of_result(9, 0, 0, &QueryResult::rejected(RejectReason::EmptyQuery));
+        assert_eq!(
+            (rejected.outcome.as_str(), rejected.scorer.as_str()),
+            ("rejected", "none")
+        );
+        assert_eq!(rejected.events, ["rejected: EmptyQuery"]);
+        let shed = QueryAudit::shed(9, 3);
+        assert_eq!((shed.outcome.as_str(), shed.pairs), ("shed", 2));
+        assert_eq!(shed.events.len(), 1);
     }
 
     #[test]

@@ -45,9 +45,10 @@ use hris_obs::{
 };
 use hris_roadnet::network::CandidateEdge;
 use hris_roadnet::RoadNetwork;
-use hris_traj::{sanitize_points, PointRepairs, Trajectory, TrajectoryArchive};
+use hris_traj::{sanitize_points, PointRepairs, SanitizeLimits, Trajectory, TrajectoryArchive};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -73,8 +74,8 @@ pub enum RejectReason {
 ///
 /// The ladder, from best to worst:
 /// * [`QueryOutcome::Ok`] — the input satisfied the engine's contract and
-///   took the normal pipeline unchanged (byte-identical to a validation-off
-///   engine).
+///   took the normal pipeline unchanged (byte-identical to plain
+///   [`Hris`]).
 /// * [`QueryOutcome::Repaired`] — the input violated the contract but
 ///   sanitization fixed it (dropped garbage points, re-sorted timestamps,
 ///   removed duplicate records); the repaired query then answered normally.
@@ -107,6 +108,22 @@ pub enum QueryOutcome {
 }
 
 impl QueryOutcome {
+    /// The outcome of a query that was served: [`QueryOutcome::Ok`] for a
+    /// clean one (`repairs` is `None`), otherwise
+    /// [`QueryOutcome::Repaired`], or [`QueryOutcome::Degraded`] when any
+    /// pair fell back. The one mapping every front reports through.
+    #[must_use]
+    pub fn served(repairs: Option<PointRepairs>, pairs_fell_back: usize) -> Self {
+        match repairs {
+            None => QueryOutcome::Ok,
+            Some(repairs) if pairs_fell_back > 0 => QueryOutcome::Degraded {
+                repairs,
+                pairs_fell_back,
+            },
+            Some(repairs) => QueryOutcome::Repaired { repairs },
+        }
+    }
+
     /// Stable lower-case label (metrics, reports).
     #[must_use]
     pub fn label(&self) -> &'static str {
@@ -197,6 +214,75 @@ pub struct QueryResult {
     pub outcome: QueryOutcome,
 }
 
+impl QueryResult {
+    /// The empty answer of a query that was refused.
+    #[must_use]
+    pub fn rejected(reason: RejectReason) -> Self {
+        QueryResult {
+            globals: Vec::new(),
+            stats: Vec::new(),
+            outcome: QueryOutcome::Rejected { reason },
+        }
+    }
+}
+
+/// A query that passed [`screen`]: the points to serve and what it took to
+/// get them.
+#[derive(Debug)]
+pub struct Screened<'q> {
+    /// The query as the pipeline serves it: borrowed when clean, the
+    /// sanitized copy when repaired.
+    pub served: Cow<'q, Trajectory>,
+    /// What sanitization did; `None` for a clean query served as given.
+    pub repairs: Option<PointRepairs>,
+}
+
+/// The validation screen every serving front puts in front of the one
+/// pipeline — not a switch, and the only place a query is sanitized.
+///
+/// The input contract: finite coordinates and timestamps, magnitudes within
+/// [`SanitizeLimits::default`], timestamps non-decreasing. Duplicate
+/// timestamps and large (but in-range) jumps are *valid* — they are data,
+/// not corruption. A query that satisfies the contract (the overwhelming
+/// majority) is served as given, byte-identical to plain [`Hris`] — pinned
+/// by `tests/engine_robustness.rs`. A dirty query is repaired (garbage
+/// points dropped, timestamps re-sorted, duplicate records removed) and
+/// served with the degradation chain armed.
+///
+/// # Errors
+/// [`RejectReason::EmptyQuery`] for a query without observations (an empty
+/// question, as opposed to an empty answer) and
+/// [`RejectReason::NoUsablePoints`] when sanitization leaves nothing.
+pub fn screen(query: &Trajectory) -> Result<Screened<'_>, RejectReason> {
+    if query.is_empty() {
+        return Err(RejectReason::EmptyQuery);
+    }
+    let lim = SanitizeLimits::default();
+    let valid = query.validate().is_ok()
+        && query.points.iter().all(|p| {
+            p.pos.x.abs() <= lim.max_abs_coord_m
+                && p.pos.y.abs() <= lim.max_abs_coord_m
+                && p.t.abs() <= lim.max_abs_time_s
+        });
+    if valid {
+        return Ok(Screened {
+            served: Cow::Borrowed(query),
+            repairs: None,
+        });
+    }
+    let mut pts = query.points.clone();
+    let repairs = sanitize_points(&mut pts, &lim);
+    if pts.is_empty() {
+        return Err(RejectReason::NoUsablePoints);
+    }
+    // Sanitization guarantees finite, ordered points, so the validating
+    // constructor cannot panic here.
+    Ok(Screened {
+        served: Cow::Owned(Trajectory::new(query.id, pts)),
+        repairs: Some(repairs),
+    })
+}
+
 /// Shortest-path cache counters as the engine's callers see them.
 ///
 /// The engine keeps no cache of its own: `sp_hits`/`sp_misses` are one
@@ -224,7 +310,7 @@ pub struct EngineCacheStats {
 pub(crate) struct LocalRun {
     pub(crate) locals: Vec<LocalInferenceResult>,
     /// Pairs that needed a step beyond the configured local algorithm.
-    pairs_fell_back: usize,
+    pub(crate) pairs_fell_back: usize,
     /// Candidate edges summed over all query points.
     candidates_total: usize,
     /// Candidate edges per query point; filled only when the audit ring is
@@ -723,74 +809,6 @@ impl EngineCore {
         }
     }
 
-    /// Writes one query's audit document — identity, per-stage counts, the
-    /// outcome with its repair/degradation/rejection events, and the
-    /// explained top routes — into the audit ring. `served` is the query as
-    /// the pipeline saw it (post-repair); `sctx` and `scorer` are the ones
-    /// that produced `result`.
-    #[allow(clippy::too_many_arguments)]
-    fn push_audit(
-        &self,
-        ring: &AuditRing,
-        served: &Trajectory,
-        trace_id: u64,
-        query_id: u64,
-        candidates_per_point: &[usize],
-        sctx: &ScoringCtx<'_>,
-        scorer: &ConfiguredScorer<'_>,
-        result: &QueryResult,
-    ) {
-        let mut audit = QueryAudit::new(trace_id, query_id);
-        audit.points = served.len();
-        audit.pairs = served.len().saturating_sub(1);
-        audit.candidates_per_point = candidates_per_point.to_vec();
-        audit.explain_routes(sctx, &result.globals, self.cfg.explain.top_k_routes, scorer);
-        audit.outcome = match result.outcome {
-            QueryOutcome::Ok => "served",
-            ref other => other.label(),
-        }
-        .to_string();
-        let repair_event = |repairs: PointRepairs| {
-            format!(
-                "repair: sanitization dropped {} of {} points",
-                repairs.points_dropped(),
-                served.len() + repairs.points_dropped()
-            )
-        };
-        match result.outcome {
-            QueryOutcome::Ok => {}
-            QueryOutcome::Repaired { repairs } => audit.push_event(repair_event(repairs)),
-            QueryOutcome::Degraded {
-                repairs,
-                pairs_fell_back,
-            } => {
-                audit.push_event(repair_event(repairs));
-                audit.push_event(format!(
-                    "degraded: {pairs_fell_back} pairs fell back along the repair chain"
-                ));
-            }
-            QueryOutcome::Rejected { reason } => {
-                // No inference ran, so no scorer ranked anything.
-                audit.scorer = "none".to_string();
-                audit.push_event(format!("rejected: {reason:?}"));
-            }
-        }
-        let _ = ring.push(audit.into_record());
-    }
-
-    /// Audits an admission-control shed (no inference ran, so the document
-    /// is identity + the shed event).
-    pub(crate) fn record_shed_audit(&self, points: usize, trace_id: u64) {
-        let Some(ring) = &self.audits else { return };
-        let mut audit = QueryAudit::new(trace_id, 0);
-        audit.points = points;
-        audit.pairs = points.saturating_sub(1);
-        audit.outcome = "shed".to_string();
-        audit.scorer = "none".to_string();
-        audit.push_event("admission: waiting room full, query shed");
-        let _ = ring.push(audit.into_record());
-    }
-
     /// [`QueryEngine::infer_batch_detailed`] with the data named explicitly.
     pub(crate) fn infer_batch_detailed(
         &self,
@@ -842,18 +860,12 @@ impl EngineCore {
         self.infer_query_traced(ctx, query, k, mode, trace_id)
     }
 
-    /// The validation screen in front of the one pipeline, under a
-    /// caller-minted trace id — the delegation seam of distributed tracing:
-    /// a sharded router mints one id at its routing decision and threads it
-    /// here, so the shard's trace and audit records join the router's
-    /// stitched tree.
-    ///
-    /// Clean queries (the overwhelming majority) are served as given —
-    /// byte-identical to a validation-off engine, pinned by
-    /// `tests/engine_robustness.rs`. Dirty queries are repaired (sanitized,
-    /// re-sorted, deduplicated) and served with the degradation chain
-    /// armed; unusable queries are rejected instead of panicking. All three
-    /// are timed, traced and audited by the same code.
+    /// [`screen`] in front of the one pipeline, under a caller-minted trace
+    /// id — the delegation seam of distributed tracing: a sharded router
+    /// mints one id at its routing decision and threads it here, so the
+    /// shard's trace and audit records join the router's stitched tree.
+    /// Clean, repaired and rejected queries are timed, traced and audited
+    /// by the same code.
     pub(crate) fn infer_query_traced(
         &self,
         ctx: EngineCtx<'_>,
@@ -863,57 +875,20 @@ impl EngineCore {
         trace_id: u64,
     ) -> QueryResult {
         let t_query = self.obs.as_ref().map(|_| clock::now());
-        let serve = |served: &Trajectory, screened: Result<Option<PointRepairs>, RejectReason>| {
-            self.infer_screened(ctx, served, screened, k, mode, trace_id, t_query)
-        };
-        if !self.cfg.validation.enabled {
-            return serve(query, Ok(None));
+        match screen(query) {
+            Ok(s) => self.infer_screened(ctx, &s.served, Ok(s.repairs), k, mode, trace_id, t_query),
+            Err(reason) => self.infer_screened(ctx, query, Err(reason), k, mode, trace_id, t_query),
         }
-        if query.is_empty() {
-            // Same observable behaviour as the unvalidated engine (empty
-            // output), but reported as a rejection so callers can tell an
-            // empty answer from an empty question.
-            return serve(query, Err(RejectReason::EmptyQuery));
-        }
-        if self.query_is_valid(query) {
-            return serve(query, Ok(None));
-        }
-        let mut pts = query.points.clone();
-        let repairs = sanitize_points(&mut pts, &self.cfg.validation.limits);
-        if pts.is_empty() {
-            return serve(query, Err(RejectReason::NoUsablePoints));
-        }
-        // Sanitization guarantees finite, ordered points, so the validating
-        // constructor cannot panic here.
-        serve(&Trajectory::new(query.id, pts), Ok(Some(repairs)))
-    }
-
-    /// The engine's input contract: finite coordinates and timestamps,
-    /// magnitudes within [`ValidationOptions::limits`], timestamps
-    /// non-decreasing. Duplicate timestamps and large (but in-range) jumps
-    /// are *valid* — they are data, not corruption.
-    ///
-    /// [`ValidationOptions::limits`]: crate::params::ValidationOptions
-    fn query_is_valid(&self, query: &Trajectory) -> bool {
-        let lim = &self.cfg.validation.limits;
-        query.validate().is_ok()
-            && query.points.iter().all(|p| {
-                p.pos.x.abs() <= lim.max_abs_coord_m
-                    && p.pos.y.abs() <= lim.max_abs_coord_m
-                    && p.t.abs() <= lim.max_abs_time_s
-            })
     }
 
     /// Phases 1–3 of one screened query, with everything the observability
     /// and explain layers record about it. `screened` is the validation
     /// verdict: `Ok(None)` clean, `Ok(Some(repairs))` repaired (`served` is
-    /// then the sanitized copy and pairs run the degradation chain when
-    /// [`ValidationOptions::algorithm_fallback`] is set), `Err(reason)`
-    /// rejected (no inference runs; the empty answer is still recorded).
-    /// `t_query` is the clock reading taken before validation, present iff
-    /// observability is on — without it this path reads no clock.
-    ///
-    /// [`ValidationOptions::algorithm_fallback`]: crate::params::ValidationOptions
+    /// then the sanitized copy and pairs run the degradation chain),
+    /// `Err(reason)` rejected (no inference runs; the empty answer is still
+    /// recorded). `t_query` is the clock reading taken before validation,
+    /// present iff observability is on — without it this path reads no
+    /// clock.
     #[allow(clippy::too_many_arguments)]
     fn infer_screened(
         &self,
@@ -940,11 +915,9 @@ impl EngineCore {
         }
         let spanctx = collector.as_ref().map(|c| (c, root_id));
 
-        let run = match screened {
+        let mut run = match screened {
             Ok(repairs) => {
-                let algorithm_fallback =
-                    repairs.is_some() && self.cfg.validation.algorithm_fallback;
-                self.local_inference_run(ctx, served, mode, algorithm_fallback, timed, spanctx)
+                self.local_inference_run(ctx, served, mode, repairs.is_some(), timed, spanctx)
             }
             Err(_) => LocalRun::default(),
         };
@@ -986,12 +959,7 @@ impl EngineCore {
             globals,
             stats: run.locals.iter().map(|l| l.stats.clone()).collect(),
             outcome: match screened {
-                Ok(None) => QueryOutcome::Ok,
-                Ok(Some(repairs)) if run.pairs_fell_back > 0 => QueryOutcome::Degraded {
-                    repairs,
-                    pairs_fell_back: run.pairs_fell_back,
-                },
-                Ok(Some(repairs)) => QueryOutcome::Repaired { repairs },
+                Ok(repairs) => QueryOutcome::served(repairs, run.pairs_fell_back),
                 Err(reason) => QueryOutcome::Rejected { reason },
             },
         };
@@ -1014,30 +982,27 @@ impl EngineCore {
             )
         });
         if let Some(ring) = &self.audits {
-            self.push_audit(
-                ring,
-                served,
-                trace_id,
-                query_id,
-                &run.candidates_per_point,
-                &sctx,
-                &scorer,
-                &result,
-            );
+            let mut audit = QueryAudit::of_result(trace_id, query_id, served.len(), &result);
+            audit.candidates_per_point = std::mem::take(&mut run.candidates_per_point);
+            if screened.is_ok() {
+                let top_k = self.cfg.explain.top_k_routes;
+                audit.explain_routes(&sctx, &result.globals, top_k, &scorer);
+            }
+            let _ = ring.push(audit.into_record());
         }
         result
     }
 
     /// Phases 1–2 with optional wall-clock timing (`timed`), optional span
-    /// capture (`spans` = collector + root span id) and, for repaired
-    /// queries, the per-pair degradation chain (`algorithm_fallback`, see
-    /// [`infer_pair`]). Untimed calls perform zero clock reads.
+    /// capture (`spans` = collector + root span id) and, for `repaired`
+    /// queries, the per-pair degradation chain armed (see [`infer_pair`]).
+    /// Untimed calls perform zero clock reads.
     pub(crate) fn local_inference_run(
         &self,
         ctx: EngineCtx<'_>,
         query: &Trajectory,
         mode: ExecMode,
-        algorithm_fallback: bool,
+        repaired: bool,
         timed: bool,
         spans: Option<(&SpanCollector, u64)>,
     ) -> LocalRun {
@@ -1086,12 +1051,12 @@ impl EngineCore {
                 query.points[i + 1],
                 &cands[i],
                 &cands[i + 1],
-                algorithm_fallback,
+                repaired,
             )
         };
         let t_local = timed.then(clock::now);
         let results: Vec<(LocalInferenceResult, bool)> =
-            match self.effective_mode(mode, pair_indices.len()) {
+            match effective_mode(mode, pair_indices.len()) {
                 ExecMode::Sequential => pair_indices.into_iter().map(work).collect(),
                 ExecMode::PairParallel => pair_indices.par_iter().map(|&i| work(i)).collect(),
             };
@@ -1112,19 +1077,22 @@ impl EngineCore {
             local_span,
         }
     }
+}
 
-    /// The scheduling mode actually used for a query with `pairs` point
-    /// pairs: [`ExecMode::PairParallel`] degrades to sequential below the
-    /// configured `pair_parallel_min_pairs` threshold, where fork/join
-    /// overhead outweighs the per-pair work. Scheduling never changes
-    /// results, so this is a pure throughput decision.
-    fn effective_mode(&self, mode: ExecMode, pairs: usize) -> ExecMode {
-        match mode {
-            ExecMode::PairParallel if pairs < self.cfg.pair_parallel_min_pairs => {
-                ExecMode::Sequential
-            }
-            m => m,
-        }
+/// Pair count below which [`ExecMode::PairParallel`] runs a query's pairs
+/// sequentially on the calling thread: the pool's fork/join overhead
+/// exceeds the work of a handful of pairs (measured on 2 threads: 1.35×
+/// for pair-parallel at 14.8 pairs/query, 0.98× on 3-pair queries).
+const PAIR_PARALLEL_MIN_PAIRS: usize = 8;
+
+/// The scheduling mode actually used for a query with `pairs` point pairs:
+/// [`ExecMode::PairParallel`] degrades to sequential below
+/// [`PAIR_PARALLEL_MIN_PAIRS`]. Scheduling never changes results, so this
+/// is a pure throughput decision made from the input size.
+fn effective_mode(mode: ExecMode, pairs: usize) -> ExecMode {
+    match mode {
+        ExecMode::PairParallel if pairs < PAIR_PARALLEL_MIN_PAIRS => ExecMode::Sequential,
+        m => m,
     }
 }
 
@@ -1138,13 +1106,9 @@ impl EngineCore {
 /// spawned threads, live ingestion) use
 /// [`EngineHandle`](crate::handle::EngineHandle) instead.
 ///
-/// # Which entrypoint should I call?
-///
-/// [`QueryEngine::infer_query`] is the canonical single-query path and
-/// [`QueryEngine::infer_batch_detailed`] the canonical batch path — every
-/// other inference method is a thin wrapper that discards part of their
-/// output. New code should call the canonical ones; the wrappers exist for
-/// callers that want the narrower historical shapes.
+/// [`QueryEngine::infer_query`] is the single-query path and
+/// [`QueryEngine::infer_batch_detailed`] the batch path;
+/// [`QueryEngine::infer_batch`] keeps only the latter's scored routes.
 pub struct QueryEngine<'a> {
     hris: &'a Hris<'a>,
     core: EngineCore,
@@ -1224,57 +1188,16 @@ impl<'a> QueryEngine<'a> {
         cache_stats(self.hris.network())
     }
 
-    /// One query through the validation screen: answer plus its
-    /// [`QueryOutcome`]. Never panics on malformed input.
-    ///
-    /// **This is the canonical single-query entrypoint** — the other
-    /// single-query methods are wrappers that discard part of its output.
+    /// One query through [`screen`]: answer plus its [`QueryOutcome`].
+    /// Never panics on malformed input.
     #[must_use]
     pub fn infer_query(&self, query: &Trajectory, k: usize) -> QueryResult {
         self.core
             .infer_query_mode(self.ctx(), query, k, self.config().mode)
     }
 
-    /// Top-`k` routes of one query (same contract as [`Hris::infer_routes`]).
-    /// Thin wrapper over [`QueryEngine::infer_query`] that drops the
-    /// [`QueryOutcome`] and per-pair statistics.
-    #[must_use]
-    pub fn infer_routes(&self, query: &Trajectory, k: usize) -> Vec<ScoredRoute> {
-        self.infer_query(query, k)
-            .globals
-            .into_iter()
-            .map(|g| ScoredRoute {
-                route: g.route,
-                log_score: g.log_score,
-            })
-            .collect()
-    }
-
-    /// The most likely single route. Thin wrapper over
-    /// [`QueryEngine::infer_query`] with `k = 1`.
-    #[must_use]
-    pub fn infer_top1(&self, query: &Trajectory) -> Option<ScoredRoute> {
-        self.infer_routes(query, 1).into_iter().next()
-    }
-
-    /// Full inference with per-pair instrumentation, in the historical
-    /// tuple shape. Thin wrapper over [`QueryEngine::infer_query`] that
-    /// drops the [`QueryOutcome`].
-    #[must_use]
-    pub fn infer_routes_detailed(
-        &self,
-        query: &Trajectory,
-        k: usize,
-    ) -> (Vec<GlobalRoute>, Vec<LocalStats>) {
-        let r = self.infer_query(query, k);
-        (r.globals, r.stats)
-    }
-
     /// Every query of a batch through the validation screen and — when
     /// `batch_parallel` is set — spread across the pool.
-    ///
-    /// **This is the canonical batch entrypoint**;
-    /// [`QueryEngine::infer_batch`] wraps it.
     #[must_use]
     pub fn infer_batch_detailed(&self, queries: &[Trajectory], k: usize) -> Vec<QueryResult> {
         self.core.infer_batch_detailed(self.ctx(), queries, k)
@@ -1297,14 +1220,6 @@ impl<'a> QueryEngine<'a> {
                     .collect()
             })
             .collect()
-    }
-
-    /// Phases 1–2 under the engine's scheduling (phase 3 input).
-    #[must_use]
-    pub fn local_inference(&self, query: &Trajectory) -> Vec<LocalInferenceResult> {
-        self.core
-            .local_inference_run(self.ctx(), query, self.config().mode, false, false, None)
-            .locals
     }
 }
 
@@ -1337,42 +1252,40 @@ mod tests {
 
     #[test]
     fn pair_parallel_threshold_degrades_to_sequential() {
-        let (net, queries) = sparse_setup();
-        let hris = Hris::new(&net, TrajectoryArchive::empty(), HrisParams::default());
-        // Every query above has 3 pairs: a threshold of 4 must route them
-        // sequentially, a threshold of 0 must fan out — and both must
-        // return routes byte-identical to each other (scheduling is
-        // forbidden from changing results).
-        let gated = QueryEngine::with_config(
-            &hris,
-            EngineConfig::builder()
-                .pair_parallel_min_pairs(4)
-                .build()
-                .unwrap(),
-        );
-        let eager = QueryEngine::with_config(
-            &hris,
-            EngineConfig::builder()
-                .pair_parallel_min_pairs(0)
-                .build()
-                .unwrap(),
-        );
         assert_eq!(
-            gated.core.effective_mode(ExecMode::PairParallel, 3),
+            effective_mode(ExecMode::PairParallel, PAIR_PARALLEL_MIN_PAIRS - 1),
             ExecMode::Sequential
         );
         assert_eq!(
-            eager.core.effective_mode(ExecMode::PairParallel, 3),
+            effective_mode(ExecMode::PairParallel, PAIR_PARALLEL_MIN_PAIRS),
             ExecMode::PairParallel
         );
         // An explicit sequential request is never upgraded.
         assert_eq!(
-            eager.core.effective_mode(ExecMode::Sequential, 100),
+            effective_mode(ExecMode::Sequential, 100),
             ExecMode::Sequential
         );
-        for q in &queries {
-            let a = gated.infer_routes(q, 3);
-            let b = eager.infer_routes(q, 3);
+        // Queries on either side of the threshold answer byte-identically
+        // under both modes (scheduling is forbidden from changing results).
+        let (net, _) = sparse_setup();
+        let hris = Hris::new(&net, TrajectoryArchive::empty(), HrisParams::default());
+        let sequential = QueryEngine::with_config(&hris, EngineConfig::sequential());
+        let parallel = QueryEngine::new(&hris);
+        assert_eq!(parallel.config().mode, ExecMode::PairParallel);
+        for points in [4, PAIR_PARALLEL_MIN_PAIRS + 2] {
+            let q = Trajectory::new(
+                TrajId(0),
+                (0..points)
+                    .map(|k| {
+                        hris_traj::GpsPoint::new(
+                            hris_geo::Point::new(k as f64 * 150.0, 120.0),
+                            k as f64 * 60.0,
+                        )
+                    })
+                    .collect(),
+            );
+            let a = sequential.infer_query(&q, 3).globals;
+            let b = parallel.infer_query(&q, 3).globals;
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.route, y.route);
@@ -1382,13 +1295,39 @@ mod tests {
     }
 
     #[test]
+    fn screen_borrows_clean_repairs_dirty_and_rejects_unusable() {
+        let (_, queries) = sparse_setup();
+        let clean = screen(&queries[0]).expect("clean query passes");
+        assert!(matches!(clean.served, Cow::Borrowed(_)));
+        assert_eq!(clean.repairs, None);
+
+        let mut pts = queries[0].points.clone();
+        pts[1].pos.x = f64::NAN;
+        pts.swap(2, 3);
+        let dirty = Trajectory::from_unchecked(TrajId(7), pts);
+        let repaired = screen(&dirty).expect("two garbage-free points remain");
+        assert_eq!(repaired.served.len(), 3);
+        assert!(repaired.served.validate().is_ok());
+        let repairs = repaired.repairs.expect("repairs reported");
+        assert_eq!(repairs.dropped_non_finite, 1);
+        assert!(repairs.sorted);
+
+        let empty = Trajectory::new(TrajId(0), vec![]);
+        assert_eq!(screen(&empty).unwrap_err(), RejectReason::EmptyQuery);
+        let mut garbage = queries[0].points.clone();
+        garbage.iter_mut().for_each(|p| p.t = f64::INFINITY);
+        let garbage = Trajectory::from_unchecked(TrajId(0), garbage);
+        assert_eq!(screen(&garbage).unwrap_err(), RejectReason::NoUsablePoints);
+    }
+
+    #[test]
     fn degenerate_queries_match_hris() {
         let (net, _) = sparse_setup();
         let hris = Hris::new(&net, TrajectoryArchive::empty(), HrisParams::default());
         let engine = QueryEngine::new(&hris);
 
         let empty = Trajectory::new(TrajId(0), vec![]);
-        assert!(engine.infer_routes(&empty, 3).is_empty());
+        assert!(engine.infer_query(&empty, 3).globals.is_empty());
 
         let single = Trajectory::new(
             TrajId(0),
@@ -1397,7 +1336,7 @@ mod tests {
                 0.0,
             )],
         );
-        let ours = engine.infer_routes(&single, 3);
+        let ours = engine.infer_query(&single, 3).globals;
         let theirs = hris.infer_routes(&single, 3);
         assert_eq!(ours.len(), theirs.len());
         assert_eq!(ours[0].route, theirs[0].route);

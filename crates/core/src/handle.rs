@@ -19,14 +19,12 @@
 //! they started with — ingestion never changes an answer mid-query, and a
 //! batch is answered entirely against the single epoch it started on.
 
+use crate::audit::QueryAudit;
 use crate::engine::{
-    cache_stats, EngineCacheStats, EngineCore, EngineCtx, EngineObs, QueryOutcome, QueryResult,
-    RejectReason,
+    cache_stats, EngineCacheStats, EngineCore, EngineCtx, EngineObs, QueryResult, RejectReason,
 };
-use crate::global::GlobalRoute;
-use crate::local::{LocalInferenceResult, LocalStats};
+use crate::local::LocalInferenceResult;
 use crate::params::{EngineConfig, HrisParams};
-use crate::pipeline::ScoredRoute;
 use hris_obs::{
     Admission, AdmissionGate, AuditRing, Health, MetricsRegistry, MetricsServer, ServeState,
     SpanCollector,
@@ -53,12 +51,9 @@ enum ArchiveSource {
 /// `&self`; wrap the handle in an `Arc` to share it across threads or
 /// tasks.
 ///
-/// # Which entrypoint should I call?
-///
 /// As on [`QueryEngine`](crate::QueryEngine): [`EngineHandle::infer_query`]
-/// is the canonical single-query path, [`EngineHandle::infer_batch_detailed`]
-/// the canonical batch path; everything else is a thin wrapper that
-/// discards part of their output.
+/// is the single-query path and [`EngineHandle::infer_batch_detailed`] the
+/// batch path.
 pub struct EngineHandle {
     net: Arc<RoadNetwork>,
     params: HrisParams,
@@ -269,21 +264,16 @@ impl EngineHandle {
         self.gate.as_ref()
     }
 
-    /// Builds the empty result an admission shed returns, counting it on
-    /// the way out (`n` queries' worth — a shed batch counts each query).
-    fn shed_result(&self, n: usize) -> QueryResult {
+    /// Audits and counts one admission shed, and builds the empty result it
+    /// returns.
+    fn shed(&self, points: usize, trace_id: u64) -> QueryResult {
+        if let Some(ring) = self.core.audits() {
+            let _ = ring.push(QueryAudit::shed(trace_id, points).into_record());
+        }
         if let Some(obs) = self.core.observability() {
-            for _ in 0..n {
-                obs.record_shed();
-            }
+            obs.record_shed();
         }
-        QueryResult {
-            globals: Vec::new(),
-            stats: Vec::new(),
-            outcome: QueryOutcome::Rejected {
-                reason: RejectReason::Overloaded,
-            },
-        }
+        QueryResult::rejected(RejectReason::Overloaded)
     }
 
     /// One query through the validation screen against the current epoch:
@@ -293,22 +283,9 @@ impl EngineHandle {
     /// it may wait in the bounded waiting room, and when that is full
     /// too it is shed immediately with
     /// [`RejectReason::Overloaded`](crate::RejectReason).
-    ///
-    /// **This is the canonical single-query entrypoint.**
     #[must_use]
     pub fn infer_query(&self, query: &hris_traj::Trajectory, k: usize) -> QueryResult {
-        let _permit = match self.gate.as_ref().map(AdmissionGate::admit) {
-            Some(Admission::Shed) => {
-                self.core
-                    .record_shed_audit(query.len(), self.core.mint_trace_id());
-                return self.shed_result(1);
-            }
-            Some(Admission::Admitted(p)) => Some(p),
-            None => None,
-        };
-        let snap = self.current_snapshot();
-        self.core
-            .infer_query_mode(self.ctx(&snap), query, k, self.config().mode)
+        self.infer_query_with_trace(query, k, self.core.mint_trace_id())
     }
 
     /// [`EngineHandle::infer_query`] under a caller-minted trace id — the
@@ -328,49 +305,13 @@ impl EngineHandle {
         trace_id: u64,
     ) -> QueryResult {
         let _permit = match self.gate.as_ref().map(AdmissionGate::admit) {
-            Some(Admission::Shed) => {
-                self.core.record_shed_audit(query.len(), trace_id);
-                return self.shed_result(1);
-            }
+            Some(Admission::Shed) => return self.shed(query.len(), trace_id),
             Some(Admission::Admitted(p)) => Some(p),
             None => None,
         };
         let snap = self.current_snapshot();
         self.core
             .infer_query_traced(self.ctx(&snap), query, k, self.config().mode, trace_id)
-    }
-
-    /// Top-`k` routes of one query. Thin wrapper over
-    /// [`EngineHandle::infer_query`] that drops the outcome and statistics.
-    #[must_use]
-    pub fn infer_routes(&self, query: &hris_traj::Trajectory, k: usize) -> Vec<ScoredRoute> {
-        self.infer_query(query, k)
-            .globals
-            .into_iter()
-            .map(|g| ScoredRoute {
-                route: g.route,
-                log_score: g.log_score,
-            })
-            .collect()
-    }
-
-    /// The most likely single route. Thin wrapper over
-    /// [`EngineHandle::infer_query`] with `k = 1`.
-    #[must_use]
-    pub fn infer_top1(&self, query: &hris_traj::Trajectory) -> Option<ScoredRoute> {
-        self.infer_routes(query, 1).into_iter().next()
-    }
-
-    /// Full inference in the historical tuple shape. Thin wrapper over
-    /// [`EngineHandle::infer_query`] that drops the outcome.
-    #[must_use]
-    pub fn infer_routes_detailed(
-        &self,
-        query: &hris_traj::Trajectory,
-        k: usize,
-    ) -> (Vec<GlobalRoute>, Vec<LocalStats>) {
-        let r = self.infer_query(query, k);
-        (r.globals, r.stats)
     }
 
     /// Every query of a batch against **one** epoch: the snapshot is read
@@ -380,8 +321,6 @@ impl EngineHandle {
     /// With admission control enabled the whole batch takes **one**
     /// permit — a batch is admitted or shed as a unit, never half-shed
     /// (a shed returns one `Rejected{Overloaded}` result per query).
-    ///
-    /// **This is the canonical batch entrypoint.**
     #[must_use]
     pub fn infer_batch_detailed(
         &self,
@@ -392,11 +331,7 @@ impl EngineHandle {
             Some(Admission::Shed) => {
                 return queries
                     .iter()
-                    .map(|q| {
-                        self.core
-                            .record_shed_audit(q.len(), self.core.mint_trace_id());
-                        self.shed_result(1)
-                    })
+                    .map(|q| self.shed(q.len(), self.core.mint_trace_id()))
                     .collect();
             }
             Some(Admission::Admitted(p)) => Some(p),
@@ -406,103 +341,48 @@ impl EngineHandle {
         self.core.infer_batch_detailed(self.ctx(&snap), queries, k)
     }
 
-    /// Top-`k` routes for every query of a batch. Thin wrapper over
-    /// [`EngineHandle::infer_batch_detailed`].
-    #[must_use]
-    pub fn infer_batch(
-        &self,
-        queries: &[hris_traj::Trajectory],
-        k: usize,
-    ) -> Vec<Vec<ScoredRoute>> {
-        self.infer_batch_detailed(queries, k)
-            .into_iter()
-            .map(|r| {
-                r.globals
-                    .into_iter()
-                    .map(|g| ScoredRoute {
-                        route: g.route,
-                        log_score: g.log_score,
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Phases 1–2 against the current epoch (phase 3 input).
-    #[must_use]
-    pub fn local_inference(&self, query: &hris_traj::Trajectory) -> Vec<LocalInferenceResult> {
-        self.local_inference_pinned(query).0
-    }
-
-    /// Phases 1–2 plus the epoch they were answered against. The snapshot
-    /// is pinned **once** for the whole call, so the returned locals are
-    /// mutually consistent even while ingestion publishes concurrently —
-    /// this is the entrypoint a scatter-gather router uses, and the epoch
-    /// is its proof of snapshot isolation (one whole epoch per shard per
-    /// query).
-    #[must_use]
-    pub fn local_inference_pinned(
-        &self,
-        query: &hris_traj::Trajectory,
-    ) -> (Vec<LocalInferenceResult>, u64) {
-        let snap = self.current_snapshot();
-        let locals = self
-            .core
-            .local_inference_run(
-                self.ctx(&snap),
-                query,
-                self.config().mode,
-                false,
-                false,
-                None,
-            )
-            .locals;
-        (locals, snap.epoch())
-    }
-
-    /// [`EngineHandle::local_inference_pinned`] for several sub-queries
-    /// against **one** pinned snapshot. A scatter-gather router whose query
-    /// revisits a shard (an A–B–A pair assignment) calls this once per
-    /// shard, so every sub-query of one routed query observes the same
-    /// epoch even while ingestion publishes concurrently.
-    #[must_use]
-    pub fn local_inference_pinned_batch(
-        &self,
-        queries: &[hris_traj::Trajectory],
-    ) -> (Vec<Vec<LocalInferenceResult>>, u64) {
-        self.local_inference_pinned_batch_traced(queries, None)
-    }
-
-    /// [`EngineHandle::local_inference_pinned_batch`] under a router-owned
-    /// span collector: each sub-query's `"candidates"` and `"local"` phase
+    /// Phases 1–2 of several sub-queries against **one** pinned snapshot —
+    /// the scatter seam of a sharded router. The router calls this once per
+    /// touched shard, so every sub-query of one routed query observes the
+    /// same epoch even when its pair assignment revisits the shard (A–B–A)
+    /// while ingestion publishes concurrently; the returned epoch is the
+    /// proof of that snapshot isolation.
+    ///
+    /// `repaired` says the routed query came out of the screen repaired, so
+    /// its pairs run with the degradation chain armed exactly as on a
+    /// single engine; the second return value is how many pairs fell back,
+    /// for the router to fold into the [`QueryOutcome`](crate::QueryOutcome).
+    ///
+    /// With `spans`, each sub-query's `"candidates"` and `"local"` phase
     /// spans (plus per-pair children) are recorded into the router's
     /// collector, parented on the given span id (the router's per-shard
     /// span), so one cross-shard query stitches into a single tree with
-    /// one clock origin. `spans = None` is byte-identical to the untraced
-    /// batch.
+    /// one clock origin. `spans = None` reads no clock.
     #[must_use]
     pub fn local_inference_pinned_batch_traced(
         &self,
         queries: &[hris_traj::Trajectory],
+        repaired: bool,
         spans: Option<(&SpanCollector, u64)>,
-    ) -> (Vec<Vec<LocalInferenceResult>>, u64) {
+    ) -> (Vec<Vec<LocalInferenceResult>>, usize, u64) {
         let snap = self.current_snapshot();
+        let mut pairs_fell_back = 0;
         let locals = queries
             .iter()
             .map(|q| {
-                self.core
-                    .local_inference_run(
-                        self.ctx(&snap),
-                        q,
-                        self.config().mode,
-                        false,
-                        false,
-                        spans,
-                    )
-                    .locals
+                let run = self.core.local_inference_run(
+                    self.ctx(&snap),
+                    q,
+                    self.config().mode,
+                    repaired,
+                    false,
+                    spans,
+                );
+                pairs_fell_back += run.pairs_fell_back;
+                run.locals
             })
             .collect();
-        (locals, snap.epoch())
+        (locals, pairs_fell_back, snap.epoch())
     }
 
     /// Whether this handle follows a live [`SnapshotReader`] (`true`) or is
@@ -692,6 +572,27 @@ mod tests {
     }
 
     #[test]
+    fn scatter_seam_reports_fallbacks_and_epoch() {
+        // Empty archive: every pair takes the shortest-path fallback, and
+        // the seam hands that count out whether or not the chain is armed.
+        let handle = EngineHandle::new(
+            net(),
+            TrajectoryArchive::empty(),
+            crate::HrisParams::default(),
+        );
+        let subs = [query(0.0), query(200.0)];
+        let whole = handle.infer_query(&subs[0], 2);
+        for repaired in [false, true] {
+            let (locals, fell_back, epoch) =
+                handle.local_inference_pinned_batch_traced(&subs, repaired, None);
+            assert_eq!(epoch, 0);
+            assert_eq!(fell_back, 6, "three pairs per sub-query");
+            assert_eq!(locals.len(), 2);
+            assert_eq!(locals[0].len(), whole.stats.len());
+        }
+    }
+
+    #[test]
     fn handle_can_move_into_a_thread() {
         let handle = Arc::new(EngineHandle::new(
             net(),
@@ -699,10 +600,13 @@ mod tests {
             crate::HrisParams::default(),
         ));
         let h = Arc::clone(&handle);
-        let out = std::thread::spawn(move || h.infer_routes(&query(0.0), 1))
+        let out = std::thread::spawn(move || h.infer_query(&query(0.0), 1))
             .join()
             .expect("worker thread");
-        assert_eq!(out.len(), handle.infer_routes(&query(0.0), 1).len());
+        assert_eq!(
+            out.globals.len(),
+            handle.infer_query(&query(0.0), 1).globals.len()
+        );
     }
 
     #[test]
@@ -716,11 +620,11 @@ mod tests {
             EngineConfig::default(),
         );
         assert_eq!(handle.epoch(), 0);
-        let before = handle.infer_routes(&query(0.0), 1);
+        let before = handle.infer_query(&query(0.0), 1).globals;
 
         writer.append(query(0.0)).unwrap();
         writer.publish();
-        let _ = handle.infer_routes(&query(0.0), 1);
+        let _ = handle.infer_query(&query(0.0), 1);
         assert_eq!(handle.epoch(), 1);
         assert_eq!(handle.current_snapshot().num_trajectories(), 1);
         assert!(!before.is_empty());
@@ -739,7 +643,7 @@ mod tests {
         );
         writer.append(query(0.0)).unwrap();
         writer.publish();
-        let _ = handle.infer_routes(&query(0.0), 1);
+        let _ = handle.infer_query(&query(0.0), 1);
         assert_eq!(handle.epoch(), 0);
         assert_eq!(handle.current_snapshot().num_trajectories(), 0);
     }

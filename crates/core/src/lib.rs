@@ -57,7 +57,6 @@ pub use local::{LocalInferenceResult, LocalRoute};
 pub use params::{
     AdmissionOptions, ConfigError, EngineConfig, EngineConfigBuilder, ExecMode, ExplainOptions,
     HrisParams, HybridPolarity, LocalAlgorithm, ObsOptions, PopularityModel, RerankOptions,
-    ValidationOptions,
 };
 pub use pipeline::{Hris, HrisMatcher, ScoredRoute};
 pub use reference::{search_references, RefKind, RefTrajectory, ReferenceSet};
@@ -68,9 +67,7 @@ pub use scoring::{
 
 // The telemetry-server surface of `EngineHandle::serve_metrics`, re-exported
 // so consumers need not name hris-obs directly.
-pub use hris_obs::{
-    AuditRecord, AuditRing, Health, MetricsRegistry, MetricsServer, ServeState, TraceContext,
-};
+pub use hris_obs::{AuditRecord, AuditRing, Health, MetricsRegistry, MetricsServer, ServeState};
 
 /// Everything a typical consumer needs, in one `use`.
 ///
@@ -95,7 +92,7 @@ pub mod prelude {
     pub use crate::handle::EngineHandle;
     pub use crate::params::{
         ConfigError, EngineConfig, EngineConfigBuilder, ExecMode, HrisParams, ObsOptions,
-        RerankOptions, ValidationOptions,
+        RerankOptions,
     };
     pub use crate::pipeline::{Hris, HrisMatcher, ScoredRoute};
     pub use crate::scoring::{LearnedScorer, PaperScorer, RerankModel, RouteScorer, ScoringCtx};

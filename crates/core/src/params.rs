@@ -1,6 +1,5 @@
 //! HRIS parameters (Table II of the paper).
 
-use hris_traj::SanitizeLimits;
 use serde::{Deserialize, Serialize};
 
 /// Which local-inference algorithm to run.
@@ -212,36 +211,6 @@ impl Default for ObsOptions {
     }
 }
 
-/// Input-validation and graceful-degradation knobs of the
-/// [`QueryEngine`](crate::engine::QueryEngine).
-///
-/// Validation is a *screen*, not a rewrite: a query that satisfies the
-/// engine's input contract (finite, in-range, time-ordered points) takes
-/// exactly the unvalidated code path and returns byte-identical results —
-/// pinned by `tests/engine_robustness.rs`. Only contract-violating queries
-/// enter the repair/degradation path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ValidationOptions {
-    /// Master switch. Off, the engine trusts its inputs like the plain
-    /// [`Hris`](crate::Hris) pipeline does (hostile inputs may misbehave).
-    pub enabled: bool,
-    /// Magnitude limits separating "far away" from "corrupt".
-    pub limits: SanitizeLimits,
-    /// On the repair path, retry a pair whose local inference came up empty
-    /// with TGI then NNI explicitly before the shortest-path fallback.
-    pub algorithm_fallback: bool,
-}
-
-impl Default for ValidationOptions {
-    fn default() -> Self {
-        ValidationOptions {
-            enabled: true,
-            limits: SanitizeLimits::default(),
-            algorithm_fallback: true,
-        }
-    }
-}
-
 /// Admission-control policy for the owned serving fronts
 /// ([`EngineHandle`](crate::handle::EngineHandle) and the sharded router).
 ///
@@ -337,26 +306,18 @@ impl Default for ExplainOptions {
 }
 
 /// Tuning knobs of the [`QueryEngine`](crate::engine::QueryEngine); separate
-/// from [`HrisParams`] because none of them may change any inferred route
-/// *for valid inputs* — they only trade memory and threads for throughput,
-/// plus the dirty-input screen of [`ValidationOptions`].
+/// from [`HrisParams`] because none of them may change any inferred route —
+/// they only trade memory and threads for throughput and visibility. The
+/// dirty-input screen ([`screen`](crate::engine::screen)) is not among
+/// them: it is always on.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Per-query pair scheduling.
     pub mode: ExecMode,
-    /// Minimum number of point pairs before [`ExecMode::PairParallel`]
-    /// actually fans out: shorter queries run sequentially on the calling
-    /// thread, because the fork/join overhead of the pool exceeds the work
-    /// of a couple of pairs (the e2e benchmark measured a 0.98× *slowdown*
-    /// for pair-parallel on 3-pair queries). `0` always fans out.
-    pub pair_parallel_min_pairs: usize,
     /// Fan `infer_batch` out across queries on the thread pool.
     pub batch_parallel: bool,
     /// Runtime observability (off by default; zero overhead when off).
     pub obs: ObsOptions,
-    /// Input validation and degraded-mode handling (on by default; clean
-    /// inputs are unaffected byte for byte).
-    pub validation: ValidationOptions,
     /// Admission control / load shedding (off by default; zero cost and
     /// zero behaviour change when off).
     pub admission: AdmissionOptions,
@@ -372,10 +333,8 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             mode: ExecMode::default(),
-            pair_parallel_min_pairs: 8,
             batch_parallel: true,
             obs: ObsOptions::default(),
-            validation: ValidationOptions::default(),
             admission: AdmissionOptions::default(),
             rerank: RerankOptions::default(),
             explain: ExplainOptions::default(),
@@ -390,13 +349,8 @@ impl EngineConfig {
     pub fn sequential() -> Self {
         EngineConfig {
             mode: ExecMode::Sequential,
-            pair_parallel_min_pairs: 8,
             batch_parallel: false,
-            obs: ObsOptions::default(),
-            validation: ValidationOptions::default(),
-            admission: AdmissionOptions::default(),
-            rerank: RerankOptions::default(),
-            explain: ExplainOptions::default(),
+            ..EngineConfig::default()
         }
     }
 
@@ -406,19 +360,6 @@ impl EngineConfig {
     #[must_use]
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder::default()
-    }
-
-    /// The default configuration with input validation switched off
-    /// (trust-the-caller mode; the pre-robustness contract).
-    #[must_use]
-    pub fn unvalidated() -> Self {
-        EngineConfig {
-            validation: ValidationOptions {
-                enabled: false,
-                ..ValidationOptions::default()
-            },
-            ..EngineConfig::default()
-        }
     }
 }
 
@@ -503,14 +444,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Minimum pair count before [`ExecMode::PairParallel`] fans out
-    /// (shorter queries run sequentially; `0` always fans out).
-    #[must_use]
-    pub fn pair_parallel_min_pairs(mut self, min_pairs: usize) -> Self {
-        self.cfg.pair_parallel_min_pairs = min_pairs;
-        self
-    }
-
     /// Enables/disables batch fan-out across the thread pool.
     #[must_use]
     pub fn batch_parallel(mut self, on: bool) -> Self {
@@ -558,28 +491,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Master switch for input validation / graceful degradation.
-    #[must_use]
-    pub fn validation(mut self, on: bool) -> Self {
-        self.cfg.validation.enabled = on;
-        self
-    }
-
-    /// On the repair path, whether to retry empty pairs with TGI/NNI forced
-    /// before the shortest-path fallback.
-    #[must_use]
-    pub fn algorithm_fallback(mut self, on: bool) -> Self {
-        self.cfg.validation.algorithm_fallback = on;
-        self
-    }
-
-    /// Magnitude limits separating "far away" from "corrupt" input.
-    #[must_use]
-    pub fn sanitize_limits(mut self, limits: SanitizeLimits) -> Self {
-        self.cfg.validation.limits = limits;
-        self
-    }
-
     /// Enables admission control with the given execution-slot and
     /// waiting-room bounds. `max_inflight` must be ≥ 1 (validated at
     /// build time); `max_queued` of 0 sheds the moment all slots are
@@ -594,13 +505,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Disables admission control (the default: never shed).
-    #[must_use]
-    pub fn without_admission(mut self) -> Self {
-        self.cfg.admission.enabled = false;
-        self
-    }
-
     /// Enables learned re-ranking of the top-K output with the given
     /// model. The model's shape and finiteness are validated at build
     /// time.
@@ -610,13 +514,6 @@ impl EngineConfigBuilder {
             enabled: true,
             model: Some(model),
         };
-        self
-    }
-
-    /// Disables learned re-ranking (the default: paper scoring alone).
-    #[must_use]
-    pub fn without_rerank(mut self) -> Self {
-        self.cfg.rerank.enabled = false;
         self
     }
 
@@ -634,14 +531,6 @@ impl EngineConfigBuilder {
     #[must_use]
     pub fn explain_top_k(mut self, routes: usize) -> Self {
         self.cfg.explain.top_k_routes = routes;
-        self
-    }
-
-    /// Disables explain/audit capture (the default: no audits, zero
-    /// per-query overhead).
-    #[must_use]
-    pub fn without_explain(mut self) -> Self {
-        self.cfg.explain.enabled = false;
         self
     }
 
@@ -703,8 +592,6 @@ mod tests {
             .slow_query_threshold_s(0.25)
             .span_sampling(4)
             .staleness_bound_s(30.0)
-            .validation(true)
-            .algorithm_fallback(false)
             .build()
             .expect("valid configuration");
         assert_eq!(cfg.mode, ExecMode::Sequential);
@@ -714,7 +601,6 @@ mod tests {
         assert_eq!(cfg.obs.slow_query_threshold_s, 0.25);
         assert_eq!(cfg.obs.span_sample_every, 4);
         assert_eq!(cfg.obs.staleness_bound_s, 30.0);
-        assert!(!cfg.validation.algorithm_fallback);
         // The untouched builder yields exactly the default configuration.
         let built = EngineConfig::builder().build().unwrap();
         assert_eq!(
@@ -775,16 +661,6 @@ mod tests {
             EngineConfig::builder().rerank(short).build().unwrap_err(),
             ConfigError::InvalidRerankModel
         );
-
-        // Enabling then disabling wins.
-        let mut zero_scale = RerankModel::zeroed();
-        zero_scale.scales[0] = 0.0;
-        let cfg = EngineConfig::builder()
-            .rerank(zero_scale)
-            .without_rerank()
-            .build()
-            .expect("disabled re-ranking skips model validation");
-        assert!(!cfg.rerank.enabled);
     }
 
     #[test]
@@ -802,12 +678,6 @@ mod tests {
             ConfigError::ZeroAuditCapacity
         );
         assert!(!ConfigError::ZeroAuditCapacity.to_string().is_empty());
-        let cfg = EngineConfig::builder()
-            .explain(0)
-            .without_explain()
-            .build()
-            .expect("disabled explain skips capacity validation");
-        assert!(!cfg.explain.enabled);
     }
 
     #[test]

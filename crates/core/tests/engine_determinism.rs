@@ -2,7 +2,7 @@
 //! any inferred route or score. Every execution mode must return results
 //! byte-identical to the plain sequential [`Hris`] pipeline.
 
-use hris::{EngineConfig, Hris, HrisParams, QueryEngine, ScoredRoute};
+use hris::{EngineConfig, GlobalRoute, Hris, HrisParams, QueryEngine};
 use hris_roadnet::{generator, NetworkConfig};
 use hris_traj::{resample_to_interval, SimConfig, Simulator, TrajId, Trajectory};
 
@@ -37,7 +37,7 @@ fn scenario() -> (hris_roadnet::RoadNetwork, Hris<'static>, Vec<Trajectory>) {
     (net.clone(), hris, queries)
 }
 
-fn assert_same(kind: &str, a: &[ScoredRoute], b: &[ScoredRoute]) {
+fn assert_same(kind: &str, a: &[GlobalRoute], b: &[GlobalRoute]) {
     assert_eq!(a.len(), b.len(), "{kind}: route count differs");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_eq!(x.route, y.route, "{kind}: route {i} differs");
@@ -46,6 +46,10 @@ fn assert_same(kind: &str, a: &[ScoredRoute], b: &[ScoredRoute]) {
             "{kind}: score {i} differs ({} vs {})",
             x.log_score,
             y.log_score,
+        );
+        assert_eq!(
+            x.local_indices, y.local_indices,
+            "{kind}: assignment {i} differs"
         );
     }
 }
@@ -64,8 +68,10 @@ fn all_execution_modes_match_sequential_hris() {
     );
 
     for (scene, hris) in [("dense", &hris), ("empty archive", &empty)] {
-        let baseline: Vec<Vec<ScoredRoute>> =
-            queries.iter().map(|q| hris.infer_routes(q, k)).collect();
+        let baseline: Vec<Vec<GlobalRoute>> = queries
+            .iter()
+            .map(|q| hris.infer_routes_detailed(q, k).0)
+            .collect();
         let observed = EngineConfig::builder().observability(true);
         let configs = [
             ("sequential", EngineConfig::sequential()),
@@ -80,16 +86,16 @@ fn all_execution_modes_match_sequential_hris() {
             let engine = QueryEngine::with_config(hris, cfg);
             for (i, (q, want)) in queries.iter().zip(&baseline).enumerate() {
                 let kind = format!("{scene}, {name} engine, query {i}");
-                assert_same(&kind, &engine.infer_routes(q, k), want);
+                assert_same(&kind, &engine.infer_query(q, k).globals, want);
             }
             // Batch fan-out, twice: the second pass runs against an oracle
             // the first one warmed, and must still match.
             for pass in 0..2 {
-                let got = engine.infer_batch(&queries, k);
+                let got = engine.infer_batch_detailed(&queries, k);
                 assert_eq!(got.len(), baseline.len());
                 for (i, (g, want)) in got.iter().zip(&baseline).enumerate() {
                     let kind = format!("{scene}, {name} engine, batch pass {pass} query {i}");
-                    assert_same(&kind, g, want);
+                    assert_same(&kind, &g.globals, want);
                 }
             }
             if name == "spanned" {
@@ -118,13 +124,8 @@ fn detailed_outputs_match_across_modes() {
     let engine = QueryEngine::new(&hris);
     for q in &queries {
         let (g_hris, s_hris) = hris.infer_routes_detailed(q, k);
-        let (g_eng, s_eng) = engine.infer_routes_detailed(q, k);
-        assert_eq!(g_hris.len(), g_eng.len());
-        for (a, b) in g_hris.iter().zip(&g_eng) {
-            assert_eq!(a.route, b.route);
-            assert!(a.log_score == b.log_score);
-            assert_eq!(a.local_indices, b.local_indices);
-        }
-        assert_eq!(s_hris.len(), s_eng.len());
+        let got = engine.infer_query(q, k);
+        assert_same("detailed", &got.globals, &g_hris);
+        assert_eq!(s_hris.len(), got.stats.len());
     }
 }

@@ -42,7 +42,7 @@ fn query_and_batch_counters_are_exact() {
     );
     let _ = engine.infer_batch(&queries, 2);
     let _ = engine.infer_batch(&queries, 2);
-    let _ = engine.infer_routes(&queries[0], 2);
+    let _ = engine.infer_query(&queries[0], 2);
 
     let snap = engine.observability().unwrap().snapshot();
     let served = (2 * queries.len() + 1) as u64;

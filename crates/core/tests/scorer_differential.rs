@@ -12,7 +12,7 @@ use hris::local::{LocalInferenceResult, LocalStats, RefEdgeIndex};
 use hris::reference::{RefKind, RefTrajectory, ReferenceSet};
 use hris::{
     extract_features, EngineConfig, GlobalRoute, Hris, HrisParams, LearnedScorer, PaperScorer,
-    PopularityModel, QueryEngine, RerankModel, RouteScorer, ScoredRoute, ScoringCtx,
+    PopularityModel, QueryEngine, RerankModel, RouteScorer, ScoringCtx,
 };
 use hris_geo::Point;
 use hris_roadnet::{generator, NetworkConfig, RoadClass, RoadNetwork, Route, SegmentId};
@@ -47,7 +47,7 @@ fn scenario() -> (&'static RoadNetwork, Hris<'static>, Vec<Trajectory>) {
     (net, hris, queries)
 }
 
-fn assert_scored_bitwise(kind: &str, a: &[ScoredRoute], b: &[ScoredRoute]) {
+fn assert_scored_bitwise(kind: &str, a: &[GlobalRoute], b: &[GlobalRoute]) {
     assert_eq!(a.len(), b.len(), "{kind}: length");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_eq!(x.route, y.route, "{kind}: route {i}");
@@ -56,6 +56,7 @@ fn assert_scored_bitwise(kind: &str, a: &[ScoredRoute], b: &[ScoredRoute]) {
             y.log_score.to_bits(),
             "{kind}: score bits {i}"
         );
+        assert_eq!(x.local_indices, y.local_indices, "{kind}: assignment {i}");
     }
 }
 
@@ -68,7 +69,10 @@ fn assert_scored_bitwise(kind: &str, a: &[ScoredRoute], b: &[ScoredRoute]) {
 fn default_off_and_zero_model_are_byte_identical() {
     let (_net, hris, queries) = scenario();
     let k = 4;
-    let baseline: Vec<Vec<ScoredRoute>> = queries.iter().map(|q| hris.infer_routes(q, k)).collect();
+    let baseline: Vec<Vec<GlobalRoute>> = queries
+        .iter()
+        .map(|q| hris.infer_routes_detailed(q, k).0)
+        .collect();
 
     let default_cfg = QueryEngine::with_config(&hris, EngineConfig::default());
     let zero = QueryEngine::with_config(
@@ -87,11 +91,11 @@ fn default_off_and_zero_model_are_byte_identical() {
             .unwrap(),
     );
     for (q, want) in queries.iter().zip(&baseline) {
-        assert_scored_bitwise("default off", &default_cfg.infer_routes(q, k), want);
-        assert_scored_bitwise("zero model", &zero.infer_routes(q, k), want);
+        assert_scored_bitwise("default off", &default_cfg.infer_query(q, k).globals, want);
+        assert_scored_bitwise("zero model", &zero.infer_query(q, k).globals, want);
         assert_scored_bitwise(
             "zero model observed",
-            &zero_observed.infer_routes(q, k),
+            &zero_observed.infer_query(q, k).globals,
             want,
         );
     }

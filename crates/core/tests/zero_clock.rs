@@ -91,7 +91,7 @@ fn disabled_live_handle_reads_the_clock_zero_times() {
     for q in &queries {
         let _ = handle.infer_query(q, 2);
     }
-    let _ = handle.infer_batch(&queries, 2);
+    let _ = handle.infer_batch_detailed(&queries, 2);
     assert_eq!(
         clock::reads() - before,
         0,

@@ -61,35 +61,58 @@ pub fn evaluate_matcher<M: MapMatcher + Sync>(
     aggregate(&results)
 }
 
-/// Resamples every query of the scenario to the evaluation interval.
-fn resampled(scenario: &Scenario, interval_s: f64) -> Vec<Trajectory> {
-    scenario
-        .queries
-        .iter()
-        .map(|q| resample_to_interval(&q.dense, interval_s))
-        .collect()
+/// What one engine batch over the scenario's workload produced.
+struct BatchRun {
+    /// Per-query results, in query order.
+    results: Vec<QueryResult>,
+    /// Wall seconds of the whole batch, measured outside the engine.
+    wall_s: f64,
+    /// The engine's instrumentation, when `cfg` enabled it.
+    report: Option<ObsReport>,
+    /// The drained audit ring (empty unless `cfg` enabled explain).
+    audits: Vec<hris::AuditRecord>,
 }
 
-/// Evaluates HRIS (top-1 accuracy, Section IV-C protocol) at the given
-/// sampling interval under `params`, optionally over a thinned archive.
-#[must_use]
-pub fn evaluate_hris(
+/// The body every HRIS runner shares: the scenario's workload resampled to
+/// `interval_s` and inferred as one top-`k` batch on a [`QueryEngine`]
+/// configured by `cfg`.
+fn run_batch(
     scenario: &Scenario,
     params: &HrisParams,
     interval_s: f64,
-    archive_override: Option<&TrajectoryArchive>,
-) -> EvalOutcome {
-    let archive = archive_override.unwrap_or(&scenario.archive);
+    archive: &TrajectoryArchive,
+    cfg: EngineConfig,
+    k: usize,
+) -> BatchRun {
     let hris = Hris::new(&scenario.net, archive.clone(), params.clone());
-    let engine = QueryEngine::new(&hris);
-    let queries = resampled(scenario, interval_s);
-
+    let engine = QueryEngine::with_config(&hris, cfg);
+    let queries: Vec<Trajectory> = scenario
+        .queries
+        .iter()
+        .map(|q| resample_to_interval(&q.dense, interval_s))
+        .collect();
     let t0 = Instant::now();
-    let detailed = engine.infer_batch_detailed(&queries, params.k3.max(1));
-    let per_query_s = t0.elapsed().as_secs_f64() / queries.len().max(1) as f64;
+    let results = engine.infer_batch_detailed(&queries, k.max(1));
+    let wall_s = t0.elapsed().as_secs_f64();
+    BatchRun {
+        results,
+        wall_s,
+        report: engine.observability().map(|obs| ObsReport {
+            snapshot: obs.snapshot(),
+            traces: obs.traces(),
+            traces_dropped: obs.dropped_traces(),
+            wall_s,
+        }),
+        audits: engine.audit_ring().map_or_else(Vec::new, |r| r.drain()),
+    }
+}
 
-    let results: Vec<(f64, f64, f64, f64)> = detailed
-        .into_iter()
+/// Top-1 accuracy, density and kNN instrumentation of a batch's results.
+fn score_top1(scenario: &Scenario, run: &BatchRun) -> EvalOutcome {
+    let per_query_s = run.wall_s / run.results.len().max(1) as f64;
+    let results: Vec<(f64, f64, f64, f64)> = run
+        .results
+        .iter()
         .zip(&scenario.queries)
         .map(|(r, q)| {
             let acc = r
@@ -103,6 +126,23 @@ pub fn evaluate_hris(
         })
         .collect();
     aggregate(&results)
+}
+
+/// Evaluates HRIS (top-1 accuracy, Section IV-C protocol) at the given
+/// sampling interval under `params`, optionally over a thinned archive.
+#[must_use]
+pub fn evaluate_hris(
+    scenario: &Scenario,
+    params: &HrisParams,
+    interval_s: f64,
+    archive_override: Option<&TrajectoryArchive>,
+) -> EvalOutcome {
+    let archive = archive_override.unwrap_or(&scenario.archive);
+    let cfg = EngineConfig::default();
+    score_top1(
+        scenario,
+        &run_batch(scenario, params, interval_s, archive, cfg, params.k3),
+    )
 }
 
 /// Observability artifacts of one instrumented evaluation run: the final
@@ -235,44 +275,15 @@ pub fn evaluate_hris_observed(
     archive_override: Option<&TrajectoryArchive>,
 ) -> (EvalOutcome, ObsReport) {
     let archive = archive_override.unwrap_or(&scenario.archive);
-    let hris = Hris::new(&scenario.net, archive.clone(), params.clone());
     let cfg = EngineConfig::builder()
         .mode(ExecMode::Sequential)
         .batch_parallel(false)
         .observability(true)
         .build()
         .expect("static engine configuration");
-    let engine = QueryEngine::with_config(&hris, cfg);
-    let queries = resampled(scenario, interval_s);
-
-    let t0 = Instant::now();
-    let detailed = engine.infer_batch_detailed(&queries, params.k3.max(1));
-    let wall_s = t0.elapsed().as_secs_f64();
-    let per_query_s = wall_s / queries.len().max(1) as f64;
-
-    let results: Vec<(f64, f64, f64, f64)> = detailed
-        .into_iter()
-        .zip(&scenario.queries)
-        .map(|(r, q)| {
-            let acc = r
-                .globals
-                .first()
-                .map(|g| accuracy_al(&q.truth, &g.route, &scenario.net))
-                .unwrap_or(0.0);
-            let density = mean(r.stats.iter().map(|s| s.density).filter(|d| d.is_finite()));
-            let knn = r.stats.iter().map(|s| s.knn_searches).sum::<usize>() as f64;
-            (acc, per_query_s, density, knn)
-        })
-        .collect();
-
-    let obs = engine.observability().expect("instrumented engine");
-    let report = ObsReport {
-        snapshot: obs.snapshot(),
-        traces: obs.traces(),
-        traces_dropped: obs.dropped_traces(),
-        wall_s,
-    };
-    (aggregate(&results), report)
+    let mut run = run_batch(scenario, params, interval_s, archive, cfg, params.k3);
+    let report = run.report.take().expect("instrumented engine");
+    (score_top1(scenario, &run), report)
 }
 
 /// Runs the base workload on an explain-enabled engine and returns the
@@ -288,7 +299,6 @@ pub fn audit_hris(
     interval_s: f64,
     top_k_routes: usize,
 ) -> Vec<hris::AuditRecord> {
-    let hris = Hris::new(&scenario.net, scenario.archive.clone(), params.clone());
     let cfg = EngineConfig::builder()
         .mode(ExecMode::Sequential)
         .batch_parallel(false)
@@ -296,13 +306,15 @@ pub fn audit_hris(
         .explain_top_k(top_k_routes)
         .build()
         .expect("static engine configuration");
-    let engine = QueryEngine::with_config(&hris, cfg);
-    let queries = resampled(scenario, interval_s);
-    let _ = engine.infer_batch_detailed(&queries, params.k3.max(1));
-    engine
-        .audit_ring()
-        .expect("explain-enabled engine")
-        .drain()
+    run_batch(
+        scenario,
+        params,
+        interval_s,
+        &scenario.archive,
+        cfg,
+        params.k3,
+    )
+    .audits
 }
 
 /// Per-query top-k accuracies for Figure 14a: returns `(avg, max)` accuracy
@@ -314,21 +326,20 @@ pub fn evaluate_hris_topk(
     interval_s: f64,
     k: usize,
 ) -> (f64, f64) {
-    let hris = Hris::new(&scenario.net, scenario.archive.clone(), params.clone());
-    let engine = QueryEngine::new(&hris);
-    let queries = resampled(scenario, interval_s);
-    let batches = engine.infer_batch(&queries, k.max(1));
-
-    let results: Vec<(f64, f64)> = batches
-        .into_iter()
+    let cfg = EngineConfig::default();
+    let run = run_batch(scenario, params, interval_s, &scenario.archive, cfg, k);
+    let results: Vec<(f64, f64)> = run
+        .results
+        .iter()
         .zip(&scenario.queries)
-        .map(|(routes, q)| {
-            if routes.is_empty() {
+        .map(|(r, q)| {
+            if r.globals.is_empty() {
                 return (0.0, 0.0);
             }
-            let accs: Vec<f64> = routes
+            let accs: Vec<f64> = r
+                .globals
                 .iter()
-                .map(|r| accuracy_al(&q.truth, &r.route, &scenario.net))
+                .map(|g| accuracy_al(&q.truth, &g.route, &scenario.net))
                 .collect();
             let avg = mean(accs.iter().copied());
             let max = accs.iter().copied().fold(0.0, f64::max);

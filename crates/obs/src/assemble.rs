@@ -1,7 +1,7 @@
 //! Stitching distributed spans into one validated trace.
 //!
 //! The sharded router threads one [`SpanCollector`](crate::SpanCollector)
-//! (via a [`TraceContext`](crate::TraceContext)) through every stage of a
+//! through every stage of a
 //! cross-shard query — routing, each shard's pinned local inference, the
 //! gather, the splice, the rerank — so all spans share one clock origin.
 //! What remains before serving the tree is *validation*: prove the spans
@@ -182,7 +182,10 @@ mod tests {
         asm.add_spans(vec![span(1, 0, 0.0), span(3, 99, 0.1)]);
         assert_eq!(
             asm.finish(TraceRecord::default()),
-            Err(AssembleError::DanglingParent { span: 3, parent: 99 })
+            Err(AssembleError::DanglingParent {
+                span: 3,
+                parent: 99
+            })
         );
     }
 

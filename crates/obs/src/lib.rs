@@ -9,8 +9,6 @@
 //!   plain atomics: monotonic [`Counter`]s, [`Gauge`]s, fixed-bucket
 //!   [`Histogram`]s, and [`PairedCounter`]s (a hit/miss pair packed into one
 //!   atomic word so a snapshot of the pair is always mutually consistent).
-//! * [`PhaseTimer`] — an RAII wall-clock timer that records into a histogram
-//!   when dropped; one `Instant::now()` on start and one on stop.
 //! * [`TraceRecord`] / [`TraceRing`] — opt-in per-query traces (phase
 //!   durations, candidate counts, cache outcomes, route score) kept in a
 //!   bounded ring buffer with a slow-query flag.
@@ -27,13 +25,13 @@
 //!   `/metrics`, `/healthz`, `/varz` and `/debug/traces` + `/debug/slow`,
 //!   plus mountable prefix handlers for router-level debug endpoints
 //!   (`/debug/shards`, `/debug/explain/<trace_id>`).
-//! * [`TraceContext`] / [`TraceAssembler`] — distributed-trace propagation:
+//! * [`next_trace_id`] / [`TraceAssembler`] — distributed-trace propagation:
 //!   a router mints a process-unique trace id at its routing decision,
 //!   threads it through delegation and scatter batches, and stitches every
 //!   stage's spans into one validated tree.
 //! * [`AuditRecord`] / [`AuditRing`] — opt-in per-query explain documents
 //!   (pre-rendered JSON, engine-defined schema) in a bounded ring keyed by
-//!   trace id.
+//!   trace id — the same generic ring as [`TraceRing`].
 //! * [`clock`] — the counted monotonic clock every instrumented code path
 //!   reads through, making the zero-clock-read disabled-path contract
 //!   test-enforceable.
@@ -68,28 +66,26 @@
 
 pub mod admission;
 mod assemble;
-mod audit;
 pub mod clock;
 pub mod export;
 mod histogram;
 mod registry;
+mod ring;
 pub mod serve;
 mod sliding;
 mod span;
-mod timer;
 mod trace;
 
 pub use admission::{Admission, AdmissionGate, AdmissionPermit};
 pub use assemble::{AssembleError, TraceAssembler};
-pub use audit::{AuditRecord, AuditRing};
 pub use export::MetricsSnapshot;
 pub use histogram::{Histogram, HistogramSnapshot, DEFAULT_TIME_BOUNDS, FINE_TIME_BOUNDS};
 pub use registry::{Counter, Gauge, MetricsRegistry, PairedCounter, SnapshotEntry, SnapshotValue};
+pub use ring::{AuditRecord, AuditRing, TraceRing};
 pub use serve::{Health, MetricsServer, ServeState};
 pub use sliding::SlidingHistogram;
 pub use span::{
     next_span_id, next_trace_id, synthetic_tree, AttrValue, Span, SpanCollector, SpanGuard,
-    SpanSampler, TraceContext,
+    SpanSampler,
 };
-pub use timer::PhaseTimer;
-pub use trace::{TraceRecord, TraceRing};
+pub use trace::TraceRecord;

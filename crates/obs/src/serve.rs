@@ -25,7 +25,7 @@
 
 use crate::export::{prometheus_text, MetricsSnapshot};
 use crate::registry::MetricsRegistry;
-use crate::trace::TraceRing;
+use crate::ring::TraceRing;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -451,7 +451,8 @@ mod tests {
 
     #[test]
     fn debug_traces_and_slow_filter() {
-        use crate::trace::{TraceRecord, TraceRing};
+        use crate::ring::TraceRing;
+        use crate::trace::TraceRecord;
         let ring = TraceRing::new(8);
         let _ = ring.push(TraceRecord {
             query_id: 1,
@@ -489,7 +490,9 @@ mod tests {
     #[test]
     fn snapshot_provider_overrides_metrics_and_varz() {
         let federated = MetricsRegistry::new();
-        federated.counter("shard_req_total", "Per-shard requests.").add(9);
+        federated
+            .counter("shard_req_total", "Per-shard requests.")
+            .add(9);
         let snap = federated.snapshot().with_labels(&[("shard", "3")]);
         let server = ServeState::new(demo_registry())
             .snapshot_provider(move || snap.clone())
@@ -497,7 +500,10 @@ mod tests {
             .expect("bind");
         let (_, body) = http_get(server.addr(), "/metrics");
         assert!(body.contains("shard_req_total{shard=\"3\"} 9"));
-        assert!(!body.contains("req_total 3"), "constructor registry replaced");
+        assert!(
+            !body.contains("req_total 3"),
+            "constructor registry replaced"
+        );
         let (_, varz) = http_get(server.addr(), "/varz");
         assert!(varz.contains("\"name\":\"shard_req_total\""));
     }

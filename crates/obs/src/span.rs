@@ -45,43 +45,6 @@ pub fn next_trace_id() -> u64 {
     NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The propagated identity of one distributed query: which trace the work
-/// belongs to and which span fathered it.
-///
-/// The sharded router mints one context per query at the routing decision
-/// ([`TraceContext::mint`]) and threads it through delegation, pinned
-/// scatter batches and the router-side splice; each stage derives its
-/// children with [`TraceContext::child`], so every span of a cross-shard
-/// query lands in one stitched tree under one trace id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceContext {
-    /// The query-unique trace id (never 0 for a minted context).
-    pub trace_id: u64,
-    /// The span id the next stage should parent under (0 = tree root).
-    pub parent_span: u64,
-}
-
-impl TraceContext {
-    /// Mints a fresh root context: a new trace id, parented at the root.
-    #[must_use]
-    pub fn mint() -> Self {
-        TraceContext {
-            trace_id: next_trace_id(),
-            parent_span: 0,
-        }
-    }
-
-    /// The same trace, re-parented under `span` — hand this to the next
-    /// stage (a shard, the splice) so its spans nest correctly.
-    #[must_use]
-    pub fn child(self, span: u64) -> Self {
-        TraceContext {
-            trace_id: self.trace_id,
-            parent_span: span,
-        }
-    }
-}
-
 /// One attribute value on a span.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
@@ -321,9 +284,7 @@ impl SpanGuard<'_> {
     }
 
     fn close(&mut self) -> f64 {
-        let duration_s = crate::clock::now()
-            .duration_since(self.start)
-            .as_secs_f64();
+        let duration_s = crate::clock::now().duration_since(self.start).as_secs_f64();
         self.armed = false;
         self.collector.record(Span {
             id: self.id,
@@ -432,14 +393,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_ids_are_unique_and_contexts_reparent() {
-        let a = TraceContext::mint();
-        let b = TraceContext::mint();
-        assert!(a.trace_id != 0 && b.trace_id != 0 && a.trace_id != b.trace_id);
-        assert_eq!(a.parent_span, 0);
-        let c = a.child(17);
-        assert_eq!(c.trace_id, a.trace_id);
-        assert_eq!(c.parent_span, 17);
+    fn trace_ids_are_unique_and_nonzero() {
+        let a = next_trace_id();
+        let b = next_trace_id();
+        assert!(a != 0 && b != 0 && a != b);
     }
 
     #[test]

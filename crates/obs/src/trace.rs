@@ -1,8 +1,6 @@
-//! Per-query trace records and their bounded ring buffer.
+//! Per-query trace records (kept in a [`TraceRing`](crate::TraceRing)).
 
 use crate::span::Span;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 /// Everything worth knowing about one served query: where its wall time
 /// went and how much work each phase did.
@@ -88,148 +86,9 @@ impl TraceRecord {
     }
 }
 
-/// A bounded ring of the most recent [`TraceRecord`]s: pushing past the
-/// capacity drops the oldest record and counts it.
-///
-/// Cloning shares the underlying storage (the ring is an `Arc` inside), so
-/// the engine that writes records and a telemetry server that reads them
-/// can hold handles to the same ring.
-#[derive(Debug, Clone)]
-pub struct TraceRing {
-    capacity: usize,
-    inner: Arc<Mutex<Inner>>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    buf: VecDeque<TraceRecord>,
-    dropped: u64,
-}
-
-impl TraceRing {
-    /// A ring keeping at most `capacity` records (0 keeps none: every push
-    /// is counted as dropped, which lets callers leave tracing "on" with a
-    /// zero-retention budget).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        TraceRing {
-            capacity,
-            inner: Arc::new(Mutex::new(Inner::default())),
-        }
-    }
-
-    /// Two handles push into the same storage iff they are clones of one
-    /// ring.
-    #[must_use]
-    pub fn same_storage(&self, other: &TraceRing) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Appends a record; returns `true` when an old record (or, at zero
-    /// capacity, this record) was dropped to make room.
-    pub fn push(&self, rec: TraceRecord) -> bool {
-        let mut inner = self.inner.lock().expect("trace ring");
-        if self.capacity == 0 {
-            inner.dropped += 1;
-            return true;
-        }
-        let evict = inner.buf.len() == self.capacity;
-        if evict {
-            inner.buf.pop_front();
-            inner.dropped += 1;
-        }
-        inner.buf.push_back(rec);
-        evict
-    }
-
-    /// Copies out the retained records, oldest first.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.inner
-            .lock()
-            .expect("trace ring")
-            .buf
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// The most recent retained record carrying this trace id, if any.
-    #[must_use]
-    pub fn find(&self, trace_id: u64) -> Option<TraceRecord> {
-        self.inner
-            .lock()
-            .expect("trace ring")
-            .buf
-            .iter()
-            .rev()
-            .find(|r| r.trace_id == trace_id)
-            .cloned()
-    }
-
-    /// Removes and returns the retained records, oldest first.
-    #[must_use]
-    pub fn drain(&self) -> Vec<TraceRecord> {
-        self.inner
-            .lock()
-            .expect("trace ring")
-            .buf
-            .drain(..)
-            .collect()
-    }
-
-    /// How many records have been dropped since construction.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("trace ring").dropped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(id: u64) -> TraceRecord {
-        TraceRecord {
-            query_id: id,
-            ..TraceRecord::default()
-        }
-    }
-
-    #[test]
-    fn keeps_most_recent_and_counts_drops() {
-        let ring = TraceRing::new(2);
-        assert!(!ring.push(rec(1)));
-        assert!(!ring.push(rec(2)));
-        assert!(ring.push(rec(3)));
-        let ids: Vec<u64> = ring.snapshot().iter().map(|r| r.query_id).collect();
-        assert_eq!(ids, vec![2, 3]);
-        assert_eq!(ring.dropped(), 1);
-    }
-
-    #[test]
-    fn zero_capacity_drops_everything() {
-        let ring = TraceRing::new(0);
-        assert!(ring.push(rec(1)));
-        assert!(ring.snapshot().is_empty());
-        assert_eq!(ring.dropped(), 1);
-    }
-
-    #[test]
-    fn drain_empties_but_keeps_drop_count() {
-        let ring = TraceRing::new(4);
-        let _ = ring.push(rec(1));
-        let _ = ring.push(rec(2));
-        assert_eq!(ring.drain().len(), 2);
-        assert!(ring.snapshot().is_empty());
-        assert_eq!(ring.dropped(), 0);
-    }
 
     #[test]
     fn json_shape() {
@@ -270,15 +129,5 @@ mod tests {
         let j = r.to_json();
         assert!(j.contains("\"root_span\":10"));
         assert!(j.contains("\"spans\":[{\"id\":10,"));
-    }
-
-    #[test]
-    fn clones_share_the_ring() {
-        let ring = TraceRing::new(4);
-        let other = ring.clone();
-        let _ = other.push(rec(1));
-        assert_eq!(ring.snapshot().len(), 1);
-        assert!(ring.same_storage(&other));
-        assert!(!ring.same_storage(&TraceRing::new(4)));
     }
 }

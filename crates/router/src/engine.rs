@@ -43,6 +43,7 @@
 //! shard.
 
 use crate::plan::ShardPlan;
+use hris::engine::{screen, Screened};
 use hris::{
     configured_scorer, ConfiguredScorer, EngineConfig, EngineHandle, HrisParams,
     LocalInferenceResult, PaperScorer, QueryAudit, QueryOutcome, QueryResult, RejectReason,
@@ -56,8 +57,8 @@ use hris_obs::{
 };
 use hris_roadnet::RoadNetwork;
 use hris_traj::{
-    partition_archive, sanitize_points, ArchiveSnapshot, PointRepairs, SnapshotReader, TrajId,
-    Trajectory, TrajectoryArchive,
+    partition_archive, ArchiveSnapshot, PointRepairs, SnapshotReader, TrajId, Trajectory,
+    TrajectoryArchive,
 };
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -179,34 +180,6 @@ impl RouterMetrics {
                 "hris_router_shard_pairs_total",
                 "Point pairs served by this shard.",
             ),
-        }
-    }
-}
-
-/// What validation/sanitization made of the incoming query.
-enum Routable<'q> {
-    /// Clean (or validation disabled on a well-formed query): route and
-    /// serve the original.
-    Clean(&'q Trajectory),
-    /// Sanitized copy; serve this, report the repairs.
-    Repaired(Trajectory, PointRepairs),
-    /// Validation is off and the query is malformed (the engines accept it
-    /// as-is, but it cannot be sliced): delegate whole.
-    Opaque(&'q Trajectory),
-}
-
-impl Routable<'_> {
-    fn query(&self) -> &Trajectory {
-        match self {
-            Routable::Clean(q) | Routable::Opaque(q) => q,
-            Routable::Repaired(q, _) => q,
-        }
-    }
-
-    fn repairs(&self) -> Option<PointRepairs> {
-        match self {
-            Routable::Repaired(_, r) => Some(*r),
-            _ => None,
         }
     }
 }
@@ -616,20 +589,11 @@ impl ShardedEngine {
             Some(Admission::Shed) => {
                 self.m.rejected.inc();
                 self.m.shed.inc();
-                self.push_event_audit(
-                    trace_id,
-                    query,
-                    "shed",
-                    "admission: waiting room full, query shed",
-                );
+                if let Some(ring) = &self.audits {
+                    let _ = ring.push(QueryAudit::shed(trace_id, query.len()).into_record());
+                }
                 return (
-                    QueryResult {
-                        globals: Vec::new(),
-                        stats: Vec::new(),
-                        outcome: QueryOutcome::Rejected {
-                            reason: RejectReason::Overloaded,
-                        },
-                    },
+                    QueryResult::rejected(RejectReason::Overloaded),
                     RouteTrace::rejected(),
                 );
             }
@@ -671,7 +635,7 @@ impl ShardedEngine {
         (result, route)
     }
 
-    /// Validation + spatial dispatch, inside the `routing` span of a traced
+    /// Screen + spatial dispatch, inside the `routing` span of a traced
     /// query. The `spans` context is `(collector, root span id)`.
     fn dispatch(
         &self,
@@ -680,38 +644,22 @@ impl ShardedEngine {
         trace_id: u64,
         spans: SpanCtx<'_>,
     ) -> (QueryResult, RouteTrace) {
-        // Stage 1 — mirror the engine's validation ladder so routing sees
-        // the same points the shard engines will serve.
+        // Stage 1 — the engine's own screen, so routing sees the points the
+        // shard engines will serve and rejects exactly when they would.
         let mut routing = spans.map(|(c, root)| c.child(root, "routing"));
-        let routable = match self.screen(query) {
-            Ok(r) => r,
+        let screened = match screen(query) {
+            Ok(s) => s,
             Err(reason) => {
-                self.m.rejected.inc();
-                if let (Some((c, _)), Some(rg)) = (spans, routing.as_ref()) {
-                    let _ = c.event(
-                        rg.id(),
-                        "rejected",
-                        vec![("reason".to_string(), AttrValue::Text(format!("{reason:?}")))],
-                    );
-                }
-                self.push_event_audit(trace_id, query, "rejected", &format!("rejected: {reason:?}"));
-                return (
-                    QueryResult {
-                        globals: Vec::new(),
-                        stats: Vec::new(),
-                        outcome: QueryOutcome::Rejected { reason },
-                    },
-                    RouteTrace::rejected(),
-                );
+                let under_routing = spans.zip(routing.as_ref()).map(|((c, _), g)| (c, g.id()));
+                return self.reject(query, reason, trace_id, under_routing);
             }
         };
 
         // Stage 2 — spatial dispatch on the (possibly repaired) points.
-        let pts = &routable.query().points;
-        let single_home = if matches!(routable, Routable::Opaque(_)) || pts.len() <= 1 {
-            // Whole-query delegation: opaque queries cannot be sliced, and
-            // ≤1-point queries have no pairs (any shard answers them from
-            // the network alone).
+        let pts = &screened.served.points;
+        let single_home = if pts.len() <= 1 {
+            // A ≤1-point query has no pairs: any shard answers it from the
+            // network alone.
             Some(pts.first().map_or(0, |p| self.plan.shard_of_point(p.pos)))
         } else {
             let qb = BBox::covering(pts.iter().map(|p| p.pos)).inflated(self.params.phi_m);
@@ -732,53 +680,34 @@ impl ShardedEngine {
 
         match single_home {
             Some(s) => self.run_single(query, k, s, trace_id, spans),
-            None => self.run_scatter(&routable, k, trace_id, spans),
+            None => self.run_scatter(&screened, k, trace_id, spans),
         }
     }
 
-    /// Pushes a routes-free audit document (shed / router-side rejection)
-    /// when the explain layer is on.
-    fn push_event_audit(&self, trace_id: u64, query: &Trajectory, outcome: &str, event: &str) {
-        let Some(ring) = &self.audits else { return };
-        let mut audit = QueryAudit::new(trace_id, 0);
-        audit.points = query.points.len();
-        audit.pairs = query.points.len().saturating_sub(1);
-        audit.outcome = outcome.to_string();
-        audit.scorer = "none".to_string();
-        audit.push_event(event);
-        let _ = ring.push(audit.into_record());
-    }
-
-    /// The engine's validation screen, reproduced router-side: the router
-    /// must know the *post-repair* points to route them, and must reject
-    /// exactly when every shard engine would.
-    fn screen<'q>(&self, query: &'q Trajectory) -> Result<Routable<'q>, RejectReason> {
-        if !self.cfg.validation.enabled {
-            return Ok(if query.validate().is_ok() {
-                Routable::Clean(query)
-            } else {
-                Routable::Opaque(query)
-            });
+    /// A router-side rejection (the screen refused the query, or no
+    /// servable shard remains): counted, marked as a `rejected` event under
+    /// the given span, audited, and answered empty.
+    fn reject(
+        &self,
+        query: &Trajectory,
+        reason: RejectReason,
+        trace_id: u64,
+        spans: SpanCtx<'_>,
+    ) -> (QueryResult, RouteTrace) {
+        self.m.rejected.inc();
+        if let Some((c, parent)) = spans {
+            let _ = c.event(
+                parent,
+                "rejected",
+                vec![("reason".to_string(), AttrValue::Text(format!("{reason:?}")))],
+            );
         }
-        if query.is_empty() {
-            return Err(RejectReason::EmptyQuery);
+        let result = QueryResult::rejected(reason);
+        if let Some(ring) = &self.audits {
+            let audit = QueryAudit::of_result(trace_id, 0, query.len(), &result);
+            let _ = ring.push(audit.into_record());
         }
-        let lim = &self.cfg.validation.limits;
-        let valid = query.validate().is_ok()
-            && query.points.iter().all(|p| {
-                p.pos.x.abs() <= lim.max_abs_coord_m
-                    && p.pos.y.abs() <= lim.max_abs_coord_m
-                    && p.t.abs() <= lim.max_abs_time_s
-            });
-        if valid {
-            return Ok(Routable::Clean(query));
-        }
-        let mut pts = query.points.clone();
-        let repairs = sanitize_points(&mut pts, lim);
-        if pts.is_empty() {
-            return Err(RejectReason::NoUsablePoints);
-        }
-        Ok(Routable::Repaired(Trajectory::new(query.id, pts), repairs))
+        (result, RouteTrace::rejected())
     }
 
     /// Whole-query delegation to shard `s` — byte-identical path. If `s`
@@ -809,7 +738,7 @@ impl ShardedEngine {
             }
             let Some(t) = self.nearest_servable(BBox::covering(query.points.iter().map(|p| p.pos)))
             else {
-                return self.reject_no_shard(query, trace_id, spans);
+                return self.reject(query, RejectReason::ShardUnavailable, trace_id, spans);
             };
             if let Some((c, root)) = spans {
                 let _ = c.event(
@@ -827,8 +756,8 @@ impl ShardedEngine {
         self.m.single.inc();
         self.m.shard_queries[target].inc();
         self.m.shard_pairs[target].add(n_pairs as u64);
-        // The shard engine re-runs the same validation ladder on the
-        // original query, so repairs/outcomes match the global engine.
+        // The shard engine runs the same screen on the original query, so
+        // repairs/outcomes match the global engine.
         let mut shard_guard = spans.map(|(c, root)| c.child(root, "shard"));
         if let Some(g) = shard_guard.as_mut() {
             g.attr("shard", target);
@@ -843,7 +772,10 @@ impl ShardedEngine {
                 let _ = c.event(
                     root,
                     "degraded",
-                    vec![("pairs_fell_back".to_string(), AttrValue::Int(rerouted as i64))],
+                    vec![(
+                        "pairs_fell_back".to_string(),
+                        AttrValue::Int(rerouted as i64),
+                    )],
                 );
             }
         }
@@ -867,12 +799,12 @@ impl ShardedEngine {
     /// together with `routing` and `gather` they form the stitched tree.
     fn run_scatter(
         &self,
-        routable: &Routable<'_>,
+        screened: &Screened<'_>,
         k: usize,
         trace_id: u64,
         spans: SpanCtx<'_>,
     ) -> (QueryResult, RouteTrace) {
-        let q = routable.query();
+        let q: &Trajectory = &screened.served;
         let phi = self.params.phi_m;
         let n_pairs = q.points.len() - 1;
 
@@ -893,7 +825,7 @@ impl ShardedEngine {
             if !self.shard_is_servable(*s) {
                 let pb = BBox::covering([q.points[i].pos, q.points[i + 1].pos]);
                 let Some(t) = self.nearest_servable(pb) else {
-                    return self.reject_no_shard(q, trace_id, spans);
+                    return self.reject(q, RejectReason::ShardUnavailable, trace_id, spans);
                 };
                 if let Some((c, root)) = spans {
                     let _ = c.event(
@@ -939,6 +871,7 @@ impl ShardedEngine {
         let mut run_locals: Vec<Vec<LocalInferenceResult>> =
             (0..runs.len()).map(|_| Vec::new()).collect();
         let mut epochs = Vec::with_capacity(shard_runs.len());
+        let mut pairs_fell_back = 0;
         for (s, run_idxs) in &shard_runs {
             let subs: Vec<Trajectory> = run_idxs
                 .iter()
@@ -959,7 +892,15 @@ impl ShardedEngine {
             let shard_spans = spans
                 .zip(shard_guard.as_ref())
                 .map(|((c, _), g)| (c, g.id()));
-            let (locals, epoch) = self.shards[*s].local_inference_pinned_batch_traced(&subs, shard_spans);
+            // The scatter seam: `repaired` arms the shard's degradation
+            // chain exactly as a single engine would, and the fell-back
+            // count comes back for the outcome.
+            let (locals, fell_back, epoch) = self.shards[*s].local_inference_pinned_batch_traced(
+                &subs,
+                screened.repairs.is_some(),
+                shard_spans,
+            );
+            pairs_fell_back += fell_back;
             if let Some(g) = shard_guard.as_mut() {
                 g.attr("epoch", epoch as i64);
             }
@@ -999,53 +940,45 @@ impl ShardedEngine {
             }
             let _ = learned.rerank_in_place(&sctx, &mut globals);
         }
-        let outcome = if rerouted > 0 {
+        let mut outcome = QueryOutcome::served(screened.repairs, pairs_fell_back);
+        if rerouted > 0 {
+            outcome = demote_to_degraded(outcome, rerouted);
             if let Some((c, root)) = spans {
                 let _ = c.event(
                     root,
                     "degraded",
-                    vec![("pairs_fell_back".to_string(), AttrValue::Int(rerouted as i64))],
+                    vec![(
+                        "pairs_fell_back".to_string(),
+                        AttrValue::Int(rerouted as i64),
+                    )],
                 );
             }
-            QueryOutcome::Degraded {
-                repairs: routable.repairs().unwrap_or_default(),
-                pairs_fell_back: rerouted,
-            }
-        } else if let Some(repairs) = routable.repairs() {
-            QueryOutcome::Repaired { repairs }
-        } else {
-            QueryOutcome::Ok
+        }
+        let result = QueryResult {
+            globals,
+            stats,
+            outcome,
         };
 
         // Router-side audit: the shards only ran phases 1–2, so the
         // explain document of a scattered query is the router's to write.
         if let Some(ring) = &self.audits {
-            let mut audit = QueryAudit::new(trace_id, 0);
-            audit.points = q.points.len();
-            audit.pairs = n_pairs;
-            audit.outcome = match &outcome {
-                QueryOutcome::Ok => "served",
-                other => other.label(),
-            }
-            .to_string();
+            let mut audit = QueryAudit::of_result(trace_id, 0, q.len(), &result);
             for (i, s) in pair_shards.iter().enumerate() {
                 audit.push_event(format!("scatter: pair {i} served by shard {s}"));
             }
             if rerouted > 0 {
                 audit.push_event(format!(
-                    "degraded: {rerouted} pairs rerouted away from unhealthy shards"
+                    "reroute: {rerouted} pairs served away from unhealthy shards"
                 ));
             }
-            audit.explain_routes(&sctx, &globals, self.cfg.explain.top_k_routes, &scorer);
+            let top_k = self.cfg.explain.top_k_routes;
+            audit.explain_routes(&sctx, &result.globals, top_k, &scorer);
             let _ = ring.push(audit.into_record());
         }
 
         (
-            QueryResult {
-                globals,
-                stats,
-                outcome,
-            },
+            result,
             RouteTrace {
                 kind: RouteKind::Scatter,
                 pair_shards,
@@ -1054,28 +987,6 @@ impl ShardedEngine {
                 rerouted_pairs: rerouted,
             },
         )
-    }
-
-    /// Rejection because no servable shard remains: span event + audit +
-    /// the counted rejection result.
-    fn reject_no_shard(
-        &self,
-        query: &Trajectory,
-        trace_id: u64,
-        spans: SpanCtx<'_>,
-    ) -> (QueryResult, RouteTrace) {
-        if let Some((c, root)) = spans {
-            let _ = c.event(
-                root,
-                "rejected",
-                vec![(
-                    "reason".to_string(),
-                    AttrValue::Text("ShardUnavailable".to_string()),
-                )],
-            );
-        }
-        self.push_event_audit(trace_id, query, "rejected", "rejected: ShardUnavailable");
-        self.reject_unavailable()
     }
 
     /// Shard-local → global trajectory ids, in place, on every reference's
@@ -1107,20 +1018,6 @@ impl ShardedEngine {
                     .partial_cmp(&self.plan.region(bi).min_dist(c))
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
-    }
-
-    fn reject_unavailable(&self) -> (QueryResult, RouteTrace) {
-        self.m.rejected.inc();
-        (
-            QueryResult {
-                globals: Vec::new(),
-                stats: Vec::new(),
-                outcome: QueryOutcome::Rejected {
-                    reason: RejectReason::ShardUnavailable,
-                },
-            },
-            RouteTrace::rejected(),
-        )
     }
 }
 

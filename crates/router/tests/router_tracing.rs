@@ -293,7 +293,9 @@ fn delegated_query_audit_is_findable_under_the_router_trace_id() {
     let audit = engine
         .find_audit(rec.trace_id)
         .expect("shard-side audit found through the router");
-    assert!(audit.json.contains(&format!("\"trace_id\":{}", rec.trace_id)));
+    assert!(audit
+        .json
+        .contains(&format!("\"trace_id\":{}", rec.trace_id)));
     assert!(audit.json.contains("\"outcome\":\"served\""));
     // It lives on the shard's ring, not the router's.
     assert!(
@@ -326,7 +328,10 @@ fn unhealthy_shard_reroute_becomes_span_events() {
         .pop()
         .expect("rerouted query records a trace");
     let names: Vec<&str> = rec.spans.iter().map(|s| s.name.as_str()).collect();
-    assert!(names.contains(&"shard_unhealthy"), "health flip is an event");
+    assert!(
+        names.contains(&"shard_unhealthy"),
+        "health flip is an event"
+    );
     assert!(names.contains(&"reroute"), "reroute is an event");
     assert!(names.contains(&"degraded"), "demotion is an event");
 
@@ -340,7 +345,10 @@ fn unhealthy_shard_reroute_becomes_span_events() {
         shard0.get("health").and_then(|v| v.as_str()),
         Some("unhealthy")
     );
-    assert_eq!(shard0.get("servable").and_then(|v| v.as_bool()), Some(false));
+    assert_eq!(
+        shard0.get("servable").and_then(|v| v.as_bool()),
+        Some(false)
+    );
     // And the federated health check flips.
     let (code, body) = http_get(server.addr(), "/healthz");
     assert_eq!(code, 503, "unhealthy shard fails the health check");
@@ -441,7 +449,9 @@ fn shed_and_rejected_queries_audit_without_routes() {
     drop(permit);
     let audits = engine.audit_ring().unwrap().snapshot();
     assert!(
-        audits.iter().any(|a| a.json.contains("\"outcome\":\"shed\"")),
+        audits
+            .iter()
+            .any(|a| a.json.contains("\"outcome\":\"shed\"")),
         "shed queries are audited"
     );
 }

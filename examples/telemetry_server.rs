@@ -23,7 +23,9 @@ use hris::MetricsRegistry;
 use hris_geo::Point;
 use hris_roadnet::{generator, NetworkConfig};
 use hris_router::{ShardPlan, ShardedEngine};
-use hris_traj::{resample_to_interval, simulator, GpsPoint, SimConfig, Simulator, TrajId, Trajectory};
+use hris_traj::{
+    resample_to_interval, simulator, GpsPoint, SimConfig, Simulator, TrajId, Trajectory,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -154,7 +156,9 @@ fn main() {
             .expect("valid config"),
         plan,
     ));
-    let router_srv = sharded.serve_metrics("127.0.0.1:0").expect("bind router server");
+    let router_srv = sharded
+        .serve_metrics("127.0.0.1:0")
+        .expect("bind router server");
     println!("\nrouter telemetry on http://{}", router_srv.addr());
 
     // A query straddling the shard seam, so routing scatters it across
@@ -166,7 +170,10 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(i, dx)| {
-                GpsPoint::new(Point::new(seam_x + dx, y + i as f64 * 40.0), i as f64 * 120.0)
+                GpsPoint::new(
+                    Point::new(seam_x + dx, y + i as f64 * 40.0),
+                    i as f64 * 120.0,
+                )
             })
             .collect(),
     );
@@ -218,7 +225,10 @@ fn main() {
 
     // The audit record, exactly as an operator would read it.
     let shards = curl(router_srv.addr(), "/debug/shards");
-    println!("\n/debug/shards → {}", shards.lines().last().unwrap_or_default());
+    println!(
+        "\n/debug/shards → {}",
+        shards.lines().last().unwrap_or_default()
+    );
     let explain = curl(
         router_srv.addr(),
         &format!("/debug/explain/{}", rec.trace_id),

@@ -1,12 +1,12 @@
 //! Failure-injection and edge-case tests: the system must degrade
 //! gracefully, never panic, on hostile inputs.
 
-use hris::{EngineConfig, Hris, HrisParams, QueryEngine, QueryOutcome, QueryResult};
+use hris::{EngineConfig, EngineHandle, Hris, HrisParams, QueryEngine, QueryOutcome, QueryResult};
 use hris_eval::metrics::accuracy_al;
-use hris_geo::Point;
+use hris_geo::{BBox, Point};
 use hris_mapmatch::{IncrementalMatcher, IvmmMatcher, MapMatcher, StMatcher};
 use hris_roadnet::{generator, NetworkConfig, RoadNetwork};
-use hris_router::{ShardPlan, ShardedEngine};
+use hris_router::{RouteKind, ShardPlan, ShardedEngine};
 use hris_traj::{
     add_gps_noise, fault_corpus, resample_to_interval, sanitize_points, GpsPoint, SanitizeLimits,
     SimConfig, Simulator, TrajId, Trajectory, TrajectoryArchive,
@@ -204,6 +204,19 @@ fn degenerate_hris_params_do_not_panic() {
     }
 }
 
+/// Same top-K: same routes, same score bits.
+fn assert_same_routes(got: &QueryResult, want: &QueryResult, ctx: &str) {
+    assert_eq!(got.globals.len(), want.globals.len(), "{ctx}: top-K length");
+    for (i, (g, w)) in got.globals.iter().zip(&want.globals).enumerate() {
+        assert_eq!(g.route, w.route, "{ctx}: route {i}");
+        assert_eq!(
+            g.log_score.to_bits(),
+            w.log_score.to_bits(),
+            "{ctx}: score bits of route {i}"
+        );
+    }
+}
+
 /// One pair pipeline serves clean and repaired queries alike: over the
 /// 100-case fault corpus, a dirty query that repairs without any pair
 /// falling back must answer exactly like its hand-sanitized copy — same
@@ -267,19 +280,124 @@ fn repaired_queries_match_their_sanitized_copies() {
                 QueryOutcome::Ok,
                 "{ctx}: sanitized copy is clean"
             );
-            assert_eq!(got.globals.len(), want.globals.len(), "{ctx}: top-K length");
-            for (i, (g, w)) in got.globals.iter().zip(&want.globals).enumerate() {
-                assert_eq!(g.route, w.route, "{ctx}: route {i}");
-                assert_eq!(
-                    g.log_score.to_bits(),
-                    w.log_score.to_bits(),
-                    "{ctx}: score bits of route {i}"
-                );
-            }
+            assert_same_routes(&got, &want, &ctx);
         }
     }
     assert!(
         repaired >= 20,
         "corpus must exercise the repair path: {repaired}"
     );
+}
+
+/// One validation ladder behind every front: a dirty query that crosses a
+/// shard seam runs the same repair and degradation chain on the scatter
+/// path as on a single engine — same routes, same score bits and the same
+/// [`QueryOutcome`], `Degraded { pairs_fell_back }` included. Checked over
+/// the 100-case fault corpus on a 2×2 grid over a dense archive (where only
+/// queries whose every pair fits a shard region are provably identical) and
+/// on a 2×1 grid over an empty archive (every pair takes the shortest-path
+/// fallback, so every dirty query degrades).
+#[test]
+fn sharded_dirty_queries_match_the_single_engine() {
+    let net = Arc::new(generator::generate(&NetworkConfig {
+        blocks_x: 20,
+        blocks_y: 20,
+        block_m: 300.0,
+        seed: 19,
+        ..NetworkConfig::default()
+    }));
+    let params = HrisParams::default();
+    let mut sim = Simulator::new(
+        &net,
+        SimConfig {
+            num_trips: 120,
+            num_od_patterns: 7,
+            min_trip_dist_m: 400.0,
+            seed: 12,
+            ..SimConfig::default()
+        },
+    );
+    let dense = sim.generate_archive().0;
+
+    // Seven-point walkers straight across the grid seams (both run through
+    // the network centre): three along x, two along y.
+    let c = net.bbox().center();
+    let walker = |id: u32, along_x: bool, offset: f64, step: f64| {
+        let pts = (0..7)
+            .map(|i| {
+                let d = (i as f64 - 3.0) * step + 0.4 * step;
+                let p = if along_x {
+                    Point::new(c.x + d, c.y + offset)
+                } else {
+                    Point::new(c.x + offset, c.y + d)
+                };
+                GpsPoint::new(p, i as f64 * 120.0)
+            })
+            .collect();
+        Trajectory::new(TrajId(id), pts)
+    };
+    let clean = [
+        walker(0, true, -1_200.0, 500.0),
+        walker(1, false, 900.0, 450.0),
+        walker(2, true, 700.0, 550.0),
+        walker(3, false, -1_500.0, 400.0),
+        walker(4, true, 1_600.0, 480.0),
+    ];
+    let mut corpus = fault_corpus(42, &clean, 100);
+    // The minimal divergence: five seam-crossing points, one of them NaN.
+    let mut nan = walker(100, true, 0.0, 500.0).points;
+    nan.truncate(5);
+    nan[1].pos.y = f64::NAN;
+    corpus.push((
+        hris_traj::FaultKind::NanValue,
+        Trajectory::from_unchecked(TrajId(100), nan),
+    ));
+
+    let setups = [
+        ("dense 2x2", dense, (2, 2), params.phi_m + 900.0),
+        ("empty 2x1", TrajectoryArchive::empty(), (2, 1), 600.0),
+    ];
+    for (label, archive, (nx, ny), margin_m) in setups {
+        let exact_only = archive.num_trajectories() > 0;
+        let single = EngineHandle::new(Arc::clone(&net), archive.clone(), params.clone());
+        let sharded = ShardedEngine::build(
+            Arc::clone(&net),
+            &archive,
+            params.clone(),
+            EngineConfig::default(),
+            ShardPlan::grid(&net, nx, ny, margin_m),
+        );
+        let (mut compared, mut degraded) = (0, 0);
+        for (case, (kind, dirty)) in corpus.iter().enumerate() {
+            let want = single.infer_query(dirty, 3);
+            if !matches!(
+                want.outcome,
+                QueryOutcome::Repaired { .. } | QueryOutcome::Degraded { .. }
+            ) {
+                continue; // served as given, or rejected
+            }
+            let (got, trace) = sharded.infer_query_traced(dirty, 3);
+            if trace.kind != RouteKind::Scatter {
+                continue;
+            }
+            let mut pts = dirty.points.clone();
+            sanitize_points(&mut pts, &SanitizeLimits::default());
+            let fits_a_region = pts.windows(2).all(|w| {
+                let pair = BBox::covering([w[0].pos, w[1].pos]).inflated(params.phi_m);
+                sharded.plan().home_shard(&pair).is_some()
+            });
+            if exact_only && !fits_a_region {
+                continue; // wild pair: deterministic, not provably identical
+            }
+            compared += 1;
+            degraded += usize::from(matches!(want.outcome, QueryOutcome::Degraded { .. }));
+            let ctx = format!("{label}, case {case} ({})", kind.name());
+            assert_same_routes(&got, &want, &ctx);
+            assert_eq!(got.outcome, want.outcome, "{ctx}: outcome");
+        }
+        assert!(
+            compared >= 15 && degraded >= 1,
+            "{label}: corpus must exercise dirty scatters ({compared} compared, {degraded} degraded)"
+        );
+    }
 }
