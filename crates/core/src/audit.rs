@@ -185,10 +185,11 @@ pub struct QueryAudit {
 
 impl QueryAudit {
     /// The audit of one answered (or refused) query: identity, `points` as
-    /// the pipeline saw them (post-repair), the outcome label and the
-    /// repair / degradation / rejection events the outcome implies. The
-    /// scoring half is [`QueryAudit::explain_routes`]'s; a rejection ranked
-    /// nothing, so its scorer reads `"none"`.
+    /// the pipeline saw them (post-repair), the outcome label, the
+    /// repair / degradation / rejection events the outcome implies and, when
+    /// NNI proved any pair's destination unreachable, the one `nni:` line
+    /// saying how many. The scoring half is [`QueryAudit::explain_routes`]'s;
+    /// a rejection ranked nothing, so its scorer reads `"none"`.
     #[must_use]
     pub fn of_result(trace_id: u64, query_id: u64, points: usize, result: &QueryResult) -> Self {
         let mut audit = QueryAudit::routeless(trace_id, query_id, points, result.outcome.label());
@@ -214,6 +215,14 @@ impl QueryAudit {
                 audit.push_event(format!("degraded: {pairs_fell_back} pairs fell back"));
             }
             QueryOutcome::Rejected { reason } => audit.push_event(format!("rejected: {reason:?}")),
+        }
+        let unreachable = result.stats.iter().filter(|s| s.nni_unreachable).count();
+        if unreachable > 0 {
+            audit.push_event(format!(
+                "nni: destination unreachable in {unreachable} of {} pairs \
+                 (shortest-path candidates only)",
+                result.stats.len()
+            ));
         }
         audit
     }
@@ -385,6 +394,20 @@ mod tests {
             ("rejected", "none")
         );
         assert_eq!(rejected.events, ["rejected: EmptyQuery"]);
+        // Pairs whose NNI transit graph could not reach q_{i+1} get one line.
+        let unreachable = crate::local::LocalStats {
+            nni_unreachable: true,
+            ..Default::default()
+        };
+        let result = QueryResult {
+            outcome: QueryOutcome::Ok,
+            stats: vec![unreachable.clone(), Default::default(), unreachable],
+            ..QueryResult::rejected(RejectReason::EmptyQuery)
+        };
+        assert_eq!(
+            QueryAudit::of_result(9, 1, 4, &result).events,
+            ["nni: destination unreachable in 2 of 3 pairs (shortest-path candidates only)"]
+        );
         let shed = QueryAudit::shed(9, 3);
         assert_eq!((shed.outcome.as_str(), shed.pairs), ("shed", 2));
         assert_eq!(shed.events.len(), 1);

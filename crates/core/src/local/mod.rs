@@ -22,6 +22,9 @@ pub struct LocalStats {
     pub algorithm: &'static str,
     /// Constrained-kNN searches performed (NNI; Figure 5's cost measure).
     pub knn_searches: usize,
+    /// `true` iff NNI ran and proved `q_{i+1}` unreachable in the transit
+    /// graph: the pair's candidates are the shortest paths alone.
+    pub nni_unreachable: bool,
     /// Traverse-graph node count (TGI).
     pub traverse_nodes: usize,
     /// Traverse-graph links before reduction (TGI).

@@ -35,14 +35,42 @@ struct Args {
     audit_out: Option<String>,
 }
 
-fn parse_args() -> Args {
+/// Every FIGURE name the runner knows, `all` included — the one list the
+/// parser validates against.
+const FIGURES: [&str; 20] = [
+    "table2",
+    "fig8a",
+    "fig8b",
+    "fig9a",
+    "fig9b",
+    "fig10a",
+    "fig10b",
+    "fig11a",
+    "fig11b",
+    "fig12a",
+    "fig12b",
+    "fig13a",
+    "fig13b",
+    "fig14a",
+    "fig14b",
+    "ablation",
+    "temporal",
+    "freespace",
+    "rerank",
+    "all",
+];
+
+/// Parses the command line (program name already skipped). An argument that
+/// is neither an option nor a known FIGURE is an error: it would otherwise
+/// select nothing and the run would print nothing and succeed.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut figures = BTreeSet::new();
     let mut full = false;
     let mut seed = 42u64;
     let mut out = None;
     let mut metrics_out = None;
     let mut audit_out = None;
-    let mut it = std::env::args().skip(1);
+    let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--full" => full = true,
@@ -59,26 +87,35 @@ fn parse_args() -> Args {
             "--audit-out" => {
                 audit_out = Some(it.next().expect("--audit-out needs a file path"));
             }
-            other => {
-                figures.insert(other.to_string());
+            figure if FIGURES.contains(&figure) => {
+                figures.insert(figure.to_string());
+            }
+            unknown => {
+                return Err(format!(
+                    "unknown FIGURE or option '{unknown}'; FIGURE is one of: {}",
+                    FIGURES.join(" ")
+                ));
             }
         }
     }
     if figures.is_empty() {
         figures.insert("all".to_string());
     }
-    Args {
+    Ok(Args {
         figures,
         full,
         seed,
         out,
         metrics_out,
         audit_out,
-    }
+    })
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let want = |name: &str| args.figures.contains("all") || args.figures.contains(name);
 
     let mut outputs: Vec<Table> = Vec::new();
@@ -309,7 +346,33 @@ fn report(outputs: &mut Vec<Table>, t: Table) {
 
 #[cfg(test)]
 mod tests {
-    use super::csv_name;
+    use super::{csv_name, parse_args, FIGURES};
+
+    fn parse(args: &[&str]) -> Result<super::Args, String> {
+        parse_args(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn known_figures_and_options_parse() {
+        let args = parse(&["fig13a", "--seed", "7", "fig13b", "--out", "dir"]).unwrap();
+        assert_eq!(
+            args.figures.iter().collect::<Vec<_>>(),
+            ["fig13a", "fig13b"]
+        );
+        assert_eq!((args.seed, args.out.as_deref()), (7, Some("dir")));
+        assert!(parse(&[]).unwrap().figures.contains("all"));
+        for figure in FIGURES {
+            assert!(parse(&[figure]).is_ok(), "{figure}");
+        }
+    }
+
+    #[test]
+    fn unknown_figures_are_rejected_with_the_list() {
+        for typo in ["fig13B", "fig15", "--ful"] {
+            let err = parse(&["fig8a", typo]).err().expect(typo);
+            assert!(err.contains(typo) && err.contains("fig14b"), "{err}");
+        }
+    }
 
     #[test]
     fn csv_names_are_portable() {

@@ -35,6 +35,9 @@ pub struct EvalOutcome {
     pub mean_density: f64,
     /// Mean constrained-kNN searches per query (NNI instrumentation).
     pub mean_knn_searches: f64,
+    /// Share of all inferred pairs whose NNI transit graph could not reach
+    /// `q_{i+1}` (such pairs are answered by shortest-path candidates alone).
+    pub nni_unreachable_frac: f64,
 }
 
 /// Evaluates a baseline map matcher at the given sampling interval.
@@ -125,7 +128,11 @@ fn score_top1(scenario: &Scenario, run: &BatchRun) -> EvalOutcome {
             (acc, per_query_s, density, knn)
         })
         .collect();
-    aggregate(&results)
+    let pairs = run.results.iter().flat_map(|r| &r.stats);
+    EvalOutcome {
+        nni_unreachable_frac: mean(pairs.map(|s| f64::from(u8::from(s.nni_unreachable)))),
+        ..aggregate(&results)
+    }
 }
 
 /// Evaluates HRIS (top-1 accuracy, Section IV-C protocol) at the given
@@ -358,6 +365,7 @@ fn aggregate(results: &[(f64, f64, f64, f64)]) -> EvalOutcome {
         queries: results.len(),
         mean_density: mean(results.iter().map(|r| r.2).filter(|d| *d > 0.0)),
         mean_knn_searches: mean(results.iter().map(|r| r.3)),
+        nni_unreachable_frac: 0.0,
     }
 }
 
