@@ -18,13 +18,15 @@
 //! local route — for an `O(K·n·m²)` DP; the exhaustive `O(mⁿ)` enumeration
 //! ([`RouteScorer::top_k_brute_force`](crate::scoring::RouteScorer)) is the
 //! oracle used for Figure 14b and as a test oracle. Both are reached through
-//! [`PaperScorer`](crate::scoring::PaperScorer).
+//! [`PaperScorer`](crate::scoring::PaperScorer), and both read one
+//! [`QueryScores`]: DP == brute force checks the DP, not the `f` and `g`
+//! kernels, which the test modules here and in [`crate::local`] pin to the
+//! bit against the literal equations and the previous DP.
 
-use crate::local::LocalInferenceResult;
+use crate::local::{LocalInferenceResult, RouteCoverage};
 use crate::params::PopularityModel;
-use hris_roadnet::{CostModel, RoadNetwork, Route};
+use hris_roadnet::{CostModel, FxHashMap, RoadNetwork, Route};
 use hris_traj::TrajId;
-use std::collections::HashSet;
 
 /// A scored global route.
 #[derive(Debug, Clone)]
@@ -37,37 +39,9 @@ pub struct GlobalRoute {
     pub log_score: f64,
 }
 
-/// Underlying historical trajectory ids travelling on `route` — the
-/// `C_i(R)` sets that the transition confidence intersects across pairs.
-#[must_use]
-pub fn route_traj_ids(route: &Route, local: &LocalInferenceResult) -> HashSet<TrajId> {
-    let mut out = HashSet::new();
-    for ref_idx in local.edge_index.refs_on_route(route) {
-        out.extend(local.refs.refs[ref_idx].sources.iter().copied());
-    }
-    out
-}
-
-/// `ln g(R_a, R_b)` = Jaccard(ids_a, ids_b) − 1 (Equation 2 in log space).
-///
-/// Ranges over `[−1, 0]`: identical sets give 0 (`g = 1`), disjoint sets
-/// give −1 (`g = 1/e`). Two empty sets count as disjoint.
-#[must_use]
-pub fn log_transition_confidence(ids_a: &HashSet<TrajId>, ids_b: &HashSet<TrajId>) -> f64 {
-    let inter = ids_a.intersection(ids_b).count();
-    let union = ids_a.union(ids_b).count();
-    let jaccard = if union == 0 {
-        0.0
-    } else {
-        inter as f64 / union as f64
-    };
-    jaccard - 1.0
-}
-
-/// Sorted, deduplicated trajectory ids on `route` — same contents as
-/// [`route_traj_ids`], laid out for the merge-walk Jaccard in the DP inner
-/// loop (no hashing per transition). Shared with the feature extractor in
-/// [`crate::scoring`].
+/// Sorted, deduplicated ids of the historical trajectories travelling on
+/// `route` — the `C_i(R)` set of Equation 2, for the feature extractor in
+/// [`crate::scoring`] (K-GRI itself intersects bitsets, see [`QueryScores`]).
 pub(crate) fn route_traj_ids_sorted(route: &Route, local: &LocalInferenceResult) -> Vec<TrajId> {
     let mut out: Vec<TrajId> = Vec::new();
     for ref_idx in local.edge_index.refs_on_route(route) {
@@ -78,11 +52,11 @@ pub(crate) fn route_traj_ids_sorted(route: &Route, local: &LocalInferenceResult)
     out
 }
 
-/// [`log_transition_confidence`] over sorted deduplicated id slices.
+/// `ln g(R_a, R_b)` = Jaccard(a, b) − 1 (Equation 2 in log space) over
+/// sorted deduplicated id slices.
 ///
-/// Computes the same intersection/union counts via a linear merge walk, so
-/// the resulting Jaccard (and hence the score) is bit-identical to the
-/// hash-set version.
+/// Ranges over `[−1, 0]`: identical sets give 0 (`g = 1`), disjoint sets
+/// give −1 (`g = 1/e`). Two empty sets count as disjoint.
 pub(crate) fn log_transition_confidence_sorted(a: &[TrajId], b: &[TrajId]) -> f64 {
     let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
     while i < a.len() && j < b.len() {
@@ -96,7 +70,12 @@ pub(crate) fn log_transition_confidence_sorted(a: &[TrajId], b: &[TrajId]) -> f6
             }
         }
     }
-    let union = a.len() + b.len() - inter;
+    log_g_of(inter, a.len() + b.len() - inter)
+}
+
+/// `J − 1` from `|A ∩ B|` and `|A ∪ B|` — whichever representation counted
+/// them, the quotient is the same `f64`. `0/0` counts as disjoint.
+fn log_g_of(inter: usize, union: usize) -> f64 {
     let jaccard = if union == 0 {
         0.0
     } else {
@@ -105,38 +84,101 @@ pub(crate) fn log_transition_confidence_sorted(a: &[TrajId], b: &[TrajId]) -> f6
     jaccard - 1.0
 }
 
-/// Precomputed per-pair scoring ingredients.
+/// Precomputed scoring ingredients of one query, shared by the DP and the
+/// brute-force oracle.
+struct QueryScores {
+    /// `u64` words per trajectory-id set.
+    words: usize,
+    /// One entry per query pair.
+    pairs: Vec<PairScores>,
+}
+
+/// Per-pair part of [`QueryScores`].
 struct PairScores {
     /// `ln f` per local route of the pair.
     log_f: Vec<f64>,
-    /// Sorted trajectory-id lists per local route of the pair.
-    ids: Vec<Vec<TrajId>>,
+    /// `C_i(R)` per local route, `words` words each: a bitset over the
+    /// query's dense trajectory-id index.
+    ids: Vec<u64>,
+    /// `|C_i(R)|` per local route.
+    card: Vec<usize>,
 }
 
-fn precompute(
-    locals: &[LocalInferenceResult],
-    entropy_floor: f64,
-    model: PopularityModel,
-) -> Vec<PairScores> {
-    locals
-        .iter()
-        .map(|l| PairScores {
-            log_f: l
-                .routes
-                .iter()
-                .map(|r| {
-                    crate::local::route_popularity_with(r, &l.edge_index, entropy_floor, model)
-                        .max(1e-9)
-                        .ln()
-                })
-                .collect(),
-            ids: l
-                .routes
-                .iter()
-                .map(|r| route_traj_ids_sorted(r, l))
-                .collect(),
-        })
-        .collect()
+impl QueryScores {
+    /// One coverage sweep per local route yields both `ln f` and the
+    /// route's trajectory-id set.
+    ///
+    /// The ids are re-indexed densely — numbered as the `sources` of the
+    /// query's references first mention them — so a set is a few words and
+    /// Equation 2 an AND-popcount. Any numbering shared by adjacent pairs
+    /// preserves every intersection and cardinality, hence the scores.
+    fn new(locals: &[LocalInferenceResult], entropy_floor: f64, model: PopularityModel) -> Self {
+        let mut index: FxHashMap<TrajId, usize> = FxHashMap::default();
+        // Dense ids of the sources of the query's g-th reference (pairs in
+        // order, references in order): `dense[offsets[g]..offsets[g + 1]]`.
+        let (mut dense, mut offsets) = (Vec::new(), vec![0]);
+        for r in locals.iter().flat_map(|l| &l.refs.refs) {
+            for &id in &r.sources {
+                let next = index.len();
+                dense.push(*index.entry(id).or_insert(next));
+            }
+            offsets.push(dense.len());
+        }
+        let words = index.len().div_ceil(64);
+
+        let mut cov = RouteCoverage::default();
+        let mut first_ref = 0;
+        let pairs = locals
+            .iter()
+            .map(|l| {
+                let offsets = &offsets[first_ref..=first_ref + l.refs.refs.len()];
+                first_ref += l.refs.refs.len();
+                let m = l.routes.len();
+                let mut pair = PairScores {
+                    log_f: Vec::with_capacity(m),
+                    ids: vec![0; m * words],
+                    card: Vec::with_capacity(m),
+                };
+                for (j, route) in l.routes.iter().enumerate() {
+                    cov.sweep(&l.edge_index, route, true);
+                    let f = cov.popularity(entropy_floor, model);
+                    pair.log_f.push(f.max(1e-9).ln());
+                    let set = &mut pair.ids[j * words..(j + 1) * words];
+                    for r in cov.refs() {
+                        for &d in &dense[offsets[r]..offsets[r + 1]] {
+                            set[d / 64] |= 1 << (d % 64);
+                        }
+                    }
+                    pair.card
+                        .push(set.iter().map(|w| w.count_ones() as usize).sum());
+                }
+                pair
+            })
+            .collect();
+        QueryScores { words, pairs }
+    }
+
+    /// `ln g` (Equation 2) from local route `jp` of pair `i − 1` to local
+    /// route `j` of pair `i`: Jaccard of their trajectory-id sets, minus 1.
+    fn log_g(&self, i: usize, jp: usize, j: usize) -> f64 {
+        let (a, b, w) = (&self.pairs[i - 1], &self.pairs[i], self.words);
+        let inter: usize = a.ids[jp * w..(jp + 1) * w]
+            .iter()
+            .zip(&b.ids[j * w..(j + 1) * w])
+            .map(|(x, y)| (x & y).count_ones() as usize)
+            .sum();
+        log_g_of(inter, a.card[jp] + b.card[j] - inter)
+    }
+}
+
+/// One entry of Algorithm 3's table `M`: a partial assignment ending at
+/// local route `route` of some pair, extending the cell `prev` of the pair
+/// before it.
+struct Cell {
+    score: f64,
+    route: usize,
+    /// Index into the cell table; unused at pair 0.
+    prev: usize,
 }
 
 /// Top-K Global Route Inference (Algorithm 3), the dynamic program behind
@@ -145,6 +187,12 @@ fn precompute(
 /// `locals` must have at least one local route per pair; pairs with no
 /// routes make the result empty (the pipeline inserts shortest-path
 /// fallbacks before calling this).
+///
+/// A cell keeps a back-pointer instead of its index path, and only the K
+/// winners are walked back: `O(K·n·m²)` candidates of constant size.
+/// Candidates are generated `j′`-major then by rank, the final gather is
+/// `j`-major then by rank, and both sorts are stable — the order a DP over
+/// whole index paths produces, so equal scores break the same way.
 pub(crate) fn k_gri_impl(
     net: &RoadNetwork,
     locals: &[LocalInferenceResult],
@@ -155,45 +203,61 @@ pub(crate) fn k_gri_impl(
     if k == 0 || locals.is_empty() || locals.iter().any(|l| l.routes.is_empty()) {
         return Vec::new();
     }
-    let scores = precompute(locals, entropy_floor, model);
+    let scores = QueryScores::new(locals, entropy_floor, model);
 
-    // M[j] — top-K partial assignments ending at local route j of pair i.
-    type Partial = (f64, Vec<usize>); // (log score, chosen indices)
-    let mut m: Vec<Vec<Partial>> = scores[0]
-        .log_f
+    // The cells of every pair so far, best first within a slot;
+    // `slots[j]..slots[j + 1]` are those ending at route j of the latest pair.
+    let first = &scores.pairs[0].log_f;
+    let mut cells: Vec<Cell> = first
         .iter()
         .enumerate()
-        .map(|(j, &f)| vec![(f, vec![j])])
+        .map(|(route, &score)| Cell {
+            score,
+            route,
+            prev: usize::MAX,
+        })
         .collect();
+    let mut slots: Vec<usize> = (0..=first.len()).collect();
+    let mut next_slots: Vec<usize> = Vec::new();
+    let mut cands: Vec<(f64, usize)> = Vec::new(); // (log score, previous cell)
 
     for i in 1..locals.len() {
-        let mut next: Vec<Vec<Partial>> = vec![Vec::new(); scores[i].log_f.len()];
-        for (j, slot) in next.iter_mut().enumerate() {
-            let mut cands: Vec<Partial> = Vec::new();
-            for (jp, prevs) in m.iter().enumerate() {
-                let g = log_transition_confidence_sorted(&scores[i - 1].ids[jp], &scores[i].ids[j]);
-                for (s, path) in prevs {
-                    let mut np = path.clone();
-                    np.push(j);
-                    cands.push((s + g + scores[i].log_f[j], np));
-                }
+        next_slots.clear();
+        for (j, &f) in scores.pairs[i].log_f.iter().enumerate() {
+            next_slots.push(cells.len());
+            cands.clear();
+            for (jp, prevs) in slots.windows(2).enumerate() {
+                let g = scores.log_g(i, jp, j);
+                cands.extend((prevs[0]..prevs[1]).map(|c| (cells[c].score + g + f, c)));
             }
             cands.sort_by(|a, b| b.0.total_cmp(&a.0));
-            cands.truncate(k);
-            *slot = cands;
+            cells.extend(cands.iter().take(k).map(|&(score, prev)| Cell {
+                score,
+                route: j,
+                prev,
+            }));
         }
-        m = next;
+        next_slots.push(cells.len());
+        std::mem::swap(&mut slots, &mut next_slots);
     }
 
-    // Gather the global top-K across all final slots.
-    let mut all: Vec<Partial> = m.into_iter().flatten().collect();
-    all.sort_by(|a, b| b.0.total_cmp(&a.0));
+    // Gather the global top-K across the last pair's slots.
+    let mut all: Vec<usize> = (slots[0]..cells.len()).collect();
+    all.sort_by(|&a, &b| cells[b].score.total_cmp(&cells[a].score));
     all.truncate(k);
     all.into_iter()
-        .map(|(log_score, local_indices)| GlobalRoute {
-            route: stitch(net, locals, &local_indices),
-            local_indices,
-            log_score,
+        .map(|last| {
+            let mut local_indices = vec![0; locals.len()];
+            let mut c = last;
+            for slot in local_indices.iter_mut().rev() {
+                *slot = cells[c].route;
+                c = cells[c].prev;
+            }
+            GlobalRoute {
+                route: stitch(net, locals, &local_indices),
+                local_indices,
+                log_score: cells[last].score,
+            }
         })
         .collect()
 }
@@ -211,7 +275,7 @@ pub(crate) fn brute_force_top_k_impl(
     if k == 0 || locals.is_empty() || locals.iter().any(|l| l.routes.is_empty()) {
         return Vec::new();
     }
-    let scores = precompute(locals, entropy_floor, model);
+    let scores = QueryScores::new(locals, entropy_floor, model);
     let mut best: Vec<(f64, Vec<usize>)> = Vec::new();
     let mut current = vec![0usize; locals.len()];
     enumerate(&scores, 0, 0.0, &mut current, &mut best, k);
@@ -227,14 +291,14 @@ pub(crate) fn brute_force_top_k_impl(
 }
 
 fn enumerate(
-    scores: &[PairScores],
+    scores: &QueryScores,
     i: usize,
     acc: f64,
     current: &mut Vec<usize>,
     best: &mut Vec<(f64, Vec<usize>)>,
     k: usize,
 ) {
-    if i == scores.len() {
+    if i == scores.pairs.len() {
         best.push((acc, current.clone()));
         if best.len() > 4 * k {
             best.sort_by(|a, b| b.0.total_cmp(&a.0));
@@ -242,13 +306,10 @@ fn enumerate(
         }
         return;
     }
-    for j in 0..scores[i].log_f.len() {
-        let mut s = acc + scores[i].log_f[j];
+    for j in 0..scores.pairs[i].log_f.len() {
+        let mut s = acc + scores.pairs[i].log_f[j];
         if i > 0 {
-            s += log_transition_confidence_sorted(
-                &scores[i - 1].ids[current[i - 1]],
-                &scores[i].ids[j],
-            );
+            s += scores.log_g(i, current[i - 1], j);
         }
         current[i] = j;
         enumerate(scores, i + 1, s, current, best, k);
@@ -291,12 +352,13 @@ fn stitch(net: &RoadNetwork, locals: &[LocalInferenceResult], indices: &[usize])
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::local::{route_popularity, LocalStats, RefEdgeIndex};
+    use crate::local::{reference, route_popularity, LocalStats, RefEdgeIndex};
     use crate::reference::{RefKind, RefTrajectory, ReferenceSet};
     use crate::scoring::{PaperScorer, RouteScorer, ScoringCtx};
     use hris_geo::Point;
     use hris_roadnet::{generator, NetworkConfig, SegmentId};
     use hris_traj::GpsPoint;
+    use std::collections::HashSet;
 
     const SCORER: PaperScorer = PaperScorer {
         entropy_floor: 0.05,
@@ -324,28 +386,380 @@ mod tests {
         coverage: &[(SegmentId, &[usize])],
         sources: &[&[u32]],
     ) -> LocalInferenceResult {
-        let edge_index = RefEdgeIndex::from_pairs(
-            coverage
-                .iter()
-                .flat_map(|(seg, refs)| refs.iter().map(move |&r| (*seg, r))),
-        );
+        let _ = net;
+        let pairs = coverage
+            .iter()
+            .flat_map(|(seg, refs)| refs.iter().map(move |&r| (*seg, r)));
+        synth_local_from(routes, pairs, sources)
+    }
+
+    /// [`synth_local`] from raw `(segment, reference)` coverage pairs and
+    /// any shape of per-reference source ids.
+    fn synth_local_from<S: AsRef<[u32]>>(
+        routes: Vec<Route>,
+        coverage: impl IntoIterator<Item = (SegmentId, usize)>,
+        sources: &[S],
+    ) -> LocalInferenceResult {
         let refs = ReferenceSet {
             refs: sources
                 .iter()
                 .map(|srcs| RefTrajectory {
                     kind: RefKind::Simple,
-                    sources: srcs.iter().map(|&s| TrajId(s)).collect(),
+                    sources: srcs.as_ref().iter().map(|&s| TrajId(s)).collect(),
                     points: vec![GpsPoint::new(Point::ORIGIN, 0.0)],
                 })
                 .collect(),
         };
-        let _ = net;
         LocalInferenceResult {
             routes,
-            edge_index,
+            edge_index: RefEdgeIndex::from_pairs(coverage),
             refs,
             stats: LocalStats::default(),
         }
+    }
+
+    // ------------------------------------------------------------------
+    // References: Equation 2 read literally, and Algorithm 3 as it stood
+    // before back-pointers and bitsets. Nothing below calls the kernel
+    // under test — popularity and `C_i(R)` come from
+    // `crate::local::reference`.
+
+    /// Underlying historical trajectory ids travelling on `route` — the
+    /// `C_i(R)` sets that the transition confidence intersects across pairs.
+    fn route_traj_ids(route: &Route, local: &LocalInferenceResult) -> HashSet<TrajId> {
+        let mut out = HashSet::new();
+        for ref_idx in reference::refs_on_route(&local.edge_index, route) {
+            out.extend(local.refs.refs[ref_idx].sources.iter().copied());
+        }
+        out
+    }
+
+    /// `ln g(R_a, R_b)` = Jaccard(ids_a, ids_b) − 1 (Equation 2 in log space).
+    fn log_transition_confidence(ids_a: &HashSet<TrajId>, ids_b: &HashSet<TrajId>) -> f64 {
+        let inter = ids_a.intersection(ids_b).count();
+        let union = ids_a.union(ids_b).count();
+        let jaccard = if union == 0 {
+            0.0
+        } else {
+            inter as f64 / union as f64
+        };
+        jaccard - 1.0
+    }
+
+    /// Per-pair ingredients of the reference DP.
+    struct PairScoresReference {
+        /// `ln f` per local route of the pair.
+        log_f: Vec<f64>,
+        /// Sorted trajectory-id lists per local route of the pair.
+        ids: Vec<Vec<TrajId>>,
+    }
+
+    fn precompute_reference(
+        locals: &[LocalInferenceResult],
+        entropy_floor: f64,
+        model: PopularityModel,
+    ) -> Vec<PairScoresReference> {
+        locals
+            .iter()
+            .map(|l| PairScoresReference {
+                log_f: l
+                    .routes
+                    .iter()
+                    .map(|r| {
+                        reference::route_popularity_with(r, &l.edge_index, entropy_floor, model)
+                            .max(1e-9)
+                            .ln()
+                    })
+                    .collect(),
+                ids: l
+                    .routes
+                    .iter()
+                    .map(|r| {
+                        let mut out: Vec<TrajId> = route_traj_ids(r, l).into_iter().collect();
+                        out.sort_unstable();
+                        out
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// The DP the back-pointer kernel replaced: every candidate clones its
+    /// whole index path, every transition merge-walks two sorted id lists.
+    fn k_gri_reference(
+        net: &RoadNetwork,
+        locals: &[LocalInferenceResult],
+        k: usize,
+        entropy_floor: f64,
+        model: PopularityModel,
+    ) -> Vec<GlobalRoute> {
+        if k == 0 || locals.is_empty() || locals.iter().any(|l| l.routes.is_empty()) {
+            return Vec::new();
+        }
+        let scores = precompute_reference(locals, entropy_floor, model);
+
+        // M[j] — top-K partial assignments ending at local route j of pair i.
+        type Partial = (f64, Vec<usize>); // (log score, chosen indices)
+        let mut m: Vec<Vec<Partial>> = scores[0]
+            .log_f
+            .iter()
+            .enumerate()
+            .map(|(j, &f)| vec![(f, vec![j])])
+            .collect();
+
+        for i in 1..locals.len() {
+            let mut next: Vec<Vec<Partial>> = vec![Vec::new(); scores[i].log_f.len()];
+            for (j, slot) in next.iter_mut().enumerate() {
+                let mut cands: Vec<Partial> = Vec::new();
+                for (jp, prevs) in m.iter().enumerate() {
+                    let g =
+                        log_transition_confidence_sorted(&scores[i - 1].ids[jp], &scores[i].ids[j]);
+                    for (s, path) in prevs {
+                        let mut np = path.clone();
+                        np.push(j);
+                        cands.push((s + g + scores[i].log_f[j], np));
+                    }
+                }
+                cands.sort_by(|a, b| b.0.total_cmp(&a.0));
+                cands.truncate(k);
+                *slot = cands;
+            }
+            m = next;
+        }
+
+        // Gather the global top-K across all final slots.
+        let mut all: Vec<Partial> = m.into_iter().flatten().collect();
+        all.sort_by(|a, b| b.0.total_cmp(&a.0));
+        all.truncate(k);
+        all.into_iter()
+            .map(|(log_score, local_indices)| GlobalRoute {
+                route: stitch(net, locals, &local_indices),
+                local_indices,
+                log_score,
+            })
+            .collect()
+    }
+
+    /// A random query of `n ∈ 1..=16` pairs with `m ∈ 1..=12` local routes
+    /// each (short walks on `net`) under random coverage, and a `K`.
+    /// Reference sources are 1–3 ids, repeats allowed, from a pool small
+    /// enough that references and pairs share them; a route may repeat an
+    /// earlier route of its pair (equal `ln f`, equal `g`: exact ties);
+    /// `seed % 8` steers towards a single pair, a single-route pair, and a
+    /// query no reference covers.
+    fn random_query(net: &RoadNetwork, seed: u64) -> (Vec<LocalInferenceResult>, usize) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let steer = seed % 8;
+        let n = if steer == 0 { 1 } else { rng.gen_range(1..=16) };
+        let k = [1, 2, 5, 64][rng.gen_range(0..4usize)];
+        let id_pool = rng.gen_range(1..=10u32);
+        let locals = (0..n)
+            .map(|_| {
+                let m = if steer == 1 || rng.gen_bool(0.1) {
+                    1
+                } else {
+                    rng.gen_range(1..=12)
+                };
+                let mut routes: Vec<Route> = Vec::new();
+                for _ in 0..m {
+                    if !routes.is_empty() && rng.gen_bool(0.2) {
+                        routes.push(routes[rng.gen_range(0..routes.len())].clone());
+                        continue;
+                    }
+                    let mut seg = net.segments()[rng.gen_range(0..net.num_segments())].id;
+                    let mut segs = vec![seg];
+                    for _ in 0..rng.gen_range(0..3) {
+                        let next = net.next_segments(seg);
+                        if next.is_empty() {
+                            break;
+                        }
+                        seg = next[rng.gen_range(0..next.len())];
+                        segs.push(seg);
+                    }
+                    routes.push(Route::new(segs));
+                }
+                let sources: Vec<Vec<u32>> = (0..rng.gen_range(0..=6))
+                    .map(|_| {
+                        (0..rng.gen_range(1..=3))
+                            .map(|_| rng.gen_range(0..id_pool))
+                            .collect()
+                    })
+                    .collect();
+                let p = if steer == 2 {
+                    0.0
+                } else {
+                    rng.gen_range(0.0..0.8)
+                };
+                let mut coverage = Vec::new();
+                for seg in routes.iter().flat_map(|r| r.segments()) {
+                    for r in 0..sources.len() {
+                        if rng.gen_bool(p) {
+                            coverage.push((*seg, r));
+                        }
+                    }
+                }
+                synth_local_from(routes, coverage, &sources)
+            })
+            .collect();
+        (locals, k)
+    }
+
+    /// Differential test of the back-pointer / bitset kernel: the same
+    /// routes as the reference DP, in the same order, to the bit — in every
+    /// regime that can break such a rewrite, each of which must occur.
+    #[test]
+    fn kgri_matches_reference_dp_in_all_regimes() {
+        use proptest::prelude::*;
+        const REGIMES: [&str; 8] = [
+            "exact score ties",
+            "every route uncovered",
+            "both id sets empty",
+            "K above the number of assignments",
+            "single pair",
+            "pair with a single route",
+            "reference with several sources",
+            "source shared by several references",
+        ];
+        let net = net();
+        let mut hits = [0usize; REGIMES.len()];
+        proptest::test_runner::run(
+            ProptestConfig::with_cases(160),
+            file!(),
+            "kgri_matches_reference_dp_in_all_regimes",
+            |rng| {
+                let seed = (0u64..u64::MAX).generate(rng);
+                let (locals, k) = random_query(&net, seed);
+                let (floor, model) = match seed % 3 {
+                    0 => (0.05, PopularityModel::ScaleFree),
+                    1 => (0.0, PopularityModel::ScaleFree),
+                    _ => (0.05, PopularityModel::PaperLiteral),
+                };
+                let got = k_gri_impl(&net, &locals, k, floor, model);
+                let want = k_gri_reference(&net, &locals, k, floor, model);
+                prop_assert_eq!(got.len(), want.len(), "seed {seed}");
+                for (rank, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(&g.local_indices, &w.local_indices, "seed {seed} #{rank}");
+                    prop_assert_eq!(&g.route, &w.route, "seed {seed} #{rank}");
+                    prop_assert_eq!(
+                        g.log_score.to_bits(),
+                        w.log_score.to_bits(),
+                        "seed {seed} #{rank}"
+                    );
+                }
+
+                // References travelling on some local route, per pair, and
+                // each local route's id set.
+                let on_routes: Vec<Vec<&RefTrajectory>> = locals
+                    .iter()
+                    .map(|l| {
+                        let mut on: Vec<usize> = l
+                            .routes
+                            .iter()
+                            .flat_map(|r| reference::refs_on_route(&l.edge_index, r))
+                            .collect();
+                        on.sort_unstable();
+                        on.dedup();
+                        on.into_iter().map(|r| &l.refs.refs[r]).collect()
+                    })
+                    .collect();
+                let no_ids: Vec<bool> = locals
+                    .iter()
+                    .map(|l| l.routes.iter().any(|r| route_traj_ids(r, l).is_empty()))
+                    .collect();
+                let regime = [
+                    want.windows(2)
+                        .any(|w| w[0].log_score.to_bits() == w[1].log_score.to_bits()),
+                    on_routes.iter().all(Vec::is_empty),
+                    no_ids.windows(2).any(|w| w[0] && w[1]),
+                    want.len() < k,
+                    locals.len() == 1,
+                    locals.iter().any(|l| l.routes.len() == 1),
+                    on_routes.iter().flatten().any(|r| r.sources.len() > 1),
+                    on_routes.iter().any(|refs| {
+                        refs.iter().enumerate().any(|(a, ra)| {
+                            refs[..a]
+                                .iter()
+                                .any(|rb| ra.sources.iter().any(|s| rb.sources.contains(s)))
+                        })
+                    }),
+                ];
+                for (hit, &seen) in hits.iter_mut().zip(&regime) {
+                    *hit += usize::from(seen);
+                }
+                Ok(())
+            },
+        );
+        for (name, &n) in REGIMES.iter().zip(&hits) {
+            assert!(n >= 5, "regime `{name}` hit {n} times: {hits:?}");
+        }
+    }
+
+    /// The bitset Jaccard is Equation 2 on `HashSet<TrajId>` to the bit, and
+    /// `ln f` the reference popularity's — what DP == brute force cannot see
+    /// now that both read one [`QueryScores`].
+    #[test]
+    fn query_scores_match_literal_equations() {
+        use proptest::prelude::*;
+        let net = net();
+        // Jaccard regimes: [both empty, one empty, equal non-empty,
+        // partial overlap, disjoint non-empty]
+        let mut hits = [0usize; 5];
+        proptest::test_runner::run(
+            ProptestConfig::with_cases(96),
+            file!(),
+            "query_scores_match_literal_equations",
+            |rng| {
+                let seed = (0u64..u64::MAX).generate(rng);
+                let (locals, _) = random_query(&net, seed);
+                let model = if seed % 2 == 0 {
+                    PopularityModel::ScaleFree
+                } else {
+                    PopularityModel::PaperLiteral
+                };
+                let scores = QueryScores::new(&locals, 0.05, model);
+                let ids: Vec<Vec<HashSet<TrajId>>> = locals
+                    .iter()
+                    .map(|l| l.routes.iter().map(|r| route_traj_ids(r, l)).collect())
+                    .collect();
+                for (i, l) in locals.iter().enumerate() {
+                    for (j, r) in l.routes.iter().enumerate() {
+                        let f = reference::route_popularity_with(r, &l.edge_index, 0.05, model);
+                        prop_assert_eq!(
+                            scores.pairs[i].log_f[j].to_bits(),
+                            f.max(1e-9).ln().to_bits(),
+                            "seed {seed} pair {i} route {j}"
+                        );
+                        prop_assert_eq!(scores.pairs[i].card[j], ids[i][j].len(), "seed {seed}");
+                        if i == 0 {
+                            continue;
+                        }
+                        for (jp, a) in ids[i - 1].iter().enumerate() {
+                            let b = &ids[i][j];
+                            let literal = log_transition_confidence(a, b);
+                            prop_assert_eq!(
+                                scores.log_g(i, jp, j).to_bits(),
+                                literal.to_bits(),
+                                "seed {seed} pair {i}: {jp} -> {j}"
+                            );
+                            let regime = match (a.is_empty(), b.is_empty()) {
+                                (true, true) => 0,
+                                (true, false) | (false, true) => 1,
+                                _ if a == b => 2,
+                                _ if a.is_disjoint(b) => 4,
+                                _ => 3,
+                            };
+                            hits[regime] += 1;
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
+        assert!(
+            hits.iter().all(|&n| n >= 5),
+            "every regime must occur: {hits:?}"
+        );
     }
 
     /// Two consecutive pairs on a straight corridor with controllable

@@ -9,7 +9,7 @@
 pub mod nni;
 pub mod tgi;
 
-use crate::params::{HrisParams, HybridPolarity, LocalAlgorithm};
+use crate::params::{HrisParams, HybridPolarity, LocalAlgorithm, PopularityModel};
 use crate::reference::ReferenceSet;
 use hris_roadnet::network::CandidateEdge;
 use hris_roadnet::{RoadNetwork, Route, SegmentId};
@@ -204,22 +204,9 @@ impl RefEdgeIndex {
     /// as sorted distinct indices.
     #[must_use]
     pub fn refs_on_route(&self, route: &Route) -> Vec<usize> {
-        let mut words = vec![0u64; self.num_refs.div_ceil(64)];
-        for seg in route.segments() {
-            for &r in self.refs_on(*seg) {
-                words[r as usize / 64] |= 1 << (r % 64);
-            }
-        }
-        let mut out = Vec::new();
-        for (w, &bits) in words.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                out.push(w * 64 + b);
-                bits &= bits - 1;
-            }
-        }
-        out
+        let mut cov = RouteCoverage::default();
+        cov.sweep(self, route, true);
+        cov.refs().collect()
     }
 
     /// All traversed segments (the traverse-edge set `TE`), sorted.
@@ -232,6 +219,98 @@ impl RefEdgeIndex {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.segs.is_empty()
+    }
+}
+
+/// What one pass over a route's segments learns about its coverage: the
+/// input of the popularity kernel and of K-GRI's trajectory-id sets
+/// ([`crate::global`]). A sweep overwrites the previous route's state, so
+/// one value serves every route of a pair without reallocating.
+#[derive(Debug, Default)]
+pub(crate) struct RouteCoverage {
+    /// `|C_i(r)|` of every covered segment, in route order (a segment the
+    /// route repeats counts each time).
+    counts: Vec<usize>,
+    /// `C_i(R)` as a bitset over reference indices; empty unless the sweep
+    /// was asked for it.
+    union: Vec<u64>,
+    /// `|R|`, segments of the swept route.
+    route_len: usize,
+}
+
+impl RouteCoverage {
+    /// Sweeps `route` once. `with_union` also collects `C_i(R)` — needed
+    /// by [`Self::refs`] and by `PaperLiteral` popularity; `ScaleFree`
+    /// only asks whether any reference covers the route at all, which the
+    /// counts already answer.
+    pub(crate) fn sweep(&mut self, idx: &RefEdgeIndex, route: &Route, with_union: bool) {
+        self.route_len = route.len();
+        self.counts.clear();
+        self.union.clear();
+        if with_union {
+            self.union.resize(idx.num_refs.div_ceil(64), 0);
+        }
+        for seg in route.segments() {
+            let refs = idx.refs_on(*seg);
+            if refs.is_empty() {
+                continue;
+            }
+            self.counts.push(refs.len());
+            if with_union {
+                for &r in refs {
+                    self.union[r as usize / 64] |= 1 << (r % 64);
+                }
+            }
+        }
+    }
+
+    /// The swept `C_i(R)` as ascending reference indices.
+    pub(crate) fn refs(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.union.len() * 64).filter(|r| self.union[r / 64] >> (r % 64) & 1 == 1)
+    }
+
+    /// Sweeps `route` for what `model` needs and returns its `f(R)`.
+    fn popularity_of(
+        &mut self,
+        route: &Route,
+        idx: &RefEdgeIndex,
+        entropy_floor: f64,
+        model: PopularityModel,
+    ) -> f64 {
+        self.sweep(idx, route, model == PopularityModel::PaperLiteral);
+        self.popularity(entropy_floor, model)
+    }
+
+    /// `f(R)` of the swept route — see [`route_popularity`]. `PaperLiteral`
+    /// needs a sweep `with_union`.
+    pub(crate) fn popularity(&self, entropy_floor: f64, model: PopularityModel) -> f64 {
+        // No covered segment ⇔ `C_i(R)` is empty.
+        let total: usize = self.counts.iter().sum();
+        if total == 0 {
+            return 0.0;
+        }
+        let mut entropy = 0.0;
+        for &c in &self.counts {
+            let x = c as f64 / total as f64;
+            entropy -= x * x.ln();
+        }
+        match model {
+            PopularityModel::PaperLiteral => {
+                // Equation 1 verbatim (floor still applied so single-segment
+                // routes stay rankable in the multiplicative global score).
+                let union: u32 = self.union.iter().map(|w| w.count_ones()).sum();
+                f64::from(union) * (entropy + entropy_floor)
+            }
+            PopularityModel::ScaleFree => {
+                let evenness = if self.counts.len() < 2 {
+                    1.0
+                } else {
+                    entropy / (self.counts.len() as f64).ln()
+                };
+                let support = total as f64 / self.route_len as f64;
+                support * (evenness + entropy_floor)
+            }
+        }
     }
 }
 
@@ -332,12 +411,7 @@ impl CandidateSoA {
 /// global score in [`crate::global`].
 #[must_use]
 pub fn route_popularity(route: &Route, idx: &RefEdgeIndex, entropy_floor: f64) -> f64 {
-    route_popularity_with(
-        route,
-        idx,
-        entropy_floor,
-        crate::params::PopularityModel::ScaleFree,
-    )
+    route_popularity_with(route, idx, entropy_floor, PopularityModel::ScaleFree)
 }
 
 /// [`route_popularity`] with an explicit [`PopularityModel`] — the ablation
@@ -351,41 +425,7 @@ pub fn route_popularity_with(
     entropy_floor: f64,
     model: crate::params::PopularityModel,
 ) -> f64 {
-    let union = idx.refs_on_route(route);
-    if union.is_empty() {
-        return 0.0;
-    }
-    let covered: Vec<usize> = route
-        .segments()
-        .iter()
-        .map(|s| idx.covering_count(*s))
-        .filter(|&c| c > 0)
-        .collect();
-    let total: usize = covered.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let mut entropy = 0.0;
-    for &c in &covered {
-        let x = c as f64 / total as f64;
-        entropy -= x * x.ln();
-    }
-    match model {
-        crate::params::PopularityModel::PaperLiteral => {
-            // Equation 1 verbatim (floor still applied so single-segment
-            // routes stay rankable in the multiplicative global score).
-            union.len() as f64 * (entropy + entropy_floor)
-        }
-        crate::params::PopularityModel::ScaleFree => {
-            let evenness = if covered.len() < 2 {
-                1.0
-            } else {
-                entropy / (covered.len() as f64).ln()
-            };
-            let support = total as f64 / route.len() as f64;
-            support * (evenness + entropy_floor)
-        }
-    }
+    RouteCoverage::default().popularity_of(route, idx, entropy_floor, model)
 }
 
 /// Runs local inference for one pair, dispatching per
@@ -451,10 +491,11 @@ pub fn infer_local_routes(
     // evaluation recomputed the full scoring kernel O(n log n) times and
     // dominated the per-pair profile. The stable sort over identical key
     // values yields exactly the order the comparator-driven sort produced.
+    let mut cov = RouteCoverage::default();
     let mut keyed: Vec<(f64, Route)> = routes
         .into_iter()
         .map(|r| {
-            let f = route_popularity_with(
+            let f = cov.popularity_of(
                 &r,
                 &edge_index,
                 params.entropy_floor,
@@ -615,5 +656,165 @@ mod tests {
         };
         let res = infer_local_routes(&net, refs, &qi, &qj, &params);
         assert_eq!(res.stats.algorithm, "NNI");
+    }
+
+    /// Random coverage of a random route (segments 0..12, so repeats are
+    /// common), steered by `seed % 4` towards: nothing on the route
+    /// covered, exactly one covered segment, free coverage, free coverage
+    /// plus one reference on every segment.
+    fn random_coverage(seed: u64) -> (Route, RefEdgeIndex) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut segs: Vec<SegmentId> = (0..rng.gen_range(1..=10))
+            .map(|_| SegmentId(rng.gen_range(0..12)))
+            .collect();
+        // Reference indices reach past one bitset word in a third of cases.
+        let n_refs = [1usize, 3, 8, 70][rng.gen_range(0..4usize)];
+        let mut pairs: Vec<(SegmentId, usize)> = Vec::new();
+        // Off-route coverage, so the index is never trivially empty.
+        for _ in 0..rng.gen_range(0..6) {
+            pairs.push((SegmentId(rng.gen_range(100..110)), rng.gen_range(0..n_refs)));
+        }
+        match seed % 4 {
+            0 => {}
+            1 => {
+                segs.sort_unstable();
+                segs.dedup();
+                let only = segs[rng.gen_range(0..segs.len())];
+                for _ in 0..rng.gen_range(1..=4) {
+                    pairs.push((only, rng.gen_range(0..n_refs)));
+                }
+            }
+            mode => {
+                let p = rng.gen_range(0.05..0.9);
+                for &s in &segs {
+                    for r in 0..n_refs {
+                        if rng.gen_bool(p) {
+                            pairs.push((s, r));
+                        }
+                    }
+                    if mode == 3 {
+                        pairs.push((s, n_refs - 1));
+                    }
+                }
+            }
+        }
+        (Route::new(segs), RefEdgeIndex::from_pairs(pairs))
+    }
+
+    /// The single sweep evaluates Equation 1 to the bit the two-union
+    /// kernel did, for both models, in every coverage regime — and each
+    /// regime must actually occur.
+    #[test]
+    fn single_sweep_popularity_matches_reference_in_all_regimes() {
+        use proptest::prelude::*;
+        // [nothing covered, one covered segment, a covered segment repeated
+        //  inside the route, a reference on every segment]
+        let mut regimes = [0usize; 4];
+        proptest::test_runner::run(
+            ProptestConfig::with_cases(256),
+            file!(),
+            "single_sweep_popularity_matches_reference_in_all_regimes",
+            |rng| {
+                let seed = (0u64..u64::MAX).generate(rng);
+                let floor = [0.0, 0.05, (0.0..1.0f64).generate(rng)][(seed % 3) as usize];
+                let (route, idx) = random_coverage(seed);
+                let union = reference::refs_on_route(&idx, &route);
+                prop_assert_eq!(&idx.refs_on_route(&route), &union, "seed {seed}");
+                for model in [PopularityModel::ScaleFree, PopularityModel::PaperLiteral] {
+                    let new = route_popularity_with(&route, &idx, floor, model);
+                    let old = reference::route_popularity_with(&route, &idx, floor, model);
+                    prop_assert_eq!(new.to_bits(), old.to_bits(), "seed {seed} {model:?}");
+                }
+
+                let segs = route.segments();
+                let covered = segs.iter().filter(|&&s| idx.covering_count(s) > 0);
+                match covered.clone().count() {
+                    0 => regimes[0] += 1,
+                    1 => regimes[1] += 1,
+                    _ => {}
+                }
+                let repeated = |s: &SegmentId| segs.iter().filter(|&t| t == s).count() > 1;
+                regimes[2] += usize::from(covered.clone().any(repeated));
+                let everywhere =
+                    |&r: &usize| segs.iter().all(|&s| idx.refs_on(s).contains(&(r as u32)));
+                regimes[3] += usize::from(union.iter().any(everywhere));
+                Ok(())
+            },
+        );
+        assert!(
+            regimes.iter().all(|&n| n >= 5),
+            "every regime must be exercised: {regimes:?}"
+        );
+    }
+}
+
+/// The popularity kernel as it stood before the single sweep — two walks
+/// over the route, the union materialised — kept verbatim as the reference
+/// of the equivalence tests here and of `global`'s reference DP.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{RefEdgeIndex, Route};
+
+    pub(crate) fn refs_on_route(idx: &RefEdgeIndex, route: &Route) -> Vec<usize> {
+        let mut words = vec![0u64; idx.num_refs.div_ceil(64)];
+        for seg in route.segments() {
+            for &r in idx.refs_on(*seg) {
+                words[r as usize / 64] |= 1 << (r % 64);
+            }
+        }
+        let mut out = Vec::new();
+        for (w, &bits) in words.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                out.push(w * 64 + b);
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+
+    pub(crate) fn route_popularity_with(
+        route: &Route,
+        idx: &RefEdgeIndex,
+        entropy_floor: f64,
+        model: crate::params::PopularityModel,
+    ) -> f64 {
+        let union = refs_on_route(idx, route);
+        if union.is_empty() {
+            return 0.0;
+        }
+        let covered: Vec<usize> = route
+            .segments()
+            .iter()
+            .map(|s| idx.covering_count(*s))
+            .filter(|&c| c > 0)
+            .collect();
+        let total: usize = covered.iter().sum();
+        if total == 0 {
+            return 0.0;
+        }
+        let mut entropy = 0.0;
+        for &c in &covered {
+            let x = c as f64 / total as f64;
+            entropy -= x * x.ln();
+        }
+        match model {
+            crate::params::PopularityModel::PaperLiteral => {
+                // Equation 1 verbatim (floor still applied so single-segment
+                // routes stay rankable in the multiplicative global score).
+                union.len() as f64 * (entropy + entropy_floor)
+            }
+            crate::params::PopularityModel::ScaleFree => {
+                let evenness = if covered.len() < 2 {
+                    1.0
+                } else {
+                    entropy / (covered.len() as f64).ln()
+                };
+                let support = total as f64 / route.len() as f64;
+                support * (evenness + entropy_floor)
+            }
+        }
     }
 }

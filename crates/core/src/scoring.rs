@@ -158,7 +158,7 @@ pub struct RouteFeatures {
     /// last segment; 1 when no shortest path exists.
     pub length_ratio: f64,
     /// Distinct historical trajectories supporting the route
-    /// (`route_traj_ids` union across pairs) per route segment.
+    /// (`C_i(R)` union across pairs) per route segment.
     pub support_density: f64,
     /// The paper's own `ln s(R)` — the learned model sees what K-GRI saw.
     pub log_score: f64,

@@ -3,7 +3,7 @@
 
 use crate::MatchResult;
 use hris_roadnet::network::CandidateEdge;
-use hris_roadnet::shortest::{route_between_segments, shortest_costs_within};
+use hris_roadnet::shortest::shortest_costs_within;
 use hris_roadnet::{CostModel, RoadNetwork, Route};
 use hris_traj::{GpsPoint, Trajectory};
 use serde::{Deserialize, Serialize};
@@ -150,6 +150,9 @@ pub fn build_transitions(net: &RoadNetwork, cands: &[PointCandidates]) -> Transi
 /// discontinuity, as it should).
 #[must_use]
 pub fn reconstruct_route(net: &RoadNetwork, matched: &[CandidateEdge]) -> Route {
+    // Byte-identical to `shortest::route_between_segments` (the oracle's
+    // contract) without two network-sized arrays per bridge.
+    let oracle = net.sp_oracle();
     let mut route = Route::empty();
     for m in matched {
         let last = route.segments().last().copied();
@@ -157,7 +160,7 @@ pub fn reconstruct_route(net: &RoadNetwork, matched: &[CandidateEdge]) -> Route 
             None => route.push(m.segment),
             Some(prev) if prev == m.segment => {}
             Some(prev) => {
-                match route_between_segments(net, prev, m.segment, CostModel::Distance) {
+                match oracle.route_between_uncached(prev, m.segment, CostModel::Distance) {
                     Some(bridge) => {
                         // `bridge` starts with `prev`; append the rest.
                         for &s in &bridge.segments()[1..] {
@@ -197,7 +200,7 @@ pub fn finish(net: &RoadNetwork, matched: Vec<CandidateEdge>) -> MatchResult {
 mod tests {
     use super::*;
     use hris_geo::Point;
-    use hris_roadnet::{generator, NetworkConfig, NodeId};
+    use hris_roadnet::{generator, NetworkConfig, NodeId, RoadClass};
     use hris_traj::TrajId;
 
     fn net() -> RoadNetwork {
@@ -345,5 +348,115 @@ mod tests {
         };
         let route = reconstruct_route(&net, &[c, c, c]);
         assert_eq!(route.segments(), &[r]);
+    }
+
+    /// `reconstruct_route` as it stood before the oracle: every bridge an
+    /// allocate-per-call Dijkstra.
+    fn reconstruct_route_classic(net: &RoadNetwork, matched: &[CandidateEdge]) -> Route {
+        use hris_roadnet::shortest::route_between_segments;
+        let mut route = Route::empty();
+        for m in matched {
+            let last = route.segments().last().copied();
+            match last {
+                None => route.push(m.segment),
+                Some(prev) if prev == m.segment => {}
+                Some(prev) => {
+                    match route_between_segments(net, prev, m.segment, CostModel::Distance) {
+                        Some(bridge) => {
+                            for &s in &bridge.segments()[1..] {
+                                route.push(s);
+                            }
+                        }
+                        None => route.push(m.segment),
+                    }
+                }
+            }
+        }
+        dedup_cycles(route)
+    }
+
+    /// A one-way-heavy generated network plus a disconnected two-way street
+    /// no route reaches or leaves.
+    fn net_with_island() -> RoadNetwork {
+        let base = generator::generate(&NetworkConfig {
+            oneway_frac: 0.4,
+            ..NetworkConfig::small(3)
+        });
+        let mut b = RoadNetwork::builder();
+        let nodes: Vec<NodeId> = base.nodes().iter().map(|&p| b.add_node(p)).collect();
+        for s in base.segments() {
+            b.add_straight_segment(
+                nodes[s.from.index()],
+                nodes[s.to.index()],
+                s.speed_limit,
+                RoadClass::Residential,
+            );
+        }
+        let far = base.bbox().max;
+        let x = b.add_node(Point::new(far.x + 5_000.0, far.y));
+        let y = b.add_node(Point::new(far.x + 5_200.0, far.y));
+        b.add_straight_segment(x, y, 10.0, RoadClass::Residential);
+        b.add_straight_segment(y, x, 10.0, RoadClass::Residential);
+        b.build()
+    }
+
+    /// Bridging through the oracle reconstructs the classic route on random
+    /// matched sequences, including joints with no path and matches that
+    /// stay on (or come back to) a segment.
+    #[test]
+    fn reconstruct_route_matches_classic_bridging() {
+        use proptest::prelude::*;
+        use rand::{Rng, SeedableRng};
+        let net = net_with_island();
+        let m = net.num_segments();
+        // [unreachable joint, same segment twice in a row, segment revisited]
+        let mut regimes = [0usize; 3];
+        proptest::test_runner::run(
+            ProptestConfig::with_cases(64),
+            file!(),
+            "reconstruct_route_matches_classic_bridging",
+            |rng| {
+                let seed = (0u64..u64::MAX).generate(rng);
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+                let mut segs: Vec<usize> = Vec::new();
+                for _ in 0..rng.gen_range(1..=12) {
+                    let next = match rng.gen_range(0..10) {
+                        0 if !segs.is_empty() => segs[segs.len() - 1],
+                        1 if !segs.is_empty() => segs[rng.gen_range(0..segs.len())],
+                        2 => m - 1 - rng.gen_range(0..2usize), // the island
+                        _ => rng.gen_range(0..m),
+                    };
+                    segs.push(next);
+                }
+                let matched: Vec<CandidateEdge> = segs
+                    .iter()
+                    .map(|&s| {
+                        let seg = &net.segments()[s];
+                        CandidateEdge {
+                            segment: seg.id,
+                            dist: 0.0,
+                            closest: seg.geometry.start(),
+                            offset: 0.0,
+                        }
+                    })
+                    .collect();
+                let got = reconstruct_route(&net, &matched);
+                prop_assert_eq!(
+                    &got,
+                    &reconstruct_route_classic(&net, &matched),
+                    "seed {seed}"
+                );
+
+                regimes[0] += usize::from(!got.is_connected(&net));
+                regimes[1] += usize::from(segs.windows(2).any(|w| w[0] == w[1]));
+                let revisited = |(i, s): (usize, &usize)| i >= 2 && segs[..i - 1].contains(s);
+                regimes[2] += usize::from(segs.iter().enumerate().any(revisited));
+                Ok(())
+            },
+        );
+        assert!(
+            regimes.iter().all(|&n| n >= 5),
+            "every regime must be exercised: {regimes:?}"
+        );
     }
 }

@@ -672,6 +672,28 @@ impl SpOracle {
         self.walk_route(&spt, r, s, src, dst)
     }
 
+    /// [`SpOracle::route_between`] for sources that rarely recur (bridging
+    /// the matched edges of one trace): the same route from an
+    /// early-terminated search on pooled scratch. It goes past the tree
+    /// cache — nothing is cached, no hit or miss is counted.
+    #[must_use]
+    pub fn route_between_uncached(
+        &self,
+        r: SegmentId,
+        s: SegmentId,
+        model: CostModel,
+    ) -> Option<Route> {
+        if r == s {
+            return Some(Route::new(vec![r]));
+        }
+        let (src, dst) = (self.csr.segment_to(r), self.csr.segment_from(s));
+        if !self.reachable(src, dst) {
+            return None;
+        }
+        let bridge = self.with_scratch(|scr| self.point_to_point(src, dst, model, scr))?;
+        Some(Route::new([&[r], &bridge.segments[..], &[s]].concat()))
+    }
+
     /// Reconstructs the `r → … → s` route by walking `spt`'s predecessor
     /// segments back from `dst`.
     fn walk_route(
@@ -788,6 +810,8 @@ mod tests {
                     let classic = route_between_segments(&net, r, s, model);
                     let fast = oracle.route_between(r, s, model);
                     assert_eq!(fast, classic, "{r:?}->{s:?} {model:?}");
+                    let uncached = oracle.route_between_uncached(r, s, model);
+                    assert_eq!(uncached, classic, "{r:?}->{s:?} {model:?} uncached");
                     if let Some(route) = &classic {
                         let cost: f64 = route
                             .segments()
@@ -839,6 +863,9 @@ mod tests {
         // Negative answered by the reachability matrix: a hit, no tree built.
         assert_eq!((oracle.hits(), oracle.misses()), (1, 0));
         assert_eq!(oracle.cached_trees(), 0);
+        assert!(oracle
+            .route_between_uncached(r, s, CostModel::Distance)
+            .is_none());
     }
 
     #[test]
@@ -864,6 +891,12 @@ mod tests {
         oracle.clear();
         assert_eq!(oracle.cached_trees(), 0);
         assert!(oracle.hits() > 0, "counters survive clear");
+        // An uncached probe leaves no tree behind and no count.
+        let lookups = (oracle.hits(), oracle.misses());
+        let uncached = oracle.route_between_uncached(r, s, CostModel::Distance);
+        assert_eq!(uncached, first);
+        assert_eq!(oracle.cached_trees(), 0);
+        assert_eq!((oracle.hits(), oracle.misses()), lookups);
     }
 
     #[test]

@@ -16,6 +16,10 @@
 # distance, and whether the change is worse than the BENCHMARK.json bound;
 # per workload the answer checksums per seed, `correct`/`failed`, and for
 # ingest_live the published-chunk count (the benchmark needs >= 100).
+# Then one traced pass per side and workload (first seed) attributes the gap
+# to layers: parent -> change for every `per_layer` row that moved by more
+# than 10 %, every `*.share` row, `trace.coverage` and
+# `router.identity_mismatches`.
 #
 # Nothing is written inside the checkout: both sides are built from copies,
 # so the frozen perfbench/Cargo.lock stays clean.
@@ -68,12 +72,13 @@ git -C "$repo" archive "$parent_ref" | tar -x -C "$scratch/parent"
 rm -rf "$scratch/change/perfbench" "$scratch/change/BENCHMARK.json"
 cp -r "$scratch/parent/perfbench" "$scratch/parent/BENCHMARK.json" "$scratch/change/"
 
-run_side() { # side workload seed -> appends the run's stdout to its log
-    local side=$1 workload=$2 seed=$3
+run_side() { # side workload seed [trace] -> appends the run's stdout to its log
+    local side=$1 workload=$2 seed=$3 trace=${4:-0} log
+    log=$logs/$side.$workload.$seed.log
+    if (( trace )); then log=$logs/$side.$workload.trace.log; fi
     (cd "$scratch/$side" && CARGO_TARGET_DIR=$scratch/target-$side \
-        "${bench_cmd[@]}" --workload "$workload" --seed "$seed" --trace 0) \
-        >>"$logs/$side.$workload.$seed.log" 2>>"$logs/$side.stderr.log" \
-        || echo "RUN FAILED" >>"$logs/$side.$workload.$seed.log"
+        "${bench_cmd[@]}" --workload "$workload" --seed "$seed" --trace "$trace") \
+        >>"$log" 2>>"$logs/$side.stderr.log" || echo "RUN FAILED" >>"$log"
 }
 
 echo "building parent ($parent_ref) and change into $scratch ..." >&2
@@ -94,6 +99,10 @@ for workload in "${workloads[@]}"; do
             echo "  $workload seed $seed: pair $((i + 1))/$pairs" >&2
         done
     done
+    for side in parent change; do
+        run_side "$side" "$workload" "${seeds%% *}" 1
+    done
+    echo "  $workload: traced pass" >&2
 done
 
 python3 - "$repo/BENCHMARK.json" "$logs" "$seeds" "${workloads[@]}" <<'PY'
@@ -104,10 +113,10 @@ bench, logs, seeds = json.load(open(sys.argv[1])), Path(sys.argv[2]), sys.argv[3
 workloads = sys.argv[4:]
 
 
-def runs(side, workload, seed):
+def runs(side, workload, tag):
     """One dict per run: the driver's JSON (last line) plus the detail line."""
     out, detail = [], None
-    for line in (logs / f"{side}.{workload}.{seed}.log").read_text().splitlines():
+    for line in (logs / f"{side}.{workload}.{tag}.log").read_text().splitlines():
         if line.startswith("detail "):
             detail = json.loads(line[len("detail "):])
         elif line.startswith('{"correct"'):
@@ -158,4 +167,21 @@ for workload in workloads:
                       f"{statistics.median(chunks) if chunks else 0:g}{warn}")
         else:
             print(f"  checksums: {'identical' if len(same) == 1 else 'DIFFER'}")
+
+    # Where the gap was made: the traced pass, parent -> change.
+    traced = {s: runs(s, workload, "trace") for s in ("parent", "change")}
+    print(f"\n== {workload}  traced pass, seed {seeds[0]} ==")
+    if any(len(v) != 1 or v[0] is None for v in traced.values()):
+        print("  a traced pass failed to produce a result line; see", logs)
+        continue
+    always = ("trace.coverage", "router.identity_mismatches")
+    for m in bench["per_layer"]:
+        name = m["name"]
+        p, c = (traced[s][0]["metrics"][name]["value"] for s in ("parent", "change"))
+        moved = abs(c - p) > 0.10 * abs(p) if p else c != 0
+        if moved or name.endswith(".share") or name in always:
+            rel = f"{(c - p) / abs(p):+.1%}" if p else "n/a"
+            print(f"  {name:<44}{p:>14.4f} -> {c:>14.4f} {m['unit']:<6} {rel:>8}")
+    for side, rs in traced.items():
+        print(f"  {side}: correct={'true' if rs[0]['correct'] else 'FALSE'} failed={rs[0]['failed']}")
 PY
