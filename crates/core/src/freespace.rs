@@ -209,15 +209,6 @@ fn best_walk(
         }
     }
 
-    if std::env::var("HRIS_FREESPACE_DEBUG").is_ok() {
-        eprintln!(
-            "cloud {} paths {} budget_left {} trace_lens {:?}",
-            cloud.len() - 1,
-            paths.len(),
-            budget,
-            paths.iter().map(Vec::len).take(6).collect::<Vec<_>>()
-        );
-    }
     // Pick the walk supported by the most distinct references (Observation
     // 2: complementary trajectories reinforcing one route); ties favour the
     // shorter trace.

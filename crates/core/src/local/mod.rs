@@ -314,78 +314,6 @@ impl RouteCoverage {
     }
 }
 
-/// Flat structure-of-arrays layout for candidate points: parallel
-/// coordinate/offset/segment arrays feeding cache-friendly batch distance
-/// kernels (the NNI admissibility tests evaluate distances to the same
-/// anchor for every point of the cloud — one linear sweep over two `f64`
-/// arrays instead of a pointer-chase per point).
-#[derive(Debug, Clone, Default)]
-pub struct CandidateSoA {
-    /// X coordinates.
-    pub xs: Vec<f64>,
-    /// Y coordinates.
-    pub ys: Vec<f64>,
-    /// Arc-length offsets (metres from segment start); empty for bare
-    /// point clouds.
-    pub offsets: Vec<f64>,
-    /// Segment ids; empty for bare point clouds.
-    pub segment_ids: Vec<SegmentId>,
-}
-
-impl CandidateSoA {
-    /// SoA view of candidate edges (projection points + offsets + segments).
-    #[must_use]
-    pub fn from_edges(cands: &[CandidateEdge]) -> Self {
-        CandidateSoA {
-            xs: cands.iter().map(|c| c.closest.x).collect(),
-            ys: cands.iter().map(|c| c.closest.y).collect(),
-            offsets: cands.iter().map(|c| c.offset).collect(),
-            segment_ids: cands.iter().map(|c| c.segment).collect(),
-        }
-    }
-
-    /// SoA view of a bare point cloud.
-    #[must_use]
-    pub fn from_points(points: impl IntoIterator<Item = hris_geo::Point>) -> Self {
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for p in points {
-            xs.push(p.x);
-            ys.push(p.y);
-        }
-        CandidateSoA {
-            xs,
-            ys,
-            offsets: Vec::new(),
-            segment_ids: Vec::new(),
-        }
-    }
-
-    /// Number of candidate points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.xs.len()
-    }
-
-    /// `true` when the layout holds no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
-    /// Batch distance kernel: Euclidean distance from every point to `q`,
-    /// bit-identical to `Point::dist` per element (same subtractions, same
-    /// fused sum, same square root).
-    #[must_use]
-    pub fn dists_to(&self, q: hris_geo::Point) -> Vec<f64> {
-        self.xs
-            .iter()
-            .zip(&self.ys)
-            .map(|(&x, &y)| hris_geo::Point::new(x, y).dist(q))
-            .collect()
-    }
-}
-
 /// Local-route popularity `f(R)` — Equation 1 with a normalised entropy.
 ///
 /// The paper's raw entropy `Σ −x(r)·log x(r)` grows like `ln m` with the

@@ -31,39 +31,33 @@
 //! around `q_i`, and enumerating every loopless path of such a cluster
 //! spends the whole step budget to return nothing.
 
-use crate::local::{CandidateSoA, LocalStats};
+use crate::local::LocalStats;
 use crate::params::HrisParams;
 use crate::reference::ReferenceSet;
-use hris_geo::{BBox, Point};
+use hris_geo::Point;
 use hris_mapmatch::reconstruct_route;
 use hris_roadnet::network::CandidateEdge;
 use hris_roadnet::{FxHashSet, RoadNetwork, Route};
-use hris_rtree::{RTree, Spatial};
 
-/// A reference point in the NNI point cloud.
-#[derive(Debug, Clone, Copy)]
-struct NniPoint {
-    pos: Point,
-    /// Index into the flat point list (the terminal gets the last index).
-    id: usize,
-}
-
-impl Spatial for NniPoint {
-    fn bbox(&self) -> BBox {
-        BBox::from_point(self.pos)
-    }
-}
-
-/// The point cloud of one query pair: every reference point, then the
-/// terminal `q_{i+1}`, indexed for constrained-kNN expansion. Node ids are
-/// dense: cloud indices, plus one pseudo-node past the end for `q_i`.
+/// The point cloud of one query pair: the *set* of observed reference
+/// positions, then the terminal `q_{i+1}`, in flat arrays that one linear
+/// scan per expansion searches. Node ids are dense: cloud indices, plus one
+/// pseudo-node past the end for `q_i`.
+///
+/// A set, because one archive observation enters a pair's references once
+/// through its simple reference and once more through every spliced
+/// reference built from the same trip. A copy adds nothing Algorithm 2 can
+/// walk to, yet it would take one of the `k₂` successor slots of every point
+/// near it. A scan rather than an index, because a cloud of a few hundred
+/// points serves a couple of dozen searches and is dropped: building a
+/// spatial index over it costs more than those searches save.
 struct Cloud {
-    /// All reference points, then the terminal.
+    /// The distinct reference positions in first-seen order, then the
+    /// terminal. The terminal is never merged with a reference point that
+    /// coincides with it: it is the one node that ends a walk.
     points: Vec<Point>,
-    tree: RTree<NniPoint>,
-    /// `d(p, q_{i+1})` per cloud point — the batch distance kernel: every
-    /// admissibility test needs it, so one linear SoA sweep precomputes what
-    /// each expansion touching `p` would otherwise re-derive.
+    /// `d(p, q_{i+1})` per cloud point: every admissibility test needs it,
+    /// so one sweep precomputes what each expansion would re-derive.
     d_to_qj: Vec<f64>,
     qi: Point,
     qj: Point,
@@ -72,19 +66,15 @@ struct Cloud {
 
 impl Cloud {
     fn new(ref_points: impl IntoIterator<Item = Point>, qi: Point, qj: Point) -> Self {
-        let mut points: Vec<Point> = ref_points.into_iter().collect();
+        let mut seen: FxHashSet<(u64, u64)> = FxHashSet::default();
+        let mut points: Vec<Point> = ref_points
+            .into_iter()
+            .filter(|p| seen.insert((p.x.to_bits(), p.y.to_bits())))
+            .collect();
         points.push(qj);
-        let tree = RTree::bulk_load(
-            points
-                .iter()
-                .enumerate()
-                .map(|(id, &pos)| NniPoint { pos, id })
-                .collect(),
-        );
-        let d_to_qj = CandidateSoA::from_points(points.iter().copied()).dists_to(qj);
+        let d_to_qj = points.iter().map(|p| p.dist(qj)).collect();
         Cloud {
             points,
-            tree,
             d_to_qj,
             qi,
             qj,
@@ -110,44 +100,65 @@ impl Cloud {
         }
     }
 
-    /// Expansion: the constrained kNN of `node`, one search.
+    /// Expansion: the constrained kNN of `node`, one search — the `k₂`
+    /// nearest admissible points in ascending (distance, cloud index) order,
+    /// or the terminal alone when it is one of them.
     ///
     /// α is *telescoped*: the remaining tolerance at a node depends only on
     /// how much closer/further the node is than q_i, which makes expansions
     /// node-local — a pure function of `node` — and therefore shareable
     /// across branches (the transit graph requires branch-independent
     /// expansions, and the reachability pre-pass relies on it too).
+    ///
+    /// Positions are distinct, so (distance, index) is the whole order: the
+    /// index only separates points that are exactly equally far, and a
+    /// best-first search over any spatial index of this cloud names the same
+    /// successors (the test module keeps one to compare against).
     fn expand(&self, node: usize, params: &HrisParams, searches: &mut usize) -> Vec<usize> {
         *searches += 1;
         let from = self.pos(node);
         let terminal_id = self.terminal_id();
         let d_c = from.dist(self.qj);
         let alpha_left = (params.alpha_m - (d_c - self.d_qi_qj).max(0.0)).max(0.0);
-        let mut nn = Vec::new();
-        for n in self.tree.nearest_iter(from, |p, q| p.pos.dist(q)) {
-            if nn.len() >= params.k2.max(1) {
-                break;
-            }
-            let p = n.item;
-            if p.pos.dist(from) < 1e-9 {
-                continue; // the point itself (or a duplicate observation)
-            }
-            let d_p = self.d_to_qj[p.id];
+        let k2 = params.k2.max(1);
+        let mut nearest: Vec<(f64, usize)> = Vec::with_capacity(k2.min(self.points.len()));
+        // Squared distance of the k₂-th nearest once there are k₂.
+        let mut bound_sq = f64::INFINITY;
+        for (id, (&p, &d_p)) in self.points.iter().zip(&self.d_to_qj).enumerate() {
             // Line 9: tolerated backward movement.
             if d_p - alpha_left > d_c {
                 continue;
             }
-            // Line 11: detour ratio.
-            if d_c > 1e-9 && (from.dist(p.pos) + d_p) / d_c > params.beta {
+            // Exact: `sqrt` is monotone, so a point whose squared distance
+            // is no smaller than the k₂-th nearest's is no nearer either,
+            // and coming later in the scan it loses the tie on index.
+            let d_sq = p.dist_sq(from);
+            if d_sq >= bound_sq {
                 continue;
             }
-            if p.id == terminal_id {
-                // Lines 13–16: destination reached — it preempts everything.
-                return vec![terminal_id];
+            let d = d_sq.sqrt(); // `Point::dist`, bit for bit
+            if d < 1e-9 {
+                continue; // the point itself
             }
-            nn.push(p.id);
+            // Line 11: detour ratio.
+            if d_c > 1e-9 && (d + d_p) / d_c > params.beta {
+                continue;
+            }
+            let at = nearest.partition_point(|&(nearer, _)| nearer <= d);
+            if at == k2 {
+                continue;
+            }
+            nearest.truncate(k2 - 1);
+            nearest.insert(at, (d, id));
+            if let Some(&(_, kth)) = nearest.get(k2 - 1) {
+                bound_sq = self.points[kth].dist_sq(from);
+            }
         }
-        nn
+        // Lines 13–16: destination reached — it preempts everything.
+        if nearest.iter().any(|&(_, id)| id == terminal_id) {
+            return vec![terminal_id];
+        }
+        nearest.into_iter().map(|(_, id)| id).collect()
     }
 }
 
@@ -352,7 +363,9 @@ pub fn nni(
 mod tests {
     use super::*;
     use crate::reference::{RefKind, RefTrajectory};
+    use hris_geo::BBox;
     use hris_roadnet::{generator, NetworkConfig};
+    use hris_rtree::{RTree, Spatial};
     use hris_traj::{GpsPoint, TrajId};
 
     fn net() -> RoadNetwork {
@@ -368,9 +381,11 @@ mod tests {
     fn corridor_refs(net: &RoadNetwork, count: u32, x_to: f64) -> ReferenceSet {
         let refs = (0..count)
             .map(|id| {
+                // Staggered by id, so no two references share a position.
+                let phase = 0.5 + 0.3 * f64::from(id) / f64::from(count);
                 let points = (0..10)
                     .map(|k| {
-                        let x = x_to * (k as f64 + 0.5) / 10.0;
+                        let x = x_to * (k as f64 + phase) / 10.0;
                         let snapped = net.nearest_segment(Point::new(x, 0.0)).unwrap().closest;
                         GpsPoint::new(snapped, k as f64 * 25.0)
                     })
@@ -722,5 +737,262 @@ mod tests {
         assert!(stats.knn_searches <= cloud_points + 1);
         // Exactly the first cluster and q_i were searched.
         assert_eq!(stats.knn_searches, 6 + 1);
+    }
+
+    /// A cloud point as the retained R-tree search indexes it.
+    #[derive(Debug, Clone, Copy)]
+    struct NniPoint {
+        pos: Point,
+        id: usize,
+    }
+
+    impl Spatial for NniPoint {
+        fn bbox(&self) -> BBox {
+            BBox::from_point(self.pos)
+        }
+    }
+
+    fn reference_tree(cloud: &Cloud) -> RTree<NniPoint> {
+        RTree::bulk_load(
+            cloud
+                .points
+                .iter()
+                .enumerate()
+                .map(|(id, &pos)| NniPoint { pos, id })
+                .collect(),
+        )
+    }
+
+    /// The expansion as it was before the linear scan — best-first
+    /// `nearest_iter` over an R-tree of the (de-duplicated) cloud, the loop
+    /// body kept verbatim — as the reference the differential test compares
+    /// `Cloud::expand` against.
+    fn expand_reference(
+        cloud: &Cloud,
+        tree: &RTree<NniPoint>,
+        node: usize,
+        params: &HrisParams,
+    ) -> Vec<usize> {
+        let from = cloud.pos(node);
+        let terminal_id = cloud.terminal_id();
+        let d_c = from.dist(cloud.qj);
+        let alpha_left = (params.alpha_m - (d_c - cloud.d_qi_qj).max(0.0)).max(0.0);
+        let mut nn = Vec::new();
+        for n in tree.nearest_iter(from, |p, q| p.pos.dist(q)) {
+            if nn.len() >= params.k2.max(1) {
+                break;
+            }
+            let p = n.item;
+            if p.pos.dist(from) < 1e-9 {
+                continue; // the point itself (or a duplicate observation)
+            }
+            let d_p = cloud.d_to_qj[p.id];
+            // Line 9: tolerated backward movement.
+            if d_p - alpha_left > d_c {
+                continue;
+            }
+            // Line 11: detour ratio.
+            if d_c > 1e-9 && (from.dist(p.pos) + d_p) / d_c > params.beta {
+                continue;
+            }
+            if p.id == terminal_id {
+                // Lines 13–16: destination reached — it preempts everything.
+                return vec![terminal_id];
+            }
+            nn.push(p.id);
+        }
+        nn
+    }
+
+    /// What one expansion looked at, for the regime counts: the admissible
+    /// points of `node` nearest first, and whether line 11 was reached with
+    /// the node sitting on `q_{i+1}` (and therefore skipped).
+    fn admissible(cloud: &Cloud, node: usize, params: &HrisParams) -> (Vec<usize>, bool, f64) {
+        let from = cloud.pos(node);
+        let d_c = from.dist(cloud.qj);
+        let alpha_left = (params.alpha_m - (d_c - cloud.d_qi_qj).max(0.0)).max(0.0);
+        let mut line_11_skipped = false;
+        let mut adm: Vec<(f64, usize)> = Vec::new();
+        for (id, &p) in cloud.points.iter().enumerate() {
+            let d = p.dist(from);
+            let d_p = cloud.d_to_qj[id];
+            if d < 1e-9 || d_p - alpha_left > d_c {
+                continue;
+            }
+            line_11_skipped |= d_c <= 1e-9;
+            if d_c > 1e-9 && (d + d_p) / d_c > params.beta {
+                continue;
+            }
+            adm.push((d, id));
+        }
+        adm.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let ids = adm.into_iter().map(|(_, id)| id).collect();
+        (ids, line_11_skipped, alpha_left)
+    }
+
+    /// A random raw cloud between `q_i` and `q_{i+1}` — up to 600 points, up
+    /// to 70 % of them bit-for-bit repeats of an earlier one — with NNI knobs
+    /// drawn from the grid the scan must agree with the R-tree on. Returns
+    /// the cloud, the knobs and the raw point count.
+    fn random_raw_cloud(seed: u64) -> (Cloud, HrisParams, usize) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let qj = Point::new(2_000.0, 0.0);
+        // One cloud in eight starts on top of its destination.
+        let qi = if rng.gen_range(0..8) == 0 {
+            Point::new(qj.x + rng.gen_range(-5e-10..5e-10), qj.y)
+        } else {
+            Point::new(0.0, 0.0)
+        };
+        let max_n = [8usize, 40, 150, 600][rng.gen_range(0..4usize)];
+        let n = rng.gen_range(1..=max_n);
+        let repeat_frac = [0.0, 0.2, 0.55, 0.7][rng.gen_range(0..4usize)];
+        let mut raw: Vec<Point> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let p = if !raw.is_empty() && rng.gen_bool(repeat_frac) {
+                raw[rng.gen_range(0..raw.len())]
+            } else if rng.gen_bool(0.3) {
+                // A cluster around the destination.
+                Point::new(
+                    qj.x + rng.gen_range(-200.0..200.0),
+                    rng.gen_range(-200.0..200.0),
+                )
+            } else {
+                Point::new(rng.gen_range(-300.0..2_300.0), rng.gen_range(-400.0..400.0))
+            };
+            raw.push(p);
+        }
+        let params = HrisParams {
+            k2: [1, 2, 4, 8][rng.gen_range(0..4usize)],
+            alpha_m: [0.0, 150.0, 500.0][rng.gen_range(0..3usize)],
+            beta: [1.0, 1.5, 3.0][rng.gen_range(0..3usize)],
+            ..HrisParams::default()
+        };
+        (Cloud::new(raw, qi, qj), params, n)
+    }
+
+    /// Differential test of the linear scan: for every node of every random
+    /// cloud — the `q_i` pseudo-node and the terminal included — it names
+    /// the successors the R-tree search names, in its order, and never two
+    /// equal positions; and each regime an expansion can be in must occur.
+    #[test]
+    fn scan_matches_rtree_search_in_all_regimes() {
+        use proptest::prelude::*;
+        const REGIMES: [&str; 7] = [
+            "terminal pre-empts",
+            "terminal admissible but beyond the k2 nearest",
+            "fewer than k2 admissible",
+            "none admissible",
+            "alpha_left == 0",
+            "node on q_{i+1}, line 11 skipped",
+            "cloud shrank by more than half",
+        ];
+        let mut hits = [0usize; 7];
+        proptest::test_runner::run(
+            ProptestConfig::with_cases(128),
+            file!(),
+            "scan_matches_rtree_search_in_all_regimes",
+            |rng| {
+                let seed = (0u64..u64::MAX).generate(rng);
+                let (cloud, params, raw_len) = random_raw_cloud(seed);
+                let tree = reference_tree(&cloud);
+                let terminal_id = cloud.terminal_id();
+                let k2 = params.k2;
+                hits[6] += usize::from((cloud.points.len() - 1) * 2 < raw_len);
+                for node in 0..=cloud.start_id() {
+                    let got = cloud.expand(node, &params, &mut 0);
+                    let want = expand_reference(&cloud, &tree, node, &params);
+                    prop_assert_eq!(&got, &want, "seed {seed}, node {node}");
+                    for (i, &a) in got.iter().enumerate() {
+                        prop_assert!(
+                            got[..i].iter().all(|&b| cloud.points[a] != cloud.points[b]),
+                            "seed {seed}, node {node}: {got:?} repeats a position"
+                        );
+                    }
+
+                    let (adm, line_11_skipped, alpha_left) = admissible(&cloud, node, &params);
+                    let terminal_rank = adm.iter().position(|&id| id == terminal_id);
+                    hits[0] += usize::from(terminal_rank.is_some_and(|r| r < k2));
+                    hits[1] += usize::from(terminal_rank.is_some_and(|r| r >= k2));
+                    hits[2] += usize::from(!adm.is_empty() && adm.len() < k2);
+                    hits[3] += usize::from(adm.is_empty());
+                    hits[4] += usize::from(alpha_left == 0.0);
+                    hits[5] += usize::from(line_11_skipped);
+                }
+                Ok(())
+            },
+        );
+        for (name, n) in REGIMES.iter().zip(hits) {
+            assert!(n >= 5, "regime `{name}` hit {n} times: {hits:?}");
+        }
+    }
+
+    /// The tie rule the R-tree never had: at equal distance the lower cloud
+    /// index comes first, whichever side of the axis it lies on — and the
+    /// terminal, being last, loses every tie.
+    #[test]
+    fn equal_distances_break_by_cloud_index() {
+        let (qi, qj) = (Point::new(0.0, 0.0), Point::new(1_000.0, 0.0));
+        let (up, down) = (Point::new(100.0, 50.0), Point::new(100.0, -50.0));
+        let k = |k2| HrisParams {
+            k2,
+            beta: 3.0,
+            ..HrisParams::default()
+        };
+        for pair in [[up, down], [down, up]] {
+            let cloud = Cloud::new(pair, qi, qj);
+            assert_eq!(pair[0].dist(qi).to_bits(), pair[1].dist(qi).to_bits());
+            assert_eq!(cloud.expand(cloud.start_id(), &k(1), &mut 0), [0]);
+            assert_eq!(cloud.expand(cloud.start_id(), &k(2), &mut 0), [0, 1]);
+        }
+        // As far from q_i as q_{i+1} is, and admissible (α = 500, β = 3).
+        let cloud = Cloud::new([Point::new(0.0, 1_000.0)], qi, qj);
+        assert_eq!(cloud.expand(cloud.start_id(), &k(1), &mut 0), [0]);
+        assert_eq!(
+            cloud.expand(cloud.start_id(), &k(2), &mut 0),
+            [cloud.terminal_id()]
+        );
+    }
+
+    /// The cloud is a set of positions: copies of a reference change neither
+    /// the routes nor the number of searches.
+    #[test]
+    fn repeated_references_change_nothing() {
+        let net = net();
+        let once = corridor_refs(&net, 3, 800.0);
+        let five_times = ReferenceSet {
+            refs: (0..5).flat_map(|_| once.refs.clone()).collect(),
+        };
+        let qi = net.candidate_edges(Point::new(0.0, 0.0), 80.0);
+        let qj = net.candidate_edges(Point::new(800.0, 0.0), 80.0);
+        for k2 in [1, 2, 4, 8] {
+            let params = HrisParams {
+                k2,
+                ..HrisParams::default()
+            };
+            let (routes_1, stats_1) = nni(&net, &once, &qi, &qj, &params);
+            let (routes_5, stats_5) = nni(&net, &five_times, &qi, &qj, &params);
+            assert_eq!(routes_1, routes_5, "k2 = {k2}");
+            assert_eq!(stats_1.knn_searches, stats_5.knn_searches, "k2 = {k2}");
+            assert_eq!(
+                stats_1.nni_unreachable, stats_5.nni_unreachable,
+                "k2 = {k2}"
+            );
+        }
+    }
+
+    /// First occurrences are kept in order, and the terminal is appended
+    /// even when a reference point sits on `q_{i+1}` bit for bit.
+    #[test]
+    fn cloud_keeps_first_occurrences_and_its_terminal() {
+        let (qi, qj) = (Point::new(0.0, 0.0), Point::new(500.0, 0.0));
+        let (a, b) = (Point::new(100.0, 10.0), Point::new(300.0, -10.0));
+        let cloud = Cloud::new([a, qj, b, a, qj, b, a], qi, qj);
+        assert_eq!(cloud.points, [a, qj, b, qj]);
+        assert_eq!(cloud.terminal_id(), 3);
+        assert_eq!(cloud.d_to_qj, [a.dist(qj), 0.0, b.dist(qj), 0.0]);
+        // From `b` the copy of q_{i+1} and the terminal are equally near;
+        // with room for both the terminal pre-empts.
+        assert_eq!(cloud.expand(2, &HrisParams::default(), &mut 0), [3]);
     }
 }

@@ -141,3 +141,46 @@ fn top_k_global_routes_ranked_and_loop_free() {
         assert_eq!(r.route.without_loops(&s.net), r.route);
     }
 }
+
+/// NNI's point cloud is a set of positions. On real reference sets — where
+/// one archive observation arrives through its simple reference and again
+/// through every spliced reference built from the same trip — removing the
+/// repeats by hand changes neither the routes nor the number of searches,
+/// so no successor list can have spent two of its k₂ slots on one position.
+#[test]
+fn nni_ignores_repeated_observations() {
+    let s = scenario();
+    let params = HrisParams {
+        local_algorithm: LocalAlgorithm::Nni,
+        ..HrisParams::default()
+    };
+    let hris = Hris::new(&s.net, s.archive.clone(), params.clone());
+    let (mut points, mut repeats, mut searches) = (0, 0, 0);
+    for q in &s.queries {
+        let query = resample_to_interval(&q.dense, 300.0);
+        let locals = hris.local_inference(&query);
+        for (pair, local) in query.points.windows(2).zip(&locals) {
+            let qi = s.net.candidate_edges(pair[0].pos, params.candidate_eps_m);
+            let qj = s.net.candidate_edges(pair[1].pos, params.candidate_eps_m);
+            let mut seen = std::collections::HashSet::new();
+            let mut distinct = local.refs.clone();
+            for r in &mut distinct.refs {
+                r.points
+                    .retain(|p| seen.insert((p.pos.x.to_bits(), p.pos.y.to_bits())));
+            }
+            points += local.refs.num_points();
+            repeats += local.refs.num_points() - distinct.num_points();
+            let (raw_routes, raw_stats) =
+                hris::local::nni::nni(&s.net, &local.refs, &qi, &qj, &params);
+            let (routes, stats) = hris::local::nni::nni(&s.net, &distinct, &qi, &qj, &params);
+            assert_eq!(raw_routes, routes);
+            assert_eq!(raw_stats.knn_searches, stats.knn_searches);
+            searches += stats.knn_searches;
+        }
+    }
+    assert!(searches > 0, "NNI never searched");
+    assert!(
+        repeats * 5 > points,
+        "scenario too clean to test anything: {repeats} repeats in {points} reference points"
+    );
+}
