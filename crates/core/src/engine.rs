@@ -16,12 +16,13 @@
 //!   [`SpOracle::route_between`](hris_roadnet::SpOracle) call `Hris` makes,
 //!   so every pair of every query shares the network's oracle.
 //! * **Observability** — with [`ObsOptions::enabled`](crate::ObsOptions)
-//!   the engine records per-phase wall time, queue depth, worker occupancy,
-//!   rolling-window latency quantiles and opt-in per-query
-//!   [`TraceRecord`]s on an [`hris_obs`] registry ([`EngineObs`]); sampled
-//!   queries additionally carry a structured span tree whose ids surface as
-//!   histogram exemplars. Disabled (the default) the hot path performs no
-//!   clock reads and no atomic updates.
+//!   the engine records per-phase wall time, queue depth, worker occupancy
+//!   and opt-in per-query [`TraceRecord`]s on an [`hris_obs`] registry
+//!   ([`EngineObs`]). One span guard per phase is the only stopwatch: the
+//!   phase histograms, the record's `*_s` fields and its span tree are the
+//!   same measurement, and every record carries its phase tree (sampled
+//!   queries add per-pair detail). Disabled (the default) the hot path
+//!   performs no clock reads and no atomic updates.
 //!
 //! The load-bearing invariant: **scheduling and instrumentation never
 //! change any result.** Pair workers only read shared state, so sequential,
@@ -39,9 +40,8 @@ use crate::pipeline::{
 };
 use crate::scoring::{configured_scorer, ConfiguredScorer, PaperScorer, RouteScorer, ScoringCtx};
 use hris_obs::{
-    clock, synthetic_tree, AuditRing, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
-    SlidingHistogram, Span, SpanCollector, SpanGuard, SpanSampler, TraceRecord, TraceRing,
-    DEFAULT_TIME_BOUNDS,
+    clock, AuditRing, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Span,
+    SpanCollector, SpanGuard, SpanParent, SpanSampler, TraceRecord, TraceRing, DEFAULT_TIME_BOUNDS,
 };
 use hris_roadnet::network::CandidateEdge;
 use hris_roadnet::RoadNetwork;
@@ -51,7 +51,6 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Why the engine refused to answer a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -316,50 +315,10 @@ pub(crate) struct LocalRun {
     /// Candidate edges per query point; filled only when the audit ring is
     /// on (its sole reader).
     candidates_per_point: Vec<usize>,
-    /// Wall seconds of the candidate-lookup loop (0 when untimed).
+    /// Wall seconds of the `candidates` span (0 when off or not run).
     candidates_s: f64,
-    /// Wall seconds of the per-pair inference loop (0 when untimed).
+    /// Wall seconds of the `local` span (0 when off or not run).
     local_s: f64,
-    /// Span ids of the candidates/local phase spans (0 when unsampled).
-    candidates_span: u64,
-    local_span: u64,
-}
-
-/// The span tree of one sampled query, plus the phase span ids the
-/// histograms stamp as exemplars.
-struct SpanCapture {
-    root: u64,
-    candidates: u64,
-    local: u64,
-    global: u64,
-    refine: u64,
-    spans: Vec<Span>,
-}
-
-/// Rolling-window latency state: one [`SlidingHistogram`] per phase plus
-/// the end-to-end query time, all on 30-second epochs so 1m and 5m reads
-/// merge 2 and 10 epochs respectively.
-struct LatencyWindows {
-    query: SlidingHistogram,
-    candidates: SlidingHistogram,
-    local: SlidingHistogram,
-    global: SlidingHistogram,
-    refine: SlidingHistogram,
-}
-
-impl LatencyWindows {
-    /// 30 s × 11 slots = a 330 s horizon, comfortably covering the 5 m
-    /// window even mid-epoch.
-    fn new() -> Self {
-        let mk = || SlidingHistogram::new(&DEFAULT_TIME_BOUNDS, 30.0, 11);
-        LatencyWindows {
-            query: mk(),
-            candidates: mk(),
-            local: mk(),
-            global: mk(),
-            refine: mk(),
-        }
-    }
 }
 
 /// The engine's live instrumentation: metric handles on a shared
@@ -397,7 +356,6 @@ pub struct EngineObs {
     next_query_id: AtomicU64,
     slow_threshold_s: f64,
     span_sampler: SpanSampler,
-    windows: LatencyWindows,
 }
 
 impl EngineObs {
@@ -491,10 +449,10 @@ impl EngineObs {
                 &DEFAULT_TIME_BOUNDS,
             ),
             traces: TraceRing::new(opts.trace_capacity),
-            next_query_id: AtomicU64::new(0),
+            // 0 is the "no trace record" id on an audit.
+            next_query_id: AtomicU64::new(1),
             slow_threshold_s: opts.slow_query_threshold_s,
             span_sampler: SpanSampler::new(opts.span_sample_every),
-            windows: LatencyWindows::new(),
             registry,
         }
     }
@@ -517,22 +475,10 @@ impl EngineObs {
         self.traces.snapshot()
     }
 
-    /// Removes and returns the retained traces, oldest first.
-    #[must_use]
-    pub fn drain_traces(&self) -> Vec<TraceRecord> {
-        self.traces.drain()
-    }
-
     /// How many traces the ring has evicted so far.
     #[must_use]
     pub fn dropped_traces(&self) -> u64 {
         self.traces.dropped()
-    }
-
-    /// The configured slow-query threshold, seconds.
-    #[must_use]
-    pub fn slow_query_threshold_s(&self) -> f64 {
-        self.slow_threshold_s
     }
 
     /// A handle onto the live trace ring (clones share storage), for
@@ -542,54 +488,23 @@ impl EngineObs {
         self.traces.clone()
     }
 
-    /// Rolling-window latency summary as a JSON object: end-to-end rate and
-    /// p50/p95/p99 over the last 1 m and 5 m, plus per-phase 1 m p95s.
-    /// Quantiles are `null` until the window has at least one sample.
-    #[must_use]
-    pub fn rolling_latency_json(&self) -> String {
-        fn opt(v: Option<f64>) -> String {
-            v.map_or_else(|| "null".to_string(), |x| format!("{x}"))
-        }
-        let win = |w: f64| {
-            let q = &self.windows.query;
-            format!(
-                "{{\"rate_per_s\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                q.rate(w),
-                opt(q.quantile(0.50, w)),
-                opt(q.quantile(0.95, w)),
-                opt(q.quantile(0.99, w)),
-            )
-        };
-        let phase =
-            |h: &SlidingHistogram| format!("{{\"p95_1m\":{}}}", opt(h.quantile(0.95, 60.0)));
-        format!(
-            "{{\"window_1m\":{},\"window_5m\":{},\"phases\":{{\"candidates\":{},\"local\":{},\"global\":{},\"refine\":{}}}}}",
-            win(60.0),
-            win(300.0),
-            phase(&self.windows.candidates),
-            phase(&self.windows.local),
-            phase(&self.windows.global),
-            phase(&self.windows.refine),
-        )
-    }
-
     fn tracing(&self) -> bool {
         self.traces.capacity() > 0
     }
 
-    /// Whether this query should carry a live span tree. False whenever
-    /// sampling is disabled (`span_sample_every == 0`).
-    fn sample_spans(&self) -> bool {
+    /// Whether this traced query's tree should carry per-`pair` detail —
+    /// the one part of a tree whose cost grows with the query. False
+    /// whenever sampling is disabled (`span_sample_every == 0`).
+    fn sample_pairs(&self) -> bool {
         self.span_sampler.sample()
     }
 
     /// Records one finished query — clean, repaired, degraded or rejected
     /// alike: outcome counters, phase histograms and the SLO bucket always,
-    /// a trace record when tracing is on. A sampled query's span capture
-    /// stamps the phase histograms with exemplar span ids and rides into
-    /// the trace record; a *slow* unsampled query gets a synthetic tree
-    /// rebuilt from the phase timings already measured (zero extra clock
-    /// reads), so every slow trace carries a complete causal tree.
+    /// a trace record when tracing is on. Every duration is the `finish()`
+    /// of the like-named span guard, and `spans` is the tree those guards
+    /// recorded (empty when the ring is off), so histogram, record field
+    /// and span agree bit for bit.
     /// Returns the query id it assigned when a trace record was pushed
     /// (0 when tracing is off), so the caller can stamp the same id onto
     /// the query's audit record.
@@ -602,7 +517,8 @@ impl EngineObs {
         refine_s: f64,
         total_s: f64,
         result: &QueryResult,
-        capture: Option<SpanCapture>,
+        root_span: u64,
+        spans: Vec<Span>,
         trace_id: u64,
     ) -> u64 {
         self.queries.inc();
@@ -619,31 +535,11 @@ impl EngineObs {
             }
             QueryOutcome::Rejected { .. } => self.rejected.inc(),
         }
-        match &capture {
-            Some(cap) => {
-                self.phase_candidates
-                    .observe_with_exemplar(run.candidates_s, cap.candidates);
-                self.phase_local
-                    .observe_with_exemplar(run.local_s, cap.local);
-                self.phase_global
-                    .observe_with_exemplar(global_s, cap.global);
-                self.phase_refine
-                    .observe_with_exemplar(refine_s, cap.refine);
-                self.query_seconds.observe_with_exemplar(total_s, cap.root);
-            }
-            None => {
-                self.phase_candidates.observe(run.candidates_s);
-                self.phase_local.observe(run.local_s);
-                self.phase_global.observe(global_s);
-                self.phase_refine.observe(refine_s);
-                self.query_seconds.observe(total_s);
-            }
-        }
-        self.windows.query.observe(total_s);
-        self.windows.candidates.observe(run.candidates_s);
-        self.windows.local.observe(run.local_s);
-        self.windows.global.observe(global_s);
-        self.windows.refine.observe(refine_s);
+        self.phase_candidates.observe(run.candidates_s);
+        self.phase_local.observe(run.local_s);
+        self.phase_global.observe(global_s);
+        self.phase_refine.observe(refine_s);
+        self.query_seconds.observe(total_s);
         let slow = total_s > self.slow_threshold_s;
         if slow {
             self.slow_queries.inc();
@@ -654,20 +550,6 @@ impl EngineObs {
         if !self.tracing() {
             return 0;
         }
-        let (root_span, spans) = match capture {
-            Some(cap) => (cap.root, cap.spans),
-            None if slow => synthetic_tree(
-                "query",
-                total_s,
-                &[
-                    ("candidates", run.candidates_s),
-                    ("local", run.local_s),
-                    ("global", global_s),
-                    ("refine", refine_s),
-                ],
-            ),
-            None => (0, Vec::new()),
-        };
         let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
         let rec = TraceRecord {
             trace_id,
@@ -731,11 +613,6 @@ pub(crate) struct EngineCore {
     /// The explain/audit ring, present iff `cfg.explain.enabled` — the
     /// `Option` is the zero-overhead gate for the disabled path.
     audits: Option<AuditRing>,
-}
-
-/// Seconds since an optional clock reading; 0 for the untimed `None`.
-fn elapsed_s(since: Option<Instant>) -> f64 {
-    since.map_or(0.0, |t| clock::now().duration_since(t).as_secs_f64())
 }
 
 /// [`EngineCacheStats`] of the network an engine serves: a view of its
@@ -866,6 +743,12 @@ impl EngineCore {
     /// shard's trace and audit records join the router's stitched tree.
     /// Clean, repaired and rejected queries are timed, traced and audited
     /// by the same code.
+    ///
+    /// One [`SpanGuard`] per phase is the only stopwatch. Observability off
+    /// makes every guard *off* (this path then reads no clock), on with the
+    /// ring off *timed*, on with the ring on *recording* — at the same ten
+    /// clock reads either way. The root opens before the screen, so
+    /// `total_s` includes validation.
     pub(crate) fn infer_query_traced(
         &self,
         ctx: EngineCtx<'_>,
@@ -874,85 +757,58 @@ impl EngineCore {
         mode: ExecMode,
         trace_id: u64,
     ) -> QueryResult {
-        let t_query = self.obs.as_ref().map(|_| clock::now());
-        match screen(query) {
-            Ok(s) => self.infer_screened(ctx, &s.served, Ok(s.repairs), k, mode, trace_id, t_query),
-            Err(reason) => self.infer_screened(ctx, query, Err(reason), k, mode, trace_id, t_query),
-        }
-    }
-
-    /// Phases 1–3 of one screened query, with everything the observability
-    /// and explain layers record about it. `screened` is the validation
-    /// verdict: `Ok(None)` clean, `Ok(Some(repairs))` repaired (`served` is
-    /// then the sanitized copy and pairs run the degradation chain),
-    /// `Err(reason)` rejected (no inference runs; the empty answer is still
-    /// recorded). `t_query` is the clock reading taken before validation,
-    /// present iff observability is on — without it this path reads no
-    /// clock.
-    #[allow(clippy::too_many_arguments)]
-    fn infer_screened(
-        &self,
-        ctx: EngineCtx<'_>,
-        served: &Trajectory,
-        screened: Result<Option<PointRepairs>, RejectReason>,
-        k: usize,
-        mode: ExecMode,
-        trace_id: u64,
-        t_query: Option<Instant>,
-    ) -> QueryResult {
         let obs = self.obs.as_ref();
-        let timed = obs.is_some();
-        // Span trees are sampled: most queries pay only the phase timers
-        // below, a sampled query additionally opens RAII guards per phase.
-        let collector = obs
-            .is_some_and(EngineObs::sample_spans)
-            .then(SpanCollector::new);
-        let mut root_guard = collector.as_ref().map(|c| c.root("query"));
-        let root_id = root_guard.as_ref().map_or(0, SpanGuard::id);
-        if let Some(g) = root_guard.as_mut() {
-            g.attr("points", served.len());
-            g.attr("pairs", served.len().saturating_sub(1));
-        }
-        let spanctx = collector.as_ref().map(|c| (c, root_id));
+        let traced = obs.filter(|o| o.tracing());
+        let collector = traced.map(|_| SpanCollector::new());
+        let mut root = match (obs, &collector) {
+            (None, _) => SpanGuard::off(),
+            (Some(_), None) => SpanGuard::timed(),
+            (Some(_), Some(c)) => c.root("query"),
+        };
+        // `screened` is the validation verdict: `Ok(None)` clean,
+        // `Ok(Some(repairs))` repaired (`served` is then the sanitized copy
+        // and pairs run the degradation chain), `Err(reason)` rejected (no
+        // inference runs; the empty answer is still recorded).
+        let (served, screened) = match screen(query) {
+            Ok(s) => (s.served, Ok(s.repairs)),
+            Err(reason) => (Cow::Borrowed(query), Err(reason)),
+        };
+        let served: &Trajectory = &served;
+        root.attr("points", served.len());
+        root.attr("pairs", served.len().saturating_sub(1));
+        let phases = root.as_parent();
 
         let mut run = match screened {
             Ok(repairs) => {
-                self.local_inference_run(ctx, served, mode, repairs.is_some(), timed, spanctx)
+                let pair_detail = traced.is_some_and(EngineObs::sample_pairs);
+                self.local_inference_run(ctx, served, mode, repairs.is_some(), phases, pair_detail)
             }
             Err(_) => LocalRun::default(),
         };
 
-        let mut global_guard = spanctx.map(|(c, root)| c.child(root, "global"));
-        let global_span_id = global_guard.as_ref().map_or(0, SpanGuard::id);
         let scorer = configured_scorer(ctx.params, &self.cfg.rerank);
         let sctx = ScoringCtx::new(ctx.net, &run.locals, k);
-        let t_global = timed.then(clock::now);
+        let mut global = phases.child("global");
         let mut globals = PaperScorer::from_params(ctx.params).top_k(&sctx);
-        let global_s = elapsed_s(t_global);
-        if let Some(g) = global_guard.as_mut() {
-            g.attr("routes", globals.len());
-        }
-        let _ = global_guard.map(SpanGuard::finish);
+        global.attr("routes", globals.len());
+        let global_s = global.finish();
 
-        let mut refine_guard = spanctx.map(|(c, root)| c.child(root, "refine"));
-        let refine_span_id = refine_guard.as_ref().map_or(0, SpanGuard::id);
-        let t_refine = timed.then(clock::now);
+        let refine = phases.child("refine");
         // Learned re-ranking lives in the refine phase: the DP output is
         // the raw material, the model only permutes it (`LearnedScorer`'s
         // own `top_k` is exactly these two steps).
         if let ConfiguredScorer::Learned(learned) = &scorer {
-            let t_rerank = timed.then(clock::now);
+            let mut rerank = refine.as_parent().child("rerank");
             let outcome = learned.rerank_in_place(&sctx, &mut globals);
+            rerank.attr("reranked", outcome.rescored);
+            let rerank_s = rerank.finish();
             if let Some(obs) = obs {
-                obs.rerank_seconds.observe(elapsed_s(t_rerank));
+                obs.rerank_seconds.observe(rerank_s);
                 obs.rerank_queries.inc();
                 obs.rerank_routes.add(outcome.rescored as u64);
                 if outcome.top1_changed {
                     obs.rerank_reordered.inc();
                 }
-            }
-            if let Some(g) = refine_guard.as_mut() {
-                g.attr("reranked", outcome.rescored);
             }
         }
         let result = QueryResult {
@@ -963,22 +819,14 @@ impl EngineCore {
                 Err(reason) => QueryOutcome::Rejected { reason },
             },
         };
-        let refine_s = elapsed_s(t_refine);
-        let _ = refine_guard.map(SpanGuard::finish);
+        let refine_s = refine.finish();
 
-        let total_s = elapsed_s(t_query);
-        let _ = root_guard.map(SpanGuard::finish);
-        let capture = collector.map(|c| SpanCapture {
-            root: root_id,
-            candidates: run.candidates_span,
-            local: run.local_span,
-            global: global_span_id,
-            refine: refine_span_id,
-            spans: c.into_spans(),
-        });
+        let root_span = root.id();
+        let total_s = root.finish();
+        let spans = collector.map_or_else(Vec::new, SpanCollector::into_spans);
         let query_id = obs.map_or(0, |obs| {
             obs.record_query(
-                served, &run, global_s, refine_s, total_s, &result, capture, trace_id,
+                served, &run, global_s, refine_s, total_s, &result, root_span, spans, trace_id,
             )
         });
         if let Some(ring) = &self.audits {
@@ -993,18 +841,18 @@ impl EngineCore {
         result
     }
 
-    /// Phases 1–2 with optional wall-clock timing (`timed`), optional span
-    /// capture (`spans` = collector + root span id) and, for `repaired`
+    /// Phases 1–2 under `parent`: one `candidates` and one `local` span in
+    /// the parent's state (an *off* parent reads no clock), `pair` children
+    /// under `local` when `pair_detail` asks for them and, for `repaired`
     /// queries, the per-pair degradation chain armed (see [`infer_pair`]).
-    /// Untimed calls perform zero clock reads.
     pub(crate) fn local_inference_run(
         &self,
         ctx: EngineCtx<'_>,
         query: &Trajectory,
         mode: ExecMode,
         repaired: bool,
-        timed: bool,
-        spans: Option<(&SpanCollector, u64)>,
+        parent: SpanParent<'_>,
+        pair_detail: bool,
     ) -> LocalRun {
         let net = ctx.net;
         match degenerate_local(net, query) {
@@ -1018,31 +866,28 @@ impl EngineCore {
             DegenerateQuery::No => {}
         }
         // Candidates once per point (shared by the two adjoining pairs).
-        let mut cand_guard = spans.map(|(c, root)| c.child(root, "candidates"));
-        let candidates_span = cand_guard.as_ref().map_or(0, SpanGuard::id);
-        let t_cands = timed.then(clock::now);
+        let mut cand_guard = parent.child("candidates");
         let cands: Vec<Vec<CandidateEdge>> = query
             .points
             .iter()
             .map(|p| query_candidates(net, ctx.params, p.pos))
             .collect();
-        let candidates_s = elapsed_s(t_cands);
         let candidates_total = cands.iter().map(Vec::len).sum();
-        if let Some(g) = cand_guard.as_mut() {
-            g.attr("edges", candidates_total);
-        }
-        let _ = cand_guard.map(SpanGuard::finish);
+        cand_guard.attr("edges", candidates_total);
+        let candidates_s = cand_guard.finish();
 
-        let local_guard = spans.map(|(c, root)| c.child(root, "local"));
-        let local_span = local_guard.as_ref().map_or(0, SpanGuard::id);
+        let local_guard = parent.child("local");
+        let pairs = if pair_detail {
+            local_guard.as_parent()
+        } else {
+            SpanParent::off()
+        };
         let pair_indices: Vec<usize> = (0..query.len() - 1).collect();
         let work = |i: usize| {
             // Per-pair child spans capture the local TGI/NNI inference for
             // each consecutive point pair; the guard's drop records it.
-            let mut pair_guard = spans.map(|(c, _)| c.child(local_span, "pair"));
-            if let Some(g) = pair_guard.as_mut() {
-                g.attr("index", i);
-            }
+            let mut pair_guard = pairs.child("pair");
+            pair_guard.attr("index", i);
             infer_pair(
                 net,
                 ctx.archive,
@@ -1054,14 +899,12 @@ impl EngineCore {
                 repaired,
             )
         };
-        let t_local = timed.then(clock::now);
         let results: Vec<(LocalInferenceResult, bool)> =
             match effective_mode(mode, pair_indices.len()) {
                 ExecMode::Sequential => pair_indices.into_iter().map(work).collect(),
                 ExecMode::PairParallel => pair_indices.par_iter().map(|&i| work(i)).collect(),
             };
-        let local_s = elapsed_s(t_local);
-        let _ = local_guard.map(SpanGuard::finish);
+        let local_s = local_guard.finish();
         LocalRun {
             pairs_fell_back: results.iter().filter(|(_, fb)| *fb).count(),
             locals: results.into_iter().map(|(l, _)| l).collect(),
@@ -1073,8 +916,6 @@ impl EngineCore {
             },
             candidates_s,
             local_s,
-            candidates_span,
-            local_span,
         }
     }
 }

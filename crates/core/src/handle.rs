@@ -27,7 +27,7 @@ use crate::local::LocalInferenceResult;
 use crate::params::{EngineConfig, HrisParams};
 use hris_obs::{
     Admission, AdmissionGate, AuditRing, Health, MetricsRegistry, MetricsServer, ServeState,
-    SpanCollector,
+    SpanParent,
 };
 use hris_roadnet::RoadNetwork;
 use hris_traj::{ArchiveSnapshot, SnapshotReader, TrajectoryArchive};
@@ -257,8 +257,7 @@ impl EngineHandle {
     }
 
     /// The handle's admission gate, when admission control is enabled.
-    /// Exposes live queue-depth/shed numbers to harnesses and the varz
-    /// endpoint.
+    /// Exposes live queue-depth/shed numbers to harnesses.
     #[must_use]
     pub fn admission_gate(&self) -> Option<&AdmissionGate> {
         self.gate.as_ref()
@@ -353,17 +352,17 @@ impl EngineHandle {
     /// single engine; the second return value is how many pairs fell back,
     /// for the router to fold into the [`QueryOutcome`](crate::QueryOutcome).
     ///
-    /// With `spans`, each sub-query's `"candidates"` and `"local"` phase
-    /// spans (plus per-pair children) are recorded into the router's
-    /// collector, parented on the given span id (the router's per-shard
-    /// span), so one cross-shard query stitches into a single tree with
-    /// one clock origin. `spans = None` reads no clock.
+    /// Under a recording `spans` parent (the router's per-shard span),
+    /// each sub-query's `"candidates"` and `"local"` phase spans (plus
+    /// per-pair children) land in the router's collector, so one
+    /// cross-shard query stitches into a single tree with one clock
+    /// origin. [`SpanParent::off`] reads no clock.
     #[must_use]
     pub fn local_inference_pinned_batch_traced(
         &self,
         queries: &[hris_traj::Trajectory],
         repaired: bool,
-        spans: Option<(&SpanCollector, u64)>,
+        spans: SpanParent<'_>,
     ) -> (Vec<Vec<LocalInferenceResult>>, usize, u64) {
         let snap = self.current_snapshot();
         let mut pairs_fell_back = 0;
@@ -375,8 +374,8 @@ impl EngineHandle {
                     q,
                     self.config().mode,
                     repaired,
-                    false,
                     spans,
+                    true,
                 );
                 pairs_fell_back += run.pairs_fell_back;
                 run.locals
@@ -406,9 +405,8 @@ impl EngineHandle {
     ///
     /// The server exposes `/metrics` (Prometheus text), `/healthz` (flips
     /// unhealthy when [`EngineHandle::snapshot_age_seconds`] exceeds
-    /// [`ObsOptions::staleness_bound_s`](crate::ObsOptions)), `/varz`
-    /// (JSON metrics + rolling latency windows) and `/debug/traces` +
-    /// `/debug/slow`. Each `/metrics` scrape refreshes the
+    /// [`ObsOptions::staleness_bound_s`](crate::ObsOptions)) and
+    /// `/debug/traces` + `/debug/slow`. Each `/metrics` scrape refreshes the
     /// `hris_snapshot_age_seconds` watchdog gauge first.
     ///
     /// # Errors
@@ -434,7 +432,6 @@ impl EngineHandle {
         );
         let on_scrape = Arc::clone(self);
         let on_health = Arc::clone(self);
-        let on_varz = Arc::clone(self);
         let mut state = ServeState::new(Arc::clone(&registry))
             .with_traces(obs.trace_ring())
             .pre_scrape(move || {
@@ -451,11 +448,6 @@ impl EngineHandle {
                         "snapshot is {age:.1}s old (staleness bound {bound}s)"
                     ))
                 }
-            })
-            .varz_section("engine_latency", move || {
-                on_varz
-                    .observability()
-                    .map_or_else(|| "null".to_string(), EngineObs::rolling_latency_json)
             });
         if let Some(gate) = &self.gate {
             let inflight_gauge = registry.gauge(
@@ -472,7 +464,6 @@ impl EngineHandle {
             );
             let on_gate_scrape = gate.clone();
             let on_gate_health = gate.clone();
-            let on_gate_varz = gate.clone();
             state = state
                 .pre_scrape(move || {
                     inflight_gauge.set(on_gate_scrape.inflight() as i64);
@@ -489,18 +480,6 @@ impl EngineHandle {
                     } else {
                         Health::Ok
                     }
-                })
-                .varz_section("admission", move || {
-                    format!(
-                        "{{\"inflight\":{},\"queued\":{},\"max_inflight\":{},\"max_queued\":{},\
-                         \"queued_high_watermark\":{},\"shed_total\":{}}}",
-                        on_gate_varz.inflight(),
-                        on_gate_varz.queued(),
-                        on_gate_varz.max_inflight(),
-                        on_gate_varz.max_queued(),
-                        on_gate_varz.queued_high_watermark(),
-                        on_gate_varz.shed_total()
-                    )
                 });
         }
         state.serve(addr)
@@ -584,7 +563,7 @@ mod tests {
         let whole = handle.infer_query(&subs[0], 2);
         for repaired in [false, true] {
             let (locals, fell_back, epoch) =
-                handle.local_inference_pinned_batch_traced(&subs, repaired, None);
+                handle.local_inference_pinned_batch_traced(&subs, repaired, SpanParent::off());
             assert_eq!(epoch, 0);
             assert_eq!(fell_back, 6, "three pairs per sub-query");
             assert_eq!(locals.len(), 2);

@@ -186,12 +186,12 @@ pub struct ObsOptions {
     /// Queries slower than this wall time (seconds) are flagged `slow` in
     /// their trace and counted on `hris_engine_slow_queries_total`.
     pub slow_query_threshold_s: f64,
-    /// Span-tree sampling period: one query in `span_sample_every` captures
-    /// a live span tree (hierarchical phase spans with exemplar links into
-    /// the latency histograms). `0` disables live capture. Slow queries
-    /// that miss the sample still get a tree, synthesized from the phase
-    /// timings already measured for the histograms — zero extra clock
-    /// reads.
+    /// Per-pair span sampling period. Every traced query records its
+    /// phase tree (`query` → `candidates`, `local`, `global`, `refine`) at
+    /// no extra clock read — those guards are the phase timers; one query
+    /// in `span_sample_every` additionally records a `pair` span per
+    /// consecutive point pair under `local` (two clock reads per pair).
+    /// `0` never records per-pair detail.
     pub span_sample_every: u64,
     /// `/healthz` staleness bound: a live engine whose newest archive
     /// snapshot is older than this many seconds reports its ingest check
@@ -474,9 +474,9 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Span-tree sampling period: one query in `every` captures a live
-    /// span tree (`0` disables live capture; slow queries always get a
-    /// synthesized tree).
+    /// Per-pair span sampling period: one traced query in `every` adds a
+    /// `pair` span per point pair to its phase tree (`0`: never; the phase
+    /// tree itself is on every trace).
     #[must_use]
     pub fn span_sampling(mut self, every: u64) -> Self {
         self.cfg.obs.span_sample_every = every;

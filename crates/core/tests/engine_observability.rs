@@ -33,6 +33,31 @@ fn scenario() -> (Hris<'static>, Vec<Trajectory>) {
     (Hris::new(net, archive, HrisParams::default()), queries)
 }
 
+/// One query per outcome the screen can produce, in order: clean,
+/// repaired, degraded, rejected (no usable point), rejected (empty).
+fn mixed_outcome_corpus(hris: &Hris<'_>, base: &Trajectory) -> [Trajectory; 5] {
+    // Out-of-order timestamps: repaired by re-sorting.
+    let mut scrambled = base.points.clone();
+    let n = scrambled.len();
+    scrambled.swap(1, n - 2);
+    // A poisoned point (repair) in front of a corner-to-corner hop one
+    // second long: no archived trip makes it, so the pair falls back.
+    let bbox = hris.network().bbox();
+    let hop = vec![
+        GpsPoint::new(Point::new(f64::NAN, 0.0), 0.0),
+        GpsPoint::new(bbox.min, 1.0),
+        GpsPoint::new(bbox.max, 2.0),
+    ];
+    let garbage = vec![GpsPoint::new(Point::new(f64::NAN, 0.0), 0.0)];
+    [
+        base.clone(),
+        Trajectory::from_unchecked(TrajId(90), scrambled),
+        Trajectory::from_unchecked(TrajId(91), hop),
+        Trajectory::from_unchecked(TrajId(92), garbage),
+        Trajectory::new(TrajId(93), vec![]),
+    ]
+}
+
 #[test]
 fn query_and_batch_counters_are_exact() {
     let (hris, queries) = scenario();
@@ -162,7 +187,6 @@ fn slow_query_threshold_flags_and_counts() {
         obs.snapshot().counter("hris_engine_slow_queries_total"),
         Some(queries.len() as u64)
     );
-    assert_eq!(obs.slow_query_threshold_s(), 0.0);
 }
 
 #[test]
@@ -185,14 +209,15 @@ fn trace_ring_evicts_oldest_and_counts_drops() {
     assert_eq!(traces.len(), 2);
     assert_eq!(obs.dropped_traces(), 1);
     // Sequential batch → the two *newest* queries survive.
-    assert_eq!(traces[0].query_id, 1);
-    assert_eq!(traces[1].query_id, 2);
+    // (Ids start at 1: 0 is the audit layer's "no trace record".)
+    assert_eq!(traces[0].query_id, 2);
+    assert_eq!(traces[1].query_id, 3);
     assert_eq!(
         obs.snapshot().counter("hris_engine_traces_dropped_total"),
         Some(1)
     );
     // Draining empties the ring but keeps the metrics.
-    assert_eq!(obs.drain_traces().len(), 2);
+    assert_eq!(obs.trace_ring().drain().len(), 2);
     assert!(obs.traces().is_empty());
     assert_eq!(
         obs.snapshot().counter("hris_engine_queries_total"),
@@ -225,7 +250,7 @@ fn zero_trace_capacity_keeps_aggregates_only() {
 fn sampled_queries_carry_complete_span_trees() {
     let (hris, queries) = scenario();
     // A vanishing threshold marks every query slow; 1-in-1 sampling gives
-    // every trace a *live* (non-synthetic) tree.
+    // every tree its per-pair detail.
     let cfg = EngineConfig::builder()
         .observability(true)
         .span_sampling(1)
@@ -284,55 +309,106 @@ fn sampled_queries_carry_complete_span_trees() {
         let pair_spans = t.spans.iter().filter(|s| s.parent == local_id).count();
         assert_eq!(pair_spans, t.pairs, "one pair span per consecutive pair");
     }
-
-    // Exemplars: the query-latency histogram remembers span ids, and each
-    // one resolves to a span actually retained in the trace ring.
-    let snap = obs.snapshot();
-    let h = snap.histogram("hris_engine_query_seconds", &[]).unwrap();
-    let ring_spans: std::collections::HashSet<u64> = traces
-        .iter()
-        .flat_map(|t| t.spans.iter().map(|s| s.id))
-        .collect();
-    let exemplars: Vec<u64> = h.exemplars.iter().flatten().copied().collect();
-    assert!(!exemplars.is_empty(), "expected at least one exemplar");
-    assert!(
-        exemplars.iter().any(|id| ring_spans.contains(id)),
-        "no exemplar resolves into the trace ring: {exemplars:?}"
-    );
 }
 
+/// The record is its tree: whatever the outcome and whatever the sampling
+/// period, a traced query carries the phase spans it ran, and the record's
+/// `*_s` fields are those spans' durations — one measurement, bit for bit.
+/// Sampling only decides whether `local` carries per-pair children.
 #[test]
-fn slow_unsampled_queries_get_synthetic_trees() {
+fn every_trace_carries_its_phase_tree() {
     let (hris, queries) = scenario();
-    // Sampling off entirely — but every query is slow, so the engine must
-    // reconstruct a tree from the phase timings it already measured.
-    let cfg = EngineConfig::builder()
-        .observability(true)
-        .span_sampling(0)
-        .slow_query_threshold_s(1e-12)
-        .build()
-        .unwrap();
-    let engine = QueryEngine::with_config(&hris, cfg);
-    let _ = engine.infer_batch(&queries, 2);
-
-    let obs = engine.observability().unwrap();
-    for t in &obs.traces() {
-        assert!(t.slow);
-        assert_ne!(t.root_span, 0);
-        assert_eq!(t.spans.len(), 5, "root + four phases");
-        assert!(
-            t.spans
-                .iter()
-                .all(|s| s.attrs.iter().any(|(k, _)| k == "synthetic")),
-            "synthetic trees must be labelled as such"
+    let corpus = mixed_outcome_corpus(&hris, &queries[0]);
+    for sample_every in [0, 1] {
+        let engine = QueryEngine::with_config(
+            &hris,
+            EngineConfig::builder()
+                .observability(true)
+                .span_sampling(sample_every)
+                .slow_query_threshold_s(1e-12)
+                .build()
+                .unwrap(),
         );
-        let root = t.spans.iter().find(|s| s.id == t.root_span).unwrap();
-        assert_eq!(root.duration_s, t.total_s);
+        let labels: Vec<&str> = corpus
+            .iter()
+            .map(|q| engine.infer_query(q, 2).outcome.label())
+            .collect();
+        assert_eq!(
+            labels,
+            ["ok", "repaired", "degraded", "rejected", "rejected"]
+        );
+        let obs = engine.observability().unwrap();
+        let traces = obs.traces();
+        assert_eq!(traces.len(), corpus.len());
+        for (t, label) in traces.iter().zip(&labels) {
+            let ctx = format!("{label} query at span_sampling({sample_every})");
+            let roots: Vec<_> = t.spans.iter().filter(|s| s.parent == 0).collect();
+            assert_eq!(roots.len(), 1, "{ctx}: exactly one root");
+            let root = roots[0];
+            assert_eq!(root.name, "query", "{ctx}");
+            assert_eq!(root.id, t.root_span, "{ctx}");
+            assert_eq!(root.duration_s.to_bits(), t.total_s.to_bits(), "{ctx}");
+            for s in &t.spans {
+                assert!(
+                    s.parent == 0 || t.spans.iter().any(|p| p.id == s.parent),
+                    "{ctx}: span `{}` has dangling parent {}",
+                    s.name,
+                    s.parent
+                );
+                assert!(
+                    s.attrs.iter().all(|(k, _)| k != "synthetic"),
+                    "{ctx}: span `{}` is not a measured one",
+                    s.name
+                );
+            }
+            // The phases that ran, in pipeline order (spans are sorted by
+            // start), each with the record's duration; a phase that did not
+            // run is absent from the tree and 0.0 in the record.
+            let phases: Vec<_> = t.spans.iter().filter(|s| s.parent == root.id).collect();
+            let names: Vec<&str> = phases.iter().map(|s| s.name.as_str()).collect();
+            if *label == "rejected" {
+                assert_eq!(names, ["global", "refine"], "{ctx}");
+                assert_eq!((t.candidates_s, t.local_s), (0.0, 0.0), "{ctx}");
+            } else {
+                assert_eq!(names, ["candidates", "local", "global", "refine"], "{ctx}");
+            }
+            for phase in &phases {
+                let recorded = match phase.name.as_str() {
+                    "candidates" => t.candidates_s,
+                    "local" => t.local_s,
+                    "global" => t.global_s,
+                    _ => t.refine_s,
+                };
+                assert_eq!(
+                    phase.duration_s.to_bits(),
+                    recorded.to_bits(),
+                    "{ctx}: `{}`",
+                    phase.name
+                );
+            }
+            // Per-pair detail is what sampling governs.
+            let pair_spans: Vec<_> = t.spans.iter().filter(|s| s.name == "pair").collect();
+            let want_pairs = if sample_every == 1 { t.pairs } else { 0 };
+            assert_eq!(pair_spans.len(), want_pairs, "{ctx}");
+            let local = phases.iter().find(|s| s.name == "local");
+            assert!(
+                pair_spans
+                    .iter()
+                    .all(|p| Some(p.parent) == local.map(|l| l.id)),
+                "{ctx}: pair spans hang under `local`"
+            );
+            assert_eq!(
+                t.spans.len(),
+                1 + phases.len() + want_pairs,
+                "{ctx}: nothing else"
+            );
+            assert!(t.slow, "{ctx}: flagged by the threshold");
+        }
+        assert_eq!(
+            obs.snapshot().counter("hris_engine_slow_queries_total"),
+            Some(corpus.len() as u64)
+        );
     }
-    // Sampling off ⇒ no exemplars anywhere.
-    let snap = obs.snapshot();
-    let h = snap.histogram("hris_engine_query_seconds", &[]).unwrap();
-    assert!(h.exemplars.iter().all(Option::is_none));
 }
 
 #[test]
@@ -385,26 +461,7 @@ fn slo_buckets_partition_a_mixed_outcome_corpus() {
             .unwrap(),
     );
     let base = &queries[0];
-    // Out-of-order timestamps: repaired by re-sorting.
-    let mut scrambled = base.points.clone();
-    let n = scrambled.len();
-    scrambled.swap(1, n - 2);
-    // A poisoned point (repair) in front of a corner-to-corner hop one
-    // second long: no archived trip makes it, so the pair falls back.
-    let bbox = hris.network().bbox();
-    let hop = vec![
-        GpsPoint::new(Point::new(f64::NAN, 0.0), 0.0),
-        GpsPoint::new(bbox.min, 1.0),
-        GpsPoint::new(bbox.max, 2.0),
-    ];
-    let garbage = vec![GpsPoint::new(Point::new(f64::NAN, 0.0), 0.0)];
-    let corpus = [
-        base.clone(),
-        Trajectory::from_unchecked(TrajId(90), scrambled),
-        Trajectory::from_unchecked(TrajId(91), hop),
-        Trajectory::from_unchecked(TrajId(92), garbage),
-        Trajectory::new(TrajId(93), vec![]),
-    ];
+    let corpus = mixed_outcome_corpus(&hris, base);
     let mut labels: Vec<&str> = corpus
         .iter()
         .map(|q| handle.infer_query(q, 2).outcome.label())
@@ -440,25 +497,6 @@ fn slo_buckets_partition_a_mixed_outcome_corpus() {
     let q = snap.histogram("hris_engine_query_seconds", &[]).unwrap();
     assert_eq!(q.count, served - 1);
     assert_eq!(obs.traces().len() as u64, served - 1);
-}
-
-#[test]
-fn rolling_latency_windows_see_the_workload() {
-    let (hris, queries) = scenario();
-    let engine = QueryEngine::with_config(
-        &hris,
-        EngineConfig::builder().observability(true).build().unwrap(),
-    );
-    let _ = engine.infer_batch(&queries, 2);
-    let obs = engine.observability().unwrap();
-    let json = obs.rolling_latency_json();
-    // Just-served queries are inside the 1m window: a positive rate and a
-    // real p95 (not null).
-    assert!(json.starts_with("{\"window_1m\":{\"rate_per_s\":"));
-    assert!(!json.contains("\"p95\":null"), "fresh samples: {json}");
-    for phase in ["candidates", "local", "global", "refine"] {
-        assert!(json.contains(&format!("\"{phase}\":{{\"p95_1m\":")));
-    }
 }
 
 #[test]

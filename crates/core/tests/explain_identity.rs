@@ -90,6 +90,16 @@ fn explain_and_tracing_leave_outputs_byte_identical() {
     let mut ids: Vec<u64> = audits.iter().map(|a| a.trace_id).collect();
     ids.dedup();
     assert_eq!(ids.len(), audits.len(), "one distinct trace id per audit");
+    // With tracing on too, the trace record and the audit of one query
+    // carry the same query id — never 0, the audit's "no trace record".
+    let traces = explained.observability().expect("obs is on").trace_ring();
+    for audit in &audits {
+        let rec = traces
+            .find(audit.trace_id)
+            .expect("audited query traced too");
+        assert_ne!(rec.query_id, 0, "trace {}", audit.trace_id);
+        assert_eq!(audit.query_id, rec.query_id, "trace {}", audit.trace_id);
+    }
 }
 
 #[test]

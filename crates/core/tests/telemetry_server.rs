@@ -7,8 +7,9 @@
 //!   over the same registry;
 //! * `/healthz` flips to 503 when the served snapshot outlives
 //!   `ObsOptions::staleness_bound_s`, and recovers on the next publish;
-//! * `/varz` embeds the rolling-latency windows and `/debug/slow` filters
-//!   to slow traces only.
+//! * `/debug/traces` serves every record with its span tree and
+//!   `/debug/slow` filters to slow traces only; the JSON metrics endpoint
+//!   of earlier versions is gone (404).
 
 use hris::{EngineConfig, EngineHandle, HrisParams};
 use hris_obs::{export, MetricsRegistry};
@@ -129,16 +130,11 @@ fn live_handle_serves_telemetry_and_tracks_staleness() {
     let (code, _) = http_get(addr, "/healthz");
     assert_eq!(code, 200, "publish must restore freshness");
 
-    // /varz embeds the rolling-latency windows next to the JSON metrics.
-    let (code, varz) = http_get(addr, "/varz");
-    assert_eq!(code, 200);
-    assert!(
-        varz.contains("\"engine_latency\":{\"window_1m\":"),
-        "{varz}"
-    );
-    assert!(varz.contains("\"uptime_seconds\":"), "{varz}");
+    // Metrics are exported once, as Prometheus text.
+    let (code, _) = http_get(addr, "/varz");
+    assert_eq!(code, 404);
 
-    // Every query was span-sampled (1-in-1): traces expose their trees.
+    // Every record carries its tree (1-in-1 sampling adds pair detail).
     let (code, traces) = http_get(addr, "/debug/traces");
     assert_eq!(code, 200);
     assert!(traces.contains("\"root_span\":"), "{traces}");

@@ -89,7 +89,7 @@ impl RobustnessReport {
             counts_obj(&self.outcome_counts),
             by_fault.join(","),
             self.load_report.to_json(),
-            self.snapshot.to_json(),
+            crate::runner::snapshot_json(&self.snapshot),
         )
     }
 }

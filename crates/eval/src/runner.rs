@@ -12,7 +12,7 @@ use crate::metrics::accuracy_al;
 use crate::scenario::Scenario;
 use hris::prelude::*;
 use hris_mapmatch::MapMatcher;
-use hris_obs::{MetricsSnapshot, TraceRecord};
+use hris_obs::{MetricsSnapshot, SnapshotValue, TraceRecord};
 use hris_traj::{resample_to_interval, Trajectory, TrajectoryArchive};
 use rayon::prelude::*;
 use std::fmt::Write as _;
@@ -261,10 +261,61 @@ impl ObsReport {
             "{{\"wall_s\":{},\"traces_dropped\":{},\"registry\":{},\"traces\":[{}]}}",
             self.wall_s,
             self.traces_dropped,
-            self.snapshot.to_json(),
+            snapshot_json(&self.snapshot),
             traces.join(",")
         )
     }
+}
+
+/// A registry snapshot as the `registry` object of the report files:
+/// `{"metrics": [{"name", "labels", "type", ...value fields}]}`, histograms
+/// with their bounds and *non-cumulative* bucket counts plus the `+Inf`
+/// overflow count. (The serving surface exports Prometheus text only; this
+/// is the offline document `experiments --metrics-out` writes.)
+pub(crate) fn snapshot_json(snapshot: &MetricsSnapshot) -> String {
+    let num = |v: f64| {
+        if v.is_finite() {
+            v.to_string()
+        } else {
+            "null".to_string()
+        }
+    };
+    let metrics: Vec<String> = snapshot
+        .entries
+        .iter()
+        .map(|e| {
+            let labels: Vec<String> = e
+                .labels
+                .iter()
+                .map(|(k, v)| format!("\"{k}\":\"{v}\""))
+                .collect();
+            let value = match &e.value {
+                SnapshotValue::Counter(v) => format!("\"type\":\"counter\",\"value\":{v}"),
+                SnapshotValue::Gauge(v) => format!("\"type\":\"gauge\",\"value\":{v}"),
+                SnapshotValue::Histogram(h) => {
+                    let buckets: Vec<String> = h
+                        .bounds
+                        .iter()
+                        .zip(&h.counts)
+                        .map(|(le, count)| format!("{{\"le\":{},\"count\":{count}}}", num(*le)))
+                        .collect();
+                    format!(
+                        "\"type\":\"histogram\",\"buckets\":[{}],\"inf_count\":{},\"sum\":{},\"count\":{}",
+                        buckets.join(","),
+                        h.counts[h.bounds.len()],
+                        num(h.sum),
+                        h.count
+                    )
+                }
+            };
+            format!(
+                "{{\"name\":\"{}\",\"labels\":{{{}}},{value}}}",
+                e.name,
+                labels.join(",")
+            )
+        })
+        .collect();
+    format!("{{\"metrics\":[{}]}}", metrics.join(","))
 }
 
 /// [`evaluate_hris`] with engine instrumentation: runs the same workload on
@@ -393,6 +444,41 @@ mod tests {
         cfg.sim.num_trips = 250;
         cfg.num_queries = 3;
         Scenario::build(cfg)
+    }
+
+    /// The `registry` object of the report files parses back, with an
+    /// independent parser, to exactly the registry state.
+    #[test]
+    fn snapshot_json_round_trips() {
+        let r = hris_obs::MetricsRegistry::new();
+        r.counter("c_total", "C.").add(7);
+        r.gauge("g", "G.").set(-3);
+        let h = r.histogram_with_labels("h_seconds", "H.", &[0.0, 10.0], &[("phase", "x")]);
+        for v in [-1.0, 2.5, 2.5, 99.0] {
+            h.observe(v);
+        }
+        let snap = r.snapshot();
+        let parsed: serde_json::Value =
+            serde_json::from_str(&snapshot_json(&snap)).expect("valid JSON");
+        let metrics = parsed["metrics"].as_array().expect("metrics array");
+        let find = |name: &str| {
+            metrics
+                .iter()
+                .find(|m| m["name"].as_str() == Some(name))
+                .unwrap_or_else(|| panic!("metric `{name}` missing"))
+        };
+        assert_eq!(find("c_total")["value"].as_u64(), Some(7));
+        assert_eq!(find("g")["value"].as_i64(), Some(-3));
+        let hj = find("h_seconds");
+        assert_eq!(hj["type"].as_str(), Some("histogram"));
+        assert_eq!(hj["labels"]["phase"].as_str(), Some("x"));
+        let buckets = hj["buckets"].as_array().expect("buckets");
+        let counts: Vec<_> = buckets.iter().map(|b| b["count"].as_u64()).collect();
+        assert_eq!(counts, [Some(1), Some(2)]);
+        assert_eq!(buckets[1]["le"].as_f64(), Some(10.0));
+        assert_eq!(hj["inf_count"].as_u64(), Some(1));
+        assert_eq!(hj["sum"].as_f64(), Some(103.0));
+        assert_eq!(hj["count"].as_u64(), Some(4));
     }
 
     #[test]

@@ -32,14 +32,6 @@ pub enum Admission {
     Shed,
 }
 
-impl Admission {
-    /// `true` for [`Admission::Shed`].
-    #[must_use]
-    pub fn is_shed(&self) -> bool {
-        matches!(self, Admission::Shed)
-    }
-}
-
 #[derive(Debug)]
 struct GateState {
     inflight: usize,
@@ -131,20 +123,6 @@ impl AdmissionGate {
         Admission::Admitted(self.permit())
     }
 
-    /// Non-blocking entry: a permit if an execution slot is free right
-    /// now, `None` otherwise (does **not** count as a shed).
-    #[must_use]
-    pub fn try_admit(&self) -> Option<AdmissionPermit> {
-        let g = &self.inner;
-        let mut st = g.state.lock().expect("admission gate");
-        if st.inflight < g.max_inflight {
-            st.inflight += 1;
-            Some(self.permit())
-        } else {
-            None
-        }
-    }
-
     fn permit(&self) -> AdmissionPermit {
         AdmissionPermit {
             inner: Arc::clone(&self.inner),
@@ -211,15 +189,15 @@ mod tests {
         let gate = AdmissionGate::new(2, 0);
         let a = gate.admit();
         let b = gate.admit();
-        assert!(!a.is_shed());
-        assert!(!b.is_shed());
+        assert!(matches!(a, Admission::Admitted(_)));
+        assert!(matches!(b, Admission::Admitted(_)));
         assert_eq!(gate.inflight(), 2);
         // Third request: no slots, no waiting room → shed.
-        assert!(gate.admit().is_shed());
+        assert!(matches!(gate.admit(), Admission::Shed));
         assert_eq!(gate.shed_total(), 1);
         drop(a);
         assert_eq!(gate.inflight(), 1);
-        assert!(!gate.admit().is_shed());
+        assert!(matches!(gate.admit(), Admission::Admitted(_)));
         drop(b);
     }
 
@@ -242,7 +220,10 @@ mod tests {
         assert_eq!(gate.queued(), 1);
         assert_eq!(gate.queued_high_watermark(), 1);
         assert!(gate.saturated());
-        assert!(gate.admit().is_shed(), "room full: next request sheds");
+        assert!(
+            matches!(gate.admit(), Admission::Shed),
+            "room full: next request sheds"
+        );
         assert!(rx.try_recv().is_err(), "waiter still parked");
         drop(first);
         rx.recv_timeout(Duration::from_secs(5))
@@ -251,16 +232,6 @@ mod tests {
         assert_eq!(gate.inflight(), 0);
         assert_eq!(gate.queued(), 0);
         assert_eq!(gate.shed_total(), 1);
-    }
-
-    #[test]
-    fn try_admit_does_not_shed_or_block() {
-        let gate = AdmissionGate::new(1, 4);
-        let p = gate.try_admit().expect("slot free");
-        assert!(gate.try_admit().is_none());
-        assert_eq!(gate.shed_total(), 0);
-        drop(p);
-        assert!(gate.try_admit().is_some());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Counted monotonic clock — the enforcement point of the zero-clock-read
 //! guarantee.
 //!
-//! Every wall-clock read taken by the observability layer (span guards,
-//! phase timers, sliding windows) and by the engine's instrumented code
-//! paths goes through [`now`], which bumps a process-global counter before
+//! Every wall-clock read taken by the observability layer (its span
+//! guards) and by the engine's instrumented code paths goes through [`now`], which bumps a process-global counter before
 //! delegating to [`Instant::now`]. The disabled-path contract — *an engine
 //! with observability and explain off performs zero clock reads per query* —
 //! then stops being a doc comment and becomes a testable number: a dedicated

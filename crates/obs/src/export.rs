@@ -1,10 +1,10 @@
-//! Snapshot rendering: Prometheus text exposition format and JSON.
+//! Snapshot rendering: Prometheus text exposition format.
 
 use crate::histogram::HistogramSnapshot;
 use crate::registry::{SnapshotEntry, SnapshotValue};
 
 /// A point-in-time copy of a whole [`MetricsRegistry`](crate::MetricsRegistry),
-/// sorted by `(name, labels)`. All exports are deterministic functions of the
+/// sorted by `(name, labels)`. The export is a deterministic function of the
 /// snapshot, so the metric names and label sets form a stable contract
 /// (pinned by the golden-export test).
 #[derive(Debug, Clone, PartialEq)]
@@ -166,56 +166,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// The snapshot as one JSON document:
-    /// `{"metrics": [{"name", "type", "labels", ...value fields}]}`.
-    /// Histograms carry their bounds and *non-cumulative* bucket counts plus
-    /// the `+Inf` overflow count, so the registry state round-trips exactly.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"metrics\":[");
-        for (i, e) in self.sorted_entries().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"labels\":{}",
-                e.name,
-                labels_json(&e.labels)
-            ));
-            match &e.value {
-                SnapshotValue::Counter(v) => {
-                    out.push_str(&format!(",\"type\":\"counter\",\"value\":{v}}}"));
-                }
-                SnapshotValue::Gauge(v) => {
-                    out.push_str(&format!(",\"type\":\"gauge\",\"value\":{v}}}"));
-                }
-                SnapshotValue::Histogram(h) => {
-                    out.push_str(",\"type\":\"histogram\",\"buckets\":[");
-                    for (j, b) in h.bounds.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!(
-                            "{{\"le\":{},\"count\":{}{}}}",
-                            fmt_f64(*b),
-                            h.counts[j],
-                            exemplar_json(&h.exemplars, j, "exemplar_span"),
-                        ));
-                    }
-                    out.push_str(&format!(
-                        "],\"inf_count\":{}{},\"sum\":{},\"count\":{}}}",
-                        h.counts[h.bounds.len()],
-                        exemplar_json(&h.exemplars, h.bounds.len(), "inf_exemplar_span"),
-                        fmt_f64(h.sum),
-                        h.count
-                    ));
-                }
-            }
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// Renders a snapshot in Prometheus text exposition format. This is the
@@ -225,13 +175,6 @@ impl MetricsSnapshot {
 #[must_use]
 pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
     snapshot.to_prometheus()
-}
-
-/// Renders a snapshot as one JSON document (see
-/// [`MetricsSnapshot::to_json`]); the `/varz` endpoint embeds this output.
-#[must_use]
-pub fn json_text(snapshot: &MetricsSnapshot) -> String {
-    snapshot.to_json()
 }
 
 fn labels_eq(have: &[(String, String)], want: &[(&str, &str)]) -> bool {
@@ -254,24 +197,6 @@ fn label_block(labels: &[(String, String)], le: Option<&str>) -> String {
         parts.push(format!("le=\"{le}\""));
     }
     format!("{{{}}}", parts.join(","))
-}
-
-fn labels_json(labels: &[(String, String)]) -> String {
-    let parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("\"{k}\":\"{v}\""))
-        .collect();
-    format!("{{{}}}", parts.join(","))
-}
-
-/// `,"<key>":<span_id>` when bucket `idx` carries an exemplar, else `""`.
-/// Exemplars appear only in the JSON export: the Prometheus text format
-/// stays byte-identical to its pre-exemplar form.
-fn exemplar_json(exemplars: &[Option<u64>], idx: usize, key: &str) -> String {
-    match exemplars.get(idx).copied().flatten() {
-        Some(id) => format!(",\"{key}\":{id}"),
-        None => String::new(),
-    }
 }
 
 fn escape_help(help: &str) -> String {
@@ -370,7 +295,6 @@ mod tests {
             entries: vec![entry("a_total"), entry("b_total")],
         };
         assert_eq!(scrambled.to_prometheus(), sorted.to_prometheus());
-        assert_eq!(scrambled.to_json(), sorted.to_json());
         assert_eq!(
             crate::export::prometheus_text(&scrambled),
             scrambled.to_prometheus()
@@ -378,24 +302,8 @@ mod tests {
     }
 
     #[test]
-    fn exemplars_appear_in_json_but_not_prometheus() {
-        let r = MetricsRegistry::new();
-        let h = r.histogram("lat_seconds", "L.", &[1.0]);
-        h.observe_with_exemplar(0.5, 7);
-        h.observe_with_exemplar(3.0, 9);
-        let s = r.snapshot();
-        let j = s.to_json();
-        assert!(j.contains("\"exemplar_span\":7"));
-        assert!(j.contains("\"inf_exemplar_span\":9"));
-        assert!(!s.to_prometheus().contains("exemplar"));
-    }
-
-    #[test]
-    fn json_shape_and_accessors() {
+    fn snapshot_accessors() {
         let s = demo().snapshot();
-        let j = s.to_json();
-        assert!(j.contains("\"name\":\"req_total\""));
-        assert!(j.contains("\"inf_count\":1"));
         assert_eq!(s.counter("req_total"), Some(3));
         assert_eq!(s.gauge("depth"), Some(-2));
         let h = s.histogram("lat_seconds", &[("phase", "a")]).unwrap();

@@ -40,10 +40,6 @@ struct HistogramCore {
     bounds: Vec<f64>,
     /// One counter per bound, plus the trailing `+Inf` bucket.
     buckets: Vec<AtomicU64>,
-    /// Per-bucket exemplar slot: the span id of the last
-    /// [`Histogram::observe_with_exemplar`] that landed in the bucket
-    /// (0 = none; span ids are allocated from 1).
-    exemplars: Vec<AtomicU64>,
     /// Bit pattern of the running `f64` sum of finite observations.
     sum_bits: AtomicU64,
     /// Total observations (including non-finite ones).
@@ -62,10 +58,6 @@ pub struct HistogramSnapshot {
     pub sum: f64,
     /// Total number of observations.
     pub count: u64,
-    /// Per-bucket exemplar: the span id of the most recent exemplar-carrying
-    /// observation in that bucket, if any. Same length and order as
-    /// `counts`.
-    pub exemplars: Vec<Option<u64>>,
 }
 
 impl Histogram {
@@ -87,44 +79,22 @@ impl Histogram {
             core: Arc::new(HistogramCore {
                 bounds: bounds.to_vec(),
                 buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                exemplars: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
                 sum_bits: AtomicU64::new(0f64.to_bits()),
                 count: AtomicU64::new(0),
             }),
         }
     }
 
-    /// A histogram with the [`DEFAULT_TIME_BOUNDS`] seconds ladder.
-    #[must_use]
-    pub fn time() -> Self {
-        Histogram::new(&DEFAULT_TIME_BOUNDS)
-    }
-
     /// Records one observation. A non-finite value counts toward `count`
     /// and the `+Inf` bucket but is excluded from `sum` (mirroring what a
     /// JSON export could represent).
     pub fn observe(&self, v: f64) {
-        self.record(v, 0);
-    }
-
-    /// Records one observation and stamps the landing bucket's exemplar
-    /// slot with `span_id`, linking the bucket to a concrete trace (a
-    /// later export shows the last span that landed there). A `span_id`
-    /// of 0 means "no exemplar" and behaves like [`Histogram::observe`].
-    pub fn observe_with_exemplar(&self, v: f64, span_id: u64) {
-        self.record(v, span_id);
-    }
-
-    fn record(&self, v: f64, span_id: u64) {
         let idx = if v.is_finite() {
             self.core.bounds.partition_point(|&b| b < v)
         } else {
             self.core.bounds.len()
         };
         self.core.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        if span_id != 0 {
-            self.core.exemplars[idx].store(span_id, Ordering::Relaxed);
-        }
         if v.is_finite() {
             // CAS loop: `AtomicF64` without leaving std.
             let mut cur = self.core.sum_bits.load(Ordering::Relaxed);
@@ -142,13 +112,6 @@ impl Histogram {
             }
         }
         self.core.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Two handles observe into the same storage iff they are clones of one
-    /// histogram.
-    #[must_use]
-    pub fn same_storage(&self, other: &Histogram) -> bool {
-        Arc::ptr_eq(&self.core, &other.core)
     }
 
     /// Total number of observations so far.
@@ -180,15 +143,6 @@ impl Histogram {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
-        let exemplars: Vec<Option<u64>> = self
-            .core
-            .exemplars
-            .iter()
-            .map(|e| match e.load(Ordering::Relaxed) {
-                0 => None,
-                id => Some(id),
-            })
-            .collect();
         let sum = self.sum();
         let count = self.count();
         HistogramSnapshot {
@@ -196,7 +150,6 @@ impl Histogram {
             counts,
             sum,
             count,
-            exemplars,
         }
     }
 }
@@ -301,22 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn exemplar_remembers_last_span_per_bucket() {
-        let h = Histogram::new(&[1.0, 2.0]);
-        h.observe(0.5);
-        let s = h.snapshot();
-        assert_eq!(s.exemplars, vec![None, None, None]);
-
-        h.observe_with_exemplar(0.7, 41);
-        h.observe_with_exemplar(0.9, 42); // same bucket: last write wins
-        h.observe_with_exemplar(5.0, 43); // +Inf bucket
-        h.observe_with_exemplar(1.5, 0); // 0 = no exemplar
-        let s = h.snapshot();
-        assert_eq!(s.exemplars, vec![Some(42), None, Some(43)]);
-        assert_eq!(s.counts, vec![3, 1, 1]);
-    }
-
-    #[test]
     fn quantile_interpolates_within_buckets() {
         let h = Histogram::new(&[1.0, 2.0, 4.0]);
         for v in [0.5, 1.5, 1.5, 3.0] {
@@ -343,7 +280,5 @@ mod tests {
         let h2 = h.clone();
         h2.observe(0.5);
         assert_eq!(h.count(), 1);
-        assert!(h.same_storage(&h2));
-        assert!(!h.same_storage(&Histogram::new(&[1.0])));
     }
 }

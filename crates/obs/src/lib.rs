@@ -10,25 +10,25 @@
 //!   [`Histogram`]s, and [`PairedCounter`]s (a hit/miss pair packed into one
 //!   atomic word so a snapshot of the pair is always mutually consistent).
 //! * [`TraceRecord`] / [`TraceRing`] — opt-in per-query traces (phase
-//!   durations, candidate counts, cache outcomes, route score) kept in a
-//!   bounded ring buffer with a slow-query flag.
+//!   durations, candidate counts, route score and the query's span tree)
+//!   kept in a bounded ring buffer with a slow-query flag. The record is
+//!   the one source of a query's timings: its `*_s` fields are the
+//!   durations of the like-named spans.
 //! * [`MetricsSnapshot`] — a point-in-time copy of the registry that renders
-//!   to Prometheus text exposition format or JSON.
-//! * [`Span`] / [`SpanCollector`] — sampled per-query span trees (phase
-//!   hierarchy with wall-clock extents and attrs) shipped inside
-//!   [`TraceRecord`]s; histogram buckets can carry **exemplar** span ids
-//!   ([`Histogram::observe_with_exemplar`]) linking a latency bucket to a
-//!   concrete trace.
-//! * [`SlidingHistogram`] — a ring of fixed-bucket time epochs merged on
-//!   read, for rolling-window quantiles and rates.
+//!   to Prometheus text exposition format.
+//! * [`Span`] / [`SpanCollector`] / [`SpanGuard`] — per-query span trees
+//!   (phase hierarchy with wall-clock extents and attrs) shipped inside
+//!   [`TraceRecord`]s. A guard is also the stopwatch of the phase it spans
+//!   (*off* / *timed* / *recording*, see [`SpanGuard`]); children hang off a
+//!   `Copy` [`SpanParent`] handle.
 //! * [`serve`] — a zero-dependency blocking HTTP server exposing
-//!   `/metrics`, `/healthz`, `/varz` and `/debug/traces` + `/debug/slow`,
+//!   `/metrics`, `/healthz` and `/debug/traces` + `/debug/slow`,
 //!   plus mountable prefix handlers for router-level debug endpoints
 //!   (`/debug/shards`, `/debug/explain/<trace_id>`).
-//! * [`next_trace_id`] / [`TraceAssembler`] — distributed-trace propagation:
-//!   a router mints a process-unique trace id at its routing decision,
-//!   threads it through delegation and scatter batches, and stitches every
-//!   stage's spans into one validated tree.
+//! * [`next_trace_id`] — distributed-trace propagation: a router mints a
+//!   process-unique trace id at its routing decision and threads it, with
+//!   its [`SpanParent`], through delegation and scatter batches, so every
+//!   stage records into the one collector of the query.
 //! * [`AuditRecord`] / [`AuditRing`] — opt-in per-query explain documents
 //!   (pre-rendered JSON, engine-defined schema) in a bounded ring keyed by
 //!   trace id — the same generic ring as [`TraceRing`].
@@ -59,33 +59,28 @@
 //! workspace gates metric updates on an `Option` that is `None` by default,
 //! so the disabled path executes zero atomic operations and zero clock
 //! reads. Enabled, the per-query cost is a handful of relaxed atomic
-//! read-modify-writes and four `Instant` pairs — see DESIGN.md §5d for the
-//! measured budget.
+//! read-modify-writes and ten clock reads — one [`SpanGuard`] around the
+//! query and one per phase, whether or not the trace ring keeps the tree;
+//! only sampled per-pair detail adds two per pair. See DESIGN.md §5d for
+//! the budget and the test that pins it.
 
 #![warn(missing_docs)]
 
 pub mod admission;
-mod assemble;
 pub mod clock;
 pub mod export;
 mod histogram;
 mod registry;
 mod ring;
 pub mod serve;
-mod sliding;
 mod span;
 mod trace;
 
 pub use admission::{Admission, AdmissionGate, AdmissionPermit};
-pub use assemble::{AssembleError, TraceAssembler};
 pub use export::MetricsSnapshot;
 pub use histogram::{Histogram, HistogramSnapshot, DEFAULT_TIME_BOUNDS, FINE_TIME_BOUNDS};
 pub use registry::{Counter, Gauge, MetricsRegistry, PairedCounter, SnapshotEntry, SnapshotValue};
 pub use ring::{AuditRecord, AuditRing, TraceRing};
 pub use serve::{Health, MetricsServer, ServeState};
-pub use sliding::SlidingHistogram;
-pub use span::{
-    next_span_id, next_trace_id, synthetic_tree, AttrValue, Span, SpanCollector, SpanGuard,
-    SpanSampler,
-};
+pub use span::{next_trace_id, AttrValue, Span, SpanCollector, SpanGuard, SpanParent, SpanSampler};
 pub use trace::TraceRecord;

@@ -82,13 +82,6 @@ impl<T: Clone> Ring<T> {
         }
     }
 
-    /// Two handles push into the same storage iff they are clones of one
-    /// ring.
-    #[must_use]
-    pub fn same_storage(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
     /// The configured capacity.
     #[must_use]
     pub fn capacity(&self) -> usize {
@@ -200,8 +193,6 @@ mod tests {
         let other = ring.clone();
         let _ = other.push(rec(2));
         assert_eq!(ring.snapshot().len(), 1);
-        assert!(ring.same_storage(&other));
-        assert!(!ring.same_storage(&AuditRing::new(3)));
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! |-----------------|---------|------|
 //! | `/metrics`      | `text/plain; version=0.0.4` | Prometheus text, byte-identical to [`prometheus_text`](crate::export::prometheus_text) of the scrape-time snapshot |
 //! | `/healthz`      | `application/json` | `{"status", "checks"}`; HTTP 503 when any check fails |
-//! | `/varz`         | `application/json` | uptime, full metrics snapshot, caller-provided sections (e.g. rolling quantiles) |
 //! | `/debug/traces` | `application/json` | the trace ring, span trees included |
 //! | `/debug/slow`   | `application/json` | only the slow-flagged traces |
 //!
@@ -19,8 +18,8 @@
 //!
 //! The server never touches engine internals directly: it is configured
 //! with a registry handle, an optional [`TraceRing`] clone, and closures
-//! for health checks, pre-scrape refresh (e.g. updating a staleness gauge)
-//! and extra `/varz` sections. That keeps `hris-obs` dependency-free and
+//! for health checks and pre-scrape refresh (e.g. updating a staleness
+//! gauge). That keeps `hris-obs` dependency-free and
 //! lets any binary — engine, ingest worker, test — expose telemetry.
 
 use crate::export::{prometheus_text, MetricsSnapshot};
@@ -31,7 +30,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Outcome of one health check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,7 +43,6 @@ pub enum Health {
 
 type CheckFn = Box<dyn Fn() -> Health + Send + Sync>;
 type HookFn = Box<dyn Fn() + Send + Sync>;
-type VarzFn = Box<dyn Fn() -> String + Send + Sync>;
 type SnapshotFn = Box<dyn Fn() -> MetricsSnapshot + Send + Sync>;
 type DebugFn = Box<dyn Fn(&str) -> Option<String> + Send + Sync>;
 
@@ -55,7 +53,6 @@ pub struct ServeState {
     traces: Option<TraceRing>,
     checks: Vec<(String, CheckFn)>,
     pre_scrape: Vec<HookFn>,
-    varz: Vec<(String, VarzFn)>,
     snapshot: Option<SnapshotFn>,
     debug: Vec<(String, DebugFn)>,
 }
@@ -69,7 +66,6 @@ impl ServeState {
             traces: None,
             checks: Vec::new(),
             pre_scrape: Vec::new(),
-            varz: Vec::new(),
             snapshot: None,
             debug: Vec::new(),
         }
@@ -95,7 +91,7 @@ impl ServeState {
         self
     }
 
-    /// Adds a hook run before every `/metrics`, `/healthz` and `/varz`
+    /// Adds a hook run before every `/metrics` and `/healthz`
     /// response — the place to refresh scrape-time gauges such as
     /// `hris_snapshot_age_seconds`.
     #[must_use]
@@ -104,20 +100,8 @@ impl ServeState {
         self
     }
 
-    /// Adds a named `/varz` section; the closure must return one JSON
-    /// value (object, array or scalar), embedded verbatim.
-    #[must_use]
-    pub fn varz_section(
-        mut self,
-        name: &str,
-        section: impl Fn() -> String + Send + Sync + 'static,
-    ) -> Self {
-        self.varz.push((name.to_string(), Box::new(section)));
-        self
-    }
-
-    /// Replaces the snapshot behind `/metrics` and `/varz` with a
-    /// caller-provided one — e.g. a sharded router's federated snapshot
+    /// Replaces the snapshot behind `/metrics` with a caller-provided
+    /// one — e.g. a sharded router's federated snapshot
     /// merging every shard's registry under a `shard` label — instead of
     /// the constructor registry's own.
     #[must_use]
@@ -154,13 +138,12 @@ impl ServeState {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_thread = Arc::clone(&stop);
-        let started = Instant::now();
         let handle = std::thread::Builder::new()
             .name("hris-telemetry".to_string())
             .spawn(move || {
                 while !stop_thread.load(Ordering::Relaxed) {
                     match listener.accept() {
-                        Ok((stream, _)) => self.handle_connection(stream, started),
+                        Ok((stream, _)) => self.handle_connection(stream),
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(5));
                         }
@@ -175,7 +158,7 @@ impl ServeState {
         })
     }
 
-    fn handle_connection(&self, mut stream: TcpStream, started: Instant) {
+    fn handle_connection(&self, mut stream: TcpStream) {
         let _ = stream.set_nonblocking(false);
         let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
         let Some((method, path)) = read_request_line(&mut stream) else {
@@ -188,7 +171,7 @@ impl ServeState {
                 "{\"error\":\"method not allowed\"}".to_string(),
             )
         } else {
-            self.respond(path.split('?').next().unwrap_or(&path), started)
+            self.respond(path.split('?').next().unwrap_or(&path))
         };
         let reason = match status {
             200 => "OK",
@@ -208,7 +191,7 @@ impl ServeState {
     }
 
     /// Routes one GET; returns `(status, content type, body)`.
-    fn respond(&self, path: &str, started: Instant) -> (u16, &'static str, String) {
+    fn respond(&self, path: &str) -> (u16, &'static str, String) {
         match path {
             "/metrics" => {
                 self.run_pre_scrape();
@@ -238,23 +221,6 @@ impl ServeState {
                 let status = if healthy { "ok" } else { "unhealthy" };
                 let body = format!("{{\"status\":\"{status}\",\"checks\":{{{checks}}}}}");
                 (if healthy { 200 } else { 503 }, "application/json", body)
-            }
-            "/varz" => {
-                self.run_pre_scrape();
-                let mut body = format!(
-                    "{{\"uptime_seconds\":{},\"metrics\":{}",
-                    crate::export::fmt_f64(started.elapsed().as_secs_f64()),
-                    self.scrape_snapshot().to_json()
-                );
-                for (name, section) in &self.varz {
-                    body.push_str(&format!(
-                        ",\"{}\":{}",
-                        crate::export::escape_json(name),
-                        section()
-                    ));
-                }
-                body.push('}');
-                (200, "application/json", body)
             }
             "/debug/traces" => (200, "application/json", self.traces_json(false)),
             "/debug/slow" => (200, "application/json", self.traces_json(true)),
@@ -437,19 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn varz_embeds_metrics_and_sections() {
-        let server = ServeState::new(demo_registry())
-            .varz_section("latency", || "{\"p50_1m\":0.1}".to_string())
-            .serve("127.0.0.1:0")
-            .expect("bind");
-        let (status, body) = http_get(server.addr(), "/varz");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"uptime_seconds\":"));
-        assert!(body.contains("\"name\":\"req_total\""));
-        assert!(body.contains("\"latency\":{\"p50_1m\":0.1}"));
-    }
-
-    #[test]
     fn debug_traces_and_slow_filter() {
         use crate::ring::TraceRing;
         use crate::trace::TraceRecord;
@@ -488,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_provider_overrides_metrics_and_varz() {
+    fn snapshot_provider_overrides_metrics() {
         let federated = MetricsRegistry::new();
         federated
             .counter("shard_req_total", "Per-shard requests.")
@@ -504,8 +457,6 @@ mod tests {
             !body.contains("req_total 3"),
             "constructor registry replaced"
         );
-        let (_, varz) = http_get(server.addr(), "/varz");
-        assert!(varz.contains("\"name\":\"shard_req_total\""));
     }
 
     #[test]
@@ -529,6 +480,81 @@ mod tests {
         assert_eq!(status, 404, "prefix must end at a path boundary");
         let (status, _) = http_get(server.addr(), "/debug/traces");
         assert_eq!(status, 200, "built-in paths still served");
+    }
+
+    /// The request line is untrusted bytes: whatever arrives, the serving
+    /// thread answers or closes the connection and keeps serving. Every
+    /// head is written and then half-closed, so the server sees end of
+    /// input instead of waiting out its 2 s read timeout.
+    #[test]
+    fn malformed_request_heads_never_wedge_the_server() {
+        use proptest::prelude::*;
+        use std::net::Shutdown;
+        use std::time::Instant;
+
+        let server = ServeState::new(demo_registry())
+            .serve("127.0.0.1:0")
+            .expect("bind");
+        let addr = server.addr();
+        proptest::test_runner::run(
+            ProptestConfig::with_cases(224),
+            file!(),
+            "malformed_request_heads_never_wedge_the_server",
+            |rng| {
+                let seed = (0u64..u64::MAX).generate(rng);
+                // Every byte of the head derives from `seed` (an LCG), so
+                // the seed in a failure message replays the case.
+                let mut state = seed;
+                let mut random = |max: u64| {
+                    let mut next = || {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        state >> 33
+                    };
+                    let len = next() % max;
+                    (0..len).map(|_| next() as u8).collect::<Vec<u8>>()
+                };
+                let head: Vec<u8> = match seed % 8 {
+                    0 => random(96), // NULs and invalid UTF-8 included
+                    1 => Vec::new(),
+                    2 => b"GET".to_vec(),
+                    3 => b"GET ".to_vec(),
+                    4 => [b"GET /".as_slice(), &[b'a'; 10_000]].concat(),
+                    5 => b"\r\n".repeat(1 + (seed % 3) as usize),
+                    6 => b"GET /metrics HTTP/1.1\r\nHost: t".to_vec(),
+                    _ => [b"GET /".as_slice(), &random(64), b" HTTP/1.1\r\n\r\n"].concat(),
+                };
+                let started = Instant::now();
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .expect("timeout");
+                // The server may answer and close before a long head is
+                // fully written; a failed write is a closed connection.
+                let _ = stream.write_all(&head);
+                let _ = stream.shutdown(Shutdown::Write);
+                // A reset is a close; a connection left open runs into the
+                // client timeout and fails the elapsed-time check below.
+                let mut response = Vec::new();
+                let _ = stream.read_to_end(&mut response);
+                prop_assert!(
+                    response.is_empty() || response.starts_with(b"HTTP/1.1 "),
+                    "seed {seed}: garbled response {:?}",
+                    String::from_utf8_lossy(&response)
+                );
+                prop_assert!(
+                    started.elapsed() < Duration::from_millis(1500),
+                    "seed {seed}: left open, or closed only by the read timeout"
+                );
+                Ok(())
+            },
+        );
+        let (status, body) = http_get(addr, "/healthz");
+        assert_eq!(status, 200, "{body}");
+        let (status, _) = http_get(addr, "/varz");
+        assert_eq!(status, 404, "the JSON metrics endpoint is gone");
+        server.shutdown();
     }
 
     #[test]

@@ -8,16 +8,17 @@
 //! global span storage: the only cross-query state is the id allocator, one
 //! relaxed `fetch_add` per span.
 //!
-//! Span ids are process-unique (a single atomic counter starting at 1, with
-//! 0 reserved as "no span"), which is what lets a histogram **exemplar**
-//! ([`Histogram::observe_with_exemplar`](crate::Histogram::observe_with_exemplar))
-//! point from a latency bucket back into the trace ring.
-//!
-//! Capturing a span costs two clock reads (start/finish) plus one mutex push
-//! into the collector, so collection is **sampled**: a [`SpanSampler`]
-//! admits 1-in-N queries, and the engine synthesizes a tree from its
-//! already-measured phase timings for slow queries that missed the sample
-//! (see [`synthetic_tree`]) — no extra clock reads on the unsampled path.
+//! A [`SpanGuard`] is also the *only* stopwatch of an instrumented code
+//! path: [`SpanGuard::finish`] returns the measured seconds, so a phase
+//! histogram, the record's `*_s` field and the span tree all read one
+//! measurement. Whoever opens a guard picks one of three states: *off*
+//! ([`SpanGuard::off`]: no clock read, nothing recorded), *timed*
+//! ([`SpanGuard::timed`]: two clock reads, nothing recorded) or *recording*
+//! ([`SpanCollector::root`]: the same two reads, and a [`Span`] lands in
+//! the collector). Children are opened through a [`SpanParent`] — a `Copy`
+//! handle carrying the state — so code below the root never asks which
+//! state it is in. Only per-pair detail, the one part of a tree whose cost
+//! grows with the query, is still **sampled** ([`SpanSampler`], 1-in-N).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -27,8 +28,7 @@ use std::time::Instant;
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Allocates a fresh process-unique span id (never 0).
-#[must_use]
-pub fn next_span_id() -> u64 {
+fn next_span_id() -> u64 {
     NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
 }
 
@@ -158,16 +158,11 @@ pub struct SpanCollector {
     spans: Mutex<Vec<Span>>,
 }
 
-impl Default for SpanCollector {
-    fn default() -> Self {
-        SpanCollector::new()
-    }
-}
-
 impl SpanCollector {
     /// An empty collector; its origin (the zero of every `start_s`) is
-    /// pinned to the moment of construction.
+    /// pinned to the moment of construction. One clock read.
     #[must_use]
+    #[allow(clippy::new_without_default)] // construction reads the clock
     pub fn new() -> Self {
         SpanCollector {
             origin: crate::clock::now(),
@@ -175,65 +170,30 @@ impl SpanCollector {
         }
     }
 
-    /// Opens the root span (parent 0).
+    /// Opens the root span (parent 0). The root starts at the collector's
+    /// origin — the reading [`SpanCollector::new`] already took — so
+    /// opening it reads no clock and its `start_s` is exactly 0.
     pub fn root(&self, name: &str) -> SpanGuard<'_> {
-        self.guard(name, 0)
+        self.open(name, 0, self.origin)
     }
 
-    /// Opens a child span under `parent` (a span id from a live guard).
-    pub fn child(&self, parent: u64, name: &str) -> SpanGuard<'_> {
-        self.guard(name, parent)
-    }
-
-    fn guard(&self, name: &str, parent: u64) -> SpanGuard<'_> {
-        let start = crate::clock::now();
-        SpanGuard {
-            collector: self,
+    fn open(&self, name: &str, parent: u64, start: Instant) -> SpanGuard<'_> {
+        let span = Span {
             id: next_span_id(),
             parent,
             name: name.to_string(),
-            start,
             start_s: start.duration_since(self.origin).as_secs_f64(),
+            duration_s: 0.0,
             attrs: Vec::new(),
-            armed: true,
+        };
+        SpanGuard {
+            start: Some(start),
+            span: Some((self, span)),
         }
     }
 
-    /// Appends an externally built span (used for synthetic trees).
-    pub fn record(&self, span: Span) {
+    fn record(&self, span: Span) {
         self.spans.lock().expect("span collector").push(span);
-    }
-
-    /// Records a zero-duration marker span — a **span event** — under
-    /// `parent`: shard health flips, reroutes, degraded/rejected outcomes.
-    /// One clock read (the event's position on the trace timeline); returns
-    /// the event's span id.
-    pub fn event(&self, parent: u64, name: &str, attrs: Vec<(String, AttrValue)>) -> u64 {
-        let id = next_span_id();
-        let start_s = crate::clock::now()
-            .duration_since(self.origin)
-            .as_secs_f64();
-        self.record(Span {
-            id,
-            parent,
-            name: name.to_string(),
-            start_s,
-            duration_s: 0.0,
-            attrs,
-        });
-        id
-    }
-
-    /// Number of finished spans collected so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.spans.lock().expect("span collector").len()
-    }
-
-    /// True when no span has finished yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Consumes the collector, returning its spans sorted by
@@ -251,56 +211,136 @@ impl SpanCollector {
     }
 }
 
-/// An open span: records itself into the collector when finished (or
-/// dropped), RAII-style. Costs one clock read on open and one on close.
-#[must_use = "a dropped-immediately guard records a ~0s span"]
-#[derive(Debug)]
-pub struct SpanGuard<'c> {
-    collector: &'c SpanCollector,
-    id: u64,
-    parent: u64,
-    name: String,
-    start: Instant,
-    start_s: f64,
-    attrs: Vec<(String, AttrValue)>,
-    armed: bool,
+/// Where a child span hangs: a `Copy` handle taken from an open guard
+/// ([`SpanGuard::as_parent`]) and threaded through the stages below it.
+/// It carries the guard's state, so [`SpanParent::child`] and
+/// [`SpanParent::event`] are no-ops (no clock read, no id, no allocation)
+/// under an *off* parent and stopwatch-only under a *timed* one.
+#[derive(Debug, Clone, Copy)]
+pub struct SpanParent<'c> {
+    timed: bool,
+    /// Recording: the collector and the parent span id.
+    under: Option<(&'c SpanCollector, u64)>,
 }
 
-impl SpanGuard<'_> {
-    /// This span's id — hand it to children and to histogram exemplars.
+impl<'c> SpanParent<'c> {
+    /// The parent under which nothing is measured or recorded.
+    #[must_use]
+    pub fn off() -> Self {
+        SpanParent {
+            timed: false,
+            under: None,
+        }
+    }
+
+    /// True when children of this parent land in a collector.
+    #[must_use]
+    pub fn is_recording(self) -> bool {
+        self.under.is_some()
+    }
+
+    /// Opens a child span in this parent's state.
+    pub fn child(self, name: &str) -> SpanGuard<'c> {
+        match self.under {
+            Some((c, parent)) => c.open(name, parent, crate::clock::now()),
+            None if self.timed => SpanGuard::timed(),
+            None => SpanGuard::off(),
+        }
+    }
+
+    /// Records a zero-duration marker span — a **span event** — under this
+    /// parent: shard health flips, reroutes, degraded/rejected outcomes.
+    /// One clock read (the event's position on the trace timeline) when
+    /// recording, nothing otherwise.
+    pub fn event(self, name: &str, attrs: &[(&str, AttrValue)]) {
+        let Some((c, parent)) = self.under else {
+            return;
+        };
+        let mut marker = c.open(name, parent, crate::clock::now());
+        for (key, value) in attrs {
+            marker.attr(key, value.clone());
+        }
+        // A marker has no extent: its drop records it without a clock read.
+        marker.start = None;
+    }
+}
+
+/// An open span and the stopwatch of the work under it (see the module
+/// docs for the three states). A *recording* guard records itself into its
+/// collector when finished or dropped, RAII-style.
+#[must_use = "a dropped-immediately guard measures nothing"]
+#[derive(Debug)]
+pub struct SpanGuard<'c> {
+    /// `None` when off (or a marker).
+    start: Option<Instant>,
+    /// Recording: the collector and the span so far (`duration_s` unset).
+    span: Option<(&'c SpanCollector, Span)>,
+}
+
+impl<'c> SpanGuard<'c> {
+    /// A guard that measures and records nothing: zero clock reads, and
+    /// [`SpanGuard::finish`] returns 0.
+    pub fn off() -> Self {
+        SpanGuard {
+            start: None,
+            span: None,
+        }
+    }
+
+    /// A stopwatch: one clock read now, one on [`SpanGuard::finish`],
+    /// nothing recorded and nothing allocated.
+    pub fn timed() -> Self {
+        SpanGuard {
+            start: Some(crate::clock::now()),
+            span: None,
+        }
+    }
+
+    /// This span's id, or 0 when the guard is not recording.
     #[must_use]
     pub fn id(&self) -> u64 {
-        self.id
+        self.span.as_ref().map_or(0, |(_, span)| span.id)
     }
 
-    /// Attaches a key-value attribute.
+    /// The handle children of this span are opened through.
+    #[must_use]
+    pub fn as_parent(&self) -> SpanParent<'c> {
+        SpanParent {
+            timed: self.start.is_some(),
+            under: self.span.as_ref().map(|(c, span)| (*c, span.id)),
+        }
+    }
+
+    /// Attaches a key-value attribute (converted only when recording).
     pub fn attr(&mut self, key: &str, value: impl Into<AttrValue>) {
-        self.attrs.push((key.to_string(), value.into()));
+        if let Some((_, span)) = &mut self.span {
+            span.attrs.push((key.to_string(), value.into()));
+        }
     }
 
-    /// Closes the span now and returns its duration in seconds.
+    /// Closes the span now and returns its duration in seconds (0 for an
+    /// *off* guard) — the one measurement histograms, records and the span
+    /// tree all share.
     pub fn finish(mut self) -> f64 {
         self.close()
     }
 
     fn close(&mut self) -> f64 {
-        let duration_s = crate::clock::now().duration_since(self.start).as_secs_f64();
-        self.armed = false;
-        self.collector.record(Span {
-            id: self.id,
-            parent: self.parent,
-            name: std::mem::take(&mut self.name),
-            start_s: self.start_s,
-            duration_s,
-            attrs: std::mem::take(&mut self.attrs),
+        let duration_s = self.start.take().map_or(0.0, |start| {
+            crate::clock::now().duration_since(start).as_secs_f64()
         });
+        if let Some((collector, mut span)) = self.span.take() {
+            span.duration_s = duration_s;
+            collector.record(span);
+        }
         duration_s
     }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if self.armed {
+        // Only a recording guard still owes anybody its span.
+        if self.span.is_some() {
             let _ = self.close();
         }
     }
@@ -325,12 +365,6 @@ impl SpanSampler {
         }
     }
 
-    /// The configured period.
-    #[must_use]
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
     /// Draws the next admission decision.
     #[must_use]
     pub fn sample(&self) -> bool {
@@ -341,44 +375,6 @@ impl SpanSampler {
             .fetch_add(1, Ordering::Relaxed)
             .is_multiple_of(self.every)
     }
-}
-
-/// Builds a complete query span tree from already-measured phase durations:
-/// a root named `root_name` spanning `total_s`, with one child per
-/// `(name, duration_s)` phase laid out back-to-back from the root's start.
-///
-/// This is how a slow query that missed the 1-in-N sample still ships a
-/// full causal tree — the phase durations were measured anyway for the
-/// phase histograms, so synthesis costs id allocations only, **zero**
-/// additional clock reads. Synthesized spans carry the attr
-/// `synthetic: 1`.
-///
-/// Returns `(root_id, spans)`.
-#[must_use]
-pub fn synthetic_tree(root_name: &str, total_s: f64, phases: &[(&str, f64)]) -> (u64, Vec<Span>) {
-    let root_id = next_span_id();
-    let mut spans = Vec::with_capacity(phases.len() + 1);
-    spans.push(Span {
-        id: root_id,
-        parent: 0,
-        name: root_name.to_string(),
-        start_s: 0.0,
-        duration_s: total_s,
-        attrs: vec![("synthetic".to_string(), AttrValue::Int(1))],
-    });
-    let mut at = 0.0;
-    for (name, dur) in phases {
-        spans.push(Span {
-            id: next_span_id(),
-            parent: root_id,
-            name: (*name).to_string(),
-            start_s: at,
-            duration_s: *dur,
-            attrs: vec![("synthetic".to_string(), AttrValue::Int(1))],
-        });
-        at += dur;
-    }
-    (root_id, spans)
 }
 
 #[cfg(test)]
@@ -404,17 +400,16 @@ mod tests {
         let c = SpanCollector::new();
         let root = c.root("query");
         let root_id = root.id();
-        let ev = c.event(
-            root_id,
-            "reroute",
-            vec![("from".to_string(), AttrValue::Int(2))],
-        );
+        root.as_parent()
+            .event("reroute", &[("from", AttrValue::Int(2))]);
         let _ = root.finish();
         let spans = c.into_spans();
-        let event = spans.iter().find(|s| s.id == ev).expect("event recorded");
+        let event = spans
+            .iter()
+            .find(|s| s.name == "reroute")
+            .expect("event recorded");
         assert_eq!(event.parent, root_id);
         assert_eq!(event.duration_s, 0.0);
-        assert_eq!(event.name, "reroute");
         assert_eq!(event.attrs[0].0, "from");
     }
 
@@ -424,17 +419,21 @@ mod tests {
         let root = c.root("query");
         let root_id = root.id();
         {
-            let mut child = c.child(root_id, "local");
+            let mut child = root.as_parent().child("local");
             child.attr("pairs", 4usize);
-            let grand = c.child(child.id(), "pair");
+            let grand = child.as_parent().child("pair");
             let _ = grand.finish();
             let _ = child.finish();
         }
-        let _ = root.finish();
+        let total_s = root.finish();
         let spans = c.into_spans();
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].name, "query");
         assert_eq!(spans[0].parent, 0);
+        // The root starts at the collector's origin, and `finish` returned
+        // the very duration the span carries.
+        assert_eq!(spans[0].start_s, 0.0);
+        assert_eq!(spans[0].duration_s.to_bits(), total_s.to_bits());
         assert_eq!(spans[1].name, "local");
         assert_eq!(spans[1].parent, root_id);
         assert_eq!(spans[2].parent, spans[1].id);
@@ -454,7 +453,24 @@ mod tests {
         {
             let _root = c.root("query");
         }
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.into_spans().len(), 1);
+    }
+
+    #[test]
+    fn off_and_timed_guards_record_nothing() {
+        for mut guard in [SpanGuard::off(), SpanGuard::timed()] {
+            assert_eq!(guard.id(), 0);
+            guard.attr("ignored", "text");
+            let parent = guard.as_parent();
+            assert!(!parent.is_recording());
+            parent.event("ignored", &[]);
+            let child = parent.child("child");
+            assert_eq!(child.id(), 0);
+            assert!(child.finish() >= 0.0);
+            assert!(guard.finish() >= 0.0);
+        }
+        assert_eq!(SpanGuard::off().finish(), 0.0);
+        assert!(!SpanParent::off().is_recording());
     }
 
     #[test]
@@ -467,20 +483,6 @@ mod tests {
         );
         let off = SpanSampler::new(0);
         assert!((0..10).all(|_| !off.sample()));
-    }
-
-    #[test]
-    fn synthetic_tree_is_complete_and_flagged() {
-        let (root_id, spans) = synthetic_tree("query", 1.0, &[("candidates", 0.1), ("local", 0.7)]);
-        assert_eq!(spans.len(), 3);
-        assert_eq!(spans[0].id, root_id);
-        assert!(spans.iter().skip(1).all(|s| s.parent == root_id));
-        assert!((spans[2].start_s - 0.1).abs() < 1e-12);
-        assert!(spans.iter().all(|s| s
-            .attrs
-            .contains(&("synthetic".to_string(), AttrValue::Int(1)))));
-        let phase_sum: f64 = spans.iter().skip(1).map(|s| s.duration_s).sum();
-        assert!((phase_sum - 0.8).abs() < 1e-12);
     }
 
     #[test]

@@ -1,22 +1,19 @@
-//! S3 — golden snapshots of the Prometheus text and JSON exports.
+//! S3 — golden snapshot of the Prometheus text export.
 //!
-//! The workload below is fully scripted (no clocks, no randomness), so both
-//! exports are byte-deterministic. The golden files pin the exposition
-//! formats themselves — family headers, label ordering, cumulative buckets,
-//! paired counter expansion, float spellings, exemplar placement — so any
-//! accidental format drift shows up as a one-line diff here rather than as
-//! a broken scrape downstream. Note the scripted workload records one
-//! histogram exemplar: it must surface in the JSON golden and must *not*
-//! appear anywhere in the Prometheus golden.
+//! The workload below is fully scripted (no clocks, no randomness), so the
+//! export is byte-deterministic. The golden file pins the exposition
+//! format itself — family headers, label ordering, cumulative buckets,
+//! paired counter expansion, float spellings — so any accidental format
+//! drift shows up as a one-line diff here rather than as a broken scrape
+//! downstream.
 //!
 //! To regenerate after an *intentional* format change:
 //! `BLESS=1 cargo test -p hris-obs --test golden_prometheus` and commit the
-//! rewritten `golden_prometheus.txt` / `golden_json.txt`.
+//! rewritten `golden_prometheus.txt`.
 
 use hris_obs::{MetricsRegistry, PairedCounter};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_prometheus.txt");
-const GOLDEN_JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_json.txt");
 
 /// The engine's metric families, driven with fixed values.
 fn scripted_registry() -> MetricsRegistry {
@@ -100,9 +97,7 @@ fn scripted_registry() -> MetricsRegistry {
         &bounds,
     );
     q.observe(0.03);
-    // A fixed exemplar span id: visible in the JSON export only — the
-    // Prometheus golden proves text output is exemplar-free.
-    q.observe_with_exemplar(0.3, 42);
+    q.observe(0.3);
     q.observe(3.0);
 
     let sp = r.register_paired(
@@ -133,32 +128,9 @@ fn prometheus_export_matches_golden() {
 }
 
 #[test]
-fn json_export_matches_golden() {
-    let got = scripted_registry().snapshot().to_json();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(GOLDEN_JSON_PATH, &got).expect("bless golden file");
-        return;
-    }
-    let want = std::fs::read_to_string(GOLDEN_JSON_PATH)
-        .expect("golden file missing — run with BLESS=1 to generate it");
-    assert!(
-        got == want,
-        "JSON export drifted from golden.\n--- got ---\n{got}\n--- want ---\n{want}"
-    );
-    // The exemplar recorded by the script is a JSON-only artefact.
-    assert!(want.contains("\"exemplar_span\":42"));
-    let text = scripted_registry().snapshot().to_prometheus();
-    assert!(
-        !text.contains("exemplar"),
-        "exemplars leaked into text: {text}"
-    );
-}
-
-#[test]
 fn scripted_workload_is_deterministic() {
-    // The golden tests are only meaningful if two runs of the script agree.
+    // The golden test is only meaningful if two runs of the script agree.
     let a = scripted_registry().snapshot();
     let b = scripted_registry().snapshot();
     assert_eq!(a.to_prometheus(), b.to_prometheus());
-    assert_eq!(a.to_json(), b.to_json());
 }

@@ -1,10 +1,7 @@
-//! Property tests of `hris-obs`: histogram bucket algebra, counter
-//! monotonicity under concurrent increments, and exporter round-trips
-//! against an independent JSON parser.
+//! Property tests of `hris-obs`: histogram bucket algebra and counter
+//! monotonicity under concurrent increments.
 
-use hris_obs::{
-    Histogram, MetricsRegistry, PairedCounter, SlidingHistogram, TraceRecord, TraceRing,
-};
+use hris_obs::{Histogram, MetricsRegistry, PairedCounter, TraceRecord, TraceRing};
 use proptest::prelude::*;
 use rayon::prelude::*;
 
@@ -102,58 +99,6 @@ proptest! {
         prop_assert!((s.sum - want_sum).abs() <= 1e-6 * (1.0 + want_sum.abs()));
     }
 
-    /// The JSON export parses back (with an independent parser) to exactly
-    /// the registry state: names, values, buckets, sums and counts.
-    #[test]
-    fn json_export_round_trips(
-        counter_v in 0u64..1_000_000,
-        gauge_v in -1_000_000i64..1_000_000,
-        hits in 0u64..1_000,
-        misses in 0u64..1_000,
-        values in prop::collection::vec(-100.0..100.0f64, 0..50),
-    ) {
-        let r = MetricsRegistry::new();
-        r.counter("c_total", "C.").add(counter_v);
-        r.gauge("g", "G.").set(gauge_v);
-        let h = r.histogram_with_labels("h_seconds", "H.", &[-10.0, 0.0, 10.0], &[("phase", "x")]);
-        for &v in &values {
-            h.observe(v);
-        }
-        let p = r.register_paired("cache", "P.", PairedCounter::new());
-        for _ in 0..hits { p.hit(); }
-        for _ in 0..misses { p.miss(); }
-
-        let snap = r.snapshot();
-        let parsed: serde_json::Value =
-            serde_json::from_str(&snap.to_json()).expect("export is valid JSON");
-        let metrics = parsed["metrics"].as_array().expect("metrics array");
-
-        let find = |name: &str| -> &serde_json::Value {
-            metrics
-                .iter()
-                .find(|m| m["name"].as_str() == Some(name))
-                .unwrap_or_else(|| panic!("metric `{name}` missing from export"))
-        };
-        prop_assert_eq!(find("c_total")["value"].as_u64(), Some(counter_v));
-        prop_assert_eq!(find("g")["value"].as_i64(), Some(gauge_v));
-        prop_assert_eq!(find("cache_hits_total")["value"].as_u64(), Some(hits));
-        prop_assert_eq!(find("cache_misses_total")["value"].as_u64(), Some(misses));
-
-        let hj = find("h_seconds");
-        prop_assert_eq!(hj["labels"]["phase"].as_str(), Some("x"));
-        let hs = snap.histogram("h_seconds", &[("phase", "x")]).unwrap();
-        let buckets = hj["buckets"].as_array().unwrap();
-        prop_assert_eq!(buckets.len(), hs.bounds.len());
-        for (b, (bound, count)) in buckets.iter().zip(hs.bounds.iter().zip(&hs.counts)) {
-            prop_assert_eq!(b["le"].as_f64(), Some(*bound));
-            prop_assert_eq!(b["count"].as_u64(), Some(*count));
-        }
-        prop_assert_eq!(hj["inf_count"].as_u64(), Some(hs.counts[hs.bounds.len()]));
-        prop_assert_eq!(hj["count"].as_u64(), Some(hs.count));
-        let sum = hj["sum"].as_f64().expect("finite sum");
-        prop_assert!((sum - hs.sum).abs() <= 1e-9 * (1.0 + hs.sum.abs()));
-    }
-
     /// The Prometheus text export is structurally sound for arbitrary
     /// histogram content: one header per family, cumulative buckets, and a
     /// final `+Inf` bucket equal to `_count`.
@@ -211,37 +156,6 @@ proptest! {
         // The next representable value above the last bound *does* overflow.
         h.observe(bounds.last().unwrap().next_up());
         prop_assert_eq!(h.snapshot().counts[bounds.len()], 1);
-    }
-
-    /// A sliding histogram's merged window equals a plain histogram fed the
-    /// same samples, whenever every sample falls inside the queried window:
-    /// epoch rotation splits the stream but never loses or double-counts.
-    #[test]
-    fn sliding_window_merge_matches_histogram_of_all_samples(
-        mut samples in prop::collection::vec((0.0..100.0f64, 0.0..9.5f64), 1..200),
-    ) {
-        // 1 s epochs, 12-slot ring, 10 s window queried at t = 100: samples
-        // land at t in [90.5, 100], all inside both window and ring.
-        let bounds = [1.0, 10.0, 50.0];
-        let sliding = SlidingHistogram::new(&bounds, 1.0, 12);
-        let plain = Histogram::new(&bounds);
-        let now = 100.0;
-        // Writers only move forward in time; sort by timestamp.
-        samples.sort_by(|a, b| a.1.total_cmp(&b.1));
-        for &(v, back) in &samples {
-            sliding.observe_at(v, now - 9.5 + back);
-            plain.observe(v);
-        }
-        let merged = sliding.window_snapshot_at(10.0, now);
-        let want = plain.snapshot();
-        prop_assert_eq!(merged.counts, want.counts);
-        prop_assert_eq!(merged.count, want.count);
-        prop_assert!((merged.sum - want.sum).abs() <= 1e-9 * (1.0 + want.sum.abs()));
-        prop_assert_eq!(sliding.dropped_late(), 0);
-
-        // A zero-width future window sees nothing.
-        let empty = sliding.window_snapshot_at(10.0, now + 30.0);
-        prop_assert_eq!(empty.count, 0);
     }
 }
 

@@ -53,7 +53,7 @@ use hris_geo::BBox;
 use hris_obs::{
     next_trace_id, Admission, AdmissionGate, AttrValue, AuditRecord, AuditRing, Counter, Health,
     MetricsRegistry, MetricsServer, MetricsSnapshot, ServeState, SpanCollector, SpanGuard,
-    TraceAssembler, TraceRecord, TraceRing,
+    SpanParent, TraceRecord, TraceRing,
 };
 use hris_roadnet::RoadNetwork;
 use hris_traj::{
@@ -63,10 +63,15 @@ use hris_traj::{
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-/// The span handle the router threads through one traced query: the
-/// query-owned collector (one clock origin for the whole stitched tree)
-/// plus the span id the next stage should parent under.
-type SpanCtx<'c> = Option<(&'c SpanCollector, u64)>;
+/// The identity of one routed query, minted once in
+/// [`ShardedEngine::infer_query_traced`]: both 0 unless a ring is on. The
+/// stitched trace record and the router-side audit carry the same pair, so
+/// `/debug/traces` and `/debug/explain/<trace_id>` agree about the query.
+#[derive(Clone, Copy, Default)]
+struct QueryIds {
+    trace: u64,
+    query: u64,
+}
 
 /// Router-side health of one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,7 +228,7 @@ pub struct ShardedEngine {
     /// audits of scatter-gathered queries (delegated queries audit on
     /// their shard, under the router's trace id).
     audits: Option<AuditRing>,
-    /// Router-assigned query sequence for stitched trace records.
+    /// Router-assigned query sequence, from 1 (0 is "no record").
     next_query_id: AtomicU64,
 }
 
@@ -366,7 +371,7 @@ impl ShardedEngine {
             gate,
             traces,
             audits,
-            next_query_id: AtomicU64::new(0),
+            next_query_id: AtomicU64::new(1),
         }
     }
 
@@ -506,7 +511,7 @@ impl ShardedEngine {
     /// Starts the router-level telemetry server on `addr` (e.g.
     /// `"127.0.0.1:0"` for an ephemeral port).
     ///
-    /// `/metrics` and `/varz` serve the **federated** snapshot
+    /// `/metrics` serves the **federated** snapshot
     /// ([`ShardedEngine::metrics_snapshot`]: router series plus every
     /// shard's, `shard`-labelled). `/debug/shards` reports per-shard
     /// health/servability/epoch. With tracing enabled, `/debug/traces`
@@ -565,8 +570,9 @@ impl ShardedEngine {
     /// `trace_capacity`) the query additionally records one **stitched span
     /// tree** — routing → per-shard local inference → gather → splice →
     /// rerank, with health flips, reroutes and degraded/rejected outcomes
-    /// as span events — into the router's trace ring, validated by a
-    /// [`TraceAssembler`] (exactly one root, every parent resolvable).
+    /// as span events — into the router's trace ring. Every stage records
+    /// into the one collector of the query, so the spans are one tree by
+    /// construction (pinned by `router_trace_props::check_complete`).
     /// With explain enabled (`cfg.explain`) it records a
     /// [`QueryAudit`] under the same trace id. With both disabled this
     /// path is byte-identical to an untraced router and performs zero
@@ -576,11 +582,14 @@ impl ShardedEngine {
         self.m.queries.inc();
         // Identity is minted only when a consumer — the stitched trace
         // ring or the audit ring — is switched on; the disabled path skips
-        // even the atomic increment.
-        let trace_id = if self.traces.is_some() || self.audits.is_some() {
-            next_trace_id()
+        // even the atomic increments.
+        let ids = if self.traces.is_some() || self.audits.is_some() {
+            QueryIds {
+                trace: next_trace_id(),
+                query: self.next_query_id.fetch_add(1, Ordering::Relaxed),
+            }
         } else {
-            0
+            QueryIds::default()
         };
 
         // Stage 0 — admission. Shedding here costs a mutex lock and
@@ -590,7 +599,7 @@ impl ShardedEngine {
                 self.m.rejected.inc();
                 self.m.shed.inc();
                 if let Some(ring) = &self.audits {
-                    let _ = ring.push(QueryAudit::shed(trace_id, query.len()).into_record());
+                    let _ = ring.push(QueryAudit::shed(ids.trace, query.len()).into_record());
                 }
                 return (
                     QueryResult::rejected(RejectReason::Overloaded),
@@ -605,54 +614,46 @@ impl ShardedEngine {
         // batches, gather, splice — records into it, so the whole stitched
         // tree shares one clock origin and needs no cross-shard alignment.
         let collector = self.traces.as_ref().map(|_| SpanCollector::new());
-        let root_guard = collector.as_ref().map(|c| c.root("query"));
-        let root_id = root_guard.as_ref().map_or(0, SpanGuard::id);
-        let spans = collector.as_ref().map(|c| (c, root_id));
+        let root = collector
+            .as_ref()
+            .map_or_else(SpanGuard::off, |c| c.root("query"));
+        let root_span = root.id();
 
-        let (result, route) = self.dispatch(query, k, trace_id, spans);
+        let (result, route) = self.dispatch(query, k, ids, root.as_parent());
 
-        drop(root_guard);
+        let total_s = root.finish();
         if let (Some(ring), Some(c)) = (&self.traces, collector) {
-            let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed) + 1;
-            let rec = TraceRecord {
-                trace_id,
-                query_id,
+            let _ = ring.push(TraceRecord {
+                trace_id: ids.trace,
+                query_id: ids.query,
                 points: query.points.len(),
                 pairs: query.points.len().saturating_sub(1),
                 routes: result.globals.len(),
                 top_log_score: result.globals.first().map(|g| g.log_score),
+                total_s,
+                root_span,
+                spans: c.into_spans(),
                 ..TraceRecord::default()
-            };
-            let mut asm = TraceAssembler::new(trace_id);
-            asm.add_spans(c.into_spans());
-            match asm.finish(rec) {
-                Ok(rec) => {
-                    let _ = ring.push(rec);
-                }
-                Err(e) => debug_assert!(false, "router span tree must stitch: {e}"),
-            }
+            });
         }
         (result, route)
     }
 
     /// Screen + spatial dispatch, inside the `routing` span of a traced
-    /// query. The `spans` context is `(collector, root span id)`.
+    /// query. `root` is the query's root span (off when untraced).
     fn dispatch(
         &self,
         query: &Trajectory,
         k: usize,
-        trace_id: u64,
-        spans: SpanCtx<'_>,
+        ids: QueryIds,
+        root: SpanParent<'_>,
     ) -> (QueryResult, RouteTrace) {
         // Stage 1 — the engine's own screen, so routing sees the points the
         // shard engines will serve and rejects exactly when they would.
-        let mut routing = spans.map(|(c, root)| c.child(root, "routing"));
+        let mut routing = root.child("routing");
         let screened = match screen(query) {
             Ok(s) => s,
-            Err(reason) => {
-                let under_routing = spans.zip(routing.as_ref()).map(|((c, _), g)| (c, g.id()));
-                return self.reject(query, reason, trace_id, under_routing);
-            }
+            Err(reason) => return self.reject(query, reason, ids, routing.as_parent()),
         };
 
         // Stage 2 — spatial dispatch on the (possibly repaired) points.
@@ -665,22 +666,20 @@ impl ShardedEngine {
             let qb = BBox::covering(pts.iter().map(|p| p.pos)).inflated(self.params.phi_m);
             self.plan.home_shard(&qb)
         };
-        if let Some(g) = routing.as_mut() {
-            g.attr("points", pts.len());
-            g.attr(
-                "kind",
-                if single_home.is_some() {
-                    "single"
-                } else {
-                    "scatter"
-                },
-            );
-        }
+        routing.attr("points", pts.len());
+        routing.attr(
+            "kind",
+            if single_home.is_some() {
+                "single"
+            } else {
+                "scatter"
+            },
+        );
         drop(routing);
 
         match single_home {
-            Some(s) => self.run_single(query, k, s, trace_id, spans),
-            None => self.run_scatter(&screened, k, trace_id, spans),
+            Some(s) => self.run_single(query, k, s, ids, root),
+            None => self.run_scatter(&screened, k, ids, root),
         }
     }
 
@@ -691,20 +690,19 @@ impl ShardedEngine {
         &self,
         query: &Trajectory,
         reason: RejectReason,
-        trace_id: u64,
-        spans: SpanCtx<'_>,
+        ids: QueryIds,
+        under: SpanParent<'_>,
     ) -> (QueryResult, RouteTrace) {
         self.m.rejected.inc();
-        if let Some((c, parent)) = spans {
-            let _ = c.event(
-                parent,
+        if under.is_recording() {
+            under.event(
                 "rejected",
-                vec![("reason".to_string(), AttrValue::Text(format!("{reason:?}")))],
+                &[("reason", AttrValue::Text(format!("{reason:?}")))],
             );
         }
         let result = QueryResult::rejected(reason);
         if let Some(ring) = &self.audits {
-            let audit = QueryAudit::of_result(trace_id, 0, query.len(), &result);
+            let audit = QueryAudit::of_result(ids.trace, ids.query, query.len(), &result);
             let _ = ring.push(audit.into_record());
         }
         (result, RouteTrace::rejected())
@@ -722,34 +720,25 @@ impl ShardedEngine {
         query: &Trajectory,
         k: usize,
         s: usize,
-        trace_id: u64,
-        spans: SpanCtx<'_>,
+        ids: QueryIds,
+        root: SpanParent<'_>,
     ) -> (QueryResult, RouteTrace) {
         let n_pairs = query.points.len().saturating_sub(1);
         let (target, rerouted) = if self.shard_is_servable(s) {
             (s, 0)
         } else {
-            if let Some((c, root)) = spans {
-                let _ = c.event(
-                    root,
-                    "shard_unhealthy",
-                    vec![("shard".to_string(), AttrValue::Int(s as i64))],
-                );
-            }
+            root.event("shard_unhealthy", &[("shard", AttrValue::Int(s as i64))]);
             let Some(t) = self.nearest_servable(BBox::covering(query.points.iter().map(|p| p.pos)))
             else {
-                return self.reject(query, RejectReason::ShardUnavailable, trace_id, spans);
+                return self.reject(query, RejectReason::ShardUnavailable, ids, root);
             };
-            if let Some((c, root)) = spans {
-                let _ = c.event(
-                    root,
-                    "reroute",
-                    vec![
-                        ("from".to_string(), AttrValue::Int(s as i64)),
-                        ("to".to_string(), AttrValue::Int(t as i64)),
-                    ],
-                );
-            }
+            root.event(
+                "reroute",
+                &[
+                    ("from", AttrValue::Int(s as i64)),
+                    ("to", AttrValue::Int(t as i64)),
+                ],
+            );
             (t, n_pairs.max(1))
         };
 
@@ -758,26 +747,18 @@ impl ShardedEngine {
         self.m.shard_pairs[target].add(n_pairs as u64);
         // The shard engine runs the same screen on the original query, so
         // repairs/outcomes match the global engine.
-        let mut shard_guard = spans.map(|(c, root)| c.child(root, "shard"));
-        if let Some(g) = shard_guard.as_mut() {
-            g.attr("shard", target);
-            g.attr("pairs", n_pairs);
-        }
-        let mut result = self.shards[target].infer_query_with_trace(query, k, trace_id);
+        let mut shard_guard = root.child("shard");
+        shard_guard.attr("shard", target);
+        shard_guard.attr("pairs", n_pairs);
+        let mut result = self.shards[target].infer_query_with_trace(query, k, ids.trace);
         drop(shard_guard);
         if rerouted > 0 {
             self.m.rerouted.add(rerouted as u64);
             result.outcome = demote_to_degraded(result.outcome, rerouted);
-            if let Some((c, root)) = spans {
-                let _ = c.event(
-                    root,
-                    "degraded",
-                    vec![(
-                        "pairs_fell_back".to_string(),
-                        AttrValue::Int(rerouted as i64),
-                    )],
-                );
-            }
+            root.event(
+                "degraded",
+                &[("pairs_fell_back", AttrValue::Int(rerouted as i64))],
+            );
         }
         let trace = RouteTrace {
             kind: RouteKind::Single(target),
@@ -801,8 +782,8 @@ impl ShardedEngine {
         &self,
         screened: &Screened<'_>,
         k: usize,
-        trace_id: u64,
-        spans: SpanCtx<'_>,
+        ids: QueryIds,
+        root: SpanParent<'_>,
     ) -> (QueryResult, RouteTrace) {
         let q: &Trajectory = &screened.served;
         let phi = self.params.phi_m;
@@ -825,19 +806,16 @@ impl ShardedEngine {
             if !self.shard_is_servable(*s) {
                 let pb = BBox::covering([q.points[i].pos, q.points[i + 1].pos]);
                 let Some(t) = self.nearest_servable(pb) else {
-                    return self.reject(q, RejectReason::ShardUnavailable, trace_id, spans);
+                    return self.reject(q, RejectReason::ShardUnavailable, ids, root);
                 };
-                if let Some((c, root)) = spans {
-                    let _ = c.event(
-                        root,
-                        "reroute",
-                        vec![
-                            ("pair".to_string(), AttrValue::Int(i as i64)),
-                            ("from".to_string(), AttrValue::Int(*s as i64)),
-                            ("to".to_string(), AttrValue::Int(t as i64)),
-                        ],
-                    );
-                }
+                root.event(
+                    "reroute",
+                    &[
+                        ("pair", AttrValue::Int(i as i64)),
+                        ("from", AttrValue::Int(*s as i64)),
+                        ("to", AttrValue::Int(t as i64)),
+                    ],
+                );
                 *s = t;
                 rerouted += 1;
             }
@@ -884,26 +862,19 @@ impl ShardedEngine {
             self.m.shard_pairs[*s].add(subs.iter().map(|t| t.points.len() as u64 - 1).sum());
             // The shard's candidates/local/pair spans land in the router's
             // collector, parented under this shard span — the stitch.
-            let mut shard_guard = spans.map(|(c, root)| c.child(root, "shard"));
-            if let Some(g) = shard_guard.as_mut() {
-                g.attr("shard", *s);
-                g.attr("sub_queries", subs.len());
-            }
-            let shard_spans = spans
-                .zip(shard_guard.as_ref())
-                .map(|((c, _), g)| (c, g.id()));
+            let mut shard_guard = root.child("shard");
+            shard_guard.attr("shard", *s);
+            shard_guard.attr("sub_queries", subs.len());
             // The scatter seam: `repaired` arms the shard's degradation
             // chain exactly as a single engine would, and the fell-back
             // count comes back for the outcome.
             let (locals, fell_back, epoch) = self.shards[*s].local_inference_pinned_batch_traced(
                 &subs,
                 screened.repairs.is_some(),
-                shard_spans,
+                shard_guard.as_parent(),
             );
             pairs_fell_back += fell_back;
-            if let Some(g) = shard_guard.as_mut() {
-                g.attr("epoch", epoch as i64);
-            }
+            shard_guard.attr("epoch", epoch as i64);
             drop(shard_guard);
             epochs.push((*s, epoch));
             for (&ri, mut locals) in run_idxs.iter().zip(locals) {
@@ -914,7 +885,7 @@ impl ShardedEngine {
 
         // Gather: concatenate locals in pair order, then phase 3 exactly as
         // the engine runs it.
-        let gather_guard = spans.map(|(c, root)| c.child(root, "gather"));
+        let gather_guard = root.child("gather");
         let locals: Vec<LocalInferenceResult> = run_locals.into_iter().flatten().collect();
         debug_assert_eq!(locals.len(), n_pairs, "one local inference per pair");
         let stats = locals.iter().map(|l| l.stats.clone()).collect();
@@ -930,29 +901,21 @@ impl ShardedEngine {
         // locals) and rerank get their own spans on a traced query.
         // `LearnedScorer::top_k` is exactly `paper.top_k` +
         // `rerank_in_place`, so the split cannot change a result.
-        let splice_guard = spans.map(|(c, root)| c.child(root, "splice"));
+        let splice_guard = root.child("splice");
         let mut globals = PaperScorer::from_params(&self.params).top_k(&sctx);
         drop(splice_guard);
         if let ConfiguredScorer::Learned(learned) = &scorer {
-            let mut rerank_guard = spans.map(|(c, root)| c.child(root, "rerank"));
-            if let Some(g) = rerank_guard.as_mut() {
-                g.attr("routes", globals.len());
-            }
+            let mut rerank_guard = root.child("rerank");
+            rerank_guard.attr("routes", globals.len());
             let _ = learned.rerank_in_place(&sctx, &mut globals);
         }
         let mut outcome = QueryOutcome::served(screened.repairs, pairs_fell_back);
         if rerouted > 0 {
             outcome = demote_to_degraded(outcome, rerouted);
-            if let Some((c, root)) = spans {
-                let _ = c.event(
-                    root,
-                    "degraded",
-                    vec![(
-                        "pairs_fell_back".to_string(),
-                        AttrValue::Int(rerouted as i64),
-                    )],
-                );
-            }
+            root.event(
+                "degraded",
+                &[("pairs_fell_back", AttrValue::Int(rerouted as i64))],
+            );
         }
         let result = QueryResult {
             globals,
@@ -963,7 +926,7 @@ impl ShardedEngine {
         // Router-side audit: the shards only ran phases 1–2, so the
         // explain document of a scattered query is the router's to write.
         if let Some(ring) = &self.audits {
-            let mut audit = QueryAudit::of_result(trace_id, 0, q.len(), &result);
+            let mut audit = QueryAudit::of_result(ids.trace, ids.query, q.len(), &result);
             for (i, s) in pair_shards.iter().enumerate() {
                 audit.push_event(format!("scatter: pair {i} served by shard {s}"));
             }

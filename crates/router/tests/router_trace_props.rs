@@ -98,7 +98,10 @@ fn traced_engine(
     ))
 }
 
-/// The completeness property of one stitched tree.
+/// The completeness property of one stitched tree: one root named `query`
+/// whose id is the record's `root_span`, unique span ids, every parent
+/// resolvable. The router pushes its record straight from the query's one
+/// collector, so this is the only place the tree shape is checked.
 fn check_complete(rec: &TraceRecord, kind: &RouteKind) -> Result<(), TestCaseError> {
     let spans = &rec.spans;
     let roots: Vec<&Span> = spans.iter().filter(|s| s.parent == 0).collect();

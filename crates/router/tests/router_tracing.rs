@@ -216,6 +216,10 @@ fn scatter_query_stitches_one_span_tree_served_by_the_live_router() {
     assert_eq!(rec.pairs, 3);
     assert_eq!(rec.routes, result.globals.len());
     assert_stitched(rec, 2);
+    // The router wrote both records of this query: one identity.
+    let audit = engine.find_audit(rec.trace_id).expect("scatter audited");
+    assert_ne!(rec.query_id, 0);
+    assert_eq!(audit.query_id, rec.query_id);
 
     // The same tree over real TCP, plus the shard topology endpoint and
     // the audit document under the same trace id.
@@ -436,6 +440,14 @@ fn shed_and_rejected_queries_audit_without_routes() {
         .find(|a| a.json.contains("\"outcome\":\"rejected\""))
         .expect("rejection audited");
     assert!(rejected.json.contains("\"routes\":[]"));
+    // Trace record and audit of the rejection agree on its identity.
+    let rec = engine
+        .trace_ring()
+        .expect("tracing is on")
+        .find(rejected.trace_id)
+        .expect("rejection traced under the audit's trace id");
+    assert_ne!(rec.query_id, 0);
+    assert_eq!(rejected.query_id, rec.query_id);
 
     // A query shed at the gate audits as shed.
     let gate = engine.admission_gate().expect("gate configured");

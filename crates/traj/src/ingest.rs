@@ -31,7 +31,7 @@
 
 use crate::archive::{strip_teleports, TolerantLoadOptions, TrajectoryArchive};
 use crate::types::{sanitize_points, PointRepairs, TrajId, Trajectory};
-use hris_obs::{Counter, Gauge, Histogram, MetricsRegistry, SlidingHistogram, FINE_TIME_BOUNDS};
+use hris_obs::{Counter, Gauge, Histogram, MetricsRegistry, FINE_TIME_BOUNDS};
 use serde::{Deserialize, Serialize};
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, RwLock};
@@ -185,10 +185,6 @@ struct IngestObs {
     evicted: Counter,
     epoch: Gauge,
     swap_seconds: Histogram,
-    /// Rolling window over the same swap timings (30 s epochs, 330 s
-    /// horizon) so `/varz` can show recent publish rate and p95 instead of
-    /// since-boot buckets.
-    swap_window: SlidingHistogram,
 }
 
 impl IngestObs {
@@ -223,7 +219,6 @@ impl IngestObs {
                 "Wall time to publish a snapshot (archive clone + slot swap).",
                 &FINE_TIME_BOUNDS,
             ),
-            swap_window: SlidingHistogram::new(&FINE_TIME_BOUNDS, 30.0, 11),
         }
     }
 }
@@ -413,26 +408,8 @@ impl ArchiveWriter {
         if let Some(obs) = &self.obs {
             obs.epoch.set(self.epoch as i64);
             obs.swap_seconds.observe(elapsed);
-            obs.swap_window.observe(elapsed);
         }
         snapshot
-    }
-
-    /// Rolling publish telemetry over the last `window_s` seconds as one
-    /// JSON object (`rate_per_s`, `p95_swap_s`), for a `/varz` section.
-    /// `None` until [`ArchiveWriter::observe`] has been called.
-    #[must_use]
-    pub fn rolling_ingest_json(&self, window_s: f64) -> Option<String> {
-        let obs = self.obs.as_ref()?;
-        let p95 = obs
-            .swap_window
-            .quantile(0.95, window_s)
-            .map_or_else(|| "null".to_string(), |v| format!("{v}"));
-        Some(format!(
-            "{{\"rate_per_s\":{},\"p95_swap_s\":{}}}",
-            obs.swap_window.rate(window_s),
-            p95,
-        ))
     }
 
     /// Drains `queue`, appends everything, and publishes one new epoch if
@@ -542,18 +519,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_age_and_rolling_ingest_track_publishes() {
+    fn snapshot_age_and_swap_histogram_track_publishes() {
         let mut w = ArchiveWriter::new(TrajectoryArchive::empty());
-        assert!(w.rolling_ingest_json(60.0).is_none(), "no registry yet");
         let registry = MetricsRegistry::new();
         w.observe(&registry);
         w.append(trip(0.0, 2)).unwrap();
         let snap = w.publish();
         // A just-published snapshot is fresh (well under a second old).
         assert!(snap.age_seconds() < 1.0);
-        let json = w.rolling_ingest_json(60.0).unwrap();
-        assert!(json.starts_with("{\"rate_per_s\":"), "{json}");
-        assert!(!json.contains("\"p95_swap_s\":null"), "{json}");
+        let swaps = registry.snapshot();
+        let swaps = swaps.histogram("hris_snapshot_swap_seconds", &[]).unwrap();
+        assert_eq!(swaps.count, 1, "one publish, one swap timing");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Live telemetry serving: an owned [`EngineHandle`] follows a streaming
 //! archive while its zero-dependency HTTP server exposes `/metrics`,
-//! `/healthz`, `/varz` and `/debug/slow` — then the example scrapes its own
-//! endpoints so the run is self-contained and self-terminating. A final
-//! sharded section runs one cross-shard query and prints its stitched
+//! `/healthz`, `/debug/traces` and `/debug/slow` — then the example scrapes
+//! its own endpoints so the run is self-contained and self-terminating. A
+//! final sharded section runs one cross-shard query and prints its stitched
 //! span tree plus the audit document served from `/debug/explain/<id>`.
 //!
 //! ```text
@@ -15,7 +15,7 @@
 //! ```text
 //! curl http://127.0.0.1:<port>/metrics
 //! curl http://127.0.0.1:<port>/healthz
-//! curl http://127.0.0.1:<port>/debug/slow
+//! curl http://127.0.0.1:<port>/debug/traces
 //! ```
 
 use hris::prelude::*;
@@ -43,6 +43,56 @@ fn curl(addr: std::net::SocketAddr, path: &str) -> String {
     raw
 }
 
+/// Scrapes `/debug/traces` and prints the newest record's span tree, the
+/// way an operator reads where one query's time went. Returns the record's
+/// trace id.
+fn print_newest_tree(addr: std::net::SocketAddr) -> u64 {
+    let raw = curl(addr, "/debug/traces");
+    let body = raw.split_once("\r\n\r\n").map_or("", |(_, body)| body);
+    let doc: serde_json::Value = serde_json::from_str(body).expect("/debug/traces is JSON");
+    let rec = doc["traces"]
+        .as_array()
+        .and_then(|traces| traces.last())
+        .expect("the ring holds at least one record");
+    let spans = rec["spans"].as_array().expect("every record has a tree");
+    let trace_id = rec["trace_id"].as_u64().expect("trace id");
+    println!(
+        "/debug/traces → trace {trace_id}, query {}: {:.2} ms in {} spans",
+        rec["query_id"],
+        rec["total_s"].as_f64().unwrap_or(0.0) * 1e3,
+        spans.len()
+    );
+    let mut stack = vec![(rec["root_span"].as_u64().expect("root span"), 0usize)];
+    while let Some((id, depth)) = stack.pop() {
+        let span = spans
+            .iter()
+            .find(|s| s["id"].as_u64() == Some(id))
+            .expect("span in tree");
+        let attrs = span
+            .get("attrs")
+            .and_then(serde_json::Value::as_obj)
+            .unwrap_or_default()
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect::<Vec<_>>()
+            .join(" ");
+        println!(
+            "  {:indent$}{} ({:.2} ms) {attrs}",
+            "",
+            span["name"].as_str().unwrap_or_default(),
+            span["duration_s"].as_f64().unwrap_or(0.0) * 1e3,
+            indent = depth * 2
+        );
+        // The stack pops last-first; push in reverse to keep start order.
+        for kid in spans.iter().rev() {
+            if kid["parent"].as_u64() == Some(id) {
+                stack.push((kid["id"].as_u64().expect("span id"), depth + 1));
+            }
+        }
+    }
+    trace_id
+}
+
 fn main() {
     // 1. City, simulated fleet, and a day-one archive.
     let net = Arc::new(generator::generate(&NetworkConfig::default()));
@@ -67,7 +117,7 @@ fn main() {
     writer.observe(&registry);
     let cfg = EngineConfig::builder()
         .observability(true)
-        .span_sampling(4) // 1-in-4 queries carry a full span tree
+        .span_sampling(4) // 1-in-4 trees add per-pair detail
         .staleness_bound_s(30.0)
         .build()
         .expect("valid config");
@@ -124,16 +174,8 @@ fn main() {
     }) {
         println!("/metrics → {line}");
     }
-    let obs = handle.observability().expect("instrumented handle");
-    println!("\nrolling latency: {}", obs.rolling_latency_json());
-    if let Some(ingest) = writer.rolling_ingest_json(60.0) {
-        println!("rolling ingest:  {ingest}");
-    }
-    let sampled = obs.traces().iter().filter(|t| !t.spans.is_empty()).count();
-    println!(
-        "span trees captured on {sampled}/{} retained traces (1-in-4 sampling)",
-        obs.traces().len()
-    );
+    // Every record carries its phase tree; here is the newest one.
+    let _ = print_newest_tree(server.addr());
 
     // 6. Clean shutdown: the server thread joins before main exits.
     server.shutdown();
@@ -178,50 +220,16 @@ fn main() {
             .collect(),
     );
     let (result, route) = sharded.infer_query_traced(&seam_query, 2);
-    let rec = sharded
-        .trace_ring()
-        .expect("tracing is on")
-        .snapshot()
-        .pop()
-        .expect("the query left one trace record");
     println!(
-        "query {:?} via shards {:?} → {} routes, trace id {}",
+        "query {:?} via shards {:?} → {} routes",
         route.kind,
         route.pair_shards,
-        result.globals.len(),
-        rec.trace_id
+        result.globals.len()
     );
 
     // The stitched span tree: one root, every touched shard's local
     // inference, then the router-side gather and splice.
-    println!("stitched span tree ({} spans):", rec.spans.len());
-    let mut stack = vec![(rec.root_span, 0usize)];
-    while let Some((id, depth)) = stack.pop() {
-        let span = rec.spans.iter().find(|s| s.id == id).expect("span in tree");
-        let attrs = span
-            .attrs
-            .iter()
-            .map(|(k, v)| format!("{k}={}", v.to_json()))
-            .collect::<Vec<_>>()
-            .join(" ");
-        println!(
-            "  {:indent$}{} ({:.2} ms) {attrs}",
-            "",
-            span.name,
-            span.duration_s * 1e3,
-            indent = depth * 2
-        );
-        let mut kids: Vec<u64> = rec
-            .spans
-            .iter()
-            .filter(|s| s.parent == id)
-            .map(|s| s.id)
-            .collect();
-        kids.reverse(); // stack pops last-first; keep start order
-        for kid in kids {
-            stack.push((kid, depth + 1));
-        }
-    }
+    let trace_id = print_newest_tree(router_srv.addr());
 
     // The audit record, exactly as an operator would read it.
     let shards = curl(router_srv.addr(), "/debug/shards");
@@ -229,13 +237,9 @@ fn main() {
         "\n/debug/shards → {}",
         shards.lines().last().unwrap_or_default()
     );
-    let explain = curl(
-        router_srv.addr(),
-        &format!("/debug/explain/{}", rec.trace_id),
-    );
+    let explain = curl(router_srv.addr(), &format!("/debug/explain/{trace_id}"));
     println!(
-        "/debug/explain/{} → {}",
-        rec.trace_id,
+        "/debug/explain/{trace_id} → {}",
         explain.lines().last().unwrap_or_default()
     );
 
