@@ -3,10 +3,10 @@
 //! Aggregate metrics say how the engine is doing; a [`QueryAudit`] says what
 //! one specific query saw — how many candidate edges each point matched, how
 //! many local routes each pair produced, the top-K global routes with the
-//! paper's own score and the re-ranker's feature vector and per-feature
-//! weight·feature attributions, and any fallback/repair/shed events along
-//! the way. Audits are opt-in ([`ExplainOptions`](crate::params::ExplainOptions)),
-//! rendered once to JSON, and retained in an engine- or router-owned
+//! paper's own score and the route's feature vector, and any
+//! fallback/repair/shed events along the way. Audits are opt-in
+//! ([`ExplainOptions`](crate::params::ExplainOptions)), rendered once to
+//! JSON, and retained in an engine- or router-owned
 //! [`AuditRing`](hris_obs::AuditRing) keyed by trace id, where
 //! `/debug/explain/<trace_id>` and `experiments --audit-out` find them.
 //!
@@ -16,9 +16,7 @@
 
 use crate::engine::{QueryOutcome, QueryResult};
 use crate::global::GlobalRoute;
-use crate::scoring::{
-    extract_features, ConfiguredScorer, RouteFeatures, RouteScorer, ScoringCtx, FEATURE_NAMES,
-};
+use crate::scoring::{extract_features, PaperScorer, RouteFeatures, ScoringCtx, FEATURE_NAMES};
 use hris_obs::AuditRecord;
 
 /// JSON string escaping for event text (feature names are static and safe).
@@ -59,8 +57,7 @@ fn feature_object(values: &[f64]) -> String {
 }
 
 /// One returned route, explained: the paper's score, the route's shape, and
-/// — when a re-ranking model is configured — the feature vector the model
-/// saw plus each feature's contribution `wᵢ·(xᵢ−μᵢ)/σᵢ` to the logit.
+/// its feature vector (the score components behind the rank).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteExplanation {
     /// Position in the returned list (0 = top-1).
@@ -73,50 +70,27 @@ pub struct RouteExplanation {
     pub length_m: f64,
     /// Which local route was chosen for each query pair.
     pub local_indices: Vec<usize>,
-    /// The re-ranking feature vector ([`FEATURE_NAMES`] order).
+    /// The route's feature vector ([`FEATURE_NAMES`] order).
     pub features: RouteFeatures,
-    /// The logistic model's score, when re-ranking is configured.
-    pub rerank_score: Option<f64>,
-    /// Per-feature logit contributions (parallel to [`FEATURE_NAMES`]),
-    /// when re-ranking is configured.
-    pub attributions: Option<Vec<f64>>,
 }
 
 impl RouteExplanation {
-    /// Explains one candidate: extracts its features (with the same
-    /// popularity knobs the scorer used, so the components line up with
-    /// the DP's own `f`) and, under a learned scorer, scores and attributes
-    /// it with the scorer's model.
+    /// Explains one candidate, extracting its features with the popularity
+    /// knobs `scorer` ranked it with, so the components line up with the
+    /// DP's own `f`.
     fn explain(
         ctx: &ScoringCtx<'_>,
         candidate: &GlobalRoute,
         rank: usize,
-        scorer: &ConfiguredScorer<'_>,
+        scorer: &PaperScorer,
     ) -> Self {
-        let (paper, rerank) = match scorer {
-            ConfiguredScorer::Paper(paper) => (paper, None),
-            ConfiguredScorer::Learned(learned) => (learned.paper(), Some(learned.model())),
-        };
-        let features = extract_features(ctx, candidate, paper.entropy_floor, paper.model);
-        let (rerank_score, attributions) = match rerank {
-            Some(m) => {
-                let x = features.to_array();
-                let attrs = (0..x.len())
-                    .map(|i| m.weights[i] * (x[i] - m.means[i]) / m.scales[i])
-                    .collect();
-                (Some(m.score(&features)), Some(attrs))
-            }
-            None => (None, None),
-        };
         RouteExplanation {
             rank,
             log_score: candidate.log_score,
             segments: candidate.route.len(),
             length_m: candidate.route.length(ctx.net),
             local_indices: candidate.local_indices.clone(),
-            features,
-            rerank_score,
-            attributions,
+            features: extract_features(ctx, candidate, scorer.entropy_floor, scorer.model),
         }
     }
 
@@ -129,19 +103,10 @@ impl RouteExplanation {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(",");
-        let rerank = match self.rerank_score {
-            Some(s) => json_f64(s),
-            None => "null".to_string(),
-        };
-        let attributions = match &self.attributions {
-            Some(a) => feature_object(a),
-            None => "null".to_string(),
-        };
         format!(
             concat!(
                 "{{\"rank\":{},\"log_score\":{},\"segments\":{},\"length_m\":{},",
-                "\"local_indices\":[{}],\"features\":{},",
-                "\"rerank_score\":{},\"attributions\":{}}}"
+                "\"local_indices\":[{}],\"features\":{}}}"
             ),
             self.rank,
             json_f64(self.log_score),
@@ -149,8 +114,6 @@ impl RouteExplanation {
             json_f64(self.length_m),
             indices,
             feature_object(&self.features.to_array()),
-            rerank,
-            attributions,
         )
     }
 }
@@ -174,8 +137,6 @@ pub struct QueryAudit {
     pub candidates_per_point: Vec<usize>,
     /// Local routes produced per pair, in pair order.
     pub local_routes_per_pair: Vec<usize>,
-    /// Which scorer ranked the routes (`"paper"` or `"learned"`).
-    pub scorer: String,
     /// The explained routes, best first (capped at
     /// [`ExplainOptions::top_k_routes`](crate::params::ExplainOptions)).
     pub routes: Vec<RouteExplanation>,
@@ -188,8 +149,7 @@ impl QueryAudit {
     /// the pipeline saw them (post-repair), the outcome label, the
     /// repair / degradation / rejection events the outcome implies and, when
     /// NNI proved any pair's destination unreachable, the one `nni:` line
-    /// saying how many. The scoring half is [`QueryAudit::explain_routes`]'s;
-    /// a rejection ranked nothing, so its scorer reads `"none"`.
+    /// saying how many. The scoring half is [`QueryAudit::explain_routes`]'s.
     #[must_use]
     pub fn of_result(trace_id: u64, query_id: u64, points: usize, result: &QueryResult) -> Self {
         let mut audit = QueryAudit::routeless(trace_id, query_id, points, result.outcome.label());
@@ -236,7 +196,7 @@ impl QueryAudit {
         audit
     }
 
-    /// Identity, point/pair counts and outcome label; no scorer, no routes.
+    /// Identity, point/pair counts and outcome label; no routes.
     fn routeless(trace_id: u64, query_id: u64, points: usize, outcome: &str) -> Self {
         QueryAudit {
             trace_id,
@@ -244,7 +204,6 @@ impl QueryAudit {
             points,
             pairs: points.saturating_sub(1),
             outcome: outcome.to_string(),
-            scorer: "none".to_string(),
             ..QueryAudit::default()
         }
     }
@@ -256,19 +215,16 @@ impl QueryAudit {
 
     /// Fills the scoring half of the audit — the one explain path shared by
     /// the engine and the sharded router: the per-pair local route counts
-    /// `ctx` carries, which scorer ranked them, and an explanation of the
-    /// first `top_k` returned routes (paper score components, feature
-    /// vector and, under a learned scorer, the model's score and
-    /// per-feature attributions).
+    /// `ctx` carries and an explanation of the first `top_k` returned
+    /// routes (paper score and feature vector), as ranked by `scorer`.
     pub fn explain_routes(
         &mut self,
         ctx: &ScoringCtx<'_>,
         globals: &[GlobalRoute],
         top_k: usize,
-        scorer: &ConfiguredScorer<'_>,
+        scorer: &PaperScorer,
     ) {
         self.local_routes_per_pair = ctx.locals.iter().map(|l| l.routes.len()).collect();
-        self.scorer = scorer.name().to_string();
         self.routes = globals
             .iter()
             .take(top_k)
@@ -302,7 +258,7 @@ impl QueryAudit {
             concat!(
                 "{{\"trace_id\":{},\"query_id\":{},\"points\":{},\"pairs\":{},",
                 "\"outcome\":\"{}\",\"candidates_per_point\":[{}],",
-                "\"local_routes_per_pair\":[{}],\"scorer\":\"{}\",",
+                "\"local_routes_per_pair\":[{}],",
                 "\"routes\":[{}],\"events\":[{}]}}"
             ),
             self.trace_id,
@@ -312,7 +268,6 @@ impl QueryAudit {
             escape(&self.outcome),
             counts(&self.candidates_per_point),
             counts(&self.local_routes_per_pair),
-            escape(&self.scorer),
             routes,
             events,
         )
@@ -332,14 +287,12 @@ impl QueryAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scoring::RerankModel;
 
     #[test]
     fn audit_json_shape_and_escaping() {
         let mut audit = QueryAudit::routeless(7, 3, 4, "served");
         audit.candidates_per_point = vec![2, 3, 1, 2];
         audit.local_routes_per_pair = vec![5, 4, 6];
-        audit.scorer = "paper".to_string();
         audit.push_event("repair: pair 1 fell back to \"shortest path\"");
         let j = audit.clone().into_record();
         assert_eq!(j.trace_id, 7);
@@ -389,10 +342,8 @@ mod tests {
         assert_eq!(rerouted.events, ["degraded: 1 pairs fell back"]);
         let rejected =
             QueryAudit::of_result(9, 0, 0, &QueryResult::rejected(RejectReason::EmptyQuery));
-        assert_eq!(
-            (rejected.outcome.as_str(), rejected.scorer.as_str()),
-            ("rejected", "none")
-        );
+        assert_eq!(rejected.outcome, "rejected");
+        assert!(rejected.routes.is_empty());
         assert_eq!(rejected.events, ["rejected: EmptyQuery"]);
         // Pairs whose NNI transit graph could not reach q_{i+1} get one line.
         let unreachable = crate::local::LocalStats {
@@ -414,7 +365,7 @@ mod tests {
     }
 
     #[test]
-    fn route_explanation_renders_features_and_null_rerank() {
+    fn route_explanation_renders_score_and_features() {
         let expl = RouteExplanation {
             rank: 0,
             log_score: -2.5,
@@ -431,42 +382,18 @@ mod tests {
                 support_density: 0.4,
                 log_score: -2.5,
             },
-            rerank_score: None,
-            attributions: None,
         };
         let j = expl.to_json();
-        assert!(j.contains("\"rank\":0"));
-        assert!(j.contains("\"local_indices\":[0,2]"));
-        assert!(j.contains("\"features\":{\"turn_count\":1,"));
-        assert!(j.contains("\"rerank_score\":null"));
-        assert!(j.contains("\"attributions\":null"));
+        assert_eq!(
+            j,
+            concat!(
+                "{\"rank\":0,\"log_score\":-2.5,\"segments\":9,\"length_m\":1234.5,",
+                "\"local_indices\":[0,2],\"features\":{\"turn_count\":1,",
+                "\"mean_pair_popularity\":3,\"min_pair_popularity\":2,",
+                "\"transition_sum\":-0.5,\"travel_time_residual\":0.1,",
+                "\"length_ratio\":1.2,\"support_density\":0.4,\"log_score\":-2.5}}"
+            )
+        );
         assert!(serde_json::from_str::<serde_json::Value>(&j).is_ok());
-    }
-
-    #[test]
-    fn attributions_follow_the_model_arithmetic() {
-        let features = RouteFeatures {
-            turn_count: 2.0,
-            mean_pair_popularity: 0.0,
-            min_pair_popularity: 0.0,
-            transition_sum: 0.0,
-            travel_time_residual: 0.0,
-            length_ratio: 1.0,
-            support_density: 0.0,
-            log_score: 0.0,
-        };
-        let mut model = RerankModel::zeroed();
-        model.weights[0] = 0.5; // turn_count
-        model.means[0] = 1.0;
-        model.scales[0] = 2.0;
-        let x = features.to_array();
-        let contribution = model.weights[0] * (x[0] - model.means[0]) / model.scales[0];
-        assert!((contribution - 0.25).abs() < 1e-12);
-        // The same arithmetic the explain constructor applies per feature.
-        let attrs: Vec<f64> = (0..x.len())
-            .map(|i| model.weights[i] * (x[i] - model.means[i]) / model.scales[i])
-            .collect();
-        assert_eq!(attrs[0], contribution);
-        assert!(attrs[1..].iter().all(|&a| a == 0.0));
     }
 }

@@ -38,7 +38,7 @@ use crate::params::{EngineConfig, ExecMode, HrisParams, ObsOptions};
 use crate::pipeline::{
     degenerate_local, infer_pair, query_candidates, DegenerateQuery, Hris, ScoredRoute,
 };
-use crate::scoring::{configured_scorer, ConfiguredScorer, PaperScorer, RouteScorer, ScoringCtx};
+use crate::scoring::{PaperScorer, RouteScorer, ScoringCtx};
 use hris_obs::{
     clock, AuditRing, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Span,
     SpanCollector, SpanGuard, SpanParent, SpanSampler, TraceRecord, TraceRing, DEFAULT_TIME_BOUNDS,
@@ -348,10 +348,6 @@ pub struct EngineObs {
     slo_good: Counter,
     slo_breach: Counter,
     shed: Counter,
-    rerank_queries: Counter,
-    rerank_routes: Counter,
-    rerank_reordered: Counter,
-    rerank_seconds: Histogram,
     traces: TraceRing,
     next_query_id: AtomicU64,
     slow_threshold_s: f64,
@@ -428,25 +424,6 @@ impl EngineObs {
             shed: registry.counter(
                 "hris_engine_shed_total",
                 "Queries shed by admission control (waiting room full).",
-            ),
-            // Registered whether or not re-ranking is configured, so the
-            // exported metric set does not depend on the rerank option.
-            rerank_queries: registry.counter(
-                "hris_rerank_queries_total",
-                "Queries whose top-K output went through the learned re-ranker.",
-            ),
-            rerank_routes: registry.counter(
-                "hris_rerank_routes_total",
-                "Candidate global routes scored by the learned re-ranker.",
-            ),
-            rerank_reordered: registry.counter(
-                "hris_rerank_reordered_total",
-                "Re-ranked queries whose top-1 route changed from the paper order.",
-            ),
-            rerank_seconds: registry.histogram(
-                "hris_rerank_seconds",
-                "Wall seconds spent re-ranking per query (refine phase).",
-                &DEFAULT_TIME_BOUNDS,
             ),
             traces: TraceRing::new(opts.trace_capacity),
             // 0 is the "no trace record" id on an audit.
@@ -786,31 +763,14 @@ impl EngineCore {
             Err(_) => LocalRun::default(),
         };
 
-        let scorer = configured_scorer(ctx.params, &self.cfg.rerank);
+        let scorer = PaperScorer::from_params(ctx.params);
         let sctx = ScoringCtx::new(ctx.net, &run.locals, k);
         let mut global = phases.child("global");
-        let mut globals = PaperScorer::from_params(ctx.params).top_k(&sctx);
+        let globals = scorer.top_k(&sctx);
         global.attr("routes", globals.len());
         let global_s = global.finish();
 
         let refine = phases.child("refine");
-        // Learned re-ranking lives in the refine phase: the DP output is
-        // the raw material, the model only permutes it (`LearnedScorer`'s
-        // own `top_k` is exactly these two steps).
-        if let ConfiguredScorer::Learned(learned) = &scorer {
-            let mut rerank = refine.as_parent().child("rerank");
-            let outcome = learned.rerank_in_place(&sctx, &mut globals);
-            rerank.attr("reranked", outcome.rescored);
-            let rerank_s = rerank.finish();
-            if let Some(obs) = obs {
-                obs.rerank_seconds.observe(rerank_s);
-                obs.rerank_queries.inc();
-                obs.rerank_routes.add(outcome.rescored as u64);
-                if outcome.top1_changed {
-                    obs.rerank_reordered.inc();
-                }
-            }
-        }
         let result = QueryResult {
             globals,
             stats: run.locals.iter().map(|l| l.stats.clone()).collect(),

@@ -56,14 +56,11 @@ pub use handle::EngineHandle;
 pub use local::{LocalInferenceResult, LocalRoute};
 pub use params::{
     AdmissionOptions, ConfigError, EngineConfig, EngineConfigBuilder, ExecMode, ExplainOptions,
-    HrisParams, HybridPolarity, LocalAlgorithm, ObsOptions, PopularityModel, RerankOptions,
+    HrisParams, HybridPolarity, LocalAlgorithm, ObsOptions, PopularityModel,
 };
 pub use pipeline::{Hris, HrisMatcher, ScoredRoute};
 pub use reference::{search_references, RefKind, RefTrajectory, ReferenceSet};
-pub use scoring::{
-    configured_scorer, extract_features, train_logistic, ConfiguredScorer, LearnedScorer,
-    PaperScorer, RerankModel, RerankOutcome, RouteFeatures, RouteScorer, ScoringCtx, SgdConfig,
-};
+pub use scoring::{extract_features, PaperScorer, RouteFeatures, RouteScorer, ScoringCtx};
 
 // The telemetry-server surface of `EngineHandle::serve_metrics`, re-exported
 // so consumers need not name hris-obs directly.
@@ -92,10 +89,9 @@ pub mod prelude {
     pub use crate::handle::EngineHandle;
     pub use crate::params::{
         ConfigError, EngineConfig, EngineConfigBuilder, ExecMode, HrisParams, ObsOptions,
-        RerankOptions,
     };
     pub use crate::pipeline::{Hris, HrisMatcher, ScoredRoute};
-    pub use crate::scoring::{LearnedScorer, PaperScorer, RerankModel, RouteScorer, ScoringCtx};
+    pub use crate::scoring::{PaperScorer, RouteScorer, ScoringCtx};
     pub use hris_traj::{
         ArchiveSnapshot, ArchiveWriter, IngestOptions, IngestQueue, IngestReport, SnapshotReader,
         TrajectoryArchive,

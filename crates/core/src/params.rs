@@ -244,30 +244,6 @@ impl Default for AdmissionOptions {
     }
 }
 
-/// Learned re-ranking of the K-GRI top-K output
-/// ([`LearnedScorer`](crate::scoring::LearnedScorer)).
-///
-/// Off by default: the engine then scores with
-/// [`PaperScorer`](crate::scoring::PaperScorer) alone and behaves exactly
-/// as before this option existed, byte for byte. Enabled, the refine
-/// phase re-orders the top-K list by the logistic model's score (stable —
-/// ties keep the paper order); `log_score` fields keep the honest paper
-/// scores. The sharded router applies the same options at its seam
-/// splice, so sharded and single-engine outputs stay identical.
-///
-/// Enabling requires a [`RerankModel`](crate::scoring::RerankModel);
-/// [`EngineConfigBuilder::rerank`] sets both and
-/// [`EngineConfigBuilder::build`] validates the model's shape and
-/// finiteness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct RerankOptions {
-    /// Master switch; off means pure paper scoring (the default).
-    pub enabled: bool,
-    /// The learned weights. Required when `enabled` (validated at build
-    /// time); ignored otherwise.
-    pub model: Option<crate::scoring::RerankModel>,
-}
-
 /// Opt-in explain/audit capture for the
 /// [`QueryEngine`](crate::engine::QueryEngine) and the sharded router.
 ///
@@ -276,7 +252,8 @@ pub struct RerankOptions {
 /// keeps the zero-clock-read guarantee (both test-enforced). Enabled, each
 /// query additionally records a structured [`QueryAudit`](crate::QueryAudit)
 /// — candidate counts per point, the top-K routes with their paper score
-/// components, the rerank feature vector with per-feature attributions, and
+/// components and route features
+/// ([`RouteFeatures`](crate::scoring::RouteFeatures)), and
 /// any fallback/repair/shed events — into a bounded
 /// [`AuditRing`](hris_obs::AuditRing) keyed by trace id, served from
 /// `/debug/explain/<trace_id>` and exportable via
@@ -291,7 +268,7 @@ pub struct ExplainOptions {
     /// build time).
     pub audit_capacity: usize,
     /// How many of the returned routes get a full per-route explanation
-    /// (score components + rerank attributions) in each audit.
+    /// (score components + route features) in each audit.
     pub top_k_routes: usize,
 }
 
@@ -321,9 +298,6 @@ pub struct EngineConfig {
     /// Admission control / load shedding (off by default; zero cost and
     /// zero behaviour change when off).
     pub admission: AdmissionOptions,
-    /// Learned re-ranking of the top-K output (off by default; the paper
-    /// scorer alone, byte-identical to the pre-rerank engine).
-    pub rerank: RerankOptions,
     /// Per-query explain/audit capture (off by default; zero overhead and
     /// byte-identical outputs when off).
     pub explain: ExplainOptions,
@@ -336,7 +310,6 @@ impl Default for EngineConfig {
             batch_parallel: true,
             obs: ObsOptions::default(),
             admission: AdmissionOptions::default(),
-            rerank: RerankOptions::default(),
             explain: ExplainOptions::default(),
         }
     }
@@ -375,14 +348,9 @@ pub enum ConfigError {
     /// Admission control was enabled with `max_inflight == 0` — a gate
     /// nobody can enter would shed every request.
     ZeroAdmissionSlots,
-    /// Re-ranking was enabled without a model to rank with.
-    RerankWithoutModel,
     /// Explain was enabled with `audit_capacity == 0` — a ring that keeps
     /// nothing would silently drop every audit.
     ZeroAuditCapacity,
-    /// The supplied re-ranking model is structurally invalid: wrong
-    /// dimensions, non-finite parameters, or non-positive scales.
-    InvalidRerankModel,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -398,16 +366,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroAdmissionSlots => {
                 f.write_str("admission control needs max_inflight >= 1")
             }
-            ConfigError::RerankWithoutModel => {
-                f.write_str("re-ranking needs a model (pass one to rerank())")
-            }
             ConfigError::ZeroAuditCapacity => {
                 f.write_str("explain needs audit_capacity >= 1 to retain any audit")
             }
-            ConfigError::InvalidRerankModel => f.write_str(
-                "re-ranking model is invalid: expect NUM_FEATURES weights/means/scales, \
-                 all finite, scales positive",
-            ),
         }
     }
 }
@@ -505,18 +466,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Enables learned re-ranking of the top-K output with the given
-    /// model. The model's shape and finiteness are validated at build
-    /// time.
-    #[must_use]
-    pub fn rerank(mut self, model: crate::scoring::RerankModel) -> Self {
-        self.cfg.rerank = RerankOptions {
-            enabled: true,
-            model: Some(model),
-        };
-        self
-    }
-
     /// Enables per-query explain/audit capture. `audit_capacity` must be
     /// ≥ 1 (validated at build time).
     #[must_use]
@@ -551,13 +500,6 @@ impl EngineConfigBuilder {
         }
         if self.cfg.admission.enabled && self.cfg.admission.max_inflight == 0 {
             return Err(ConfigError::ZeroAdmissionSlots);
-        }
-        if self.cfg.rerank.enabled {
-            match &self.cfg.rerank.model {
-                None => return Err(ConfigError::RerankWithoutModel),
-                Some(model) if !model.is_valid() => return Err(ConfigError::InvalidRerankModel),
-                Some(_) => {}
-            }
         }
         if self.cfg.explain.enabled && self.cfg.explain.audit_capacity == 0 {
             return Err(ConfigError::ZeroAuditCapacity);
@@ -634,33 +576,6 @@ mod tests {
         // Span sampling accepts any period, 0 meaning "live capture off".
         let cfg = EngineConfig::builder().span_sampling(0).build().unwrap();
         assert_eq!(cfg.obs.span_sample_every, 0);
-    }
-
-    #[test]
-    fn builder_validates_rerank_model() {
-        use crate::scoring::RerankModel;
-        let cfg = EngineConfig::builder()
-            .rerank(RerankModel::zeroed())
-            .build()
-            .expect("zeroed model is structurally valid");
-        assert!(cfg.rerank.enabled);
-        assert!(cfg.rerank.model.is_some());
-
-        let mut bad = RerankModel::zeroed();
-        bad.weights[0] = f64::NAN;
-        let err = EngineConfig::builder()
-            .rerank(bad)
-            .build()
-            .expect_err("non-finite weights must be rejected");
-        assert_eq!(err, ConfigError::InvalidRerankModel);
-        assert!(!err.to_string().is_empty());
-
-        let mut short = RerankModel::zeroed();
-        short.weights.pop();
-        assert_eq!(
-            EngineConfig::builder().rerank(short).build().unwrap_err(),
-            ConfigError::InvalidRerankModel
-        );
     }
 
     #[test]

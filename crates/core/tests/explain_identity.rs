@@ -2,10 +2,10 @@
 //! explain enabled, the engine's answers must be **byte-identical** — same
 //! routes, same score bits, same outcomes — to the default disabled
 //! configuration, and the audit documents must describe exactly what was
-//! returned (ranks in order, score components matching the routes,
-//! attribution arithmetic matching the configured rerank model).
+//! returned (ranks in order, score components matching the routes).
 
-use hris::{EngineConfig, Hris, HrisParams, QueryEngine, QueryResult, RerankModel};
+use hris::scoring::FEATURE_NAMES;
+use hris::{EngineConfig, Hris, HrisParams, QueryEngine, QueryResult};
 use hris_geo::Point;
 use hris_roadnet::{generator, NetworkConfig, RoadNetwork};
 use hris_traj::{GpsPoint, SimConfig, Simulator, TrajId, Trajectory, TrajectoryArchive};
@@ -154,65 +154,20 @@ fn audit_documents_describe_the_returned_routes() {
             route.get("segments").and_then(|s| s.as_u64()),
             Some(global.route.len() as u64)
         );
-        assert!(route.get("features").is_some());
-        // No rerank model configured: explained score and attributions
-        // are null.
-        assert!(route
-            .get("rerank_score")
-            .is_some_and(serde_json::Value::is_null));
-    }
-}
-
-#[test]
-fn rerank_attributions_follow_the_configured_model() {
-    let net = net();
-    let archive = archive(&net);
-    let hris = Hris::new(&net, archive, HrisParams::default());
-    // A deterministic hand-built model (no training run needed): nonzero
-    // weights so attributions are visible.
-    let mut model = RerankModel::zeroed();
-    for (i, w) in model.weights.iter_mut().enumerate() {
-        *w = 0.1 * (i as f64 + 1.0);
-    }
-    for s in model.scales.iter_mut() {
-        *s = 2.0;
-    }
-
-    let engine = QueryEngine::with_config(
-        &hris,
-        EngineConfig::builder()
-            .rerank(model.clone())
-            .explain(8)
-            .build()
-            .expect("static engine configuration"),
-    );
-    let q = &queries()[1];
-    let result = engine.infer_query(q, 3);
-    assert!(!result.globals.is_empty());
-    let audit = engine
-        .audit_ring()
-        .expect("explain is on")
-        .snapshot()
-        .pop()
-        .expect("served query audited");
-    let v: serde_json::Value = serde_json::from_str(&audit.json).expect("valid audit json");
-    assert_eq!(v.get("scorer").and_then(|s| s.as_str()), Some("learned"));
-    let routes = v.get("routes").and_then(|r| r.as_array()).unwrap();
-    for route in routes {
-        assert!(
-            route
-                .get("rerank_score")
-                .is_some_and(|s| s.as_f64().is_some()),
-            "learned scorer explains its score"
-        );
-        let attrs = route
-            .get("attributions")
-            .and_then(|a| a.as_obj())
-            .expect("attribution object");
-        assert_eq!(
-            attrs.len(),
-            model.weights.len(),
-            "one attribution per feature"
-        );
+        // The feature vector is the route's own: every feature named, in
+        // order, and its `log_score` component is the returned score.
+        let features = route.get("features").expect("feature object");
+        let names: Vec<&str> = features
+            .as_obj()
+            .expect("feature object")
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert_eq!(names, FEATURE_NAMES);
+        let feature_score = features
+            .get("log_score")
+            .and_then(|s| s.as_f64())
+            .expect("numeric log_score feature");
+        assert_eq!(feature_score.to_bits(), global.log_score.to_bits());
     }
 }

@@ -1,18 +1,15 @@
 //! Differential guarantees of the `RouteScorer` seam.
 //!
-//! - With re-ranking off (the default) the engine must match the plain
-//!   [`Hris`] pipeline byte for byte, and an all-zero [`RerankModel`] must
-//!   be a byte-identical no-op (stable sort on an all-tie).
-//! - An adversarial model must actually reorder — re-ranking is a
-//!   permutation of the paper's top-K, never a rescoring.
+//! - The engine, plain and observed, must rank exactly as the plain
+//!   [`Hris`] pipeline, byte for byte.
 //! - Feature extraction must be finite, deterministic, and invariant under
 //!   power-of-two coordinate scaling where claimed.
 
 use hris::local::{LocalInferenceResult, LocalStats, RefEdgeIndex};
 use hris::reference::{RefKind, RefTrajectory, ReferenceSet};
 use hris::{
-    extract_features, EngineConfig, GlobalRoute, Hris, HrisParams, LearnedScorer, PaperScorer,
-    PopularityModel, QueryEngine, RerankModel, RouteScorer, ScoringCtx,
+    extract_features, EngineConfig, GlobalRoute, Hris, HrisParams, PaperScorer, PopularityModel,
+    QueryEngine, RouteScorer, ScoringCtx,
 };
 use hris_geo::Point;
 use hris_roadnet::{generator, NetworkConfig, RoadClass, RoadNetwork, Route, SegmentId};
@@ -62,131 +59,22 @@ fn assert_scored_bitwise(kind: &str, a: &[GlobalRoute], b: &[GlobalRoute]) {
 
 // ------------------------------------------------------------------ tests
 
-/// Re-ranking off (the default) and an all-zero model are both
-/// byte-identical to the plain sequential pipeline — across the engine's
-/// fast path and its instrumented path.
+/// The engine's one scoring call site ranks exactly as the plain
+/// sequential pipeline — across its fast path and its instrumented path.
 #[test]
-fn default_off_and_zero_model_are_byte_identical() {
+fn engine_ranks_as_the_paper_pipeline() {
     let (_net, hris, queries) = scenario();
     let k = 4;
-    let baseline: Vec<Vec<GlobalRoute>> = queries
-        .iter()
-        .map(|q| hris.infer_routes_detailed(q, k).0)
-        .collect();
-
-    let default_cfg = QueryEngine::with_config(&hris, EngineConfig::default());
-    let zero = QueryEngine::with_config(
+    let plain = QueryEngine::with_config(&hris, EngineConfig::default());
+    let observed = QueryEngine::with_config(
         &hris,
-        EngineConfig::builder()
-            .rerank(RerankModel::zeroed())
-            .build()
-            .unwrap(),
+        EngineConfig::builder().observability(true).build().unwrap(),
     );
-    let zero_observed = QueryEngine::with_config(
-        &hris,
-        EngineConfig::builder()
-            .rerank(RerankModel::zeroed())
-            .observability(true)
-            .build()
-            .unwrap(),
-    );
-    for (q, want) in queries.iter().zip(&baseline) {
-        assert_scored_bitwise("default off", &default_cfg.infer_query(q, k).globals, want);
-        assert_scored_bitwise("zero model", &zero.infer_query(q, k).globals, want);
-        assert_scored_bitwise(
-            "zero model observed",
-            &zero_observed.infer_query(q, k).globals,
-            want,
-        );
-    }
-}
-
-/// An adversarial model (strong negative weight on the paper's own
-/// `log_score`) must reorder at least one top-K list — and every re-ranked
-/// list must be a permutation of the paper list with `log_score` fields
-/// untouched.
-#[test]
-fn adversarial_model_permutes_without_rescoring() {
-    let (net, hris, queries) = scenario();
-    let k = 6;
-    // Small negative weight on log_score (the last feature): inverts the
-    // paper order without saturating the sigmoid into an all-tie.
-    let mut weights = vec![0.0; hris::scoring::NUM_FEATURES];
-    *weights.last_mut().unwrap() = -0.02;
-    let model = RerankModel::from_weights(weights, 0.0);
-    let paper = PaperScorer::from_params(&HrisParams::default());
-
-    let mut reordered_any = false;
     for q in &queries {
-        let locals = hris.local_inference(q);
-        let sctx = ScoringCtx::new(net, &locals, k);
-        let want = paper.top_k(&sctx);
-        let got = LearnedScorer::new(paper, &model).top_k(&sctx);
-        assert_eq!(got.len(), want.len());
-
-        // Same multiset of (route, score-bits): a permutation, not a rescore.
-        let key = |g: &GlobalRoute| {
-            (
-                g.route.segments().to_vec(),
-                g.log_score.to_bits(),
-                g.local_indices.clone(),
-            )
-        };
-        let mut a: Vec<_> = want.iter().map(key).collect();
-        let mut b: Vec<_> = got.iter().map(key).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "re-ranking must permute the paper top-K");
-
-        // With distinct paper scores, -8·log_score inverts the order.
-        let distinct = want
-            .windows(2)
-            .all(|w| w[0].log_score.to_bits() != w[1].log_score.to_bits());
-        if distinct && want.len() > 1 {
-            let inverted: Vec<_> = want.iter().rev().map(key).collect();
-            let got_keys: Vec<_> = got.iter().map(key).collect();
-            assert_eq!(got_keys, inverted, "negative log_score weight inverts");
-        }
-        if got.iter().map(key).ne(want.iter().map(key)) {
-            reordered_any = true;
-        }
+        let want = hris.infer_routes_detailed(q, k).0;
+        assert_scored_bitwise("plain", &plain.infer_query(q, k).globals, &want);
+        assert_scored_bitwise("observed", &observed.infer_query(q, k).globals, &want);
     }
-    assert!(
-        reordered_any,
-        "adversarial model never reordered any of {} queries",
-        queries.len()
-    );
-}
-
-/// A trained model travels losslessly through the engine-config JSON —
-/// weights, bias, and standardization statistics all round-trip.
-#[test]
-fn rerank_config_round_trips_through_serde() {
-    let mut weights = vec![0.25, -0.5, 1.5, 0.0, -2.0, 0.75, 3.0, -0.125];
-    weights[3] = 1e-9;
-    let mut model = RerankModel::from_weights(weights, 0.375);
-    model.means = (0..hris::scoring::NUM_FEATURES)
-        .map(|i| i as f64 * 0.1)
-        .collect();
-    model.scales = (0..hris::scoring::NUM_FEATURES)
-        .map(|i| 1.0 + i as f64)
-        .collect();
-    assert!(model.is_valid());
-
-    let cfg = EngineConfig::builder()
-        .rerank(model.clone())
-        .build()
-        .unwrap();
-    let json = serde_json::to_string(&cfg).unwrap();
-    let back: EngineConfig = serde_json::from_str(&json).unwrap();
-    assert!(back.rerank.enabled);
-    assert_eq!(back.rerank.model.as_ref(), Some(&model));
-
-    // Default stays default: no rerank block surprises.
-    let default_json = serde_json::to_string(&EngineConfig::default()).unwrap();
-    let default_back: EngineConfig = serde_json::from_str(&default_json).unwrap();
-    assert!(!default_back.rerank.enabled);
-    assert!(default_back.rerank.model.is_none());
 }
 
 // ----------------------------------------------- feature-invariant tests
@@ -360,24 +248,6 @@ proptest! {
                 "{} drifted under ×{} scaling: {} vs {}",
                 name, scale, a, b
             );
-        }
-    }
-
-    /// A zero model re-ranks any random universe into exactly the paper
-    /// order (all-tie + stable sort), bit for bit.
-    #[test]
-    fn zero_model_is_identity_on_random_universes(locals in locals_strategy(), k in 1usize..6) {
-        let net = small_net();
-        let scorer = PaperScorer::new(0.05, PopularityModel::ScaleFree);
-        let model = RerankModel::zeroed();
-        let sctx = ScoringCtx::new(&net, &locals, k);
-        let want = scorer.top_k(&sctx);
-        let got = LearnedScorer::new(scorer, &model).top_k(&sctx);
-        prop_assert_eq!(want.len(), got.len());
-        for (w, g) in want.iter().zip(&got) {
-            prop_assert_eq!(&w.route, &g.route);
-            prop_assert_eq!(w.log_score.to_bits(), g.log_score.to_bits());
-            prop_assert_eq!(&w.local_indices, &g.local_indices);
         }
     }
 }

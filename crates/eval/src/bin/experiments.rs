@@ -6,7 +6,7 @@
 //!
 //! FIGURE: table2 fig8a fig8b fig9a fig9b fig10a fig10b fig11a fig11b
 //!         fig12a fig12b fig13a fig13b fig14a fig14b ablation temporal
-//!         freespace rerank all   (default: all)
+//!         freespace all   (default: all)
 //! --full : paper-scale scenario (~25 km city, thousands of trips);
 //!          default is the laptop-quick scenario.
 //! --out  : also write each figure's CSV into DIR.
@@ -15,7 +15,7 @@
 //!          (registry snapshot and per-query TraceRecords) to FILE.
 //! --audit-out : run an explain-enabled pass of the base workload and write
 //!          every query's audit document (candidate counts, top-K routes
-//!          with score components and rerank attributions, events) to FILE
+//!          with score components and route features, events) to FILE
 //!          as one JSON array.
 //! ```
 //!
@@ -37,7 +37,7 @@ struct Args {
 
 /// Every FIGURE name the runner knows, `all` included — the one list the
 /// parser validates against.
-const FIGURES: [&str; 20] = [
+const FIGURES: [&str; 19] = [
     "table2",
     "fig8a",
     "fig8b",
@@ -56,7 +56,6 @@ const FIGURES: [&str; 20] = [
     "ablation",
     "temporal",
     "freespace",
-    "rerank",
     "all",
 ];
 
@@ -141,7 +140,6 @@ fn main() {
         "fig14b",
         "ablation",
         "freespace",
-        "rerank",
     ]
     .iter()
     .any(|f| want(f))
@@ -213,9 +211,6 @@ fn main() {
         if want("freespace") {
             run(&mut outputs, || ex::freespace(s));
         }
-        if want("rerank") {
-            run(&mut outputs, || ex::rerank_uplift(s));
-        }
     }
 
     // The temporal extension needs a diurnal-demand scenario.
@@ -269,23 +264,12 @@ fn main() {
         eprintln!("running robustness pass (100-case fault corpus) ...");
         let rob = hris_eval::evaluate_robustness(s, &hris::HrisParams::default(), args.seed, 100);
         println!("{}", rob.summary());
-        eprintln!("running rerank uplift pass (fleet-trained model) ...");
-        let rr = hris_eval::train_and_evaluate(
-            s,
-            &hris::HrisParams::default(),
-            &hris_eval::TrainConfig {
-                interval_s,
-                ..hris_eval::TrainConfig::default()
-            },
-        );
-        println!("{}", rr.summary());
-        // Same top-level keys as before, plus the robustness/rerank blocks.
+        // The observed pass's keys plus the robustness block.
         let obs_json = report.to_json();
         let combined = format!(
-            "{},\"robustness\":{},\"rerank\":{}}}",
+            "{},\"robustness\":{}}}",
             obs_json.trim_end_matches('}'),
-            rob.to_json(),
-            rr.to_json()
+            rob.to_json()
         );
         std::fs::write(path, combined).expect("write metrics json");
         eprintln!("wrote {path}");

@@ -575,40 +575,6 @@ pub fn freespace(s: &Scenario) -> Table {
     t
 }
 
-/// Extension experiment — learned re-ranking of the paper's top-K (the
-/// `A_L`-uplift figure). For each sampling interval, a logistic re-ranker
-/// is trained on the simulator fleet (whose ground truth is exact) and
-/// evaluated on the held-out queries: paper top-1 vs re-ranked top-1, with
-/// the top-K oracle as the ceiling any re-ranker could reach.
-#[must_use]
-pub fn rerank_uplift(s: &Scenario) -> Table {
-    use crate::rerank::{train_and_evaluate, TrainConfig};
-    let mut t = Table::new(
-        "Extension: rerank",
-        "learned re-ranking uplift over the paper top-1 (A_L)",
-        "SR(min)",
-        vec![
-            "paper top-1".into(),
-            "reranked top-1".into(),
-            "top-K oracle".into(),
-        ],
-    );
-    let params = HrisParams::default();
-    for sr in [3.0, 6.0, 9.0] {
-        let cfg = TrainConfig {
-            interval_s: minutes(sr),
-            ..TrainConfig::default()
-        };
-        let r = train_and_evaluate(s, &params, &cfg);
-        eprintln!(
-            "  rerank SR={sr}min: base {:.4} -> reranked {:.4} (oracle {:.4}, {} pairs)",
-            r.baseline_al, r.reranked_al, r.oracle_al, r.train_pairs
-        );
-        t.push_row(sr, vec![r.baseline_al, r.reranked_al, r.oracle_al]);
-    }
-    t
-}
-
 /// A scenario view containing only the selected queries (shares the network
 /// and archive by cloning; used for length bucketing).
 fn subset(s: &Scenario, indices: &[usize]) -> Scenario {

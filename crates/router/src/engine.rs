@@ -45,9 +45,8 @@
 use crate::plan::ShardPlan;
 use hris::engine::{screen, Screened};
 use hris::{
-    configured_scorer, ConfiguredScorer, EngineConfig, EngineHandle, HrisParams,
-    LocalInferenceResult, PaperScorer, QueryAudit, QueryOutcome, QueryResult, RejectReason,
-    RouteScorer, ScoringCtx,
+    EngineConfig, EngineHandle, HrisParams, LocalInferenceResult, PaperScorer, QueryAudit,
+    QueryOutcome, QueryResult, RejectReason, RouteScorer, ScoringCtx,
 };
 use hris_geo::BBox;
 use hris_obs::{
@@ -568,8 +567,8 @@ impl ShardedEngine {
     ///
     /// With tracing enabled (`cfg.obs.enabled` and a nonzero
     /// `trace_capacity`) the query additionally records one **stitched span
-    /// tree** — routing → per-shard local inference → gather → splice →
-    /// rerank, with health flips, reroutes and degraded/rejected outcomes
+    /// tree** — routing → per-shard local inference → gather → splice,
+    /// with health flips, reroutes and degraded/rejected outcomes
     /// as span events — into the router's trace ring. Every stage records
     /// into the one collector of the query, so the spans are one tree by
     /// construction (pinned by `router_trace_props::check_complete`).
@@ -776,8 +775,8 @@ impl ShardedEngine {
     ///
     /// On a traced query, each touched shard's pinned batch records its
     /// phase spans under a router-side `shard` span, and the router-side
-    /// K-GRI splice and (when configured) rerank get their own spans —
-    /// together with `routing` and `gather` they form the stitched tree.
+    /// K-GRI splice gets its own span — together with `routing` and
+    /// `gather` they form the stitched tree.
     fn run_scatter(
         &self,
         screened: &Screened<'_>,
@@ -890,25 +889,14 @@ impl ShardedEngine {
         debug_assert_eq!(locals.len(), n_pairs, "one local inference per pair");
         let stats = locals.iter().map(|l| l.stats.clone()).collect();
         drop(gather_guard);
-        // The seam splice scores through the exact scorer the shard engines
-        // were configured with — same `HrisParams`, same `RerankOptions` —
-        // so a sharded deployment can never diverge from a single engine
-        // under the same configuration.
-        let scorer = configured_scorer(&self.params, &self.cfg.rerank);
+        // The seam splice scores with the `HrisParams` the shard engines
+        // hold, so a sharded deployment can never diverge from a single
+        // engine under the same configuration.
+        let scorer = PaperScorer::from_params(&self.params);
         let sctx = ScoringCtx::new(&self.net, &locals, k);
-        // The configured scorer runs as its two phases, exactly as the
-        // engine runs it, so splice (the paper's K-GRI over the gathered
-        // locals) and rerank get their own spans on a traced query.
-        // `LearnedScorer::top_k` is exactly `paper.top_k` +
-        // `rerank_in_place`, so the split cannot change a result.
         let splice_guard = root.child("splice");
-        let mut globals = PaperScorer::from_params(&self.params).top_k(&sctx);
+        let globals = scorer.top_k(&sctx);
         drop(splice_guard);
-        if let ConfiguredScorer::Learned(learned) = &scorer {
-            let mut rerank_guard = root.child("rerank");
-            rerank_guard.attr("routes", globals.len());
-            let _ = learned.rerank_in_place(&sctx, &mut globals);
-        }
         let mut outcome = QueryOutcome::served(screened.repairs, pairs_fell_back);
         if rerouted > 0 {
             outcome = demote_to_degraded(outcome, rerouted);
