@@ -78,17 +78,17 @@ pub struct RefEdgeIndex {
 }
 
 impl RefEdgeIndex {
-    /// Builds the index by looking up candidate edges of every reference
-    /// point within `eps` metres (through the network's projection memo —
-    /// reference points recur across pairs).
+    /// Builds the index by looking up the candidate segments of every
+    /// reference point within `eps` metres (through the network's
+    /// projection memo — reference points recur across pairs).
     #[must_use]
     pub fn build(net: &RoadNetwork, refs: &ReferenceSet, eps: f64) -> Self {
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         for (ri, r) in refs.refs.iter().enumerate() {
             let ri = u32::try_from(ri).expect("reference index fits u32");
             for p in &r.points {
-                for cand in net.candidate_edges_cached(p.pos, eps).iter() {
-                    pairs.push((cand.segment.0, ri));
+                for seg in net.candidate_segments_cached(p.pos, eps).iter() {
+                    pairs.push((seg.0, ri));
                 }
             }
         }

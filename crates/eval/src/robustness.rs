@@ -155,17 +155,21 @@ mod tests {
     use crate::scenario::ScenarioConfig;
     use hris_traj::FaultKind;
 
-    fn scenario() -> Scenario {
-        let mut cfg = ScenarioConfig::quick(19);
-        cfg.sim.num_trips = 150;
-        cfg.num_queries = 3;
-        Scenario::build(cfg)
+    /// One build shared by every test of this module (each only reads it).
+    fn scenario() -> &'static Scenario {
+        static SHARED: std::sync::OnceLock<Scenario> = std::sync::OnceLock::new();
+        SHARED.get_or_init(|| {
+            let mut cfg = ScenarioConfig::quick(19);
+            cfg.sim.num_trips = 150;
+            cfg.num_queries = 3;
+            Scenario::build(cfg)
+        })
     }
 
     #[test]
     fn robustness_pass_accounts_every_case() {
         let s = scenario();
-        let report = evaluate_robustness(&s, &HrisParams::default(), 7, 24);
+        let report = evaluate_robustness(s, &HrisParams::default(), 7, 24);
         assert_eq!(report.cases, 24);
         assert_eq!(report.outcome_counts.values().sum::<usize>(), 24);
         // 24 cases cycle all 8 fault kinds 3× each.
@@ -185,7 +189,7 @@ mod tests {
     #[test]
     fn robustness_counters_land_on_the_shared_registry() {
         let s = scenario();
-        let report = evaluate_robustness(&s, &HrisParams::default(), 7, 24);
+        let report = evaluate_robustness(s, &HrisParams::default(), 7, 24);
         let snap = &report.snapshot;
         assert_eq!(snap.counter("hris_engine_queries_total"), Some(24));
         assert!(snap.counter("hris_engine_rejected_total").unwrap_or(0) >= 3);
@@ -201,8 +205,8 @@ mod tests {
     #[test]
     fn robustness_pass_is_deterministic_and_json_parses() {
         let s = scenario();
-        let a = evaluate_robustness(&s, &HrisParams::default(), 7, 16);
-        let b = evaluate_robustness(&s, &HrisParams::default(), 7, 16);
+        let a = evaluate_robustness(s, &HrisParams::default(), 7, 16);
+        let b = evaluate_robustness(s, &HrisParams::default(), 7, 16);
         assert_eq!(a.outcome_counts, b.outcome_counts);
         assert_eq!(a.by_fault, b.by_fault);
         assert_eq!(a.load_report, b.load_report);

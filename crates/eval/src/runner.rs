@@ -439,11 +439,15 @@ mod tests {
     use crate::scenario::ScenarioConfig;
     use hris_mapmatch::StMatcher;
 
-    fn scenario() -> Scenario {
-        let mut cfg = ScenarioConfig::quick(11);
-        cfg.sim.num_trips = 250;
-        cfg.num_queries = 3;
-        Scenario::build(cfg)
+    /// One build shared by every test of this module (each only reads it).
+    fn scenario() -> &'static Scenario {
+        static SHARED: std::sync::OnceLock<Scenario> = std::sync::OnceLock::new();
+        SHARED.get_or_init(|| {
+            let mut cfg = ScenarioConfig::quick(11);
+            cfg.sim.num_trips = 250;
+            cfg.num_queries = 3;
+            Scenario::build(cfg)
+        })
     }
 
     /// The `registry` object of the report files parses back, with an
@@ -484,7 +488,7 @@ mod tests {
     #[test]
     fn matcher_evaluation_produces_sane_numbers() {
         let s = scenario();
-        let out = evaluate_matcher(&s, &StMatcher::default(), 60.0);
+        let out = evaluate_matcher(s, &StMatcher::default(), 60.0);
         assert_eq!(out.queries, 3);
         assert!((0.0..=1.0).contains(&out.mean_accuracy));
         assert!(out.mean_time_s >= 0.0);
@@ -495,7 +499,7 @@ mod tests {
     #[test]
     fn hris_evaluation_produces_sane_numbers() {
         let s = scenario();
-        let out = evaluate_hris(&s, &HrisParams::default(), 180.0, None);
+        let out = evaluate_hris(s, &HrisParams::default(), 180.0, None);
         assert_eq!(out.queries, 3);
         assert!((0.0..=1.0).contains(&out.mean_accuracy));
         assert!(out.mean_accuracy > 0.3, "got {}", out.mean_accuracy);
@@ -504,7 +508,7 @@ mod tests {
     #[test]
     fn topk_max_at_least_avg() {
         let s = scenario();
-        let (avg, max) = evaluate_hris_topk(&s, &HrisParams::default(), 180.0, 3);
+        let (avg, max) = evaluate_hris_topk(s, &HrisParams::default(), 180.0, 3);
         assert!(max >= avg - 1e-9);
         assert!((0.0..=1.0).contains(&max));
     }
@@ -513,8 +517,8 @@ mod tests {
     fn observed_evaluation_matches_plain_and_accounts_wall_time() {
         let s = scenario();
         let params = HrisParams::default();
-        let plain = evaluate_hris(&s, &params, 180.0, None);
-        let (out, report) = evaluate_hris_observed(&s, &params, 180.0, None);
+        let plain = evaluate_hris(s, &params, 180.0, None);
+        let (out, report) = evaluate_hris_observed(s, &params, 180.0, None);
         // Instrumentation must not move accuracy at all.
         assert!(
             (out.mean_accuracy - plain.mean_accuracy).abs() < 1e-12,
@@ -551,7 +555,7 @@ mod tests {
     fn thinned_archive_evaluation_runs() {
         let s = scenario();
         let thin = s.thinned_archive(0.3);
-        let out = evaluate_hris(&s, &HrisParams::default(), 180.0, Some(&thin));
+        let out = evaluate_hris(s, &HrisParams::default(), 180.0, Some(&thin));
         assert_eq!(out.queries, 3);
     }
 
@@ -562,7 +566,7 @@ mod tests {
         let s = scenario();
         let params = HrisParams::default();
         let hris = Hris::new(&s.net, s.archive.clone(), params.clone());
-        let out = evaluate_hris(&s, &params, 180.0, None);
+        let out = evaluate_hris(s, &params, 180.0, None);
         let direct: Vec<f64> = s
             .queries
             .iter()

@@ -199,11 +199,17 @@ impl Scenario {
 mod tests {
     use super::*;
 
-    fn scenario() -> Scenario {
+    fn build() -> Scenario {
         let mut cfg = ScenarioConfig::quick(3);
         cfg.sim.num_trips = 300;
         cfg.num_queries = 4;
         Scenario::build(cfg)
+    }
+
+    /// One build shared by every test of this module that only reads it.
+    fn scenario() -> &'static Scenario {
+        static SHARED: std::sync::OnceLock<Scenario> = std::sync::OnceLock::new();
+        SHARED.get_or_init(build)
     }
 
     #[test]
@@ -229,8 +235,8 @@ mod tests {
 
     #[test]
     fn scenario_is_deterministic() {
-        let a = scenario();
-        let b = scenario();
+        let a = build();
+        let b = build();
         assert_eq!(a.queries.len(), b.queries.len());
         for (x, y) in a.queries.iter().zip(b.queries.iter()) {
             assert_eq!(x.truth, y.truth);

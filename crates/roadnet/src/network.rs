@@ -69,7 +69,7 @@ impl Spatial for SegEntry {
 
 /// Bound on memoised λ-neighborhood entries before a wholesale flush.
 const LAMBDA_CACHE_CAP: usize = 1 << 17;
-/// Bound on memoised candidate-edge projections before a wholesale flush.
+/// Bound on memoised candidate-segment projections before a wholesale flush.
 const CAND_CACHE_CAP: usize = 1 << 16;
 
 /// Lazily built acceleration state derived from the (immutable) network.
@@ -84,12 +84,12 @@ struct NetCaches {
     oracle: OnceLock<Arc<SpOracle>>,
     /// `(segment, λ)` → λ-neighborhood with hop counts and chain distances.
     lambda: Mutex<FxHashMap<(u32, u32), Arc<LambdaSoA>>>,
-    /// `(x bits, y bits, eps bits)` → candidate edges of that query circle.
+    /// `(x bits, y bits, eps bits)` → candidate segments of that query circle.
     cands: Mutex<CandCache>,
 }
 
-/// Query-circle key (x bits, y bits, eps bits) → its candidate edges.
-type CandCache = FxHashMap<(u64, u64, u64), Arc<Vec<CandidateEdge>>>;
+/// Query-circle key (x bits, y bits, eps bits) → its candidate segments.
+type CandCache = FxHashMap<(u64, u64, u64), Arc<[SegmentId]>>;
 
 /// A λ-neighborhood in structure-of-arrays layout: the traverse-graph
 /// construction scans `segs` for interned hits and touches `hops`/`dists`
@@ -585,33 +585,23 @@ impl RoadNetwork {
         fresh
     }
 
-    /// Tuple view of [`RoadNetwork::lambda_neighborhood_soa`] — same memo,
-    /// materialised as `(segment, hops, dist)` rows per call.
+    /// Memoised segment ids of [`RoadNetwork::candidate_edges`], in its
+    /// order, keyed by the exact query bit patterns. Reference points are
+    /// re-projected for every candidate pair touching them; the projection
+    /// is a pure function of the network, so repeated queries cost one map
+    /// lookup. Only the segment ids are kept: that is all the edge index
+    /// reads (4 bytes per candidate instead of a whole [`CandidateEdge`]).
     #[must_use]
-    pub fn lambda_neighborhood_dists(
-        &self,
-        seg: SegmentId,
-        lambda: usize,
-    ) -> Arc<Vec<(SegmentId, usize, f64)>> {
-        let soa = self.lambda_neighborhood_soa(seg, lambda);
-        Arc::new(
-            (0..soa.len())
-                .map(|i| (soa.segs[i], soa.hops[i] as usize, soa.dists[i]))
-                .collect(),
-        )
-    }
-
-    /// Memoised [`RoadNetwork::candidate_edges`], keyed by the exact query
-    /// bit patterns. Reference points are re-projected for every candidate
-    /// pair touching them; the projection is a pure function of the network,
-    /// so repeated queries cost one map lookup.
-    #[must_use]
-    pub fn candidate_edges_cached(&self, p: Point, eps: f64) -> Arc<Vec<CandidateEdge>> {
+    pub fn candidate_segments_cached(&self, p: Point, eps: f64) -> Arc<[SegmentId]> {
         let key = (p.x.to_bits(), p.y.to_bits(), eps.to_bits());
         if let Some(hit) = self.hot.cands.lock().expect("cand cache").get(&key) {
             return Arc::clone(hit);
         }
-        let fresh = Arc::new(self.candidate_edges(p, eps));
+        let fresh: Arc<[SegmentId]> = self
+            .candidate_edges(p, eps)
+            .iter()
+            .map(|c| c.segment)
+            .collect();
         let mut map = self.hot.cands.lock().expect("cand cache");
         if map.len() >= CAND_CACHE_CAP {
             map.clear();
@@ -872,24 +862,20 @@ mod tests {
     fn cached_accessors_match_uncached() {
         let net = tiny_grid();
         let p = Point::new(50.0, 10.0);
-        assert_eq!(
-            *net.candidate_edges_cached(p, 15.0),
-            net.candidate_edges(p, 15.0)
-        );
-        // Second read hits the memo and must stay identical.
-        assert_eq!(
-            *net.candidate_edges_cached(p, 15.0),
-            net.candidate_edges(p, 15.0)
-        );
+        let want: Vec<SegmentId> = net
+            .candidate_edges(p, 15.0)
+            .iter()
+            .map(|c| c.segment)
+            .collect();
+        assert!(!want.is_empty());
+        // First read misses, second hits the memo: both are the uncached
+        // projection's segment ids, in order.
+        assert_eq!(*net.candidate_segments_cached(p, 15.0), *want);
+        assert_eq!(*net.candidate_segments_cached(p, 15.0), *want);
         let seg = net.out_segments(NodeId(0))[0];
-        assert_eq!(
-            *net.lambda_neighborhood_dists(seg, 4),
-            net.lambda_neighborhood_with_dist(seg, 4)
-        );
-        assert_eq!(
-            *net.lambda_neighborhood_dists(seg, 4),
-            net.lambda_neighborhood_with_dist(seg, 4)
-        );
+        let soa = LambdaSoA::from_tuples(&net.lambda_neighborhood_with_dist(seg, 4));
+        assert_eq!(*net.lambda_neighborhood_soa(seg, 4), soa);
+        assert_eq!(*net.lambda_neighborhood_soa(seg, 4), soa);
         // Hop-only view agrees with the hop-only search.
         let hops: Vec<(SegmentId, usize)> = net
             .lambda_neighborhood_with_dist(seg, 4)

@@ -21,16 +21,18 @@
 //!    are answered in O(1) without touching a heap.
 //! 3. **Shortest-path-tree cache** — full one-to-all Dijkstra trees
 //!    ([`SptTree`]) memoised per `(source node, cost model)` in sharded
-//!    maps. A probe whose tree is cached costs two array reads; every probe
+//!    maps. A tree keeps one `u32` per node — the predecessor segment — and
+//!    a probe whose tree is cached costs a predecessor walk; every probe
 //!    sharing a source amortises one tree build. With positive edge costs,
 //!    a full run's predecessor assignments for nodes settled at or before
 //!    the target are identical to the early-terminated run's, so
 //!    reconstructed routes are byte-identical to [`shortest_path`]'s.
 //!
 //! All transient search state lives in epoch-stamped [`ScratchBuffers`]
-//! (dist/stamp/predecessor arrays plus a reusable heap) pooled inside the
-//! oracle, so steady-state probes perform **zero heap allocation** — a
-//! property locked in by the `alloc_probe` regression test.
+//! (dist/stamp/predecessor arrays, a reusable heap and a path stack) pooled
+//! inside the oracle, so steady-state probes perform **zero heap
+//! allocation** — a property locked in by the `alloc_probe` regression
+//! test.
 
 use crate::digraph::DiGraph;
 use crate::fxhash::FxHashMap;
@@ -193,6 +195,9 @@ pub struct ScratchBuffers {
     stamp: Vec<u32>,
     epoch: u32,
     heap: BinaryHeap<HeapItem>,
+    /// A tree path's segments, target first (a simple path has fewer
+    /// segments than the graph has nodes, so this never grows).
+    path: Vec<u32>,
 }
 
 impl ScratchBuffers {
@@ -205,6 +210,7 @@ impl ScratchBuffers {
             stamp: vec![0; n],
             epoch: 0,
             heap: BinaryHeap::new(),
+            path: Vec::with_capacity(n),
         }
     }
 
@@ -260,11 +266,11 @@ impl ScratchBuffers {
 /// source and unreachable nodes). Because every edge cost is positive, the
 /// assignments for any node settled at or before a target equal those the
 /// early-terminated point query would have produced, so walking `prev_seg`
-/// reconstructs byte-identical routes.
+/// reconstructs byte-identical routes. Distances are not stored: they are
+/// a function of the predecessors ([`SpOracle::tree_dist`]).
 pub struct SptTree {
     source: NodeId,
     model: CostModel,
-    dist: Box<[f64]>,
     prev_seg: Box<[u32]>,
 }
 
@@ -281,13 +287,6 @@ impl SptTree {
     #[must_use]
     pub fn model(&self) -> CostModel {
         self.model
-    }
-
-    /// Cost from the source to `v` (∞ when unreachable).
-    #[inline]
-    #[must_use]
-    pub fn dist_to(&self, v: NodeId) -> f64 {
-        self.dist[v.index()]
     }
 
     /// Segment that finally relaxed `v`, if any.
@@ -527,13 +526,11 @@ impl SpOracle {
     fn compute_spt(&self, source: NodeId, model: CostModel) -> SptTree {
         let n = self.csr.num_nodes();
         let costs = &self.csr.edge_cost[lane(model)];
-        let mut dist = vec![f64::INFINITY; n].into_boxed_slice();
         let mut prev_seg = vec![u32::MAX; n].into_boxed_slice();
         if source.index() >= n {
             return SptTree {
                 source,
                 model,
-                dist,
                 prev_seg,
             };
         }
@@ -563,17 +560,42 @@ impl SpOracle {
                     }
                 }
             }
-            for v in 0..n {
-                dist[v] = scr.dist(v);
-                prev_seg[v] = scr.prev(v);
+            for (v, p) in prev_seg.iter_mut().enumerate() {
+                *p = scr.prev(v);
             }
         });
         SptTree {
             source,
             model,
-            dist,
             prev_seg,
         }
+    }
+
+    /// Cost from `tree`'s source to `v` (∞ when unreachable): the
+    /// source-first left fold of the segment costs along the tree path,
+    /// which is bit-equal to the Dijkstra label the tree was built with
+    /// (each label is its settled parent's final label plus one edge cost,
+    /// and `0.0 + c` is `c`). The path is staged on pooled scratch, so a
+    /// steady-state call does not allocate.
+    #[must_use]
+    pub fn tree_dist(&self, tree: &SptTree, v: NodeId) -> f64 {
+        if v != tree.source && tree.prev_seg[v.index()] == u32::MAX {
+            return f64::INFINITY;
+        }
+        let costs = &self.csr.seg_cost[lane(tree.model)];
+        self.with_scratch(|scr| {
+            scr.path.clear();
+            let mut cur = v;
+            while cur != tree.source {
+                let sid = tree.prev_seg[cur.index()];
+                scr.path.push(sid);
+                cur = self.csr.segment_from(SegmentId(sid));
+            }
+            scr.path
+                .iter()
+                .rev()
+                .fold(0.0, |d, &sid| d + costs[sid as usize])
+        })
     }
 
     /// Point-to-point Dijkstra against caller-owned scratch, byte-identical
@@ -704,14 +726,14 @@ impl SpOracle {
         src: NodeId,
         dst: NodeId,
     ) -> Option<Route> {
-        if !spt.dist_to(dst).is_finite() {
+        if dst != src && spt.prev_seg[dst.index()] == u32::MAX {
             return None;
         }
         let mut segs = vec![r];
         let mut cur = dst;
         while cur != src {
             let sid = spt.prev_seg[cur.index()];
-            debug_assert_ne!(sid, u32::MAX, "finite dist implies predecessor");
+            debug_assert_ne!(sid, u32::MAX, "a tree path ends at its source");
             segs.push(SegmentId(sid));
             cur = self.csr.segment_from(SegmentId(sid));
         }
@@ -722,7 +744,8 @@ impl SpOracle {
 
     /// Total cost of [`SpOracle::route_between`]'s route without building
     /// it: the steady-state candidate-pair probe. With the tree cached this
-    /// performs **zero heap allocation** (pinned by the `alloc_probe` test).
+    /// is a predecessor walk and performs **zero heap allocation** (pinned
+    /// by the `alloc_probe` test).
     #[must_use]
     pub fn route_cost_between(&self, r: SegmentId, s: SegmentId, model: CostModel) -> Option<f64> {
         if r == s {
@@ -734,8 +757,7 @@ impl SpOracle {
             self.lookups.hit();
             return None;
         }
-        let spt = self.spt(src, model);
-        let bridge = spt.dist_to(dst);
+        let bridge = self.tree_dist(&self.spt(src, model), dst);
         if !bridge.is_finite() {
             return None;
         }
@@ -897,6 +919,24 @@ mod tests {
         assert_eq!(uncached, first);
         assert_eq!(oracle.cached_trees(), 0);
         assert_eq!((oracle.hits(), oracle.misses()), lookups);
+    }
+
+    #[test]
+    fn cached_tree_payload_is_one_u32_per_node() {
+        let net = generate(&NetworkConfig::small(7));
+        let oracle = SpOracle::build(&net);
+        let tree = oracle.spt(NodeId(0), CostModel::Time);
+        // Exhaustive pattern: a field added to the tree fails to compile
+        // here, so the footprint below is the whole heap payload.
+        let SptTree {
+            source: _,
+            model: _,
+            prev_seg,
+        } = &*tree;
+        assert_eq!(
+            std::mem::size_of_val(&**prev_seg),
+            net.num_nodes() * std::mem::size_of::<u32>()
+        );
     }
 
     #[test]

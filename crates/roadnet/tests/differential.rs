@@ -143,6 +143,9 @@ proptest! {
     /// naive O(V²) Dijkstra from every source of a random network, and its
     /// segment-level routes agree with the classic per-pair search —
     /// including the unreachable cases answered by the reachability matrix.
+    /// A distance derived from a tree's predecessors is bit-equal to the
+    /// early-terminated search's own label, and so is every probe cost
+    /// built on it.
     #[test]
     fn sp_oracle_matches_naive_oracle(
         seed in 100u64..150,
@@ -151,6 +154,7 @@ proptest! {
     ) {
         let net = small_net(seed, removal, oneway);
         let oracle = SpOracle::build(&net);
+        let mut scratch = ScratchBuffers::for_network(&net);
         let n = net.num_nodes() as u32;
         for model in [CostModel::Distance, CostModel::Time] {
             for s in 0..n {
@@ -158,15 +162,24 @@ proptest! {
                 let want = naive_dijkstra(&net, s, model);
                 let spt = oracle.spt(s, model);
                 for (t, &w) in want.iter().enumerate() {
-                    let g = spt.dist_to(NodeId(t as u32));
+                    let t = NodeId(t as u32);
+                    let g = oracle.tree_dist(&spt, t);
                     if g.is_finite() || w.is_finite() {
-                        prop_assert!((g - w).abs() < 1e-6, "s={s:?} t={t}: {g} vs {w}");
+                        prop_assert!((g - w).abs() < 1e-6, "s={s:?} t={t:?}: {g} vs {w}");
                     }
+                    let label = oracle
+                        .point_to_point(s, t, model, &mut scratch)
+                        .map_or(f64::INFINITY, |p| p.cost);
+                    prop_assert_eq!(
+                        g.to_bits(),
+                        label.to_bits(),
+                        "s={:?} t={:?} {:?}: tree {} vs label {}", s, t, model, g, label
+                    );
                     // The reach matrix must agree with the distances.
                     prop_assert_eq!(
-                        oracle.reachable(s, NodeId(t as u32)),
+                        oracle.reachable(s, t),
                         w.is_finite(),
-                        "reachability disagrees at s={:?} t={}", s, t
+                        "reachability disagrees at s={:?} t={:?}", s, t
                     );
                 }
             }
@@ -179,6 +192,21 @@ proptest! {
                 let got = oracle.route_between(r, s, model);
                 let want = route_between_segments(&net, r, s, model);
                 prop_assert_eq!(&got, &want, "route {:?}->{:?} {:?}", r, s, model);
+                let csr = oracle.csr();
+                let cost = oracle.route_cost_between(r, s, model).map(f64::to_bits);
+                let expected = if r == s {
+                    Some(csr.segment_cost(r, model))
+                } else {
+                    let (src, dst) = (csr.segment_to(r), csr.segment_from(s));
+                    oracle
+                        .point_to_point(src, dst, model, &mut scratch)
+                        .map(|p| csr.segment_cost(r, model) + p.cost + csr.segment_cost(s, model))
+                };
+                prop_assert_eq!(
+                    cost,
+                    expected.map(f64::to_bits),
+                    "probe cost {:?}->{:?} {:?}", r, s, model
+                );
             }
         }
     }

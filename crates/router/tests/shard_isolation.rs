@@ -113,9 +113,12 @@ fn cross_shard_queries_observe_whole_epochs_per_shard() {
 
     // Observations: (shard, epoch) per query, checked after the writers
     // finish (the published maps only grow, so membership is stable).
+    // Query at least 50 times and until both writers have finished, so the
+    // last queries observe their final epochs however the threads start.
     let mut observations: Vec<Vec<(usize, u64)>> = Vec::new();
     let mut last_epoch = [0u64; 2];
-    for _ in 0..50 {
+    loop {
+        let writers_done = threads.iter().all(thread::JoinHandle::is_finished);
         let (r, trace) = engine.infer_query_traced(&q, 2);
         assert!(
             matches!(
@@ -140,6 +143,9 @@ fn cross_shard_queries_observe_whole_epochs_per_shard() {
             last_epoch[s] = e;
         }
         observations.push(trace.epochs);
+        if writers_done && observations.len() >= 50 {
+            break;
+        }
         thread::yield_now();
     }
     for t in threads {
