@@ -23,6 +23,10 @@ pub struct DiGraph {
 /// graph; scanning three contiguous arrays beats chasing a `Vec` per node.
 /// Per-node edge order is preserved, so relaxation order — and hence heap
 /// tie behaviour — is identical to querying the adjacency lists directly.
+///
+/// The view also carries the reversed adjacency (in-edges per node), which
+/// Yen's spur pruning walks once per call to bound every node's cost to the
+/// target.
 #[derive(Debug, Clone)]
 pub struct CsrView {
     /// `starts[u]..starts[u + 1]` indexes `targets`/`weights` for node `u`.
@@ -31,7 +35,19 @@ pub struct CsrView {
     targets: Vec<u32>,
     /// Edge weights, parallel to `targets`.
     weights: Vec<f64>,
+    /// `rev_starts[v]..rev_starts[v + 1]` indexes `rev_sources`/`rev_weights`
+    /// for the edges into node `v`.
+    rev_starts: Vec<u32>,
+    /// In-edge source nodes.
+    rev_sources: Vec<u32>,
+    /// In-edge weights, parallel to `rev_sources`.
+    rev_weights: Vec<f64>,
 }
+
+/// Relative slack of Yen's spur prune: a spur is skipped only when its
+/// lower bound exceeds the cutoff by more than this fraction, which absorbs
+/// the rounding of summing the same weights in a different order.
+const PRUNE_SLACK: f64 = 1e-9;
 
 impl CsrView {
     /// Snapshots `g`. O(V + E).
@@ -49,11 +65,7 @@ impl CsrView {
             }
             starts.push(targets.len() as u32);
         }
-        CsrView {
-            starts,
-            targets,
-            weights,
-        }
+        Self::with_reverse(starts, targets, weights)
     }
 
     /// Builds the CSR directly from `(u, v, weight)` edges already grouped
@@ -90,10 +102,38 @@ impl CsrView {
             cur += 1;
             starts[cur] = targets.len() as u32;
         }
+        Self::with_reverse(starts, targets, weights)
+    }
+
+    /// Completes a forward CSR with its reversed adjacency: a counting sort
+    /// of the edges by target node. O(V + E).
+    fn with_reverse(starts: Vec<u32>, targets: Vec<u32>, weights: Vec<f64>) -> Self {
+        let n = starts.len() - 1;
+        let mut rev_starts = vec![0u32; n + 1];
+        for &v in &targets {
+            rev_starts[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            rev_starts[v + 1] += rev_starts[v];
+        }
+        let mut next = rev_starts[..n].to_vec();
+        let mut rev_sources = vec![0u32; targets.len()];
+        let mut rev_weights = vec![0.0; targets.len()];
+        for u in 0..n {
+            for e in starts[u] as usize..starts[u + 1] as usize {
+                let slot = &mut next[targets[e] as usize];
+                rev_sources[*slot as usize] = u as u32;
+                rev_weights[*slot as usize] = weights[e];
+                *slot += 1;
+            }
+        }
         CsrView {
             starts,
             targets,
             weights,
+            rev_starts,
+            rev_sources,
+            rev_weights,
         }
     }
 
@@ -195,6 +235,23 @@ impl CsrView {
     /// `target`, in non-decreasing cost order. The implementation behind
     /// [`DiGraph::k_shortest_paths`]; callers running Yen for many endpoint
     /// pairs of one graph should build the view and scratch once.
+    ///
+    /// Spur searches that provably cannot reach the top `k` are skipped:
+    /// one reverse Dijkstra from `target` gives `h[v]`, a lower bound on
+    /// every `v → target` cost, and a spur whose root cost plus cheapest
+    /// admissible first hop `w(s, v) + h[v]` exceeds `T`, the cost of the
+    /// `needed`-th cheapest candidate (by more than `PRUNE_SLACK`), is never
+    /// run. The output equals the unpruned algorithm's, ties included
+    /// (DESIGN §5h has the argument). `T` never rises, so a path costlier
+    /// than `T` is never extracted; a skipped spur could only add such a
+    /// candidate. Candidates also ban edges in later spurs and suppress
+    /// duplicates, but a costlier-than-`T` candidate only bans edges every
+    /// path through which costs more than `T` too. So the two runs' spurs
+    /// differ only by edges off every cheaper path, and the `(cost, node)`
+    /// heap order makes a spur return the same path whatever those edges
+    /// add to the heap. Extraction takes the first of the cheapest from a
+    /// cost-sorted list, where the entries up to `T` stand in the same
+    /// order in both runs.
     #[must_use]
     pub fn k_shortest_paths_with(
         &self,
@@ -210,14 +267,22 @@ impl CsrView {
         else {
             return Vec::new();
         };
-        if source == target {
+        if source == target || k == 1 {
             return vec![first];
         }
+        // Borrowed out of the scratch for the call so the spur searches can
+        // take `scratch` mutably; capacity survives across calls.
+        let mut to_target = std::mem::take(&mut scratch.to_target);
+        let mut banned_edges = std::mem::take(&mut scratch.banned_edges);
+        self.reverse_dists(scratch, target, &mut to_target);
+
         let mut accepted: Vec<GraphPath> = vec![first];
-        // Candidate set; kept sorted on extraction.
+        // Candidates sorted by cost, equal costs in insertion order, so the
+        // extracted one is the first of the cheapest whatever was skipped.
         let mut candidates: Vec<GraphPath> = Vec::new();
 
         while accepted.len() < k {
+            let needed = k - accepted.len();
             let last = &accepted[accepted.len() - 1];
             // Running prefix cost: extended hop by hop with the same
             // left-to-right additions `path_cost` would perform, so every
@@ -229,7 +294,7 @@ impl CsrView {
 
                 // Ban edges leaving the spur node that previous accepted paths
                 // with the same root already use.
-                let mut banned_edges = Vec::new();
+                banned_edges.clear();
                 for p in accepted.iter().chain(candidates.iter()) {
                     if p.nodes.len() > i && p.nodes[..=i] == *root {
                         banned_edges.push((p.nodes[i], p.nodes[i + 1]));
@@ -238,23 +303,45 @@ impl CsrView {
                 // Ban root nodes except the spur node (loopless requirement).
                 let banned_nodes = &root[..i];
 
-                if let Some(spur) = self.shortest_path_avoiding_with(
-                    scratch,
-                    spur_node,
-                    target,
-                    banned_nodes,
-                    &banned_edges,
-                ) {
-                    let mut nodes = root.to_vec();
-                    nodes.extend_from_slice(&spur.nodes[1..]);
-                    let total = GraphPath {
-                        cost: root_cost + spur.cost,
-                        nodes,
-                    };
-                    if !candidates.iter().any(|c| c.nodes == total.nodes)
-                        && !accepted.iter().any(|a| a.nodes == total.nodes)
-                    {
-                        candidates.push(total);
+                // Cheapest admissible first hop plus its bound to the target.
+                let mut hop_bound = f64::INFINITY;
+                for e in self.starts[spur_node] as usize..self.starts[spur_node + 1] as usize {
+                    let v = self.targets[e] as usize;
+                    if !root.contains(&v) && !banned_edges.contains(&(spur_node, v)) {
+                        hop_bound = hop_bound.min(self.weights[e] + to_target[v]);
+                    }
+                }
+                let bound = root_cost + hop_bound;
+                // Cost of the `needed`-th cheapest candidate (∞ while there
+                // are fewer): nothing costlier is extracted before the end.
+                let cutoff = candidates.get(needed - 1).map_or(f64::INFINITY, |c| c.cost);
+                if bound <= cutoff * (1.0 + PRUNE_SLACK) {
+                    if let Some(spur) = self.shortest_path_avoiding_with(
+                        scratch,
+                        spur_node,
+                        target,
+                        banned_nodes,
+                        &banned_edges,
+                    ) {
+                        let mut nodes = root.to_vec();
+                        nodes.extend_from_slice(&spur.nodes[1..]);
+                        let total = GraphPath {
+                            cost: root_cost + spur.cost,
+                            nodes,
+                        };
+                        debug_assert!(
+                            bound <= total.cost * (1.0 + PRUNE_SLACK),
+                            "spur bound {bound} above the path it bounds ({})",
+                            total.cost
+                        );
+                        if !candidates.iter().any(|c| c.nodes == total.nodes)
+                            && !accepted.iter().any(|a| a.nodes == total.nodes)
+                        {
+                            let at = candidates.partition_point(|c| {
+                                c.cost.total_cmp(&total.cost) != Ordering::Greater
+                            });
+                            candidates.insert(at, total);
+                        }
                     }
                 }
 
@@ -265,16 +352,37 @@ impl CsrView {
             if candidates.is_empty() {
                 break;
             }
-            // Extract the cheapest candidate.
-            let best = candidates
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.cost.total_cmp(&b.1.cost))
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            accepted.push(candidates.swap_remove(best));
+            accepted.push(candidates.remove(0));
         }
+        scratch.to_target = to_target;
+        scratch.banned_edges = banned_edges;
         accepted
+    }
+
+    /// Fills `dist[v]` with the cost of the cheapest `v → target` path (∞
+    /// when none): one Dijkstra from `target` over the reversed edges.
+    fn reverse_dists(&self, scratch: &mut DijkstraScratch, target: usize, dist: &mut Vec<f64>) {
+        dist.clear();
+        dist.resize(self.num_nodes(), f64::INFINITY);
+        dist[target] = 0.0;
+        scratch.heap.clear();
+        scratch.heap.push(HeapItem {
+            cost: 0.0,
+            node: target,
+        });
+        while let Some(HeapItem { cost, node }) = scratch.heap.pop() {
+            if cost > dist[node] {
+                continue;
+            }
+            for e in self.rev_starts[node] as usize..self.rev_starts[node + 1] as usize {
+                let u = self.rev_sources[e] as usize;
+                let nd = cost + self.rev_weights[e];
+                if nd < dist[u] {
+                    dist[u] = nd;
+                    scratch.heap.push(HeapItem { cost: nd, node: u });
+                }
+            }
+        }
     }
 }
 
@@ -298,9 +406,14 @@ impl PartialOrd for HeapItem {
         Some(self.cmp(other))
     }
 }
+/// Min-heap order on `(cost, node)`: equal costs pop the lower node first,
+/// so the pop order never depends on the heap's internal layout.
 impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> Ordering {
-        other.cost.total_cmp(&self.cost)
+        other
+            .cost
+            .total_cmp(&self.cost)
+            .then_with(|| other.node.cmp(&self.node))
     }
 }
 
@@ -321,6 +434,10 @@ pub struct DijkstraScratch {
     banned_stamp: Vec<u32>,
     epoch: u32,
     heap: BinaryHeap<HeapItem>,
+    /// Yen's per-call bound on every node's cost to the target.
+    to_target: Vec<f64>,
+    /// Yen's per-spur banned edges.
+    banned_edges: Vec<(usize, usize)>,
 }
 
 impl DijkstraScratch {
@@ -566,8 +683,9 @@ impl DiGraph {
     /// Yen's algorithm: up to `k` shortest **simple** (loopless) paths from
     /// `source` to `target`, in non-decreasing cost order.
     ///
-    /// Used by Algorithm 1 (TGI) to enumerate candidate local routes on the
-    /// traverse graph, and by the route-choice model of the taxi simulator.
+    /// Used by the route-choice model of the taxi simulator. Algorithm 1
+    /// (TGI) runs Yen many times per traverse graph, so it builds one
+    /// [`CsrView`] and calls [`CsrView::k_shortest_paths_with`] directly.
     #[must_use]
     pub fn k_shortest_paths(&self, source: usize, target: usize, k: usize) -> Vec<GraphPath> {
         if k == 0 {
@@ -796,6 +914,181 @@ mod tests {
         let mut g2 = DiGraph::with_nodes(2);
         g2.add_node();
         assert!(g2.k_shortest_paths(0, 1, 3).is_empty());
+    }
+
+    /// The spur loop without the prune: every spur search runs. Extraction
+    /// takes the first of the cheapest, as the pruned loop's sorted list
+    /// does, so on any input the pruned [`CsrView::k_shortest_paths_with`]
+    /// must return exactly this.
+    ///
+    /// Also reports whether the call reached the case the prune's exactness
+    /// argument must cover: the first spur the prune skips yields a
+    /// candidate here, and that candidate alone bans an edge in a later
+    /// spur, so the pruned run spurs there with one banned edge fewer.
+    fn unpruned_yen(
+        csr: &CsrView,
+        scratch: &mut DijkstraScratch,
+        source: usize,
+        target: usize,
+        k: usize,
+    ) -> (Vec<GraphPath>, bool) {
+        if k == 0 {
+            return (Vec::new(), false);
+        }
+        let Some(first) = csr.shortest_path_avoiding_with(scratch, source, target, &[], &[]) else {
+            return (Vec::new(), false);
+        };
+        if source == target {
+            return (vec![first], false);
+        }
+        let mut to_target = Vec::new();
+        csr.reverse_dists(scratch, target, &mut to_target);
+        // Until the first skip both runs are in the same state, so the
+        // prune's decision can be replayed here exactly.
+        let (mut skip_seen, mut skipped, mut coupled) = (false, None::<Vec<usize>>, false);
+        let mut accepted = vec![first];
+        let mut candidates: Vec<GraphPath> = Vec::new();
+        while accepted.len() < k {
+            let needed = k - accepted.len();
+            let last = &accepted[accepted.len() - 1];
+            let mut root_cost = 0.0;
+            for i in 0..last.nodes.len() - 1 {
+                let spur_node = last.nodes[i];
+                let root = &last.nodes[..=i];
+                let mut banned_edges = Vec::new();
+                for p in accepted.iter().chain(candidates.iter()) {
+                    if p.nodes.len() > i && p.nodes[..=i] == *root {
+                        banned_edges.push((p.nodes[i], p.nodes[i + 1]));
+                    }
+                }
+                if let Some(c) = skipped
+                    .as_deref()
+                    .filter(|c| c.len() > i + 1 && c[..=i] == *root)
+                {
+                    let edge = (c[i], c[i + 1]);
+                    coupled |= banned_edges.iter().filter(|&&e| e == edge).count() == 1;
+                }
+                let mut skip = false;
+                if !skip_seen {
+                    let mut costs: Vec<f64> = candidates.iter().map(|c| c.cost).collect();
+                    costs.sort_by(f64::total_cmp);
+                    let cutoff = costs.get(needed - 1).copied().unwrap_or(f64::INFINITY);
+                    let mut hop_bound = f64::INFINITY;
+                    for e in csr.starts[spur_node] as usize..csr.starts[spur_node + 1] as usize {
+                        let v = csr.targets[e] as usize;
+                        if !root.contains(&v) && !banned_edges.contains(&(spur_node, v)) {
+                            hop_bound = hop_bound.min(csr.weights[e] + to_target[v]);
+                        }
+                    }
+                    skip = root_cost + hop_bound > cutoff * (1.0 + PRUNE_SLACK);
+                    skip_seen = skip;
+                }
+                if let Some(spur) = csr.shortest_path_avoiding_with(
+                    scratch,
+                    spur_node,
+                    target,
+                    &root[..i],
+                    &banned_edges,
+                ) {
+                    let mut nodes = root.to_vec();
+                    nodes.extend_from_slice(&spur.nodes[1..]);
+                    let total = GraphPath {
+                        cost: root_cost + spur.cost,
+                        nodes,
+                    };
+                    if !candidates.iter().any(|c| c.nodes == total.nodes)
+                        && !accepted.iter().any(|a| a.nodes == total.nodes)
+                    {
+                        if skip {
+                            skipped = Some(total.nodes.clone());
+                        }
+                        candidates.push(total);
+                    }
+                }
+                root_cost += csr.hop_cost(last.nodes[i], last.nodes[i + 1]);
+            }
+            if candidates.is_empty() {
+                break;
+            }
+            let best = candidates
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.cost.total_cmp(&b.1.cost))
+                .map(|(i, _)| i)
+                .expect("non-empty");
+            accepted.push(candidates.remove(best));
+        }
+        (accepted, coupled)
+    }
+
+    /// Pruned Yen against [`unpruned_yen`] on `graphs` random digraphs of
+    /// 2–10 nodes (self-loops, parallel edges and unreachable targets
+    /// included), four Yen calls each: tie-heavy weights in {1, 2, 3}, but
+    /// one in `real_every` with real weights; k runs 1..=8. Returns the
+    /// spur searches the prune skipped and the calls [`unpruned_yen`]
+    /// reports as coupled.
+    fn pruned_yen_sweep(seed: u64, graphs: usize, real_every: usize) -> (usize, usize) {
+        let mut state = seed;
+        let mut next = move || {
+            // xorshift64*: deterministic, dependency-free.
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11
+        };
+        let mut pruned = DijkstraScratch::default();
+        let mut reference = DijkstraScratch::default();
+        let mut coupled = 0;
+        for case in 0..graphs {
+            let n = 2 + (next() % 9) as usize;
+            let edges = next() as usize % (n * n * 3 / 2 + 1);
+            let mut g = DiGraph::with_nodes(n);
+            for _ in 0..edges {
+                let (u, v) = ((next() % n as u64) as usize, (next() % n as u64) as usize);
+                let w = if case % real_every == 0 {
+                    (next() % 1_000_000) as f64 / 1e5
+                } else {
+                    (1 + next() % 3) as f64
+                };
+                g.add_edge(u, v, w);
+            }
+            let csr = CsrView::new(&g);
+            for _ in 0..4 {
+                let (s, t) = ((next() % n as u64) as usize, (next() % n as u64) as usize);
+                let k = 1 + (next() % 8) as usize;
+                let got = csr.k_shortest_paths_with(&mut pruned, s, t, k);
+                let (want, c) = unpruned_yen(&csr, &mut reference, s, t, k);
+                assert_eq!(got, want, "case {case}: {s}->{t} k={k} on {g:?}");
+                coupled += usize::from(c);
+            }
+        }
+        // Every forward Dijkstra bumps the epoch once (the reverse one does
+        // not), so the epochs differ by the number of spurs skipped.
+        let skipped = reference.epoch.wrapping_sub(pruned.epoch) as usize;
+        (skipped, coupled)
+    }
+
+    #[test]
+    fn pruned_yen_matches_unpruned_reference() {
+        let (skipped, coupled) = pruned_yen_sweep(0x9E37_79B9_7F4A_7C15, 4_000, 2);
+        assert!(skipped > 0, "the spur prune never fired");
+        assert!(
+            coupled > 0,
+            "no skipped spur's candidate ever banned an edge"
+        );
+    }
+
+    /// The release-mode sweep: 1.2 M Yen calls, 1.05 M of them tie-heavy.
+    /// `cargo test -p hris-roadnet --release --lib -- --ignored pruned_yen`
+    #[test]
+    #[ignore = "release-mode sweep, ~12 s"]
+    fn pruned_yen_matches_unpruned_reference_at_scale() {
+        let (skipped, coupled) = pruned_yen_sweep(0xD1B5_4A32_D192_ED03, 300_000, 8);
+        assert!(skipped > 0, "the spur prune never fired");
+        assert!(
+            coupled > 0,
+            "no skipped spur's candidate ever banned an edge"
+        );
     }
 
     #[test]
