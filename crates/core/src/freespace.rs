@@ -11,9 +11,9 @@
 //! best supported by distinct historical trajectories, and emit the traces
 //! chained across pairs as one free-space [`Polyline`].
 //!
-//! Output quality is evaluated with curve metrics
-//! ([`hris_geo::mean_deviation`], [`hris_geo::discrete_frechet`]) rather
-//! than the segment-based `A_L` — see the `freespace` experiment.
+//! Output quality is evaluated with a curve metric
+//! ([`hris_geo::mean_deviation`]) rather than the segment-based `A_L` —
+//! see the `freespace` experiment.
 
 use crate::reference::{search_references, RefSearchConfig};
 use hris_geo::{BBox, Point, Polyline};

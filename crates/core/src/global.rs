@@ -19,7 +19,7 @@
 //! ([`RouteScorer::top_k_brute_force`](crate::scoring::RouteScorer)) is the
 //! oracle used for Figure 14b and as a test oracle. Both are reached through
 //! [`PaperScorer`](crate::scoring::PaperScorer), and both read one
-//! [`QueryScores`]: DP == brute force checks the DP, not the `f` and `g`
+//! `QueryScores`: DP == brute force checks the DP, not the `f` and `g`
 //! kernels, which the test modules here and in [`crate::local`] pin to the
 //! bit against the literal equations and the previous DP.
 

@@ -290,7 +290,7 @@ impl EngineHandle {
     /// [`EngineHandle::infer_query`] under a caller-minted trace id — the
     /// delegation seam of distributed tracing. A sharded router mints one
     /// trace id at its routing decision and threads it here so the shard's
-    /// [`TraceRecord`](hris_obs::TraceRecord) and [`QueryAudit`](crate::QueryAudit)
+    /// [`TraceRecord`](hris_obs::TraceRecord) and [`QueryAudit`]
     /// carry the router's identity instead of minting their own; the router
     /// then stitches them into one tree. Passing `trace_id = 0` records the
     /// query as untraced.

@@ -5,7 +5,7 @@
 //! routes by mining travel patterns from an archive of historical
 //! trajectories, in three phases (Section III of the paper):
 //!
-//! 1. **Reference-trajectory search** ([`reference`](crate::reference)): for every consecutive
+//! 1. **Reference-trajectory search** ([`reference`](mod@reference)): for every consecutive
 //!    query point pair, find the historical trajectories — natively existing
 //!    (*simple*) or stitched from two overlapping ones (*spliced*) — that
 //!    hint at how objects travel between those points.

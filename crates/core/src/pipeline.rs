@@ -95,11 +95,6 @@ impl<'a> Hris<'a> {
         &self.params
     }
 
-    /// Mutable access to the parameters (experiment sweeps).
-    pub fn params_mut(&mut self) -> &mut HrisParams {
-        &mut self.params
-    }
-
     /// Infers the top-`k` routes of `query` (the problem statement).
     ///
     /// Thin wrapper over the canonical [`Hris::infer_routes_detailed`] that

@@ -269,7 +269,7 @@ fn columnar_export_under_concurrent_ingest_is_never_torn() {
         let snap = writer.publish();
         published.push((snap.epoch(), facts_of(&snap)));
         // Writer-side export must also see its own just-published epoch.
-        let col = ColumnarSnapshot::open(writer.export_columnar()).unwrap();
+        let col = ColumnarSnapshot::open(writer.snapshot().to_columnar()).unwrap();
         assert_eq!(col.epoch(), snap.epoch());
         assert_eq!(col.num_points(), snap.num_points());
         thread::yield_now();

@@ -3,7 +3,7 @@
 //! quarantine/repair/degradation accounting on one shared metrics registry.
 //!
 //! The pass is deterministic for a fixed seed — the corpus, the load report
-//! and every [`QueryOutcome`](hris::QueryOutcome) replay identically — so its numbers can be
+//! and every [`QueryOutcome`] replay identically — so its numbers can be
 //! asserted in tests and diffed across runs.
 
 use crate::scenario::Scenario;

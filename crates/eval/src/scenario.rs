@@ -163,21 +163,6 @@ impl Scenario {
         }
     }
 
-    /// Splits the archive for ingest-while-querying runs: a bulk-loaded
-    /// seed archive holding roughly `seed_frac` of the trips, plus the
-    /// remaining trips in arrival order, ready to stream through an
-    /// [`ArchiveWriter`](hris_traj::ArchiveWriter). Deterministic.
-    #[must_use]
-    pub fn ingestion_split(&self, seed_frac: f64) -> (TrajectoryArchive, Vec<Trajectory>) {
-        let trips = self.archive.trajectories();
-        let cut = ((trips.len() as f64) * seed_frac.clamp(0.0, 1.0)).round() as usize;
-        let cut = cut.min(trips.len());
-        (
-            TrajectoryArchive::new(trips[..cut].to_vec()),
-            trips[cut..].to_vec(),
-        )
-    }
-
     /// A thinned copy of the archive keeping roughly `frac` of the trips
     /// (deterministic). Drives the reference-density sweep (Figure 10).
     #[must_use]
@@ -242,32 +227,6 @@ mod tests {
             assert_eq!(x.truth, y.truth);
             assert_eq!(x.dense.points, y.dense.points);
         }
-    }
-
-    #[test]
-    fn ingestion_split_preserves_every_trip_in_order() {
-        let s = scenario();
-        let (seed_archive, stream) = s.ingestion_split(0.5);
-        assert_eq!(
-            seed_archive.num_trajectories() + stream.len(),
-            s.archive.num_trajectories()
-        );
-        assert!(seed_archive.num_trajectories() > 0 && !stream.is_empty());
-        // Streaming trips keep archive order, so replaying them through a
-        // writer reproduces the original archive's trajectory sequence.
-        let replayed: Vec<_> = seed_archive
-            .trajectories()
-            .iter()
-            .chain(stream.iter())
-            .map(|t| t.points.clone())
-            .collect();
-        let original: Vec<_> = s
-            .archive
-            .trajectories()
-            .iter()
-            .map(|t| t.points.clone())
-            .collect();
-        assert_eq!(replayed, original);
     }
 
     #[test]

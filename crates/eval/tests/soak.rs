@@ -133,8 +133,8 @@ fn soak_sixty_seconds_sustained() {
     );
     // Bounded memory growth: a leak proportional to ~30k queries would
     // blow well past this; steady-state serving must not accumulate.
-    if report.resident_before.is_some() {
-        let growth = report.resident_growth_bytes();
+    if let (Some(before), Some(after)) = (report.resident_before, report.resident_after) {
+        let growth = after.saturating_sub(before);
         assert!(
             growth < 256 * 1024 * 1024,
             "resident set grew {growth} bytes over the soak"

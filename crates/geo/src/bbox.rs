@@ -157,14 +157,6 @@ impl BBox {
             && other.max.y <= self.max.y
     }
 
-    /// Area of overlap with `other` in square metres (zero when disjoint).
-    #[must_use]
-    pub fn intersection_area(&self, other: &BBox) -> f64 {
-        let w = (self.max.x.min(other.max.x) - self.min.x.max(other.min.x)).max(0.0);
-        let h = (self.max.y.min(other.max.y) - self.min.y.max(other.min.y)).max(0.0);
-        w * h
-    }
-
     /// Minimum distance from `p` to the box (zero when inside).
     ///
     /// This is the `MINDIST` bound used by best-first kNN search on R-trees.
@@ -253,15 +245,6 @@ mod tests {
         assert!((b.min_dist(Point::new(2.0, 0.5)) - 1.0).abs() < 1e-12);
         // Diagonal (closest point is a corner).
         assert!((b.min_dist(Point::new(2.0, 2.0)) - std::f64::consts::SQRT_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn intersection_area_cases() {
-        let a = BBox::new(Point::new(0.0, 0.0), Point::new(4.0, 4.0));
-        let b = BBox::new(Point::new(2.0, 2.0), Point::new(6.0, 6.0));
-        assert!((a.intersection_area(&b) - 4.0).abs() < 1e-12);
-        let c = BBox::new(Point::new(5.0, 5.0), Point::new(6.0, 6.0));
-        assert_eq!(a.intersection_area(&c), 0.0);
     }
 
     #[test]

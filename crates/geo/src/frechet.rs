@@ -1,51 +1,15 @@
-//! Curve similarity: discrete Fréchet distance and mean symmetric
-//! deviation. Used to evaluate the *network-free* route inference
-//! extension, where inferred routes are free-space polylines that cannot be
-//! compared segment-by-segment.
+//! Curve similarity: the mean symmetric deviation between two polylines.
+//! Used to evaluate the *network-free* route inference extension, where
+//! inferred routes are free-space polylines that cannot be compared
+//! segment-by-segment.
 
-use crate::point::Point;
 use crate::polyline::Polyline;
-
-/// Discrete Fréchet distance between two point sequences.
-///
-/// The classic "dog walking" metric: the minimal leash length that lets two
-/// walkers traverse their curves monotonically. `O(n·m)` dynamic program
-/// (Eiter & Mannila).
-///
-/// Returns `f64::INFINITY` when either sequence is empty.
-#[must_use]
-pub fn discrete_frechet(a: &[Point], b: &[Point]) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return f64::INFINITY;
-    }
-    let m = b.len();
-    // Rolling rows of the coupling table.
-    let mut prev = vec![0.0f64; m];
-    let mut cur = vec![0.0f64; m];
-    for (i, &pa) in a.iter().enumerate() {
-        for (j, &pb) in b.iter().enumerate() {
-            let d = pa.dist(pb);
-            let reach = if i == 0 && j == 0 {
-                d
-            } else if i == 0 {
-                cur[j - 1].max(d)
-            } else if j == 0 {
-                prev[0].max(d)
-            } else {
-                prev[j].min(prev[j - 1]).min(cur[j - 1]).max(d)
-            };
-            cur[j] = reach;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[m - 1]
-}
 
 /// Mean symmetric deviation between two polylines: the average over both
 /// directions of each curve's sampled points' distance to the other curve.
 ///
-/// Less adversarial than Fréchet (no single worst point dominates); `n`
-/// sample points per curve.
+/// No single worst point dominates, unlike a Fréchet leash; `n` sample
+/// points per curve.
 #[must_use]
 pub fn mean_deviation(a: &Polyline, b: &Polyline, n: usize) -> f64 {
     let n = n.max(2);
@@ -59,57 +23,10 @@ pub fn mean_deviation(a: &Polyline, b: &Polyline, n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::Point;
 
     fn line(points: &[(f64, f64)]) -> Vec<Point> {
         points.iter().map(|&(x, y)| Point::new(x, y)).collect()
-    }
-
-    #[test]
-    fn identical_curves_have_zero_frechet() {
-        let a = line(&[(0.0, 0.0), (10.0, 0.0), (20.0, 5.0)]);
-        assert_eq!(discrete_frechet(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn parallel_lines_distance() {
-        let a = line(&[(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)]);
-        let b = line(&[(0.0, 3.0), (10.0, 3.0), (20.0, 3.0)]);
-        assert!((discrete_frechet(&a, &b) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn frechet_exceeds_hausdorff_on_backtracking() {
-        // Curves as point sets are close, but traversal order forces a
-        // long leash.
-        let a = line(&[(0.0, 0.0), (10.0, 0.0)]);
-        let b = line(&[(10.0, 1.0), (0.0, 1.0)]); // reversed direction
-        let d = discrete_frechet(&a, &b);
-        assert!(d >= 10.0, "got {d}");
-    }
-
-    #[test]
-    fn frechet_symmetry() {
-        let a = line(&[(0.0, 0.0), (5.0, 5.0), (10.0, 0.0)]);
-        let b = line(&[(0.0, 1.0), (4.0, 6.0), (11.0, 1.0), (12.0, 0.0)]);
-        assert!((discrete_frechet(&a, &b) - discrete_frechet(&b, &a)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_inputs_are_infinite() {
-        let a = line(&[(0.0, 0.0)]);
-        assert_eq!(discrete_frechet(&a, &[]), f64::INFINITY);
-        assert_eq!(discrete_frechet(&[], &a), f64::INFINITY);
-    }
-
-    #[test]
-    fn frechet_at_least_endpoint_distances() {
-        let a = line(&[(0.0, 0.0), (10.0, 0.0)]);
-        let b = line(&[(0.0, 4.0), (15.0, 0.0)]);
-        let d = discrete_frechet(&a, &b);
-        assert!(
-            d >= 5.0 - 1e-9,
-            "leash must cover the endpoint gap, got {d}"
-        );
     }
 
     #[test]

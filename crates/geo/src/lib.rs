@@ -19,7 +19,7 @@ pub mod polyline;
 pub mod segment;
 
 pub use bbox::BBox;
-pub use frechet::{discrete_frechet, mean_deviation};
+pub use frechet::mean_deviation;
 pub use geodesy::{haversine_m, LatLon, LocalProjection, EARTH_RADIUS_M};
 pub use point::Point;
 pub use polyline::{Polyline, PolylineProjection};

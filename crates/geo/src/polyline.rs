@@ -3,7 +3,6 @@
 use crate::bbox::BBox;
 use crate::point::Point;
 use crate::segment::SegmentGeom;
-use serde::{Deserialize, Serialize};
 
 /// Result of projecting a point onto a [`Polyline`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,11 +22,10 @@ pub struct PolylineProjection {
 /// Road segments in the network carry a `Polyline` shape (Definition 2 of the
 /// paper: terminal points plus intermediate points). Routes are rendered as
 /// concatenated polylines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polyline {
     vertices: Vec<Point>,
     /// Cumulative arc length at each vertex; `cum[0] = 0`, `cum.last() = length`.
-    #[serde(skip)]
     cum: Vec<f64>,
 }
 
@@ -63,12 +61,6 @@ impl Polyline {
             cum.push(acc);
         }
         cum
-    }
-
-    /// Re-establishes the cached cumulative lengths (needed after `serde`
-    /// deserialisation, which skips the cache).
-    pub fn rebuild_cache(&mut self) {
-        self.cum = Self::cumulative(&self.vertices);
     }
 
     /// The vertices of the polyline.
@@ -210,48 +202,6 @@ impl Polyline {
         v.reverse();
         Polyline::new(v)
     }
-
-    /// Douglas–Peucker simplification: drops vertices deviating less than
-    /// `epsilon` metres from the simplified shape. Endpoints always
-    /// survive; `epsilon <= 0` returns a clone.
-    #[must_use]
-    pub fn simplified(&self, epsilon: f64) -> Polyline {
-        if epsilon <= 0.0 || self.vertices.len() <= 2 {
-            return self.clone();
-        }
-        let mut keep = vec![false; self.vertices.len()];
-        keep[0] = true;
-        keep[self.vertices.len() - 1] = true;
-        // Iterative stack of (start, end) ranges.
-        let mut stack = vec![(0usize, self.vertices.len() - 1)];
-        while let Some((a, b)) = stack.pop() {
-            if b <= a + 1 {
-                continue;
-            }
-            let chord = SegmentGeom::new(self.vertices[a], self.vertices[b]);
-            let (mut worst, mut worst_d) = (a, 0.0f64);
-            for i in (a + 1)..b {
-                let d = chord.dist_to_point(self.vertices[i]);
-                if d > worst_d {
-                    worst = i;
-                    worst_d = d;
-                }
-            }
-            if worst_d > epsilon {
-                keep[worst] = true;
-                stack.push((a, worst));
-                stack.push((worst, b));
-            }
-        }
-        Polyline::new(
-            self.vertices
-                .iter()
-                .zip(keep.iter())
-                .filter(|(_, &k)| k)
-                .map(|(&v, _)| v)
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -339,47 +289,6 @@ mod tests {
         assert_eq!(rv.start(), pl.end());
         assert_eq!(rv.end(), pl.start());
         assert!((rv.length() - pl.length()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn simplify_drops_collinear_vertices() {
-        let pl = Polyline::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(5.0, 0.01),
-            Point::new(10.0, 0.0),
-            Point::new(15.0, -0.01),
-            Point::new(20.0, 0.0),
-        ]);
-        let s = pl.simplified(1.0);
-        assert_eq!(s.vertices().len(), 2);
-        assert_eq!(s.start(), pl.start());
-        assert_eq!(s.end(), pl.end());
-    }
-
-    #[test]
-    fn simplify_keeps_significant_corners() {
-        let pl = l_shape();
-        let s = pl.simplified(1.0);
-        // The 90° corner deviates ~7 m from the chord; it must survive.
-        assert_eq!(s.vertices().len(), 3);
-        assert!((s.length() - pl.length()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn simplify_bounded_deviation() {
-        // A jagged line: simplification at ε keeps the curve within ε.
-        let pl = Polyline::new(
-            (0..30)
-                .map(|k| Point::new(k as f64 * 10.0, if k % 2 == 0 { 0.0 } else { 3.0 }))
-                .collect(),
-        );
-        let s = pl.simplified(5.0);
-        assert!(s.vertices().len() < pl.vertices().len());
-        for &v in pl.vertices() {
-            assert!(s.dist_to_point(v) <= 5.0 + 1e-9);
-        }
-        // Zero epsilon is the identity.
-        assert_eq!(pl.simplified(0.0), pl);
     }
 
     #[test]

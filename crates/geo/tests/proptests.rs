@@ -119,38 +119,6 @@ proptest! {
     }
 
     #[test]
-    fn frechet_bounds_mean_deviation(
-        a in prop::collection::vec(point(), 2..8),
-        b in prop::collection::vec(point(), 2..8),
-    ) {
-        use hris_geo::{discrete_frechet, mean_deviation};
-        let pa = Polyline::new(a.clone());
-        let pb = Polyline::new(b.clone());
-        let n = 40;
-        let f = discrete_frechet(&pa.resample(n), &pb.resample(n));
-        let m = mean_deviation(&pa, &pb, n);
-        // The mean symmetric deviation can never exceed the Fréchet leash
-        // on the same sampling.
-        prop_assert!(m <= f + 1e-6, "mean {m} > frechet {f}");
-        prop_assert!(f.is_finite() && m.is_finite());
-    }
-
-    #[test]
-    fn simplified_stays_within_epsilon(
-        pts in prop::collection::vec(point(), 2..20),
-        eps in 1.0..500.0f64,
-    ) {
-        let pl = Polyline::new(pts.clone());
-        let s = pl.simplified(eps);
-        prop_assert!(s.vertices().len() <= pl.vertices().len());
-        prop_assert!(s.start().dist(pl.start()) < 1e-9);
-        prop_assert!(s.end().dist(pl.end()) < 1e-9);
-        for &v in pl.vertices() {
-            prop_assert!(s.dist_to_point(v) <= eps + 1e-6);
-        }
-    }
-
-    #[test]
     fn resample_preserves_endpoints(pts in prop::collection::vec(point(), 2..8), n in 2usize..20) {
         let pl = Polyline::new(pts);
         let rs = pl.resample(n);

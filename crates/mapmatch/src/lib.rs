@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod candidates;
-pub mod hmm;
 pub mod incremental;
 pub mod ivmm;
 pub mod stmatching;
@@ -26,7 +25,6 @@ pub use candidates::{
     build_transitions, candidates_for, emission_prob, network_dist, reconstruct_route, MatchParams,
     PointCandidates, TransitionTable,
 };
-pub use hmm::HmmMatcher;
 pub use incremental::IncrementalMatcher;
 pub use ivmm::IvmmMatcher;
 pub use stmatching::StMatcher;

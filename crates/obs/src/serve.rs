@@ -8,7 +8,7 @@
 //!
 //! | Path            | Content | Body |
 //! |-----------------|---------|------|
-//! | `/metrics`      | `text/plain; version=0.0.4` | Prometheus text, byte-identical to [`prometheus_text`](crate::export::prometheus_text) of the scrape-time snapshot |
+//! | `/metrics`      | `text/plain; version=0.0.4` | Prometheus text, byte-identical to [`prometheus_text`] of the scrape-time snapshot |
 //! | `/healthz`      | `application/json` | `{"status", "checks"}`; HTTP 503 when any check fails |
 //! | `/debug/traces` | `application/json` | the trace ring, span trees included |
 //! | `/debug/slow`   | `application/json` | only the slow-flagged traces |

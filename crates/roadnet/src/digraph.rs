@@ -553,29 +553,6 @@ impl DiGraph {
         self.edge_count += 1;
     }
 
-    /// Removes every edge `u → v` (there may be parallel edges). Returns how
-    /// many were removed.
-    pub fn remove_edge(&mut self, u: usize, v: usize) -> usize {
-        let before = self.out[u].len();
-        self.out[u].retain(|&(to, _)| to != v);
-        let removed = before - self.out[u].len();
-        self.edge_count -= removed;
-        removed
-    }
-
-    /// `true` if an edge `u → v` exists.
-    #[must_use]
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.out[u].iter().any(|&(to, _)| to == v)
-    }
-
-    /// Outgoing `(neighbor, weight)` pairs of `u`.
-    #[inline]
-    #[must_use]
-    pub fn neighbors(&self, u: usize) -> &[(usize, f64)] {
-        &self.out[u]
-    }
-
     // ------------------------------------------------------------- dijkstra
 
     /// Single-source Dijkstra; returns per-node `(distance, predecessor)`.
@@ -790,28 +767,6 @@ impl DiGraph {
         }
         let comp = self.tarjan_scc();
         comp.iter().all(|&c| c == comp[0])
-    }
-
-    /// Hop distances (unweighted BFS) from `source`; `usize::MAX` when
-    /// unreachable.
-    #[must_use]
-    pub fn bfs_hops(&self, source: usize) -> Vec<usize> {
-        let n = self.out.len();
-        let mut hops = vec![usize::MAX; n];
-        if source >= n {
-            return hops;
-        }
-        hops[source] = 0;
-        let mut queue = std::collections::VecDeque::from([source]);
-        while let Some(u) = queue.pop_front() {
-            for &(v, _) in &self.out[u] {
-                if hops[v] == usize::MAX {
-                    hops[v] = hops[u] + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        hops
     }
 }
 
@@ -1119,27 +1074,6 @@ mod tests {
         // All three nodes are their own components.
         assert_ne!(comp[0], comp[1]);
         assert_ne!(comp[1], comp[2]);
-    }
-
-    #[test]
-    fn bfs_hops_levels() {
-        let mut g = DiGraph::with_nodes(4);
-        g.add_edge(0, 1, 9.0);
-        g.add_edge(1, 2, 9.0);
-        g.add_edge(0, 2, 9.0);
-        let hops = g.bfs_hops(0);
-        assert_eq!(hops, vec![0, 1, 1, usize::MAX]);
-    }
-
-    #[test]
-    fn remove_edge_removes_parallels() {
-        let mut g = DiGraph::with_nodes(2);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(0, 1, 2.0);
-        assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.remove_edge(0, 1), 2);
-        assert_eq!(g.num_edges(), 0);
-        assert!(!g.has_edge(0, 1));
     }
 
     #[test]

@@ -112,18 +112,6 @@ impl NetworkConfig {
             ..Default::default()
         }
     }
-
-    /// Total extent in metres along x.
-    #[must_use]
-    pub fn extent_x(&self) -> f64 {
-        self.blocks_x as f64 * self.block_m
-    }
-
-    /// Total extent in metres along y.
-    #[must_use]
-    pub fn extent_y(&self) -> f64 {
-        self.blocks_y as f64 * self.block_m
-    }
 }
 
 /// One undirected street between two grid nodes, before materialisation.
@@ -451,7 +439,7 @@ mod tests {
         let net = generate(&cfg);
         let bbox = net.bbox();
         // Jitter can push slightly beyond nominal extent; allow one block.
-        assert!(bbox.width() >= cfg.extent_x() - cfg.block_m);
-        assert!(bbox.height() >= cfg.extent_y() - cfg.block_m);
+        assert!(bbox.width() >= (cfg.blocks_x - 1) as f64 * cfg.block_m);
+        assert!(bbox.height() >= (cfg.blocks_y - 1) as f64 * cfg.block_m);
     }
 }

@@ -21,10 +21,8 @@ pub mod generator;
 pub mod ids;
 pub mod network;
 pub mod oracle;
-pub mod osm;
 pub mod route;
 pub mod shortest;
-pub mod subnet;
 
 pub use digraph::{CsrView, DiGraph, DijkstraScratch};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
@@ -32,7 +30,5 @@ pub use generator::{NetworkConfig, RoadClass};
 pub use ids::{NodeId, SegmentId};
 pub use network::{LambdaSoA, RoadNetwork, Segment};
 pub use oracle::{CsrAdjacency, ScratchBuffers, SpOracle, SptTree};
-pub use osm::{parse_osm_xml, OsmNetwork};
 pub use route::Route;
 pub use shortest::{CostModel, PathResult};
-pub use subnet::SubNetwork;

@@ -8,12 +8,11 @@ use crate::oracle::SpOracle;
 use crate::shortest::CostModel;
 use hris_geo::{BBox, Point, Polyline};
 use hris_rtree::{RTree, Spatial};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A directed road segment (Definition 2 of the paper).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Segment {
     /// This segment's id.
     pub id: SegmentId,
@@ -169,8 +168,6 @@ pub struct RoadNetwork {
     segments: Vec<Segment>,
     /// Segments leaving each node.
     out_segs: Vec<Vec<SegmentId>>,
-    /// Segments entering each node.
-    in_segs: Vec<Vec<SegmentId>>,
     seg_index: RTree<SegEntry>,
     max_speed: f64,
     hot: NetCaches,
@@ -279,12 +276,10 @@ impl RoadNetworkBuilder {
     pub fn build(self) -> RoadNetwork {
         let n = self.nodes.len();
         let mut out_segs = vec![Vec::new(); n];
-        let mut in_segs = vec![Vec::new(); n];
         let mut max_speed = 0.0f64;
         let mut entries = Vec::with_capacity(self.segments.len());
         for seg in &self.segments {
             out_segs[seg.from.index()].push(seg.id);
-            in_segs[seg.to.index()].push(seg.id);
             max_speed = max_speed.max(seg.speed_limit);
             entries.push(SegEntry {
                 bbox: seg.geometry.bbox(),
@@ -295,7 +290,6 @@ impl RoadNetworkBuilder {
             nodes: self.nodes,
             segments: self.segments,
             out_segs,
-            in_segs,
             seg_index: RTree::bulk_load(entries),
             max_speed,
             hot: NetCaches::new(),
@@ -359,13 +353,6 @@ impl RoadNetwork {
         &self.out_segs[node.index()]
     }
 
-    /// Segments entering `node`.
-    #[inline]
-    #[must_use]
-    pub fn in_segments(&self, node: NodeId) -> &[SegmentId] {
-        &self.in_segs[node.index()]
-    }
-
     /// Segments an object can move onto after traversing `seg`
     /// (those starting at `seg.to`).
     #[inline]
@@ -385,13 +372,6 @@ impl RoadNetwork {
     #[must_use]
     pub fn bbox(&self) -> BBox {
         BBox::covering(self.nodes.iter().copied())
-    }
-
-    /// Distance from `p` to a segment's geometry, metres.
-    #[inline]
-    #[must_use]
-    pub fn dist_to_segment(&self, p: Point, seg: SegmentId) -> f64 {
-        self.segment(seg).geometry.dist_to_point(p)
     }
 
     /// Candidate edges of `p` within radius `eps` (Definition 5), sorted by
@@ -466,34 +446,6 @@ impl RoadNetwork {
             }
         }
         out
-    }
-
-    /// Minimum hop count `h(r, s)` between two segments, if reachable within
-    /// `max_hops`.
-    #[must_use]
-    pub fn segment_hops(&self, r: SegmentId, s: SegmentId, max_hops: usize) -> Option<usize> {
-        if r == s {
-            return Some(0);
-        }
-        let mut visited = vec![false; self.segments.len()];
-        visited[r.index()] = true;
-        let mut queue: VecDeque<(SegmentId, usize)> = VecDeque::new();
-        queue.push_back((r, 0));
-        while let Some((cur, h)) = queue.pop_front() {
-            if h >= max_hops {
-                continue;
-            }
-            for &next in self.next_segments(cur) {
-                if next == s {
-                    return Some(h + 1);
-                }
-                if !visited[next.index()] {
-                    visited[next.index()] = true;
-                    queue.push_back((next, h + 1));
-                }
-            }
-        }
-        None
     }
 
     /// λ-neighborhood of `seg` with per-target hop count and accumulated
@@ -628,62 +580,6 @@ impl RoadNetwork {
         self.to_digraph(CostModel::Distance).is_strongly_connected()
     }
 
-    // ---------------------------------------------------------- persistence
-
-    /// Serialises the network (nodes + segments) as JSON.
-    ///
-    /// Adjacency and the spatial index are derived state and rebuilt on
-    /// load; only the ground truth is stored.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        #[derive(serde::Serialize)]
-        struct Wire<'a> {
-            nodes: &'a [Point],
-            segments: &'a [Segment],
-        }
-        serde_json::to_string(&Wire {
-            nodes: &self.nodes,
-            segments: &self.segments,
-        })
-        .expect("network serialises")
-    }
-
-    /// Restores a network from [`RoadNetwork::to_json`] output.
-    ///
-    /// Returns `None` on malformed input or violated invariants (dangling
-    /// node references, non-positive speeds, shapes detached from their
-    /// terminal nodes).
-    #[must_use]
-    pub fn from_json(text: &str) -> Option<Self> {
-        #[derive(serde::Deserialize)]
-        struct Wire {
-            nodes: Vec<Point>,
-            segments: Vec<Segment>,
-        }
-        let wire: Wire = serde_json::from_str(text).ok()?;
-        let mut b = RoadNetworkBuilder::new();
-        for &p in &wire.nodes {
-            if !p.is_finite() {
-                return None;
-            }
-            b.add_node(p);
-        }
-        for seg in wire.segments {
-            let mut shape = seg.geometry;
-            shape.rebuild_cache(); // serde skips the cumulative-length cache
-            if seg.from.index() >= wire.nodes.len()
-                || seg.to.index() >= wire.nodes.len()
-                || seg.speed_limit <= 0.0
-                || shape.start().dist(wire.nodes[seg.from.index()]) >= 1.0
-                || shape.end().dist(wire.nodes[seg.to.index()]) >= 1.0
-            {
-                return None;
-            }
-            b.add_segment(seg.from, seg.to, shape, seg.speed_limit, seg.class);
-        }
-        Some(b.build())
-    }
-
     /// The cheapest segment from `u` to `v` under `model`, if one exists.
     #[must_use]
     pub fn cheapest_segment_between(
@@ -748,11 +644,9 @@ mod tests {
         let net = tiny_grid();
         for seg in net.segments() {
             assert!(net.out_segments(seg.from).contains(&seg.id));
-            assert!(net.in_segments(seg.to).contains(&seg.id));
         }
-        // Corner node has degree 2 out, 2 in.
+        // Corner node has out-degree 2.
         assert_eq!(net.out_segments(NodeId(0)).len(), 2);
-        assert_eq!(net.in_segments(NodeId(0)).len(), 2);
     }
 
     #[test]
@@ -781,6 +675,27 @@ mod tests {
         assert_eq!(c.closest, Point::new(50.0, 0.0));
     }
 
+    /// Minimum hop count from segment `r` to segment `s` by plain BFS over
+    /// `next_segments`: the pairwise oracle `lambda_neighborhood` is checked
+    /// against.
+    fn segment_hops(net: &RoadNetwork, r: SegmentId, s: SegmentId) -> Option<usize> {
+        let mut hops = vec![usize::MAX; net.num_segments()];
+        hops[r.index()] = 0;
+        let mut queue = std::collections::VecDeque::from([r]);
+        while let Some(cur) = queue.pop_front() {
+            if cur == s {
+                return Some(hops[cur.index()]);
+            }
+            for &next in net.next_segments(cur) {
+                if hops[next.index()] == usize::MAX {
+                    hops[next.index()] = hops[cur.index()] + 1;
+                    queue.push_back(next);
+                }
+            }
+        }
+        None
+    }
+
     #[test]
     fn lambda_neighborhood_respects_depth() {
         let net = tiny_grid();
@@ -798,17 +713,8 @@ mod tests {
         let n4 = net.lambda_neighborhood(r, 4);
         assert!(n4.len() > n2.len());
         for &(s, h) in &n4 {
-            assert_eq!(net.segment_hops(r, s, 10).unwrap(), h, "BFS hop agrees");
+            assert_eq!(segment_hops(&net, r, s), Some(h), "BFS hop agrees");
         }
-    }
-
-    #[test]
-    fn segment_hops_identity_and_adjacent() {
-        let net = tiny_grid();
-        let r = net.out_segments(NodeId(0))[0];
-        assert_eq!(net.segment_hops(r, r, 5), Some(0));
-        let next = net.next_segments(r)[0];
-        assert_eq!(net.segment_hops(r, next, 5), Some(1));
     }
 
     #[test]
@@ -836,26 +742,6 @@ mod tests {
             Some(fast)
         );
         assert_eq!(net.cheapest_segment_between(c, a, CostModel::Time), None);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_structure_and_queries() {
-        let net = tiny_grid();
-        let text = net.to_json();
-        let back = RoadNetwork::from_json(&text).expect("valid serialisation");
-        assert_eq!(back.num_nodes(), net.num_nodes());
-        assert_eq!(back.num_segments(), net.num_segments());
-        assert_eq!(back.max_speed(), net.max_speed());
-        assert!(back.is_strongly_connected());
-        // Spatial queries behave identically after the roundtrip.
-        let p = Point::new(50.0, 10.0);
-        assert_eq!(
-            net.candidate_edges(p, 15.0).len(),
-            back.candidate_edges(p, 15.0).len()
-        );
-        // Garbage is rejected, not panicked on.
-        assert!(RoadNetwork::from_json("{}").is_none());
-        assert!(RoadNetwork::from_json("not json").is_none());
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!    sharing a source amortises one tree build. With positive edge costs,
 //!    a full run's predecessor assignments for nodes settled at or before
 //!    the target are identical to the early-terminated run's, so
-//!    reconstructed routes are byte-identical to [`shortest_path`]'s.
+//!    reconstructed routes are byte-identical to
+//!    [`shortest_path`](crate::shortest::shortest_path)'s.
 //!
 //! All transient search state lives in epoch-stamped [`ScratchBuffers`]
 //! (dist/stamp/predecessor arrays, a reusable heap and a path stack) pooled
@@ -288,14 +289,6 @@ impl SptTree {
     pub fn model(&self) -> CostModel {
         self.model
     }
-
-    /// Segment that finally relaxed `v`, if any.
-    #[inline]
-    #[must_use]
-    pub fn prev_segment(&self, v: NodeId) -> Option<SegmentId> {
-        let p = self.prev_seg[v.index()];
-        (p != u32::MAX).then_some(SegmentId(p))
-    }
 }
 
 /// Component-level reachability bitmatrix over the SCC condensation.
@@ -440,7 +433,7 @@ impl SpOracle {
     ///
     /// O(1) via the condensation bitmatrix when available; conservatively
     /// `true` (forcing a tree lookup) on networks with more components than
-    /// [`MAX_REACH_COMPONENTS`].
+    /// `MAX_REACH_COMPONENTS`.
     #[inline]
     #[must_use]
     pub fn reachable(&self, u: NodeId, v: NodeId) -> bool {
@@ -895,7 +888,12 @@ mod tests {
         let net = grid();
         let oracle = SpOracle::with_capacity(&net, SPT_SHARDS); // 1 tree/shard
         let r = net.out_segments(NodeId(0))[0];
-        let s = net.in_segments(NodeId(15))[0];
+        let s = net
+            .segments()
+            .iter()
+            .find(|s| s.to == NodeId(15))
+            .unwrap()
+            .id;
         let first = oracle.route_between(r, s, CostModel::Distance);
         assert!(first.is_some());
         assert_eq!(oracle.misses(), 1);

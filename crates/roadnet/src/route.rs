@@ -2,7 +2,7 @@
 
 use crate::ids::{NodeId, SegmentId};
 use crate::network::RoadNetwork;
-use hris_geo::{Point, Polyline};
+use hris_geo::Polyline;
 use serde::{Deserialize, Serialize};
 
 /// A route `R : r₁ → r₂ → … → rₙ` where consecutive segments connect
@@ -55,12 +55,6 @@ impl Route {
     #[must_use]
     pub fn start_node(&self, net: &RoadNetwork) -> Option<NodeId> {
         self.segments.first().map(|&s| net.segment(s).from)
-    }
-
-    /// End vertex (`R.e = rₙ.e`); `None` for the empty route.
-    #[must_use]
-    pub fn end_node(&self, net: &RoadNetwork) -> Option<NodeId> {
-        self.segments.last().map(|&s| net.segment(s).to)
     }
 
     /// Total length in metres.
@@ -144,13 +138,6 @@ impl Route {
         Polyline::concat(self.segments.iter().map(|&s| &net.segment(s).geometry))
     }
 
-    /// Evenly-spaced points along the route, including both endpoints.
-    #[must_use]
-    pub fn sample_points(&self, net: &RoadNetwork, n: usize) -> Vec<Point> {
-        self.polyline(net)
-            .map_or_else(Vec::new, |pl| pl.resample(n.max(2)))
-    }
-
     /// Length of the longest common run of road segments with `other`,
     /// in metres. This is the `LCR` numerator of the paper's accuracy
     /// metric `A_L` when applied to contiguous runs; see `hris-eval` for the
@@ -205,7 +192,6 @@ mod tests {
         assert!((r.length(&net) - 300.0).abs() < 1e-9);
         assert!((r.travel_time(&net) - 30.0).abs() < 1e-9);
         assert_eq!(r.start_node(&net), Some(NodeId(0)));
-        assert_eq!(r.end_node(&net), Some(NodeId(3)));
     }
 
     #[test]
@@ -286,15 +272,5 @@ mod tests {
         assert_eq!(Route::empty().without_loops(&net), Route::empty());
         let single = Route::new(vec![fwd[0]]);
         assert_eq!(single.without_loops(&net), single);
-    }
-
-    #[test]
-    fn sample_points_endpoints() {
-        let (net, fwd) = corridor();
-        let r = Route::new(fwd);
-        let pts = r.sample_points(&net, 7);
-        assert_eq!(pts.len(), 7);
-        assert_eq!(pts[0], Point::new(0.0, 0.0));
-        assert_eq!(pts[6], Point::new(300.0, 0.0));
     }
 }

@@ -436,7 +436,12 @@ mod tests {
     fn route_between_far_segments_is_connected() {
         let net = grid();
         let r = net.out_segments(NodeId(0))[0];
-        let s = net.in_segments(NodeId(8))[0];
+        let s = net
+            .segments()
+            .iter()
+            .find(|s| s.to == NodeId(8))
+            .unwrap()
+            .id;
         let route = route_between_segments(&net, r, s, CostModel::Distance).unwrap();
         assert!(route.is_connected(&net));
         assert_eq!(route.segments().first(), Some(&r));
@@ -454,7 +459,7 @@ mod tests {
         for (r, _) in &routes {
             assert!(r.is_connected(&net));
             assert_eq!(r.start_node(&net), Some(NodeId(0)));
-            assert_eq!(r.end_node(&net), Some(NodeId(8)));
+            assert_eq!(net.segment(*r.segments().last().unwrap()).to, NodeId(8));
         }
         // All distinct.
         for i in 0..routes.len() {

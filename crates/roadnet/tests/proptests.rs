@@ -1,7 +1,7 @@
 //! Property-based tests for graph algorithms and the network generator.
 
 use hris_roadnet::digraph::DiGraph;
-use hris_roadnet::{generator, CostModel, NetworkConfig, NodeId};
+use hris_roadnet::{generator, CostModel, NetworkConfig, NodeId, RoadNetwork, SegmentId};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -18,6 +18,27 @@ fn digraph_strategy() -> impl Strategy<Value = DiGraph> {
             g
         })
     })
+}
+
+/// Minimum hop count from segment `r` to segment `s` by plain BFS over
+/// `next_segments`: the pairwise oracle `lambda_neighborhood` is checked
+/// against.
+fn segment_hops(net: &RoadNetwork, r: SegmentId, s: SegmentId) -> Option<usize> {
+    let mut hops = vec![usize::MAX; net.num_segments()];
+    hops[r.index()] = 0;
+    let mut queue = std::collections::VecDeque::from([r]);
+    while let Some(cur) = queue.pop_front() {
+        if cur == s {
+            return Some(hops[cur.index()]);
+        }
+        for &next in net.next_segments(cur) {
+            if hops[next.index()] == usize::MAX {
+                hops[next.index()] = hops[cur.index()] + 1;
+                queue.push_back(next);
+            }
+        }
+    }
+    None
 }
 
 proptest! {
@@ -66,12 +87,9 @@ proptest! {
     fn scc_is_an_equivalence_over_mutual_reachability(g in digraph_strategy()) {
         let comp = g.tarjan_scc();
         let n = g.num_nodes();
-        // Mutual reachability oracle via BFS.
+        // Mutual reachability oracle via Dijkstra.
         let reach: Vec<Vec<bool>> = (0..n)
-            .map(|s| {
-                let hops = g.bfs_hops(s);
-                hops.iter().map(|&h| h != usize::MAX).collect()
-            })
+            .map(|s| g.dijkstra(s).0.iter().map(|d| d.is_finite()).collect())
             .collect();
         for u in 0..n {
             for v in 0..n {
@@ -178,7 +196,7 @@ proptest! {
         let r = net.segments()[seed as usize % net.num_segments()].id;
         for (s, h) in net.lambda_neighborhood(r, lambda) {
             prop_assert!(h < lambda);
-            prop_assert_eq!(net.segment_hops(r, s, lambda + 1), Some(h));
+            prop_assert_eq!(segment_hops(&net, r, s), Some(h));
         }
     }
 }

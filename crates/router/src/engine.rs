@@ -195,10 +195,7 @@ impl RouterMetrics {
 /// with its own snapshot lifecycle and metrics registry. All
 /// shards share one `Arc<RoadNetwork>`: the network-level quantities the
 /// pipeline uses (speed bound, shortest-path oracle, candidate lookup) are
-/// global and pure, so sharing them is both correct and cheap —
-/// [`ShardPlan::replicated_segments`] +
-/// [`hris_roadnet::RoadNetwork::extract_subnetwork`] exist for deployments
-/// that need per-shard memory isolation instead.
+/// global and pure, so sharing them is both correct and cheap.
 pub struct ShardedEngine {
     net: Arc<RoadNetwork>,
     params: HrisParams,
@@ -283,9 +280,9 @@ impl ShardedEngine {
     }
 
     /// A sharded engine over live per-shard ingestion: `readers[s]` is the
-    /// published-snapshot reader of shard `s`'s [`ArchiveWriter`]
-    /// (`hris_traj::ArchiveWriter`). Each query pins at most one epoch per
-    /// touched shard.
+    /// published-snapshot reader of shard `s`'s
+    /// [`ArchiveWriter`](hris_traj::ArchiveWriter). Each query pins at most
+    /// one epoch per touched shard.
     ///
     /// Live shards have no parent archive, so cross-seam id remapping is
     /// *namespaced* instead of translated: shard `s`'s trajectory `i`

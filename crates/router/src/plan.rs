@@ -10,18 +10,12 @@
 //! shard's archive replicates every trajectory that touches the region (see
 //! [`hris_traj::partition_archive`]).
 //!
-//! Segment assignment follows the same two-tier rule: a segment is **owned**
-//! by the cell containing its bounding-box center (unique, used for capacity
-//! accounting and sub-network extraction), and **replicated** to every shard
-//! whose region intersects its bounding box (the set a shard needs to score
-//! candidates near its seams).
-//!
 //! Construction is pure arithmetic over the network — no randomness, no
 //! iteration-order dependence — so two plans built from the same network and
 //! grid shape are identical. The partitioner proptests pin this.
 
 use hris_geo::{BBox, Point};
-use hris_roadnet::{RoadNetwork, SegmentId};
+use hris_roadnet::RoadNetwork;
 
 /// A deterministic `nx × ny` grid partition of a road network's extent.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,13 +25,6 @@ pub struct ShardPlan {
     ny: usize,
     margin_m: f64,
     cores: Vec<BBox>,
-    /// `seg_owner[seg.index()]` — owning shard of each segment.
-    seg_owner: Vec<u32>,
-    /// Per shard: owned segments, ascending id.
-    owned: Vec<Vec<SegmentId>>,
-    /// Per shard: segments whose bbox intersects the shard region
-    /// (superset of `owned` for every segment inside the network bounds).
-    replicated: Vec<Vec<SegmentId>>,
 }
 
 impl ShardPlan {
@@ -82,40 +69,19 @@ impl ShardPlan {
             }
         }
 
-        let mut plan = ShardPlan {
+        ShardPlan {
             bounds,
             nx,
             ny,
             margin_m,
             cores,
-            seg_owner: Vec::with_capacity(net.num_segments()),
-            owned: vec![Vec::new(); nx * ny],
-            replicated: vec![Vec::new(); nx * ny],
-        };
-        for seg in net.segments() {
-            let sb = seg.geometry.bbox();
-            let owner = plan.shard_of_point(sb.center());
-            plan.seg_owner.push(owner as u32);
-            plan.owned[owner].push(seg.id);
-            for s in 0..plan.num_shards() {
-                if plan.region(s).intersects(&sb) {
-                    plan.replicated[s].push(seg.id);
-                }
-            }
         }
-        plan
     }
 
     /// Number of shards (`nx * ny`).
     #[must_use]
     pub fn num_shards(&self) -> usize {
         self.cores.len()
-    }
-
-    /// The grid shape `(nx, ny)`.
-    #[must_use]
-    pub fn grid_dims(&self) -> (usize, usize) {
-        (self.nx, self.ny)
     }
 
     /// The replication margin in metres.
@@ -159,28 +125,6 @@ impl ShardPlan {
         let ix = cell_index(p.x, self.bounds.min.x, self.bounds.max.x, self.nx);
         let iy = cell_index(p.y, self.bounds.min.y, self.bounds.max.y, self.ny);
         iy * self.nx + ix
-    }
-
-    /// The owning shard of a segment (the cell holding its bbox center).
-    #[must_use]
-    pub fn segment_owner(&self, id: SegmentId) -> usize {
-        self.seg_owner[id.index()] as usize
-    }
-
-    /// Segments owned by shard `s`, ascending id. Ownership is a partition
-    /// of the network's segments.
-    #[must_use]
-    pub fn owned_segments(&self, s: usize) -> &[SegmentId] {
-        &self.owned[s]
-    }
-
-    /// Segments replicated to shard `s` (bbox intersects the region),
-    /// ascending id. This is the segment set to pass to
-    /// [`hris_roadnet::RoadNetwork::extract_subnetwork`] for a shard-local
-    /// network.
-    #[must_use]
-    pub fn replicated_segments(&self, s: usize) -> &[SegmentId] {
-        &self.replicated[s]
     }
 
     /// The first shard (lowest index) whose **region** contains `b`, if
@@ -262,24 +206,6 @@ mod tests {
         // Outside points clamp to an edge cell rather than panicking.
         let far = Point::new(b.max.x + 1e6, b.min.y - 1e6);
         assert!(plan.shard_of_point(far) < plan.num_shards());
-    }
-
-    #[test]
-    fn segment_ownership_partitions_the_network() {
-        let net = net();
-        let plan = ShardPlan::grid(&net, 2, 3, 150.0);
-        let total: usize = (0..plan.num_shards())
-            .map(|s| plan.owned_segments(s).len())
-            .sum();
-        assert_eq!(total, net.num_segments());
-        for s in 0..plan.num_shards() {
-            for &id in plan.owned_segments(s) {
-                assert_eq!(plan.segment_owner(id), s);
-                // Owned ⊆ replicated: the owner's region contains the
-                // segment's center, hence intersects its bbox.
-                assert!(plan.replicated_segments(s).contains(&id));
-            }
-        }
     }
 
     #[test]

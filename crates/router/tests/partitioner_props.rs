@@ -1,18 +1,17 @@
 //! Property tests pinning the partitioner invariants the sharded engine's
 //! byte-identity argument rests on (DESIGN.md §5i):
 //!
-//! * **unique ownership** — segments and trajectories each have exactly one
-//!   owning shard, and the owned sets partition the whole;
+//! * **unique ownership** — every trajectory has exactly one owning shard;
 //! * **the documented replication rule, exactly** — shard `s` stores
 //!   trajectory `t` iff `s` owns `t` or `region(s)` intersects `t`'s bbox,
 //!   with strictly-increasing id maps and exact replica accounting;
 //! * **coverage** — cores tile the bounds, every point lands in its own
-//!   core, and a shard's extracted sub-network has no orphan nodes;
+//!   core, and every node lies in its home shard's region;
 //! * **determinism** — the same inputs produce bit-identical plans and
 //!   partitions.
 
 use hris_geo::Point;
-use hris_roadnet::{generator, NetworkConfig, RoadNetwork, SegmentId};
+use hris_roadnet::{generator, NetworkConfig, RoadNetwork};
 use hris_router::ShardPlan;
 use hris_traj::{partition_archive, GpsPoint, TrajId, Trajectory, TrajectoryArchive};
 use proptest::prelude::*;
@@ -63,68 +62,6 @@ fn random_archive(seed: u64, n: usize) -> TrajectoryArchive {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
-
-    /// Segment ownership is a partition: every segment owned exactly once,
-    /// owner == the cell holding its bbox center, and owned ⊆ replicated.
-    #[test]
-    fn segment_ownership_is_a_partition(
-        nx in 1usize..5,
-        ny in 1usize..5,
-        margin in 0.0f64..900.0,
-    ) {
-        let net = net();
-        let plan = ShardPlan::grid(net, nx, ny, margin);
-
-        let mut owner_count = vec![0usize; net.num_segments()];
-        for s in 0..plan.num_shards() {
-            let owned = plan.owned_segments(s);
-            prop_assert!(owned.windows(2).all(|w| w[0] < w[1]), "owned ids ascend");
-            for &id in owned {
-                owner_count[id.index()] += 1;
-                prop_assert_eq!(plan.segment_owner(id), s);
-                prop_assert!(
-                    plan.replicated_segments(s).binary_search(&id).is_ok(),
-                    "owner replicates its own segment"
-                );
-            }
-        }
-        prop_assert!(owner_count.iter().all(|&c| c == 1), "each segment owned once");
-
-        // Owner is exactly the cell of the segment's bbox center.
-        for seg in net.segments() {
-            let c = seg.geometry.bbox().center();
-            prop_assert_eq!(plan.segment_owner(seg.id), plan.shard_of_point(c));
-        }
-    }
-
-    /// A shard replicates a segment iff its region intersects the segment's
-    /// bbox — no more, no less — and every segment is replicated somewhere.
-    #[test]
-    fn segment_replication_matches_the_documented_rule(
-        nx in 1usize..5,
-        ny in 1usize..4,
-        margin in 0.0f64..900.0,
-    ) {
-        let net = net();
-        let plan = ShardPlan::grid(net, nx, ny, margin);
-        let mut replicated_anywhere = vec![false; net.num_segments()];
-        for s in 0..plan.num_shards() {
-            let region = plan.region(s);
-            let have: Vec<SegmentId> = plan.replicated_segments(s).to_vec();
-            prop_assert!(have.windows(2).all(|w| w[0] < w[1]), "replicated ids ascend");
-            let want: Vec<SegmentId> = net
-                .segments()
-                .iter()
-                .filter(|seg| region.intersects(&seg.geometry.bbox()))
-                .map(|seg| seg.id)
-                .collect();
-            prop_assert_eq!(have, want, "replication rule for shard {}", s);
-            for &id in plan.replicated_segments(s) {
-                replicated_anywhere[id.index()] = true;
-            }
-        }
-        prop_assert!(replicated_anywhere.into_iter().all(|b| b));
-    }
 
     /// Archive partitioning obeys the documented storage rule exactly:
     /// shard `s` stores `t` iff `s` owns `t` or `region(s)` intersects
@@ -194,9 +131,8 @@ proptest! {
     }
 
     /// Coverage: cores tile the bounds with bit-exact shared edges, every
-    /// sampled point lands inside the core `shard_of_point` names, and the
-    /// sub-network extracted from any shard's replicated set has no orphan
-    /// nodes.
+    /// sampled point lands inside the core `shard_of_point` names, and no
+    /// node is orphaned: the region of its home shard contains it.
     #[test]
     fn coverage_and_no_orphan_nodes(
         nx in 1usize..5,
@@ -234,15 +170,6 @@ proptest! {
         // shard its position maps to (regions ⊇ cores).
         let home = plan.shard_of_point(net.node(hris_roadnet::NodeId(0)));
         prop_assert!(plan.region(home).inflated(1e-9).contains_point(net.node(hris_roadnet::NodeId(0))));
-
-        // Shard-local sub-networks are self-contained: no orphan nodes.
-        let sub = net.extract_subnetwork(plan.replicated_segments(s));
-        let mut incident = vec![false; sub.net.num_nodes()];
-        for seg in sub.net.segments() {
-            incident[seg.from.index()] = true;
-            incident[seg.to.index()] = true;
-        }
-        prop_assert!(incident.into_iter().all(|x| x), "no orphan nodes in shard {}", s);
     }
 
     /// Determinism: the same network, grid and margin produce an identical
@@ -274,26 +201,4 @@ proptest! {
             }
         }
     }
-}
-
-/// The deterministic capstone: a 3×2 plan over the shared network has the
-/// exact replication superset structure the docs promise (owned ⊆
-/// replicated per shard, union of replicated = all segments).
-#[test]
-fn owned_is_a_subset_of_replicated_everywhere() {
-    let net = net();
-    let plan = ShardPlan::grid(net, 3, 2, 500.0);
-    let mut covered = vec![false; net.num_segments()];
-    for s in 0..plan.num_shards() {
-        for &id in plan.owned_segments(s) {
-            assert!(plan.replicated_segments(s).binary_search(&id).is_ok());
-        }
-        for &id in plan.replicated_segments(s) {
-            covered[id.index()] = true;
-        }
-    }
-    assert!(
-        covered.into_iter().all(|b| b),
-        "replication covers every segment"
-    );
 }

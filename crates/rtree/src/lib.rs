@@ -120,23 +120,6 @@ impl<T: Spatial> RTree<T> {
         self.items.len()
     }
 
-    /// Estimated heap bytes held by this tree: the item arena plus the
-    /// node arena and every node's entry vector. Used by the capacity
-    /// accounting to compare materialized indexes
-    /// against the columnar snapshot format; an estimate because
-    /// allocator slack is invisible from here.
-    #[must_use]
-    pub fn heap_bytes_estimate(&self) -> usize {
-        let items = self.items.capacity() * std::mem::size_of::<T>();
-        let nodes = self.nodes.capacity() * std::mem::size_of::<Node>();
-        let entries: usize = self
-            .nodes
-            .iter()
-            .map(|n| n.entries.capacity() * std::mem::size_of::<Entry>())
-            .sum();
-        items + nodes + entries
-    }
-
     /// `true` if no items are indexed.
     #[inline]
     #[must_use]

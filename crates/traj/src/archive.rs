@@ -3,8 +3,8 @@
 //! The paper's preprocessing indexes *all* archived GPS points in an R-tree
 //! so that reference search can issue two `φ`-range queries per query-point
 //! pair (Section III-A). [`TrajectoryArchive`] owns the trips and the index,
-//! and offers binary/JSON persistence so large simulated archives can be
-//! generated once and reused across experiments.
+//! and offers the flat binary codec (the dirty-feed format: see
+//! [`TrajectoryArchive::from_bytes_tolerant`] and DESIGN §5e).
 
 use crate::types::{sanitize_points, GpsPoint, PointRepairs, SanitizeLimits, TrajId, Trajectory};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -85,23 +85,6 @@ impl TrajectoryArchive {
         self.num_points
     }
 
-    /// Estimated heap bytes of the fully materialized archive: every
-    /// trip's point vector plus the R-tree arena (which stores each point
-    /// a second time as an [`ArchivePoint`]). This is the "before" number
-    /// the columnar snapshot format is measured against.
-    #[must_use]
-    pub fn memory_footprint(&self) -> usize {
-        let trips: usize = self
-            .trajectories
-            .iter()
-            .map(|t| {
-                std::mem::size_of::<Trajectory>()
-                    + t.points.capacity() * std::mem::size_of::<GpsPoint>()
-            })
-            .sum();
-        trips + self.index.heap_bytes_estimate()
-    }
-
     /// A trajectory by id.
     #[inline]
     #[must_use]
@@ -122,14 +105,6 @@ impl TrajectoryArchive {
     pub fn points_within(&self, center: Point, radius: f64) -> Vec<&ArchivePoint> {
         self.index
             .query_circle(center, radius, |ap, q| ap.pos.dist(q))
-    }
-
-    /// Best-first iterator over archived points by distance from `p`.
-    pub fn nearest_points(
-        &self,
-        p: Point,
-    ) -> impl Iterator<Item = hris_rtree::Neighbor<'_, ArchivePoint>> {
-        self.index.nearest_iter(p, |ap, q| ap.pos.dist(q))
     }
 
     /// Bounding box of all archived points.
@@ -199,28 +174,6 @@ impl TrajectoryArchive {
         encode_trips(&self.trajectories)
     }
 
-    /// Serialises the trajectories as pretty JSON (interchange/debugging;
-    /// the binary codec is ~6× smaller and faster for bulk storage).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.trajectories).expect("trajectories serialise")
-    }
-
-    /// Restores an archive from [`TrajectoryArchive::to_json`] output.
-    ///
-    /// Returns `None` on malformed JSON or time-disordered trajectories.
-    #[must_use]
-    pub fn from_json(text: &str) -> Option<Self> {
-        let trips: Vec<Trajectory> = serde_json::from_str(text).ok()?;
-        if trips
-            .iter()
-            .any(|t| !t.points.windows(2).all(|w| w[0].t <= w[1].t))
-        {
-            return None;
-        }
-        Some(TrajectoryArchive::new(trips))
-    }
-
     /// Restores an archive from [`TrajectoryArchive::to_bytes`] output.
     ///
     /// Returns `None` on truncated or malformed input.
@@ -230,6 +183,12 @@ impl TrajectoryArchive {
             return None;
         }
         let trips = data.get_u32_le() as usize;
+        // Every trip takes at least its 4-byte point count, so a count the
+        // remaining bytes cannot hold is malformed; checking it first keeps
+        // a hostile count from sizing the allocation.
+        if trips > data.remaining() / 4 {
+            return None;
+        }
         let mut out = Vec::with_capacity(trips);
         for i in 0..trips {
             if data.remaining() < 4 {
@@ -300,22 +259,6 @@ impl TrajectoryArchive {
             }
             raw.push(pts);
         }
-        Self::build_tolerant(raw, opts, report)
-    }
-
-    /// Restores an archive from [`TrajectoryArchive::to_json`] output,
-    /// repairing/quarantining dirty records — never fails. JSON that does
-    /// not parse at all yields an empty archive with `report.malformed` set.
-    #[must_use]
-    pub fn from_json_tolerant(text: &str, opts: &TolerantLoadOptions) -> (Self, LoadReport) {
-        let mut report = LoadReport::default();
-        let raw = match serde_json::from_str::<Vec<Trajectory>>(text) {
-            Ok(trips) => trips.into_iter().map(|t| t.points).collect(),
-            Err(_) => {
-                report.malformed = true;
-                Vec::new()
-            }
-        };
         Self::build_tolerant(raw, opts, report)
     }
 
@@ -409,7 +352,9 @@ pub struct LoadReport {
     pub repairs: PointRepairs,
     /// Binary stream ended mid-record; everything before the cut was kept.
     pub truncated: bool,
-    /// Input did not parse at all; nothing was loaded.
+    /// Input did not parse at all; nothing was loaded. The flat binary
+    /// loader salvages any prefix and reports a bad blob as `truncated`, so
+    /// it never sets this; the field stays in the golden-pinned schema.
     pub malformed: bool,
 }
 
@@ -572,22 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let a = archive();
-        let text = a.to_json();
-        let b = TrajectoryArchive::from_json(&text).unwrap();
-        assert_eq!(b.num_trajectories(), a.num_trajectories());
-        for (x, y) in a.trajectories().iter().zip(b.trajectories().iter()) {
-            assert_eq!(x.points, y.points);
-        }
-        assert!(TrajectoryArchive::from_json("not json").is_none());
-        assert!(TrajectoryArchive::from_json(
-            r#"[{"id":0,"points":[{"pos":{"x":0.0,"y":0.0},"t":10.0},{"pos":{"x":1.0,"y":0.0},"t":5.0}]}]"#
-        )
-        .is_none());
-    }
-
-    #[test]
     fn truncated_blob_rejected() {
         let a = archive();
         let blob = a.to_bytes();
@@ -597,16 +526,14 @@ mod tests {
     }
 
     #[test]
-    fn nearest_points_order() {
-        let a = archive();
-        let dists: Vec<f64> = a
-            .nearest_points(Point::new(0.0, 0.0))
-            .map(|n| n.dist)
-            .collect();
-        assert_eq!(dists.len(), 5);
-        for w in dists.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
+    fn oversized_trip_count_is_rejected_not_allocated() {
+        // A 4-byte blob claiming u32::MAX trips must not size a vector of
+        // u32::MAX trajectories before noticing there is no data.
+        let hostile = Bytes::from_vec(vec![0xff; 4]);
+        assert!(TrajectoryArchive::from_bytes(hostile.clone()).is_none());
+        let (a, report) = TrajectoryArchive::from_bytes_tolerant(hostile, &opts());
+        assert!(report.truncated);
+        assert_eq!(a.num_trajectories(), 0);
     }
 
     // -------------------------------------------- incremental maintenance
@@ -831,20 +758,6 @@ mod tests {
         let (c, report) = TrajectoryArchive::from_bytes_tolerant(Bytes::new(), &opts());
         assert!(report.truncated);
         assert_eq!(c.num_trajectories(), 0);
-    }
-
-    #[test]
-    fn malformed_json_yields_empty_archive_with_flag() {
-        let (a, report) = TrajectoryArchive::from_json_tolerant("not json", &opts());
-        assert!(report.malformed);
-        assert_eq!(a.num_trajectories(), 0);
-        // Parseable JSON with disorder is repaired, not refused.
-        let json = r#"[{"id":0,"points":[{"pos":{"x":0.0,"y":0.0},"t":10.0},{"pos":{"x":1.0,"y":0.0},"t":5.0}]}]"#;
-        assert!(TrajectoryArchive::from_json(json).is_none());
-        let (b, report) = TrajectoryArchive::from_json_tolerant(json, &opts());
-        assert!(!report.malformed);
-        assert_eq!(report.trajectories_resorted, 1);
-        assert_eq!(b.num_trajectories(), 1);
     }
 
     #[test]

@@ -91,15 +91,6 @@ impl ArchiveSnapshot {
     pub fn to_columnar(&self) -> bytes::Bytes {
         crate::snapshot::encode_snapshot(&self.archive, self.epoch)
     }
-
-    /// Rehydrates a snapshot from a columnar blob, restoring the epoch
-    /// recorded in the header. `published_at` is stamped *now* — age is a
-    /// liveness signal of this process, not of the blob's origin.
-    pub fn from_columnar(data: bytes::Bytes) -> Result<Self, crate::snapshot::SnapshotError> {
-        let snap = crate::snapshot::ColumnarSnapshot::open(data)?;
-        let archive = snap.decode_archive()?;
-        Ok(ArchiveSnapshot::new(snap.epoch(), archive))
-    }
 }
 
 impl Deref for ArchiveSnapshot {
@@ -291,15 +282,6 @@ impl ArchiveWriter {
     #[must_use]
     pub fn snapshot(&self) -> Arc<ArchiveSnapshot> {
         Arc::clone(&self.slot.read().expect("snapshot slot"))
-    }
-
-    /// Serializes the latest *published* snapshot into the columnar
-    /// format without republishing or rebuilding anything — the epoch in
-    /// the blob header is the epoch readers currently see. Pending
-    /// appends are not included (publish first if you want them).
-    #[must_use]
-    pub fn export_columnar(&self) -> bytes::Bytes {
-        self.snapshot().to_columnar()
     }
 
     /// The latest published epoch number.

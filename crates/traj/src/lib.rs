@@ -16,7 +16,6 @@ pub mod geojson;
 pub mod ingest;
 pub mod partition;
 pub mod resample;
-pub mod similarity;
 pub mod simulator;
 pub mod snapshot;
 pub mod staypoint;
@@ -29,7 +28,6 @@ pub use ingest::{
 };
 pub use partition::{partition_archive, ArchivePartition};
 pub use resample::{add_gps_noise, resample_to_interval};
-pub use similarity::{dtw, edr, lcss};
 pub use simulator::{SimConfig, Simulator, TripRecord};
 pub use snapshot::{
     encode_snapshot, encode_snapshot_with_routes, ColumnarSnapshot, SnapshotError, SnapshotHeader,

@@ -1,10 +1,10 @@
 //! Columnar, delta-encoded, versioned snapshot format for the archive.
 //!
 //! The materialized [`TrajectoryArchive`] holds every GPS point twice (once
-//! in the per-trip `Vec<GpsPoint>`, once as an [`ArchivePoint`] inside the
-//! R-tree arena), which is fine for a demo but not for city scale: Beijing
-//! in the paper is millions of archived points. This module is the storage
-//! diet half of ROADMAP item 2:
+//! in the per-trip `Vec<GpsPoint>`, once as an
+//! [`ArchivePoint`](crate::ArchivePoint) inside the R-tree arena), which is
+//! fine for a demo but not for city scale: Beijing in the paper is millions
+//! of archived points. This module puts the archive on a storage diet:
 //!
 //! * **Columnar layout** — per trip, the `t` / `x` / `y` series are stored
 //!   as three independent columns, so scans that only need timestamps (or
@@ -611,13 +611,6 @@ impl ColumnarSnapshot {
         self.header.point_count as usize
     }
 
-    /// Length of the raw blob in bytes — the resident cost of the
-    /// columnar representation.
-    #[must_use]
-    pub fn blob_len(&self) -> usize {
-        self.data.len()
-    }
-
     /// The underlying blob.
     #[must_use]
     pub fn bytes(&self) -> &Bytes {
@@ -741,16 +734,6 @@ impl ColumnarSnapshot {
         Ok(())
     }
 
-    /// Number of interned segment ids in the routes dictionary, or
-    /// `None` when the snapshot has no routes section.
-    #[must_use]
-    pub fn route_dict_len(&self) -> Option<usize> {
-        if !self.header.has_routes() {
-            return None;
-        }
-        Some(read_u32(self.routes_region(), 0) as usize)
-    }
-
     /// Decodes trip `i`'s interned route, or `None` when the snapshot
     /// has no routes section.
     pub fn trip_route(&self, i: usize) -> Option<Result<Vec<SegmentId>, SnapshotError>> {
@@ -774,7 +757,9 @@ impl ColumnarSnapshot {
         let list = &r[start..end];
         let mut pos = 0usize;
         let count = get_varint(list, &mut pos)? as usize;
-        let mut out = Vec::with_capacity(count);
+        // Each index takes at least one byte, so a count beyond the bytes
+        // left is malformed: bound the allocation by what can be read.
+        let mut out = Vec::with_capacity(count.min(list.len() - pos));
         for _ in 0..count {
             let idx = get_varint(list, &mut pos)? as usize;
             if idx >= dict_len {
@@ -980,8 +965,9 @@ mod tests {
         let blob = encode_snapshot_with_routes(&archive, 1, &routes);
         let snap = ColumnarSnapshot::open(blob).expect("open");
         assert!(snap.header().has_routes());
-        // Segment 9 appears 3× → dictionary slot 0.
-        assert_eq!(snap.route_dict_len(), Some(2));
+        // Two distinct segments interned; segment 9 appears 3× → slot 0.
+        assert_eq!(read_u32(snap.routes_region(), 0), 2);
+        assert_eq!(read_u32(snap.routes_region(), 4), 9);
         for (i, want) in routes.iter().enumerate() {
             let got = snap.trip_route(i).expect("routes present").expect("decode");
             assert_eq!(&got, want);

@@ -145,12 +145,6 @@ impl Trajectory {
         Ok(())
     }
 
-    /// `true` when timestamps are in non-decreasing order.
-    #[must_use]
-    pub fn is_time_ordered(&self) -> bool {
-        self.points.windows(2).all(|w| w[0].t <= w[1].t)
-    }
-
     /// Number of observations.
     #[inline]
     #[must_use]
@@ -174,15 +168,6 @@ impl Trajectory {
         }
     }
 
-    /// Sum of straight-line hops between consecutive observations, metres.
-    ///
-    /// A lower bound on the true travelled distance — the lower the sampling
-    /// rate, the looser the bound (the paper's core motivation).
-    #[must_use]
-    pub fn path_length(&self) -> f64 {
-        self.points.windows(2).map(|w| w[0].dist(&w[1])).sum()
-    }
-
     /// Mean time interval between consecutive observations, seconds
     /// (`ΔT` of Definition 1); 0 for < 2 points.
     #[must_use]
@@ -192,15 +177,6 @@ impl Trajectory {
         } else {
             self.duration() / (self.points.len() - 1) as f64
         }
-    }
-
-    /// Largest time interval between consecutive observations, seconds.
-    #[must_use]
-    pub fn max_interval(&self) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| w[1].t - w[0].t)
-            .fold(0.0, f64::max)
     }
 
     /// Bounding box of the observations (empty box for an empty trajectory).
@@ -345,9 +321,7 @@ mod tests {
         let t = traj();
         assert_eq!(t.len(), 3);
         assert!((t.duration() - 30.0).abs() < 1e-12);
-        assert!((t.path_length() - 200.0).abs() < 1e-12);
         assert!((t.mean_interval() - 15.0).abs() < 1e-12);
-        assert!((t.max_interval() - 20.0).abs() < 1e-12);
     }
 
     #[test]
@@ -359,7 +333,6 @@ mod tests {
         assert!(e.nearest_point(Point::ORIGIN).is_none());
         let s = Trajectory::new(TrajId(0), vec![GpsPoint::new(Point::ORIGIN, 5.0)]);
         assert_eq!(s.duration(), 0.0);
-        assert_eq!(s.path_length(), 0.0);
     }
 
     #[test]
@@ -409,7 +382,7 @@ mod tests {
         );
         // from_unchecked represents the same data without panicking…
         let dirty = Trajectory::from_unchecked(TrajId(0), bad);
-        assert!(!dirty.is_time_ordered());
+        assert!(!dirty.points.windows(2).all(|w| w[0].t <= w[1].t));
         // …and validate reports the same error serde-deserialised data would.
         assert!(dirty.validate().is_err());
     }

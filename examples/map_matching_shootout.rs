@@ -8,7 +8,7 @@
 use hris::prelude::*;
 use hris_eval::metrics::accuracy_al;
 use hris_eval::scenario::{Scenario, ScenarioConfig};
-use hris_mapmatch::{HmmMatcher, IncrementalMatcher, IvmmMatcher, MapMatcher, StMatcher};
+use hris_mapmatch::{IncrementalMatcher, IvmmMatcher, MapMatcher, StMatcher};
 use hris_traj::resample_to_interval;
 
 fn main() {
@@ -33,12 +33,11 @@ fn main() {
     let ivmm = IvmmMatcher::default();
     let st = StMatcher::default();
     let inc = IncrementalMatcher::default();
-    let hmm = HmmMatcher::default();
-    let matchers: Vec<&dyn MapMatcher> = vec![&hris_matcher, &ivmm, &st, &inc, &hmm];
+    let matchers: Vec<&dyn MapMatcher> = vec![&hris_matcher, &ivmm, &st, &inc];
 
     println!(
-        "{:>6} {:>10} {:>10} {:>12} {:>12} {:>10}",
-        "query", "HRIS", "IVMM", "ST-Matching", "Incremental", "HMM"
+        "{:>6} {:>10} {:>10} {:>12} {:>12}",
+        "query", "HRIS", "IVMM", "ST-Matching", "Incremental"
     );
     let mut sums = vec![0.0f64; matchers.len()];
     for (qi, q) in s.queries.iter().enumerate() {
@@ -56,13 +55,12 @@ fn main() {
     }
     let n = s.queries.len() as f64;
     println!(
-        "{:>6} {:>10.3} {:>10.3} {:>12.3} {:>12.3} {:>10.3}",
+        "{:>6} {:>10.3} {:>10.3} {:>12.3} {:>12.3}",
         "mean",
         sums[0] / n,
         sums[1] / n,
         sums[2] / n,
-        sums[3] / n,
-        sums[4] / n
+        sums[3] / n
     );
     println!(
         "\nAt {:.0}-second sampling the history-based inference keeps its edge:\n\
