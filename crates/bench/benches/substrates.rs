@@ -3,8 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hris_geo::Point;
-use hris_roadnet::shortest::{k_shortest_routes, shortest_path};
-use hris_roadnet::{generator, CostModel, NetworkConfig, NodeId};
+use hris_roadnet::{generator, CostModel, DijkstraScratch, NetworkConfig, NodeId};
 use hris_rtree::RTree;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -51,25 +50,19 @@ fn bench_roadnet(c: &mut Criterion) {
     let n = net.num_nodes() as u32;
     let mut g = c.benchmark_group("roadnet");
     g.bench_function("dijkstra_cross_city", |b| {
+        let oracle = net.sp_oracle();
+        let mut scratch = DijkstraScratch::default();
         b.iter(|| {
-            shortest_path(
-                black_box(&net),
-                NodeId(0),
+            oracle.point_to_point(
+                black_box(NodeId(0)),
                 NodeId(n - 1),
                 CostModel::Distance,
+                &mut scratch,
             )
         });
     });
     g.bench_function("yen_k4_cross_city", |b| {
-        b.iter(|| {
-            k_shortest_routes(
-                black_box(&net),
-                NodeId(0),
-                NodeId(n - 1),
-                4,
-                CostModel::Time,
-            )
-        });
+        b.iter(|| black_box(&net).k_shortest_routes(NodeId(0), NodeId(n - 1), 4, CostModel::Time));
     });
     g.bench_function("candidate_edges_60m", |b| {
         b.iter(|| net.candidate_edges(black_box(Point::new(4_000.0, 4_000.0)), 60.0));

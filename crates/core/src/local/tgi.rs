@@ -21,7 +21,9 @@ use crate::local::{LocalStats, RefEdgeIndex};
 use crate::params::HrisParams;
 use hris_geo::Point;
 use hris_roadnet::network::CandidateEdge;
-use hris_roadnet::{CostModel, CsrView, DiGraph, DijkstraScratch, RoadNetwork, Route, SegmentId};
+use hris_roadnet::{
+    tarjan_scc, CostModel, CsrView, DijkstraScratch, RoadNetwork, Route, SegmentId,
+};
 
 /// Runs TGI for one query pair. Returns candidate local routes and stats.
 #[must_use]
@@ -117,9 +119,8 @@ pub fn tgi(
     // connected case never needs them.
     let mut centroids: Option<CentroidSoA> = None;
     loop {
-        let g = build_digraph(segs.len(), &edges);
-        let comp = g.tarjan_scc();
-        let num_comps = comp.iter().copied().max().map_or(0, |m| m + 1);
+        let targets: Vec<u32> = edges.links.iter().map(|l| l.v).collect();
+        let (comp, num_comps) = tarjan_scc(&edges.starts(segs.len()), &targets);
         if num_comps <= 1 {
             break;
         }
@@ -155,20 +156,7 @@ pub fn tgi(
         // list gives the same survivors as the old hash-map iteration.
         // Out-neighborhoods are contiguous runs of the sorted list; one
         // offsets pass makes every run lookup O(1).
-        let mut starts = vec![0u32; segs.len() + 1];
-        {
-            let mut u = 0usize;
-            for (i, l) in edges.links.iter().enumerate() {
-                while u <= l.u as usize {
-                    starts[u] = i as u32;
-                    u += 1;
-                }
-            }
-            while u <= segs.len() {
-                starts[u] = edges.links.len() as u32;
-                u += 1;
-            }
-        }
+        let starts = edges.starts(segs.len());
         let run = |u: u32| starts[u as usize] as usize..starts[u as usize + 1] as usize;
         // In-links `(source, hops)` grouped by target via counting sort;
         // within each target the sources come out ascending because the
@@ -233,11 +221,9 @@ pub fn tgi(
     stats.traverse_edges_final = edges.links.len();
 
     // --- K shortest paths between every endpoint pair ---------------------
-    // The sorted link list IS the CSR: snapshot it directly (no intermediate
-    // adjacency lists) and share one view + scratch across every endpoint
-    // pair's Yen run.
-    let csr =
-        CsrView::from_sorted_edges(segs.len(), edges.links.iter().map(|l| (l.u, l.v, l.weight)));
+    // One view + scratch serves every endpoint pair's Yen run; the links are
+    // sorted by (u, v), so that is each node's edge order.
+    let csr = CsrView::new(segs.len(), edges.links.iter().map(|l| (l.u, l.v, l.weight)));
     let mut scratch = DijkstraScratch::for_nodes(segs.len());
     let mut routes = Vec::new();
     for &src in &qi_nodes {
@@ -290,8 +276,8 @@ struct Link {
 }
 
 /// Traverse-graph links kept sorted by `(u, v)` — out-neighborhoods are
-/// contiguous runs, membership is a binary search, and the digraph builds
-/// without re-sorting.
+/// contiguous runs, membership is a binary search, and the list is already
+/// a CSR.
 #[derive(Default)]
 struct EdgeList {
     links: Vec<Link>,
@@ -304,16 +290,19 @@ impl EdgeList {
             self.links.insert(pos, Link { u, v, hops, weight });
         }
     }
-}
 
-fn build_digraph(n: usize, edges: &EdgeList) -> DiGraph {
-    let mut g = DiGraph::with_nodes(n);
-    // Links are sorted by (u, v), so the insertion order — and hence Yen's
-    // tie-breaking — matches the old sorted-map construction exactly.
-    for l in &edges.links {
-        g.add_edge(l.u as usize, l.v as usize, l.weight.max(0.0));
+    /// CSR offsets over `n` nodes: `starts[u]..starts[u + 1]` indexes
+    /// `u`'s out-links.
+    fn starts(&self, n: usize) -> Vec<u32> {
+        let mut starts = vec![0u32; n + 1];
+        for l in &self.links {
+            starts[l.u as usize + 1] += 1;
+        }
+        for u in 0..n {
+            starts[u + 1] += starts[u];
+        }
+        starts
     }
-    g
 }
 
 /// Projects a traverse-graph path (sequence of segments) to a physical

@@ -3,7 +3,6 @@
 
 use crate::MatchResult;
 use hris_roadnet::network::CandidateEdge;
-use hris_roadnet::shortest::shortest_costs_within;
 use hris_roadnet::{CostModel, RoadNetwork, Route};
 use hris_traj::{GpsPoint, Trajectory};
 use serde::{Deserialize, Serialize};
@@ -85,12 +84,10 @@ pub fn network_dist(net: &RoadNetwork, a: &CandidateEdge, b: &CandidateEdge) -> 
         return b.offset - a.offset;
     }
     let seg_a = net.segment(a.segment);
-    let seg_b = net.segment(b.segment);
-    let remaining = seg_a.length - a.offset;
-    let bridge =
-        hris_roadnet::shortest::shortest_path(net, seg_a.to, seg_b.from, CostModel::Distance)
-            .map_or(f64::INFINITY, |p| p.cost);
-    remaining + bridge + b.offset
+    let oracle = net.sp_oracle();
+    let tree = oracle.spt(seg_a.to, CostModel::Distance);
+    let bridge = oracle.tree_dist(&tree, net.segment(b.segment).from);
+    seg_a.length - a.offset + bridge + b.offset
 }
 
 /// Pairwise network distances between consecutive points' candidates.
@@ -103,13 +100,13 @@ pub struct TransitionTable {
     pub dists: Vec<Vec<Vec<f64>>>,
 }
 
-/// Builds the transition table with one bounded Dijkstra per candidate.
-///
-/// The expansion bound is four times the straight-line gap plus a couple of
-/// kilometres — generous enough for real detours while keeping the search
-/// local.
+/// Builds the transition table from one cached shortest-path tree per
+/// candidate, bit-equal to one bounded Dijkstra each (DESIGN §5h): a bridge
+/// counts within four times the straight-line gap plus a couple of
+/// kilometres — generous enough for real detours while keeping them local.
 #[must_use]
 pub fn build_transitions(net: &RoadNetwork, cands: &[PointCandidates]) -> TransitionTable {
+    let oracle = net.sp_oracle();
     let mut dists = Vec::with_capacity(cands.len().saturating_sub(1));
     for w in cands.windows(2) {
         let (cur, next) = (&w[0], &w[1]);
@@ -124,12 +121,12 @@ pub fn build_transitions(net: &RoadNetwork, cands: &[PointCandidates]) -> Transi
                     matrix[ai][bi] = b.offset - a.offset;
                 }
             }
-            // One bounded Dijkstra from the segment head covers every target.
+            // One tree from the segment head covers every target.
             let remaining = seg_a.length - a.offset;
-            let costs = shortest_costs_within(net, seg_a.to, CostModel::Distance, bound);
+            let tree = oracle.spt(seg_a.to, CostModel::Distance);
             for (bi, b) in next.cands.iter().enumerate() {
-                let seg_b_from = net.segment(b.segment).from;
-                if let Some(&(_, c)) = costs.iter().find(|&&(n, _)| n == seg_b_from) {
+                let c = oracle.tree_dist(&tree, net.segment(b.segment).from);
+                if c <= bound {
                     let d = remaining + c + b.offset;
                     if d < matrix[ai][bi] {
                         matrix[ai][bi] = d;
@@ -200,7 +197,7 @@ pub fn finish(net: &RoadNetwork, matched: Vec<CandidateEdge>) -> MatchResult {
 mod tests {
     use super::*;
     use hris_geo::Point;
-    use hris_roadnet::{generator, NetworkConfig, NodeId, RoadClass};
+    use hris_roadnet::{generator, NetworkConfig, NodeId, RoadClass, SegmentId};
     use hris_traj::TrajId;
 
     fn net() -> RoadNetwork {
@@ -373,6 +370,132 @@ mod tests {
             }
         }
         dedup_cycles(route)
+    }
+
+    /// `build_transitions` as it stood before the oracle: one bounded
+    /// Dijkstra per candidate.
+    fn build_transitions_classic(net: &RoadNetwork, cands: &[PointCandidates]) -> TransitionTable {
+        use hris_roadnet::shortest::shortest_costs_within;
+        let mut dists = Vec::new();
+        for w in cands.windows(2) {
+            let (cur, next) = (&w[0], &w[1]);
+            let bound = cur.point.pos.dist(next.point.pos) * 4.0 + 2_000.0;
+            let mut matrix = vec![vec![f64::INFINITY; next.cands.len()]; cur.cands.len()];
+            for (ai, a) in cur.cands.iter().enumerate() {
+                let seg_a = net.segment(a.segment);
+                for (bi, b) in next.cands.iter().enumerate() {
+                    if a.segment == b.segment && b.offset >= a.offset {
+                        matrix[ai][bi] = b.offset - a.offset;
+                    }
+                }
+                let remaining = seg_a.length - a.offset;
+                let costs = shortest_costs_within(net, seg_a.to, CostModel::Distance, bound);
+                for (bi, b) in next.cands.iter().enumerate() {
+                    let seg_b_from = net.segment(b.segment).from;
+                    if let Some(&(_, c)) = costs.iter().find(|&&(n, _)| n == seg_b_from) {
+                        matrix[ai][bi] = matrix[ai][bi].min(remaining + c + b.offset);
+                    }
+                }
+            }
+            dists.push(matrix);
+        }
+        TransitionTable { dists }
+    }
+
+    /// Reading transitions off the oracle's trees reproduces the bounded
+    /// searches' table bit for bit on random candidate sequences, including
+    /// unreachable targets, bridges just past (and just inside) the bound
+    /// and same-segment shortcuts.
+    #[test]
+    fn transitions_match_bounded_dijkstra() {
+        use hris_roadnet::shortest::shortest_path;
+        use proptest::prelude::*;
+        use rand::{Rng, SeedableRng};
+        let net = net_with_island();
+        let m = net.num_segments();
+        // [unreachable, just past the bound, just inside it, same-segment shortcut]
+        let mut regimes = [0usize; 4];
+        proptest::test_runner::run(
+            ProptestConfig::with_cases(64),
+            file!(),
+            "transitions_match_bounded_dijkstra",
+            |rng| {
+                let seed = (0u64..u64::MAX).generate(rng);
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+                let bridge = |a: &CandidateEdge, b: &CandidateEdge| {
+                    let (from, to) = (net.segment(a.segment).to, net.segment(b.segment).from);
+                    shortest_path(&net, from, to, CostModel::Distance)
+                        .map_or(f64::INFINITY, |p| p.cost)
+                };
+                let mut points: Vec<PointCandidates> = Vec::new();
+                for i in 0..rng.gen_range(2..=6) {
+                    let prev = points.last().map(|p| &p.cands);
+                    let cands: Vec<CandidateEdge> = (0..rng.gen_range(1..=5))
+                        .map(|_| {
+                            let seg = match (rng.gen_range(0..6), prev) {
+                                (0, Some(prev)) => prev[rng.gen_range(0..prev.len())].segment,
+                                (1, _) => SegmentId((m - 1 - rng.gen_range(0..2usize)) as u32),
+                                _ => SegmentId(rng.gen_range(0..m) as u32),
+                            };
+                            let offset = rng.gen_range(0.0..=net.segment(seg).length);
+                            CandidateEdge {
+                                segment: seg,
+                                dist: 0.0,
+                                closest: net.segment(seg).geometry.point_at(offset),
+                                offset,
+                            }
+                        })
+                        .collect();
+                    // Mostly, the gap puts the bound a hair from the longest
+                    // finite bridge.
+                    let mut gap: f64 = rng.gen_range(0.0..300.0);
+                    if let (Some(prev), true) = (prev, rng.gen_bool(0.8)) {
+                        let longest = prev
+                            .iter()
+                            .flat_map(|a| cands.iter().map(|b| bridge(a, b)))
+                            .filter(|c| c.is_finite())
+                            .fold(0.0, f64::max);
+                        if longest > 2_000.0 {
+                            let nudge = [-1e-3, -1e-9, 0.0, 1e-9][rng.gen_range(0..4usize)];
+                            gap = (longest - 2_000.0) / 4.0 + nudge;
+                        }
+                    }
+                    let x = points.last().map_or(0.0, |p| p.point.pos.x) + gap.max(0.0);
+                    let point = GpsPoint::new(Point::new(x, 0.0), i as f64 * 60.0);
+                    points.push(PointCandidates { point, cands });
+                }
+                let got = build_transitions(&net, &points);
+                let want = build_transitions_classic(&net, &points);
+                for (i, (g, w)) in got.dists.iter().zip(&want.dists).enumerate() {
+                    let bound = points[i].point.pos.dist(points[i + 1].point.pos) * 4.0 + 2_000.0;
+                    for (ai, a) in points[i].cands.iter().enumerate() {
+                        for (bi, b) in points[i + 1].cands.iter().enumerate() {
+                            prop_assert_eq!(
+                                g[ai][bi].to_bits(),
+                                w[ai][bi].to_bits(),
+                                "seed {} pair {} cands {}->{}",
+                                seed,
+                                i,
+                                ai,
+                                bi
+                            );
+                            let c = bridge(a, b);
+                            regimes[0] += usize::from(c.is_infinite());
+                            regimes[1] += usize::from(c > bound && c - bound < 0.01);
+                            regimes[2] += usize::from(c <= bound && bound - c < 0.01);
+                            regimes[3] +=
+                                usize::from(a.segment == b.segment && b.offset >= a.offset);
+                        }
+                    }
+                }
+                prop_assert_eq!(got.dists.len(), want.dists.len());
+                Ok(())
+            },
+        );
+        assert!(
+            regimes.iter().all(|&n| n >= 5),
+            "every regime must be exercised: {regimes:?}"
+        );
     }
 
     /// A one-way-heavy generated network plus a disconnected two-way street

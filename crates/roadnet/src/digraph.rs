@@ -1,28 +1,22 @@
-//! A generic weighted directed graph with the path algorithms HRIS needs.
+//! Weighted digraphs in CSR form and the path algorithms HRIS runs on them.
 //!
 //! Both the physical road graph and the *conceptual* traverse graph of the
 //! TGI algorithm (Definition 9) are digraphs; this module supplies the shared
-//! machinery: Dijkstra, Yen's K-shortest **simple** paths, and Tarjan's
-//! strongly-connected components (used by the graph-augmentation subroutine
-//! of Algorithm 1).
+//! machinery: [`CsrView`] with Dijkstra and Yen's K-shortest **simple**
+//! paths, Tarjan's strongly-connected components over any forward CSR
+//! ([`tarjan_scc`], used by the graph-augmentation subroutine of
+//! Algorithm 1 and by the shortest-path oracle), and the one heap order and
+//! the one scratch every Dijkstra in the crate shares.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Adjacency-list weighted digraph over `usize` node ids.
-#[derive(Debug, Clone, Default)]
-pub struct DiGraph {
-    /// `out[u]` lists `(v, weight)` pairs.
-    out: Vec<Vec<(usize, f64)>>,
-    edge_count: usize,
-}
-
-/// Flat CSR snapshot of a [`DiGraph`]'s adjacency.
+/// A weighted digraph over nodes `0..n` in compressed-sparse-row form.
 ///
 /// Yen's algorithm runs dozens of spur Dijkstras against one unchanging
 /// graph; scanning three contiguous arrays beats chasing a `Vec` per node.
-/// Per-node edge order is preserved, so relaxation order — and hence heap
-/// tie behaviour — is identical to querying the adjacency lists directly.
+/// Each node's out-edges keep the order they were given in, so relaxation
+/// order — and hence heap tie behaviour — follows the input order.
 ///
 /// The view also carries the reversed adjacency (in-edges per node), which
 /// Yen's spur pruning walks once per call to bound every node's cost to the
@@ -49,84 +43,60 @@ pub struct CsrView {
 /// the rounding of summing the same weights in a different order.
 const PRUNE_SLACK: f64 = 1e-9;
 
-impl CsrView {
-    /// Snapshots `g`. O(V + E).
-    #[must_use]
-    pub fn new(g: &DiGraph) -> Self {
-        let n = g.out.len();
-        let mut starts = Vec::with_capacity(n + 1);
-        starts.push(0u32);
-        let mut targets = Vec::with_capacity(g.edge_count);
-        let mut weights = Vec::with_capacity(g.edge_count);
-        for row in &g.out {
-            for &(v, w) in row {
-                targets.push(v as u32);
-                weights.push(w);
-            }
-            starts.push(targets.len() as u32);
-        }
-        Self::with_reverse(starts, targets, weights)
+/// Stable counting sort of `(key, value, weight)` triples by `key`: CSR
+/// offsets over `0..n`, then the values and weights grouped by key, each
+/// group in input order. O(n + edges).
+///
+/// # Panics
+/// Panics when a key or value is not below `n`, or a weight is negative or
+/// non-finite (Dijkstra's precondition).
+fn group_by_key(
+    n: usize,
+    edges: impl Iterator<Item = (u32, u32, f64)> + Clone,
+) -> (Vec<u32>, Vec<u32>, Vec<f64>) {
+    let mut starts = vec![0u32; n + 1];
+    for (u, v, w) in edges.clone() {
+        assert!(
+            (u as usize) < n && (v as usize) < n,
+            "endpoint out of range"
+        );
+        assert!(
+            w >= 0.0 && w.is_finite(),
+            "edge weight must be finite and non-negative, got {w}"
+        );
+        starts[u as usize + 1] += 1;
     }
+    for u in 0..n {
+        starts[u + 1] += starts[u];
+    }
+    let mut next = starts[..n].to_vec();
+    let mut values = vec![0u32; starts[n] as usize];
+    let mut weights = vec![0.0; starts[n] as usize];
+    for (u, v, w) in edges {
+        let slot = &mut next[u as usize];
+        values[*slot as usize] = v;
+        weights[*slot as usize] = w;
+        *slot += 1;
+    }
+    (starts, values, weights)
+}
 
-    /// Builds the CSR directly from `(u, v, weight)` edges already grouped
-    /// by ascending source node — the order [`DiGraph::add_edge`] insertion
-    /// over a sorted edge list would produce, so path algorithms behave
-    /// identically to the [`CsrView::new`] route without materialising the
-    /// intermediate adjacency lists.
+impl CsrView {
+    /// Builds the view over `n` nodes from `(u, v, weight)` edges in any
+    /// order: a stable counting sort by source, so each node's out-edges
+    /// keep their input order. O(V + E).
     ///
     /// # Panics
-    /// Panics when a source node is out of range, runs regress (not grouped
-    /// ascending), or a weight is negative/non-finite.
+    /// Panics when an endpoint is out of range or a weight is negative or
+    /// non-finite.
     #[must_use]
-    pub fn from_sorted_edges(n: usize, edges: impl Iterator<Item = (u32, u32, f64)>) -> Self {
-        let mut starts = vec![0u32; n + 1];
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
-        let mut cur = 0usize;
-        for (u, v, w) in edges {
-            let (u, v) = (u as usize, v as usize);
-            assert!(u < n && v < n, "endpoint out of range");
-            assert!(u >= cur, "edges must be grouped by ascending source");
-            assert!(
-                w >= 0.0 && w.is_finite(),
-                "edge weight must be finite and non-negative, got {w}"
-            );
-            while cur < u {
-                cur += 1;
-                starts[cur] = targets.len() as u32;
-            }
-            targets.push(v as u32);
-            weights.push(w);
-        }
-        while cur < n {
-            cur += 1;
-            starts[cur] = targets.len() as u32;
-        }
-        Self::with_reverse(starts, targets, weights)
-    }
-
-    /// Completes a forward CSR with its reversed adjacency: a counting sort
-    /// of the edges by target node. O(V + E).
-    fn with_reverse(starts: Vec<u32>, targets: Vec<u32>, weights: Vec<f64>) -> Self {
-        let n = starts.len() - 1;
-        let mut rev_starts = vec![0u32; n + 1];
-        for &v in &targets {
-            rev_starts[v as usize + 1] += 1;
-        }
-        for v in 0..n {
-            rev_starts[v + 1] += rev_starts[v];
-        }
-        let mut next = rev_starts[..n].to_vec();
-        let mut rev_sources = vec![0u32; targets.len()];
-        let mut rev_weights = vec![0.0; targets.len()];
-        for u in 0..n {
-            for e in starts[u] as usize..starts[u + 1] as usize {
-                let slot = &mut next[targets[e] as usize];
-                rev_sources[*slot as usize] = u as u32;
-                rev_weights[*slot as usize] = weights[e];
-                *slot += 1;
-            }
-        }
+    pub fn new(n: usize, edges: impl Iterator<Item = (u32, u32, f64)> + Clone) -> Self {
+        let (starts, targets, weights) = group_by_key(n, edges);
+        // In-edges grouped by target; within a target, by source.
+        let (s, t, w) = (&starts, &targets, &weights);
+        let reversed = (0..n)
+            .flat_map(|u| (s[u] as usize..s[u + 1] as usize).map(move |e| (t[e], u as u32, w[e])));
+        let (rev_starts, rev_sources, rev_weights) = group_by_key(n, reversed);
         CsrView {
             starts,
             targets,
@@ -137,15 +107,28 @@ impl CsrView {
         }
     }
 
-    /// Number of nodes in the snapshot.
+    /// Number of nodes in the view.
     #[must_use]
     pub fn num_nodes(&self) -> usize {
         self.starts.len() - 1
     }
 
+    /// Each node's strongly-connected component and the number of
+    /// components ([`tarjan_scc`] over the view).
+    #[must_use]
+    pub fn components(&self) -> (Vec<u32>, usize) {
+        tarjan_scc(&self.starts, &self.targets)
+    }
+
+    /// `true` if every node can reach every other (vacuously true when
+    /// empty or single-node).
+    #[must_use]
+    pub fn is_strongly_connected(&self) -> bool {
+        self.components().1 <= 1
+    }
+
     /// Cost of hop `u → v`: the cheapest parallel edge, scanned in edge
-    /// order exactly as [`DiGraph::path_cost`] selects it; `f64::INFINITY`
-    /// when no such edge exists.
+    /// order; `f64::INFINITY` when no such edge exists.
     #[inline]
     fn hop_cost(&self, u: usize, v: usize) -> f64 {
         let mut best = f64::INFINITY;
@@ -158,8 +141,9 @@ impl CsrView {
     }
 
     /// Dijkstra from `source` to `target` avoiding `banned_nodes_list` and
-    /// `banned_edges`, reusing caller-owned scratch. The single shared
-    /// implementation behind [`DiGraph::shortest_path_avoiding`] and Yen.
+    /// `banned_edges` (`(u, v)` pairs banning every parallel edge between
+    /// them), reusing caller-owned scratch: the spur-path primitive of Yen's
+    /// algorithm.
     #[must_use]
     pub fn shortest_path_avoiding_with(
         &self,
@@ -182,7 +166,7 @@ impl CsrView {
         if scratch.banned(source) || scratch.banned(target) {
             return None;
         }
-        scratch.relax(source, 0.0, usize::MAX);
+        scratch.relax(source, 0.0, u32::MAX);
         scratch.heap.push(HeapItem {
             cost: 0.0,
             node: source,
@@ -209,7 +193,7 @@ impl CsrView {
                     continue;
                 }
                 if nd < scratch.dist(v) {
-                    scratch.relax(v, nd, node);
+                    scratch.relax(v, nd, node as u32);
                     scratch.heap.push(HeapItem { cost: nd, node: v });
                 }
             }
@@ -220,7 +204,7 @@ impl CsrView {
         let mut nodes = vec![target];
         let mut cur = target;
         while cur != source {
-            cur = scratch.prev[cur];
+            cur = scratch.prev(cur) as usize;
             nodes.push(cur);
         }
         nodes.reverse();
@@ -230,10 +214,9 @@ impl CsrView {
         })
     }
 
-    /// Yen's algorithm over the snapshot, reusing caller-owned scratch: up
-    /// to `k` shortest **simple** (loopless) paths from `source` to
-    /// `target`, in non-decreasing cost order. The implementation behind
-    /// [`DiGraph::k_shortest_paths`]; callers running Yen for many endpoint
+    /// Yen's algorithm over the view, reusing caller-owned scratch: up to
+    /// `k` shortest **simple** (loopless) paths from `source` to `target`,
+    /// in non-decreasing cost order. Callers running Yen for many endpoint
     /// pairs of one graph should build the view and scratch once.
     ///
     /// Spur searches that provably cannot reach the top `k` are skipped:
@@ -285,8 +268,8 @@ impl CsrView {
             let needed = k - accepted.len();
             let last = &accepted[accepted.len() - 1];
             // Running prefix cost: extended hop by hop with the same
-            // left-to-right additions `path_cost` would perform, so every
-            // spur sees bit-identical root costs.
+            // left-to-right additions a path-cost fold would perform, so
+            // every spur sees bit-identical root costs.
             let mut root_cost = 0.0;
             for i in 0..last.nodes.len() - 1 {
                 let spur_node = last.nodes[i];
@@ -345,8 +328,8 @@ impl CsrView {
                     }
                 }
 
-                // Extend the prefix by hop (nodes[i], nodes[i+1]) — cheapest
-                // parallel edge, exactly as `path_cost` selects it.
+                // Extend the prefix by hop (nodes[i], nodes[i+1]) — the
+                // cheapest parallel edge.
                 root_cost += self.hop_cost(last.nodes[i], last.nodes[i + 1]);
             }
             if candidates.is_empty() {
@@ -386,7 +369,73 @@ impl CsrView {
     }
 }
 
-/// A path through a [`DiGraph`]: node sequence plus total weight.
+/// Tarjan's strongly-connected components (iterative) of the forward CSR
+/// `starts`/`targets`: `starts[u]..starts[u + 1]` indexes `u`'s targets.
+///
+/// Returns each node's component and the number of components. Component
+/// indices are in reverse topological order of the condensation: every
+/// cross-component edge `u → v` has `comp[v] < comp[u]`.
+#[must_use]
+pub fn tarjan_scc(starts: &[u32], targets: &[u32]) -> (Vec<u32>, usize) {
+    let n = starts.len() - 1;
+    let mut index = vec![usize::MAX; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut comp = vec![u32::MAX; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut next_index = 0usize;
+    let mut comp_count = 0usize;
+    // Explicit DFS stack: (node, next edge to scan).
+    let mut dfs: Vec<(usize, usize)> = Vec::new();
+
+    for start in 0..n {
+        if index[start] != usize::MAX {
+            continue;
+        }
+        dfs.push((start, starts[start] as usize));
+        index[start] = next_index;
+        low[start] = next_index;
+        next_index += 1;
+        stack.push(start);
+        on_stack[start] = true;
+
+        while let Some(&mut (u, ref mut edge)) = dfs.last_mut() {
+            if *edge < starts[u + 1] as usize {
+                let v = targets[*edge] as usize;
+                *edge += 1;
+                if index[v] == usize::MAX {
+                    index[v] = next_index;
+                    low[v] = next_index;
+                    next_index += 1;
+                    stack.push(v);
+                    on_stack[v] = true;
+                    dfs.push((v, starts[v] as usize));
+                } else if on_stack[v] {
+                    low[u] = low[u].min(index[v]);
+                }
+            } else {
+                dfs.pop();
+                if let Some(&(parent, _)) = dfs.last() {
+                    low[parent] = low[parent].min(low[u]);
+                }
+                if low[u] == index[u] {
+                    loop {
+                        let w = stack.pop().expect("tarjan stack underflow");
+                        on_stack[w] = false;
+                        comp[w] = comp_count as u32;
+                        if w == u {
+                            break;
+                        }
+                    }
+                    comp_count += 1;
+                }
+            }
+        }
+    }
+    (comp, comp_count)
+}
+
+/// A path through a [`CsrView`]: node sequence plus total weight.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphPath {
     /// Visited nodes, source first.
@@ -395,10 +444,11 @@ pub struct GraphPath {
     pub cost: f64,
 }
 
+/// A Dijkstra heap entry: the one heap order of every search in the crate.
 #[derive(Debug, PartialEq)]
-struct HeapItem {
-    cost: f64,
-    node: usize,
+pub(crate) struct HeapItem {
+    pub(crate) cost: f64,
+    pub(crate) node: usize,
 }
 impl Eq for HeapItem {}
 impl PartialOrd for HeapItem {
@@ -417,38 +467,38 @@ impl Ord for HeapItem {
     }
 }
 
-/// Reusable buffers for repeated [`DiGraph`] shortest-path runs.
+/// Reusable, epoch-stamped Dijkstra working state: the one scratch of every
+/// search in the crate.
+///
+/// `dist`/`prev` entries (and bans) are only valid where their stamp equals
+/// the current epoch, so starting a run is one counter increment instead of
+/// an O(V) fill, and a run on recycled buffers is indistinguishable from one
+/// on fresh allocations (pinned by `scratch_reuse_matches_fresh` below and
+/// by the oracle's differential suite). `prev` holds a node for
+/// [`CsrView`] and a segment for the shortest-path oracle.
 ///
 /// Yen's algorithm performs one spur Dijkstra per (accepted path, spur
-/// node) pair — dozens per `k_shortest_paths` call. Allocating `dist` /
-/// `prev` / banned arrays for each spur dominates the cost on the small
-/// traverse graphs of local inference, so the buffers live here and are
-/// invalidated in O(1) per run by an epoch stamp: an entry is only valid
-/// when its stamp matches the current epoch. Results are byte-identical to
-/// fresh allocation (pinned by `scratch_reuse_matches_fresh` below).
+/// node) pair — dozens per call — so its per-call buffers live here too, as
+/// does the oracle's tree-path stack.
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
     dist: Vec<f64>,
-    prev: Vec<usize>,
-    dist_stamp: Vec<u32>,
+    prev: Vec<u32>,
+    stamp: Vec<u32>,
     banned_stamp: Vec<u32>,
     epoch: u32,
-    heap: BinaryHeap<HeapItem>,
+    pub(crate) heap: BinaryHeap<HeapItem>,
     /// Yen's per-call bound on every node's cost to the target.
     to_target: Vec<f64>,
     /// Yen's per-spur banned edges.
     banned_edges: Vec<(usize, usize)>,
+    /// The oracle's tree path, target first.
+    pub(crate) path: Vec<u32>,
 }
 
 impl DijkstraScratch {
-    /// Scratch sized for `g`; growing lazily, any size works for any graph.
-    #[must_use]
-    pub fn for_graph(g: &DiGraph) -> Self {
-        Self::for_nodes(g.num_nodes())
-    }
-
-    /// Scratch pre-sized for `n` nodes (e.g. for a [`CsrView`] built without
-    /// an intermediate [`DiGraph`]); growing lazily, any size works.
+    /// Scratch pre-sized for `n` nodes; growing lazily, any size works for
+    /// any graph.
     #[must_use]
     pub fn for_nodes(n: usize) -> Self {
         let mut s = DijkstraScratch::default();
@@ -459,39 +509,51 @@ impl DijkstraScratch {
     fn grow(&mut self, n: usize) {
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
-            self.prev.resize(n, usize::MAX);
-            self.dist_stamp.resize(n, 0);
+            self.prev.resize(n, u32::MAX);
+            self.stamp.resize(n, 0);
             self.banned_stamp.resize(n, 0);
         }
     }
 
-    /// Starts a new run: clears the heap and invalidates every stamped
-    /// entry by bumping the epoch (wraparound refills the stamp arrays).
-    fn begin(&mut self, n: usize) {
+    /// Starts a new run over `n` nodes: clears the heap and invalidates
+    /// every stamped entry by bumping the epoch (wraparound refills the
+    /// stamp arrays).
+    pub(crate) fn begin(&mut self, n: usize) {
         self.grow(n);
         self.heap.clear();
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.dist_stamp.fill(0);
+            self.stamp.fill(0);
             self.banned_stamp.fill(0);
             self.epoch = 1;
         }
     }
 
+    /// Distance label of `v` in the current run (∞ when untouched).
     #[inline]
-    fn dist(&self, v: usize) -> f64 {
-        if self.dist_stamp[v] == self.epoch {
+    pub(crate) fn dist(&self, v: usize) -> f64 {
+        if self.stamp[v] == self.epoch {
             self.dist[v]
         } else {
             f64::INFINITY
         }
     }
 
+    /// Predecessor of `v` in the current run (`u32::MAX` = none).
     #[inline]
-    fn relax(&mut self, v: usize, d: f64, from: usize) {
+    pub(crate) fn prev(&self, v: usize) -> u32 {
+        if self.stamp[v] == self.epoch {
+            self.prev[v]
+        } else {
+            u32::MAX
+        }
+    }
+
+    #[inline]
+    pub(crate) fn relax(&mut self, v: usize, d: f64, via: u32) {
         self.dist[v] = d;
-        self.prev[v] = from;
-        self.dist_stamp[v] = self.epoch;
+        self.prev[v] = via;
+        self.stamp[v] = self.epoch;
     }
 
     #[inline]
@@ -505,284 +567,46 @@ impl DijkstraScratch {
     }
 }
 
-impl DiGraph {
-    /// Creates a graph with `n` nodes and no edges.
-    #[must_use]
-    pub fn with_nodes(n: usize) -> Self {
-        DiGraph {
-            out: vec![Vec::new(); n],
-            edge_count: 0,
-        }
-    }
-
-    /// Number of nodes.
-    #[inline]
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.out.len()
-    }
-
-    /// Number of directed edges.
-    #[inline]
-    #[must_use]
-    pub fn num_edges(&self) -> usize {
-        self.edge_count
-    }
-
-    /// Appends a fresh node, returning its id.
-    pub fn add_node(&mut self) -> usize {
-        self.out.push(Vec::new());
-        self.out.len() - 1
-    }
-
-    /// Adds a directed edge `u → v` with `weight >= 0`.
-    ///
-    /// # Panics
-    /// Panics on negative or non-finite weights (Dijkstra's precondition)
-    /// and on out-of-range endpoints.
-    pub fn add_edge(&mut self, u: usize, v: usize, weight: f64) {
-        assert!(
-            weight >= 0.0 && weight.is_finite(),
-            "edge weight must be finite and non-negative, got {weight}"
-        );
-        assert!(
-            u < self.out.len() && v < self.out.len(),
-            "endpoint out of range"
-        );
-        self.out[u].push((v, weight));
-        self.edge_count += 1;
-    }
-
-    // ------------------------------------------------------------- dijkstra
-
-    /// Single-source Dijkstra; returns per-node `(distance, predecessor)`.
-    ///
-    /// Unreachable nodes get `f64::INFINITY` / `usize::MAX`.
-    #[must_use]
-    pub fn dijkstra(&self, source: usize) -> (Vec<f64>, Vec<usize>) {
-        self.dijkstra_internal(source, None, &[])
-    }
-
-    fn dijkstra_internal(
-        &self,
-        source: usize,
-        target: Option<usize>,
-        banned_nodes: &[bool],
-    ) -> (Vec<f64>, Vec<usize>) {
-        let n = self.out.len();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev = vec![usize::MAX; n];
-        if source >= n || banned_nodes.get(source).copied().unwrap_or(false) {
-            return (dist, prev);
-        }
-        dist[source] = 0.0;
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapItem {
-            cost: 0.0,
-            node: source,
-        });
-        while let Some(HeapItem { cost, node }) = heap.pop() {
-            if cost > dist[node] {
-                continue;
-            }
-            if Some(node) == target {
-                break;
-            }
-            for &(v, w) in &self.out[node] {
-                if banned_nodes.get(v).copied().unwrap_or(false) {
-                    continue;
-                }
-                let nd = cost + w;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev[v] = node;
-                    heap.push(HeapItem { cost: nd, node: v });
-                }
-            }
-        }
-        (dist, prev)
-    }
-
-    /// Shortest path from `source` to `target`, if one exists.
-    #[must_use]
-    pub fn shortest_path(&self, source: usize, target: usize) -> Option<GraphPath> {
-        self.shortest_path_avoiding(source, target, &[], &[])
-    }
-
-    /// Shortest path avoiding the given nodes and edges.
-    ///
-    /// `banned_edges` entries are `(u, v)` pairs banning every parallel edge
-    /// between them. This is the spur-path primitive of Yen's algorithm.
-    #[must_use]
-    pub fn shortest_path_avoiding(
-        &self,
-        source: usize,
-        target: usize,
-        banned_nodes_list: &[usize],
-        banned_edges: &[(usize, usize)],
-    ) -> Option<GraphPath> {
-        let mut scratch = DijkstraScratch::default();
-        self.shortest_path_avoiding_with(
-            &mut scratch,
-            source,
-            target,
-            banned_nodes_list,
-            banned_edges,
-        )
-    }
-
-    /// [`DiGraph::shortest_path_avoiding`] reusing caller-owned scratch
-    /// buffers — the zero-alloc spur primitive of Yen's algorithm.
-    ///
-    /// Snapshots the adjacency into CSR form first; callers issuing many
-    /// searches against one graph (Yen) should build a [`CsrView`] once and
-    /// query it directly.
-    #[must_use]
-    pub fn shortest_path_avoiding_with(
-        &self,
-        scratch: &mut DijkstraScratch,
-        source: usize,
-        target: usize,
-        banned_nodes_list: &[usize],
-        banned_edges: &[(usize, usize)],
-    ) -> Option<GraphPath> {
-        CsrView::new(self).shortest_path_avoiding_with(
-            scratch,
-            source,
-            target,
-            banned_nodes_list,
-            banned_edges,
-        )
-    }
-
-    // ------------------------------------------------------------ Yen's KSP
-
-    /// Yen's algorithm: up to `k` shortest **simple** (loopless) paths from
-    /// `source` to `target`, in non-decreasing cost order.
-    ///
-    /// Used by the route-choice model of the taxi simulator. Algorithm 1
-    /// (TGI) runs Yen many times per traverse graph, so it builds one
-    /// [`CsrView`] and calls [`CsrView::k_shortest_paths_with`] directly.
-    #[must_use]
-    pub fn k_shortest_paths(&self, source: usize, target: usize, k: usize) -> Vec<GraphPath> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut scratch = DijkstraScratch::for_graph(self);
-        // One CSR snapshot serves every spur search of this call.
-        CsrView::new(self).k_shortest_paths_with(&mut scratch, source, target, k)
-    }
-
-    /// Cost of a concrete node sequence (cheapest parallel edge per hop);
-    /// `f64::INFINITY` if some hop has no edge.
-    #[must_use]
-    pub fn path_cost(&self, nodes: &[usize]) -> f64 {
-        let mut cost = 0.0;
-        for w in nodes.windows(2) {
-            let best = self.out[w[0]]
-                .iter()
-                .filter(|&&(v, _)| v == w[1])
-                .map(|&(_, c)| c)
-                .min_by(f64::total_cmp);
-            match best {
-                Some(c) => cost += c,
-                None => return f64::INFINITY,
-            }
-        }
-        cost
-    }
-
-    // ----------------------------------------------------------- Tarjan SCC
-
-    /// Tarjan's strongly-connected components (iterative).
-    ///
-    /// Returns `comp[u]` — the component index of each node. Component
-    /// indices are in reverse topological order of the condensation.
-    #[must_use]
-    pub fn tarjan_scc(&self) -> Vec<usize> {
-        let n = self.out.len();
-        let mut index = vec![usize::MAX; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut comp = vec![usize::MAX; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        let mut comp_count = 0usize;
-        // Explicit DFS stack: (node, next child position).
-        let mut dfs: Vec<(usize, usize)> = Vec::new();
-
-        for start in 0..n {
-            if index[start] != usize::MAX {
-                continue;
-            }
-            dfs.push((start, 0));
-            index[start] = next_index;
-            low[start] = next_index;
-            next_index += 1;
-            stack.push(start);
-            on_stack[start] = true;
-
-            while let Some(&mut (u, ref mut child)) = dfs.last_mut() {
-                if *child < self.out[u].len() {
-                    let v = self.out[u][*child].0;
-                    *child += 1;
-                    if index[v] == usize::MAX {
-                        index[v] = next_index;
-                        low[v] = next_index;
-                        next_index += 1;
-                        stack.push(v);
-                        on_stack[v] = true;
-                        dfs.push((v, 0));
-                    } else if on_stack[v] {
-                        low[u] = low[u].min(index[v]);
-                    }
-                } else {
-                    dfs.pop();
-                    if let Some(&(parent, _)) = dfs.last() {
-                        low[parent] = low[parent].min(low[u]);
-                    }
-                    if low[u] == index[u] {
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            comp[w] = comp_count;
-                            if w == u {
-                                break;
-                            }
-                        }
-                        comp_count += 1;
-                    }
-                }
-            }
-        }
-        comp
-    }
-
-    /// `true` if the graph is strongly connected (vacuously true when empty
-    /// or single-node).
-    #[must_use]
-    pub fn is_strongly_connected(&self) -> bool {
-        if self.out.len() <= 1 {
-            return true;
-        }
-        let comp = self.tarjan_scc();
-        comp.iter().all(|&c| c == comp[0])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn graph(n: usize, edges: &[(u32, u32, f64)]) -> CsrView {
+        CsrView::new(n, edges.iter().copied())
+    }
+
+    fn shortest(g: &CsrView, source: usize, target: usize) -> Option<GraphPath> {
+        g.shortest_path_avoiding_with(&mut DijkstraScratch::default(), source, target, &[], &[])
+    }
+
+    fn ksp(g: &CsrView, source: usize, target: usize, k: usize) -> Vec<GraphPath> {
+        g.k_shortest_paths_with(&mut DijkstraScratch::default(), source, target, k)
+    }
+
     /// Diamond: 0→1→3, 0→2→3 with asymmetric weights, plus a direct 0→3.
-    fn diamond() -> DiGraph {
-        let mut g = DiGraph::with_nodes(4);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 3, 1.0);
-        g.add_edge(0, 2, 2.0);
-        g.add_edge(2, 3, 2.0);
-        g.add_edge(0, 3, 5.0);
-        g
+    fn diamond() -> CsrView {
+        graph(
+            4,
+            &[
+                (0, 1, 1.0),
+                (1, 3, 1.0),
+                (0, 2, 2.0),
+                (2, 3, 2.0),
+                (0, 3, 5.0),
+            ],
+        )
+    }
+
+    #[test]
+    fn csr_groups_by_source_in_input_order() {
+        let g = graph(3, &[(2, 0, 1.0), (0, 2, 2.0), (2, 1, 3.0), (0, 1, 4.0)]);
+        assert_eq!(g.starts, [0, 2, 2, 4]);
+        assert_eq!(g.targets, [2, 1, 0, 1]);
+        assert_eq!(g.weights, [2.0, 4.0, 1.0, 3.0]);
+        // In-edges per target, sources ascending.
+        assert_eq!(g.rev_starts, [0, 1, 3, 4]);
+        assert_eq!(g.rev_sources, [2, 0, 2, 0]);
+        assert_eq!(g.rev_weights, [1.0, 4.0, 3.0, 2.0]);
     }
 
     #[test]
@@ -790,7 +614,7 @@ mod tests {
         // One scratch reused across runs — with bans, unreachable targets
         // and wraparound-adjacent epochs — must equal fresh allocation.
         let g = diamond();
-        let mut reused = DijkstraScratch::for_graph(&g);
+        let mut reused = DijkstraScratch::for_nodes(g.num_nodes());
         type Case = (usize, usize, Vec<usize>, Vec<(usize, usize)>);
         let cases: Vec<Case> = vec![
             (0, 3, vec![], vec![]),
@@ -803,7 +627,8 @@ mod tests {
         for _round in 0..3 {
             for (s, t, bn, be) in &cases {
                 let got = g.shortest_path_avoiding_with(&mut reused, *s, *t, bn, be);
-                let want = g.shortest_path_avoiding(*s, *t, bn, be);
+                let mut fresh = DijkstraScratch::default();
+                let want = g.shortest_path_avoiding_with(&mut fresh, *s, *t, bn, be);
                 assert_eq!(got, want, "{s}->{t} banned {bn:?}/{be:?}");
             }
         }
@@ -811,33 +636,29 @@ mod tests {
 
     #[test]
     fn dijkstra_finds_shortest() {
-        let g = diamond();
-        let p = g.shortest_path(0, 3).unwrap();
+        let p = shortest(&diamond(), 0, 3).unwrap();
         assert_eq!(p.nodes, vec![0, 1, 3]);
         assert!((p.cost - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn dijkstra_unreachable() {
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge(0, 1, 1.0);
-        assert!(g.shortest_path(0, 2).is_none());
+        let g = graph(3, &[(0, 1, 1.0)]);
+        assert!(shortest(&g, 0, 2).is_none());
         // Reverse direction has no edge either.
-        assert!(g.shortest_path(1, 0).is_none());
+        assert!(shortest(&g, 1, 0).is_none());
     }
 
     #[test]
     fn dijkstra_source_equals_target() {
-        let g = diamond();
-        let p = g.shortest_path(2, 2).unwrap();
+        let p = shortest(&diamond(), 2, 2).unwrap();
         assert_eq!(p.nodes, vec![2]);
         assert_eq!(p.cost, 0.0);
     }
 
     #[test]
     fn ksp_orders_three_paths() {
-        let g = diamond();
-        let ps = g.k_shortest_paths(0, 3, 5);
+        let ps = ksp(&diamond(), 0, 3, 5);
         assert_eq!(ps.len(), 3);
         assert_eq!(ps[0].nodes, vec![0, 1, 3]);
         assert_eq!(ps[1].nodes, vec![0, 2, 3]);
@@ -847,14 +668,9 @@ mod tests {
 
     #[test]
     fn ksp_paths_are_simple() {
-        // Graph with a tempting cycle.
-        let mut g = DiGraph::with_nodes(4);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
-        g.add_edge(2, 1, 0.1); // cycle 1→2→1
-        g.add_edge(2, 3, 1.0);
-        let ps = g.k_shortest_paths(0, 3, 10);
-        for p in &ps {
+        // Graph with a tempting cycle 1→2→1.
+        let g = graph(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 1, 0.1), (2, 3, 1.0)]);
+        for p in &ksp(&g, 0, 3, 10) {
             let mut seen = std::collections::HashSet::new();
             for &nd in &p.nodes {
                 assert!(seen.insert(nd), "path revisits node {nd}: {:?}", p.nodes);
@@ -864,11 +680,8 @@ mod tests {
 
     #[test]
     fn ksp_k_zero_and_disconnected() {
-        let g = diamond();
-        assert!(g.k_shortest_paths(0, 3, 0).is_empty());
-        let mut g2 = DiGraph::with_nodes(2);
-        g2.add_node();
-        assert!(g2.k_shortest_paths(0, 1, 3).is_empty());
+        assert!(ksp(&diamond(), 0, 3, 0).is_empty());
+        assert!(ksp(&graph(3, &[]), 0, 1, 3).is_empty());
     }
 
     /// The spur loop without the prune: every spur search runs. Extraction
@@ -996,24 +809,24 @@ mod tests {
         let mut coupled = 0;
         for case in 0..graphs {
             let n = 2 + (next() % 9) as usize;
-            let edges = next() as usize % (n * n * 3 / 2 + 1);
-            let mut g = DiGraph::with_nodes(n);
-            for _ in 0..edges {
-                let (u, v) = ((next() % n as u64) as usize, (next() % n as u64) as usize);
+            let num_edges = next() as usize % (n * n * 3 / 2 + 1);
+            let mut edges = Vec::with_capacity(num_edges);
+            for _ in 0..num_edges {
+                let (u, v) = ((next() % n as u64) as u32, (next() % n as u64) as u32);
                 let w = if case % real_every == 0 {
                     (next() % 1_000_000) as f64 / 1e5
                 } else {
                     (1 + next() % 3) as f64
                 };
-                g.add_edge(u, v, w);
+                edges.push((u, v, w));
             }
-            let csr = CsrView::new(&g);
+            let csr = graph(n, &edges);
             for _ in 0..4 {
                 let (s, t) = ((next() % n as u64) as usize, (next() % n as u64) as usize);
                 let k = 1 + (next() % 8) as usize;
                 let got = csr.k_shortest_paths_with(&mut pruned, s, t, k);
                 let (want, c) = unpruned_yen(&csr, &mut reference, s, t, k);
-                assert_eq!(got, want, "case {case}: {s}->{t} k={k} on {g:?}");
+                assert_eq!(got, want, "case {case}: {s}->{t} k={k} on {edges:?}");
                 coupled += usize::from(c);
             }
         }
@@ -1049,46 +862,55 @@ mod tests {
     #[test]
     fn scc_detects_components() {
         // Two 2-cycles joined by a one-way edge.
-        let mut g = DiGraph::with_nodes(4);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 0, 1.0);
-        g.add_edge(2, 3, 1.0);
-        g.add_edge(3, 2, 1.0);
-        g.add_edge(1, 2, 1.0);
-        let comp = g.tarjan_scc();
+        let mut edges = vec![
+            (0, 1, 1.0),
+            (1, 0, 1.0),
+            (2, 3, 1.0),
+            (3, 2, 1.0),
+            (1, 2, 1.0),
+        ];
+        let g = graph(4, &edges);
+        let (comp, count) = g.components();
+        assert_eq!(count, 2);
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[2], comp[3]);
         assert_ne!(comp[0], comp[2]);
+        // Reverse topological: the edge 1 → 2 runs to a lower component.
+        assert!(comp[2] < comp[1]);
         assert!(!g.is_strongly_connected());
         // Close the loop.
-        g.add_edge(3, 0, 1.0);
-        assert!(g.is_strongly_connected());
+        edges.push((3, 0, 1.0));
+        assert!(graph(4, &edges).is_strongly_connected());
     }
 
     #[test]
     fn scc_handles_self_loops_and_isolated() {
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge(0, 0, 1.0);
-        let comp = g.tarjan_scc();
+        let (comp, count) = graph(3, &[(0, 0, 1.0)]).components();
         assert_eq!(comp.len(), 3);
         // All three nodes are their own components.
+        assert_eq!(count, 3);
         assert_ne!(comp[0], comp[1]);
         assert_ne!(comp[1], comp[2]);
+        assert!(graph(0, &[]).is_strongly_connected());
+        assert!(graph(1, &[]).is_strongly_connected());
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_weight_rejected() {
-        let mut g = DiGraph::with_nodes(2);
-        g.add_edge(0, 1, -1.0);
+        let _ = graph(2, &[(0, 1, -1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn endpoint_out_of_range_rejected() {
+        let _ = graph(2, &[(0, 2, 1.0)]);
     }
 
     #[test]
     fn path_cost_uses_cheapest_parallel() {
-        let mut g = DiGraph::with_nodes(2);
-        g.add_edge(0, 1, 5.0);
-        g.add_edge(0, 1, 3.0);
-        assert!((g.path_cost(&[0, 1]) - 3.0).abs() < 1e-12);
-        assert_eq!(g.path_cost(&[1, 0]), f64::INFINITY);
+        let g = graph(2, &[(0, 1, 5.0), (0, 1, 3.0)]);
+        assert_eq!(g.hop_cost(0, 1), 3.0);
+        assert_eq!(g.hop_cost(1, 0), f64::INFINITY);
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! Generation is fully deterministic for a given [`NetworkConfig::seed`].
 
-use crate::digraph::DiGraph;
+use crate::digraph::CsrView;
 use crate::ids::NodeId;
 use crate::network::{RoadNetwork, RoadNetworkBuilder};
 use hris_geo::{Point, Polyline};
@@ -310,17 +310,14 @@ fn curved_shape(a: Point, b: Point, curve_frac: f64, rng: &mut StdRng) -> Polyli
 
 /// Strong connectivity of the street multigraph restricted to `alive` streets.
 fn strongly_connected(streets: &[Street], alive: &[bool], num_nodes: usize) -> bool {
-    let mut g = DiGraph::with_nodes(num_nodes);
-    for (i, s) in streets.iter().enumerate() {
-        if !alive[i] {
-            continue;
-        }
-        g.add_edge(s.a, s.b, 1.0);
+    let mut edges = Vec::with_capacity(streets.len() * 2);
+    for (s, _) in streets.iter().zip(alive).filter(|(_, &on)| on) {
+        edges.push((s.a as u32, s.b as u32, 1.0));
         if !s.oneway {
-            g.add_edge(s.b, s.a, 1.0);
+            edges.push((s.b as u32, s.a as u32, 1.0));
         }
     }
-    g.is_strongly_connected()
+    CsrView::new(num_nodes, edges.iter().copied()).is_strongly_connected()
 }
 
 /// Fisher–Yates shuffle (avoids pulling in `rand`'s slice extension traits).

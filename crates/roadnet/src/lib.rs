@@ -7,9 +7,15 @@
 //!   bounding boxes, and segment-level hop search for λ-neighborhoods
 //!   (Definition 8).
 //! - [`Route`] — a connected sequence of road segments (Definition 4).
-//! - [`DiGraph`] — a generic weighted digraph with Dijkstra, Yen's K-shortest
-//!   simple paths, and Tarjan SCC; used both here and by the traverse-graph
-//!   construction in the core crate.
+//! - [`CsrView`] — a weighted digraph in CSR form with Dijkstra, Yen's
+//!   K-shortest simple paths and Tarjan SCC, sharing one heap order and one
+//!   [`DijkstraScratch`] with every other search in the crate; used by the
+//!   traverse-graph construction in the core crate and the simulator's
+//!   route choice.
+//! - [`SpOracle`] — the road network's shortest-path oracle (CSR adjacency,
+//!   SCC reachability, cached shortest-path trees) that every production
+//!   road-network search runs on; [`shortest`] keeps the textbook searches
+//!   it is checked against.
 //! - [`generator`] — a synthetic urban network generator standing in for the
 //!   paper's Beijing road network (see DESIGN.md, substitutions table).
 
@@ -24,11 +30,10 @@ pub mod oracle;
 pub mod route;
 pub mod shortest;
 
-pub use digraph::{CsrView, DiGraph, DijkstraScratch};
+pub use digraph::{tarjan_scc, CsrView, DijkstraScratch};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use generator::{NetworkConfig, RoadClass};
 pub use ids::{NodeId, SegmentId};
-pub use network::{LambdaSoA, RoadNetwork, Segment};
-pub use oracle::{CsrAdjacency, ScratchBuffers, SpOracle, SptTree};
+pub use network::{CostModel, LambdaSoA, RoadNetwork, Segment};
+pub use oracle::{PathResult, SpOracle, SptTree};
 pub use route::Route;
-pub use shortest::{CostModel, PathResult};

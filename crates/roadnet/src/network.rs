@@ -1,13 +1,14 @@
 //! The road network: directed segments with shape, length and speed limits.
 
-use crate::digraph::DiGraph;
+use crate::digraph::{CsrView, DijkstraScratch, GraphPath};
 use crate::fxhash::FxHashMap;
 use crate::generator::RoadClass;
 use crate::ids::{NodeId, SegmentId};
 use crate::oracle::SpOracle;
-use crate::shortest::CostModel;
+use crate::route::Route;
 use hris_geo::{BBox, Point, Polyline};
 use hris_rtree::{RTree, Spatial};
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -36,6 +37,28 @@ impl Segment {
     #[must_use]
     pub fn travel_time(&self) -> f64 {
         self.length / self.speed_limit
+    }
+}
+
+/// Which quantity a shortest-path search minimises.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+pub enum CostModel {
+    /// Minimise travelled distance (metres).
+    #[default]
+    Distance,
+    /// Minimise free-flow travel time (seconds).
+    Time,
+}
+
+impl CostModel {
+    /// Cost of traversing one segment under this model.
+    #[inline]
+    #[must_use]
+    pub fn cost(self, seg: &Segment) -> f64 {
+        match self {
+            CostModel::Distance => seg.length,
+            CostModel::Time => seg.travel_time(),
+        }
     }
 }
 
@@ -562,22 +585,46 @@ impl RoadNetwork {
         fresh
     }
 
-    /// Converts the node-level graph into a [`DiGraph`] under a cost model.
-    ///
-    /// Node `u` of the digraph corresponds to `NodeId(u as u32)`.
-    #[must_use]
-    pub fn to_digraph(&self, model: CostModel) -> DiGraph {
-        let mut g = DiGraph::with_nodes(self.nodes.len());
-        for seg in &self.segments {
-            g.add_edge(seg.from.index(), seg.to.index(), model.cost(seg));
-        }
-        g
+    /// The node-level graph as a [`CsrView`] under a cost model: node `u`
+    /// is `NodeId(u as u32)`, and each node's edges are its segments in id
+    /// order.
+    fn node_graph(&self, model: CostModel) -> CsrView {
+        let edges = self
+            .segments
+            .iter()
+            .map(|s| (s.from.0, s.to.0, model.cost(s)));
+        CsrView::new(self.nodes.len(), edges)
     }
 
     /// `true` if every vertex can reach every other vertex.
     #[must_use]
     pub fn is_strongly_connected(&self) -> bool {
-        self.to_digraph(CostModel::Distance).is_strongly_connected()
+        self.node_graph(CostModel::Distance).is_strongly_connected()
+    }
+
+    /// Up to `k` shortest simple node paths between two vertices (Yen), in
+    /// non-decreasing cost order, each mapped back to a [`Route`] via the
+    /// cheapest segment per hop. This drives the simulator's skewed route
+    /// choice.
+    #[must_use]
+    pub fn k_shortest_routes(
+        &self,
+        source: NodeId,
+        target: NodeId,
+        k: usize,
+        model: CostModel,
+    ) -> Vec<(Route, f64)> {
+        let mut scratch = DijkstraScratch::default();
+        self.node_graph(model)
+            .k_shortest_paths_with(&mut scratch, source.index(), target.index(), k)
+            .into_iter()
+            .filter_map(|GraphPath { nodes, cost }| {
+                let segs = nodes.windows(2).map(|w| {
+                    self.cheapest_segment_between(NodeId(w[0] as u32), NodeId(w[1] as u32), model)
+                });
+                Some((Route::new(segs.collect::<Option<Vec<_>>>()?), cost))
+            })
+            .collect()
     }
 
     /// The cheapest segment from `u` to `v` under `model`, if one exists.
@@ -718,14 +765,35 @@ mod tests {
     }
 
     #[test]
-    fn to_digraph_mirrors_topology() {
+    fn node_graph_mirrors_topology() {
         let net = tiny_grid();
-        let g = net.to_digraph(CostModel::Distance);
+        let g = net.node_graph(CostModel::Distance);
         assert_eq!(g.num_nodes(), net.num_nodes());
-        assert_eq!(g.num_edges(), net.num_segments());
         // Distance between opposite corners = 400 m on the grid.
-        let p = g.shortest_path(0, 8).unwrap();
-        assert!((p.cost - 400.0).abs() < 1e-9);
+        let routes = net.k_shortest_routes(NodeId(0), NodeId(8), 1, CostModel::Distance);
+        assert_eq!(routes.len(), 1);
+        assert!((routes[0].1 - 400.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn k_shortest_routes_distinct_and_sorted() {
+        let net = tiny_grid();
+        let routes = net.k_shortest_routes(NodeId(0), NodeId(8), 4, CostModel::Distance);
+        assert!(routes.len() >= 2, "grid has many corner-to-corner paths");
+        for w in routes.windows(2) {
+            assert!(w[0].1 <= w[1].1);
+        }
+        for (r, _) in &routes {
+            assert!(r.is_connected(&net));
+            assert_eq!(r.start_node(&net), Some(NodeId(0)));
+            assert_eq!(net.segment(*r.segments().last().unwrap()).to, NodeId(8));
+        }
+        // All distinct.
+        for i in 0..routes.len() {
+            for j in (i + 1)..routes.len() {
+                assert_ne!(routes[i].0, routes[j].0);
+            }
+        }
     }
 
     #[test]

@@ -2,19 +2,18 @@
 //!
 //! Local inference issues millions of segment-to-segment route probes
 //! against the same immutable road network: null-hypothesis routes between
-//! candidate pairs, traverse-graph path projection, and global stitching all
-//! bottom out in [`route_between_segments`](crate::shortest::route_between_segments).
-//! Running an independent bounded Dijkstra per probe re-allocates
-//! network-sized arrays and re-discovers the same shortest-path trees over
-//! and over.
+//! candidate pairs, traverse-graph path projection, global stitching and
+//! the map-matching baselines' transition tables. Running an independent
+//! Dijkstra per probe re-allocates network-sized arrays and re-discovers
+//! the same shortest-path trees over and over.
 //!
 //! [`SpOracle`] replaces that with three layers of precomputation:
 //!
-//! 1. **CSR adjacency** ([`CsrAdjacency`]) — the node graph flattened into
+//! 1. **CSR adjacency** — the node graph flattened into
 //!    offset/head/segment/cost arrays (one cost lane per [`CostModel`]),
 //!    preserving `out_segments` order exactly so relaxation order — and
-//!    therefore every tie-break — matches the classic implementation
-//!    byte for byte.
+//!    therefore every tie-break — matches the reference searches of
+//!    [`shortest`](crate::shortest) byte for byte.
 //! 2. **SCC condensation reachability** — Tarjan components plus a
 //!    component-level reachability bitmatrix, so *negative* probes (the
 //!    expensive ones: Dijkstra floods the whole component before giving up)
@@ -29,20 +28,17 @@
 //!    reconstructed routes are byte-identical to
 //!    [`shortest_path`](crate::shortest::shortest_path)'s.
 //!
-//! All transient search state lives in epoch-stamped [`ScratchBuffers`]
-//! (dist/stamp/predecessor arrays, a reusable heap and a path stack) pooled
-//! inside the oracle, so steady-state probes perform **zero heap
-//! allocation** — a property locked in by the `alloc_probe` regression
-//! test.
+//! Every search runs one relaxation loop on the crate's one epoch-stamped
+//! [`DijkstraScratch`] (dist/stamp/predecessor arrays, a reusable heap and
+//! a path stack), pooled inside the oracle, so steady-state probes perform
+//! **zero heap allocation** — a property locked in by the `alloc_probe`
+//! regression test.
 
-use crate::digraph::DiGraph;
+use crate::digraph::{tarjan_scc, DijkstraScratch, HeapItem};
 use crate::fxhash::FxHashMap;
 use crate::ids::{NodeId, SegmentId};
-use crate::network::RoadNetwork;
+use crate::network::{CostModel, RoadNetwork};
 use crate::route::Route;
-use crate::shortest::{CostModel, PathResult};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
 /// Past this many strongly-connected components the O(C²/64) reachability
@@ -55,22 +51,22 @@ const SPT_SHARDS: usize = 16;
 /// Default bound on cached shortest-path trees (across all shards).
 const DEFAULT_SPT_CAPACITY: usize = 4096;
 
-#[derive(PartialEq)]
-struct HeapItem {
-    cost: f64,
-    node: usize,
+/// A shortest path between two vertices.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PathResult {
+    /// Total cost under the requested [`CostModel`].
+    pub cost: f64,
+    /// Visited vertices, source first.
+    pub nodes: Vec<NodeId>,
+    /// Traversed segments (`nodes.len() - 1` of them).
+    pub segments: Vec<SegmentId>,
 }
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by cost, exactly as in `shortest.rs` so pop order (and
-        // therefore equal-cost tie-breaks) is identical.
-        other.cost.total_cmp(&self.cost)
+
+impl PathResult {
+    /// The path as a [`Route`].
+    #[must_use]
+    pub fn route(&self) -> Route {
+        Route::new(self.segments.clone())
     }
 }
 
@@ -79,7 +75,7 @@ impl Ord for HeapItem {
 /// Edge order within a node is exactly `RoadNetwork::out_segments` order;
 /// per-edge costs are precomputed for both cost models so the inner Dijkstra
 /// loop reads three flat arrays and never touches a `Segment`.
-pub struct CsrAdjacency {
+struct CsrAdjacency {
     /// `offsets[u]..offsets[u + 1]` indexes `u`'s out-edges.
     offsets: Vec<u32>,
     /// Target node of each edge.
@@ -106,8 +102,7 @@ fn lane(model: CostModel) -> usize {
 
 impl CsrAdjacency {
     /// Flattens `net`'s adjacency, preserving `out_segments` order.
-    #[must_use]
-    pub fn build(net: &RoadNetwork) -> Self {
+    fn build(net: &RoadNetwork) -> Self {
         let n = net.num_nodes();
         let m = net.num_segments();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -149,115 +144,32 @@ impl CsrAdjacency {
 
     /// Number of nodes.
     #[inline]
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
+    fn num_nodes(&self) -> usize {
         self.offsets.len() - 1
     }
 
     /// Number of edges (= directed segments).
     #[inline]
-    #[must_use]
-    pub fn num_edges(&self) -> usize {
+    fn num_edges(&self) -> usize {
         self.heads.len()
     }
 
     /// Start node of a segment.
     #[inline]
-    #[must_use]
-    pub fn segment_from(&self, s: SegmentId) -> NodeId {
+    fn segment_from(&self, s: SegmentId) -> NodeId {
         NodeId(self.seg_from[s.index()])
     }
 
     /// End node of a segment.
     #[inline]
-    #[must_use]
-    pub fn segment_to(&self, s: SegmentId) -> NodeId {
+    fn segment_to(&self, s: SegmentId) -> NodeId {
         NodeId(self.seg_to[s.index()])
     }
 
     /// Traversal cost of a segment under `model`.
     #[inline]
-    #[must_use]
-    pub fn segment_cost(&self, s: SegmentId, model: CostModel) -> f64 {
+    fn segment_cost(&self, s: SegmentId, model: CostModel) -> f64 {
         self.seg_cost[lane(model)][s.index()]
-    }
-}
-
-/// Reusable, epoch-stamped Dijkstra working state sized to the network.
-///
-/// `dist`/`prev_seg` entries are only valid where `stamp` equals the current
-/// epoch, so "resetting" between searches is a single counter increment
-/// instead of an O(V) fill — and re-running a search against recycled
-/// buffers is indistinguishable from running it against fresh allocations
-/// (the differential suite pins this down).
-pub struct ScratchBuffers {
-    dist: Vec<f64>,
-    prev_seg: Vec<u32>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    heap: BinaryHeap<HeapItem>,
-    /// A tree path's segments, target first (a simple path has fewer
-    /// segments than the graph has nodes, so this never grows).
-    path: Vec<u32>,
-}
-
-impl ScratchBuffers {
-    /// Scratch sized for a graph with `n` nodes.
-    #[must_use]
-    pub fn for_nodes(n: usize) -> Self {
-        ScratchBuffers {
-            dist: vec![f64::INFINITY; n],
-            prev_seg: vec![u32::MAX; n],
-            stamp: vec![0; n],
-            epoch: 0,
-            heap: BinaryHeap::new(),
-            path: Vec::with_capacity(n),
-        }
-    }
-
-    /// Scratch sized for `net`.
-    #[must_use]
-    pub fn for_network(net: &RoadNetwork) -> Self {
-        Self::for_nodes(net.num_nodes())
-    }
-
-    /// Starts a new search epoch: O(1) amortised (the heap keeps its
-    /// capacity; stamps are only bulk-reset on the once-per-4-billion
-    /// epoch-counter wraparound).
-    fn begin(&mut self) {
-        self.heap.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Distance label of `v` in the current epoch (∞ when untouched).
-    #[inline]
-    fn dist(&self, v: usize) -> f64 {
-        if self.stamp[v] == self.epoch {
-            self.dist[v]
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    #[inline]
-    fn relax(&mut self, v: usize, d: f64, via: u32) {
-        self.dist[v] = d;
-        self.prev_seg[v] = via;
-        self.stamp[v] = self.epoch;
-    }
-
-    /// Predecessor segment of `v` in the current epoch (`u32::MAX` = none).
-    #[inline]
-    fn prev(&self, v: usize) -> u32 {
-        if self.stamp[v] == self.epoch {
-            self.prev_seg[v]
-        } else {
-            u32::MAX
-        }
     }
 }
 
@@ -273,22 +185,6 @@ pub struct SptTree {
     source: NodeId,
     model: CostModel,
     prev_seg: Box<[u32]>,
-}
-
-impl SptTree {
-    /// The tree's source node.
-    #[inline]
-    #[must_use]
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// The cost model the tree was built under.
-    #[inline]
-    #[must_use]
-    pub fn model(&self) -> CostModel {
-        self.model
-    }
 }
 
 /// Component-level reachability bitmatrix over the SCC condensation.
@@ -310,7 +206,7 @@ type SptShard = Mutex<FxHashMap<(u32, u8), Arc<SptTree>>>;
 ///
 /// See the [module docs](self) for the layering. The oracle is pure with
 /// respect to the network: every answer equals what the corresponding
-/// `shortest.rs` query would return, so cached and uncached probes may be
+/// [`shortest`](crate::shortest) query would return, so cached and uncached probes may be
 /// mixed freely. Hit/miss accounting: a probe answered from precomputed
 /// state (reachability matrix or cached tree) counts as a **hit**; a probe
 /// that had to run Dijkstra counts as a **miss**.
@@ -322,7 +218,7 @@ pub struct SpOracle {
     reach: Option<ReachMatrix>,
     shards: Vec<SptShard>,
     per_shard_capacity: usize,
-    scratch_pool: Mutex<Vec<ScratchBuffers>>,
+    scratch_pool: Mutex<Vec<DijkstraScratch>>,
     lookups: hris_obs::PairedCounter,
     preprocessing_seconds: f64,
 }
@@ -356,16 +252,7 @@ impl SpOracle {
         // Tarjan over the node graph; component ids are in reverse
         // topological order of the condensation, so every cross-component
         // edge u→v has comp[v] < comp[u].
-        let mut g = DiGraph::with_nodes(csr.num_nodes());
-        for u in 0..csr.num_nodes() {
-            let (lo, hi) = (csr.offsets[u] as usize, csr.offsets[u + 1] as usize);
-            for e in lo..hi {
-                g.add_edge(u, csr.heads[e] as usize, 1.0);
-            }
-        }
-        let comp_usize = g.tarjan_scc();
-        let num_components = comp_usize.iter().copied().max().map_or(0, |c| c + 1);
-        let comp: Vec<u32> = comp_usize.iter().map(|&c| c as u32).collect();
+        let (comp, num_components) = tarjan_scc(&csr.offsets, &csr.heads);
         let reach = (num_components <= MAX_REACH_COMPONENTS).then(|| {
             let words = num_components.div_ceil(64).max(1);
             let mut bits = vec![0u64; num_components * words];
@@ -405,20 +292,6 @@ impl SpOracle {
             lookups: hris_obs::PairedCounter::new(),
             preprocessing_seconds: t0.elapsed().as_secs_f64(),
         }
-    }
-
-    /// The flattened adjacency the oracle searches over.
-    #[inline]
-    #[must_use]
-    pub fn csr(&self) -> &CsrAdjacency {
-        &self.csr
-    }
-
-    /// Number of strongly-connected components in the node graph.
-    #[inline]
-    #[must_use]
-    pub fn num_components(&self) -> usize {
-        self.num_components
     }
 
     /// Wall-clock seconds the preprocessing pass (CSR + SCC + reachability)
@@ -501,13 +374,20 @@ impl SpOracle {
         tree
     }
 
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut ScratchBuffers) -> R) -> R {
+    fn with_scratch<R>(&self, f: impl FnOnce(&mut DijkstraScratch) -> R) -> R {
+        let n = self.csr.num_nodes();
         let mut scratch = self
             .scratch_pool
             .lock()
             .expect("scratch pool")
             .pop()
-            .unwrap_or_else(|| ScratchBuffers::for_nodes(self.csr.num_nodes()));
+            .unwrap_or_else(|| {
+                // A simple path has fewer segments than the graph has nodes,
+                // so the path stack never grows.
+                let mut s = DijkstraScratch::for_nodes(n);
+                s.path.reserve(n);
+                s
+            });
         let out = f(&mut scratch);
         self.scratch_pool
             .lock()
@@ -516,47 +396,59 @@ impl SpOracle {
         out
     }
 
-    fn compute_spt(&self, source: NodeId, model: CostModel) -> SptTree {
-        let n = self.csr.num_nodes();
+    /// The one relaxation loop of every oracle search: Dijkstra from
+    /// `source` under `model` into `scr`, popping in the crate's
+    /// `(cost, node)` heap order and stopping once `target` (if any) is
+    /// settled.
+    fn search(
+        &self,
+        scr: &mut DijkstraScratch,
+        source: NodeId,
+        target: Option<NodeId>,
+        model: CostModel,
+    ) {
         let costs = &self.csr.edge_cost[lane(model)];
-        let mut prev_seg = vec![u32::MAX; n].into_boxed_slice();
-        if source.index() >= n {
-            return SptTree {
-                source,
-                model,
-                prev_seg,
-            };
-        }
-        self.with_scratch(|scr| {
-            scr.begin();
-            scr.relax(source.index(), 0.0, u32::MAX);
-            scr.heap.push(HeapItem {
-                cost: 0.0,
-                node: source.index(),
-            });
-            while let Some(HeapItem { cost, node }) = scr.heap.pop() {
-                if cost > scr.dist(node) {
-                    continue;
-                }
-                let (lo, hi) = (
-                    self.csr.offsets[node] as usize,
-                    self.csr.offsets[node + 1] as usize,
-                );
-                let heads = &self.csr.heads[lo..hi];
-                let segs = &self.csr.edge_segs[lo..hi];
-                for ((&head, &edge_cost), &seg) in heads.iter().zip(&costs[lo..hi]).zip(segs) {
-                    let v = head as usize;
-                    let nd = cost + edge_cost;
-                    if nd < scr.dist(v) {
-                        scr.relax(v, nd, seg);
-                        scr.heap.push(HeapItem { cost: nd, node: v });
-                    }
-                }
-            }
-            for (v, p) in prev_seg.iter_mut().enumerate() {
-                *p = scr.prev(v);
-            }
+        let stop = target.map_or(usize::MAX, NodeId::index);
+        scr.begin(self.csr.num_nodes());
+        scr.relax(source.index(), 0.0, u32::MAX);
+        scr.heap.push(HeapItem {
+            cost: 0.0,
+            node: source.index(),
         });
+        while let Some(HeapItem { cost, node }) = scr.heap.pop() {
+            if cost > scr.dist(node) {
+                continue;
+            }
+            if node == stop {
+                break;
+            }
+            let (lo, hi) = (
+                self.csr.offsets[node] as usize,
+                self.csr.offsets[node + 1] as usize,
+            );
+            let heads = &self.csr.heads[lo..hi];
+            let segs = &self.csr.edge_segs[lo..hi];
+            for ((&head, &edge_cost), &seg) in heads.iter().zip(&costs[lo..hi]).zip(segs) {
+                let v = head as usize;
+                let nd = cost + edge_cost;
+                if nd < scr.dist(v) {
+                    scr.relax(v, nd, seg);
+                    scr.heap.push(HeapItem { cost: nd, node: v });
+                }
+            }
+        }
+    }
+
+    fn compute_spt(&self, source: NodeId, model: CostModel) -> SptTree {
+        let mut prev_seg = vec![u32::MAX; self.csr.num_nodes()].into_boxed_slice();
+        if source.index() < prev_seg.len() {
+            self.with_scratch(|scr| {
+                self.search(scr, source, None, model);
+                for (v, p) in prev_seg.iter_mut().enumerate() {
+                    *p = scr.prev(v);
+                }
+            });
+        }
         SptTree {
             source,
             model,
@@ -592,16 +484,17 @@ impl SpOracle {
     }
 
     /// Point-to-point Dijkstra against caller-owned scratch, byte-identical
-    /// to [`crate::shortest::shortest_path`] (same relaxation order, same
-    /// early termination, same reconstruction) but with zero transient
-    /// allocation beyond the returned path.
+    /// to [`shortest_path`](crate::shortest::shortest_path) (same relaxation
+    /// and heap order, same early termination, same reconstruction) but with
+    /// zero transient allocation beyond the returned path. It goes past the
+    /// tree cache: nothing is cached, no hit or miss is counted.
     #[must_use]
     pub fn point_to_point(
         &self,
         source: NodeId,
         target: NodeId,
         model: CostModel,
-        scratch: &mut ScratchBuffers,
+        scratch: &mut DijkstraScratch,
     ) -> Option<PathResult> {
         let n = self.csr.num_nodes();
         if source.index() >= n || target.index() >= n {
@@ -614,35 +507,7 @@ impl SpOracle {
                 segments: Vec::new(),
             });
         }
-        let costs = &self.csr.edge_cost[lane(model)];
-        scratch.begin();
-        scratch.relax(source.index(), 0.0, u32::MAX);
-        scratch.heap.push(HeapItem {
-            cost: 0.0,
-            node: source.index(),
-        });
-        while let Some(HeapItem { cost, node }) = scratch.heap.pop() {
-            if cost > scratch.dist(node) {
-                continue;
-            }
-            if node == target.index() {
-                break;
-            }
-            let (lo, hi) = (
-                self.csr.offsets[node] as usize,
-                self.csr.offsets[node + 1] as usize,
-            );
-            let heads = &self.csr.heads[lo..hi];
-            let segs = &self.csr.edge_segs[lo..hi];
-            for ((&head, &edge_cost), &seg) in heads.iter().zip(&costs[lo..hi]).zip(segs) {
-                let v = head as usize;
-                let nd = cost + edge_cost;
-                if nd < scratch.dist(v) {
-                    scratch.relax(v, nd, seg);
-                    scratch.heap.push(HeapItem { cost: nd, node: v });
-                }
-            }
-        }
+        self.search(scratch, source, Some(target), model);
         let total = scratch.dist(target.index());
         if !total.is_finite() {
             return None;
@@ -756,21 +621,13 @@ impl SpOracle {
         }
         Some(self.csr.segment_cost(r, model) + bridge + self.csr.segment_cost(s, model))
     }
-
-    /// Drops every cached tree while keeping the hit/miss counters
-    /// (cumulative service statistics, not cache contents).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("spt shard").clear();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::{generate, NetworkConfig, RoadClass};
-    use crate::shortest::{route_between_segments, shortest_path};
+    use crate::shortest::{route_between_segments, shortest_costs_from, shortest_path};
     use hris_geo::{Point, Polyline};
 
     fn grid() -> RoadNetwork {
@@ -847,7 +704,7 @@ mod tests {
     fn point_to_point_matches_shortest_path() {
         let net = generate(&NetworkConfig::small(23));
         let oracle = SpOracle::build(&net);
-        let mut scratch = ScratchBuffers::for_network(&net);
+        let mut scratch = DijkstraScratch::default();
         let n = net.num_nodes() as u32;
         for k in 0..150u32 {
             let s = NodeId(k * 17 % n);
@@ -857,6 +714,51 @@ mod tests {
                 let fast = oracle.point_to_point(s, t, model, &mut scratch);
                 assert_eq!(fast, classic, "{s:?}->{t:?} {model:?}");
             }
+        }
+    }
+
+    /// On an unjittered, uncurved grid every block has the same length, so
+    /// equal-cost shortest paths are everywhere and only the heap order
+    /// picks between them: the oracle must pick as the reference does.
+    #[test]
+    fn tied_grid_routes_match_reference() {
+        let net = generate(&NetworkConfig {
+            jitter_frac: 0.0,
+            curve_frac: 0.0,
+            ..NetworkConfig::small(11)
+        });
+        let oracle = SpOracle::build(&net);
+        let mut scratch = DijkstraScratch::default();
+        let n = net.num_nodes() as u32;
+        let mut tied = 0;
+        for s in (0..n).step_by(7).map(NodeId) {
+            // Nodes with two or more in-segments on a shortest path.
+            let dist = shortest_costs_from(&net, s, CostModel::Distance);
+            let mut preds = vec![0usize; net.num_nodes()];
+            for seg in net.segments() {
+                let to = dist[seg.to.index()];
+                if to.is_finite() && dist[seg.from.index()] + seg.length == to {
+                    preds[seg.to.index()] += 1;
+                }
+            }
+            tied += preds.iter().filter(|&&p| p >= 2).count();
+            for t in (0..n).map(NodeId) {
+                for model in [CostModel::Distance, CostModel::Time] {
+                    let want = shortest_path(&net, s, t, model);
+                    let got = oracle.point_to_point(s, t, model, &mut scratch);
+                    assert_eq!(got, want, "{s:?}->{t:?} {model:?}");
+                }
+            }
+        }
+        assert!(
+            tied > 100,
+            "only {tied} tied predecessors: the grid is not tie-heavy"
+        );
+        let m = net.num_segments() as u32;
+        for k in 0..400u32 {
+            let (r, s) = (SegmentId(k * 37 % m), SegmentId((k * 101 + 13) % m));
+            let want = route_between_segments(&net, r, s, CostModel::Distance);
+            assert_eq!(oracle.route_between(r, s, CostModel::Distance), want);
         }
     }
 
@@ -907,15 +809,13 @@ mod tests {
                 let _ = oracle.route_cost_between(SegmentId(a), SegmentId(b), CostModel::Distance);
             }
         }
-        assert!(oracle.cached_trees() <= SPT_SHARDS);
-        oracle.clear();
-        assert_eq!(oracle.cached_trees(), 0);
-        assert!(oracle.hits() > 0, "counters survive clear");
+        let trees = oracle.cached_trees();
+        assert!(trees <= SPT_SHARDS);
         // An uncached probe leaves no tree behind and no count.
         let lookups = (oracle.hits(), oracle.misses());
         let uncached = oracle.route_between_uncached(r, s, CostModel::Distance);
         assert_eq!(uncached, first);
-        assert_eq!(oracle.cached_trees(), 0);
+        assert_eq!(oracle.cached_trees(), trees);
         assert_eq!((oracle.hits(), oracle.misses()), lookups);
     }
 
@@ -943,12 +843,12 @@ mod tests {
         // scratch per query (epoch stamping makes stale labels unreadable).
         let net = generate(&NetworkConfig::small(5));
         let oracle = SpOracle::build(&net);
-        let mut reused = ScratchBuffers::for_network(&net);
+        let mut reused = DijkstraScratch::default();
         let n = net.num_nodes() as u32;
         for k in 0..60u32 {
             let s = NodeId(k * 29 % n);
             let t = NodeId((k * 7 + 3) % n);
-            let mut fresh = ScratchBuffers::for_network(&net);
+            let mut fresh = DijkstraScratch::default();
             let a = oracle.point_to_point(s, t, CostModel::Distance, &mut reused);
             let b = oracle.point_to_point(s, t, CostModel::Distance, &mut fresh);
             assert_eq!(a, b, "{s:?}->{t:?}");
@@ -961,8 +861,7 @@ mod tests {
         let oracle = SpOracle::build(&net);
         assert!(oracle.preprocessing_seconds() >= 0.0);
         assert_eq!(
-            oracle.num_components(),
-            1,
+            oracle.num_components, 1,
             "two-way grid is strongly connected"
         );
         assert!(format!("{oracle:?}").contains("SpOracle"));

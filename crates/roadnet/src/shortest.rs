@@ -1,75 +1,18 @@
-//! Shortest paths over the road network, with segment recovery.
+//! Shortest paths over the road network, with segment recovery: the
+//! reference; no production caller.
 //!
-//! Used everywhere: projecting traverse-graph paths back to physical routes
-//! (Algorithm 1, line 14), bridging candidate-edge gaps in global route
-//! inference (Section III-C), the ST-Matching/IVMM transition probabilities,
-//! and the simulator's route choice.
+//! Every production search runs on [`SpOracle`](crate::SpOracle) (road
+//! network) or [`CsrView`](crate::CsrView) (traverse graph). These
+//! textbook adjacency-list searches are what the differential suites
+//! compare the oracle against, so they share only the cost model and the
+//! crate's `(cost, node)` heap order with it.
 
-use crate::digraph::GraphPath;
+use crate::digraph::HeapItem;
 use crate::ids::{NodeId, SegmentId};
-use crate::network::{RoadNetwork, Segment};
+use crate::network::{CostModel, RoadNetwork};
+use crate::oracle::PathResult;
 use crate::route::Route;
-use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Which quantity a shortest-path search minimises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum CostModel {
-    /// Minimise travelled distance (metres).
-    #[default]
-    Distance,
-    /// Minimise free-flow travel time (seconds).
-    Time,
-}
-
-impl CostModel {
-    /// Cost of traversing one segment under this model.
-    #[inline]
-    #[must_use]
-    pub fn cost(self, seg: &Segment) -> f64 {
-        match self {
-            CostModel::Distance => seg.length,
-            CostModel::Time => seg.travel_time(),
-        }
-    }
-}
-
-/// A shortest path between two vertices.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathResult {
-    /// Total cost under the requested [`CostModel`].
-    pub cost: f64,
-    /// Visited vertices, source first.
-    pub nodes: Vec<NodeId>,
-    /// Traversed segments (`nodes.len() - 1` of them).
-    pub segments: Vec<SegmentId>,
-}
-
-impl PathResult {
-    /// The path as a [`Route`].
-    #[must_use]
-    pub fn route(&self) -> Route {
-        Route::new(self.segments.clone())
-    }
-}
-
-#[derive(PartialEq)]
-struct HeapItem {
-    cost: f64,
-    node: usize,
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.cost.total_cmp(&self.cost)
-    }
-}
 
 /// Dijkstra from `source` to `target` over the road network, tracking the
 /// segment used to reach each node so the route can be reconstructed.
@@ -139,94 +82,8 @@ pub fn shortest_path(
     })
 }
 
-/// A* shortest path with an admissible geometric heuristic.
-///
-/// For [`CostModel::Distance`] the heuristic is the straight-line distance
-/// to the target; for [`CostModel::Time`] it is that distance divided by
-/// the network's maximum speed. Both never overestimate, so A* returns the
-/// same cost as [`shortest_path`] while expanding (often far) fewer nodes —
-/// the workhorse for point-to-point queries on large networks.
-#[must_use]
-pub fn astar_path(
-    net: &RoadNetwork,
-    source: NodeId,
-    target: NodeId,
-    model: CostModel,
-) -> Option<PathResult> {
-    let n = net.num_nodes();
-    if source.index() >= n || target.index() >= n {
-        return None;
-    }
-    if source == target {
-        return Some(PathResult {
-            cost: 0.0,
-            nodes: vec![source],
-            segments: Vec::new(),
-        });
-    }
-    let goal = net.node(target);
-    let h = |node: usize| -> f64 {
-        let d = net.node(NodeId(node as u32)).dist(goal);
-        match model {
-            CostModel::Distance => d,
-            CostModel::Time => d / net.max_speed(),
-        }
-    };
-    let mut g = vec![f64::INFINITY; n];
-    let mut prev_seg: Vec<Option<SegmentId>> = vec![None; n];
-    let mut closed = vec![false; n];
-    g[source.index()] = 0.0;
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapItem {
-        cost: h(source.index()),
-        node: source.index(),
-    });
-    while let Some(HeapItem { node, .. }) = heap.pop() {
-        if closed[node] {
-            continue;
-        }
-        closed[node] = true;
-        if node == target.index() {
-            break;
-        }
-        for &sid in net.out_segments(NodeId(node as u32)) {
-            let seg = net.segment(sid);
-            let v = seg.to.index();
-            let ng = g[node] + model.cost(seg);
-            if ng < g[v] {
-                g[v] = ng;
-                prev_seg[v] = Some(sid);
-                heap.push(HeapItem {
-                    cost: ng + h(v),
-                    node: v,
-                });
-            }
-        }
-    }
-    if !g[target.index()].is_finite() {
-        return None;
-    }
-    let mut segments = Vec::new();
-    let mut nodes = vec![target];
-    let mut cur = target;
-    while cur != source {
-        let sid = prev_seg[cur.index()].expect("finite cost implies predecessor");
-        segments.push(sid);
-        cur = net.segment(sid).from;
-        nodes.push(cur);
-    }
-    nodes.reverse();
-    segments.reverse();
-    Some(PathResult {
-        cost: g[target.index()],
-        nodes,
-        segments,
-    })
-}
-
 /// One-to-many Dijkstra: costs from `source` to every vertex (∞ when
-/// unreachable). Cheaper than repeated point queries for the ST-Matching
-/// transition matrix.
+/// unreachable).
 #[must_use]
 pub fn shortest_costs_from(net: &RoadNetwork, source: NodeId, model: CostModel) -> Vec<f64> {
     let n = net.num_nodes();
@@ -257,7 +114,8 @@ pub fn shortest_costs_from(net: &RoadNetwork, source: NodeId, model: CostModel) 
     dist
 }
 
-/// Bounded one-to-many Dijkstra: stops expanding past `max_cost`.
+/// Bounded one-to-many Dijkstra: stops expanding past `max_cost`. Each
+/// reached node appears once, with its final label, in settling order.
 #[must_use]
 pub fn shortest_costs_within(
     net: &RoadNetwork,
@@ -298,9 +156,9 @@ pub fn shortest_costs_within(
 /// Shortest *route* that starts by fully traversing `r`, ends by fully
 /// traversing `s`, and connects them via the road network.
 ///
-/// This is how traverse-graph paths and local-route joints are projected
-/// back onto physical roads. Returns `None` when `s` is unreachable
-/// from `r`. When `r == s` the route is just `[r]`.
+/// The reference for [`SpOracle::route_between`](crate::SpOracle::route_between).
+/// Returns `None` when `s` is unreachable from `r`. When `r == s` the route
+/// is just `[r]`.
 #[must_use]
 pub fn route_between_segments(
     net: &RoadNetwork,
@@ -317,35 +175,6 @@ pub fn route_between_segments(
     segs.extend_from_slice(&bridge.segments);
     segs.push(s);
     Some(Route::new(segs))
-}
-
-/// Up to `k` shortest simple node paths between two vertices, each mapped
-/// back to a [`Route`] via the cheapest segment per hop.
-///
-/// This drives the simulator's skewed route choice.
-#[must_use]
-pub fn k_shortest_routes(
-    net: &RoadNetwork,
-    source: NodeId,
-    target: NodeId,
-    k: usize,
-    model: CostModel,
-) -> Vec<(Route, f64)> {
-    let g = net.to_digraph(model);
-    g.k_shortest_paths(source.index(), target.index(), k)
-        .into_iter()
-        .filter_map(|GraphPath { nodes, cost }| {
-            let mut segs = Vec::with_capacity(nodes.len().saturating_sub(1));
-            for w in nodes.windows(2) {
-                segs.push(net.cheapest_segment_between(
-                    NodeId(w[0] as u32),
-                    NodeId(w[1] as u32),
-                    model,
-                )?);
-            }
-            Some((Route::new(segs), cost))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -446,60 +275,6 @@ mod tests {
         assert!(route.is_connected(&net));
         assert_eq!(route.segments().first(), Some(&r));
         assert_eq!(route.segments().last(), Some(&s));
-    }
-
-    #[test]
-    fn k_shortest_routes_distinct_and_sorted() {
-        let net = grid();
-        let routes = k_shortest_routes(&net, NodeId(0), NodeId(8), 4, CostModel::Distance);
-        assert!(routes.len() >= 2, "grid has many corner-to-corner paths");
-        for w in routes.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-        for (r, _) in &routes {
-            assert!(r.is_connected(&net));
-            assert_eq!(r.start_node(&net), Some(NodeId(0)));
-            assert_eq!(net.segment(*r.segments().last().unwrap()).to, NodeId(8));
-        }
-        // All distinct.
-        for i in 0..routes.len() {
-            for j in (i + 1)..routes.len() {
-                assert_ne!(routes[i].0, routes[j].0);
-            }
-        }
-    }
-
-    #[test]
-    fn astar_matches_dijkstra_on_grid() {
-        let net = grid();
-        for (s, t) in [(0u32, 8u32), (4, 2), (6, 1), (3, 3)] {
-            for model in [CostModel::Distance, CostModel::Time] {
-                let d = shortest_path(&net, NodeId(s), NodeId(t), model).unwrap();
-                let a = astar_path(&net, NodeId(s), NodeId(t), model).unwrap();
-                assert!(
-                    (d.cost - a.cost).abs() < 1e-9,
-                    "{s}->{t}: dijkstra {} vs astar {}",
-                    d.cost,
-                    a.cost
-                );
-                assert!(a.route().is_connected(&net));
-                assert_eq!(a.nodes.first(), Some(&NodeId(s)));
-                assert_eq!(a.nodes.last(), Some(&NodeId(t)));
-            }
-        }
-    }
-
-    #[test]
-    fn astar_on_generated_city() {
-        let net = crate::generator::generate(&crate::NetworkConfig::small(19));
-        let n = net.num_nodes() as u32;
-        for k in 0..6 {
-            let s = NodeId(k * 7 % n);
-            let t = NodeId((k * 13 + 5) % n);
-            let d = shortest_path(&net, s, t, CostModel::Distance).unwrap();
-            let a = astar_path(&net, s, t, CostModel::Distance).unwrap();
-            assert!((d.cost - a.cost).abs() < 1e-6, "{s}->{t}");
-        }
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Differential battery: a deliberately naive shortest-path oracle against
-//! the production Dijkstra and A* implementations, over randomly generated
-//! networks.
+//! the reference searches of `shortest.rs` and the production `SpOracle`,
+//! over randomly generated networks.
 //!
-//! The oracle below shares nothing with `shortest.rs` but the cost model —
-//! no binary heap, no early exit, no heuristic — so an agreement across
-//! thousands of random (network, source, target) triples is strong evidence
-//! both optimized implementations are exact.
+//! The naive oracle below shares nothing with either but the cost model —
+//! no binary heap, no early exit — so an agreement across thousands of
+//! random (network, source, target) triples is strong evidence both heap
+//! implementations are exact.
 
-use hris_roadnet::shortest::{
-    astar_path, route_between_segments, shortest_costs_from, shortest_path,
-};
+use hris_roadnet::shortest::{route_between_segments, shortest_costs_from, shortest_path};
 use hris_roadnet::{
-    generator, CostModel, NetworkConfig, NodeId, RoadNetwork, ScratchBuffers, SegmentId, SpOracle,
+    generator, CostModel, DijkstraScratch, NetworkConfig, NodeId, RoadNetwork, SegmentId, SpOracle,
 };
 use proptest::prelude::*;
 
@@ -103,42 +101,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn astar_matches_naive_oracle(
-        seed in 50u64..100,
-        removal in 0.0..0.25f64,
-        oneway in 0.0..0.4f64,
-        s in 0u32..64,
-    ) {
-        let net = small_net(seed, removal, oneway);
-        let n = net.num_nodes() as u32;
-        let s = NodeId(s % n);
-        for model in [CostModel::Distance, CostModel::Time] {
-            let want = naive_dijkstra(&net, s, model);
-            for t in 0..n {
-                match astar_path(&net, s, NodeId(t), model) {
-                    Some(p) => {
-                        prop_assert!(
-                            (p.cost - want[t as usize]).abs() < 1e-6,
-                            "s={s:?} t={t} model={model:?}: {} vs oracle {}",
-                            p.cost,
-                            want[t as usize]
-                        );
-                        let derived: f64 = p
-                            .segments
-                            .iter()
-                            .map(|&sid| model.cost(net.segment(sid)))
-                            .sum();
-                        prop_assert!((derived - p.cost).abs() < 1e-6);
-                        prop_assert_eq!(*p.nodes.first().unwrap(), s);
-                        prop_assert_eq!(*p.nodes.last().unwrap(), NodeId(t));
-                    }
-                    None => prop_assert!(want[t as usize].is_infinite()),
-                }
-            }
-        }
-    }
-
     /// The precomputed oracle's full shortest-path trees agree with the
     /// naive O(V²) Dijkstra from every source of a random network, and its
     /// segment-level routes agree with the classic per-pair search —
@@ -154,7 +116,7 @@ proptest! {
     ) {
         let net = small_net(seed, removal, oneway);
         let oracle = SpOracle::build(&net);
-        let mut scratch = ScratchBuffers::for_network(&net);
+        let mut scratch = DijkstraScratch::default();
         let n = net.num_nodes() as u32;
         for model in [CostModel::Distance, CostModel::Time] {
             for s in 0..n {
@@ -192,15 +154,14 @@ proptest! {
                 let got = oracle.route_between(r, s, model);
                 let want = route_between_segments(&net, r, s, model);
                 prop_assert_eq!(&got, &want, "route {:?}->{:?} {:?}", r, s, model);
-                let csr = oracle.csr();
                 let cost = oracle.route_cost_between(r, s, model).map(f64::to_bits);
+                let (seg_r, seg_s) = (net.segment(r), net.segment(s));
                 let expected = if r == s {
-                    Some(csr.segment_cost(r, model))
+                    Some(model.cost(seg_r))
                 } else {
-                    let (src, dst) = (csr.segment_to(r), csr.segment_from(s));
                     oracle
-                        .point_to_point(src, dst, model, &mut scratch)
-                        .map(|p| csr.segment_cost(r, model) + p.cost + csr.segment_cost(s, model))
+                        .point_to_point(seg_r.to, seg_s.from, model, &mut scratch)
+                        .map(|p| model.cost(seg_r) + p.cost + model.cost(seg_s))
                 };
                 prop_assert_eq!(
                     cost,
@@ -211,7 +172,7 @@ proptest! {
         }
     }
 
-    /// Reusing one `ScratchBuffers` across many point-to-point queries is
+    /// Reusing one `DijkstraScratch` across many point-to-point queries is
     /// indistinguishable from allocating fresh buffers per query: epoch
     /// stamping must make stale state invisible.
     #[test]
@@ -224,11 +185,11 @@ proptest! {
         let net = small_net(seed, removal, oneway);
         let oracle = SpOracle::build(&net);
         let n = net.num_nodes() as u32;
-        let mut reused = ScratchBuffers::for_network(&net);
+        let mut reused = DijkstraScratch::default();
         for (a, b) in pairs {
             let (s, t) = (NodeId(a % n), NodeId(b % n));
             for model in [CostModel::Distance, CostModel::Time] {
-                let mut fresh = ScratchBuffers::for_network(&net);
+                let mut fresh = DijkstraScratch::default();
                 let got = oracle.point_to_point(s, t, model, &mut reused);
                 let want = oracle.point_to_point(s, t, model, &mut fresh);
                 prop_assert_eq!(&got, &want, "{:?}->{:?} {:?}", s, t, model);

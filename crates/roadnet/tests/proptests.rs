@@ -1,23 +1,52 @@
 //! Property-based tests for graph algorithms and the network generator.
 
-use hris_roadnet::digraph::DiGraph;
-use hris_roadnet::{generator, CostModel, NetworkConfig, NodeId, RoadNetwork, SegmentId};
+use hris_roadnet::{
+    generator, CostModel, CsrView, DijkstraScratch, NetworkConfig, NodeId, RoadNetwork, SegmentId,
+};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
-/// Random digraph as an edge list over `n` nodes.
-fn digraph_strategy() -> impl Strategy<Value = DiGraph> {
-    (2usize..12).prop_flat_map(|n| {
+/// Random digraph over `n` nodes as an edge list, without self-loops.
+fn digraph_strategy() -> impl Strategy<Value = (usize, Vec<(u32, u32, f64)>)> {
+    (2u32..12).prop_flat_map(|n| {
         prop::collection::vec((0..n, 0..n, 0.1..100.0f64), 0..60).prop_map(move |edges| {
-            let mut g = DiGraph::with_nodes(n);
-            for (u, v, w) in edges {
-                if u != v {
-                    g.add_edge(u, v, w);
-                }
-            }
-            g
+            let edges = edges.into_iter().filter(|&(u, v, _)| u != v).collect();
+            (n as usize, edges)
         })
     })
+}
+
+fn csr(n: usize, edges: &[(u32, u32, f64)]) -> CsrView {
+    CsrView::new(n, edges.iter().copied())
+}
+
+/// Cost of a node sequence, cheapest parallel edge per hop (∞ for a
+/// missing hop), folded source first.
+fn path_cost(edges: &[(u32, u32, f64)], nodes: &[usize]) -> f64 {
+    nodes.windows(2).fold(0.0, |cost, w| {
+        let hop = edges
+            .iter()
+            .filter(|&&(u, v, _)| (u as usize, v as usize) == (w[0], w[1]))
+            .map(|&(_, _, c)| c)
+            .fold(f64::INFINITY, f64::min);
+        cost + hop
+    })
+}
+
+/// The nodes reachable from `source`, by breadth-first search.
+fn reachable_from(n: usize, edges: &[(u32, u32, f64)], source: usize) -> Vec<bool> {
+    let mut seen = vec![false; n];
+    seen[source] = true;
+    let mut queue = VecDeque::from([source]);
+    while let Some(u) = queue.pop_front() {
+        for &(a, b, _) in edges {
+            if a as usize == u && !seen[b as usize] {
+                seen[b as usize] = true;
+                queue.push_back(b as usize);
+            }
+        }
+    }
+    seen
 }
 
 /// Minimum hop count from segment `r` to segment `s` by plain BFS over
@@ -45,11 +74,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn ksp_first_path_is_dijkstra(g in digraph_strategy(), k in 1usize..6) {
-        let n = g.num_nodes();
+    fn ksp_first_path_is_dijkstra((n, edges) in digraph_strategy(), k in 1usize..6) {
+        let g = csr(n, &edges);
         let (s, t) = (0, n - 1);
-        let paths = g.k_shortest_paths(s, t, k);
-        match g.shortest_path(s, t) {
+        let paths = g.k_shortest_paths_with(&mut DijkstraScratch::default(), s, t, k);
+        let mut scratch = DijkstraScratch::default();
+        match g.shortest_path_avoiding_with(&mut scratch, s, t, &[], &[]) {
             None => prop_assert!(paths.is_empty()),
             Some(best) => {
                 prop_assert!(!paths.is_empty());
@@ -59,9 +89,9 @@ proptest! {
     }
 
     #[test]
-    fn ksp_sorted_simple_distinct(g in digraph_strategy(), k in 1usize..8) {
-        let n = g.num_nodes();
-        let paths = g.k_shortest_paths(0, n - 1, k);
+    fn ksp_sorted_simple_distinct((n, edges) in digraph_strategy(), k in 1usize..8) {
+        let g = csr(n, &edges);
+        let paths = g.k_shortest_paths_with(&mut DijkstraScratch::default(), 0, n - 1, k);
         prop_assert!(paths.len() <= k);
         for w in paths.windows(2) {
             prop_assert!(w[0].cost <= w[1].cost + 1e-9);
@@ -76,7 +106,7 @@ proptest! {
             // Distinct.
             prop_assert!(seen_paths.insert(p.nodes.clone()));
             // Cost is consistent with the edges.
-            prop_assert!((g.path_cost(&p.nodes) - p.cost).abs() < 1e-6);
+            prop_assert!((path_cost(&edges, &p.nodes) - p.cost).abs() < 1e-6);
             // Endpoints correct.
             prop_assert_eq!(*p.nodes.first().unwrap(), 0);
             prop_assert_eq!(*p.nodes.last().unwrap(), n - 1);
@@ -84,13 +114,11 @@ proptest! {
     }
 
     #[test]
-    fn scc_is_an_equivalence_over_mutual_reachability(g in digraph_strategy()) {
-        let comp = g.tarjan_scc();
-        let n = g.num_nodes();
-        // Mutual reachability oracle via Dijkstra.
-        let reach: Vec<Vec<bool>> = (0..n)
-            .map(|s| g.dijkstra(s).0.iter().map(|d| d.is_finite()).collect())
-            .collect();
+    fn scc_is_an_equivalence_over_mutual_reachability((n, edges) in digraph_strategy()) {
+        let (comp, count) = csr(n, &edges).components();
+        prop_assert_eq!(count, comp.iter().collect::<HashSet<_>>().len());
+        // Mutual reachability oracle via BFS.
+        let reach: Vec<Vec<bool>> = (0..n).map(|s| reachable_from(n, &edges, s)).collect();
         for u in 0..n {
             for v in 0..n {
                 let mutual = reach[u][v] && reach[v][u];
@@ -163,26 +191,6 @@ proptest! {
         // loop, in which case the clean route is legitimately empty.
         if !clean.is_empty() {
             prop_assert_eq!(clean.start_node(&net), route.start_node(&net));
-        }
-    }
-
-    #[test]
-    fn astar_equals_dijkstra(seed in 0u64..30, s in 0u32..36, t in 0u32..36) {
-        let net = generator::generate(&NetworkConfig {
-            blocks_x: 5,
-            blocks_y: 5,
-            ..NetworkConfig::small(seed)
-        });
-        let n = net.num_nodes() as u32;
-        let (s, t) = (NodeId(s % n), NodeId(t % n));
-        for model in [CostModel::Distance, CostModel::Time] {
-            let d = hris_roadnet::shortest::shortest_path(&net, s, t, model);
-            let a = hris_roadnet::shortest::astar_path(&net, s, t, model);
-            match (d, a) {
-                (Some(d), Some(a)) => prop_assert!((d.cost - a.cost).abs() < 1e-6),
-                (None, None) => {}
-                _ => prop_assert!(false, "reachability disagreement"),
-            }
         }
     }
 

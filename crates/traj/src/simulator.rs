@@ -19,12 +19,10 @@ use crate::archive::TrajectoryArchive;
 use crate::resample::gaussian_pair;
 use crate::types::{GpsPoint, TrajId, Trajectory};
 use hris_geo::Point;
-use hris_roadnet::shortest::{k_shortest_routes, shortest_path};
-use hris_roadnet::{CostModel, NodeId, RoadNetwork, Route};
+use hris_roadnet::{CostModel, DijkstraScratch, NodeId, RoadNetwork, Route};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Parameters of the fleet simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -104,15 +102,14 @@ struct OdPattern {
     routes: Vec<Route>,
 }
 
-/// The fleet simulator. Holds the network, the OD-pattern pool and a
-/// route-choice cache.
+/// The fleet simulator: the network, the OD-pattern pool and search state.
 pub struct Simulator<'a> {
     net: &'a RoadNetwork,
     cfg: SimConfig,
     rng: ChaCha8Rng,
     patterns: Vec<OdPattern>,
-    /// Cache of shortest routes for uniform (non-pattern) ODs.
-    sp_cache: HashMap<(NodeId, NodeId), Option<Route>>,
+    /// Point-to-point search state (random ODs bypass the oracle's trees).
+    scratch: DijkstraScratch,
 }
 
 impl<'a> Simulator<'a> {
@@ -128,11 +125,11 @@ impl<'a> Simulator<'a> {
                 Some(od) => od,
                 None => break,
             };
-            let routes: Vec<Route> =
-                k_shortest_routes(net, a, b, cfg.route_choice_k, CostModel::Time)
-                    .into_iter()
-                    .map(|(r, _)| r)
-                    .collect();
+            let routes: Vec<Route> = net
+                .k_shortest_routes(a, b, cfg.route_choice_k, CostModel::Time)
+                .into_iter()
+                .map(|(r, _)| r)
+                .collect();
             if !routes.is_empty() {
                 patterns.push(OdPattern { routes });
             }
@@ -142,7 +139,7 @@ impl<'a> Simulator<'a> {
             cfg,
             rng,
             patterns,
-            sp_cache: HashMap::new(),
+            scratch: DijkstraScratch::default(),
         }
     }
 
@@ -199,12 +196,7 @@ impl<'a> Simulator<'a> {
             pat.routes[r].clone()
         } else {
             let (a, b) = random_od(self.net, self.cfg.min_trip_dist_m, &mut self.rng)?;
-            self.sp_cache
-                .entry((a, b))
-                .or_insert_with(|| {
-                    shortest_path(self.net, a, b, CostModel::Time).map(|p| p.route())
-                })
-                .clone()?
+            self.fastest_route(a, b)?
         };
         let depart_t = match (self.cfg.diurnal_peaks, pattern_idx) {
             (true, Some(p)) => {
@@ -260,14 +252,21 @@ impl<'a> Simulator<'a> {
     ) -> Option<(NodeId, NodeId, Route)> {
         for _ in 0..400 {
             let (a, b) = random_od(self.net, min_dist, &mut self.rng)?;
-            if let Some(p) = shortest_path(self.net, a, b, CostModel::Time) {
-                let len = p.route().length(self.net);
+            if let Some(route) = self.fastest_route(a, b) {
+                let len = route.length(self.net);
                 if len >= min_dist && len <= max_dist {
-                    return Some((a, b, p.route()));
+                    return Some((a, b, route));
                 }
             }
         }
         None
+    }
+
+    /// The minimum-time route from `a` to `b`, if `b` is reachable.
+    fn fastest_route(&mut self, a: NodeId, b: NodeId) -> Option<Route> {
+        let oracle = self.net.sp_oracle();
+        let path = oracle.point_to_point(a, b, CostModel::Time, &mut self.scratch);
+        path.map(|p| p.route())
     }
 
     /// Exposes the internal RNG for auxiliary sampling in the eval harness.
@@ -439,7 +438,7 @@ mod tests {
         let mut sim = Simulator::new(&net, cfg);
         let trips = sim.generate_trips();
         // Count trips per distinct route.
-        let mut counts: HashMap<&Route, usize> = HashMap::new();
+        let mut counts: std::collections::HashMap<&Route, usize> = Default::default();
         for t in &trips {
             *counts.entry(&t.route).or_default() += 1;
         }
