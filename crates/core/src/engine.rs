@@ -17,12 +17,13 @@
 //!   so every pair of every query shares the network's oracle.
 //! * **Observability** — with [`ObsOptions::enabled`](crate::ObsOptions)
 //!   the engine records per-phase wall time, queue depth, worker occupancy
-//!   and opt-in per-query [`TraceRecord`]s on an [`hris_obs`] registry
-//!   ([`EngineObs`]). One span guard per phase is the only stopwatch: the
-//!   phase histograms, the record's `*_s` fields and its span tree are the
-//!   same measurement, and every record carries its phase tree (sampled
-//!   queries add per-pair detail). Disabled (the default) the hot path
-//!   performs no clock reads and no atomic updates.
+//!   and one [`QueryRecord`] per query (trace ring on) on an [`hris_obs`]
+//!   registry ([`EngineObs`]). One span guard per phase is the only
+//!   stopwatch: the phase histograms, the record's `*_s` fields and its
+//!   span tree are the same measurement, and every record carries its
+//!   phase tree (sampled queries add per-pair detail) and an explanation
+//!   of each returned route. Disabled (the default) the hot path performs
+//!   no clock reads and no atomic updates.
 //!
 //! The load-bearing invariant: **scheduling and instrumentation never
 //! change any result.** Pair workers only read shared state, so sequential,
@@ -31,7 +32,7 @@
 //! `tests/engine_determinism.rs` and `tests/engine_observability.rs` pin
 //! this down.
 
-use crate::audit::QueryAudit;
+use crate::audit::explain;
 use crate::global::GlobalRoute;
 use crate::local::{LocalInferenceResult, LocalStats};
 use crate::params::{EngineConfig, ExecMode, HrisParams, ObsOptions};
@@ -40,8 +41,8 @@ use crate::pipeline::{
 };
 use crate::scoring::{PaperScorer, RouteScorer, ScoringCtx};
 use hris_obs::{
-    clock, AuditRing, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Span,
-    SpanCollector, SpanGuard, SpanParent, SpanSampler, TraceRecord, TraceRing, DEFAULT_TIME_BOUNDS,
+    Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, QueryRecord, SpanCollector,
+    SpanGuard, SpanParent, SpanSampler, TraceRing, DEFAULT_TIME_BOUNDS,
 };
 use hris_roadnet::network::CandidateEdge;
 use hris_roadnet::RoadNetwork;
@@ -312,8 +313,8 @@ pub(crate) struct LocalRun {
     pub(crate) pairs_fell_back: usize,
     /// Candidate edges summed over all query points.
     candidates_total: usize,
-    /// Candidate edges per query point; filled only when the audit ring is
-    /// on (its sole reader).
+    /// Candidate edges per query point; filled only when the trace ring is
+    /// on (its sole reader is the query's record).
     candidates_per_point: Vec<usize>,
     /// Wall seconds of the `candidates` span (0 when off or not run).
     candidates_s: f64,
@@ -322,7 +323,7 @@ pub(crate) struct LocalRun {
 }
 
 /// The engine's live instrumentation: metric handles on a shared
-/// [`MetricsRegistry`] plus the per-query trace ring.
+/// [`MetricsRegistry`] plus the ring of per-query records.
 ///
 /// All metric names are prefixed `hris_engine_` and form a stable contract
 /// (see DESIGN.md §5d for the catalog). The registry may be shared with
@@ -426,7 +427,6 @@ impl EngineObs {
                 "Queries shed by admission control (waiting room full).",
             ),
             traces: TraceRing::new(opts.trace_capacity),
-            // 0 is the "no trace record" id on an audit.
             next_query_id: AtomicU64::new(1),
             slow_threshold_s: opts.slow_query_threshold_s,
             span_sampler: SpanSampler::new(opts.span_sample_every),
@@ -446,20 +446,21 @@ impl EngineObs {
         self.registry.snapshot()
     }
 
-    /// The retained per-query traces, oldest first.
+    /// The retained per-query records, oldest first.
     #[must_use]
-    pub fn traces(&self) -> Vec<TraceRecord> {
+    pub fn traces(&self) -> Vec<QueryRecord> {
         self.traces.snapshot()
     }
 
-    /// How many traces the ring has evicted so far.
+    /// How many records the ring has evicted so far.
     #[must_use]
     pub fn dropped_traces(&self) -> u64 {
         self.traces.dropped()
     }
 
-    /// A handle onto the live trace ring (clones share storage), for
-    /// serving `/debug/traces` without copying on registration.
+    /// A handle onto the live record ring (clones share storage), for
+    /// serving `/debug/traces` and `/debug/explain/<trace_id>` without
+    /// copying on registration.
     #[must_use]
     pub fn trace_ring(&self) -> TraceRing {
         self.traces.clone()
@@ -476,28 +477,19 @@ impl EngineObs {
         self.span_sampler.sample()
     }
 
-    /// Records one finished query — clean, repaired, degraded or rejected
-    /// alike: outcome counters, phase histograms and the SLO bucket always,
-    /// a trace record when tracing is on. Every duration is the `finish()`
-    /// of the like-named span guard, and `spans` is the tree those guards
-    /// recorded (empty when the ring is off), so histogram, record field
-    /// and span agree bit for bit.
-    /// Returns the query id it assigned when a trace record was pushed
-    /// (0 when tracing is off), so the caller can stamp the same id onto
-    /// the query's audit record.
-    #[allow(clippy::too_many_arguments)]
-    fn record_query(
+    /// Counts one finished query — clean, repaired, degraded or rejected
+    /// alike: outcome counters, phase histograms and the SLO bucket. Every
+    /// duration is the `finish()` of the like-named span guard, so
+    /// histogram, record field and span agree bit for bit. Returns whether
+    /// the query was slow.
+    fn count_query(
         &self,
-        query: &Trajectory,
         run: &LocalRun,
         global_s: f64,
         refine_s: f64,
         total_s: f64,
         result: &QueryResult,
-        root_span: u64,
-        spans: Vec<Span>,
-        trace_id: u64,
-    ) -> u64 {
+    ) -> bool {
         self.queries.inc();
         match &result.outcome {
             QueryOutcome::Ok => {}
@@ -524,43 +516,40 @@ impl EngineObs {
         } else {
             self.slo_good.inc();
         }
-        if !self.tracing() {
-            return 0;
-        }
-        let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-        let rec = TraceRecord {
-            trace_id,
-            query_id,
-            points: query.len(),
-            pairs: query.len().saturating_sub(1),
-            candidates: run.candidates_total,
-            routes: result.globals.len(),
-            top_log_score: result.globals.first().map(|g| g.log_score),
-            candidates_s: run.candidates_s,
-            local_s: run.local_s,
-            global_s,
-            refine_s,
-            total_s,
-            slow,
-            root_span,
-            spans,
-        };
+        slow
+    }
+
+    /// Stamps the next query id onto `rec` and keeps it in the ring.
+    fn push_record(&self, mut rec: QueryRecord) {
+        rec.query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
         if self.traces.push(rec) {
             self.traces_dropped.inc();
         }
-        query_id
     }
 
     /// Records an admission-control shed. A shed query is a served-badly
     /// query, not an invisible one: it counts as a query, a rejection,
     /// an SLO breach (burn), and a shed. The SLO partition stays exact —
     /// every counted query lands in exactly one of `slo_good_total` /
-    /// `slo_breach_total`.
-    pub(crate) fn record_shed(&self) {
+    /// `slo_breach_total`. With the trace ring on, its record (outcome
+    /// `"shed"`, no timings) is kept under `trace_id`.
+    pub(crate) fn record_shed(&self, trace_id: u64, points: usize) -> QueryResult {
         self.queries.inc();
         self.rejected.inc();
         self.slo_breach.inc();
         self.shed.inc();
+        let result = QueryResult::rejected(RejectReason::Overloaded);
+        if self.tracing() {
+            let mut rec = QueryRecord {
+                trace_id,
+                points,
+                pairs: points.saturating_sub(1),
+                ..QueryRecord::default()
+            };
+            explain(&mut rec, &result, None);
+            self.push_record(rec);
+        }
+        result
     }
 }
 
@@ -587,9 +576,6 @@ pub(crate) struct EngineCtx<'e> {
 pub(crate) struct EngineCore {
     cfg: EngineConfig,
     obs: Option<EngineObs>,
-    /// The explain/audit ring, present iff `cfg.explain.enabled` — the
-    /// `Option` is the zero-overhead gate for the disabled path.
-    audits: Option<AuditRing>,
 }
 
 /// [`EngineCacheStats`] of the network an engine serves: a view of its
@@ -609,11 +595,7 @@ pub(crate) fn cache_stats(net: &RoadNetwork) -> EngineCacheStats {
 impl EngineCore {
     pub(crate) fn build(cfg: EngineConfig, registry: Option<Arc<MetricsRegistry>>) -> Self {
         let obs = registry.map(|r| EngineObs::new(r, &cfg.obs));
-        let audits = cfg
-            .explain
-            .enabled
-            .then(|| AuditRing::new(cfg.explain.audit_capacity));
-        EngineCore { cfg, obs, audits }
+        EngineCore { cfg, obs }
     }
 
     pub(crate) fn config(&self) -> &EngineConfig {
@@ -645,18 +627,17 @@ impl EngineCore {
         self.obs.as_ref()
     }
 
-    /// The explain/audit ring, when explain is enabled.
-    pub(crate) fn audits(&self) -> Option<&AuditRing> {
-        self.audits.as_ref()
+    /// The instrumentation, when the trace ring is on: the one switch of
+    /// per-query records and of the identity they carry.
+    fn traced(&self) -> Option<&EngineObs> {
+        self.obs.as_ref().filter(|o| o.tracing())
     }
 
-    /// Mints a process-unique trace id when some identity consumer —
-    /// per-query tracing or the explain layer — is switched on; 0 (the
-    /// "untraced" id) otherwise, so the fully disabled path performs not
-    /// even the atomic increment.
+    /// Mints a process-unique trace id when the trace ring is on; 0 (the
+    /// "untraced" id) otherwise, so the disabled path performs not even
+    /// the atomic increment.
     pub(crate) fn mint_trace_id(&self) -> u64 {
-        let tracing = self.obs.as_ref().is_some_and(EngineObs::tracing);
-        if tracing || self.audits.is_some() {
+        if self.traced().is_some() {
             hris_obs::next_trace_id()
         } else {
             0
@@ -670,11 +651,14 @@ impl EngineCore {
         queries: &[Trajectory],
         k: usize,
     ) -> Vec<QueryResult> {
-        let batch_timer = self.obs.as_ref().map(|obs| {
-            obs.batches.inc();
-            obs.queue_depth.set(queries.len() as i64);
-            clock::now()
-        });
+        let batch = match &self.obs {
+            Some(obs) => {
+                obs.batches.inc();
+                obs.queue_depth.set(queries.len() as i64);
+                SpanGuard::timed()
+            }
+            None => SpanGuard::off(),
+        };
         let run_one = |q: &Trajectory, mode: ExecMode| {
             if let Some(obs) = &self.obs {
                 obs.queue_depth.dec();
@@ -696,9 +680,9 @@ impl EngineCore {
         } else {
             queries.iter().map(|q| run_one(q, self.cfg.mode)).collect()
         };
-        if let (Some(obs), Some(t0)) = (&self.obs, batch_timer) {
-            obs.batch_seconds
-                .observe(clock::now().duration_since(t0).as_secs_f64());
+        let batch_s = batch.finish();
+        if let Some(obs) = &self.obs {
+            obs.batch_seconds.observe(batch_s);
         }
         result
     }
@@ -717,9 +701,9 @@ impl EngineCore {
     /// [`screen`] in front of the one pipeline, under a caller-minted trace
     /// id — the delegation seam of distributed tracing: a sharded router
     /// mints one id at its routing decision and threads it here, so the
-    /// shard's trace and audit records join the router's stitched tree.
-    /// Clean, repaired and rejected queries are timed, traced and audited
-    /// by the same code.
+    /// shard's record joins the router's stitched tree. Clean, repaired
+    /// and rejected queries are timed, recorded and explained by the same
+    /// code.
     ///
     /// One [`SpanGuard`] per phase is the only stopwatch. Observability off
     /// makes every guard *off* (this path then reads no clock), on with the
@@ -735,7 +719,7 @@ impl EngineCore {
         trace_id: u64,
     ) -> QueryResult {
         let obs = self.obs.as_ref();
-        let traced = obs.filter(|o| o.tracing());
+        let traced = self.traced();
         let collector = traced.map(|_| SpanCollector::new());
         let mut root = match (obs, &collector) {
             (None, _) => SpanGuard::off(),
@@ -779,24 +763,40 @@ impl EngineCore {
                 Err(reason) => QueryOutcome::Rejected { reason },
             },
         };
+        // Explaining the answer is result assembly too: done here, its cost
+        // is billed to `refine` and the phases still sum to the query.
+        let explained = collector.as_ref().map(|_| {
+            let mut rec = QueryRecord {
+                trace_id,
+                points: served.len(),
+                pairs: served.len().saturating_sub(1),
+                candidates_per_point: std::mem::take(&mut run.candidates_per_point),
+                ..QueryRecord::default()
+            };
+            explain(&mut rec, &result, Some((&sctx, &scorer)));
+            rec
+        });
         let refine_s = refine.finish();
 
         let root_span = root.id();
         let total_s = root.finish();
-        let spans = collector.map_or_else(Vec::new, SpanCollector::into_spans);
-        let query_id = obs.map_or(0, |obs| {
-            obs.record_query(
-                served, &run, global_s, refine_s, total_s, &result, root_span, spans, trace_id,
-            )
-        });
-        if let Some(ring) = &self.audits {
-            let mut audit = QueryAudit::of_result(trace_id, query_id, served.len(), &result);
-            audit.candidates_per_point = std::mem::take(&mut run.candidates_per_point);
-            if screened.is_ok() {
-                let top_k = self.cfg.explain.top_k_routes;
-                audit.explain_routes(&sctx, &result.globals, top_k, &scorer);
-            }
-            let _ = ring.push(audit.into_record());
+        let Some(obs) = obs else { return result };
+        let slow = obs.count_query(&run, global_s, refine_s, total_s, &result);
+        if let (Some(rec), Some(collector)) = (explained, collector) {
+            obs.push_record(QueryRecord {
+                candidates: run.candidates_total,
+                routes: result.globals.len(),
+                top_log_score: result.globals.first().map(|g| g.log_score),
+                candidates_s: run.candidates_s,
+                local_s: run.local_s,
+                global_s,
+                refine_s,
+                total_s,
+                slow,
+                root_span,
+                spans: collector.into_spans(),
+                ..rec
+            });
         }
         result
     }
@@ -869,7 +869,7 @@ impl EngineCore {
             pairs_fell_back: results.iter().filter(|(_, fb)| *fb).count(),
             locals: results.into_iter().map(|(l, _)| l).collect(),
             candidates_total,
-            candidates_per_point: if self.audits.is_some() {
+            candidates_per_point: if self.traced().is_some() {
                 cands.iter().map(Vec::len).collect()
             } else {
                 Vec::new()
@@ -973,13 +973,6 @@ impl<'a> QueryEngine<'a> {
     #[must_use]
     pub fn observability(&self) -> Option<&EngineObs> {
         self.core.observability()
-    }
-
-    /// The explain/audit ring, when [`ExplainOptions`](crate::params::ExplainOptions)
-    /// enabled it. The returned handle shares storage with the engine's ring.
-    #[must_use]
-    pub fn audit_ring(&self) -> Option<AuditRing> {
-        self.core.audits().cloned()
     }
 
     /// The served network's shortest-path oracle counters — see

@@ -19,15 +19,13 @@
 //! they started with — ingestion never changes an answer mid-query, and a
 //! batch is answered entirely against the single epoch it started on.
 
-use crate::audit::QueryAudit;
 use crate::engine::{
     cache_stats, EngineCacheStats, EngineCore, EngineCtx, EngineObs, QueryResult, RejectReason,
 };
 use crate::local::LocalInferenceResult;
 use crate::params::{EngineConfig, HrisParams};
 use hris_obs::{
-    Admission, AdmissionGate, AuditRing, Health, MetricsRegistry, MetricsServer, ServeState,
-    SpanParent,
+    Admission, AdmissionGate, Health, MetricsRegistry, MetricsServer, ServeState, SpanParent,
 };
 use hris_roadnet::RoadNetwork;
 use hris_traj::{ArchiveSnapshot, SnapshotReader, TrajectoryArchive};
@@ -241,14 +239,6 @@ impl EngineHandle {
         self.core.observability()
     }
 
-    /// The explain/audit ring, when [`ExplainOptions`](crate::params::ExplainOptions)
-    /// enabled it. The returned handle shares storage with the engine's
-    /// ring, so a router can pull shard-side audits by trace id.
-    #[must_use]
-    pub fn audit_ring(&self) -> Option<AuditRing> {
-        self.core.audits().cloned()
-    }
-
     /// The served network's shortest-path oracle counters — see
     /// [`EngineCacheStats`].
     #[must_use]
@@ -263,16 +253,13 @@ impl EngineHandle {
         self.gate.as_ref()
     }
 
-    /// Audits and counts one admission shed, and builds the empty result it
-    /// returns.
+    /// Counts and records one admission shed, and builds the empty result
+    /// it returns.
     fn shed(&self, points: usize, trace_id: u64) -> QueryResult {
-        if let Some(ring) = self.core.audits() {
-            let _ = ring.push(QueryAudit::shed(trace_id, points).into_record());
+        match self.core.observability() {
+            Some(obs) => obs.record_shed(trace_id, points),
+            None => QueryResult::rejected(RejectReason::Overloaded),
         }
-        if let Some(obs) = self.core.observability() {
-            obs.record_shed();
-        }
-        QueryResult::rejected(RejectReason::Overloaded)
     }
 
     /// One query through the validation screen against the current epoch:
@@ -290,12 +277,12 @@ impl EngineHandle {
     /// [`EngineHandle::infer_query`] under a caller-minted trace id — the
     /// delegation seam of distributed tracing. A sharded router mints one
     /// trace id at its routing decision and threads it here so the shard's
-    /// [`TraceRecord`](hris_obs::TraceRecord) and [`QueryAudit`]
-    /// carry the router's identity instead of minting their own; the router
-    /// then stitches them into one tree. Passing `trace_id = 0` records the
-    /// query as untraced.
+    /// [`QueryRecord`](hris_obs::QueryRecord) carries the router's
+    /// identity instead of minting its own; the router's record and the
+    /// shard's then join on it. Passing `trace_id = 0` records the query
+    /// as untraced.
     ///
-    /// An admission shed still records a `"shed"` audit under the given id.
+    /// An admission shed still records a `"shed"` record under the given id.
     #[must_use]
     pub fn infer_query_with_trace(
         &self,
@@ -405,9 +392,11 @@ impl EngineHandle {
     ///
     /// The server exposes `/metrics` (Prometheus text), `/healthz` (flips
     /// unhealthy when [`EngineHandle::snapshot_age_seconds`] exceeds
-    /// [`ObsOptions::staleness_bound_s`](crate::ObsOptions)) and
-    /// `/debug/traces` + `/debug/slow`. Each `/metrics` scrape refreshes the
-    /// `hris_snapshot_age_seconds` watchdog gauge first.
+    /// [`ObsOptions::staleness_bound_s`](crate::ObsOptions)),
+    /// `/debug/traces` + `/debug/slow`, and `/debug/explain/<trace_id>`
+    /// (one query's record, route explanations included). Each `/metrics`
+    /// scrape refreshes the `hris_snapshot_age_seconds` watchdog gauge
+    /// first.
     ///
     /// # Errors
     ///
@@ -432,8 +421,12 @@ impl EngineHandle {
         );
         let on_scrape = Arc::clone(self);
         let on_health = Arc::clone(self);
+        let ring = obs.trace_ring();
         let mut state = ServeState::new(Arc::clone(&registry))
-            .with_traces(obs.trace_ring())
+            .with_traces(ring.clone())
+            .debug_handler("/debug/explain", move |id| {
+                Some(ring.find(id.parse().ok()?)?.to_json())
+            })
             .pre_scrape(move || {
                 // The gauge is integral; health checks below use the exact
                 // float so sub-second staleness bounds stay testable.

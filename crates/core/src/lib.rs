@@ -46,7 +46,6 @@ pub mod pipeline;
 pub mod reference;
 pub mod scoring;
 
-pub use audit::{QueryAudit, RouteExplanation};
 pub use engine::{
     EngineCacheStats, EngineObs, QueryEngine, QueryOutcome, QueryResult, RejectReason,
 };
@@ -55,8 +54,8 @@ pub use global::GlobalRoute;
 pub use handle::EngineHandle;
 pub use local::{LocalInferenceResult, LocalRoute};
 pub use params::{
-    AdmissionOptions, ConfigError, EngineConfig, EngineConfigBuilder, ExecMode, ExplainOptions,
-    HrisParams, HybridPolarity, LocalAlgorithm, ObsOptions, PopularityModel,
+    AdmissionOptions, ConfigError, EngineConfig, EngineConfigBuilder, ExecMode, HrisParams,
+    HybridPolarity, LocalAlgorithm, ObsOptions, PopularityModel,
 };
 pub use pipeline::{Hris, HrisMatcher, ScoredRoute};
 pub use reference::{search_references, RefKind, RefTrajectory, ReferenceSet};
@@ -64,7 +63,9 @@ pub use scoring::{extract_features, PaperScorer, RouteFeatures, RouteScorer, Sco
 
 // The telemetry-server surface of `EngineHandle::serve_metrics`, re-exported
 // so consumers need not name hris-obs directly.
-pub use hris_obs::{AuditRecord, AuditRing, Health, MetricsRegistry, MetricsServer, ServeState};
+pub use hris_obs::{
+    Health, MetricsRegistry, MetricsServer, QueryRecord, RouteExplanation, ServeState,
+};
 
 /// Everything a typical consumer needs, in one `use`.
 ///

@@ -172,16 +172,18 @@ pub enum ExecMode {
 /// Disabled (the default), the engine performs **zero** clock reads and zero
 /// metric updates on the hot path; enabled, it records per-phase wall times,
 /// queue/worker gauges and outcome counters on a
-/// [`MetricsRegistry`](hris_obs::MetricsRegistry), plus an opt-in per-query
-/// trace ring. Like the rest of [`EngineConfig`], none of these options may
-/// change any inferred route — they only spend a little time on visibility.
+/// [`MetricsRegistry`](hris_obs::MetricsRegistry), plus a ring of
+/// per-query records (timings, span tree, route explanations). Like the
+/// rest of [`EngineConfig`], none of these options may change any inferred
+/// route — they only spend a little time on visibility.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObsOptions {
     /// Master switch for engine instrumentation.
     pub enabled: bool,
-    /// How many per-query [`TraceRecord`](hris_obs::TraceRecord)s the engine
-    /// retains (oldest dropped first); `0` disables tracing while keeping
-    /// the aggregate metrics.
+    /// How many per-query [`QueryRecord`](hris_obs::QueryRecord)s the
+    /// engine retains (oldest dropped first); `0` disables the records —
+    /// and with them tracing and route explanations — while keeping the
+    /// aggregate metrics.
     pub trace_capacity: usize,
     /// Queries slower than this wall time (seconds) are flagged `slow` in
     /// their trace and counted on `hris_engine_slow_queries_total`.
@@ -244,44 +246,6 @@ impl Default for AdmissionOptions {
     }
 }
 
-/// Opt-in explain/audit capture for the
-/// [`QueryEngine`](crate::engine::QueryEngine) and the sharded router.
-///
-/// Off by default: the engine then performs zero extra work per query —
-/// the disabled path stays byte-identical to the pre-explain engine and
-/// keeps the zero-clock-read guarantee (both test-enforced). Enabled, each
-/// query additionally records a structured [`QueryAudit`](crate::QueryAudit)
-/// — candidate counts per point, the top-K routes with their paper score
-/// components and route features
-/// ([`RouteFeatures`](crate::scoring::RouteFeatures)), and
-/// any fallback/repair/shed events — into a bounded
-/// [`AuditRing`](hris_obs::AuditRing) keyed by trace id, served from
-/// `/debug/explain/<trace_id>` and exportable via
-/// `experiments --audit-out`. Like observability, explain may never change
-/// an inferred route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ExplainOptions {
-    /// Master switch; off means no audits and no per-query overhead.
-    pub enabled: bool,
-    /// How many [`AuditRecord`](hris_obs::AuditRecord)s the ring retains
-    /// (oldest dropped first). Must be ≥ 1 when enabled (validated at
-    /// build time).
-    pub audit_capacity: usize,
-    /// How many of the returned routes get a full per-route explanation
-    /// (score components + route features) in each audit.
-    pub top_k_routes: usize,
-}
-
-impl Default for ExplainOptions {
-    fn default() -> Self {
-        ExplainOptions {
-            enabled: false,
-            audit_capacity: 256,
-            top_k_routes: 3,
-        }
-    }
-}
-
 /// Tuning knobs of the [`QueryEngine`](crate::engine::QueryEngine); separate
 /// from [`HrisParams`] because none of them may change any inferred route —
 /// they only trade memory and threads for throughput and visibility. The
@@ -298,9 +262,6 @@ pub struct EngineConfig {
     /// Admission control / load shedding (off by default; zero cost and
     /// zero behaviour change when off).
     pub admission: AdmissionOptions,
-    /// Per-query explain/audit capture (off by default; zero overhead and
-    /// byte-identical outputs when off).
-    pub explain: ExplainOptions,
 }
 
 impl Default for EngineConfig {
@@ -310,7 +271,6 @@ impl Default for EngineConfig {
             batch_parallel: true,
             obs: ObsOptions::default(),
             admission: AdmissionOptions::default(),
-            explain: ExplainOptions::default(),
         }
     }
 }
@@ -348,9 +308,6 @@ pub enum ConfigError {
     /// Admission control was enabled with `max_inflight == 0` — a gate
     /// nobody can enter would shed every request.
     ZeroAdmissionSlots,
-    /// Explain was enabled with `audit_capacity == 0` — a ring that keeps
-    /// nothing would silently drop every audit.
-    ZeroAuditCapacity,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -365,9 +322,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroAdmissionSlots => {
                 f.write_str("admission control needs max_inflight >= 1")
-            }
-            ConfigError::ZeroAuditCapacity => {
-                f.write_str("explain needs audit_capacity >= 1 to retain any audit")
             }
         }
     }
@@ -419,8 +373,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// How many per-query trace records to retain (`0` keeps aggregate
-    /// metrics but disables tracing).
+    /// How many per-query records to retain (`0` keeps aggregate metrics
+    /// but disables the records).
     #[must_use]
     pub fn trace_capacity(mut self, capacity: usize) -> Self {
         self.cfg.obs.trace_capacity = capacity;
@@ -466,23 +420,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Enables per-query explain/audit capture. `audit_capacity` must be
-    /// ≥ 1 (validated at build time).
-    #[must_use]
-    pub fn explain(mut self, audit_capacity: usize) -> Self {
-        self.cfg.explain.enabled = true;
-        self.cfg.explain.audit_capacity = audit_capacity;
-        self
-    }
-
-    /// How many returned routes get a full per-route explanation in each
-    /// audit.
-    #[must_use]
-    pub fn explain_top_k(mut self, routes: usize) -> Self {
-        self.cfg.explain.top_k_routes = routes;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
@@ -500,9 +437,6 @@ impl EngineConfigBuilder {
         }
         if self.cfg.admission.enabled && self.cfg.admission.max_inflight == 0 {
             return Err(ConfigError::ZeroAdmissionSlots);
-        }
-        if self.cfg.explain.enabled && self.cfg.explain.audit_capacity == 0 {
-            return Err(ConfigError::ZeroAuditCapacity);
         }
         Ok(self.cfg)
     }
@@ -576,23 +510,6 @@ mod tests {
         // Span sampling accepts any period, 0 meaning "live capture off".
         let cfg = EngineConfig::builder().span_sampling(0).build().unwrap();
         assert_eq!(cfg.obs.span_sample_every, 0);
-    }
-
-    #[test]
-    fn builder_validates_explain_options() {
-        let cfg = EngineConfig::builder()
-            .explain(64)
-            .explain_top_k(5)
-            .build()
-            .expect("valid explain configuration");
-        assert!(cfg.explain.enabled);
-        assert_eq!(cfg.explain.audit_capacity, 64);
-        assert_eq!(cfg.explain.top_k_routes, 5);
-        assert_eq!(
-            EngineConfig::builder().explain(0).build().unwrap_err(),
-            ConfigError::ZeroAuditCapacity
-        );
-        assert!(!ConfigError::ZeroAuditCapacity.to_string().is_empty());
     }
 
     #[test]

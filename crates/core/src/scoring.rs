@@ -9,9 +9,9 @@
 //!
 //! [`extract_features`] describes one ranked route — its shape, how well
 //! the historical archive supports it, and how far it strays from the
-//! shortest path ([`RouteFeatures`]). It never changes a ranking; the
-//! explain layer reports the vector beside each route's score
-//! ([`RouteExplanation`](crate::audit::RouteExplanation)).
+//! shortest path ([`RouteFeatures`]). It never changes a ranking; a
+//! query's record reports the vector beside each route's score
+//! ([`explain`](crate::audit::explain)).
 
 use crate::global::{
     brute_force_top_k_impl, k_gri_impl, log_transition_confidence_sorted, route_traj_ids_sorted,

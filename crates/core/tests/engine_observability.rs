@@ -1,8 +1,14 @@
-//! Integration tests of the engine's observability layer: metric/trace
+//! Integration tests of the engine's observability layer: metric/record
 //! accounting must be exact where the workload is deterministic (counts)
-//! and internally consistent where it is not (wall times).
+//! and internally consistent where it is not (wall times), and the one
+//! per-query record is an observer, not a participant — answers stay
+//! byte-identical with the ring on, and each record explains exactly the
+//! routes that were returned.
 
-use hris::{EngineConfig, EngineHandle, ExecMode, Hris, HrisParams, ObsOptions, QueryEngine};
+use hris::scoring::FEATURE_NAMES;
+use hris::{
+    EngineConfig, EngineHandle, ExecMode, Hris, HrisParams, ObsOptions, QueryEngine, QueryResult,
+};
 use hris_geo::Point;
 use hris_obs::{Admission, MetricsRegistry};
 use hris_roadnet::{generator, NetworkConfig};
@@ -209,7 +215,7 @@ fn trace_ring_evicts_oldest_and_counts_drops() {
     assert_eq!(traces.len(), 2);
     assert_eq!(obs.dropped_traces(), 1);
     // Sequential batch → the two *newest* queries survive.
-    // (Ids start at 1: 0 is the audit layer's "no trace record".)
+    // (Query ids start at 1.)
     assert_eq!(traces[0].query_id, 2);
     assert_eq!(traces[1].query_id, 3);
     assert_eq!(
@@ -493,10 +499,14 @@ fn slo_buckets_partition_a_mixed_outcome_corpus() {
     );
     assert_eq!(counter("hris_engine_shed_total"), 1);
     // Everything but the shed ran the timed pipeline: one latency sample
-    // and one trace record each.
+    // each. Every query, the shed included, left one record.
     let q = snap.histogram("hris_engine_query_seconds", &[]).unwrap();
     assert_eq!(q.count, served - 1);
-    assert_eq!(obs.traces().len() as u64, served - 1);
+    let outcomes: Vec<&str> = obs.traces().iter().map(|r| r.outcome).collect();
+    assert_eq!(
+        outcomes,
+        ["served", "repaired", "degraded", "rejected", "rejected", "shed"]
+    );
 }
 
 #[test]
@@ -520,4 +530,126 @@ fn shared_registry_collects_engine_metrics() {
     let text = snap.to_prometheus();
     assert!(text.contains("my_harness_runs_total 1"));
     assert!(text.contains("# TYPE hris_engine_phase_seconds histogram"));
+}
+
+fn assert_identical(a: &QueryResult, b: &QueryResult, ctx: &str) {
+    assert_eq!(a.outcome, b.outcome, "{ctx}: outcome");
+    assert_eq!(a.globals.len(), b.globals.len(), "{ctx}: top-K length");
+    for (i, (ga, gb)) in a.globals.iter().zip(&b.globals).enumerate() {
+        assert_eq!(ga.route, gb.route, "{ctx}: route {i}");
+        assert_eq!(
+            ga.log_score.to_bits(),
+            gb.log_score.to_bits(),
+            "{ctx}: score bits {i}"
+        );
+        assert_eq!(ga.local_indices, gb.local_indices, "{ctx}: assignment {i}");
+    }
+}
+
+#[test]
+fn records_leave_outputs_byte_identical() {
+    let (hris, queries) = scenario();
+    let plain = QueryEngine::with_config(&hris, EngineConfig::default());
+    let recorded = QueryEngine::with_config(
+        &hris,
+        EngineConfig::builder()
+            .observability(true)
+            .span_sampling(1)
+            .build()
+            .expect("static engine configuration"),
+    );
+    let mut workload = queries.clone();
+    workload.extend(mixed_outcome_corpus(&hris, &queries[0]));
+    for (qi, q) in workload.iter().enumerate() {
+        let want = plain.infer_query(q, 3);
+        let got = recorded.infer_query(q, 3);
+        assert_identical(&got, &want, &format!("query {qi}"));
+    }
+    // Every query recorded, under a fresh trace id and query id each.
+    let recs = recorded.observability().expect("obs is on").traces();
+    assert_eq!(recs.len(), workload.len());
+    let mut ids: Vec<u64> = recs.iter().map(|r| r.trace_id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), recs.len(), "one distinct trace id per record");
+    assert!(recs.iter().all(|r| r.trace_id != 0 && r.query_id != 0));
+}
+
+#[test]
+fn records_explain_the_returned_routes() {
+    let (hris, queries) = scenario();
+    let engine = QueryEngine::with_config(
+        &hris,
+        EngineConfig::builder()
+            .observability(true)
+            .build()
+            .expect("static engine configuration"),
+    );
+    let q = &queries[0];
+    let result = engine.infer_query(q, 3);
+    assert!(
+        result.globals.len() > 1,
+        "workload query must serve k routes"
+    );
+    let rec = engine
+        .observability()
+        .expect("obs is on")
+        .traces()
+        .pop()
+        .expect("served query recorded");
+    assert_eq!(rec.outcome, "served");
+    assert_eq!(rec.points, q.points.len());
+    assert_eq!(rec.candidates_per_point.len(), q.points.len());
+    assert_eq!(
+        rec.candidates_per_point.iter().sum::<usize>(),
+        rec.candidates
+    );
+    assert_eq!(rec.local_routes_per_pair.len(), q.points.len() - 1);
+
+    // Every returned route explained: ranks in order, scores matching the
+    // returned routes bit for bit — in the record and through its JSON
+    // (the shortest-roundtrip formatter keeps f64s exact).
+    let v: serde_json::Value = serde_json::from_str(&rec.to_json()).expect("valid record json");
+    let routes = v
+        .get("explanations")
+        .and_then(|r| r.as_array())
+        .expect("explanations array");
+    assert_eq!(rec.explanations.len(), result.globals.len());
+    assert_eq!(routes.len(), result.globals.len());
+    for (rank, ((expl, route), global)) in rec
+        .explanations
+        .iter()
+        .zip(routes)
+        .zip(&result.globals)
+        .enumerate()
+    {
+        assert_eq!(expl.rank, rank);
+        assert_eq!(expl.log_score.to_bits(), global.log_score.to_bits());
+        assert_eq!(expl.segments, global.route.len());
+        assert_eq!(expl.local_indices, global.local_indices);
+        assert_eq!(
+            route.get("rank").and_then(|r| r.as_u64()),
+            Some(rank as u64)
+        );
+        let score = route
+            .get("log_score")
+            .and_then(|s| s.as_f64())
+            .expect("numeric log_score");
+        assert_eq!(score.to_bits(), global.log_score.to_bits());
+        // The feature vector is the route's own: every feature named, in
+        // order, and its `log_score` component is the returned score.
+        let features = route.get("features").expect("feature object");
+        let names: Vec<&str> = features
+            .as_obj()
+            .expect("feature object")
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert_eq!(names, FEATURE_NAMES);
+        let feature_score = features
+            .get("log_score")
+            .and_then(|s| s.as_f64())
+            .expect("numeric log_score feature");
+        assert_eq!(feature_score.to_bits(), global.log_score.to_bits());
+    }
 }

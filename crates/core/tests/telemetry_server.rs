@@ -9,7 +9,9 @@
 //!   `ObsOptions::staleness_bound_s`, and recovers on the next publish;
 //! * `/debug/traces` serves every record with its span tree and
 //!   `/debug/slow` filters to slow traces only; the JSON metrics endpoint
-//!   of earlier versions is gone (404).
+//!   of earlier versions is gone (404);
+//! * `/debug/explain/<trace_id>` serves one query's record from the
+//!   handle's ring, route explanations included.
 
 use hris::{EngineConfig, EngineHandle, HrisParams};
 use hris_obs::{export, MetricsRegistry};
@@ -145,5 +147,37 @@ fn live_handle_serves_telemetry_and_tracks_staleness() {
     assert_eq!(code, 200);
     assert!(slow.contains("\"traces\":[]"), "{slow}");
 
+    server.shutdown();
+}
+
+#[test]
+fn handle_serves_a_record_from_debug_explain() {
+    let cfg = EngineConfig::builder().observability(true).build().unwrap();
+    let handle = Arc::new(EngineHandle::with_config(
+        net(),
+        TrajectoryArchive::empty(),
+        HrisParams::default(),
+        cfg,
+    ));
+    let server = handle.serve_metrics("127.0.0.1:0").expect("bind server");
+    let result = handle.infer_query(&query(0.0), 2);
+    let rec = handle
+        .observability()
+        .expect("observability on")
+        .traces()
+        .pop()
+        .expect("the query is recorded");
+    assert_eq!(rec.explanations.len(), result.globals.len());
+
+    let (code, body) = http_get(server.addr(), &format!("/debug/explain/{}", rec.trace_id));
+    assert_eq!(code, 200, "{body}");
+    assert_eq!(body, rec.to_json());
+    let v: serde_json::Value = serde_json::from_str(&body).expect("record is JSON");
+    assert_eq!(v.get("outcome").and_then(|o| o.as_str()), Some("served"));
+    let (code, _) = http_get(
+        server.addr(),
+        &format!("/debug/explain/{}", rec.trace_id + 1),
+    );
+    assert_eq!(code, 404, "an id the ring does not hold is a 404");
     server.shutdown();
 }

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! experiments [FIGURE ...] [--full] [--seed N] [--out DIR] [--metrics-out FILE]
-//!             [--audit-out FILE]
 //!
 //! FIGURE: table2 fig8a fig8b fig9a fig9b fig10a fig10b fig11a fig11b
 //!         fig12a fig12b fig13a fig13b fig14a fig14b ablation temporal
@@ -11,12 +10,9 @@
 //!          default is the laptop-quick scenario.
 //! --out  : also write each figure's CSV into DIR.
 //! --metrics-out : run an instrumented pass of the base workload, print the
-//!          phase/cache summary, and write the full metrics + trace JSON
-//!          (registry snapshot and per-query TraceRecords) to FILE.
-//! --audit-out : run an explain-enabled pass of the base workload and write
-//!          every query's audit document (candidate counts, top-K routes
-//!          with score components and route features, events) to FILE
-//!          as one JSON array.
+//!          phase/cache summary, and write the full metrics + record JSON
+//!          (registry snapshot and per-query QueryRecords, each with its
+//!          span tree and an explanation of every returned route) to FILE.
 //! ```
 //!
 //! Run with `cargo run --release -p hris-eval --bin experiments -- all`.
@@ -32,7 +28,6 @@ struct Args {
     seed: u64,
     out: Option<String>,
     metrics_out: Option<String>,
-    audit_out: Option<String>,
 }
 
 /// Every FIGURE name the runner knows, `all` included — the one list the
@@ -68,7 +63,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut seed = 42u64;
     let mut out = None;
     let mut metrics_out = None;
-    let mut audit_out = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -82,9 +76,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--out" => out = Some(it.next().expect("--out needs a directory")),
             "--metrics-out" => {
                 metrics_out = Some(it.next().expect("--metrics-out needs a file path"));
-            }
-            "--audit-out" => {
-                audit_out = Some(it.next().expect("--audit-out needs a file path"));
             }
             figure if FIGURES.contains(&figure) => {
                 figures.insert(figure.to_string());
@@ -106,7 +97,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         seed,
         out,
         metrics_out,
-        audit_out,
     })
 }
 
@@ -143,8 +133,7 @@ fn main() {
     ]
     .iter()
     .any(|f| want(f))
-        || args.metrics_out.is_some()
-        || args.audit_out.is_some();
+        || args.metrics_out.is_some();
 
     let base: Option<Scenario> = if needs_base {
         let cfg = if args.full {
@@ -273,21 +262,6 @@ fn main() {
         );
         std::fs::write(path, combined).expect("write metrics json");
         eprintln!("wrote {path}");
-    }
-
-    // Explain pass: same base workload through an explain-enabled engine;
-    // every query's audit document lands in FILE as one JSON array.
-    if let Some(path) = &args.audit_out {
-        let s = base.as_ref().expect("audit pass builds the base scenario");
-        eprintln!("running explain-enabled audit pass ...");
-        let records = hris_eval::audit_hris(s, &hris::HrisParams::default(), 180.0, 3);
-        let body = records
-            .iter()
-            .map(|r| r.json.as_str())
-            .collect::<Vec<_>>()
-            .join(",");
-        std::fs::write(path, format!("[{body}]")).expect("write audit json");
-        eprintln!("wrote {path} ({} audit records)", records.len());
     }
 
     if let Some(dir) = &args.out {

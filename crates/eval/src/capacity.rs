@@ -76,9 +76,11 @@ pub struct ReplayReport {
     pub rejected: usize,
     /// Queries shed by admission control (`Rejected{Overloaded}`).
     pub shed: usize,
-    /// Wall time of the run, seconds.
+    /// Wall time of the run, seconds: never less than the scheduled
+    /// `duration_s`, more when the last queries complete after it.
     pub wall_s: f64,
-    /// Completed arrivals per wall second.
+    /// Completed arrivals per wall second; at most `offered_qps` (for a
+    /// whole number of scheduled arrivals) when the server keeps up.
     pub achieved_qps: f64,
     /// Mean per-query wall milliseconds (admitted and shed alike).
     pub mean_latency_ms: f64,
@@ -87,9 +89,10 @@ pub struct ReplayReport {
 }
 
 /// Drives `fire` with open-loop arrivals at `cfg.offered_qps` for
-/// `cfg.duration_s`, cycling through `queries`. Returns the outcome
-/// tallies. Generic over the serving front so the same generator drives
-/// an [`EngineHandle`], a sharded router, or a stub in tests.
+/// `cfg.duration_s`, cycling through `queries`, and holds the run open
+/// until the schedule has elapsed. Returns the outcome tallies. Generic
+/// over the serving front so the same generator drives an
+/// [`EngineHandle`], a sharded router, or a stub in tests.
 pub fn run_replay<F>(queries: &[Trajectory], cfg: &ReplayConfig, fire: F) -> ReplayReport
 where
     F: Fn(&Trajectory) -> QueryOutcome + Send + Sync,
@@ -155,6 +158,16 @@ where
         }
     });
 
+    // The last arrival fires at (total − 1) / qps, before the schedule
+    // ends: stopping the clock at its completion would report a shorter
+    // run, and more than the offered load, whenever the server keeps up.
+    loop {
+        let left = cfg.duration_s - start.elapsed().as_secs_f64();
+        if left <= 0.0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_secs_f64(left));
+    }
     let wall_s = start.elapsed().as_secs_f64();
     let t = tally.into_inner().expect("replay tally");
     ReplayReport {
@@ -397,8 +410,14 @@ mod tests {
         assert_eq!(fired.load(Ordering::Relaxed), 50);
         assert_eq!(report.ok, 50);
         assert_eq!(report.shed, 0);
-        // Open-loop: the run takes at least the scheduled duration.
-        assert!(report.wall_s >= 0.2, "wall {}", report.wall_s);
+        // Open-loop: the run takes at least the scheduled duration, so a
+        // server that keeps up achieves no more than the offered load.
+        assert!(report.wall_s >= 0.25, "wall {}", report.wall_s);
+        assert!(
+            report.achieved_qps <= 200.0,
+            "achieved {} qps",
+            report.achieved_qps
+        );
     }
 
     #[test]

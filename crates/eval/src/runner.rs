@@ -12,7 +12,7 @@ use crate::metrics::accuracy_al;
 use crate::scenario::Scenario;
 use hris::prelude::*;
 use hris_mapmatch::MapMatcher;
-use hris_obs::{MetricsSnapshot, SnapshotValue, TraceRecord};
+use hris_obs::{MetricsSnapshot, QueryRecord, SnapshotValue};
 use hris_traj::{resample_to_interval, Trajectory, TrajectoryArchive};
 use rayon::prelude::*;
 use std::fmt::Write as _;
@@ -72,8 +72,6 @@ struct BatchRun {
     wall_s: f64,
     /// The engine's instrumentation, when `cfg` enabled it.
     report: Option<ObsReport>,
-    /// The drained audit ring (empty unless `cfg` enabled explain).
-    audits: Vec<hris::AuditRecord>,
 }
 
 /// The body every HRIS runner shares: the scenario's workload resampled to
@@ -106,7 +104,6 @@ fn run_batch(
             traces_dropped: obs.dropped_traces(),
             wall_s,
         }),
-        audits: engine.audit_ring().map_or_else(Vec::new, |r| r.drain()),
     }
 }
 
@@ -160,7 +157,7 @@ pub struct ObsReport {
     /// Registry state at the end of the run.
     pub snapshot: MetricsSnapshot,
     /// Per-query traces, oldest first (ring-bounded).
-    pub traces: Vec<TraceRecord>,
+    pub traces: Vec<QueryRecord>,
     /// Traces evicted from the ring during the run.
     pub traces_dropped: u64,
     /// Wall seconds of the whole batch, measured outside the engine.
@@ -256,7 +253,7 @@ impl ObsReport {
     /// `{"wall_s": ..., "registry": {"metrics": [...]}, "traces": [...]}`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let traces: Vec<String> = self.traces.iter().map(TraceRecord::to_json).collect();
+        let traces: Vec<String> = self.traces.iter().map(QueryRecord::to_json).collect();
         format!(
             "{{\"wall_s\":{},\"traces_dropped\":{},\"registry\":{},\"traces\":[{}]}}",
             self.wall_s,
@@ -342,37 +339,6 @@ pub fn evaluate_hris_observed(
     let mut run = run_batch(scenario, params, interval_s, archive, cfg, params.k3);
     let report = run.report.take().expect("instrumented engine");
     (score_top1(scenario, &run), report)
-}
-
-/// Runs the base workload on an explain-enabled engine and returns the
-/// drained audit records — one JSON document per query, keyed by trace id
-/// (the `experiments --audit-out` pass).
-///
-/// The ring is sized to the workload so no audit is evicted, and the engine
-/// runs sequentially so record order matches query order.
-#[must_use]
-pub fn audit_hris(
-    scenario: &Scenario,
-    params: &HrisParams,
-    interval_s: f64,
-    top_k_routes: usize,
-) -> Vec<hris::AuditRecord> {
-    let cfg = EngineConfig::builder()
-        .mode(ExecMode::Sequential)
-        .batch_parallel(false)
-        .explain(scenario.queries.len().max(1))
-        .explain_top_k(top_k_routes)
-        .build()
-        .expect("static engine configuration");
-    run_batch(
-        scenario,
-        params,
-        interval_s,
-        &scenario.archive,
-        cfg,
-        params.k3,
-    )
-    .audits
 }
 
 /// Per-query top-k accuracies for Figure 14a: returns `(avg, max)` accuracy

@@ -2,9 +2,10 @@
 //! guarantee.
 //!
 //! Every wall-clock read taken by the observability layer (its span
-//! guards) and by the engine's instrumented code paths goes through [`now`], which bumps a process-global counter before
-//! delegating to [`Instant::now`]. The disabled-path contract — *an engine
-//! with observability and explain off performs zero clock reads per query* —
+//! guards) and by the engine's instrumented code paths goes through
+//! [`now`], which bumps a process-global counter before delegating to
+//! [`Instant::now`]. The disabled-path contract — *an engine with
+//! observability off performs zero clock reads per query* —
 //! then stops being a doc comment and becomes a testable number: a dedicated
 //! test binary records [`reads`] before and after a workload and asserts the
 //! delta is zero (`crates/core/tests/zero_clock.rs`,

@@ -9,29 +9,29 @@
 //!   plain atomics: monotonic [`Counter`]s, [`Gauge`]s, fixed-bucket
 //!   [`Histogram`]s, and [`PairedCounter`]s (a hit/miss pair packed into one
 //!   atomic word so a snapshot of the pair is always mutually consistent).
-//! * [`TraceRecord`] / [`TraceRing`] — opt-in per-query traces (phase
-//!   durations, candidate counts, route score and the query's span tree)
+//! * [`QueryRecord`] / [`TraceRing`] — one opt-in record per query (phase
+//!   durations, candidate counts, outcome and events, one
+//!   [`RouteExplanation`] per returned route, and the query's span tree)
 //!   kept in a bounded ring buffer with a slow-query flag. The record is
 //!   the one source of a query's timings: its `*_s` fields are the
-//!   durations of the like-named spans.
+//!   durations of the like-named spans. It is rendered to JSON only when
+//!   read, and `hris-obs` still knows nothing of roads: route features
+//!   arrive as `(name, value)` pairs.
 //! * [`MetricsSnapshot`] — a point-in-time copy of the registry that renders
 //!   to Prometheus text exposition format.
 //! * [`Span`] / [`SpanCollector`] / [`SpanGuard`] — per-query span trees
 //!   (phase hierarchy with wall-clock extents and attrs) shipped inside
-//!   [`TraceRecord`]s. A guard is also the stopwatch of the phase it spans
+//!   [`QueryRecord`]s. A guard is also the stopwatch of the phase it spans
 //!   (*off* / *timed* / *recording*, see [`SpanGuard`]); children hang off a
 //!   `Copy` [`SpanParent`] handle.
 //! * [`serve`] — a zero-dependency blocking HTTP server exposing
 //!   `/metrics`, `/healthz` and `/debug/traces` + `/debug/slow`,
-//!   plus mountable prefix handlers for router-level debug endpoints
+//!   plus mountable prefix handlers for debug endpoints
 //!   (`/debug/shards`, `/debug/explain/<trace_id>`).
 //! * [`next_trace_id`] — distributed-trace propagation: a router mints a
 //!   process-unique trace id at its routing decision and threads it, with
 //!   its [`SpanParent`], through delegation and scatter batches, so every
 //!   stage records into the one collector of the query.
-//! * [`AuditRecord`] / [`AuditRing`] — opt-in per-query explain documents
-//!   (pre-rendered JSON, engine-defined schema) in a bounded ring keyed by
-//!   trace id — the same generic ring as [`TraceRing`].
 //! * [`clock`] — the counted monotonic clock every instrumented code path
 //!   reads through, making the zero-clock-read disabled-path contract
 //!   test-enforceable.
@@ -80,7 +80,7 @@ pub use admission::{Admission, AdmissionGate, AdmissionPermit};
 pub use export::MetricsSnapshot;
 pub use histogram::{Histogram, HistogramSnapshot, DEFAULT_TIME_BOUNDS, FINE_TIME_BOUNDS};
 pub use registry::{Counter, Gauge, MetricsRegistry, PairedCounter, SnapshotEntry, SnapshotValue};
-pub use ring::{AuditRecord, AuditRing, TraceRing};
+pub use ring::TraceRing;
 pub use serve::{Health, MetricsServer, ServeState};
 pub use span::{next_trace_id, AttrValue, Span, SpanCollector, SpanGuard, SpanParent, SpanSampler};
-pub use trace::TraceRecord;
+pub use trace::{QueryRecord, RouteExplanation};

@@ -268,7 +268,7 @@ impl ServeState {
             .snapshot()
             .iter()
             .filter(|r| !slow_only || r.slow)
-            .map(crate::trace::TraceRecord::to_json)
+            .map(crate::trace::QueryRecord::to_json)
             .collect::<Vec<_>>()
             .join(",");
         format!("{{\"dropped\":{},\"traces\":[{traces}]}}", ring.dropped())
@@ -405,16 +405,16 @@ mod tests {
     #[test]
     fn debug_traces_and_slow_filter() {
         use crate::ring::TraceRing;
-        use crate::trace::TraceRecord;
+        use crate::trace::QueryRecord;
         let ring = TraceRing::new(8);
-        let _ = ring.push(TraceRecord {
+        let _ = ring.push(QueryRecord {
             query_id: 1,
-            ..TraceRecord::default()
+            ..QueryRecord::default()
         });
-        let _ = ring.push(TraceRecord {
+        let _ = ring.push(QueryRecord {
             query_id: 2,
             slow: true,
-            ..TraceRecord::default()
+            ..QueryRecord::default()
         });
         let server = ServeState::new(demo_registry())
             .with_traces(ring.clone())

@@ -4,7 +4,7 @@
 //! phases (candidates → local inference per pair → global K-GRI → refine)
 //! form a tree rooted at the query span. Spans are collected per query into
 //! a [`SpanCollector`] and shipped inside the query's
-//! [`TraceRecord`](crate::TraceRecord), which keeps the hot path free of any
+//! [`QueryRecord`](crate::QueryRecord), which keeps the hot path free of any
 //! global span storage: the only cross-query state is the id allocator, one
 //! relaxed `fetch_add` per span.
 //!
@@ -151,7 +151,7 @@ impl Span {
 /// The collector is `Sync`: concurrent pair workers can open child guards
 /// against the same collector (each finished span takes the internal mutex
 /// once, on close). Dropping the collector drops its spans — the engine
-/// moves them into the query's `TraceRecord` via [`SpanCollector::into_spans`].
+/// moves them into the query's `QueryRecord` via [`SpanCollector::into_spans`].
 #[derive(Debug)]
 pub struct SpanCollector {
     origin: Instant,

@@ -1,70 +1,132 @@
-//! Per-query trace records (kept in a [`TraceRing`](crate::TraceRing)).
+//! The per-query record (kept in a [`TraceRing`](crate::TraceRing)).
 
+use crate::export::{escape_json, fmt_f64};
 use crate::span::Span;
 
-/// Everything worth knowing about one served query: where its wall time
-/// went and how much work each phase did.
+/// One returned route, explained: the engine's score, the route's shape,
+/// and the feature values behind the rank.
+///
+/// `hris-obs` never learns what a road or a feature is: the engine hands
+/// the features over as `(name, value)` pairs in its own order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RouteExplanation {
+    /// Position in the returned list (0 = top-1).
+    pub rank: usize,
+    /// The route's log-score, as returned.
+    pub log_score: f64,
+    /// Road segments on the route.
+    pub segments: usize,
+    /// Route length in metres.
+    pub length_m: f64,
+    /// Which local route was chosen for each query pair.
+    pub local_indices: Vec<usize>,
+    /// Feature values, `(name, value)`, in the engine's feature order.
+    pub features: Vec<(&'static str, f64)>,
+}
+
+impl RouteExplanation {
+    /// This explanation as one JSON object (compact, stable key order).
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let features = self
+            .features
+            .iter()
+            .map(|(name, v)| format!("\"{}\":{}", escape_json(name), fmt_f64(*v)))
+            .collect::<Vec<_>>()
+            .join(",");
+        format!(
+            concat!(
+                "{{\"rank\":{},\"log_score\":{},\"segments\":{},\"length_m\":{},",
+                "\"local_indices\":[{}],\"features\":{{{}}}}}"
+            ),
+            self.rank,
+            fmt_f64(self.log_score),
+            self.segments,
+            fmt_f64(self.length_m),
+            join(&self.local_indices),
+            features,
+        )
+    }
+}
+
+/// Everything worth knowing about one served query, in one record: where
+/// its wall time went, how much work each phase did, how it ended, and why
+/// each returned route won.
 ///
 /// Phase names follow the engine's decomposition of the paper's pipeline:
 /// `candidates` (candidate-edge lookup per query point), `local` (reference
 /// search + local route inference per consecutive pair), `global` (K-GRI
-/// scoring), `refine` (result assembly / instrumentation collection).
+/// scoring), `refine` (result assembly). The record is rendered to JSON
+/// only when it is read ([`QueryRecord::to_json`]).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceRecord {
+pub struct QueryRecord {
     /// Process-unique trace id tying this record to its distributed span
-    /// tree and audit record (0 = untraced / pre-tracing record).
+    /// tree (0 = untraced).
     pub trace_id: u64,
-    /// Engine-assigned sequence number (monotonic per engine).
+    /// Engine- or router-assigned sequence number (monotonic per front).
     pub query_id: u64,
     /// Query points.
     pub points: usize,
     /// Consecutive point pairs inferred (`points - 1` for real queries).
     pub pairs: usize,
-    /// Total candidate edges across all query points.
+    /// Total candidate edges across all query points (0 on a sharded
+    /// router's record, like `candidates_s`).
     pub candidates: usize,
     /// Global routes returned.
     pub routes: usize,
     /// Log-score of the top-1 route, when any route was returned.
     pub top_log_score: Option<f64>,
-    /// Wall seconds spent in candidate lookup.
+    /// Wall seconds spent in candidate lookup. Always 0 on a sharded
+    /// router's record: its shards look candidates up inside the router's
+    /// `shard` spans, which `local_s` totals.
     pub candidates_s: f64,
-    /// Wall seconds spent in per-pair local inference.
+    /// Wall seconds spent in per-pair local inference. On a router's
+    /// record, the total of its `shard` spans: phases 1–2 of a scattered
+    /// query, the whole shard call of a delegated one.
     pub local_s: f64,
-    /// Wall seconds spent in K-GRI global scoring.
+    /// Wall seconds spent in K-GRI global scoring. On a router's record,
+    /// its `splice` span; 0 for a delegated query (scored on its shard).
     pub global_s: f64,
-    /// Wall seconds spent assembling results.
+    /// Wall seconds spent assembling results. On a router's record, its
+    /// `gather` span; 0 for a delegated query.
     pub refine_s: f64,
     /// Wall seconds for the whole query (≥ the four phases' sum).
     pub total_s: f64,
-    /// True when `total_s` exceeded the engine's slow-query threshold.
+    /// True when `total_s` exceeded the front's slow-query threshold.
     pub slow: bool,
+    /// How the query ended: `"served"`, `"repaired"`, `"degraded"`,
+    /// `"rejected"` or `"shed"` (details in `events`).
+    pub outcome: &'static str,
+    /// Candidate edges matched per query point, in point order (empty on
+    /// a sharded router's record).
+    pub candidates_per_point: Vec<usize>,
+    /// Local routes produced per pair, in pair order.
+    pub local_routes_per_pair: Vec<usize>,
+    /// One explanation per returned route, best first (empty where the
+    /// recording front did not rank the routes: a shed, or a sharded
+    /// router's record of a query it delegated whole).
+    pub explanations: Vec<RouteExplanation>,
+    /// Repair / fallback / reroute / shed events, in order of occurrence.
+    pub events: Vec<String>,
     /// Root id of the span tree in `spans` (0 when no tree was captured).
     pub root_span: u64,
-    /// The query's span tree, sorted by `(start_s, id)`; empty when the
-    /// query was not sampled and not slow.
+    /// The query's span tree, sorted by `(start_s, id)`.
     pub spans: Vec<Span>,
 }
 
-impl TraceRecord {
+impl QueryRecord {
     /// This record as one JSON object (compact, stable key order).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let score = match self.top_log_score {
-            Some(s) if s.is_finite() => crate::export::fmt_f64(s),
-            _ => "null".to_string(),
-        };
-        let spans = self
-            .spans
-            .iter()
-            .map(Span::to_json)
-            .collect::<Vec<_>>()
-            .join(",");
+        let list = |items: Vec<String>| items.join(",");
         format!(
             concat!(
                 "{{\"trace_id\":{},\"query_id\":{},\"points\":{},\"pairs\":{},\"candidates\":{},",
                 "\"routes\":{},\"top_log_score\":{},",
                 "\"candidates_s\":{},\"local_s\":{},\"global_s\":{},\"refine_s\":{},",
-                "\"total_s\":{},\"slow\":{},",
+                "\"total_s\":{},\"slow\":{},\"outcome\":\"{}\",",
+                "\"candidates_per_point\":[{}],\"local_routes_per_pair\":[{}],",
+                "\"explanations\":[{}],\"events\":[{}],",
                 "\"root_span\":{},\"spans\":[{}]}}"
             ),
             self.trace_id,
@@ -73,17 +135,41 @@ impl TraceRecord {
             self.pairs,
             self.candidates,
             self.routes,
-            score,
-            crate::export::fmt_f64(self.candidates_s),
-            crate::export::fmt_f64(self.local_s),
-            crate::export::fmt_f64(self.global_s),
-            crate::export::fmt_f64(self.refine_s),
-            crate::export::fmt_f64(self.total_s),
+            self.top_log_score
+                .map_or_else(|| "null".to_string(), fmt_f64),
+            fmt_f64(self.candidates_s),
+            fmt_f64(self.local_s),
+            fmt_f64(self.global_s),
+            fmt_f64(self.refine_s),
+            fmt_f64(self.total_s),
             self.slow,
+            escape_json(self.outcome),
+            join(&self.candidates_per_point),
+            join(&self.local_routes_per_pair),
+            list(
+                self.explanations
+                    .iter()
+                    .map(RouteExplanation::to_json)
+                    .collect()
+            ),
+            list(
+                self.events
+                    .iter()
+                    .map(|e| format!("\"{}\"", escape_json(e)))
+                    .collect()
+            ),
             self.root_span,
-            spans,
+            list(self.spans.iter().map(Span::to_json).collect()),
         )
     }
+}
+
+/// Comma-joined counts.
+fn join(v: &[usize]) -> String {
+    v.iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join(",")
 }
 
 #[cfg(test)]
@@ -92,28 +178,35 @@ mod tests {
 
     #[test]
     fn json_shape() {
-        let r = TraceRecord {
+        let r = QueryRecord {
             query_id: 7,
             points: 5,
             pairs: 4,
             top_log_score: Some(-1.5),
             total_s: 0.25,
             slow: true,
-            ..TraceRecord::default()
+            outcome: "served",
+            candidates_per_point: vec![2, 3],
+            events: vec!["repair: \"quoted\"".to_string()],
+            ..QueryRecord::default()
         };
         let j = r.to_json();
         assert!(j.contains("\"query_id\":7"));
         assert!(j.contains("\"top_log_score\":-1.5"));
         assert!(j.contains("\"slow\":true"));
-        let none = TraceRecord::default().to_json();
+        assert!(j.contains("\"outcome\":\"served\""));
+        assert!(j.contains("\"candidates_per_point\":[2,3]"));
+        assert!(j.contains("\"events\":[\"repair: \\\"quoted\\\"\"]"));
+        let none = QueryRecord::default().to_json();
         assert!(none.contains("\"top_log_score\":null"));
+        assert!(none.contains("\"explanations\":[]"));
         assert!(none.contains("\"root_span\":0"));
         assert!(none.contains("\"spans\":[]"));
     }
 
     #[test]
     fn spans_ride_along_in_json() {
-        let r = TraceRecord {
+        let r = QueryRecord {
             query_id: 1,
             root_span: 10,
             spans: vec![crate::span::Span {
@@ -124,10 +217,29 @@ mod tests {
                 duration_s: 0.5,
                 attrs: Vec::new(),
             }],
-            ..TraceRecord::default()
+            ..QueryRecord::default()
         };
         let j = r.to_json();
         assert!(j.contains("\"root_span\":10"));
         assert!(j.contains("\"spans\":[{\"id\":10,"));
+    }
+
+    #[test]
+    fn explanations_render_named_features_in_order() {
+        let expl = RouteExplanation {
+            rank: 0,
+            log_score: -2.5,
+            segments: 9,
+            length_m: 1234.5,
+            local_indices: vec![0, 2],
+            features: vec![("turn_count", 1.0), ("length_ratio", f64::NAN)],
+        };
+        assert_eq!(
+            expl.to_json(),
+            concat!(
+                "{\"rank\":0,\"log_score\":-2.5,\"segments\":9,\"length_m\":1234.5,",
+                "\"local_indices\":[0,2],\"features\":{\"turn_count\":1,\"length_ratio\":null}}"
+            )
+        );
     }
 }

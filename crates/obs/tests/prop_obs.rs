@@ -1,7 +1,7 @@
 //! Property tests of `hris-obs`: histogram bucket algebra and counter
 //! monotonicity under concurrent increments.
 
-use hris_obs::{Histogram, MetricsRegistry, PairedCounter, TraceRecord, TraceRing};
+use hris_obs::{Histogram, MetricsRegistry, PairedCounter, QueryRecord, TraceRing};
 use proptest::prelude::*;
 use rayon::prelude::*;
 
@@ -172,10 +172,10 @@ fn trace_ring_wraparound_under_concurrent_writers() {
             let ring = ring.clone();
             s.spawn(move || {
                 for i in 0..PER_WRITER {
-                    let _ = ring.push(TraceRecord {
+                    let _ = ring.push(QueryRecord {
                         query_id: w * PER_WRITER + i,
                         points: w as usize,
-                        ..TraceRecord::default()
+                        ..QueryRecord::default()
                     });
                 }
             });

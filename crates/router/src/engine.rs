@@ -43,16 +43,17 @@
 //! shard.
 
 use crate::plan::ShardPlan;
+use hris::audit::explain;
 use hris::engine::{screen, Screened};
 use hris::{
-    EngineConfig, EngineHandle, HrisParams, LocalInferenceResult, PaperScorer, QueryAudit,
+    EngineConfig, EngineHandle, EngineObs, HrisParams, LocalInferenceResult, PaperScorer,
     QueryOutcome, QueryResult, RejectReason, RouteScorer, ScoringCtx,
 };
 use hris_geo::BBox;
 use hris_obs::{
-    next_trace_id, Admission, AdmissionGate, AttrValue, AuditRecord, AuditRing, Counter, Health,
-    MetricsRegistry, MetricsServer, MetricsSnapshot, ServeState, SpanCollector, SpanGuard,
-    SpanParent, TraceRecord, TraceRing,
+    next_trace_id, Admission, AdmissionGate, AttrValue, Counter, Health, MetricsRegistry,
+    MetricsServer, MetricsSnapshot, QueryRecord, ServeState, SpanCollector, SpanGuard, SpanParent,
+    TraceRing,
 };
 use hris_roadnet::RoadNetwork;
 use hris_traj::{
@@ -61,16 +62,6 @@ use hris_traj::{
 };
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
-
-/// The identity of one routed query, minted once in
-/// [`ShardedEngine::infer_query_traced`]: both 0 unless a ring is on. The
-/// stitched trace record and the router-side audit carry the same pair, so
-/// `/debug/traces` and `/debug/explain/<trace_id>` agree about the query.
-#[derive(Clone, Copy, Default)]
-struct QueryIds {
-    trace: u64,
-    query: u64,
-}
 
 /// Router-side health of one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,14 +207,11 @@ pub struct ShardedEngine {
     /// below their `infer_query` entrypoints, so this gate is the
     /// admission point for routed traffic.
     gate: Option<AdmissionGate>,
-    /// Stitched cross-shard trace ring (`cfg.obs.enabled` with a nonzero
-    /// `trace_capacity`); `None` is the zero-overhead gate: no collector,
-    /// no clock reads, not even a trace-id increment.
+    /// The router's one record ring (`cfg.obs.enabled` with a nonzero
+    /// `trace_capacity`): one stitched record per routed query. `None` is
+    /// the zero-overhead gate: no record, no collector, no clock reads,
+    /// not even a trace-id increment.
     traces: Option<TraceRing>,
-    /// Router-side explain/audit ring (`cfg.explain.enabled`); holds the
-    /// audits of scatter-gathered queries (delegated queries audit on
-    /// their shard, under the router's trace id).
-    audits: Option<AuditRing>,
     /// Router-assigned query sequence, from 1 (0 is "no record").
     next_query_id: AtomicU64,
 }
@@ -348,10 +336,6 @@ impl ShardedEngine {
             .then(|| AdmissionGate::new(cfg.admission.max_inflight, cfg.admission.max_queued));
         let traces = (cfg.obs.enabled && cfg.obs.trace_capacity > 0)
             .then(|| TraceRing::new(cfg.obs.trace_capacity));
-        let audits = cfg
-            .explain
-            .enabled
-            .then(|| AuditRing::new(cfg.explain.audit_capacity));
         ShardedEngine {
             net,
             params,
@@ -366,7 +350,6 @@ impl ShardedEngine {
             m,
             gate,
             traces,
-            audits,
             next_query_id: AtomicU64::new(1),
         }
     }
@@ -450,7 +433,7 @@ impl ShardedEngine {
         )
     }
 
-    /// The router's stitched-trace ring, when tracing is enabled
+    /// The router's record ring, when tracing is enabled
     /// (`cfg.obs.enabled` with a nonzero `trace_capacity`). The returned
     /// handle shares storage with the router's ring.
     #[must_use]
@@ -458,27 +441,21 @@ impl ShardedEngine {
         self.traces.clone()
     }
 
-    /// The router's explain/audit ring, when
-    /// [`ExplainOptions`](hris::ExplainOptions) enabled it. Holds the
-    /// audits of scatter-gathered, shed and router-rejected queries;
-    /// delegated queries audit on their shard (see
-    /// [`ShardedEngine::find_audit`]).
+    /// The record of one trace id, searching the router's ring first and
+    /// then every shard's. A delegated query has a record in both: the
+    /// router's holds the routing spans and events, the serving shard's
+    /// (under the router's trace id) the phase timings and route
+    /// explanations.
     #[must_use]
-    pub fn audit_ring(&self) -> Option<AuditRing> {
-        self.audits.clone()
-    }
-
-    /// The audit document of one trace id, searching the router's ring
-    /// first and then every shard's (a whole-query delegation audits on
-    /// the shard that served it, under the router's trace id).
-    #[must_use]
-    pub fn find_audit(&self, trace_id: u64) -> Option<AuditRecord> {
-        if let Some(rec) = self.audits.as_ref().and_then(|r| r.find(trace_id)) {
-            return Some(rec);
-        }
-        self.shards
+    pub fn find_record(&self, trace_id: u64) -> Option<QueryRecord> {
+        let shard_rings = self
+            .shards
             .iter()
-            .find_map(|s| s.audit_ring().and_then(|r| r.find(trace_id)))
+            .map(|s| s.observability().map(EngineObs::trace_ring));
+        std::iter::once(self.traces.clone())
+            .chain(shard_rings)
+            .flatten()
+            .find_map(|ring| ring.find(trace_id))
     }
 
     /// Per-shard status as one JSON array: id, administrative health,
@@ -511,9 +488,10 @@ impl ShardedEngine {
     /// ([`ShardedEngine::metrics_snapshot`]: router series plus every
     /// shard's, `shard`-labelled). `/debug/shards` reports per-shard
     /// health/servability/epoch. With tracing enabled, `/debug/traces`
-    /// serves the stitched cross-shard span trees; with explain enabled,
-    /// `/debug/explain/<trace_id>` serves the audit document of that query
-    /// from the router's ring or any shard's. Every shard also contributes
+    /// serves the router's records (stitched cross-shard span trees
+    /// included) and `/debug/explain/<trace_id>` one query's record, from
+    /// the router's ring or any shard's ([`ShardedEngine::find_record`]).
+    /// Every shard also contributes
     /// a named health check to `/healthz` (unhealthy when not servable).
     ///
     /// # Errors
@@ -535,7 +513,7 @@ impl ShardedEngine {
         let on_explain = Arc::clone(self);
         state = state.debug_handler("/debug/explain", move |rest| {
             let trace_id: u64 = rest.parse().ok()?;
-            on_explain.find_audit(trace_id).map(|rec| rec.json)
+            on_explain.find_record(trace_id).map(|rec| rec.to_json())
         });
         for s in 0..self.num_shards() {
             let on_health = Arc::clone(self);
@@ -563,30 +541,28 @@ impl ShardedEngine {
     /// splice points).
     ///
     /// With tracing enabled (`cfg.obs.enabled` and a nonzero
-    /// `trace_capacity`) the query additionally records one **stitched span
-    /// tree** — routing → per-shard local inference → gather → splice,
-    /// with health flips, reroutes and degraded/rejected outcomes
-    /// as span events — into the router's trace ring. Every stage records
-    /// into the one collector of the query, so the spans are one tree by
-    /// construction (pinned by `router_trace_props::check_complete`).
-    /// With explain enabled (`cfg.explain`) it records a
-    /// [`QueryAudit`] under the same trace id. With both disabled this
-    /// path is byte-identical to an untraced router and performs zero
-    /// clock reads (test-enforced).
+    /// `trace_capacity`) the query additionally writes one
+    /// [`QueryRecord`] into the router's ring: a **stitched span tree** —
+    /// routing → per-shard local inference → gather → splice, with health
+    /// flips, reroutes and degraded/rejected outcomes as span events — plus
+    /// the outcome, events and, for a scattered query, an explanation of
+    /// each returned route. Every stage records into the one collector of
+    /// the query, so the spans are one tree by construction (pinned by
+    /// `router_trace_props::check_complete`). Recording never changes an
+    /// answer, and with the ring off this path performs zero clock reads
+    /// (test-enforced).
     #[must_use]
     pub fn infer_query_traced(&self, query: &Trajectory, k: usize) -> (QueryResult, RouteTrace) {
         self.m.queries.inc();
-        // Identity is minted only when a consumer — the stitched trace
-        // ring or the audit ring — is switched on; the disabled path skips
-        // even the atomic increments.
-        let ids = if self.traces.is_some() || self.audits.is_some() {
-            QueryIds {
-                trace: next_trace_id(),
-                query: self.next_query_id.fetch_add(1, Ordering::Relaxed),
-            }
-        } else {
-            QueryIds::default()
-        };
+        // The record, and the identity it carries, exist only when the
+        // ring is on; the disabled path skips even the atomic increments.
+        let mut rec = self.traces.as_ref().map(|_| QueryRecord {
+            trace_id: next_trace_id(),
+            query_id: self.next_query_id.fetch_add(1, Ordering::Relaxed),
+            points: query.points.len(),
+            pairs: query.points.len().saturating_sub(1),
+            ..QueryRecord::default()
+        });
 
         // Stage 0 — admission. Shedding here costs a mutex lock and
         // nothing else: no validation, no shard is touched.
@@ -594,13 +570,12 @@ impl ShardedEngine {
             Some(Admission::Shed) => {
                 self.m.rejected.inc();
                 self.m.shed.inc();
-                if let Some(ring) = &self.audits {
-                    let _ = ring.push(QueryAudit::shed(ids.trace, query.len()).into_record());
+                let result = QueryResult::rejected(RejectReason::Overloaded);
+                if let (Some(ring), Some(mut rec)) = (&self.traces, rec) {
+                    explain(&mut rec, &result, None);
+                    let _ = ring.push(rec);
                 }
-                return (
-                    QueryResult::rejected(RejectReason::Overloaded),
-                    RouteTrace::rejected(),
-                );
+                return (result, RouteTrace::rejected());
             }
             Some(Admission::Admitted(p)) => Some(p),
             None => None,
@@ -609,39 +584,35 @@ impl ShardedEngine {
         // One collector per traced query: every stage — routing, shard
         // batches, gather, splice — records into it, so the whole stitched
         // tree shares one clock origin and needs no cross-shard alignment.
-        let collector = self.traces.as_ref().map(|_| SpanCollector::new());
+        let collector = rec.as_ref().map(|_| SpanCollector::new());
         let root = collector
             .as_ref()
             .map_or_else(SpanGuard::off, |c| c.root("query"));
         let root_span = root.id();
 
-        let (result, route) = self.dispatch(query, k, ids, root.as_parent());
+        let (result, route) = self.dispatch(query, k, rec.as_mut(), root.as_parent());
 
         let total_s = root.finish();
-        if let (Some(ring), Some(c)) = (&self.traces, collector) {
-            let _ = ring.push(TraceRecord {
-                trace_id: ids.trace,
-                query_id: ids.query,
-                points: query.points.len(),
-                pairs: query.points.len().saturating_sub(1),
-                routes: result.globals.len(),
-                top_log_score: result.globals.first().map(|g| g.log_score),
-                total_s,
-                root_span,
-                spans: c.into_spans(),
-                ..TraceRecord::default()
-            });
+        if let (Some(ring), Some(mut rec), Some(c)) = (&self.traces, rec, collector) {
+            rec.routes = result.globals.len();
+            rec.top_log_score = result.globals.first().map(|g| g.log_score);
+            rec.total_s = total_s;
+            rec.slow = total_s > self.cfg.obs.slow_query_threshold_s;
+            rec.root_span = root_span;
+            rec.spans = c.into_spans();
+            let _ = ring.push(rec);
         }
         (result, route)
     }
 
     /// Screen + spatial dispatch, inside the `routing` span of a traced
-    /// query. `root` is the query's root span (off when untraced).
+    /// query. `root` is the query's root span (off when untraced), `rec`
+    /// its record (`None` when untraced).
     fn dispatch(
         &self,
         query: &Trajectory,
         k: usize,
-        ids: QueryIds,
+        mut rec: Option<&mut QueryRecord>,
         root: SpanParent<'_>,
     ) -> (QueryResult, RouteTrace) {
         // Stage 1 — the engine's own screen, so routing sees the points the
@@ -649,11 +620,15 @@ impl ShardedEngine {
         let mut routing = root.child("routing");
         let screened = match screen(query) {
             Ok(s) => s,
-            Err(reason) => return self.reject(query, reason, ids, routing.as_parent()),
+            Err(reason) => return self.reject(reason, rec, routing.as_parent()),
         };
 
         // Stage 2 — spatial dispatch on the (possibly repaired) points.
         let pts = &screened.served.points;
+        if let Some(rec) = rec.as_deref_mut() {
+            rec.points = pts.len();
+            rec.pairs = pts.len().saturating_sub(1);
+        }
         let single_home = if pts.len() <= 1 {
             // A ≤1-point query has no pairs: any shard answers it from the
             // network alone.
@@ -674,19 +649,18 @@ impl ShardedEngine {
         drop(routing);
 
         match single_home {
-            Some(s) => self.run_single(query, k, s, ids, root),
-            None => self.run_scatter(&screened, k, ids, root),
+            Some(s) => self.run_single(query, k, s, rec, root),
+            None => self.run_scatter(&screened, k, rec, root),
         }
     }
 
     /// A router-side rejection (the screen refused the query, or no
     /// servable shard remains): counted, marked as a `rejected` event under
-    /// the given span, audited, and answered empty.
+    /// the given span, recorded, and answered empty.
     fn reject(
         &self,
-        query: &Trajectory,
         reason: RejectReason,
-        ids: QueryIds,
+        rec: Option<&mut QueryRecord>,
         under: SpanParent<'_>,
     ) -> (QueryResult, RouteTrace) {
         self.m.rejected.inc();
@@ -697,9 +671,8 @@ impl ShardedEngine {
             );
         }
         let result = QueryResult::rejected(reason);
-        if let Some(ring) = &self.audits {
-            let audit = QueryAudit::of_result(ids.trace, ids.query, query.len(), &result);
-            let _ = ring.push(audit.into_record());
+        if let Some(rec) = rec {
+            explain(rec, &result, None);
         }
         (result, RouteTrace::rejected())
     }
@@ -709,14 +682,14 @@ impl ShardedEngine {
     /// and the outcome is demoted to `Degraded`.
     ///
     /// The delegated shard serves under the router's trace id
-    /// ([`EngineHandle::infer_query_with_trace`]), so its own trace record
-    /// and audit are joinable with the router's `shard` span.
+    /// ([`EngineHandle::infer_query_with_trace`]), so its own record —
+    /// phase timings and route explanations — joins the router's.
     fn run_single(
         &self,
         query: &Trajectory,
         k: usize,
         s: usize,
-        ids: QueryIds,
+        rec: Option<&mut QueryRecord>,
         root: SpanParent<'_>,
     ) -> (QueryResult, RouteTrace) {
         let n_pairs = query.points.len().saturating_sub(1);
@@ -726,7 +699,7 @@ impl ShardedEngine {
             root.event("shard_unhealthy", &[("shard", AttrValue::Int(s as i64))]);
             let Some(t) = self.nearest_servable(BBox::covering(query.points.iter().map(|p| p.pos)))
             else {
-                return self.reject(query, RejectReason::ShardUnavailable, ids, root);
+                return self.reject(RejectReason::ShardUnavailable, rec, root);
             };
             root.event(
                 "reroute",
@@ -746,8 +719,9 @@ impl ShardedEngine {
         let mut shard_guard = root.child("shard");
         shard_guard.attr("shard", target);
         shard_guard.attr("pairs", n_pairs);
-        let mut result = self.shards[target].infer_query_with_trace(query, k, ids.trace);
-        drop(shard_guard);
+        let trace_id = rec.as_ref().map_or(0, |r| r.trace_id);
+        let mut result = self.shards[target].infer_query_with_trace(query, k, trace_id);
+        let shard_s = shard_guard.finish();
         if rerouted > 0 {
             self.m.rerouted.add(rerouted as u64);
             result.outcome = demote_to_degraded(result.outcome, rerouted);
@@ -755,6 +729,10 @@ impl ShardedEngine {
                 "degraded",
                 &[("pairs_fell_back", AttrValue::Int(rerouted as i64))],
             );
+        }
+        if let Some(rec) = rec {
+            rec.local_s = shard_s;
+            explain(rec, &result, None);
         }
         let trace = RouteTrace {
             kind: RouteKind::Single(target),
@@ -778,7 +756,7 @@ impl ShardedEngine {
         &self,
         screened: &Screened<'_>,
         k: usize,
-        ids: QueryIds,
+        rec: Option<&mut QueryRecord>,
         root: SpanParent<'_>,
     ) -> (QueryResult, RouteTrace) {
         let q: &Trajectory = &screened.served;
@@ -802,7 +780,7 @@ impl ShardedEngine {
             if !self.shard_is_servable(*s) {
                 let pb = BBox::covering([q.points[i].pos, q.points[i + 1].pos]);
                 let Some(t) = self.nearest_servable(pb) else {
-                    return self.reject(q, RejectReason::ShardUnavailable, ids, root);
+                    return self.reject(RejectReason::ShardUnavailable, rec, root);
                 };
                 root.event(
                     "reroute",
@@ -846,6 +824,7 @@ impl ShardedEngine {
             (0..runs.len()).map(|_| Vec::new()).collect();
         let mut epochs = Vec::with_capacity(shard_runs.len());
         let mut pairs_fell_back = 0;
+        let mut shards_s = 0.0;
         for (s, run_idxs) in &shard_runs {
             let subs: Vec<Trajectory> = run_idxs
                 .iter()
@@ -871,7 +850,7 @@ impl ShardedEngine {
             );
             pairs_fell_back += fell_back;
             shard_guard.attr("epoch", epoch as i64);
-            drop(shard_guard);
+            shards_s += shard_guard.finish();
             epochs.push((*s, epoch));
             for (&ri, mut locals) in run_idxs.iter().zip(locals) {
                 self.remap_sources(*s, &mut locals);
@@ -885,7 +864,7 @@ impl ShardedEngine {
         let locals: Vec<LocalInferenceResult> = run_locals.into_iter().flatten().collect();
         debug_assert_eq!(locals.len(), n_pairs, "one local inference per pair");
         let stats = locals.iter().map(|l| l.stats.clone()).collect();
-        drop(gather_guard);
+        let gather_s = gather_guard.finish();
         // The seam splice scores with the `HrisParams` the shard engines
         // hold, so a sharded deployment can never diverge from a single
         // engine under the same configuration.
@@ -893,7 +872,7 @@ impl ShardedEngine {
         let sctx = ScoringCtx::new(&self.net, &locals, k);
         let splice_guard = root.child("splice");
         let globals = scorer.top_k(&sctx);
-        drop(splice_guard);
+        let splice_s = splice_guard.finish();
         let mut outcome = QueryOutcome::served(screened.repairs, pairs_fell_back);
         if rerouted > 0 {
             outcome = demote_to_degraded(outcome, rerouted);
@@ -908,21 +887,22 @@ impl ShardedEngine {
             outcome,
         };
 
-        // Router-side audit: the shards only ran phases 1–2, so the
-        // explain document of a scattered query is the router's to write.
-        if let Some(ring) = &self.audits {
-            let mut audit = QueryAudit::of_result(ids.trace, ids.query, q.len(), &result);
+        // The shards only ran phases 1–2, so the explanation of a
+        // scattered query is the router's to write.
+        if let Some(rec) = rec {
+            rec.local_s = shards_s;
+            rec.refine_s = gather_s;
+            rec.global_s = splice_s;
+            explain(rec, &result, Some((&sctx, &scorer)));
             for (i, s) in pair_shards.iter().enumerate() {
-                audit.push_event(format!("scatter: pair {i} served by shard {s}"));
+                rec.events
+                    .push(format!("scatter: pair {i} served by shard {s}"));
             }
             if rerouted > 0 {
-                audit.push_event(format!(
+                rec.events.push(format!(
                     "reroute: {rerouted} pairs served away from unhealthy shards"
                 ));
             }
-            let top_k = self.cfg.explain.top_k_routes;
-            audit.explain_routes(&sctx, &result.globals, top_k, &scorer);
-            let _ = ring.push(audit.into_record());
         }
 
         (

@@ -7,12 +7,12 @@
 //!   parent resolvable, a shard span for every shard the dispatch touched,
 //!   and — for scatter queries — the `splice` span parented under the root.
 //! * **Identity** — trace ids are process-unique: concurrent batches across
-//!   multiple router instances never mint the same id, and every recorded
-//!   trace/audit pair joins on it.
+//!   multiple router instances never mint the same id, and every record
+//!   resolves by it through the router.
 
 use hris::{EngineConfig, HrisParams};
 use hris_geo::Point;
-use hris_obs::{Span, TraceRecord};
+use hris_obs::{QueryRecord, Span};
 use hris_roadnet::{generator, NetworkConfig, RoadNetwork};
 use hris_router::{RouteKind, ShardPlan, ShardedEngine};
 use hris_traj::{GpsPoint, TrajId, Trajectory, TrajectoryArchive};
@@ -86,7 +86,6 @@ fn traced_engine(
     let plan = ShardPlan::grid(net, nx, ny, params.phi_m + 900.0);
     let cfg = EngineConfig::builder()
         .observability(true)
-        .explain(64)
         .build()
         .expect("static engine configuration");
     Arc::new(ShardedEngine::build(
@@ -102,7 +101,7 @@ fn traced_engine(
 /// whose id is the record's `root_span`, unique span ids, every parent
 /// resolvable. The router pushes its record straight from the query's one
 /// collector, so this is the only place the tree shape is checked.
-fn check_complete(rec: &TraceRecord, kind: &RouteKind) -> Result<(), TestCaseError> {
+fn check_complete(rec: &QueryRecord, kind: &RouteKind) -> Result<(), TestCaseError> {
     let spans = &rec.spans;
     let roots: Vec<&Span> = spans.iter().filter(|s| s.parent == 0).collect();
     prop_assert_eq!(roots.len(), 1, "exactly one root");
@@ -183,7 +182,7 @@ proptest! {
     }
 
     /// Concurrent batches across two independent routers: every recorded
-    /// trace carries a distinct id, and every served audit joins a trace.
+    /// trace carries a distinct id, and every record resolves by it.
     #[test]
     fn trace_ids_never_collide_across_concurrent_batches(
         arch_seed in 0u64..10,
@@ -220,10 +219,9 @@ proptest! {
                 prop_assert!(rec.trace_id > 0, "traced queries mint nonzero ids");
                 all_ids.push(rec.trace_id);
             }
-            // Audits recorded anywhere (router or shard rings) join traces
-            // recorded in this process by id.
-            for audit in engine.audit_ring().expect("explain is on").snapshot() {
-                prop_assert!(audit.trace_id > 0);
+            // Every record's identity resolves through the router.
+            for rec in &recs {
+                prop_assert!(engine.find_record(rec.trace_id).is_some());
             }
         }
         prop_assert_eq!(all_ids.len(), THREADS * PER_THREAD, "every query recorded");

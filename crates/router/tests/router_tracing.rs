@@ -1,8 +1,8 @@
-//! Distributed tracing and explain integration suite: a cross-shard
-//! scatter-gather query against a **live** router [`MetricsServer`] must
-//! yield exactly one stitched span tree — routing → per-shard local
-//! inference → gather → splice — assembled under one trace id, and the
-//! explain layer must serve that query's audit document from
+//! Distributed tracing integration suite: a cross-shard scatter-gather
+//! query against a **live** router [`MetricsServer`] must yield exactly one
+//! record whose stitched span tree — routing → per-shard local inference →
+//! gather → splice — is assembled under one trace id, and the router must
+//! serve that record, route explanations included, from
 //! `/debug/explain/<trace_id>`.
 //!
 //! The span tree is checked both in-process (through the router's trace
@@ -11,7 +11,7 @@
 
 use hris::{EngineConfig, HrisParams, QueryOutcome};
 use hris_geo::Point;
-use hris_obs::{Span, TraceRecord};
+use hris_obs::{QueryRecord, Span};
 use hris_roadnet::{generator, NetworkConfig, RoadNetwork};
 use hris_router::{RouteKind, ShardHealth, ShardPlan, ShardedEngine};
 use hris_traj::{GpsPoint, SimConfig, Simulator, TrajId, Trajectory, TrajectoryArchive};
@@ -85,7 +85,6 @@ fn traced_engine(net: &Arc<RoadNetwork>, archive: &TrajectoryArchive) -> Arc<Sha
     let plan = ShardPlan::grid(net, 2, 1, params.phi_m + 900.0);
     let cfg = EngineConfig::builder()
         .observability(true)
-        .explain(16)
         .build()
         .expect("static engine configuration");
     Arc::new(ShardedEngine::build(
@@ -126,7 +125,7 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 /// Structural validation of a stitched cross-shard tree: exactly one root
 /// named `query`, every parent resolvable, the pipeline stages present and
 /// parented where the stitch puts them.
-fn assert_stitched(rec: &TraceRecord, expect_shards: usize) {
+fn assert_stitched(rec: &QueryRecord, expect_shards: usize) {
     let spans = &rec.spans;
     assert!(!spans.is_empty(), "traced query must capture spans");
     let roots: Vec<&Span> = spans.iter().filter(|s| s.parent == 0).collect();
@@ -216,13 +215,30 @@ fn scatter_query_stitches_one_span_tree_served_by_the_live_router() {
     assert_eq!(rec.pairs, 3);
     assert_eq!(rec.routes, result.globals.len());
     assert_stitched(rec, 2);
-    // The router wrote both records of this query: one identity.
-    let audit = engine.find_audit(rec.trace_id).expect("scatter audited");
     assert_ne!(rec.query_id, 0);
-    assert_eq!(audit.query_id, rec.query_id);
+    assert_eq!(engine.find_record(rec.trace_id).as_ref(), Some(rec));
+    // The router ranked the routes, so its record explains them, and its
+    // events say which shard served each pair.
+    assert_eq!(rec.outcome, "served");
+    assert_eq!(rec.explanations.len(), result.globals.len());
+    for (expl, global) in rec.explanations.iter().zip(&result.globals) {
+        assert_eq!(expl.log_score.to_bits(), global.log_score.to_bits());
+        assert_eq!(expl.segments, global.route.len());
+    }
+    assert_eq!(rec.local_routes_per_pair.len(), 3);
+    for (i, s) in route.pair_shards.iter().enumerate() {
+        let event = format!("scatter: pair {i} served by shard {s}");
+        assert!(rec.events.contains(&event), "{event} in {:?}", rec.events);
+    }
+    // Phase fields come from the router's own spans: shard batches, gather
+    // and splice ran; candidate lookup is inside the shard spans.
+    assert!(rec.local_s > 0.0 && rec.global_s > 0.0, "{rec:?}");
+    assert_eq!(rec.candidates_s, 0.0);
+    assert!(rec.local_s + rec.refine_s + rec.global_s <= rec.total_s);
+    assert!(!rec.slow, "default 1 s threshold");
 
     // The same tree over real TCP, plus the shard topology endpoint and
-    // the audit document under the same trace id.
+    // the record under the same trace id.
     let server = engine.serve_metrics("127.0.0.1:0").expect("bind");
     let addr = server.addr();
 
@@ -246,9 +262,10 @@ fn scatter_query_stitches_one_span_tree_served_by_the_live_router() {
         assert_eq!(entry.get("servable").and_then(|v| v.as_bool()), Some(true));
     }
 
-    let (code, audit) = http_get(addr, &format!("/debug/explain/{}", rec.trace_id));
-    assert_eq!(code, 200, "scatter audit served from the router ring");
-    let a: serde_json::Value = serde_json::from_str(&audit).expect("valid audit json");
+    let (code, explain) = http_get(addr, &format!("/debug/explain/{}", rec.trace_id));
+    assert_eq!(code, 200, "scatter record served from the router ring");
+    assert_eq!(explain, rec.to_json());
+    let a: serde_json::Value = serde_json::from_str(&explain).expect("valid record json");
     assert_eq!(
         a.get("trace_id").and_then(|v| v.as_u64()),
         Some(rec.trace_id)
@@ -256,15 +273,15 @@ fn scatter_query_stitches_one_span_tree_served_by_the_live_router() {
     assert_eq!(a.get("outcome").and_then(|v| v.as_str()), Some("served"));
     assert_eq!(a.get("pairs").and_then(|v| v.as_u64()), Some(3));
     assert!(
-        !a.get("routes")
+        !a.get("explanations")
             .and_then(|v| v.as_array())
-            .expect("routes array")
+            .expect("explanations array")
             .is_empty(),
-        "served audit explains its routes"
+        "served record explains its routes"
     );
     assert!(
-        audit.contains("scatter: pair"),
-        "audit events record the pair→shard assignment"
+        explain.contains("scatter: pair"),
+        "record events carry the pair→shard assignment"
     );
 
     let (code, _) = http_get(addr, "/debug/explain/999999999");
@@ -292,25 +309,55 @@ fn delegated_query_audit_is_findable_under_the_router_trace_id() {
         .snapshot()
         .pop()
         .expect("delegated query still records a trace");
-    // The delegated shard served under the router's trace id, so the
-    // shard-side audit joins the router-side span tree.
-    let audit = engine
-        .find_audit(rec.trace_id)
-        .expect("shard-side audit found through the router");
-    assert!(audit
-        .json
-        .contains(&format!("\"trace_id\":{}", rec.trace_id)));
-    assert!(audit.json.contains("\"outcome\":\"served\""));
-    // It lives on the shard's ring, not the router's.
-    assert!(
-        engine
-            .audit_ring()
-            .expect("explain is on")
-            .find(rec.trace_id)
-            .is_none(),
-        "delegated audits are shard-owned"
-    );
-    assert!(engine.shard(1).audit_ring().is_some());
+    // The router's record is found first: routing spans and the outcome,
+    // timed by the router's `shard` span.
+    let found = engine.find_record(rec.trace_id).expect("router record");
+    assert_eq!(found, rec);
+    assert_eq!(rec.outcome, "served");
+    assert!(rec.events.is_empty());
+    assert!(rec.explanations.is_empty(), "the router ranked nothing");
+    assert!(rec.local_s > 0.0 && rec.local_s <= rec.total_s);
+    assert_eq!((rec.global_s, rec.refine_s), (0.0, 0.0));
+    // The delegated shard served under the router's trace id, so its own
+    // record — timings and route explanations — is found on the shard.
+    let shard_rec = engine
+        .shard(1)
+        .observability()
+        .expect("shards are observed")
+        .trace_ring()
+        .find(rec.trace_id)
+        .expect("shard-side record under the router trace id");
+    assert_eq!(shard_rec.outcome, "served");
+    assert_eq!(shard_rec.explanations.len(), result.globals.len());
+    for (expl, global) in shard_rec.explanations.iter().zip(&result.globals) {
+        assert_eq!(expl.log_score.to_bits(), global.log_score.to_bits());
+    }
+    assert_eq!(shard_rec.candidates_per_point.len(), q.points.len());
+    assert!(engine
+        .shard(0)
+        .observability()
+        .expect("shards are observed")
+        .trace_ring()
+        .find(rec.trace_id)
+        .is_none());
+}
+
+#[test]
+fn tiny_slow_threshold_flags_routed_queries_slow() {
+    let net = net();
+    let archive = sim_archive(&net, 60, 12);
+    let params = HrisParams::default();
+    let plan = ShardPlan::grid(&net, 2, 1, params.phi_m + 900.0);
+    let cfg = EngineConfig::builder()
+        .observability(true)
+        .slow_query_threshold_s(1e-9)
+        .build()
+        .expect("static engine configuration");
+    let engine = ShardedEngine::build(Arc::clone(&net), &archive, params, cfg, plan);
+    let q = core_query(&engine, 0);
+    let _ = engine.infer_query_traced(&q, 2);
+    let rec = engine.trace_ring().expect("tracing is on").snapshot().pop();
+    assert!(rec.expect("routed query recorded").slow);
 }
 
 #[test]
@@ -417,7 +464,6 @@ fn shed_and_rejected_queries_audit_without_routes() {
         let plan = ShardPlan::grid(&net, 2, 1, params.phi_m + 900.0);
         let cfg = EngineConfig::builder()
             .observability(true)
-            .explain(16)
             .admission(1, 0)
             .build()
             .expect("static engine configuration");
@@ -434,22 +480,18 @@ fn shed_and_rejected_queries_audit_without_routes() {
     let empty = Trajectory::new(TrajId(1), Vec::new());
     let (r, _) = engine.infer_query_traced(&empty, 2);
     assert!(matches!(r.outcome, QueryOutcome::Rejected { .. }));
-    let audits = engine.audit_ring().expect("explain is on").snapshot();
-    let rejected = audits
-        .iter()
-        .find(|a| a.json.contains("\"outcome\":\"rejected\""))
-        .expect("rejection audited");
-    assert!(rejected.json.contains("\"routes\":[]"));
-    // Trace record and audit of the rejection agree on its identity.
-    let rec = engine
-        .trace_ring()
-        .expect("tracing is on")
-        .find(rejected.trace_id)
-        .expect("rejection traced under the audit's trace id");
-    assert_ne!(rec.query_id, 0);
-    assert_eq!(rejected.query_id, rec.query_id);
+    let ring = engine.trace_ring().expect("tracing is on");
+    let rejected = ring.snapshot().pop().expect("rejection recorded");
+    assert_eq!(rejected.outcome, "rejected");
+    assert_eq!(rejected.events, ["rejected: EmptyQuery"]);
+    assert!(rejected.explanations.is_empty());
+    assert_ne!(rejected.query_id, 0);
+    assert_eq!(
+        engine.find_record(rejected.trace_id).as_ref(),
+        Some(&rejected)
+    );
 
-    // A query shed at the gate audits as shed.
+    // A query shed at the gate is recorded as shed.
     let gate = engine.admission_gate().expect("gate configured");
     let permit = match gate.admit() {
         hris_obs::Admission::Admitted(p) => p,
@@ -459,11 +501,8 @@ fn shed_and_rejected_queries_audit_without_routes() {
     let (r, _) = engine.infer_query_traced(&q, 2);
     assert!(matches!(r.outcome, QueryOutcome::Rejected { .. }));
     drop(permit);
-    let audits = engine.audit_ring().unwrap().snapshot();
-    assert!(
-        audits
-            .iter()
-            .any(|a| a.json.contains("\"outcome\":\"shed\"")),
-        "shed queries are audited"
-    );
+    let shed = ring.snapshot().pop().expect("shed recorded");
+    assert_eq!(shed.outcome, "shed", "shed queries are recorded");
+    assert!(shed.explanations.is_empty() && shed.spans.is_empty());
+    assert_ne!(shed.trace_id, rejected.trace_id);
 }

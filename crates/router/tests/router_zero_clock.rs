@@ -57,10 +57,6 @@ fn disabled_router_reads_the_clock_zero_times() {
         engine.trace_ring().is_none(),
         "default config traces nothing"
     );
-    assert!(
-        engine.audit_ring().is_none(),
-        "default config audits nothing"
-    );
 
     // One delegated in-core query and one seam query that scatters across
     // both shards — the full routing surface.

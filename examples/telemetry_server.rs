@@ -1,9 +1,10 @@
 //! Live telemetry serving: an owned [`EngineHandle`] follows a streaming
 //! archive while its zero-dependency HTTP server exposes `/metrics`,
-//! `/healthz`, `/debug/traces` and `/debug/slow` — then the example scrapes
-//! its own endpoints so the run is self-contained and self-terminating. A
-//! final sharded section runs one cross-shard query and prints its stitched
-//! span tree plus the audit document served from `/debug/explain/<id>`.
+//! `/healthz`, `/debug/traces`, `/debug/slow` and `/debug/explain/<id>` —
+//! then the example scrapes its own endpoints so the run is self-contained
+//! and self-terminating. A final sharded section runs one cross-shard query
+//! and prints its stitched span tree plus its record, route explanations
+//! included, served from the router's `/debug/explain/<id>`.
 //!
 //! ```text
 //! cargo run --release --example telemetry_server
@@ -174,16 +175,25 @@ fn main() {
     }) {
         println!("/metrics → {line}");
     }
-    // Every record carries its phase tree; here is the newest one.
-    let _ = print_newest_tree(server.addr());
+    // Every record carries its phase tree; here is the newest one, and
+    // the same record with its route explanations.
+    let newest = print_newest_tree(server.addr());
+    let raw = curl(server.addr(), &format!("/debug/explain/{newest}"));
+    let body = raw.split_once("\r\n\r\n").map_or("", |(_, body)| body);
+    let rec: serde_json::Value = serde_json::from_str(body).expect("/debug/explain is JSON");
+    println!(
+        "/debug/explain/{newest} → outcome {}, {} routes explained",
+        rec["outcome"],
+        rec["explanations"].as_array().map_or(0, Vec::len)
+    );
 
     // 6. Clean shutdown: the server thread joins before main exits.
     server.shutdown();
     println!("telemetry server stopped");
 
-    // 7. Sharded deployment: one cross-shard query, one stitched span
-    //    tree, one audit document — fetched end-to-end through the
-    //    router's own debug endpoints.
+    // 7. Sharded deployment: one cross-shard query, one record with its
+    //    stitched span tree — fetched end-to-end through the router's own
+    //    debug endpoints.
     let params = HrisParams::default();
     let plan = ShardPlan::grid(&net, 2, 1, params.phi_m + 900.0);
     let seam_x = plan.core(0).max.x;
@@ -192,8 +202,7 @@ fn main() {
         &archive,
         params,
         EngineConfig::builder()
-            .observability(true) // span trees into the router trace ring
-            .explain(64) // audit documents into the audit ring
+            .observability(true) // one record per query into the router's ring
             .build()
             .expect("valid config"),
         plan,
@@ -231,7 +240,7 @@ fn main() {
     // inference, then the router-side gather and splice.
     let trace_id = print_newest_tree(router_srv.addr());
 
-    // The audit record, exactly as an operator would read it.
+    // The query's record, exactly as an operator would read it.
     let shards = curl(router_srv.addr(), "/debug/shards");
     println!(
         "\n/debug/shards → {}",
