@@ -41,6 +41,16 @@ enum ArchiveSource {
     Live(SnapshotReader),
 }
 
+impl ArchiveSource {
+    /// The snapshot a query would be served against now.
+    fn latest(&self) -> Arc<ArchiveSnapshot> {
+        match self {
+            ArchiveSource::Fixed(snap) => Arc::clone(snap),
+            ArchiveSource::Live(reader) => reader.latest(),
+        }
+    }
+}
+
 /// An owned HRIS serving handle: `Send + Sync + 'static`.
 ///
 /// Construction takes `Arc<RoadNetwork>` plus either a plain archive
@@ -94,15 +104,7 @@ impl EngineHandle {
         params: HrisParams,
         cfg: EngineConfig,
     ) -> Self {
-        let epoch = snapshot.epoch();
-        Self::build(
-            net,
-            params,
-            ArchiveSource::Fixed(snapshot),
-            cfg,
-            None,
-            epoch,
-        )
+        Self::build(net, params, ArchiveSource::Fixed(snapshot), cfg, None)
     }
 
     /// Handle following a live [`SnapshotReader`]: each query is served
@@ -114,8 +116,7 @@ impl EngineHandle {
         params: HrisParams,
         cfg: EngineConfig,
     ) -> Self {
-        let epoch = reader.epoch();
-        Self::build(net, params, ArchiveSource::Live(reader), cfg, None, epoch)
+        Self::build(net, params, ArchiveSource::Live(reader), cfg, None)
     }
 
     /// [`EngineHandle::from_snapshot`] instrumented onto a caller-owned
@@ -133,14 +134,12 @@ impl EngineHandle {
         registry: Arc<MetricsRegistry>,
     ) -> Self {
         cfg.obs.enabled = true;
-        let epoch = snapshot.epoch();
         Self::build(
             net,
             params,
             ArchiveSource::Fixed(snapshot),
             cfg,
             Some(registry),
-            epoch,
         )
     }
 
@@ -156,14 +155,12 @@ impl EngineHandle {
         registry: Arc<MetricsRegistry>,
     ) -> Self {
         cfg.obs.enabled = true;
-        let epoch = reader.epoch();
         Self::build(
             net,
             params,
             ArchiveSource::Live(reader),
             cfg,
             Some(registry),
-            epoch,
         )
     }
 
@@ -173,8 +170,8 @@ impl EngineHandle {
         source: ArchiveSource,
         cfg: EngineConfig,
         registry: Option<Arc<MetricsRegistry>>,
-        epoch: u64,
     ) -> Self {
+        let epoch = source.latest().epoch();
         let registry =
             registry.or_else(|| cfg.obs.enabled.then(|| Arc::new(MetricsRegistry::new())));
         let gate = cfg
@@ -381,10 +378,11 @@ impl EngineHandle {
 
     /// Seconds since the snapshot the next query would serve against was
     /// published. On a live source this tracks publisher health; on a fixed
-    /// source it grows monotonically since the pin.
+    /// source it grows monotonically since the pin. A probe, not a query:
+    /// it leaves [`EngineHandle::epoch`] alone.
     #[must_use]
     pub fn snapshot_age_seconds(&self) -> f64 {
-        self.current_snapshot().age_seconds()
+        self.source.latest().age_seconds()
     }
 
     /// Starts the zero-dependency telemetry server for this handle on
@@ -600,6 +598,21 @@ mod tests {
         assert_eq!(handle.epoch(), 1);
         assert_eq!(handle.current_snapshot().num_trajectories(), 1);
         assert!(!before.is_empty());
+    }
+
+    #[test]
+    fn age_probe_does_not_move_the_served_epoch() {
+        let mut writer = ArchiveWriter::new(TrajectoryArchive::empty());
+        let handle = EngineHandle::live(
+            net(),
+            writer.reader(),
+            crate::HrisParams::default(),
+            EngineConfig::default(),
+        );
+        writer.append(query(0.0)).unwrap();
+        writer.publish();
+        assert!(handle.snapshot_age_seconds() < 60.0);
+        assert_eq!(handle.epoch(), 0, "no query has served epoch 1 yet");
     }
 
     #[test]

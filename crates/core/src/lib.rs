@@ -94,7 +94,7 @@ pub mod prelude {
     pub use crate::pipeline::{Hris, HrisMatcher, ScoredRoute};
     pub use crate::scoring::{PaperScorer, RouteScorer, ScoringCtx};
     pub use hris_traj::{
-        ArchiveSnapshot, ArchiveWriter, IngestOptions, IngestQueue, IngestReport, SnapshotReader,
+        ArchiveSnapshot, ArchiveWriter, IngestOptions, IngestReport, SnapshotReader,
         TrajectoryArchive,
     };
 }

@@ -272,15 +272,15 @@ impl ShardedEngine {
     /// [`ArchiveWriter`](hris_traj::ArchiveWriter). Each query pins at most
     /// one epoch per touched shard.
     ///
-    /// Live shards have no parent archive, so cross-seam id remapping is
-    /// *namespaced* instead of translated: shard `s`'s trajectory `i`
-    /// reports as id `s · 2²⁴ + i`. Seam transition confidence therefore
-    /// conservatively sees disjoint reference sets across shards; feed
-    /// partition-respecting workloads (or accept the deterministic
-    /// best-effort seam) when running live.
+    /// Live shards have no parent archive, so cross-seam ids are namespaced,
+    /// not translated: shard `s`'s trip `i` reports as `s · 2²⁴ + i`, so
+    /// shards get 8 id bits (< 256 shards) and trips 24 (< 2²⁴ per shard; a
+    /// larger trip id aliases). Seam confidence thus sees disjoint reference
+    /// sets across shards; feed partition-respecting workloads (or accept
+    /// the deterministic best-effort seam) when running live.
     ///
     /// # Panics
-    /// Panics unless `readers.len() == plan.num_shards()`, or with 2²⁴ or
+    /// Panics unless `readers.len() == plan.num_shards()`, or with 256 or
     /// more shards.
     #[must_use]
     pub fn live(

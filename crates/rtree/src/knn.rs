@@ -16,7 +16,8 @@ use std::collections::BinaryHeap;
 pub struct Neighbor<'a, T> {
     /// The indexed item.
     pub item: &'a T,
-    /// Index of the item in [`RTree::items`] order.
+    /// Index of the item in [`RTree::items`] order. A tree is never edited
+    /// after [`RTree::bulk_load`], so the index is stable for its lifetime.
     pub index: usize,
     /// Exact distance from the query point, metres.
     pub dist: f64,

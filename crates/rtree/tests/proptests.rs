@@ -23,16 +23,6 @@ proptest! {
     }
 
     #[test]
-    fn insert_invariants(pts in prop::collection::vec(point(), 0..300)) {
-        let mut tree = RTree::new();
-        for p in &pts {
-            tree.insert(*p);
-        }
-        tree.check_invariants();
-        prop_assert_eq!(tree.len(), pts.len());
-    }
-
-    #[test]
     fn rect_query_equals_scan(
         pts in prop::collection::vec(point(), 0..400),
         a in point(),
@@ -120,44 +110,5 @@ proptest! {
                 prop_assert!((n.dist - want).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn remove_where_equals_retain_oracle(
-        pts in prop::collection::vec(point(), 0..300),
-        a in point(),
-        b in point(),
-        x_cut in -10_000.0..10_000.0f64,
-    ) {
-        let mut tree = RTree::bulk_load(pts.clone());
-        let region = BBox::new(a, b);
-        let removed = tree.remove_where(&region, |p| p.x < x_cut);
-        tree.check_invariants();
-        // Oracle: split by the same rule.
-        let (want_removed, want_kept): (Vec<Point>, Vec<Point>) = pts
-            .into_iter()
-            .partition(|p| region.contains_point(*p) && p.x < x_cut);
-        prop_assert_eq!(removed.len(), want_removed.len());
-        prop_assert_eq!(tree.len(), want_kept.len());
-        // Remaining queries agree with the kept oracle.
-        let mut got: Vec<Point> = tree.query_rect(&tree.bbox().inflated(1.0)).into_iter().copied().collect();
-        let mut want = want_kept;
-        got.sort_by_key(sorted_key);
-        want.sort_by_key(sorted_key);
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn insert_then_query_sees_new_items(
-        initial in prop::collection::vec(point(), 0..100),
-        extra in prop::collection::vec(point(), 1..100),
-    ) {
-        let mut tree = RTree::bulk_load(initial.clone());
-        for p in &extra {
-            tree.insert(*p);
-        }
-        tree.check_invariants();
-        let everything = tree.query_rect(&tree.bbox().inflated(1.0));
-        prop_assert_eq!(everything.len(), initial.len() + extra.len());
     }
 }

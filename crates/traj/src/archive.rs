@@ -38,7 +38,6 @@ impl Spatial for ArchivePoint {
 pub struct TrajectoryArchive {
     trajectories: Vec<Trajectory>,
     index: RTree<ArchivePoint>,
-    num_points: usize,
 }
 
 impl TrajectoryArchive {
@@ -57,11 +56,9 @@ impl TrajectoryArchive {
                 });
             }
         }
-        let num_points = points.len();
         TrajectoryArchive {
             trajectories: trips,
             index: RTree::bulk_load(points),
-            num_points,
         }
     }
 
@@ -82,7 +79,7 @@ impl TrajectoryArchive {
     #[inline]
     #[must_use]
     pub fn num_points(&self) -> usize {
-        self.num_points
+        self.index.len()
     }
 
     /// A trajectory by id.
@@ -111,55 +108,6 @@ impl TrajectoryArchive {
     #[must_use]
     pub fn bbox(&self) -> BBox {
         self.index.bbox()
-    }
-
-    // ------------------------------------------------ incremental maintenance
-
-    /// Appends one (already repaired) trajectory, assigning it the next
-    /// contiguous [`TrajId`] and inserting its points into the existing
-    /// R-tree one by one instead of re-bulk-loading the whole index. This is
-    /// the maintenance path behind [`crate::ingest::ArchiveWriter`]; batch
-    /// rebuilds should keep using [`TrajectoryArchive::new`].
-    pub fn append_trajectory(&mut self, mut trip: Trajectory) -> TrajId {
-        let id = TrajId(self.trajectories.len() as u32);
-        trip.id = id;
-        for (k, p) in trip.points.iter().enumerate() {
-            self.index.insert(ArchivePoint {
-                pos: p.pos,
-                t: p.t,
-                traj: id,
-                point_idx: k as u32,
-            });
-        }
-        self.num_points += trip.points.len();
-        self.trajectories.push(trip);
-        id
-    }
-
-    /// Evicts the `n` oldest trajectories (lowest ids): batch-deletes their
-    /// points from the index with `remove_where`, then remaps the surviving
-    /// points' [`TrajId`]s in place so ids stay contiguous from zero.
-    /// Returns the number of points removed.
-    pub fn evict_front(&mut self, n: usize) -> usize {
-        let n = n.min(self.trajectories.len());
-        if n == 0 {
-            return 0;
-        }
-        let region = self.index.bbox();
-        let removed = self
-            .index
-            .remove_where(&region, |ap| ap.traj.index() < n)
-            .len();
-        let shift = n as u32;
-        for ap in self.index.items_mut() {
-            ap.traj = TrajId(ap.traj.0 - shift);
-        }
-        self.trajectories.drain(..n);
-        for (i, t) in self.trajectories.iter_mut().enumerate() {
-            t.id = TrajId(i as u32);
-        }
-        self.num_points -= removed;
-        removed
     }
 
     // ---------------------------------------------------------- persistence
@@ -536,84 +484,26 @@ mod tests {
         assert_eq!(a.num_trajectories(), 0);
     }
 
-    // -------------------------------------------- incremental maintenance
-
-    #[test]
-    fn append_trajectory_maintains_index_incrementally() {
-        let mut a = archive();
-        let id = a.append_trajectory(Trajectory::new(
-            TrajId(42), // reassigned
-            vec![
-                GpsPoint::new(Point::new(500.0, 500.0), 0.0),
-                GpsPoint::new(Point::new(600.0, 500.0), 10.0),
-            ],
-        ));
-        assert_eq!(id, TrajId(2));
-        assert_eq!(a.num_trajectories(), 3);
-        assert_eq!(a.num_points(), 7);
-        assert_eq!(a.trajectory(id).id, id);
-        // The new points are query-visible with correct provenance.
-        let hits = a.points_within(Point::new(550.0, 500.0), 60.0);
-        assert_eq!(hits.len(), 2);
-        for h in hits {
-            assert_eq!(h.traj, id);
-            let orig = a.trajectory(h.traj).points[h.point_idx as usize];
-            assert_eq!(orig.pos, h.pos);
-        }
-    }
-
-    #[test]
-    fn evict_front_remaps_ids_contiguously() {
-        let mut a = archive();
-        a.append_trajectory(Trajectory::new(
-            TrajId(0),
-            vec![GpsPoint::new(Point::new(500.0, 500.0), 0.0)],
-        ));
-        let removed = a.evict_front(1); // drops the 2-point trip
-        assert_eq!(removed, 2);
-        assert_eq!(a.num_trajectories(), 2);
-        assert_eq!(a.num_points(), 4);
-        for (i, t) in a.trajectories().iter().enumerate() {
-            assert_eq!(t.id, TrajId(i as u32));
-        }
-        // Index provenance was remapped along with the trips.
-        for h in a.points_within(Point::new(100.0, 100.0), 1e6) {
-            let orig = a.trajectory(h.traj).points[h.point_idx as usize];
-            assert_eq!(orig.pos, h.pos);
-            assert_eq!(orig.t, h.t);
-        }
-        // Evicting more than remains empties the archive without panicking.
-        assert_eq!(a.evict_front(10), 4);
-        assert_eq!(a.num_trajectories(), 0);
-        assert_eq!(a.num_points(), 0);
-        assert_eq!(a.evict_front(1), 0);
-    }
-
     #[test]
     fn incremental_build_matches_bulk_build() {
+        // An archive grown trip by trip through the live writer answers
+        // range queries exactly like one bulk-loaded from the same trips:
+        // same hits, in the same order.
         let bulk = archive();
-        let mut inc = TrajectoryArchive::empty();
+        let mut writer = crate::ingest::ArchiveWriter::new(TrajectoryArchive::empty());
         for t in bulk.trajectories() {
-            inc.append_trajectory(t.clone());
+            writer.append(t.clone()).unwrap();
+            writer.publish();
         }
+        let inc = writer.snapshot();
         assert_eq!(inc.num_trajectories(), bulk.num_trajectories());
         assert_eq!(inc.num_points(), bulk.num_points());
-        // Same range-query result *sets* (order may differ between a
-        // bulk-loaded and an insert-built tree).
         for (c, r) in [
             (Point::new(0.0, 50.0), 60.0),
             (Point::new(100.0, 100.0), 250.0),
             (Point::ORIGIN, 1e6),
         ] {
-            let key = |ap: &&ArchivePoint| (ap.traj, ap.point_idx);
-            let mut a: Vec<_> = bulk.points_within(c, r);
-            let mut b: Vec<_> = inc.points_within(c, r);
-            a.sort_by_key(key);
-            b.sort_by_key(key);
-            assert_eq!(
-                a.iter().map(key).collect::<Vec<_>>(),
-                b.iter().map(key).collect::<Vec<_>>()
-            );
+            assert_eq!(bulk.points_within(c, r), inc.points_within(c, r));
         }
     }
 

@@ -2,14 +2,14 @@
 //!
 //! The paper's archive is *historical*, but the corpus it models keeps
 //! growing: new taxi traces arrive continuously, and a serving system
-//! cannot stop the world to re-bulk-load the R-tree per update. This module
+//! cannot stop the world while the archive is re-indexed. This module
 //! provides the write side of that story:
 //!
 //! * [`ArchiveWriter`] — single-owner writer that appends new trajectories
 //!   through the same repair/quarantine rules as tolerant loading
-//!   ([`sanitize_points`] + teleport stripping), maintains the GPS-point
-//!   R-tree incrementally (per-point insert, batch deletion on retention
-//!   eviction), and publishes immutable epoch-numbered snapshots.
+//!   ([`sanitize_points`] + teleport stripping) and publishes immutable
+//!   epoch-numbered snapshots. Each published epoch is built once, the way
+//!   a cold load builds one ([`TrajectoryArchive::new`]), and never edited.
 //! * [`ArchiveSnapshot`] — one frozen epoch: an archive plus its epoch
 //!   number. Readers that hold an `Arc<ArchiveSnapshot>` keep that exact
 //!   archive alive for as long as they need it, regardless of later
@@ -18,8 +18,6 @@
 //!   always yields the latest published snapshot. The hand-off is a single
 //!   `Arc` clone under a read lock; in-flight queries are never blocked by
 //!   an ingest batch, only by the pointer swap itself.
-//! * [`IngestQueue`] — a thread-safe mailbox so many producers can feed one
-//!   writer.
 //!
 //! # Epoch semantics
 //!
@@ -34,7 +32,7 @@ use crate::types::{sanitize_points, PointRepairs, TrajId, Trajectory};
 use hris_obs::{Counter, Gauge, Histogram, MetricsRegistry, FINE_TIME_BOUNDS};
 use serde::{Deserialize, Serialize};
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 /// One immutable published epoch of the trajectory archive.
@@ -207,7 +205,7 @@ impl IngestObs {
             ),
             swap_seconds: registry.histogram(
                 "hris_snapshot_swap_seconds",
-                "Wall time to publish a snapshot (archive clone + slot swap).",
+                "Wall time to publish a snapshot (archive build + slot swap).",
                 &FINE_TIME_BOUNDS,
             ),
         }
@@ -216,20 +214,18 @@ impl IngestObs {
 
 /// The single-owner write side of a live archive.
 ///
-/// The writer owns a *working* archive that it mutates in place
-/// (incremental R-tree insert on append, batch deletion on eviction) and a
-/// shared *slot* holding the latest published [`ArchiveSnapshot`]. Appends
-/// stay private to the writer until [`ArchiveWriter::publish`] clones the
-/// working archive into a fresh immutable snapshot and swaps it into the
-/// slot — an `O(archive)` structural clone, paid by the ingest thread, so
-/// the read side never pays more than an `Arc` exchange.
+/// The writer owns the retained trips, oldest first, and a shared *slot*
+/// holding the latest published [`ArchiveSnapshot`]. Appends stay private
+/// to the writer until [`ArchiveWriter::publish`] bulk-loads the retained
+/// trips into a fresh immutable snapshot and swaps it into the slot — an
+/// `O(n log n)` index build, paid by the ingest thread, so the read side
+/// never pays more than an `Arc` exchange.
 #[derive(Debug)]
 pub struct ArchiveWriter {
-    working: TrajectoryArchive,
+    trips: Vec<Trajectory>,
     slot: Slot,
     epoch: u64,
     dirty: bool,
-    pending: usize,
     opts: IngestOptions,
     report: IngestReport,
     obs: Option<IngestObs>,
@@ -246,13 +242,13 @@ impl ArchiveWriter {
     /// A writer over `initial` (published as epoch 0) with explicit policy.
     #[must_use]
     pub fn with_options(initial: TrajectoryArchive, opts: IngestOptions) -> Self {
-        let snapshot = Arc::new(ArchiveSnapshot::new(0, initial.clone()));
+        let trips = initial.trajectories().to_vec();
+        let snapshot = Arc::new(ArchiveSnapshot::new(0, initial));
         ArchiveWriter {
-            working: initial,
+            trips,
             slot: Arc::new(RwLock::new(snapshot)),
             epoch: 0,
             dirty: false,
-            pending: 0,
             opts,
             report: IngestReport::default(),
             obs: None,
@@ -290,27 +286,16 @@ impl ArchiveWriter {
         self.epoch
     }
 
-    /// Trips appended since the last publish.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
     /// Cumulative ingest accounting since construction.
     #[must_use]
     pub fn report(&self) -> &IngestReport {
         &self.report
     }
 
-    /// The ingest policy this writer was built with.
-    #[must_use]
-    pub fn options(&self) -> &IngestOptions {
-        &self.opts
-    }
-
     /// Appends one trip through the repair/quarantine path. Returns the id
-    /// it received in the working archive, or `None` if the whole trip was
-    /// quarantined. The append is invisible to readers until the next
+    /// it will carry in the next published epoch if retention evicts
+    /// nothing first, or `None` if the whole trip was quarantined. The
+    /// append is invisible to readers until the next
     /// [`ArchiveWriter::publish`].
     pub fn append(&mut self, trip: Trajectory) -> Option<TrajId> {
         let mut pts = trip.points;
@@ -340,13 +325,9 @@ impl ArchiveWriter {
             obs.points_appended.add(pts.len() as u64);
         }
         // Sanitization restored time order, so the checked constructor
-        // cannot panic here; the id is reassigned by the archive.
-        let n = pts.len();
-        let id = self
-            .working
-            .append_trajectory(Trajectory::new(TrajId(0), pts));
-        debug_assert_eq!(self.working.trajectory(id).points.len(), n);
-        self.pending += 1;
+        // cannot panic here.
+        let id = TrajId(self.trips.len() as u32);
+        self.trips.push(Trajectory::new(id, pts));
         self.dirty = true;
         Some(id)
     }
@@ -356,18 +337,19 @@ impl ArchiveWriter {
         trips.into_iter().filter_map(|t| self.append(t)).count()
     }
 
-    /// Publishes the working archive as a new epoch: applies the retention
-    /// policy, clones the working archive into an immutable snapshot, and
-    /// swaps it into the slot. Readers that already hold the previous
-    /// snapshot keep it; new [`SnapshotReader::latest`] calls see the new
-    /// epoch. A publish with nothing appended or evicted is a no-op that
-    /// returns the current snapshot without bumping the epoch.
+    /// Publishes the retained trips as a new epoch: applies the retention
+    /// policy, bulk-loads the trips into an immutable snapshot exactly as
+    /// [`TrajectoryArchive::new`] would on a cold load (contiguous ids from
+    /// zero, the same R-tree), and swaps it into the slot. Readers that
+    /// already hold the previous snapshot keep it; new
+    /// [`SnapshotReader::latest`] calls see the new epoch. A publish with
+    /// nothing appended or evicted is a no-op that returns the current
+    /// snapshot without bumping the epoch.
     pub fn publish(&mut self) -> Arc<ArchiveSnapshot> {
         if let Some(max) = self.opts.retain_max_trajectories {
-            let n = self.working.num_trajectories();
-            if n > max {
-                let excess = n - max;
-                let points = self.working.evict_front(excess);
+            let excess = self.trips.len().saturating_sub(max);
+            if excess > 0 {
+                let points: usize = self.trips.drain(..excess).map(|t| t.len()).sum();
                 self.report.trajectories_evicted += excess;
                 self.report.points_evicted += points;
                 if let Some(obs) = &self.obs {
@@ -381,72 +363,24 @@ impl ArchiveWriter {
         }
         let start = Instant::now();
         self.epoch += 1;
-        let snapshot = Arc::new(ArchiveSnapshot::new(self.epoch, self.working.clone()));
+        let archive = TrajectoryArchive::new(self.trips.clone());
+        let snapshot = Arc::new(ArchiveSnapshot::new(self.epoch, archive));
         *self.slot.write().expect("snapshot slot") = Arc::clone(&snapshot);
         let elapsed = start.elapsed().as_secs_f64();
         self.report.epochs_published += 1;
         self.dirty = false;
-        self.pending = 0;
         if let Some(obs) = &self.obs {
             obs.epoch.set(self.epoch as i64);
             obs.swap_seconds.observe(elapsed);
         }
         snapshot
     }
-
-    /// Drains `queue`, appends everything, and publishes one new epoch if
-    /// anything changed. Returns how many trips survived quarantine. This is
-    /// the maintenance-loop body: producers push into the queue from any
-    /// thread; one owner calls `ingest_from` periodically.
-    pub fn ingest_from(&mut self, queue: &IngestQueue) -> usize {
-        let appended = self.append_batch(queue.drain());
-        self.publish();
-        appended
-    }
-}
-
-/// A thread-safe mailbox between trajectory producers and the single
-/// [`ArchiveWriter`] owner. Producers [`IngestQueue::push`] from any
-/// thread; the writer [`IngestQueue::drain`]s in FIFO order.
-#[derive(Debug, Default)]
-pub struct IngestQueue {
-    pending: Mutex<Vec<Trajectory>>,
-}
-
-impl IngestQueue {
-    /// An empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        IngestQueue::default()
-    }
-
-    /// Enqueues one trip.
-    pub fn push(&self, trip: Trajectory) {
-        self.pending.lock().expect("ingest queue").push(trip);
-    }
-
-    /// Trips currently queued.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.pending.lock().expect("ingest queue").len()
-    }
-
-    /// `true` when nothing is queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Takes everything queued so far, in arrival order.
-    #[must_use]
-    pub fn drain(&self) -> Vec<Trajectory> {
-        std::mem::take(&mut *self.pending.lock().expect("ingest queue"))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::archive::ArchivePoint;
     use crate::types::GpsPoint;
     use hris_geo::Point;
 
@@ -465,7 +399,6 @@ mod tests {
         assert_eq!(reader.latest().num_trajectories(), 1);
 
         w.append(trip(1000.0, 3)).unwrap();
-        assert_eq!(w.pending(), 1);
         // Still epoch 0 with one trip.
         assert_eq!(reader.epoch(), 0);
         assert_eq!(reader.latest().num_trajectories(), 1);
@@ -474,7 +407,6 @@ mod tests {
         assert_eq!(snap.epoch(), 1);
         assert_eq!(reader.epoch(), 1);
         assert_eq!(reader.latest().num_trajectories(), 2);
-        assert_eq!(w.pending(), 0);
     }
 
     #[test]
@@ -571,44 +503,104 @@ mod tests {
 
     #[test]
     fn writer_archive_matches_cold_rebuild() {
-        let trips: Vec<Trajectory> = (0..4).map(|i| trip(5_000.0 * i as f64, 3)).collect();
-        let mut w = ArchiveWriter::new(TrajectoryArchive::empty());
-        w.append_batch(trips.clone());
-        let live = w.publish();
-        let cold = TrajectoryArchive::new(trips);
-        assert_eq!(live.num_trajectories(), cold.num_trajectories());
-        assert_eq!(live.num_points(), cold.num_points());
-        for (a, b) in live.trajectories().iter().zip(cold.trajectories()) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.points, b.points);
+        // Every published epoch, with retention on or off, answers range
+        // queries exactly like a cold bulk load of its own trips: the same
+        // `(traj, point_idx)` hits in the same order.
+        let probes: Vec<Point> = (0..12)
+            .flat_map(|i| {
+                (0..3).map(move |j| Point::new(2_500.0 * f64::from(i), 40.0 * f64::from(j)))
+            })
+            .collect();
+        for retain in [None, Some(7)] {
+            let opts = IngestOptions {
+                retain_max_trajectories: retain,
+                ..IngestOptions::default()
+            };
+            let mut sent: Vec<Trajectory> = (0..3).map(|i| trip(900.0 * f64::from(i), 4)).collect();
+            let mut w = ArchiveWriter::with_options(TrajectoryArchive::new(sent.clone()), opts);
+            for chunk in 0..6 {
+                let trips: Vec<Trajectory> = (0..4)
+                    .map(|i| {
+                        let k = f64::from(4 * chunk + i);
+                        let mut t = trip(1_100.0 * k, 3 + (4 * chunk + i) as usize % 5);
+                        for p in &mut t.points {
+                            p.pos.y = 7.0 * (k % 6.0);
+                        }
+                        t
+                    })
+                    .collect();
+                sent.extend(trips.iter().cloned());
+                assert_eq!(w.append_batch(trips), 4);
+                let snap = w.publish();
+                let cold = TrajectoryArchive::new(snap.trajectories().to_vec());
+                assert_eq!(snap.num_points(), cold.num_points());
+                for (i, t) in snap.trajectories().iter().enumerate() {
+                    assert_eq!(t.id, TrajId(i as u32), "ids stay contiguous from zero");
+                }
+                let key = |ap: &&ArchivePoint| (ap.traj, ap.point_idx);
+                for &c in &probes {
+                    for r in [150.0, 1_200.0] {
+                        let live: Vec<_> = snap.points_within(c, r).iter().map(key).collect();
+                        let want: Vec<_> = cold.points_within(c, r).iter().map(key).collect();
+                        assert_eq!(
+                            live, want,
+                            "retain {retain:?}, chunk {chunk}, probe {c:?} r {r}"
+                        );
+                    }
+                }
+            }
+            // The final epoch holds the newest trips, in arrival order.
+            let snap = w.snapshot();
+            let kept = &sent[sent.len() - retain.unwrap_or(sent.len())..];
+            assert_eq!(snap.num_trajectories(), kept.len());
+            for (a, b) in snap.trajectories().iter().zip(kept) {
+                assert_eq!(a.points, b.points);
+            }
         }
     }
 
     #[test]
-    fn queue_feeds_writer_across_threads() {
-        let queue = Arc::new(IngestQueue::new());
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let q = Arc::clone(&queue);
-                std::thread::spawn(move || {
-                    for j in 0..5 {
-                        q.push(trip(1_000.0 * (5 * i + j) as f64, 2));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+    fn eviction_keeps_ids_contiguous_and_counts_points() {
+        let opts = IngestOptions {
+            retain_max_trajectories: Some(2),
+            ..IngestOptions::default()
+        };
+        let initial = vec![trip(0.0, 2), trip(500.0, 3)];
+        let mut w = ArchiveWriter::with_options(TrajectoryArchive::new(initial), opts);
+        w.append(trip(5_000.0, 1)).unwrap();
+        let snap = w.publish();
+        // The 2-point trip went; the survivors are re-idd from zero and the
+        // index resolves to their points.
+        assert_eq!(w.report().points_evicted, 2);
+        assert_eq!(snap.num_trajectories(), 2);
+        assert_eq!(snap.num_points(), 4);
+        for (i, t) in snap.trajectories().iter().enumerate() {
+            assert_eq!(t.id, TrajId(i as u32));
         }
-        assert_eq!(queue.len(), 20);
-        let mut w = ArchiveWriter::new(TrajectoryArchive::empty());
-        assert_eq!(w.ingest_from(&queue), 20);
-        assert!(queue.is_empty());
-        assert_eq!(w.epoch(), 1);
-        assert_eq!(w.reader().latest().num_trajectories(), 20);
-        // Draining an empty queue publishes nothing.
-        assert_eq!(w.ingest_from(&queue), 0);
-        assert_eq!(w.epoch(), 1);
+        for h in snap.points_within(Point::new(500.0, 0.0), 1e6) {
+            let orig = snap.trajectory(h.traj).points[h.point_idx as usize];
+            assert_eq!((orig.pos, orig.t), (h.pos, h.t));
+        }
+        // A retention cap of zero evicts more trips than exist without
+        // panicking and publishes an empty epoch.
+        let mut w = ArchiveWriter::with_options(
+            TrajectoryArchive::new(vec![trip(0.0, 2)]),
+            IngestOptions {
+                retain_max_trajectories: Some(0),
+                ..IngestOptions::default()
+            },
+        );
+        w.append(trip(100.0, 2)).unwrap();
+        let snap = w.publish();
+        assert_eq!(snap.num_trajectories(), 0);
+        assert_eq!(snap.num_points(), 0);
+        assert_eq!(w.report().trajectories_evicted, 2);
+        assert_eq!(w.report().points_evicted, 4);
+        assert_eq!(
+            w.publish().epoch(),
+            1,
+            "nothing left to evict: no new epoch"
+        );
     }
 
     #[test]

@@ -23,15 +23,13 @@ pub mod types;
 
 pub use archive::{encode_trips, ArchivePoint, LoadReport, TolerantLoadOptions, TrajectoryArchive};
 pub use faults::{fault_corpus, FaultInjector, FaultKind};
-pub use ingest::{
-    ArchiveSnapshot, ArchiveWriter, IngestOptions, IngestQueue, IngestReport, SnapshotReader,
-};
+pub use ingest::{ArchiveSnapshot, ArchiveWriter, IngestOptions, IngestReport, SnapshotReader};
 pub use partition::{partition_archive, ArchivePartition};
 pub use resample::{add_gps_noise, resample_to_interval};
 pub use simulator::{SimConfig, Simulator, TripRecord};
 pub use snapshot::{
-    encode_snapshot, encode_snapshot_with_routes, ColumnarSnapshot, SnapshotError, SnapshotHeader,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    encode_snapshot, ColumnarSnapshot, SnapshotError, SnapshotHeader, SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
 };
 pub use staypoint::{detect_stay_points, partition_trips, StayPoint, StayPointConfig};
 pub use types::{

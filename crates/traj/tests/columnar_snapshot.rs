@@ -10,6 +10,7 @@
 //! different archive or a panic.
 
 use hris_geo::Point;
+use hris_traj::snapshot::SNAPSHOT_HEADER_LEN;
 use hris_traj::{
     encode_snapshot, fault_corpus, ColumnarSnapshot, GpsPoint, SnapshotError, TrajId, Trajectory,
     TrajectoryArchive,
@@ -120,7 +121,7 @@ proptest! {
     #[test]
     fn any_single_header_byte_flip_is_rejected(
         trips in prop::collection::vec(clean_trajectory(), 1..4),
-        byte in 0usize..68,
+        byte in 0usize..SNAPSHOT_HEADER_LEN,
         bit in 0u8..8,
     ) {
         let archive = TrajectoryArchive::new(trips);
@@ -158,7 +159,7 @@ fn repaired_fault_corpus_roundtrips_bit_identically() {
 #[test]
 fn corrupt_blobs_never_panic_and_never_mis_open() {
     // Seeded sweep wired onto the fault-corpus archive: flip every byte of
-    // the whole blob in turn. Header flips (bytes 0..68) must be rejected
+    // the whole blob in turn. Header flips must be rejected
     // at open; payload flips may open but must either decode (bounds are
     // validated) or return a structured error — never panic.
     let base = vec![Trajectory::new(
@@ -175,7 +176,10 @@ fn corrupt_blobs_never_panic_and_never_mis_open() {
         bad[at] ^= 0x55;
         match ColumnarSnapshot::open(bytes::Bytes::from_vec(bad)) {
             Ok(snap) => {
-                assert!(at >= 68, "header flip at byte {at} must not open");
+                assert!(
+                    at >= SNAPSHOT_HEADER_LEN,
+                    "header flip at byte {at} must not open"
+                );
                 // Structure validated at open; payload decode must not
                 // panic whatever the flip did.
                 let _ = snap.decode_archive();
@@ -235,15 +239,15 @@ fn golden_archive() -> TrajectoryArchive {
 
 #[test]
 fn snapshot_format_matches_golden_file() {
-    // Pins the on-disk layout: header field values *and* the exact first
-    // 68 bytes. A diff here means the format changed — bump
+    // Pins the on-disk layout: header field values *and* the exact header
+    // bytes. A diff here means the format changed — bump
     // SNAPSHOT_VERSION and re-bless with:
     //   BLESS=1 cargo test -p hris-traj --test columnar_snapshot
     let blob = encode_snapshot(&golden_archive(), 5);
     let snap = ColumnarSnapshot::open(blob.slice(0..blob.len())).expect("open");
     let mut actual = snap.header().describe();
     actual.push_str("header_bytes    ");
-    for b in &blob.as_slice()[..68] {
+    for b in &blob.as_slice()[..SNAPSHOT_HEADER_LEN] {
         actual.push_str(&format!(" {b:02x}"));
     }
     actual.push('\n');

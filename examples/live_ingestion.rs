@@ -1,6 +1,7 @@
 //! Live ingestion: serve route-inference queries from an owned
 //! [`EngineHandle`] while new taxi traces stream into the archive through an
-//! [`ArchiveWriter`], epoch by epoch — no rebuild, no downtime.
+//! [`ArchiveWriter`], epoch by epoch — each epoch is indexed off the query
+//! path, so queries never wait for it.
 //!
 //! ```text
 //! cargo run --release --example live_ingestion
@@ -29,7 +30,7 @@ fn main() {
     let mut trips = archive.trajectories().to_vec();
     let stream = trips.split_off(400);
 
-    // 2. A writer owns the mutable archive; the engine handle follows its
+    // 2. A writer owns the growing set of trips; the engine handle follows its
     //    published snapshots. The handle is Send + Sync + 'static — share
     //    it behind an Arc with as many query threads as you like.
     let mut writer = ArchiveWriter::new(TrajectoryArchive::new(trips));
