@@ -87,9 +87,9 @@ impl RefEdgeIndex {
         for (ri, r) in refs.refs.iter().enumerate() {
             let ri = u32::try_from(ri).expect("reference index fits u32");
             for p in &r.points {
-                for seg in net.candidate_segments_cached(p.pos, eps).iter() {
-                    pairs.push((seg.0, ri));
-                }
+                net.candidate_segments_cached(p.pos, eps, |segs| {
+                    pairs.extend(segs.iter().map(|seg| (seg.0, ri)));
+                });
             }
         }
         // Counting sort over the (small, dense) segment universe. The outer

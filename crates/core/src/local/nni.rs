@@ -35,9 +35,9 @@ use crate::local::LocalStats;
 use crate::params::HrisParams;
 use crate::reference::ReferenceSet;
 use hris_geo::Point;
-use hris_mapmatch::reconstruct_route;
+use hris_mapmatch::{reconstruct_route, BridgeMemo};
 use hris_roadnet::network::CandidateEdge;
-use hris_roadnet::{FxHashSet, RoadNetwork, Route};
+use hris_roadnet::{FxHashSet, RoadNetwork, Route, SegmentId};
 
 /// The point cloud of one query pair: the *set* of observed reference
 /// positions, then the terminal `q_{i+1}`, in flat arrays that one linear
@@ -237,6 +237,10 @@ impl TransitGraph {
 
 /// Enumerates the loopless `q_i → q_{i+1}` point traces (each without its
 /// endpoints), depth-first, up to `nni_max_paths` of them.
+///
+/// The walk's partial traces share their prefixes, so they live in one
+/// parent-pointer arena: a stack entry is an arena index, the loopless test
+/// walks up the parent chain, and a trace is materialised only once found.
 fn enumerate_paths(cloud: &Cloud, params: &HrisParams, stats: &mut LocalStats) -> Vec<Vec<usize>> {
     let terminal_id = cloud.terminal_id();
     let start = cloud.start_id();
@@ -253,16 +257,19 @@ fn enumerate_paths(cloud: &Cloud, params: &HrisParams, stats: &mut LocalStats) -
         return Vec::new();
     }
 
+    // `(node, parent entry)`; the root entry is `q_i`, its own parent.
+    let mut arena: Vec<(usize, usize)> = vec![(start, 0)];
     let mut paths: Vec<Vec<usize>> = Vec::new();
-    let mut stack: Vec<(usize, Vec<usize>)> = vec![(start, Vec::new())];
+    let mut stack: Vec<usize> = vec![0];
     // Bounded work: a reachable terminal can still sit behind more loopless
     // paths than are worth walking.
     let mut expansions_budget = 2_000usize.max(cloud.points.len() * 4);
 
-    while let Some((node, path)) = stack.pop() {
+    while let Some(entry) = stack.pop() {
         if paths.len() >= params.nni_max_paths.max(1) || expansions_budget == 0 {
             break;
         }
+        let node = arena[entry].0;
         let fresh: Vec<usize>;
         let succs: &[usize] = if params.nni_share_substructures {
             graph.successors(cloud, node, params, &mut stats.knn_searches)
@@ -273,18 +280,27 @@ fn enumerate_paths(cloud: &Cloud, params: &HrisParams, stats: &mut LocalStats) -
         expansions_budget -= 1;
         for &next in succs {
             if next == terminal_id {
-                paths.push(path.clone());
-                continue;
+                let mut path: Vec<usize> = trace(&arena, entry).collect();
+                path.reverse();
+                paths.push(path);
+            } else if !trace(&arena, entry).any(|n| n == next) {
+                stack.push(arena.len());
+                arena.push((next, entry));
             }
-            if path.contains(&next) {
-                continue; // loopless traces
-            }
-            let mut np = path.clone();
-            np.push(next);
-            stack.push((next, np));
         }
     }
     paths
+}
+
+/// The nodes of arena entry `e`'s trace, last first, the root `q_i` excluded.
+fn trace(arena: &[(usize, usize)], mut e: usize) -> impl Iterator<Item = usize> + '_ {
+    std::iter::from_fn(move || {
+        (e != 0).then(|| {
+            let (node, parent) = arena[e];
+            e = parent;
+            node
+        })
+    })
 }
 
 /// Runs NNI for one query pair. Returns candidate local routes and stats.
@@ -322,39 +338,47 @@ pub fn nni(
 
     // Build physical routes from each dense trace. The trace points are
     // genuine on-road GPS observations spaced a couple hundred metres
-    // apart, so nearest-candidate matching with shortest-path bridging
+    // apart, so nearest-segment matching with shortest-path bridging
     // ("the map-matching techniques, whose accuracy is higher as there are
     // more intermediate points", Section III-B.2) recovers the route at a
     // fraction of a full probabilistic matcher's cost.
+    //
+    // Both steps are pure functions, and the traces of a pair revisit the
+    // same points and joints constantly, so each is paid once: a reference
+    // point's nearest segment once across pairs (in its projection-memo
+    // entry, which `RefEdgeIndex::build` has just filled), the terminal's
+    // and `q_i`'s once per pair, and each bridge once per pair.
     let mut routes = Vec::new();
-    let mut seen_matched: FxHashSet<Vec<hris_roadnet::SegmentId>> = FxHashSet::default();
-    // Nearest-segment matching is a pure function of the (fixed) cloud
-    // point, and distinct traces revisit the same points constantly —
-    // memoise per cloud id, and match the shared endpoints exactly once.
-    let qi_match = net.nearest_segment(qi);
-    let mut nearest_memo: Vec<Option<Option<CandidateEdge>>> = vec![None; cloud.points.len()];
+    let mut seen_matched: FxHashSet<Vec<SegmentId>> = FxHashSet::default();
+    let mut bridges = BridgeMemo::default();
+    let qi_match = net.nearest_segment(qi).map(|c| c.segment);
+    let mut nearest_memo: Vec<Option<Option<SegmentId>>> = vec![None; cloud.points.len()];
+    let mut matched: Vec<SegmentId> = Vec::new();
     for path in &paths {
-        let mut matched: Vec<CandidateEdge> = Vec::with_capacity(path.len() + 2);
-        if let Some(c) = qi_match {
-            matched.push(c);
-        }
+        matched.clear();
+        matched.extend(qi_match);
         for &id in path.iter().chain(std::iter::once(&terminal_id)) {
-            let c = *nearest_memo[id].get_or_insert_with(|| net.nearest_segment(cloud.points[id]));
-            if let Some(c) = c {
-                if matched.last().map(|m| m.segment) != Some(c.segment) {
-                    matched.push(c);
+            let nearest = *nearest_memo[id].get_or_insert_with(|| {
+                let p = cloud.points[id];
+                if id == terminal_id {
+                    net.nearest_segment(p).map(|c| c.segment)
+                } else {
+                    net.nearest_segment_cached(p, params.candidate_eps_m)
+                }
+            });
+            if let Some(s) = nearest {
+                if matched.last() != Some(&s) {
+                    matched.push(s);
                 }
             }
         }
-        if matched.is_empty() {
-            continue;
-        }
         // Distinct traces can collapse to the same matched-edge sequence;
         // reconstruct each sequence only once.
-        if !seen_matched.insert(matched.iter().map(|m| m.segment).collect()) {
+        if matched.is_empty() || seen_matched.contains(&matched) {
             continue;
         }
-        routes.push(reconstruct_route(net, &matched));
+        routes.push(reconstruct_route(net, &matched, &mut bridges));
+        seen_matched.insert(matched.clone());
     }
     (routes, stats)
 }

@@ -3,7 +3,7 @@
 
 use crate::MatchResult;
 use hris_roadnet::network::CandidateEdge;
-use hris_roadnet::{CostModel, RoadNetwork, Route};
+use hris_roadnet::{CostModel, FxHashMap, RoadNetwork, Route, SegmentId};
 use hris_traj::{GpsPoint, Trajectory};
 use serde::{Deserialize, Serialize};
 
@@ -139,57 +139,76 @@ pub fn build_transitions(net: &RoadNetwork, cands: &[PointCandidates]) -> Transi
     TransitionTable { dists }
 }
 
-/// Reconstructs a connected route through a sequence of matched candidates.
+/// The bridges [`reconstruct_route`] has searched, keyed by joint: for each
+/// `(prev, next)` pair of consecutive matched segments, the segments that
+/// follow `prev` on the route — the shortest path's rest through `next`, or
+/// `next` alone when no path exists. A bridge is a pure function of the
+/// joint, so one memo serves any number of sequences; the traces of one NNI
+/// pair repeat their joints many times over. Nothing is evicted: a memo
+/// lives as long as the sequences it bridges.
+#[derive(Debug, Default)]
+pub struct BridgeMemo {
+    /// Joint → `tails[lo..hi]`.
+    joints: FxHashMap<(SegmentId, SegmentId), (u32, u32)>,
+    tails: Vec<SegmentId>,
+}
+
+impl BridgeMemo {
+    /// What follows `prev` on a route bridged to `next` (`prev != next`).
+    fn tail(&mut self, net: &RoadNetwork, prev: SegmentId, next: SegmentId) -> &[SegmentId] {
+        let (lo, hi) = *self.joints.entry((prev, next)).or_insert_with(|| {
+            let lo = self.tails.len() as u32;
+            match net
+                .sp_oracle()
+                .route_between_uncached(prev, next, CostModel::Distance)
+            {
+                // `bridge` starts with `prev`.
+                Some(bridge) => self.tails.extend_from_slice(&bridge.segments()[1..]),
+                None => self.tails.push(next),
+            }
+            (lo, self.tails.len() as u32)
+        });
+        &self.tails[lo as usize..hi as usize]
+    }
+}
+
+/// Reconstructs a connected route through a sequence of matched segments.
 ///
 /// Consecutive matches on the same segment are merged; otherwise the gap is
-/// bridged with a network shortest path. Unreachable joints fall back to
-/// simply appending the next segment (the accuracy metric then penalises the
-/// discontinuity, as it should).
+/// bridged with a network shortest path, looked up in `bridges` first.
+/// Unreachable joints fall back to simply appending the next segment (the
+/// accuracy metric then penalises the discontinuity, as it should).
 #[must_use]
-pub fn reconstruct_route(net: &RoadNetwork, matched: &[CandidateEdge]) -> Route {
+pub fn reconstruct_route(
+    net: &RoadNetwork,
+    matched: &[SegmentId],
+    bridges: &mut BridgeMemo,
+) -> Route {
     // Byte-identical to `shortest::route_between_segments` (the oracle's
     // contract) without two network-sized arrays per bridge.
-    let oracle = net.sp_oracle();
-    let mut route = Route::empty();
-    for m in matched {
-        let last = route.segments().last().copied();
-        match last {
-            None => route.push(m.segment),
-            Some(prev) if prev == m.segment => {}
-            Some(prev) => {
-                match oracle.route_between_uncached(prev, m.segment, CostModel::Distance) {
-                    Some(bridge) => {
-                        // `bridge` starts with `prev`; append the rest.
-                        for &s in &bridge.segments()[1..] {
-                            route.push(s);
-                        }
-                    }
-                    None => route.push(m.segment),
-                }
-            }
+    let mut route: Vec<SegmentId> = Vec::new();
+    for &next in matched {
+        match route.last() {
+            None => route.push(next),
+            Some(&prev) if prev == next => {}
+            Some(&prev) => route.extend_from_slice(bridges.tail(net, prev, next)),
         }
     }
     dedup_cycles(route)
 }
 
-/// Removes immediate backtracking (`… a b a …` with `b` being `a`'s reverse)
-/// artefacts that bridging can introduce at the route level; keeps the first
-/// occurrence. Conservative: only strips exact consecutive duplicates.
-fn dedup_cycles(route: Route) -> Route {
-    let mut out: Vec<hris_roadnet::SegmentId> = Vec::with_capacity(route.len());
-    for &s in route.segments() {
-        if out.last() == Some(&s) {
-            continue;
-        }
-        out.push(s);
-    }
-    Route::new(out)
+/// Drops a segment that repeats the one just before it, keeping the first.
+/// It removes nothing else: `… a b a …` backtracking stays.
+fn dedup_cycles(mut route: Vec<SegmentId>) -> Route {
+    route.dedup();
+    Route::new(route)
 }
 
 /// Packages matched candidates into a [`MatchResult`].
 #[must_use]
 pub fn finish(net: &RoadNetwork, matched: Vec<CandidateEdge>) -> MatchResult {
-    let route = reconstruct_route(net, &matched);
+    let segs: Vec<SegmentId> = matched.iter().map(|m| m.segment).collect();
+    let route = reconstruct_route(net, &segs, &mut BridgeMemo::default());
     MatchResult { matched, route }
 }
 
@@ -315,19 +334,7 @@ mod tests {
         let r = net.segments()[0].id;
         let mid = net.next_segments(r)[0];
         let s = net.next_segments(mid)[0];
-        let a = CandidateEdge {
-            segment: r,
-            dist: 0.0,
-            closest: net.segment(r).geometry.start(),
-            offset: 0.0,
-        };
-        let b = CandidateEdge {
-            segment: s,
-            dist: 0.0,
-            closest: net.segment(s).geometry.start(),
-            offset: 0.0,
-        };
-        let route = reconstruct_route(&net, &[a, b]);
+        let route = reconstruct_route(&net, &[r, s], &mut BridgeMemo::default());
         assert!(route.is_connected(&net));
         assert_eq!(route.segments().first(), Some(&r));
         assert_eq!(route.segments().last(), Some(&s));
@@ -337,39 +344,31 @@ mod tests {
     fn reconstruct_route_merges_same_segment() {
         let net = net();
         let r = net.segments()[0].id;
-        let c = CandidateEdge {
-            segment: r,
-            dist: 0.0,
-            closest: net.segment(r).geometry.start(),
-            offset: 0.0,
-        };
-        let route = reconstruct_route(&net, &[c, c, c]);
+        let route = reconstruct_route(&net, &[r, r, r], &mut BridgeMemo::default());
         assert_eq!(route.segments(), &[r]);
     }
 
     /// `reconstruct_route` as it stood before the oracle: every bridge an
-    /// allocate-per-call Dijkstra.
-    fn reconstruct_route_classic(net: &RoadNetwork, matched: &[CandidateEdge]) -> Route {
+    /// allocate-per-call Dijkstra, nothing remembered.
+    fn reconstruct_route_classic(net: &RoadNetwork, matched: &[SegmentId]) -> Route {
         use hris_roadnet::shortest::route_between_segments;
         let mut route = Route::empty();
-        for m in matched {
+        for &m in matched {
             let last = route.segments().last().copied();
             match last {
-                None => route.push(m.segment),
-                Some(prev) if prev == m.segment => {}
-                Some(prev) => {
-                    match route_between_segments(net, prev, m.segment, CostModel::Distance) {
-                        Some(bridge) => {
-                            for &s in &bridge.segments()[1..] {
-                                route.push(s);
-                            }
+                None => route.push(m),
+                Some(prev) if prev == m => {}
+                Some(prev) => match route_between_segments(net, prev, m, CostModel::Distance) {
+                    Some(bridge) => {
+                        for &s in &bridge.segments()[1..] {
+                            route.push(s);
                         }
-                        None => route.push(m.segment),
                     }
-                }
+                    None => route.push(m),
+                },
             }
         }
-        dedup_cycles(route)
+        dedup_cycles(route.segments().to_vec())
     }
 
     /// `build_transitions` as it stood before the oracle: one bounded
@@ -523,17 +522,25 @@ mod tests {
         b.build()
     }
 
-    /// Bridging through the oracle reconstructs the classic route on random
-    /// matched sequences, including joints with no path and matches that
-    /// stay on (or come back to) a segment.
+    /// Bridging through the oracle, with one memo shared by every sequence
+    /// of a case, reconstructs the classic route on random matched
+    /// sequences: joints with no path, matches that stay on (or come back
+    /// to) a segment, `a b a` zigzags, and joints an earlier sequence — or
+    /// an earlier joint of the same one — already bridged.
     #[test]
     fn reconstruct_route_matches_classic_bridging() {
         use proptest::prelude::*;
         use rand::{Rng, SeedableRng};
         let net = net_with_island();
         let m = net.num_segments();
-        // [unreachable joint, same segment twice in a row, segment revisited]
-        let mut regimes = [0usize; 3];
+        const REGIMES: [&str; 5] = [
+            "unreachable joint",
+            "same segment twice in a row",
+            "segment revisited",
+            "a b a zigzag",
+            "joint bridged before",
+        ];
+        let mut regimes = [0usize; 5];
         proptest::test_runner::run(
             ProptestConfig::with_cases(64),
             file!(),
@@ -541,45 +548,50 @@ mod tests {
             |rng| {
                 let seed = (0u64..u64::MAX).generate(rng);
                 let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-                let mut segs: Vec<usize> = Vec::new();
-                for _ in 0..rng.gen_range(1..=12) {
-                    let next = match rng.gen_range(0..10) {
-                        0 if !segs.is_empty() => segs[segs.len() - 1],
-                        1 if !segs.is_empty() => segs[rng.gen_range(0..segs.len())],
-                        2 => m - 1 - rng.gen_range(0..2usize), // the island
-                        _ => rng.gen_range(0..m),
-                    };
-                    segs.push(next);
-                }
-                let matched: Vec<CandidateEdge> = segs
-                    .iter()
-                    .map(|&s| {
-                        let seg = &net.segments()[s];
-                        CandidateEdge {
-                            segment: seg.id,
-                            dist: 0.0,
-                            closest: seg.geometry.start(),
-                            offset: 0.0,
+                let mut bridges = BridgeMemo::default();
+                let mut bridged: std::collections::HashSet<(usize, usize)> = Default::default();
+                let mut sequences: Vec<Vec<usize>> = Vec::new();
+                for _ in 0..rng.gen_range(1..=4) {
+                    let mut segs: Vec<usize> = Vec::new();
+                    let len = rng.gen_range(1..=12);
+                    while segs.len() < len {
+                        match rng.gen_range(0..12) {
+                            0 if !segs.is_empty() => segs.push(segs[segs.len() - 1]),
+                            1 if !segs.is_empty() => segs.push(segs[rng.gen_range(0..segs.len())]),
+                            2 => segs.push(m - 1 - rng.gen_range(0..2usize)), // the island
+                            3 if segs.len() >= 2 => segs.push(segs[segs.len() - 2]),
+                            // A stretch of an earlier sequence: its joints again.
+                            4 | 5 if !sequences.is_empty() => {
+                                let earlier = &sequences[rng.gen_range(0..sequences.len())];
+                                let lo = rng.gen_range(0..earlier.len());
+                                let hi = rng.gen_range(lo..earlier.len()) + 1;
+                                segs.extend_from_slice(&earlier[lo..hi]);
+                            }
+                            _ => segs.push(rng.gen_range(0..m)),
                         }
-                    })
-                    .collect();
-                let got = reconstruct_route(&net, &matched);
-                prop_assert_eq!(
-                    &got,
-                    &reconstruct_route_classic(&net, &matched),
-                    "seed {seed}"
-                );
+                    }
+                    let ids: Vec<SegmentId> = segs.iter().map(|&s| SegmentId(s as u32)).collect();
+                    let got = reconstruct_route(&net, &ids, &mut bridges);
+                    prop_assert_eq!(&got, &reconstruct_route_classic(&net, &ids), "seed {seed}");
 
-                regimes[0] += usize::from(!got.is_connected(&net));
-                regimes[1] += usize::from(segs.windows(2).any(|w| w[0] == w[1]));
-                let revisited = |(i, s): (usize, &usize)| i >= 2 && segs[..i - 1].contains(s);
-                regimes[2] += usize::from(segs.iter().enumerate().any(revisited));
+                    regimes[0] += usize::from(!got.is_connected(&net));
+                    regimes[1] += usize::from(segs.windows(2).any(|w| w[0] == w[1]));
+                    let revisited = |(i, s): (usize, &usize)| i >= 2 && segs[..i - 1].contains(s);
+                    regimes[2] += usize::from(segs.iter().enumerate().any(revisited));
+                    regimes[3] +=
+                        usize::from(segs.windows(3).any(|w| w[0] == w[2] && w[0] != w[1]));
+                    let mut again = false;
+                    for w in segs.windows(2).filter(|w| w[0] != w[1]) {
+                        again |= !bridged.insert((w[0], w[1]));
+                    }
+                    regimes[4] += usize::from(again);
+                    sequences.push(segs);
+                }
                 Ok(())
             },
         );
-        assert!(
-            regimes.iter().all(|&n| n >= 5),
-            "every regime must be exercised: {regimes:?}"
-        );
+        for (name, n) in REGIMES.iter().zip(regimes) {
+            assert!(n >= 5, "regime `{name}` hit {n} times: {regimes:?}");
+        }
     }
 }

@@ -22,8 +22,8 @@ pub mod ivmm;
 pub mod stmatching;
 
 pub use candidates::{
-    build_transitions, candidates_for, emission_prob, network_dist, reconstruct_route, MatchParams,
-    PointCandidates, TransitionTable,
+    build_transitions, candidates_for, emission_prob, network_dist, reconstruct_route, BridgeMemo,
+    MatchParams, PointCandidates, TransitionTable,
 };
 pub use incremental::IncrementalMatcher;
 pub use ivmm::IvmmMatcher;

@@ -98,20 +98,49 @@ const CAND_CACHE_CAP: usize = 1 << 16;
 ///
 /// Every entry memoises the exact output of a pure function of the network
 /// — the shortest-path oracle, λ-neighborhood hop searches, candidate-edge
-/// projections — so reads through the caches are byte-identical to the
-/// uncached computations and need no invalidation for the network's
-/// lifetime. Cloning a network starts with fresh, empty caches; persistence
-/// stores only ground truth (nodes + segments), never derived state.
+/// projections and nearest segments — so reads through the caches are
+/// byte-identical to the uncached computations and need no invalidation for
+/// the network's lifetime. Cloning a network starts with fresh, empty
+/// caches; persistence stores only ground truth (nodes + segments), never
+/// derived state.
 struct NetCaches {
     oracle: OnceLock<Arc<SpOracle>>,
     /// `(segment, λ)` → λ-neighborhood with hop counts and chain distances.
     lambda: Mutex<FxHashMap<(u32, u32), Arc<LambdaSoA>>>,
-    /// `(x bits, y bits, eps bits)` → candidate segments of that query circle.
+    /// `(x bits, y bits, eps bits)` → what is known of that query circle.
     cands: Mutex<CandCache>,
 }
 
-/// Query-circle key (x bits, y bits, eps bits) → its candidate segments.
-type CandCache = FxHashMap<(u64, u64, u64), Arc<[SegmentId]>>;
+/// Query-circle key (x bits, y bits, eps bits) → its projection.
+type CandCache = FxHashMap<(u64, u64, u64), Projection>;
+
+/// One memoised query circle in one allocation, `[nearest, candidates…]`:
+/// the network-wide nearest segment of its centre once someone has asked
+/// for it ([`UNASKED`] until then — most projected points never are), then
+/// its candidate segments. Readers borrow it under the lock, so it needs no
+/// reference count, and the nearest slot costs 4 bytes, not a map field.
+struct Projection(Box<[SegmentId]>);
+
+/// The nearest slot of a [`Projection`] nobody has asked about yet.
+const UNASKED: SegmentId = SegmentId(u32::MAX);
+
+impl Projection {
+    fn new(segs: impl Iterator<Item = SegmentId>) -> Self {
+        Projection(std::iter::once(UNASKED).chain(segs).collect())
+    }
+
+    fn segs(&self) -> &[SegmentId] {
+        &self.0[1..]
+    }
+
+    fn nearest(&self) -> Option<SegmentId> {
+        Some(self.0[0]).filter(|&s| s != UNASKED)
+    }
+
+    fn set_nearest(&mut self, nearest: SegmentId) {
+        self.0[0] = nearest;
+    }
+}
 
 /// A λ-neighborhood in structure-of-arrays layout: the traverse-graph
 /// construction scans `segs` for interned hits and touches `hops`/`dists`
@@ -560,29 +589,62 @@ impl RoadNetwork {
         fresh
     }
 
-    /// Memoised segment ids of [`RoadNetwork::candidate_edges`], in its
-    /// order, keyed by the exact query bit patterns. Reference points are
-    /// re-projected for every candidate pair touching them; the projection
-    /// is a pure function of the network, so repeated queries cost one map
-    /// lookup. Only the segment ids are kept: that is all the edge index
-    /// reads (4 bytes per candidate instead of a whole [`CandidateEdge`]).
-    #[must_use]
-    pub fn candidate_segments_cached(&self, p: Point, eps: f64) -> Arc<[SegmentId]> {
+    /// Calls `read` with the segment ids of [`RoadNetwork::candidate_edges`]
+    /// `(p, eps)`, in its order, memoised by the exact query bit patterns.
+    /// Reference points are re-projected for every candidate pair touching
+    /// them; the projection is a pure function of the network, so repeated
+    /// queries cost one map lookup. Only the segment ids are kept: that is
+    /// all the edge index reads (4 bytes per candidate instead of a whole
+    /// [`CandidateEdge`]). A hit runs `read` under the memo's lock, so keep
+    /// it short.
+    pub fn candidate_segments_cached<R>(
+        &self,
+        p: Point,
+        eps: f64,
+        read: impl FnOnce(&[SegmentId]) -> R,
+    ) -> R {
         let key = (p.x.to_bits(), p.y.to_bits(), eps.to_bits());
         if let Some(hit) = self.hot.cands.lock().expect("cand cache").get(&key) {
-            return Arc::clone(hit);
+            return read(hit.segs());
         }
-        let fresh: Arc<[SegmentId]> = self
-            .candidate_edges(p, eps)
-            .iter()
-            .map(|c| c.segment)
-            .collect();
+        let fresh = Projection::new(self.candidate_edges(p, eps).iter().map(|c| c.segment));
+        let out = read(fresh.segs());
         let mut map = self.hot.cands.lock().expect("cand cache");
         if map.len() >= CAND_CACHE_CAP {
             map.clear();
         }
-        map.insert(key, Arc::clone(&fresh));
-        fresh
+        map.insert(key, fresh);
+        out
+    }
+
+    /// The segment of [`RoadNetwork::nearest_segment`]`(p)`, remembered in
+    /// `p`'s projection-memo entry at `eps` (see
+    /// [`RoadNetwork::candidate_segments_cached`]). A point projected before
+    /// — a reference point, every time NNI matches it — is searched once per
+    /// entry; a point the memo does not hold is searched and not stored.
+    /// Like a projection miss, the first ask searches outside the lock and
+    /// takes it again to store.
+    #[must_use]
+    pub fn nearest_segment_cached(&self, p: Point, eps: f64) -> Option<SegmentId> {
+        let key = (p.x.to_bits(), p.y.to_bits(), eps.to_bits());
+        // `None`: not memoised; `Some(None)`: memoised, nearest not asked yet.
+        let known = self
+            .hot
+            .cands
+            .lock()
+            .expect("cand cache")
+            .get(&key)
+            .map(Projection::nearest);
+        if let Some(Some(nearest)) = known {
+            return Some(nearest);
+        }
+        let nearest = self.nearest_segment(p).map(|c| c.segment);
+        if let (Some(_), Some(s)) = (known, nearest) {
+            if let Some(entry) = self.hot.cands.lock().expect("cand cache").get_mut(&key) {
+                entry.set_nearest(s);
+            }
+        }
+        nearest
     }
 
     /// The node-level graph as a [`CsrView`] under a cost model: node `u`
@@ -824,8 +886,8 @@ mod tests {
         assert!(!want.is_empty());
         // First read misses, second hits the memo: both are the uncached
         // projection's segment ids, in order.
-        assert_eq!(*net.candidate_segments_cached(p, 15.0), *want);
-        assert_eq!(*net.candidate_segments_cached(p, 15.0), *want);
+        assert_eq!(net.candidate_segments_cached(p, 15.0, <[_]>::to_vec), want);
+        assert_eq!(net.candidate_segments_cached(p, 15.0, <[_]>::to_vec), want);
         let seg = net.out_segments(NodeId(0))[0];
         let soa = LambdaSoA::from_tuples(&net.lambda_neighborhood_with_dist(seg, 4));
         assert_eq!(*net.lambda_neighborhood_soa(seg, 4), soa);

@@ -14,8 +14,11 @@
 # Per workload x gated metric it prints both sides' median and quartiles,
 # pairs won, whether the median gap exceeds the parent's inter-quartile
 # distance, and whether the change is worse than the BENCHMARK.json bound;
-# per workload the answer checksums per seed, `correct`/`failed`, and for
-# ingest_live the published-chunk count (the benchmark needs >= 100).
+# per workload the answer checksums per seed, `failed`, how many runs were
+# `correct: false` and every distinct note the runs gave (why a run was
+# incorrect: an unresolved percentile, the off-thread share, an answer that
+# differs from `Hris`, ...), and for ingest_live the published-chunk count,
+# minimum, median and quartiles (the benchmark needs >= 100).
 # Then one traced pass per side and workload (first seed) attributes the gap
 # to layers: parent -> change for every `per_layer` row that moved by more
 # than 10 %, every `*.share` row, `trace.coverage` and
@@ -106,7 +109,7 @@ for workload in "${workloads[@]}"; do
 done
 
 python3 - "$repo/BENCHMARK.json" "$logs" "$seeds" "${workloads[@]}" <<'PY'
-import json, statistics, sys
+import collections, json, statistics, sys
 from pathlib import Path
 
 bench, logs, seeds = json.load(open(sys.argv[1])), Path(sys.argv[2]), sys.argv[3].split()
@@ -151,10 +154,13 @@ for workload in workloads:
                   f"  {'yes' if gain > (p3 - p1) else 'no':<7}  {verdict} ({-worse:+.1%})")
         for side, rs in sides.items():
             fnv = sorted({r["detail"].get("answers_fnv", "?") for r in rs})
-            ok = all(r["correct"] for r in rs)
+            incorrect = sum(not r["correct"] for r in rs)
             failed = sum(r["failed"] for r in rs)
-            print(f"  {side}: correct={'true' if ok else 'FALSE'} failed={failed}"
+            print(f"  {side}: correct: false in {incorrect}/{len(rs)} runs, failed={failed}"
                   f" answers_fnv={','.join(fnv)}")
+            notes = collections.Counter(n for r in rs for n in r["detail"].get("notes", []))
+            for note, runs_with in sorted(notes.items()):
+                print(f"    note in {runs_with} run(s): {note}")
         same = {r["detail"].get("answers_fnv") for v in sides.values() for r in v}
         if workload == "ingest_live":
             print("  checksums: live archive, answers checked by the run's end-state check")
@@ -162,9 +168,10 @@ for workload in workloads:
                 chunks = [row["samples"] for r in rs for row in r["detail"].get("extra", [])
                           if row["name"] == "ingest_lag_p90_ms"]
                 low = min(chunks, default=0)
+                q1, med, q3 = statistics.quantiles(chunks, n=4) if len(chunks) > 1 else [low] * 3
                 warn = "  WARNING: below 105, the benchmark fails a run under 100" if low < 105 else ""
-                print(f"  {side}: published chunks min {low} median "
-                      f"{statistics.median(chunks) if chunks else 0:g}{warn}")
+                print(f"  {side}: published chunks min {low} median {med:g}"
+                      f" [{q1:g}, {q3:g}]{warn}")
         else:
             print(f"  checksums: {'identical' if len(same) == 1 else 'DIFFER'}")
 
@@ -184,4 +191,6 @@ for workload in workloads:
             print(f"  {name:<44}{p:>14.4f} -> {c:>14.4f} {m['unit']:<6} {rel:>8}")
     for side, rs in traced.items():
         print(f"  {side}: correct={'true' if rs[0]['correct'] else 'FALSE'} failed={rs[0]['failed']}")
+        for note in rs[0]["detail"].get("notes", []):
+            print(f"    note: {note}")
 PY

@@ -184,3 +184,50 @@ fn nni_ignores_repeated_observations() {
         "scenario too clean to test anything: {repeats} repeats in {points} reference points"
     );
 }
+
+/// The projection memo's nearest slot answers what `nearest_segment` does,
+/// for every distinct reference position of the scenario: asked before the
+/// point's ε-candidates are memoised (not stored), right after (filled) and
+/// again (read back) — including the many points whose nearest is a bitwise
+/// tie between a two-way street's directed twins, where the search's own
+/// order picks the direction.
+#[test]
+fn memoised_nearest_segment_matches_search() {
+    let s = scenario();
+    let eps = HrisParams::default().candidate_eps_m;
+    let mut seen = std::collections::HashSet::new();
+    // [asked before projecting, asked after, twin tie before, twin tie after]
+    let mut cases = [0usize; 4];
+    for (i, p) in s
+        .archive
+        .trajectories()
+        .iter()
+        .flat_map(|t| &t.points)
+        .filter(|p| seen.insert((p.pos.x.to_bits(), p.pos.y.to_bits())))
+        .enumerate()
+    {
+        let want = s.net.nearest_segment(p.pos).map(|c| c.segment);
+        let before = i % 2 == 0;
+        if before {
+            assert_eq!(s.net.nearest_segment_cached(p.pos, eps), want);
+        }
+        s.net.candidate_segments_cached(p.pos, eps, |_| ());
+        assert_eq!(s.net.nearest_segment_cached(p.pos, eps), want);
+        assert_eq!(s.net.nearest_segment_cached(p.pos, eps), want);
+
+        let cands = s.net.candidate_edges(p.pos, eps);
+        let twins_tie = cands.iter().enumerate().any(|(k, a)| {
+            cands[k + 1..].iter().any(|b| {
+                let (sa, sb) = (s.net.segment(a.segment), s.net.segment(b.segment));
+                a.dist.to_bits() == b.dist.to_bits() && sa.from == sb.to && sa.to == sb.from
+            })
+        });
+        let col = usize::from(!before);
+        cases[col] += 1;
+        cases[2 + col] += usize::from(twins_tie);
+    }
+    assert!(
+        cases.iter().all(|&n| n >= 5),
+        "every case must occur: {cases:?}"
+    );
+}
