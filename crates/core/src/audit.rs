@@ -133,7 +133,7 @@ mod tests {
         assert!(j.contains("fell back to \\\"shortest path\\\""));
         assert!(j.contains("\"explanations\":[]"));
         assert!(j.contains("\"outcome\":\"rejected\""));
-        assert!(serde_json::from_str::<serde_json::Value>(&j).is_ok());
+        assert!(serde_json::from_str(&j).is_ok());
     }
 
     #[test]
@@ -229,9 +229,9 @@ mod tests {
         assert_eq!(expl.local_indices, global.local_indices);
         let names: Vec<&str> = expl.features.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, FEATURE_NAMES);
-        let j = expl.to_json();
+        let j = expl.to_value().to_string();
         assert!(j.starts_with("{\"rank\":0,\"log_score\":"));
         assert!(j.contains("\"features\":{\"turn_count\":"));
-        assert!(serde_json::from_str::<serde_json::Value>(&j).is_ok());
+        assert!(serde_json::from_str(&j).is_ok());
     }
 }

@@ -48,13 +48,12 @@ use hris_roadnet::network::CandidateEdge;
 use hris_roadnet::RoadNetwork;
 use hris_traj::{sanitize_points, PointRepairs, SanitizeLimits, Trajectory, TrajectoryArchive};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Why the engine refused to answer a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The query had no observations at all.
     EmptyQuery,
@@ -139,67 +138,6 @@ impl QueryOutcome {
     #[must_use]
     pub fn is_ok(&self) -> bool {
         matches!(self, QueryOutcome::Ok)
-    }
-}
-
-// The derive stand-in handles unit-only enums; QueryOutcome carries payloads,
-// so its JSON form — a tagged object `{"outcome": <label>, ...payload}` — is
-// written out by hand.
-impl Serialize for QueryOutcome {
-    fn to_json_value(&self) -> serde::Value {
-        let mut obj = vec![(
-            "outcome".to_string(),
-            serde::Value::Str(self.label().to_string()),
-        )];
-        match self {
-            QueryOutcome::Ok => {}
-            QueryOutcome::Repaired { repairs } => {
-                obj.push(("repairs".to_string(), repairs.to_json_value()));
-            }
-            QueryOutcome::Degraded {
-                repairs,
-                pairs_fell_back,
-            } => {
-                obj.push(("repairs".to_string(), repairs.to_json_value()));
-                obj.push((
-                    "pairs_fell_back".to_string(),
-                    serde::Value::Int(*pairs_fell_back as i64),
-                ));
-            }
-            QueryOutcome::Rejected { reason } => {
-                obj.push(("reason".to_string(), reason.to_json_value()));
-            }
-        }
-        serde::Value::Obj(obj)
-    }
-}
-
-impl Deserialize for QueryOutcome {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let tag = v
-            .get("outcome")
-            .and_then(serde::Value::as_str)
-            .ok_or_else(|| serde::DeError::msg("QueryOutcome: missing `outcome` tag"))?;
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::DeError::msg(format!("QueryOutcome: missing `{name}`")))
-        };
-        match tag {
-            "ok" => Ok(QueryOutcome::Ok),
-            "repaired" => Ok(QueryOutcome::Repaired {
-                repairs: PointRepairs::from_json_value(field("repairs")?)?,
-            }),
-            "degraded" => Ok(QueryOutcome::Degraded {
-                repairs: PointRepairs::from_json_value(field("repairs")?)?,
-                pairs_fell_back: usize::from_json_value(field("pairs_fell_back")?)?,
-            }),
-            "rejected" => Ok(QueryOutcome::Rejected {
-                reason: RejectReason::from_json_value(field("reason")?)?,
-            }),
-            other => Err(serde::DeError::msg(format!(
-                "QueryOutcome: unknown tag `{other}`"
-            ))),
-        }
     }
 }
 

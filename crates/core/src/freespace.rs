@@ -19,11 +19,10 @@ use crate::reference::{search_references, RefSearchConfig};
 use hris_geo::{BBox, Point, Polyline};
 use hris_rtree::{RTree, Spatial};
 use hris_traj::{Trajectory, TrajectoryArchive};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Parameters of network-free inference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FreespaceParams {
     /// Reference search radius `φ`, metres.
     pub phi_m: f64,

@@ -1,9 +1,7 @@
 //! HRIS parameters (Table II of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Which local-inference algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LocalAlgorithm {
     /// Traverse-graph based inference (Algorithm 1).
     Tgi,
@@ -22,7 +20,7 @@ pub enum LocalAlgorithm {
 /// switch when ρ is about 200/km², therefore we can set τ = 200/km² so the
 /// hybrid always adopts the better approach") only makes sense with the
 /// Figure-10 polarity. We default to Figure 10 and expose both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HybridPolarity {
     /// Low density → NNI, high density → TGI (consistent with Figure 10).
     #[default]
@@ -32,7 +30,7 @@ pub enum HybridPolarity {
 }
 
 /// Which form of Equation 1 scores local-route popularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PopularityModel {
     /// Scale-free variant: mean per-segment support × entropy evenness
     /// (deviation D1 in EXPERIMENTS.md; robust when candidate routes of a
@@ -46,7 +44,7 @@ pub enum PopularityModel {
 }
 
 /// All tunables of HRIS, with Table II defaults.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HrisParams {
     /// Reference search radius `φ`, metres (Table II: 500 m).
     pub phi_m: f64,
@@ -157,7 +155,7 @@ impl Default for HrisParams {
 
 /// How a [`QueryEngine`](crate::engine::QueryEngine) schedules the per-pair
 /// work of one query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Pairs run one after another on the calling thread.
     Sequential,
@@ -176,7 +174,7 @@ pub enum ExecMode {
 /// per-query records (timings, span tree, route explanations). Like the
 /// rest of [`EngineConfig`], none of these options may change any inferred
 /// route — they only spend a little time on visibility.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ObsOptions {
     /// Master switch for engine instrumentation.
     pub enabled: bool,
@@ -224,7 +222,7 @@ impl Default for ObsOptions {
 /// `hris_engine_shed_total` and the SLO burn counters). Batches are
 /// admitted as a unit — one permit per `infer_batch` call — so a batch
 /// is never half-shed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionOptions {
     /// Master switch; off means unbounded (pre-admission behaviour).
     pub enabled: bool,
@@ -251,7 +249,7 @@ impl Default for AdmissionOptions {
 /// they only trade memory and threads for throughput and visibility. The
 /// dirty-input screen ([`screen`](crate::engine::screen)) is not among
 /// them: it is always on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Per-query pair scheduling.
     pub mode: ExecMode,
@@ -480,8 +478,8 @@ mod tests {
         // The untouched builder yields exactly the default configuration.
         let built = EngineConfig::builder().build().unwrap();
         assert_eq!(
-            serde_json::to_string(&built).unwrap(),
-            serde_json::to_string(&EngineConfig::default()).unwrap()
+            format!("{built:?}"),
+            format!("{:?}", EngineConfig::default())
         );
     }
 
@@ -510,18 +508,5 @@ mod tests {
         // Span sampling accepts any period, 0 meaning "live capture off".
         let cfg = EngineConfig::builder().span_sampling(0).build().unwrap();
         assert_eq!(cfg.obs.span_sample_every, 0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let p = HrisParams {
-            k1: 9,
-            local_algorithm: LocalAlgorithm::Tgi,
-            ..HrisParams::default()
-        };
-        let json = serde_json::to_string(&p).unwrap();
-        let q: HrisParams = serde_json::from_str(&json).unwrap();
-        assert_eq!(q.k1, 9);
-        assert_eq!(q.local_algorithm, LocalAlgorithm::Tgi);
     }
 }

@@ -242,16 +242,3 @@ fn outcome_counters_account_exactly() {
     // rejection traffic.
     assert!(count("rejected") >= 4);
 }
-
-#[test]
-fn outcome_json_round_trips() {
-    let (hris, clean) = scenario();
-    let engine = QueryEngine::new(&hris);
-    let corpus = fault_corpus(3, &clean, 16);
-    for (_, q) in &corpus {
-        let outcome = engine.infer_query(q, 2).outcome;
-        let json = serde_json::to_string(&outcome).unwrap();
-        let back: QueryOutcome = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, outcome, "round-trip of {json}");
-    }
-}

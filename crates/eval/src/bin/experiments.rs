@@ -254,13 +254,11 @@ fn main() {
         let rob = hris_eval::evaluate_robustness(s, &hris::HrisParams::default(), args.seed, 100);
         println!("{}", rob.summary());
         // The observed pass's keys plus the robustness block.
-        let obs_json = report.to_json();
-        let combined = format!(
-            "{},\"robustness\":{}}}",
-            obs_json.trim_end_matches('}'),
-            rob.to_json()
-        );
-        std::fs::write(path, combined).expect("write metrics json");
+        let mut doc = report.to_value();
+        if let serde_json::Value::Obj(members) = &mut doc {
+            members.push(("robustness".to_string(), rob.to_value()));
+        }
+        std::fs::write(path, doc.render_compact()).expect("write metrics json");
         eprintln!("wrote {path}");
     }
 

@@ -13,6 +13,7 @@ use hris_traj::{
     encode_trips, fault_corpus, resample_to_interval, FaultInjector, LoadReport,
     TolerantLoadOptions, Trajectory, TrajectoryArchive,
 };
+use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -73,24 +74,26 @@ impl RobustnessReport {
 
     /// The report as one JSON document.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let counts_obj = |m: &BTreeMap<&'static str, usize>| {
-            let cells: Vec<String> = m.iter().map(|(l, n)| format!("\"{l}\":{n}")).collect();
-            format!("{{{}}}", cells.join(","))
+    pub fn to_value(&self) -> Value {
+        let counts = |m: &BTreeMap<&'static str, usize>| {
+            Value::Obj(
+                m.iter()
+                    .map(|(l, n)| (l.to_string(), Value::from(*n)))
+                    .collect(),
+            )
         };
-        let by_fault: Vec<String> = self
+        let by_fault = self
             .by_fault
             .iter()
-            .map(|(k, m)| format!("\"{k}\":{}", counts_obj(m)))
+            .map(|(k, m)| (k.to_string(), counts(m)))
             .collect();
-        format!(
-            "{{\"cases\":{},\"outcomes\":{},\"by_fault\":{{{}}},\"load_report\":{},\"registry\":{}}}",
-            self.cases,
-            counts_obj(&self.outcome_counts),
-            by_fault.join(","),
-            self.load_report.to_json(),
-            crate::runner::snapshot_json(&self.snapshot),
-        )
+        json!({
+            "cases": self.cases,
+            "outcomes": counts(&self.outcome_counts),
+            "by_fault": Value::Obj(by_fault),
+            "load_report": self.load_report.to_value(),
+            "registry": crate::runner::snapshot_value(&self.snapshot),
+        })
     }
 }
 
@@ -210,8 +213,8 @@ mod tests {
         assert_eq!(a.outcome_counts, b.outcome_counts);
         assert_eq!(a.by_fault, b.by_fault);
         assert_eq!(a.load_report, b.load_report);
-        let parsed: serde_json::Value =
-            serde_json::from_str(&a.to_json()).expect("robustness JSON parses");
+        let parsed =
+            serde_json::from_str(&a.to_value().to_string()).expect("robustness JSON parses");
         assert_eq!(parsed["cases"].as_i64(), Some(16));
         assert!(parsed["registry"].get("metrics").is_some());
         assert!(a.summary().contains("fault corpus"));

@@ -15,6 +15,7 @@ use hris_mapmatch::MapMatcher;
 use hris_obs::{MetricsSnapshot, QueryRecord, SnapshotValue};
 use hris_traj::{resample_to_interval, Trajectory, TrajectoryArchive};
 use rayon::prelude::*;
+use serde_json::{json, Value};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -252,15 +253,13 @@ impl ObsReport {
     /// The whole report as one JSON document:
     /// `{"wall_s": ..., "registry": {"metrics": [...]}, "traces": [...]}`.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let traces: Vec<String> = self.traces.iter().map(QueryRecord::to_json).collect();
-        format!(
-            "{{\"wall_s\":{},\"traces_dropped\":{},\"registry\":{},\"traces\":[{}]}}",
-            self.wall_s,
-            self.traces_dropped,
-            snapshot_json(&self.snapshot),
-            traces.join(",")
-        )
+    pub fn to_value(&self) -> Value {
+        json!({
+            "wall_s": self.wall_s,
+            "traces_dropped": self.traces_dropped,
+            "registry": snapshot_value(&self.snapshot),
+            "traces": Value::Arr(self.traces.iter().map(QueryRecord::to_value).collect()),
+        })
     }
 }
 
@@ -269,50 +268,45 @@ impl ObsReport {
 /// with their bounds and *non-cumulative* bucket counts plus the `+Inf`
 /// overflow count. (The serving surface exports Prometheus text only; this
 /// is the offline document `experiments --metrics-out` writes.)
-pub(crate) fn snapshot_json(snapshot: &MetricsSnapshot) -> String {
-    let num = |v: f64| {
-        if v.is_finite() {
-            v.to_string()
-        } else {
-            "null".to_string()
-        }
-    };
-    let metrics: Vec<String> = snapshot
+pub(crate) fn snapshot_value(snapshot: &MetricsSnapshot) -> Value {
+    let metrics = snapshot
         .entries
         .iter()
         .map(|e| {
-            let labels: Vec<String> = e
-                .labels
-                .iter()
-                .map(|(k, v)| format!("\"{k}\":\"{v}\""))
-                .collect();
-            let value = match &e.value {
-                SnapshotValue::Counter(v) => format!("\"type\":\"counter\",\"value\":{v}"),
-                SnapshotValue::Gauge(v) => format!("\"type\":\"gauge\",\"value\":{v}"),
+            let labels = Value::Obj(
+                e.labels
+                    .iter()
+                    .map(|(k, v)| (k.clone(), Value::from(v)))
+                    .collect(),
+            );
+            match &e.value {
+                SnapshotValue::Counter(v) => {
+                    json!({"name": e.name, "labels": labels, "type": "counter", "value": *v})
+                }
+                SnapshotValue::Gauge(v) => {
+                    json!({"name": e.name, "labels": labels, "type": "gauge", "value": *v})
+                }
                 SnapshotValue::Histogram(h) => {
-                    let buckets: Vec<String> = h
+                    let buckets = h
                         .bounds
                         .iter()
                         .zip(&h.counts)
-                        .map(|(le, count)| format!("{{\"le\":{},\"count\":{count}}}", num(*le)))
+                        .map(|(le, count)| json!({"le": *le, "count": *count}))
                         .collect();
-                    format!(
-                        "\"type\":\"histogram\",\"buckets\":[{}],\"inf_count\":{},\"sum\":{},\"count\":{}",
-                        buckets.join(","),
-                        h.counts[h.bounds.len()],
-                        num(h.sum),
-                        h.count
-                    )
+                    json!({
+                        "name": e.name,
+                        "labels": labels,
+                        "type": "histogram",
+                        "buckets": Value::Arr(buckets),
+                        "inf_count": h.counts[h.bounds.len()],
+                        "sum": h.sum,
+                        "count": h.count,
+                    })
                 }
-            };
-            format!(
-                "{{\"name\":\"{}\",\"labels\":{{{}}},{value}}}",
-                e.name,
-                labels.join(",")
-            )
+            }
         })
         .collect();
-    format!("{{\"metrics\":[{}]}}", metrics.join(","))
+    json!({"metrics": Value::Arr(metrics)})
 }
 
 /// [`evaluate_hris`] with engine instrumentation: runs the same workload on
@@ -428,8 +422,7 @@ mod tests {
             h.observe(v);
         }
         let snap = r.snapshot();
-        let parsed: serde_json::Value =
-            serde_json::from_str(&snapshot_json(&snap)).expect("valid JSON");
+        let parsed = serde_json::from_str(&snapshot_value(&snap).to_string()).expect("valid JSON");
         let metrics = parsed["metrics"].as_array().expect("metrics array");
         let find = |name: &str| {
             metrics
@@ -510,8 +503,8 @@ mod tests {
             report.wall_s
         );
         // The JSON report is machine-readable.
-        let parsed: serde_json::Value =
-            serde_json::from_str(&report.to_json()).expect("ObsReport::to_json parses");
+        let parsed =
+            serde_json::from_str(&report.to_value().to_string()).expect("ObsReport JSON parses");
         assert!(parsed["wall_s"].as_f64().unwrap() > 0.0);
         assert_eq!(parsed["traces"].as_array().unwrap().len(), 3);
         assert!(report.summary().contains("phase budget"));

@@ -13,7 +13,6 @@ use hris_traj::simulator::drive_route;
 use hris_traj::{SimConfig, Simulator, TrajId, Trajectory, TrajectoryArchive};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// One evaluation case: a dense trajectory and its exact route.
 #[derive(Debug, Clone)]
@@ -25,7 +24,7 @@ pub struct QueryCase {
 }
 
 /// Scenario parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// City generator settings.
     pub net: NetworkConfig,

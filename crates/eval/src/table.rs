@@ -1,10 +1,9 @@
 //! Printable experiment tables (one per paper figure).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A labelled series table: an x column plus one y column per series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Figure/table identifier, e.g. "Figure 8a".
     pub id: String,
@@ -143,14 +142,5 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains('-'));
         assert!(s.contains("Figure 8a"));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let t = sample();
-        let json = serde_json::to_string(&t).unwrap();
-        let u: Table = serde_json::from_str(&json).unwrap();
-        assert_eq!(u.rows.len(), 2);
-        assert_eq!(u.series, t.series);
     }
 }

@@ -1,14 +1,13 @@
 //! Axis-aligned bounding boxes.
 
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned bounding rectangle in the local planar frame (metres).
 ///
 /// The canonical form has `min.x <= max.x` and `min.y <= max.y`; constructors
 /// normalise their inputs. An *empty* box (see [`BBox::empty`]) is the
 /// identity element of [`BBox::union`] and contains nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BBox {
     /// Lower-left corner.
     pub min: Point,

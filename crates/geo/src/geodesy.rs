@@ -6,13 +6,12 @@
 //! under GPS noise (≈10 m) for city-scale extents (≲100 km).
 
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// Mean Earth radius in metres (IUGG).
 pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
 /// A WGS-84 latitude/longitude pair in degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatLon {
     /// Latitude in degrees, positive north.
     pub lat: f64,
@@ -43,7 +42,7 @@ pub fn haversine_m(a: LatLon, b: LatLon) -> f64 {
 ///
 /// `to_local` maps lat/lon to planar metres relative to the origin, with x
 /// pointing east and y pointing north; `to_latlon` inverts it.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LocalProjection {
     origin: LatLon,
     /// Metres per degree of longitude at the origin latitude.

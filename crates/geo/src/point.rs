@@ -1,6 +1,5 @@
 //! Planar points in a local metric frame.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -10,7 +9,7 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 /// displacement vector, and the usual scalar operations are provided. This
 /// mirrors how small geometry libraries (e.g. `geo-types`) treat coordinates
 /// and keeps the hot kernels free of conversions.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Easting in metres.
     pub x: f64,

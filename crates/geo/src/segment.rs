@@ -2,14 +2,13 @@
 
 use crate::bbox::BBox;
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// The geometry of a straight segment between two points.
 ///
 /// This is the inner-loop primitive of map matching: `dist(p, r)` from
 /// Definition 5 of the paper reduces to point–segment distances over the
 /// polyline pieces of a road segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentGeom {
     /// Start point.
     pub a: Point,

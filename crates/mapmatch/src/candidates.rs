@@ -5,10 +5,9 @@ use crate::MatchResult;
 use hris_roadnet::network::CandidateEdge;
 use hris_roadnet::{CostModel, FxHashMap, RoadNetwork, Route, SegmentId};
 use hris_traj::{GpsPoint, Trajectory};
-use serde::{Deserialize, Serialize};
 
 /// Parameters shared by all matchers.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MatchParams {
     /// Candidate search radius `ε` (Definition 5), metres.
     pub candidate_radius: f64,

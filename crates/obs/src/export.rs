@@ -203,34 +203,6 @@ fn escape_help(help: &str) -> String {
     help.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-/// Minimal JSON string escaping for names and attribute text: backslash,
-/// quote, and control characters.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// JSON-safe float text (`null` for non-finite; registration rules make
-/// these unreachable for bounds, but sums of user observations may see NaN).
-pub(crate) fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        v.to_string()
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Prometheus float text (`+Inf` / `-Inf` / `NaN` spellings).
 fn prom_f64(v: f64) -> String {
     if v.is_finite() {

@@ -1,4 +1,5 @@
-//! **hris-obs** — zero-dependency observability for the HRIS serving stack.
+//! **hris-obs** — std-only observability for the HRIS serving stack (its
+//! one dependency is the vendored JSON writer, itself pure std).
 //!
 //! The pipeline's three online phases (local inference → global inference →
 //! refinement) are only tunable when their runtime cost is visible, so this
@@ -24,7 +25,7 @@
 //!   [`QueryRecord`]s. A guard is also the stopwatch of the phase it spans
 //!   (*off* / *timed* / *recording*, see [`SpanGuard`]); children hang off a
 //!   `Copy` [`SpanParent`] handle.
-//! * [`serve`] — a zero-dependency blocking HTTP server exposing
+//! * [`serve`] — a std-only blocking HTTP server exposing
 //!   `/metrics`, `/healthz` and `/debug/traces` + `/debug/slow`,
 //!   plus mountable prefix handlers for debug endpoints
 //!   (`/debug/shards`, `/debug/explain/<trace_id>`).

@@ -1,4 +1,4 @@
-//! A zero-dependency blocking HTTP/1.1 telemetry server.
+//! A std-only blocking HTTP/1.1 telemetry server.
 //!
 //! Serves the observability surface of a running engine over plain std
 //! networking (`TcpListener`, no crates.io), one short-lived connection at
@@ -25,6 +25,7 @@
 use crate::export::{prometheus_text, MetricsSnapshot};
 use crate::registry::MetricsRegistry;
 use crate::ring::TraceRing;
+use serde_json::{json, Value};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -165,11 +166,8 @@ impl ServeState {
             return;
         };
         let (status, content_type, body) = if method != "GET" {
-            (
-                405,
-                "application/json",
-                "{\"error\":\"method not allowed\"}".to_string(),
-            )
+            let body = json!({"error": "method not allowed"});
+            (405, "application/json", body.render_compact())
         } else {
             self.respond(path.split('?').next().unwrap_or(&path))
         };
@@ -201,26 +199,21 @@ impl ServeState {
             "/healthz" => {
                 self.run_pre_scrape();
                 let mut healthy = true;
-                let mut checks = String::new();
-                for (i, (name, check)) in self.checks.iter().enumerate() {
-                    if i > 0 {
-                        checks.push(',');
-                    }
+                let mut checks = Vec::with_capacity(self.checks.len());
+                for (name, check) in &self.checks {
                     let verdict = match check() {
-                        Health::Ok => "\"ok\"".to_string(),
+                        Health::Ok => "ok".to_string(),
                         Health::Unhealthy(reason) => {
                             healthy = false;
-                            format!("\"{}\"", crate::export::escape_json(&reason))
+                            reason
                         }
                     };
-                    checks.push_str(&format!(
-                        "\"{}\":{verdict}",
-                        crate::export::escape_json(name)
-                    ));
+                    checks.push((name.clone(), Value::Str(verdict)));
                 }
                 let status = if healthy { "ok" } else { "unhealthy" };
-                let body = format!("{{\"status\":\"{status}\",\"checks\":{{{checks}}}}}");
-                (if healthy { 200 } else { 503 }, "application/json", body)
+                let body = json!({"status": status, "checks": Value::Obj(checks)});
+                let code = if healthy { 200 } else { 503 };
+                (code, "application/json", body.render_compact())
             }
             "/debug/traces" => (200, "application/json", self.traces_json(false)),
             "/debug/slow" => (200, "application/json", self.traces_json(true)),
@@ -236,11 +229,8 @@ impl ServeState {
                         return (200, "application/json", body);
                     }
                 }
-                (
-                    404,
-                    "application/json",
-                    "{\"error\":\"not found\"}".to_string(),
-                )
+                let body = json!({"error": "not found"});
+                (404, "application/json", body.render_compact())
             }
         }
     }
@@ -261,17 +251,18 @@ impl ServeState {
     }
 
     fn traces_json(&self, slow_only: bool) -> String {
-        let Some(ring) = &self.traces else {
-            return "{\"dropped\":0,\"traces\":[]}".to_string();
+        let (dropped, traces) = match &self.traces {
+            Some(ring) => (
+                ring.dropped(),
+                ring.snapshot()
+                    .iter()
+                    .filter(|r| !slow_only || r.slow)
+                    .map(crate::trace::QueryRecord::to_value)
+                    .collect(),
+            ),
+            None => (0, Vec::new()),
         };
-        let traces = ring
-            .snapshot()
-            .iter()
-            .filter(|r| !slow_only || r.slow)
-            .map(crate::trace::QueryRecord::to_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("{{\"dropped\":{},\"traces\":[{traces}]}}", ring.dropped())
+        json!({"dropped": dropped, "traces": Value::Arr(traces)}).render_compact()
     }
 }
 
@@ -394,12 +385,17 @@ mod tests {
             .expect("bind");
         let (status, body) = http_get(server.addr(), "/healthz");
         assert_eq!(status, 200);
-        assert!(body.contains("\"status\":\"ok\""));
+        assert_eq!(
+            body,
+            r#"{"status":"ok","checks":{"engine":"ok","ingest":"ok"}}"#
+        );
         healthy.store(false, Ordering::Relaxed);
         let (status, body) = http_get(server.addr(), "/healthz");
         assert_eq!(status, 503);
-        assert!(body.contains("\"status\":\"unhealthy\""));
-        assert!(body.contains("snapshot too old"));
+        assert_eq!(
+            body,
+            r#"{"status":"unhealthy","checks":{"engine":"ok","ingest":"snapshot too old"}}"#
+        );
     }
 
     #[test]
@@ -421,7 +417,11 @@ mod tests {
             .serve("127.0.0.1:0")
             .expect("bind");
         let (_, all) = http_get(server.addr(), "/debug/traces");
-        assert!(all.contains("\"query_id\":1") && all.contains("\"query_id\":2"));
+        let records: Vec<String> = ring.snapshot().iter().map(QueryRecord::to_json).collect();
+        assert_eq!(
+            all,
+            format!("{{\"dropped\":0,\"traces\":[{}]}}", records.join(","))
+        );
         let (_, slow) = http_get(server.addr(), "/debug/slow");
         assert!(!slow.contains("\"query_id\":1") && slow.contains("\"query_id\":2"));
     }
@@ -431,13 +431,14 @@ mod tests {
         let server = ServeState::new(demo_registry())
             .serve("127.0.0.1:0")
             .expect("bind");
-        let (status, _) = http_get(server.addr(), "/nope");
-        assert_eq!(status, 404);
+        let (status, body) = http_get(server.addr(), "/nope");
+        assert_eq!((status, body.as_str()), (404, r#"{"error":"not found"}"#));
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
         write!(stream, "POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
         let mut response = String::new();
         stream.read_to_string(&mut response).expect("read");
         assert!(response.starts_with("HTTP/1.1 405"));
+        assert!(response.ends_with(r#"{"error":"method not allowed"}"#));
     }
 
     #[test]

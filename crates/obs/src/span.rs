@@ -20,6 +20,7 @@
 //! state it is in. Only per-pair detail, the one part of a tree whose cost
 //! grows with the query, is still **sampled** ([`SpanSampler`], 1-in-N).
 
+use serde_json::{json, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -56,14 +57,12 @@ pub enum AttrValue {
     Text(String),
 }
 
-impl AttrValue {
-    /// This value as one JSON token.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        match self {
-            AttrValue::Int(v) => v.to_string(),
-            AttrValue::Float(v) => crate::export::fmt_f64(*v),
-            AttrValue::Text(s) => format!("\"{}\"", crate::export::escape_json(s)),
+impl From<&AttrValue> for Value {
+    fn from(v: &AttrValue) -> Self {
+        match v {
+            AttrValue::Int(v) => Value::from(*v),
+            AttrValue::Float(v) => Value::from(*v),
+            AttrValue::Text(s) => Value::from(s),
         }
     }
 }
@@ -116,33 +115,24 @@ pub struct Span {
 }
 
 impl Span {
-    /// This span as one JSON object (compact, stable key order).
+    /// This span as one JSON object (stable key order; `attrs` only when
+    /// there are any).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"id\":{},\"parent\":{},\"name\":\"{}\",\"start_s\":{},\"duration_s\":{}",
-            self.id,
-            self.parent,
-            crate::export::escape_json(&self.name),
-            crate::export::fmt_f64(self.start_s),
-            crate::export::fmt_f64(self.duration_s),
-        );
+    pub fn to_value(&self) -> Value {
+        let mut obj = json!({
+            "id": self.id,
+            "parent": self.parent,
+            "name": self.name,
+            "start_s": self.start_s,
+            "duration_s": self.duration_s,
+        });
         if !self.attrs.is_empty() {
-            out.push_str(",\"attrs\":{");
-            for (i, (k, v)) in self.attrs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\"{}\":{}",
-                    crate::export::escape_json(k),
-                    v.to_json()
-                ));
+            let attrs = self.attrs.iter().map(|(k, v)| (k.clone(), Value::from(v)));
+            if let Value::Obj(members) = &mut obj {
+                members.push(("attrs".to_string(), Value::Obj(attrs.collect())));
             }
-            out.push('}');
         }
-        out.push('}');
-        out
+        obj
     }
 }
 
@@ -499,7 +489,7 @@ mod tests {
             ],
         };
         assert_eq!(
-            s.to_json(),
+            s.to_value().to_string(),
             "{\"id\":3,\"parent\":1,\"name\":\"local\",\"start_s\":0.5,\
              \"duration_s\":0.25,\"attrs\":{\"pairs\":4,\"mode\":\"tgi\"}}"
         );
@@ -511,6 +501,6 @@ mod tests {
             duration_s: 1.0,
             attrs: Vec::new(),
         };
-        assert!(!bare.to_json().contains("attrs"));
+        assert!(!bare.to_value().to_string().contains("attrs"));
     }
 }

@@ -1,7 +1,7 @@
 //! The per-query record (kept in a [`TraceRing`](crate::TraceRing)).
 
-use crate::export::{escape_json, fmt_f64};
 use crate::span::Span;
+use serde_json::{json, Value};
 
 /// One returned route, explained: the engine's score, the route's shape,
 /// and the feature values behind the rank.
@@ -25,27 +25,22 @@ pub struct RouteExplanation {
 }
 
 impl RouteExplanation {
-    /// This explanation as one JSON object (compact, stable key order).
+    /// This explanation as one JSON object (stable key order).
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub fn to_value(&self) -> Value {
         let features = self
             .features
             .iter()
-            .map(|(name, v)| format!("\"{}\":{}", escape_json(name), fmt_f64(*v)))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            concat!(
-                "{{\"rank\":{},\"log_score\":{},\"segments\":{},\"length_m\":{},",
-                "\"local_indices\":[{}],\"features\":{{{}}}}}"
-            ),
-            self.rank,
-            fmt_f64(self.log_score),
-            self.segments,
-            fmt_f64(self.length_m),
-            join(&self.local_indices),
-            features,
-        )
+            .map(|&(name, v)| (name.to_string(), Value::from(v)))
+            .collect();
+        json!({
+            "rank": self.rank,
+            "log_score": self.log_score,
+            "segments": self.segments,
+            "length_m": self.length_m,
+            "local_indices": self.local_indices,
+            "features": Value::Obj(features),
+        })
     }
 }
 
@@ -115,61 +110,40 @@ pub struct QueryRecord {
 }
 
 impl QueryRecord {
-    /// This record as one JSON object (compact, stable key order).
+    /// This record as one JSON object (stable key order).
+    #[must_use]
+    pub fn to_value(&self) -> Value {
+        let explanations = self.explanations.iter().map(RouteExplanation::to_value);
+        let spans = self.spans.iter().map(Span::to_value);
+        json!({
+            "trace_id": self.trace_id,
+            "query_id": self.query_id,
+            "points": self.points,
+            "pairs": self.pairs,
+            "candidates": self.candidates,
+            "routes": self.routes,
+            "top_log_score": self.top_log_score,
+            "candidates_s": self.candidates_s,
+            "local_s": self.local_s,
+            "global_s": self.global_s,
+            "refine_s": self.refine_s,
+            "total_s": self.total_s,
+            "slow": self.slow,
+            "outcome": self.outcome,
+            "candidates_per_point": self.candidates_per_point,
+            "local_routes_per_pair": self.local_routes_per_pair,
+            "explanations": Value::Arr(explanations.collect()),
+            "events": self.events,
+            "root_span": self.root_span,
+            "spans": Value::Arr(spans.collect()),
+        })
+    }
+
+    /// [`QueryRecord::to_value`] as compact JSON text.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let list = |items: Vec<String>| items.join(",");
-        format!(
-            concat!(
-                "{{\"trace_id\":{},\"query_id\":{},\"points\":{},\"pairs\":{},\"candidates\":{},",
-                "\"routes\":{},\"top_log_score\":{},",
-                "\"candidates_s\":{},\"local_s\":{},\"global_s\":{},\"refine_s\":{},",
-                "\"total_s\":{},\"slow\":{},\"outcome\":\"{}\",",
-                "\"candidates_per_point\":[{}],\"local_routes_per_pair\":[{}],",
-                "\"explanations\":[{}],\"events\":[{}],",
-                "\"root_span\":{},\"spans\":[{}]}}"
-            ),
-            self.trace_id,
-            self.query_id,
-            self.points,
-            self.pairs,
-            self.candidates,
-            self.routes,
-            self.top_log_score
-                .map_or_else(|| "null".to_string(), fmt_f64),
-            fmt_f64(self.candidates_s),
-            fmt_f64(self.local_s),
-            fmt_f64(self.global_s),
-            fmt_f64(self.refine_s),
-            fmt_f64(self.total_s),
-            self.slow,
-            escape_json(self.outcome),
-            join(&self.candidates_per_point),
-            join(&self.local_routes_per_pair),
-            list(
-                self.explanations
-                    .iter()
-                    .map(RouteExplanation::to_json)
-                    .collect()
-            ),
-            list(
-                self.events
-                    .iter()
-                    .map(|e| format!("\"{}\"", escape_json(e)))
-                    .collect()
-            ),
-            self.root_span,
-            list(self.spans.iter().map(Span::to_json).collect()),
-        )
+        self.to_value().render_compact()
     }
-}
-
-/// Comma-joined counts.
-fn join(v: &[usize]) -> String {
-    v.iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 #[cfg(test)]
@@ -235,7 +209,7 @@ mod tests {
             features: vec![("turn_count", 1.0), ("length_ratio", f64::NAN)],
         };
         assert_eq!(
-            expl.to_json(),
+            expl.to_value().to_string(),
             concat!(
                 "{\"rank\":0,\"log_score\":-2.5,\"segments\":9,\"length_m\":1234.5,",
                 "\"local_indices\":[0,2],\"features\":{\"turn_count\":1,\"length_ratio\":null}}"

@@ -21,10 +21,9 @@ use crate::network::{RoadNetwork, RoadNetworkBuilder};
 use hris_geo::{Point, Polyline};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Functional class of a road, determining its speed limit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoadClass {
     /// Local street, 30 km/h.
     Residential,
@@ -47,7 +46,7 @@ impl RoadClass {
 }
 
 /// Parameters of the synthetic city.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// Number of blocks along x.
     pub blocks_x: usize,

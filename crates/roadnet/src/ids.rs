@@ -1,18 +1,13 @@
 //! Strongly-typed identifiers for road-network entities.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a road-network vertex (intersection or terminal point).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a directed road segment (Definition 2 of the paper).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SegmentId(pub u32);
 
 impl NodeId {

@@ -8,7 +8,6 @@ use crate::oracle::SpOracle;
 use crate::route::Route;
 use hris_geo::{BBox, Point, Polyline};
 use hris_rtree::{RTree, Spatial};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -41,7 +40,7 @@ impl Segment {
 }
 
 /// Which quantity a shortest-path search minimises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CostModel {
     /// Minimise travelled distance (metres).
     #[default]

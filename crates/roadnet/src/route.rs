@@ -3,11 +3,10 @@
 use crate::ids::{NodeId, SegmentId};
 use crate::network::RoadNetwork;
 use hris_geo::Polyline;
-use serde::{Deserialize, Serialize};
 
 /// A route `R : r₁ → r₂ → … → rₙ` where consecutive segments connect
 /// head-to-tail (`r_{k+1}.s = r_k.e`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Route {
     segments: Vec<SegmentId>,
 }

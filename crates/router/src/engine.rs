@@ -60,6 +60,7 @@ use hris_traj::{
     partition_archive, ArchiveSnapshot, PointRepairs, SnapshotReader, TrajId, Trajectory,
     TrajectoryArchive,
 };
+use serde_json::{json, Value};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -463,22 +464,22 @@ impl ShardedEngine {
     /// the epoch it last served.
     #[must_use]
     pub fn shards_json(&self) -> String {
-        let body = (0..self.num_shards())
+        let shards = (0..self.num_shards())
             .map(|s| {
-                format!(
-                    "{{\"shard\":{s},\"health\":\"{}\",\"servable\":{},\"live\":{},\"epoch\":{}}}",
-                    match self.shard_health(s) {
-                        ShardHealth::Healthy => "healthy",
-                        ShardHealth::Unhealthy => "unhealthy",
-                    },
-                    self.shard_is_servable(s),
-                    self.shards[s].is_live(),
-                    self.shards[s].epoch(),
-                )
+                let health = match self.shard_health(s) {
+                    ShardHealth::Healthy => "healthy",
+                    ShardHealth::Unhealthy => "unhealthy",
+                };
+                json!({
+                    "shard": s,
+                    "health": health,
+                    "servable": self.shard_is_servable(s),
+                    "live": self.shards[s].is_live(),
+                    "epoch": self.shards[s].epoch(),
+                })
             })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("[{body}]")
+            .collect();
+        Value::Arr(shards).render_compact()
     }
 
     /// Starts the router-level telemetry server on `addr` (e.g.

@@ -6,12 +6,13 @@
 //! and offers the flat binary codec (the dirty-feed format: see
 //! [`TrajectoryArchive::from_bytes_tolerant`] and DESIGN §5e).
 
+use crate::snapshot::{put_u32, put_u64, read_u32, read_u64};
 use crate::types::{sanitize_points, GpsPoint, PointRepairs, SanitizeLimits, TrajId, Trajectory};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hris_geo::{BBox, Point};
 use hris_obs::MetricsRegistry;
 use hris_rtree::{RTree, Spatial};
-use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
+use std::sync::Arc;
 
 /// One archived observation: position + time + provenance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,7 +119,7 @@ impl TrajectoryArchive {
     /// `point_count × (f64 x, f64 y, f64 t)` little-endian records. The
     /// R-tree is rebuilt on load (bulk load is cheap relative to I/O).
     #[must_use]
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Arc<[u8]> {
         encode_trips(&self.trajectories)
     }
 
@@ -126,33 +127,30 @@ impl TrajectoryArchive {
     ///
     /// Returns `None` on truncated or malformed input.
     #[must_use]
-    pub fn from_bytes(mut data: Bytes) -> Option<Self> {
-        if data.remaining() < 4 {
+    pub fn from_bytes(data: Arc<[u8]>) -> Option<Self> {
+        let data = &data[..];
+        if data.len() < 4 {
             return None;
         }
-        let trips = data.get_u32_le() as usize;
+        let trips = read_u32(data, 0) as usize;
+        let mut pos = 4;
         // Every trip takes at least its 4-byte point count, so a count the
         // remaining bytes cannot hold is malformed; checking it first keeps
         // a hostile count from sizing the allocation.
-        if trips > data.remaining() / 4 {
+        if trips > (data.len() - pos) / 4 {
             return None;
         }
         let mut out = Vec::with_capacity(trips);
         for i in 0..trips {
-            if data.remaining() < 4 {
+            if data.len() - pos < 4 {
                 return None;
             }
-            let n = data.get_u32_le() as usize;
-            if data.remaining() < n * 24 {
+            let n = read_u32(data, pos) as usize;
+            pos += 4;
+            if data.len() - pos < n * 24 {
                 return None;
             }
-            let mut pts = Vec::with_capacity(n);
-            for _ in 0..n {
-                let x = data.get_f64_le();
-                let y = data.get_f64_le();
-                let t = data.get_f64_le();
-                pts.push(GpsPoint::new(Point::new(x, y), t));
-            }
+            let pts = read_records(data, &mut pos, n);
             // Guard against corrupted time ordering.
             if !pts.windows(2).all(|w| w[0].t <= w[1].t) {
                 return None;
@@ -170,42 +168,31 @@ impl TrajectoryArchive {
     /// the cut (`report.truncated` set); dirty records are repaired or
     /// quarantined per [`TolerantLoadOptions`].
     #[must_use]
-    pub fn from_bytes_tolerant(mut data: Bytes, opts: &TolerantLoadOptions) -> (Self, LoadReport) {
+    pub fn from_bytes_tolerant(data: Arc<[u8]>, opts: &TolerantLoadOptions) -> (Self, LoadReport) {
+        let data = &data[..];
         let mut report = LoadReport::default();
         let mut raw = Vec::new();
-        if data.remaining() < 4 {
+        if data.len() < 4 {
             report.truncated = true;
             return Self::build_tolerant(raw, opts, report);
         }
-        let trips = data.get_u32_le() as usize;
+        let trips = read_u32(data, 0) as usize;
+        let mut pos = 4;
         for _ in 0..trips {
-            if data.remaining() < 4 {
+            if data.len() - pos < 4 {
                 report.truncated = true;
                 break;
             }
-            let n = data.get_u32_le() as usize;
-            if data.remaining() < n * 24 {
+            let n = read_u32(data, pos) as usize;
+            pos += 4;
+            if data.len() - pos < n * 24 {
                 // Salvage the whole records that did arrive.
-                let whole = data.remaining() / 24;
-                let mut pts = Vec::with_capacity(whole);
-                for _ in 0..whole {
-                    let x = data.get_f64_le();
-                    let y = data.get_f64_le();
-                    let t = data.get_f64_le();
-                    pts.push(GpsPoint::new(Point::new(x, y), t));
-                }
-                raw.push(pts);
+                let whole = (data.len() - pos) / 24;
+                raw.push(read_records(data, &mut pos, whole));
                 report.truncated = true;
                 break;
             }
-            let mut pts = Vec::with_capacity(n);
-            for _ in 0..n {
-                let x = data.get_f64_le();
-                let y = data.get_f64_le();
-                let t = data.get_f64_le();
-                pts.push(GpsPoint::new(Point::new(x, y), t));
-            }
-            raw.push(pts);
+            raw.push(read_records(data, &mut pos, n));
         }
         Self::build_tolerant(raw, opts, report)
     }
@@ -244,19 +231,31 @@ impl TrajectoryArchive {
 /// building an archive (and thus without indexing — corrupted trips with
 /// NaN coordinates must be encodable for fault-injection tests).
 #[must_use]
-pub fn encode_trips(trips: &[Trajectory]) -> Bytes {
+pub fn encode_trips(trips: &[Trajectory]) -> Arc<[u8]> {
     let n: usize = trips.iter().map(Trajectory::len).sum();
-    let mut buf = BytesMut::with_capacity(8 + n * 24);
-    buf.put_u32_le(trips.len() as u32);
+    let mut buf = Vec::with_capacity(8 + n * 24);
+    put_u32(&mut buf, trips.len() as u32);
     for t in trips {
-        buf.put_u32_le(t.points.len() as u32);
+        put_u32(&mut buf, t.points.len() as u32);
         for p in &t.points {
-            buf.put_f64_le(p.pos.x);
-            buf.put_f64_le(p.pos.y);
-            buf.put_f64_le(p.t);
+            put_u64(&mut buf, p.pos.x.to_bits());
+            put_u64(&mut buf, p.pos.y.to_bits());
+            put_u64(&mut buf, p.t.to_bits());
         }
     }
-    buf.freeze()
+    Arc::from(buf)
+}
+
+/// Reads `n` `(x, y, t)` records at `*pos`, advancing it; the caller has
+/// checked that they fit.
+fn read_records(data: &[u8], pos: &mut usize, n: usize) -> Vec<GpsPoint> {
+    let mut pts = Vec::with_capacity(n);
+    for _ in 0..n {
+        let [x, y, t] = [0, 8, 16].map(|off| f64::from_bits(read_u64(data, *pos + off)));
+        pts.push(GpsPoint::new(Point::new(x, y), t));
+        *pos += 24;
+    }
+    pts
 }
 
 /// Repair limits for tolerant archive loading.
@@ -280,8 +279,8 @@ impl Default for TolerantLoadOptions {
 }
 
 /// What tolerant loading did: per-archive repair/quarantine accounting.
-/// Serialises to JSON for operator visibility (golden-pinned schema).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// Renders to JSON for operator visibility (golden-pinned schema).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoadReport {
     /// Trajectories stored after repair.
     pub trajectories_loaded: usize,
@@ -317,10 +316,32 @@ impl LoadReport {
             && !self.malformed
     }
 
+    /// The report as one JSON object, keys in field order.
+    #[must_use]
+    pub fn to_value(&self) -> Value {
+        let r = &self.repairs;
+        json!({
+            "trajectories_loaded": self.trajectories_loaded,
+            "trajectories_quarantined": self.trajectories_quarantined,
+            "points_loaded": self.points_loaded,
+            "points_quarantined": self.points_quarantined,
+            "teleports_removed": self.teleports_removed,
+            "trajectories_resorted": self.trajectories_resorted,
+            "repairs": {
+                "dropped_non_finite": r.dropped_non_finite,
+                "dropped_out_of_range": r.dropped_out_of_range,
+                "sorted": r.sorted,
+                "deduped": r.deduped,
+            },
+            "truncated": self.truncated,
+            "malformed": self.malformed,
+        })
+    }
+
     /// The report as pretty JSON (schema pinned by a golden test).
     #[must_use]
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("LoadReport serialises")
+        self.to_value().render_pretty()
     }
 
     /// Publishes the quarantine counters onto a metrics registry
@@ -468,16 +489,16 @@ mod tests {
     fn truncated_blob_rejected() {
         let a = archive();
         let blob = a.to_bytes();
-        let cut = blob.slice(0..blob.len() - 7);
+        let cut = Arc::from(&blob[..blob.len() - 7]);
         assert!(TrajectoryArchive::from_bytes(cut).is_none());
-        assert!(TrajectoryArchive::from_bytes(Bytes::new()).is_none());
+        assert!(TrajectoryArchive::from_bytes(Arc::from([])).is_none());
     }
 
     #[test]
     fn oversized_trip_count_is_rejected_not_allocated() {
         // A 4-byte blob claiming u32::MAX trips must not size a vector of
         // u32::MAX trajectories before noticing there is no data.
-        let hostile = Bytes::from_vec(vec![0xff; 4]);
+        let hostile: Arc<[u8]> = Arc::from([0xff; 4]);
         assert!(TrajectoryArchive::from_bytes(hostile.clone()).is_none());
         let (a, report) = TrajectoryArchive::from_bytes_tolerant(hostile, &opts());
         assert!(report.truncated);
@@ -638,14 +659,14 @@ mod tests {
         let blob = a.to_bytes();
         // Cut mid-record of the second trip: trip 0 (2 points) survives,
         // trip 1 keeps only its whole records before the cut.
-        let cut = blob.slice(0..blob.len() - 7);
+        let cut: Arc<[u8]> = Arc::from(&blob[..blob.len() - 7]);
         assert!(TrajectoryArchive::from_bytes(cut.clone()).is_none());
         let (b, report) = TrajectoryArchive::from_bytes_tolerant(cut, &opts());
         assert!(report.truncated);
         assert_eq!(b.num_trajectories(), 2);
         assert_eq!(b.trajectories()[0].points, a.trajectories()[0].points);
         assert_eq!(b.trajectories()[1].points.len(), 2); // third record lost
-        let (c, report) = TrajectoryArchive::from_bytes_tolerant(Bytes::new(), &opts());
+        let (c, report) = TrajectoryArchive::from_bytes_tolerant(Arc::from([]), &opts());
         assert!(report.truncated);
         assert_eq!(c.num_trajectories(), 0);
     }

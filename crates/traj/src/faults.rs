@@ -11,10 +11,10 @@
 //! exist to prove the engine and the tolerant archive loader survive them.
 
 use crate::types::{TrajId, Trajectory};
-use bytes::Bytes;
 use hris_geo::Point;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// One class of data corruption seen in real GPS feeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -156,12 +156,12 @@ impl FaultInjector {
 
     /// Cuts a serialized archive blob at a random interior byte — the
     /// truncated-upload fault the tolerant loader must survive.
-    pub fn truncate_blob(&mut self, blob: &Bytes) -> Bytes {
+    pub fn truncate_blob(&mut self, blob: &[u8]) -> Arc<[u8]> {
         if blob.len() < 2 {
-            return blob.clone();
+            return Arc::from(blob);
         }
         let cut = self.rng.gen_range(1..blob.len());
-        blob.slice(0..cut)
+        Arc::from(&blob[..cut])
     }
 }
 
@@ -277,11 +277,11 @@ mod tests {
     #[test]
     fn truncate_blob_shortens() {
         let mut inj = FaultInjector::new(5);
-        let blob = Bytes::from(vec![0u8; 64]);
+        let blob = [0u8; 64];
         let cut = inj.truncate_blob(&blob);
         assert!(!cut.is_empty() && cut.len() < blob.len());
         // Deterministic for the same seed/sequence.
         let cut2 = FaultInjector::new(5).truncate_blob(&blob);
-        assert_eq!(cut.as_ref(), cut2.as_ref());
+        assert_eq!(cut, cut2);
     }
 }

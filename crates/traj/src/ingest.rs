@@ -30,7 +30,6 @@
 use crate::archive::{strip_teleports, TolerantLoadOptions, TrajectoryArchive};
 use crate::types::{sanitize_points, PointRepairs, TrajId, Trajectory};
 use hris_obs::{Counter, Gauge, Histogram, MetricsRegistry, FINE_TIME_BOUNDS};
-use serde::{Deserialize, Serialize};
 use std::ops::Deref;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -82,11 +81,11 @@ impl ArchiveSnapshot {
         &self.archive
     }
 
-    /// Serializes this epoch into the columnar snapshot format
+    /// Encodes this epoch into the columnar snapshot format
     /// ([`crate::snapshot`]). The epoch number travels in the header, so
     /// a reader on the other side of an mmap sees exactly this epoch.
     #[must_use]
-    pub fn to_columnar(&self) -> bytes::Bytes {
+    pub fn to_columnar(&self) -> Arc<[u8]> {
         crate::snapshot::encode_snapshot(&self.archive, self.epoch)
     }
 }
@@ -140,7 +139,7 @@ pub struct IngestOptions {
 
 /// Cumulative accounting of everything a writer ingested, quarantined,
 /// evicted and published. Serialises to JSON for operator visibility.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct IngestReport {
     /// Trips appended to the working archive after repair.
     pub trajectories_appended: usize,
@@ -636,14 +635,5 @@ mod tests {
         );
         assert_eq!(snap.counter("hris_ingest_evicted_total"), Some(1));
         assert_eq!(snap.gauge("hris_archive_epoch"), Some(1));
-    }
-
-    #[test]
-    fn report_serialises_to_json() {
-        let mut w = ArchiveWriter::new(TrajectoryArchive::empty());
-        w.append(trip(0.0, 3)).unwrap();
-        let text = serde_json::to_string_pretty(w.report()).expect("report serialises");
-        let back: IngestReport = serde_json::from_str(&text).expect("report parses");
-        assert_eq!(&back, w.report());
     }
 }

@@ -22,10 +22,9 @@ use hris_geo::Point;
 use hris_roadnet::{CostModel, DijkstraScratch, NodeId, RoadNetwork, Route};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the fleet simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Total number of trips to generate.
     pub num_trips: usize,

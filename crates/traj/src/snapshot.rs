@@ -19,7 +19,7 @@
 //!   patterns* — still often compressible, and **always lossless**.
 //! * **Versioned, mmap-able container** — a fixed 58-byte header (magic,
 //!   version, CRC-guarded) plus absolute section offsets, then flat
-//!   prefix-sum tables. [`ColumnarSnapshot`] keeps the raw [`Bytes`] and
+//!   prefix-sum tables. [`ColumnarSnapshot`] keeps the raw bytes and
 //!   reads straight out of them: opening validates the header and offset
 //!   tables but decodes **no** point data, so a reader over an mmap'd file
 //!   pays only for the trips it touches.
@@ -31,9 +31,9 @@
 
 use crate::archive::TrajectoryArchive;
 use crate::types::{GpsPoint, TrajId, Trajectory};
-use bytes::Bytes;
 use hris_geo::Point;
 use std::fmt;
+use std::sync::Arc;
 
 /// Magic bytes at offset 0 of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"HRISSNAP";
@@ -221,11 +221,11 @@ fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -233,11 +233,11 @@ fn read_u16(data: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([data[at], data[at + 1]])
 }
 
-fn read_u32(data: &[u8], at: usize) -> u32 {
+pub(crate) fn read_u32(data: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]])
 }
 
-fn read_u64(data: &[u8], at: usize) -> u64 {
+pub(crate) fn read_u64(data: &[u8], at: usize) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&data[at..at + 8]);
     u64::from_le_bytes(b)
@@ -335,7 +335,7 @@ fn decode_column(
 /// Encodes an archive into the versioned columnar snapshot format,
 /// stamping the given epoch into the header.
 #[must_use]
-pub fn encode_snapshot(archive: &TrajectoryArchive, epoch: u64) -> Bytes {
+pub fn encode_snapshot(archive: &TrajectoryArchive, epoch: u64) -> Arc<[u8]> {
     let trips = archive.trajectories();
     let trip_count = trips.len() as u32;
 
@@ -389,7 +389,7 @@ pub fn encode_snapshot(archive: &TrajectoryArchive, epoch: u64) -> Bytes {
     }
     out.extend_from_slice(&columns);
     debug_assert_eq!(out.len() as u64, total_len);
-    Bytes::from_vec(out)
+    Arc::from(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -407,14 +407,14 @@ pub fn encode_snapshot(archive: &TrajectoryArchive, epoch: u64) -> Bytes {
 /// which reproduces the source archive byte-identically.
 #[derive(Debug, Clone)]
 pub struct ColumnarSnapshot {
-    data: Bytes,
+    data: Arc<[u8]>,
     header: SnapshotHeader,
 }
 
 impl ColumnarSnapshot {
     /// Validates and opens a snapshot blob.
-    pub fn open(data: Bytes) -> Result<Self, SnapshotError> {
-        let raw = data.as_slice();
+    pub fn open(data: Arc<[u8]>) -> Result<Self, SnapshotError> {
+        let raw = &data[..];
         if raw.len() < SNAPSHOT_HEADER_LEN {
             return Err(SnapshotError::TooShort);
         }
@@ -501,26 +501,17 @@ impl ColumnarSnapshot {
         self.header.point_count as usize
     }
 
-    /// The underlying blob.
-    #[must_use]
-    pub fn bytes(&self) -> &Bytes {
-        &self.data
-    }
-
     fn columns_len(&self) -> u64 {
         self.header.total_len - self.header.columns_off
     }
 
     fn point_prefix(&self, i: usize) -> u64 {
-        read_u64(
-            self.data.as_slice(),
-            self.header.offsets_off as usize + i * 8,
-        )
+        read_u64(&self.data, self.header.offsets_off as usize + i * 8)
     }
 
     fn block_offset(&self, i: usize) -> u64 {
         let base = self.header.offsets_off as usize + (self.header.trip_count as usize + 1) * 8;
-        read_u64(self.data.as_slice(), base + i * 8)
+        read_u64(&self.data, base + i * 8)
     }
 
     /// Number of points in trip `i` — read from the prefix-sum table,
@@ -537,7 +528,7 @@ impl ColumnarSnapshot {
         let n = self.trip_len(i);
         let start = (self.header.columns_off + self.block_offset(i)) as usize;
         let end = (self.header.columns_off + self.block_offset(i + 1)) as usize;
-        let block = &self.data.as_slice()[start..end];
+        let block = &self.data[start..end];
         let mut pos = 0usize;
         let mut ts = Vec::with_capacity(n);
         let mut xs = Vec::with_capacity(n);
@@ -705,32 +696,32 @@ mod tests {
 
     #[test]
     fn open_rejects_bad_magic() {
-        let mut raw = encode_snapshot(&sample_archive(), 0).as_slice().to_vec();
+        let mut raw = encode_snapshot(&sample_archive(), 0).to_vec();
         raw[0] ^= 0xff;
         assert_eq!(
-            ColumnarSnapshot::open(Bytes::from_vec(raw)).unwrap_err(),
+            ColumnarSnapshot::open(Arc::from(raw)).unwrap_err(),
             SnapshotError::BadMagic
         );
     }
 
     #[test]
     fn open_rejects_header_bitflip() {
-        let mut raw = encode_snapshot(&sample_archive(), 0).as_slice().to_vec();
+        let mut raw = encode_snapshot(&sample_archive(), 0).to_vec();
         raw[33] ^= 0x01; // epoch byte: CRC must catch it
         assert_eq!(
-            ColumnarSnapshot::open(Bytes::from_vec(raw)).unwrap_err(),
+            ColumnarSnapshot::open(Arc::from(raw)).unwrap_err(),
             SnapshotError::HeaderCorrupt
         );
     }
 
     #[test]
     fn open_rejects_future_version() {
-        let mut raw = encode_snapshot(&sample_archive(), 0).as_slice().to_vec();
+        let mut raw = encode_snapshot(&sample_archive(), 0).to_vec();
         raw[8] = 99;
         raw[9] = 0;
         // The version is checked before the CRC, so no re-seal is needed.
         assert_eq!(
-            ColumnarSnapshot::open(Bytes::from_vec(raw)).unwrap_err(),
+            ColumnarSnapshot::open(Arc::from(raw)).unwrap_err(),
             SnapshotError::UnsupportedVersion(99)
         );
     }
@@ -740,36 +731,36 @@ mod tests {
         // A v1 blob has the magic and the version where v2 has them, but a
         // 68-byte header whose CRC sits elsewhere: the version must be
         // checked before the CRC for it to be named.
-        let mut raw = encode_snapshot(&sample_archive(), 0).as_slice().to_vec();
+        let mut raw = encode_snapshot(&sample_archive(), 0).to_vec();
         raw[8..10].copy_from_slice(&1u16.to_le_bytes());
         assert_eq!(
-            ColumnarSnapshot::open(Bytes::from_vec(raw)).unwrap_err(),
+            ColumnarSnapshot::open(Arc::from(raw)).unwrap_err(),
             SnapshotError::UnsupportedVersion(1)
         );
     }
 
     #[test]
     fn open_rejects_truncation() {
-        let raw = encode_snapshot(&sample_archive(), 0).as_slice().to_vec();
+        let raw = encode_snapshot(&sample_archive(), 0).to_vec();
         let cut = raw.len() - 3;
         assert_eq!(
-            ColumnarSnapshot::open(Bytes::from_vec(raw[..cut].to_vec())).unwrap_err(),
+            ColumnarSnapshot::open(Arc::from(raw[..cut].to_vec())).unwrap_err(),
             SnapshotError::Truncated
         );
         assert_eq!(
-            ColumnarSnapshot::open(Bytes::from_vec(raw[..20].to_vec())).unwrap_err(),
+            ColumnarSnapshot::open(Arc::from(raw[..20].to_vec())).unwrap_err(),
             SnapshotError::TooShort
         );
     }
 
     #[test]
     fn payload_corruption_is_detected_on_decode() {
-        let raw = encode_snapshot(&sample_archive(), 0).as_slice().to_vec();
+        let raw = encode_snapshot(&sample_archive(), 0).to_vec();
         let mut bad = raw.clone();
         // Flip the first column tag byte to an invalid value.
         let columns_off = read_u64(&raw, 46) as usize;
         bad[columns_off] = 7;
-        let snap = ColumnarSnapshot::open(Bytes::from_vec(bad)).expect("header still valid");
+        let snap = ColumnarSnapshot::open(Arc::from(bad)).expect("header still valid");
         assert!(snap.try_trip_points(0).is_err());
         assert!(snap.decode_archive().is_err());
     }

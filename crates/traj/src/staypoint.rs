@@ -8,10 +8,9 @@
 
 use crate::types::{GpsPoint, TrajId, Trajectory};
 use hris_geo::Point;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of stay-point detection and trip partition.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StayPointConfig {
     /// Maximum roaming radius of a stay, metres.
     pub dist_threshold_m: f64,

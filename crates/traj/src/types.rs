@@ -1,13 +1,10 @@
 //! Core trajectory types (Definition 1 of the paper).
 
 use hris_geo::{BBox, Point};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a trajectory within an archive.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TrajId(pub u32);
 
 impl TrajId {
@@ -26,7 +23,7 @@ impl fmt::Display for TrajId {
 }
 
 /// A time-stamped GPS observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpsPoint {
     /// Observed position (local planar frame, metres).
     pub pos: Point,
@@ -89,7 +86,7 @@ impl std::error::Error for TrajectoryError {}
 /// with [`Trajectory::validate`]. Deliberately malformed instances — fault
 /// injection, tolerant loading — use [`Trajectory::from_unchecked`] so the
 /// bypass is explicit at the call site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trajectory {
     /// Identifier (assigned when stored in an archive; 0 for ad-hoc data).
     pub id: TrajId,
@@ -131,8 +128,8 @@ impl Trajectory {
     }
 
     /// Checks the invariants [`Trajectory::new`] asserts plus finiteness
-    /// (serde `Deserialize` and direct struct literals bypass `new`, so
-    /// ingest paths re-validate with this).
+    /// (direct struct literals and [`Trajectory::from_unchecked`] bypass
+    /// `new`, so ingest paths re-validate with this).
     pub fn validate(&self) -> Result<(), TrajectoryError> {
         for (i, p) in self.points.iter().enumerate() {
             if !(p.pos.x.is_finite() && p.pos.y.is_finite() && p.t.is_finite()) {
@@ -208,7 +205,7 @@ impl Trajectory {
 
 /// What [`sanitize_points`] did to a point sequence. All-zero/false means the
 /// input was already clean under the given limits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PointRepairs {
     /// Points dropped for NaN/infinite coordinates or timestamps.
     pub dropped_non_finite: usize,
@@ -249,7 +246,7 @@ impl PointRepairs {
 /// Magnitude limits for [`sanitize_points`]. Coordinates live in a local
 /// planar frame (metres), so anything beyond a few thousand kilometres is a
 /// corrupt record, not a far-away trip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SanitizeLimits {
     /// Maximum |x| / |y| in metres.
     pub max_abs_coord_m: f64,
@@ -383,7 +380,7 @@ mod tests {
         // from_unchecked represents the same data without panicking…
         let dirty = Trajectory::from_unchecked(TrajId(0), bad);
         assert!(!dirty.points.windows(2).all(|w| w[0].t <= w[1].t));
-        // …and validate reports the same error serde-deserialised data would.
+        // …and validate reports the disorder.
         assert!(dirty.validate().is_err());
     }
 
@@ -412,9 +409,15 @@ mod tests {
 
     #[test]
     fn deserialised_disorder_is_caught_by_validate() {
-        // serde's derive bypasses `new`; ingest must re-validate.
-        let json = r#"{"id":0,"points":[{"pos":{"x":0.0,"y":0.0},"t":9.0},{"pos":{"x":1.0,"y":0.0},"t":3.0}]}"#;
-        let t: Trajectory = serde_json::from_str(json).unwrap();
+        // A struct literal bypasses `new`, as a decoded record would;
+        // ingest must re-validate.
+        let t = Trajectory {
+            id: TrajId(0),
+            points: vec![
+                GpsPoint::new(Point::new(0.0, 0.0), 9.0),
+                GpsPoint::new(Point::new(1.0, 0.0), 3.0),
+            ],
+        };
         assert_eq!(
             t.validate(),
             Err(TrajectoryError::TimeDisorder { index: 1 })

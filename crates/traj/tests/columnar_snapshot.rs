@@ -16,6 +16,7 @@ use hris_traj::{
     TrajectoryArchive,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn assert_bit_identical(a: &TrajectoryArchive, b: &TrajectoryArchive) {
     assert_eq!(a.num_trajectories(), b.num_trajectories());
@@ -125,9 +126,9 @@ proptest! {
         bit in 0u8..8,
     ) {
         let archive = TrajectoryArchive::new(trips);
-        let mut raw = encode_snapshot(&archive, 9).as_slice().to_vec();
+        let mut raw = encode_snapshot(&archive, 9).to_vec();
         raw[byte] ^= 1 << bit;
-        prop_assert!(ColumnarSnapshot::open(bytes::Bytes::from_vec(raw)).is_err());
+        prop_assert!(ColumnarSnapshot::open(Arc::from(raw)).is_err());
     }
 }
 
@@ -170,11 +171,11 @@ fn corrupt_blobs_never_panic_and_never_mis_open() {
     )];
     let corpus = fault_corpus(42, &base, 8);
     let archive = TrajectoryArchive::new(corpus.into_iter().map(|(_, t)| t).collect());
-    let raw = encode_snapshot(&archive, 3).as_slice().to_vec();
+    let raw = encode_snapshot(&archive, 3).to_vec();
     for at in 0..raw.len() {
         let mut bad = raw.clone();
         bad[at] ^= 0x55;
-        match ColumnarSnapshot::open(bytes::Bytes::from_vec(bad)) {
+        match ColumnarSnapshot::open(Arc::from(bad)) {
             Ok(snap) => {
                 assert!(
                     at >= SNAPSHOT_HEADER_LEN,
@@ -200,9 +201,9 @@ fn truncations_are_rejected_at_every_length() {
             .collect(),
     )];
     let archive = TrajectoryArchive::new(base);
-    let raw = encode_snapshot(&archive, 0).as_slice().to_vec();
+    let raw = encode_snapshot(&archive, 0).to_vec();
     for cut in 0..raw.len() {
-        let err = ColumnarSnapshot::open(bytes::Bytes::from_vec(raw[..cut].to_vec()))
+        let err = ColumnarSnapshot::open(Arc::from(raw[..cut].to_vec()))
             .expect_err("every strict prefix must be rejected");
         assert!(
             matches!(
@@ -244,10 +245,10 @@ fn snapshot_format_matches_golden_file() {
     // SNAPSHOT_VERSION and re-bless with:
     //   BLESS=1 cargo test -p hris-traj --test columnar_snapshot
     let blob = encode_snapshot(&golden_archive(), 5);
-    let snap = ColumnarSnapshot::open(blob.slice(0..blob.len())).expect("open");
+    let snap = ColumnarSnapshot::open(blob.clone()).expect("open");
     let mut actual = snap.header().describe();
     actual.push_str("header_bytes    ");
-    for b in &blob.as_slice()[..SNAPSHOT_HEADER_LEN] {
+    for b in &blob[..SNAPSHOT_HEADER_LEN] {
         actual.push_str(&format!(" {b:02x}"));
     }
     actual.push('\n');
