@@ -11,9 +11,9 @@ pub mod tgi;
 
 use crate::params::{HrisParams, HybridPolarity, LocalAlgorithm, PopularityModel};
 use crate::reference::ReferenceSet;
+use hris_geo::BBox;
 use hris_roadnet::network::CandidateEdge;
-use hris_roadnet::{RoadNetwork, Route, SegmentId};
-use std::collections::HashSet;
+use hris_roadnet::{FxHashSet, RoadNetwork, Route, SegmentId, SparseSlots};
 
 /// Per-pair instrumentation (drives the ablation figures 11b–13b).
 #[derive(Debug, Clone, Default)]
@@ -46,7 +46,10 @@ pub type LocalRoute = Route;
 pub struct LocalInferenceResult {
     /// Candidate local routes `ℛ_i` (deduplicated).
     pub routes: Vec<LocalRoute>,
-    /// Which references travel on which road segment (for scoring).
+    /// Which references travel on which road segment (for scoring). After
+    /// TGI it covers every traverse edge; after NNI only the segments of
+    /// `routes` (every reader sweeps route segments only), so `refs_on`
+    /// reads empty elsewhere.
     pub edge_index: RefEdgeIndex,
     /// The reference set this inference consumed.
     pub refs: ReferenceSet,
@@ -58,7 +61,9 @@ pub struct LocalInferenceResult {
 ///
 /// A reference *travels by* segment `r` when `r` is a candidate edge of one
 /// of its points (Definition 9). This index is built once per pair and
-/// drives both the traverse graph and the popularity function.
+/// drives both the traverse graph and the popularity function — in full
+/// for TGI, whose traverse graph reads every covered segment, and over the
+/// pair's final routes only for NNI, whose readers sweep nothing else.
 ///
 /// Stored in compressed-sparse-row form — sorted segment keys with one flat,
 /// sorted run of covering-reference indices per segment — instead of a
@@ -83,53 +88,116 @@ impl RefEdgeIndex {
     /// projection memo — reference points recur across pairs).
     #[must_use]
     pub fn build(net: &RoadNetwork, refs: &ReferenceSet, eps: f64) -> Self {
+        net.with_segment_slots(|slots| Self::from_memo(slots, net, refs, eps, None))
+    }
+
+    /// The index restricted to the segments of `routes`: `refs_on(r)` is
+    /// [`RefEdgeIndex::build`]'s for every segment `r` of those routes and
+    /// empty elsewhere, so every sweep over one of them reads the same
+    /// slices, bit for bit.
+    ///
+    /// A reference point is looked up only when the union of the routes'
+    /// segment bounding boxes lies within `eps` of it. That is exact: the
+    /// network's R-tree admits a segment only when its bounding box passes
+    /// the same `min_dist_sq ≤ eps²` test, and a point's squared distance to
+    /// a covering box is never larger than to a box inside it, in floating
+    /// point too (the differences, maxima and squares involved are all
+    /// monotone).
+    pub(crate) fn build_for_routes<'r>(
+        net: &RoadNetwork,
+        refs: &ReferenceSet,
+        eps: f64,
+        routes: impl IntoIterator<Item = &'r Route>,
+    ) -> Self {
+        net.with_segment_slots(|slots| {
+            let mut within = BBox::empty();
+            for &seg in routes.into_iter().flat_map(Route::segments) {
+                if !slots.contains(seg.index()) {
+                    slots.slot(seg.index());
+                    within.expand(&net.segment(seg).geometry.bbox());
+                }
+            }
+            Self::from_memo(slots, net, refs, eps, Some(&within))
+        })
+    }
+
+    /// Collects the `(segment, reference)` coverage pairs of every reference
+    /// point from the projection memo — all of them, or, when `within` is
+    /// given, those of the segments touched in `slots` (skipping points
+    /// farther than `eps` from `within`) — and lays them out in CSR form.
+    fn from_memo(
+        slots: &mut SparseSlots<u32>,
+        net: &RoadNetwork,
+        refs: &ReferenceSet,
+        eps: f64,
+        within: Option<&BBox>,
+    ) -> Self {
+        let eps_sq = eps * eps;
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         for (ri, r) in refs.refs.iter().enumerate() {
             let ri = u32::try_from(ri).expect("reference index fits u32");
             for p in &r.points {
-                net.candidate_segments_cached(p.pos, eps, |segs| {
-                    pairs.extend(segs.iter().map(|seg| (seg.0, ri)));
-                });
+                match within {
+                    None => net.candidate_segments_cached(p.pos, eps, |segs| {
+                        pairs.extend(segs.iter().map(|seg| (seg.0, ri)));
+                    }),
+                    Some(bbox) if bbox.min_dist_sq(p.pos) <= eps_sq => {
+                        net.candidate_segments_cached(p.pos, eps, |segs| {
+                            let listed = segs.iter().filter(|seg| slots.contains(seg.index()));
+                            pairs.extend(listed.map(|seg| (seg.0, ri)));
+                        });
+                    }
+                    Some(_) => {}
+                }
             }
         }
-        // Counting sort over the (small, dense) segment universe. The outer
-        // loop above emits reference indices in ascending order, so a stable
-        // scatter leaves every per-segment bucket sorted — same `(seg, ref)`
-        // order `from_pairs` produces, without the comparison sort.
-        let n = net.num_segments();
-        let mut counts = vec![0u32; n + 1];
-        for &(seg, _) in &pairs {
-            counts[seg as usize + 1] += 1;
+        Self::from_coverage(slots, &pairs)
+    }
+
+    /// CSR over coverage `pairs` emitted in ascending reference order, by a
+    /// counting sort over the touched segments of `slots` only (all vacant
+    /// on entry; a touched segment no pair names gets no row). The scatter
+    /// is stable, so every per-segment run comes out sorted — the `(seg,
+    /// ref)` order [`RefEdgeIndex::from_pairs`] produces, without a
+    /// comparison sort.
+    fn from_coverage(slots: &mut SparseSlots<u32>, pairs: &[(u32, u32)]) -> Self {
+        for &(seg, _) in pairs {
+            *slots.slot(seg as usize) += 1;
         }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let mut slots: Vec<u32> = vec![0; pairs.len()];
-        let mut cursor = counts.clone();
-        for &(seg, ri) in &pairs {
-            let c = &mut cursor[seg as usize];
-            slots[*c as usize] = ri;
-            *c += 1;
+        slots.sort_touched();
+        // Counts become run starts, then (after the scatter) run ends.
+        let mut end = 0u32;
+        slots.for_each_touched(|slot| {
+            let count = *slot;
+            *slot = end;
+            end += count;
+        });
+        let mut scattered: Vec<u32> = vec![0; pairs.len()];
+        for &(seg, ri) in pairs {
+            let cursor = slots.slot(seg as usize);
+            scattered[*cursor as usize] = ri;
+            *cursor += 1;
         }
         let mut segs: Vec<SegmentId> = Vec::new();
         let mut offsets: Vec<u32> = Vec::new();
         let mut out_refs: Vec<u32> = Vec::new();
         let mut num_refs = 0usize;
-        for seg in 0..n {
-            let (lo, hi) = (counts[seg] as usize, counts[seg + 1] as usize);
-            if lo == hi {
-                continue;
-            }
-            segs.push(SegmentId(seg as u32));
-            offsets.push(out_refs.len() as u32);
-            let start = out_refs.len();
-            for &r in &slots[lo..hi] {
-                if out_refs.len() > start && out_refs[out_refs.len() - 1] == r {
-                    continue;
+        let mut lo = 0usize;
+        for &seg in slots.touched() {
+            let hi = slots.get(seg as usize) as usize;
+            if hi > lo {
+                segs.push(SegmentId(seg));
+                offsets.push(out_refs.len() as u32);
+                let start = out_refs.len();
+                for &r in &scattered[lo..hi] {
+                    if out_refs.len() > start && out_refs[out_refs.len() - 1] == r {
+                        continue;
+                    }
+                    out_refs.push(r);
+                    num_refs = num_refs.max(r as usize + 1);
                 }
-                out_refs.push(r);
-                num_refs = num_refs.max(r as usize + 1);
             }
+            lo = hi;
         }
         if !segs.is_empty() {
             offsets.push(out_refs.len() as u32);
@@ -367,7 +435,6 @@ pub fn infer_local_routes(
     qj_cands: &[CandidateEdge],
     params: &HrisParams,
 ) -> LocalInferenceResult {
-    let edge_index = RefEdgeIndex::build(net, &refs, params.candidate_eps_m);
     let density = refs.density_per_km2();
 
     let use_tgi = match params.local_algorithm {
@@ -380,10 +447,12 @@ pub fn infer_local_routes(
         },
     };
 
-    let (mut routes, mut stats) = if use_tgi {
-        tgi::tgi(net, &edge_index, qi_cands, qj_cands, params)
-    } else {
-        nni::nni(net, &refs, qi_cands, qj_cands, params)
+    // TGI's traverse graph reads every covered segment. NNI reads none
+    // until its routes are final, so its index covers those alone (below).
+    let tgi_index = use_tgi.then(|| RefEdgeIndex::build(net, &refs, params.candidate_eps_m));
+    let (mut routes, mut stats) = match &tgi_index {
+        Some(idx) => tgi::tgi(net, idx, qi_cands, qj_cands, params),
+        None => nni::nni(net, &refs, qi_cands, qj_cands, params),
     };
     stats.density = density;
 
@@ -415,6 +484,14 @@ pub fn infer_local_routes(
         let bound = sp_len * params.max_detour_ratio.max(1.0);
         routes.retain(|r| r.length(net) <= bound);
     }
+    // The pipeline's sparseness fallback, the shortest path between the
+    // first candidates, needs no coverage here: it lands only on a pair
+    // left with no routes, and the shortest of the paths pushed above is
+    // within the detour bound, so such a pair had none of them — the
+    // fallback's among them.
+    let edge_index = tgi_index.unwrap_or_else(|| {
+        RefEdgeIndex::build_for_routes(net, &refs, params.candidate_eps_m, &routes)
+    });
     // Precompute each route's popularity once: the previous in-comparator
     // evaluation recomputed the full scoring kernel O(n log n) times and
     // dominated the per-pair profile. The stable sort over identical key
@@ -447,7 +524,7 @@ pub fn infer_local_routes(
 /// Deduplicates routes and keeps connected ones, capping the count.
 #[must_use]
 pub fn dedup_routes(routes: Vec<Route>, net: &RoadNetwork, cap: usize) -> Vec<Route> {
-    let mut seen: HashSet<Vec<SegmentId>> = HashSet::new();
+    let mut seen: FxHashSet<Vec<SegmentId>> = FxHashSet::default();
     let mut out = Vec::new();
     for r in routes {
         if r.is_empty() || !r.is_connected(net) {
@@ -586,6 +663,182 @@ mod tests {
         assert_eq!(res.stats.algorithm, "NNI");
     }
 
+    /// A random reference set over `net`: references as jittered walks
+    /// between random spots (some points off every road), sometimes
+    /// repeating a point of the previous reference, as a spliced reference
+    /// repeats its source trips' points.
+    fn random_refs(net: &RoadNetwork, seed: u64) -> ReferenceSet {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let bbox = net.bbox();
+        let spot = |rng: &mut rand_chacha::ChaCha8Rng| {
+            Point::new(
+                rng.gen_range(bbox.min.x - 100.0..bbox.max.x + 100.0),
+                rng.gen_range(bbox.min.y - 100.0..bbox.max.y + 100.0),
+            )
+        };
+        let (from, to) = (spot(&mut rng), spot(&mut rng));
+        let mut refs: Vec<RefTrajectory> = Vec::new();
+        for id in 0..rng.gen_range(1..7u32) {
+            let n = rng.gen_range(1..25);
+            let mut points: Vec<GpsPoint> = (0..n)
+                .map(|k| {
+                    let f = k as f64 / n as f64;
+                    let x = from.x + (to.x - from.x) * f + rng.gen_range(-60.0..60.0);
+                    let y = from.y + (to.y - from.y) * f + rng.gen_range(-60.0..60.0);
+                    GpsPoint::new(Point::new(x, y), k as f64 * 30.0)
+                })
+                .collect();
+            if let Some(prev) = refs.last() {
+                if rng.gen_bool(0.5) {
+                    points.extend_from_slice(&prev.points[..prev.points.len() / 2]);
+                }
+            }
+            refs.push(RefTrajectory {
+                kind: RefKind::Simple,
+                sources: vec![TrajId(id)],
+                points,
+            });
+        }
+        ReferenceSet { refs }
+    }
+
+    /// Networks of three sizes, each with its own segment-table pool.
+    fn sized_nets() -> [RoadNetwork; 3] {
+        let grid = |blocks: usize, seed: u64| {
+            generator::generate(&NetworkConfig {
+                blocks_x: blocks,
+                blocks_y: blocks,
+                ..NetworkConfig::small(seed)
+            })
+        };
+        [grid(3, 2), net(), grid(16, 3)]
+    }
+
+    /// The build on the pooled segment table — reused pair after pair,
+    /// interleaved across networks of different sizes — equals the
+    /// full-scan build on fresh counters.
+    #[test]
+    fn pooled_build_matches_full_scan_build_across_networks() {
+        let nets = sized_nets();
+        for seed in 0..90u64 {
+            let net = &nets[(seed % 3) as usize];
+            let refs = random_refs(net, seed);
+            let eps = [20.0, 40.0, 80.0][(seed / 3 % 3) as usize];
+            let got = RefEdgeIndex::build(net, &refs, eps);
+            assert_eq!(
+                got,
+                reference::build_full_scan(net, &refs, eps),
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// The route-restricted index reads like the full one on every segment
+    /// of its routes — `refs_on`, `refs_on_route` and both popularity
+    /// models, bit for bit — and reads empty elsewhere; some reference
+    /// points fall to the bounding-box prune and some pass it.
+    #[test]
+    fn route_restricted_index_reads_like_full_index() {
+        use rand::{Rng, SeedableRng};
+        let nets = sized_nets();
+        let (mut pruned, mut looked_up) = (0usize, 0usize);
+        for seed in 0..90u64 {
+            let net = &nets[(seed % 3) as usize];
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let refs = random_refs(net, seed);
+            let eps = 40.0;
+            let m = net.num_segments() as u32;
+            let routes: Vec<Route> = (0..rng.gen_range(0..4))
+                .filter_map(|_| {
+                    let (a, b) = (
+                        SegmentId(rng.gen_range(0..m)),
+                        SegmentId(rng.gen_range(0..m)),
+                    );
+                    net.sp_oracle()
+                        .route_between(a, b, hris_roadnet::CostModel::Distance)
+                })
+                .collect();
+            let full = RefEdgeIndex::build(net, &refs, eps);
+            let restricted = RefEdgeIndex::build_for_routes(net, &refs, eps, &routes);
+            let on_route: FxHashSet<SegmentId> = routes
+                .iter()
+                .flat_map(|r| r.segments().iter().copied())
+                .collect();
+            for s in net.segments() {
+                let want: &[u32] = if on_route.contains(&s.id) {
+                    full.refs_on(s.id)
+                } else {
+                    &[]
+                };
+                assert_eq!(
+                    restricted.refs_on(s.id),
+                    want,
+                    "seed {seed} segment {:?}",
+                    s.id
+                );
+            }
+            for route in &routes {
+                assert_eq!(
+                    restricted.refs_on_route(route),
+                    full.refs_on_route(route),
+                    "seed {seed}"
+                );
+                for model in [PopularityModel::ScaleFree, PopularityModel::PaperLiteral] {
+                    let got = route_popularity_with(route, &restricted, 0.05, model);
+                    let want = route_popularity_with(route, &full, 0.05, model);
+                    assert_eq!(got.to_bits(), want.to_bits(), "seed {seed} {model:?}");
+                }
+            }
+            let mut within = BBox::empty();
+            for &s in &on_route {
+                within.expand(&net.segment(s).geometry.bbox());
+            }
+            for p in refs.refs.iter().flat_map(|r| &r.points) {
+                if within.min_dist_sq(p.pos) > eps * eps {
+                    pruned += 1;
+                } else {
+                    looked_up += 1;
+                }
+            }
+        }
+        assert!(
+            pruned >= 50 && looked_up >= 50,
+            "both sides of the prune must occur: {pruned} pruned, {looked_up} looked up"
+        );
+    }
+
+    /// TGI on the network's pooled segment table, reused pair after pair,
+    /// infers what it infers on a fresh clone of the network (fresh caches,
+    /// empty pool), on networks of three sizes.
+    #[test]
+    fn tgi_on_pooled_tables_matches_a_fresh_network() {
+        let nets = sized_nets();
+        let params = HrisParams::default();
+        for seed in 0..36u64 {
+            let net = &nets[(seed % 3) as usize];
+            let refs = random_refs(net, seed);
+            let ends = |r: &RefTrajectory| (r.points[0].pos, r.points[r.points.len() - 1].pos);
+            let (qi, qj) = ends(&refs.refs[0]);
+            let qi = net.candidate_edges(qi, 120.0);
+            let qj = net.candidate_edges(qj, 120.0);
+            let fresh = net.clone();
+            let idx = RefEdgeIndex::build(net, &refs, params.candidate_eps_m);
+            let (got, got_stats) = tgi::tgi(net, &idx, &qi, &qj, &params);
+            let (want, want_stats) = tgi::tgi(&fresh, &idx, &qi, &qj, &params);
+            assert_eq!(got, want, "seed {seed}");
+            let counts = |s: &LocalStats| {
+                (
+                    s.traverse_nodes,
+                    s.traverse_edges_initial,
+                    s.traverse_edges_final,
+                    s.augmentation_links,
+                )
+            };
+            assert_eq!(counts(&got_stats), counts(&want_stats), "seed {seed}");
+        }
+    }
+
     /// Random coverage of a random route (segments 0..12, so repeats are
     /// common), steered by `seed % 4` towards: nothing on the route
     /// covered, exactly one covered segment, free coverage, free coverage
@@ -677,12 +930,82 @@ mod tests {
     }
 }
 
-/// The popularity kernel as it stood before the single sweep — two walks
-/// over the route, the union materialised — kept verbatim as the reference
-/// of the equivalence tests here and of `global`'s reference DP.
+/// The index build and the popularity kernel as they stood before their
+/// rewrites — the build over the whole segment universe, the kernel with
+/// two walks over the route and the union materialised — kept verbatim as
+/// the references of the equivalence tests here and of `global`'s
+/// reference DP.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::{RefEdgeIndex, Route};
+    use hris_roadnet::{RoadNetwork, SegmentId};
+
+    /// `RefEdgeIndex::build` as it stood before the pooled segment table —
+    /// a counting sort over `num_segments + 1` fresh counters, cloned for
+    /// the scatter and scanned whole — kept verbatim.
+    pub(crate) fn build_full_scan(
+        net: &RoadNetwork,
+        refs: &crate::reference::ReferenceSet,
+        eps: f64,
+    ) -> RefEdgeIndex {
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for (ri, r) in refs.refs.iter().enumerate() {
+            let ri = u32::try_from(ri).expect("reference index fits u32");
+            for p in &r.points {
+                net.candidate_segments_cached(p.pos, eps, |segs| {
+                    pairs.extend(segs.iter().map(|seg| (seg.0, ri)));
+                });
+            }
+        }
+        // Counting sort over the (small, dense) segment universe. The outer
+        // loop above emits reference indices in ascending order, so a stable
+        // scatter leaves every per-segment bucket sorted — same `(seg, ref)`
+        // order `from_pairs` produces, without the comparison sort.
+        let n = net.num_segments();
+        let mut counts = vec![0u32; n + 1];
+        for &(seg, _) in &pairs {
+            counts[seg as usize + 1] += 1;
+        }
+        for i in 0..n {
+            counts[i + 1] += counts[i];
+        }
+        let mut slots: Vec<u32> = vec![0; pairs.len()];
+        let mut cursor = counts.clone();
+        for &(seg, ri) in &pairs {
+            let c = &mut cursor[seg as usize];
+            slots[*c as usize] = ri;
+            *c += 1;
+        }
+        let mut segs: Vec<SegmentId> = Vec::new();
+        let mut offsets: Vec<u32> = Vec::new();
+        let mut out_refs: Vec<u32> = Vec::new();
+        let mut num_refs = 0usize;
+        for seg in 0..n {
+            let (lo, hi) = (counts[seg] as usize, counts[seg + 1] as usize);
+            if lo == hi {
+                continue;
+            }
+            segs.push(SegmentId(seg as u32));
+            offsets.push(out_refs.len() as u32);
+            let start = out_refs.len();
+            for &r in &slots[lo..hi] {
+                if out_refs.len() > start && out_refs[out_refs.len() - 1] == r {
+                    continue;
+                }
+                out_refs.push(r);
+                num_refs = num_refs.max(r as usize + 1);
+            }
+        }
+        if !segs.is_empty() {
+            offsets.push(out_refs.len() as u32);
+        }
+        RefEdgeIndex {
+            segs,
+            offsets,
+            refs: out_refs,
+            num_refs,
+        }
+    }
 
     pub(crate) fn refs_on_route(idx: &RefEdgeIndex, route: &Route) -> Vec<usize> {
         let mut words = vec![0u64; idx.num_refs.div_ceil(64)];

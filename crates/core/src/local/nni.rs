@@ -346,8 +346,9 @@ pub fn nni(
     // Both steps are pure functions, and the traces of a pair revisit the
     // same points and joints constantly, so each is paid once: a reference
     // point's nearest segment once across pairs (in its projection-memo
-    // entry, which `RefEdgeIndex::build` has just filled), the terminal's
-    // and `q_i`'s once per pair, and each bridge once per pair.
+    // entry, which the index build of this pair's routes, or of an earlier
+    // pair, fills), the terminal's and `q_i`'s once per pair, and each
+    // bridge once per pair.
     let mut routes = Vec::new();
     let mut seen_matched: FxHashSet<Vec<SegmentId>> = FxHashSet::default();
     let mut bridges = BridgeMemo::default();

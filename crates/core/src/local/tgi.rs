@@ -40,73 +40,65 @@ pub fn tgi(
     };
 
     // --- node set: traverse edges + query candidate edges ----------------
-    // Dense interning table indexed by segment id: the per-pair graph is
-    // tiny but this map is probed once per λ-neighborhood hit, so a flat
-    // array beats any hash map.
-    let mut node_of: Vec<u32> = vec![u32::MAX; net.num_segments()];
-    // One bit per segment mirroring `node_of` occupancy: the λ scan below
-    // probes membership for every neighborhood entry, and the bitmask keeps
-    // those probes inside a few cache lines where the full u32 table would
-    // miss to L2 on nearly every lookup.
-    let mut in_set: Vec<u64> = vec![0; net.num_segments().div_ceil(64)];
+    // Interned through the network's pooled segment table: a node's slot
+    // holds its index, and the λ scan below probes the table's occupancy
+    // bits for every neighborhood entry, which stay inside a few cache lines
+    // where a u32 per segment would miss to L2 on nearly every lookup. The
+    // table is cleared in time proportional to the nodes, not the network.
+    let gamma = params.tgi_popularity_weight.max(0.0);
     let mut segs: Vec<SegmentId> = Vec::new();
-    let mut intern = |seg: SegmentId, segs: &mut Vec<SegmentId>| -> usize {
-        let slot = &mut node_of[seg.index()];
-        if *slot == u32::MAX {
-            segs.push(seg);
-            *slot = (segs.len() - 1) as u32;
-            in_set[seg.index() >> 6] |= 1 << (seg.index() & 63);
+    let mut edges = EdgeList::default();
+    let (qi_nodes, qj_nodes) = net.with_segment_slots(|node_of| {
+        let mut intern = |seg: SegmentId| -> usize {
+            if !node_of.contains(seg.index()) {
+                *node_of.slot(seg.index()) = segs.len() as u32;
+                segs.push(seg);
+            }
+            node_of.get(seg.index()) as usize
+        };
+        for &seg in edge_index.traverse_edges() {
+            intern(seg);
         }
-        *slot as usize
-    };
-    for &seg in edge_index.traverse_edges() {
-        intern(seg, &mut segs);
-    }
-    let qi_nodes: Vec<usize> = qi_cands
-        .iter()
-        .take(params.max_query_candidates)
-        .map(|c| intern(c.segment, &mut segs))
-        .collect();
-    let qj_nodes: Vec<usize> = qj_cands
-        .iter()
-        .take(params.max_query_candidates)
-        .map(|c| intern(c.segment, &mut segs))
-        .collect();
+        let mut endpoints = |cands: &[CandidateEdge]| -> Vec<usize> {
+            let take = cands.iter().take(params.max_query_candidates);
+            take.map(|c| intern(c.segment)).collect()
+        };
+        let (qi_nodes, qj_nodes) = (endpoints(qi_cands), endpoints(qj_cands));
+
+        // --- links: λ-neighborhood hop search -----------------------------
+        // Flat link list sorted by (u, v). Each λ-neighborhood lists a
+        // target segment at most once, so every (u, v) pair is produced at
+        // most once and the list needs no dedup — only a per-source sort by
+        // target (the outer loop already emits sources in ascending order).
+        // The weight is the driving distance along the hop path, discounted
+        // by the coverage of the target segment (γ = `tgi_popularity_weight`;
+        // 0 restores pure distance).
+        for (u, &seg_u) in segs.iter().enumerate() {
+            // The λ-neighborhood only depends on the immutable network, so
+            // the hop search is answered by the network-level memo shared
+            // across pairs and queries.
+            let start = edges.links.len();
+            let soa = net.lambda_neighborhood_soa(seg_u, params.lambda);
+            for (k, &seg_v) in soa.segs.iter().enumerate() {
+                let i = seg_v.index();
+                if node_of.contains(i) {
+                    let weight = soa.dists[k]
+                        * (1.0 + gamma / (1.0 + edge_index.covering_count(seg_v) as f64));
+                    edges.links.push(Link {
+                        u: u as u32,
+                        v: node_of.get(i),
+                        hops: soa.hops[k] as usize,
+                        weight,
+                    });
+                }
+            }
+            edges.links[start..].sort_unstable_by_key(|l| l.v);
+        }
+        (qi_nodes, qj_nodes)
+    });
     stats.traverse_nodes = segs.len();
     if segs.is_empty() {
         return (Vec::new(), stats);
-    }
-
-    // --- links: λ-neighborhood hop search ---------------------------------
-    // Flat link list sorted by (u, v). Each λ-neighborhood lists a target
-    // segment at most once, so every (u, v) pair is produced at most once
-    // and the list needs no dedup — only a per-source sort by target (the
-    // outer loop already emits sources in ascending order). The weight is
-    // the driving distance along the hop path, discounted by the coverage
-    // of the target segment (γ = `tgi_popularity_weight`; 0 restores pure
-    // distance).
-    let gamma = params.tgi_popularity_weight.max(0.0);
-    let mut edges = EdgeList::default();
-    for (u, &seg_u) in segs.iter().enumerate() {
-        // The λ-neighborhood only depends on the immutable network, so the
-        // hop search is answered by the network-level memo shared across
-        // pairs and queries.
-        let start = edges.links.len();
-        let soa = net.lambda_neighborhood_soa(seg_u, params.lambda);
-        for (k, &seg_v) in soa.segs.iter().enumerate() {
-            let i = seg_v.index();
-            if in_set[i >> 6] & (1 << (i & 63)) != 0 {
-                let weight =
-                    soa.dists[k] * (1.0 + gamma / (1.0 + edge_index.covering_count(seg_v) as f64));
-                edges.links.push(Link {
-                    u: u as u32,
-                    v: node_of[i],
-                    hops: soa.hops[k] as usize,
-                    weight,
-                });
-            }
-        }
-        edges.links[start..].sort_unstable_by_key(|l| l.v);
     }
     stats.traverse_edges_initial = edges.links.len();
 

@@ -11,13 +11,13 @@
 //!   different one heading into `q_{i+1}`, joined at a *splicing pair* of
 //!   points at most `e` apart, and must satisfy the same conditions.
 //!
-//! Search uses two `φ`-range queries on the archive's R-tree, a hash join by
-//! trajectory id for simple references, and a uniform-grid spatial join for
-//! splicing pairs.
+//! Search uses two `φ`-range queries on the archive's R-tree, a merge join
+//! by trajectory id for simple references, and a uniform-grid spatial join
+//! for splicing pairs.
 
 use hris_geo::Point;
-use hris_roadnet::FxHashMap;
-use hris_traj::{GpsPoint, TrajId, TrajectoryArchive};
+use hris_roadnet::SparseSlots;
+use hris_traj::{ArchivePoint, GpsPoint, TrajId, TrajectoryArchive};
 
 /// How a reference was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,35 +161,14 @@ pub fn search_references(
     let near_i = archive.points_within(qi, phi);
     let near_j = archive.points_within(qj, phi);
 
-    // Per-trajectory nearest hit to each endpoint, sorted by id. A
-    // trajectory's globally nearest point to the endpoint is no farther than
-    // any of its φ-hits, hence itself a φ-hit — so the argmin over the hits
-    // (ties to the smallest index, as `Trajectory::nearest_point` breaks
-    // them) IS the global nearest point, without scanning whole
-    // trajectories. Trajectory ids are dense archive indices, so the argmin
-    // runs over a flat per-trajectory slot array — no sort, no hashing.
-    let num_trajs = archive.trajectories().len();
-    let mut slots: Vec<(f64, u32)> = vec![(f64::INFINITY, u32::MAX); num_trajs];
-    let nearest_per_traj =
-        |slots: &mut [(f64, u32)], hits: &[&hris_traj::ArchivePoint], q: Point| {
-            for p in hits {
-                let slot = &mut slots[p.traj.index()];
-                let d2 = p.pos.dist_sq(q);
-                if d2 < slot.0 || (d2 == slot.0 && p.point_idx < slot.1) {
-                    *slot = (d2, p.point_idx);
-                }
-            }
-            let mut rows: Vec<(TrajId, usize)> = Vec::new();
-            for (t, slot) in slots.iter_mut().enumerate() {
-                if slot.1 != u32::MAX {
-                    rows.push((TrajId(t as u32), slot.1 as usize));
-                    *slot = (f64::INFINITY, u32::MAX);
-                }
-            }
-            rows
-        };
-    let rows_i = nearest_per_traj(&mut slots, &near_i, qi);
-    let rows_j = nearest_per_traj(&mut slots, &near_j, qj);
+    // Per-trajectory nearest hit to each endpoint, sorted by id (see
+    // `nearest_rows`), on the archive's pooled trip table.
+    let (rows_i, rows_j) = archive.with_trip_slots(|slots| {
+        (
+            nearest_rows(slots, &near_i, qi),
+            nearest_rows(slots, &near_j, qj),
+        )
+    });
 
     // Trajectories present on both sides (merge walk, ascending-id order),
     // carrying their nearest indices.
@@ -278,65 +257,9 @@ pub fn search_references(
             side_b.push((id, 0, n));
         }
 
-        // Grid join: bucket side-B candidate points by `splice_eps` cells.
-        let mut grid: FxHashMap<(i64, i64), Vec<(usize, usize)>> = FxHashMap::default(); // cell -> (b_pos, pt_idx)
-        for (bi, &(id, first, nn)) in side_b.iter().enumerate() {
-            let traj = archive.trajectory(id);
-            for k in first..=nn {
-                let p = traj.points[k].pos;
-                // Only points inside the speed-feasible ellipse can appear
-                // in a valid spliced reference.
-                if p.dist(qi) + p.dist(qj) > budget {
-                    continue;
-                }
-                grid.entry(cell(p, splice_eps)).or_default().push((bi, k));
-            }
-        }
-
-        // For each (T_a, T_b) pair keep the best splicing pair.
-        let mut best_pairs: FxHashMap<(usize, usize), (f64, usize, usize)> = FxHashMap::default();
-        for (ai, &(id_a, nn_a, last)) in side_a.iter().enumerate() {
-            let traj_a = archive.trajectory(id_a);
-            for ka in nn_a..=last {
-                let pa = traj_a.points[ka].pos;
-                if pa.dist(qi) + pa.dist(qj) > budget {
-                    continue;
-                }
-                let c = cell(pa, splice_eps);
-                for dx in -1..=1 {
-                    for dy in -1..=1 {
-                        let Some(hits) = grid.get(&(c.0 + dx, c.1 + dy)) else {
-                            continue;
-                        };
-                        for &(bi, kb) in hits {
-                            let id_b = side_b[bi].0;
-                            if id_b == id_a {
-                                continue;
-                            }
-                            let pb = archive.trajectory(id_b).points[kb].pos;
-                            if pa.dist(pb) > splice_eps {
-                                continue;
-                            }
-                            // Paper: among multiple splicing pairs of the
-                            // same (T_a, T_b), keep the one minimising
-                            // d(p_a, q_i) + d(p_b, q_{i+1}).
-                            let key = (ai, bi);
-                            let val = pa.dist(qi) + pb.dist(qj);
-                            let entry = best_pairs.entry(key).or_insert((f64::INFINITY, 0, 0));
-                            if val < entry.0 {
-                                *entry = (val, ka, kb);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Drain in (ai, bi) order so the spliced refs come out in a
-        // deterministic order regardless of hash-map internals.
-        let mut ordered: Vec<_> = best_pairs.into_iter().collect();
-        ordered.sort_unstable_by_key(|&(key, _)| key);
-        for ((ai, bi), (_, ka, kb)) in ordered {
+        let pos = |id: TrajId, k: usize| archive.trajectory(id).points[k].pos;
+        let joined = splice_pairs(&side_a, &side_b, pos, (qi, qj, budget), splice_eps);
+        for (ai, bi, ka, kb) in joined {
             let (id_a, nn_a, _) = side_a[ai];
             let (id_b, _, nn_b) = side_b[bi];
             if kb > nn_b {
@@ -381,6 +304,153 @@ pub fn search_references(
     }
 
     ReferenceSet { refs }
+}
+
+/// Each trajectory's nearest hit to `q`, as `(trip, point index)` rows in
+/// ascending trip id. A trajectory's globally nearest point to the endpoint
+/// is no farther than any of its φ-hits, hence itself a φ-hit — so the
+/// argmin over the hits (ties to the smallest index, as
+/// `Trajectory::nearest_point` breaks them) IS the global nearest point,
+/// without scanning whole trajectories. Trip ids are dense archive indices,
+/// so the argmin runs over a trip-indexed table, no hashing, and costs the
+/// trips hit, not the archive.
+fn nearest_rows(
+    slots: &mut SparseSlots<(f64, u32)>,
+    hits: &[&ArchivePoint],
+    q: Point,
+) -> Vec<(TrajId, usize)> {
+    for p in hits {
+        let slot = slots.slot(p.traj.index());
+        let d2 = p.pos.dist_sq(q);
+        if d2 < slot.0 || (d2 == slot.0 && p.point_idx < slot.1) {
+            *slot = (d2, p.point_idx);
+        }
+    }
+    slots.sort_touched();
+    // A hit whose distance is NaN never fills its slot.
+    let rows = slots.touched().iter().filter_map(|&t| {
+        let (_, k) = slots.get(t as usize);
+        (k != u32::MAX).then_some((TrajId(t), k as usize))
+    });
+    let rows = rows.collect();
+    slots.clear();
+    rows
+}
+
+/// The splicing pairs of Definition 7: for every `(T_a, T_b)` of the two
+/// sides — each a `(trip, lo, hi)` run of point indices, `pos` reading a
+/// point — with a different trip and some pair of run points inside the
+/// speed-feasible ellipse `(q_i, q_{i+1}, budget)` at most `splice_eps`
+/// apart, the pair minimising `d(p_a, q_i) + d(p_b, q_{i+1})` (the first one
+/// met on ties), as `(a, b, k_a, k_b)` in ascending `(a, b)` order.
+///
+/// Side B's feasible points are bucketed by `splice_eps` cell in one flat
+/// array, sorted by cell with each cell keeping its insertion order, and
+/// found through the sorted distinct cells and cell columns; each side-A
+/// trip keeps its best pair per side-B trip in a row over side B that is
+/// reset by its touched list. No hashing, and every buffer is sized by the
+/// two sides.
+fn splice_pairs(
+    side_a: &[(TrajId, usize, usize)],
+    side_b: &[(TrajId, usize, usize)],
+    pos: impl Fn(TrajId, usize) -> Point,
+    (qi, qj, budget): (Point, Point, f64),
+    splice_eps: f64,
+) -> Vec<(usize, usize, usize, usize)> {
+    // Only points inside the speed-feasible ellipse can appear in a valid
+    // spliced reference.
+    let mut grid: Vec<GridEntry> = Vec::new();
+    for (b, &(id, first, nn)) in side_b.iter().enumerate() {
+        for k in first..=nn {
+            let p = pos(id, k);
+            let d_qj = p.dist(qj);
+            let outside = p.dist(qi) + d_qj > budget;
+            if !outside {
+                let cell = cell(p, splice_eps);
+                grid.push(GridEntry {
+                    cell,
+                    b,
+                    k,
+                    p,
+                    d_qj,
+                });
+            }
+        }
+    }
+    // Entries are pushed in (b, k) order, so this is the stable sort by
+    // cell, without a merge buffer.
+    grid.sort_unstable_by_key(|e| (e.cell, e.b, e.k));
+    let mut cells: Vec<(i64, i64)> = Vec::new();
+    let mut starts: Vec<usize> = Vec::new();
+    for (i, &GridEntry { cell: c, .. }) in grid.iter().enumerate() {
+        if cells.last() != Some(&c) {
+            cells.push(c);
+            starts.push(i);
+        }
+    }
+    starts.push(grid.len());
+    // The distinct cell columns, each with its run of `cells`. Cells sort by
+    // (x, y), so an A point's neighbourhood is at most three adjacent
+    // columns, in each the cells (x, y − 1 ..= y + 1) are one run, and
+    // their entries one run of `grid`, met in the order the nine per-cell
+    // probes of a hash grid would meet them.
+    let mut xs: Vec<i64> = Vec::new();
+    let mut x_starts: Vec<usize> = Vec::new();
+    for (i, &(x, _)) in cells.iter().enumerate() {
+        if xs.last() != Some(&x) {
+            xs.push(x);
+            x_starts.push(i);
+        }
+    }
+    x_starts.push(cells.len());
+    // Per side-B trip: (best value, k_a, k_b); touched ⇔ some pair was met.
+    let mut best: SparseSlots<(f64, usize, usize)> = SparseSlots::new((f64::INFINITY, 0, 0));
+    best.cover(side_b.len());
+    let mut out = Vec::new();
+    for (ai, &(id_a, nn_a, last)) in side_a.iter().enumerate() {
+        for ka in nn_a..=last {
+            let pa = pos(id_a, ka);
+            let d_qi = pa.dist(qi);
+            if d_qi + pa.dist(qj) > budget {
+                continue;
+            }
+            let (x, y) = cell(pa, splice_eps);
+            let first = xs.partition_point(|&cx| cx < x - 1);
+            for xi in (first..xs.len()).take_while(|&xi| xs[xi] <= x + 1) {
+                let column = &cells[x_starts[xi]..x_starts[xi + 1]];
+                let lo = x_starts[xi] + column.partition_point(|c| c.1 < y - 1);
+                let hi = x_starts[xi] + column.partition_point(|c| c.1 <= y + 1);
+                for e in &grid[starts[lo]..starts[hi]] {
+                    if side_b[e.b].0 == id_a || pa.dist(e.p) > splice_eps {
+                        continue;
+                    }
+                    let val = d_qi + e.d_qj;
+                    let entry = best.slot(e.b);
+                    if val < entry.0 {
+                        *entry = (val, ka, e.k);
+                    }
+                }
+            }
+        }
+        best.sort_touched();
+        out.extend(best.touched().iter().map(|&bi| {
+            let (_, ka, kb) = best.get(bi as usize);
+            (ai, bi as usize, ka, kb)
+        }));
+        best.clear();
+    }
+    out
+}
+
+/// A side-B point of the splice join: its cell, side-B trip `b`, point
+/// index `k`, position and `d(p, q_{i+1})` — the join reads B points from
+/// here, not from the archive.
+struct GridEntry {
+    cell: (i64, i64),
+    b: usize,
+    k: usize,
+    p: Point,
+    d_qj: f64,
 }
 
 /// Condition 3 of Definition 6 over a point run.
@@ -619,5 +689,254 @@ mod tests {
         // practice thanks to GPS spread... here y is constant (20), so the
         // MBB is a line → infinite density.
         assert!(refs.density_per_km2().is_infinite());
+    }
+
+    /// The splice join as it stood before the flat grid — per-cell `Vec`s
+    /// in a hash map, best pairs in a second hash map, drained and sorted —
+    /// kept verbatim (bar the `pos` reader) as the flat join's reference.
+    fn splice_pairs_hashed(
+        side_a: &[(TrajId, usize, usize)],
+        side_b: &[(TrajId, usize, usize)],
+        pos: impl Fn(TrajId, usize) -> Point,
+        (qi, qj, budget): (Point, Point, f64),
+        splice_eps: f64,
+    ) -> Vec<(usize, usize, usize, usize)> {
+        use hris_roadnet::FxHashMap;
+        // Grid join: bucket side-B candidate points by `splice_eps` cells.
+        let mut grid: FxHashMap<(i64, i64), Vec<(usize, usize)>> = FxHashMap::default(); // cell -> (b_pos, pt_idx)
+        for (bi, &(id, first, nn)) in side_b.iter().enumerate() {
+            for k in first..=nn {
+                let p = pos(id, k);
+                // Only points inside the speed-feasible ellipse can appear
+                // in a valid spliced reference.
+                if p.dist(qi) + p.dist(qj) > budget {
+                    continue;
+                }
+                grid.entry(cell(p, splice_eps)).or_default().push((bi, k));
+            }
+        }
+
+        // For each (T_a, T_b) pair keep the best splicing pair.
+        let mut best_pairs: FxHashMap<(usize, usize), (f64, usize, usize)> = FxHashMap::default();
+        for (ai, &(id_a, nn_a, last)) in side_a.iter().enumerate() {
+            for ka in nn_a..=last {
+                let pa = pos(id_a, ka);
+                if pa.dist(qi) + pa.dist(qj) > budget {
+                    continue;
+                }
+                let c = cell(pa, splice_eps);
+                for dx in -1..=1 {
+                    for dy in -1..=1 {
+                        let Some(hits) = grid.get(&(c.0 + dx, c.1 + dy)) else {
+                            continue;
+                        };
+                        for &(bi, kb) in hits {
+                            let id_b = side_b[bi].0;
+                            if id_b == id_a {
+                                continue;
+                            }
+                            let pb = pos(id_b, kb);
+                            if pa.dist(pb) > splice_eps {
+                                continue;
+                            }
+                            // Paper: among multiple splicing pairs of the
+                            // same (T_a, T_b), keep the one minimising
+                            // d(p_a, q_i) + d(p_b, q_{i+1}).
+                            let key = (ai, bi);
+                            let val = pa.dist(qi) + pb.dist(qj);
+                            let entry = best_pairs.entry(key).or_insert((f64::INFINITY, 0, 0));
+                            if val < entry.0 {
+                                *entry = (val, ka, kb);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        // Drain in (ai, bi) order so the spliced refs come out in a
+        // deterministic order regardless of hash-map internals.
+        let mut ordered: Vec<_> = best_pairs.into_iter().collect();
+        ordered.sort_unstable_by_key(|&(key, _)| key);
+        ordered
+            .into_iter()
+            .map(|((ai, bi), (_, ka, kb))| (ai, bi, ka, kb))
+            .collect()
+    }
+
+    /// The per-trajectory argmin as it stood before the pooled table — one
+    /// `num_trajs`-slot array per call, scanned whole — kept verbatim.
+    fn nearest_rows_flat(
+        num_trajs: usize,
+        hits: &[&ArchivePoint],
+        q: Point,
+    ) -> Vec<(TrajId, usize)> {
+        let mut slots: Vec<(f64, u32)> = vec![(f64::INFINITY, u32::MAX); num_trajs];
+        for p in hits {
+            let slot = &mut slots[p.traj.index()];
+            let d2 = p.pos.dist_sq(q);
+            if d2 < slot.0 || (d2 == slot.0 && p.point_idx < slot.1) {
+                *slot = (d2, p.point_idx);
+            }
+        }
+        let mut rows: Vec<(TrajId, usize)> = Vec::new();
+        for (t, slot) in slots.iter_mut().enumerate() {
+            if slot.1 != u32::MAX {
+                rows.push((TrajId(t as u32), slot.1 as usize));
+                *slot = (f64::INFINITY, u32::MAX);
+            }
+        }
+        rows
+    }
+
+    /// A random splice-join input on a 10 m lattice (so distances tie):
+    /// trips as point runs, two sides that may name the same trip, a
+    /// lattice ellipse that leaves some points outside, and a trip far from
+    /// everything so some cells stay empty.
+    #[allow(clippy::type_complexity)]
+    fn random_sides(
+        seed: u64,
+    ) -> (
+        Vec<Vec<Point>>,
+        Vec<(TrajId, usize, usize)>,
+        Vec<(TrajId, usize, usize)>,
+        (Point, Point, f64),
+        f64,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let lattice = |rng: &mut rand_chacha::ChaCha8Rng, span: i32| {
+            Point::new(
+                f64::from(rng.gen_range(0..span)) * 10.0,
+                f64::from(rng.gen_range(0..span)) * 10.0,
+            )
+        };
+        let span = rng.gen_range(4..30);
+        let mut trips: Vec<Vec<Point>> = (0..rng.gen_range(1..10))
+            .map(|_| {
+                (0..rng.gen_range(1..12))
+                    .map(|_| lattice(&mut rng, span))
+                    .collect()
+            })
+            .collect();
+        trips.push(vec![
+            Point::new(90_000.0, 90_000.0),
+            Point::new(90_010.0, 90_000.0),
+        ]);
+        let side = |rng: &mut rand_chacha::ChaCha8Rng| {
+            let mut out = Vec::new();
+            for (t, pts) in trips.iter().enumerate() {
+                if rng.gen_bool(0.6) {
+                    let lo = rng.gen_range(0..pts.len());
+                    let hi = rng.gen_range(lo..pts.len());
+                    out.push((TrajId(t as u32), lo, hi));
+                }
+            }
+            out
+        };
+        let (side_a, side_b) = (side(&mut rng), side(&mut rng));
+        let qi = lattice(&mut rng, span);
+        let qj = lattice(&mut rng, span);
+        let budget = qi.dist(qj) + f64::from(rng.gen_range(0..span)) * 10.0;
+        let eps = [10.0, 25.0, 50.0, 120.0][rng.gen_range(0..4usize)];
+        (trips, side_a, side_b, (qi, qj, budget), eps)
+    }
+
+    /// The flat splice join names the hash-map join's pairs, winners and
+    /// order exactly — including equal-distance ties (the first pair met
+    /// wins), candidates from the same trip on both sides (skipped) and A
+    /// points whose cells hold no B point — and each of those occurs.
+    #[test]
+    fn flat_splice_join_matches_hash_map_join() {
+        // [tied winners, same-trip candidates, A points with empty cells]
+        let mut regimes = [0usize; 3];
+        for seed in 0..600u64 {
+            let (trips, side_a, side_b, ellipse, eps) = random_sides(seed);
+            let pos = |id: TrajId, k: usize| trips[id.index()][k];
+            let want = splice_pairs_hashed(&side_a, &side_b, pos, ellipse, eps);
+            let got = splice_pairs(&side_a, &side_b, pos, ellipse, eps);
+            assert_eq!(got, want, "seed {seed}");
+
+            let (qi, qj, budget) = ellipse;
+            let inside = |p: Point| p.dist(qi) + p.dist(qj) <= budget;
+            let points = |side: &[(TrajId, usize, usize)]| -> Vec<(TrajId, Point)> {
+                side.iter()
+                    .flat_map(|&(id, lo, hi)| (lo..=hi).map(move |k| (id, pos(id, k))))
+                    .filter(|&(_, p)| inside(p))
+                    .collect()
+            };
+            let (pa, pb) = (points(&side_a), points(&side_b));
+            for &(ai, bi, _, _) in &want {
+                let (id_a, id_b) = (side_a[ai].0, side_b[bi].0);
+                let vals: Vec<f64> = pa
+                    .iter()
+                    .filter(|(id, _)| *id == id_a)
+                    .flat_map(|&(_, a)| {
+                        pb.iter()
+                            .filter(move |(id, b)| *id == id_b && a.dist(*b) <= eps)
+                            .map(move |&(_, b)| a.dist(qi) + b.dist(qj))
+                    })
+                    .collect();
+                let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
+                regimes[0] += usize::from(vals.iter().filter(|&&v| v == min).count() > 1);
+            }
+            regimes[1] += usize::from(
+                pa.iter()
+                    .any(|&(ia, a)| pb.iter().any(|&(ib, b)| ia == ib && a.dist(b) <= eps)),
+            );
+            regimes[2] += pa
+                .iter()
+                .filter(|&&(_, a)| {
+                    let (ca, cb) = (cell(a, eps), |b: Point| cell(b, eps));
+                    pb.iter().all(|&(_, b)| {
+                        let c = cb(b);
+                        (c.0 - ca.0).abs() > 1 || (c.1 - ca.1).abs() > 1
+                    })
+                })
+                .count()
+                .min(1);
+        }
+        assert!(
+            regimes.iter().all(|&n| n >= 20),
+            "every regime must occur: {regimes:?}"
+        );
+    }
+
+    /// The argmin over the pooled trip table — reused across archives of
+    /// different sizes — names the flat argmin's rows: nearest hit per trip,
+    /// ties to the smallest point index, a NaN-only trip absent, ascending
+    /// trip ids.
+    #[test]
+    fn pooled_argmin_matches_flat_argmin() {
+        use rand::{Rng, SeedableRng};
+        let mut slots = SparseSlots::new((f64::INFINITY, u32::MAX));
+        for seed in 0..400u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let num_trajs = [1usize, 7, 64, 65, 1_000][(seed % 5) as usize];
+            let hits: Vec<ArchivePoint> = (0..rng.gen_range(0..60))
+                .map(|_| {
+                    let pos = if rng.gen_bool(0.05) {
+                        Point::new(f64::NAN, 0.0)
+                    } else {
+                        Point::new(
+                            f64::from(rng.gen_range(-3..4)) * 10.0,
+                            f64::from(rng.gen_range(-3..4)) * 10.0,
+                        )
+                    };
+                    ArchivePoint {
+                        pos,
+                        t: 0.0,
+                        traj: TrajId(rng.gen_range(0..num_trajs.min(12)) as u32),
+                        point_idx: rng.gen_range(0..8),
+                    }
+                })
+                .collect();
+            let hits: Vec<&ArchivePoint> = hits.iter().collect();
+            let q = Point::new(0.0, 0.0);
+            slots.cover(num_trajs);
+            let got = nearest_rows(&mut slots, &hits, q);
+            assert_eq!(got, nearest_rows_flat(num_trajs, &hits, q), "seed {seed}");
+            assert!(slots.touched().is_empty(), "seed {seed}: table left dirty");
+        }
     }
 }

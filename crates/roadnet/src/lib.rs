@@ -16,6 +16,9 @@
 //!   SCC reachability, cached shortest-path trees) that every production
 //!   road-network search runs on; [`shortest`] keeps the textbook searches
 //!   it is checked against.
+//! - [`SparseSlots`] / [`SlotPool`] — pooled per-call tables over
+//!   segment or trip ids that reset in time proportional to the ids a call
+//!   touched.
 //! - [`generator`] — a synthetic urban network generator standing in for the
 //!   paper's Beijing road network (see DESIGN.md, substitutions table).
 
@@ -28,6 +31,7 @@ pub mod ids;
 pub mod network;
 pub mod oracle;
 pub mod route;
+pub mod scratch;
 pub mod shortest;
 
 pub use digraph::{tarjan_scc, CsrView, DijkstraScratch};
@@ -37,3 +41,4 @@ pub use ids::{NodeId, SegmentId};
 pub use network::{CostModel, LambdaSoA, RoadNetwork, Segment};
 pub use oracle::{PathResult, SpOracle, SptTree};
 pub use route::Route;
+pub use scratch::{SlotPool, SparseSlots};

@@ -6,6 +6,7 @@ use crate::generator::RoadClass;
 use crate::ids::{NodeId, SegmentId};
 use crate::oracle::SpOracle;
 use crate::route::Route;
+use crate::scratch::{SlotPool, SparseSlots};
 use hris_geo::{BBox, Point, Polyline};
 use hris_rtree::{RTree, Spatial};
 use std::collections::VecDeque;
@@ -108,6 +109,8 @@ struct NetCaches {
     lambda: Mutex<FxHashMap<(u32, u32), Arc<LambdaSoA>>>,
     /// `(x bits, y bits, eps bits)` → what is known of that query circle.
     cands: Mutex<CandCache>,
+    /// Segment-indexed per-call tables ([`RoadNetwork::with_segment_slots`]).
+    seg_slots: SlotPool<u32>,
 }
 
 /// Query-circle key (x bits, y bits, eps bits) → its projection.
@@ -183,6 +186,7 @@ impl NetCaches {
             oracle: OnceLock::new(),
             lambda: Mutex::new(FxHashMap::default()),
             cands: Mutex::new(FxHashMap::default()),
+            seg_slots: SlotPool::default(),
         }
     }
 }
@@ -644,6 +648,13 @@ impl RoadNetwork {
             }
         }
         nearest
+    }
+
+    /// Runs `f` on a pooled segment-indexed table (vacant slots read 0)
+    /// with no segment touched: a per-pair table costs the segments the
+    /// pair touches, not an allocation and a clear of the whole network.
+    pub fn with_segment_slots<R>(&self, f: impl FnOnce(&mut SparseSlots<u32>) -> R) -> R {
+        self.hot.seg_slots.with(self.segments.len(), 0, f)
     }
 
     /// The node-level graph as a [`CsrView`] under a cost model: node `u`

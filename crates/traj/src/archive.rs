@@ -10,6 +10,7 @@ use crate::snapshot::{put_u32, put_u64, read_u32, read_u64};
 use crate::types::{sanitize_points, GpsPoint, PointRepairs, SanitizeLimits, TrajId, Trajectory};
 use hris_geo::{BBox, Point};
 use hris_obs::MetricsRegistry;
+use hris_roadnet::{SlotPool, SparseSlots};
 use hris_rtree::{RTree, Spatial};
 use serde_json::{json, Value};
 use std::sync::Arc;
@@ -39,6 +40,8 @@ impl Spatial for ArchivePoint {
 pub struct TrajectoryArchive {
     trajectories: Vec<Trajectory>,
     index: RTree<ArchivePoint>,
+    /// Trip-indexed per-call tables ([`TrajectoryArchive::with_trip_slots`]).
+    trip_slots: SlotPool<(f64, u32)>,
 }
 
 impl TrajectoryArchive {
@@ -60,6 +63,7 @@ impl TrajectoryArchive {
         TrajectoryArchive {
             trajectories: trips,
             index: RTree::bulk_load(points),
+            trip_slots: SlotPool::default(),
         }
     }
 
@@ -95,6 +99,14 @@ impl TrajectoryArchive {
     #[must_use]
     pub fn trajectories(&self) -> &[Trajectory] {
         &self.trajectories
+    }
+
+    /// Runs `f` on a pooled trip-indexed table (vacant slots read
+    /// `(f64::INFINITY, u32::MAX)`) with no trip touched: a per-pair table
+    /// costs the trips the pair touches, not the whole archive.
+    pub fn with_trip_slots<R>(&self, f: impl FnOnce(&mut SparseSlots<(f64, u32)>) -> R) -> R {
+        self.trip_slots
+            .with(self.trajectories.len(), (f64::INFINITY, u32::MAX), f)
     }
 
     /// All archived points within `radius` of `center` — the `φ`-range query
